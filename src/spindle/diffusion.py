@@ -59,59 +59,66 @@ class SequenceSchedule:
         return self.alpha_bar.shape[1]
 
 
+def _raw_rows(h_seq: np.ndarray, t, params: ScheduleParams) -> np.ndarray:
+    """Pre-clamp retention rows for h of shape (..., n) at steps t, which
+    broadcast against h's leading axes."""
+    h = np.asarray(h_seq, dtype=np.float64)
+    if h.ndim < 1 or h.shape[-1] < 1:
+        raise ValueError("sequence must be non-empty")
+    if not np.all((h > 0) & np.isfinite(h)):
+        raise ValueError("all surprisals must be positive and finite")
+    h_tilde = 1.0 - h.mean(axis=-1, keepdims=True) / h
+    T = params.num_steps
+    t = np.asarray(t, dtype=np.float64)[..., None]
+    return (1.0 - t / T) - params.lam * np.sin(t * np.pi / T) * h_tilde
+
+
 def spindle_alpha_raw(h_seq: np.ndarray, params: ScheduleParams) -> np.ndarray:
-    """Pre-clamp retention grid, shape (T+1, n) (or (B, T+1, n) for batched h).
+    """Pre-clamp retention grid, shape (T+1, n).
 
     alpha_bar[t, i] = 1 - t/T - lam*sin(pi*t/T) * (1 - mean(h)/h[i]).
     The h-weighted mean of each row is exactly 1 - t/T for any lam.
     """
-    h = np.asarray(h_seq, dtype=np.float64)
-    if h.ndim not in (1, 2):
-        raise ValueError("h_seq must be 1-D or 2-D")
-    if h.shape[-1] < 1:
-        raise ValueError("sequence must be non-empty")
-    if not np.all((h > 0) & np.isfinite(h)):
-        raise ValueError("all surprisals must be positive and finite")
-    T = params.num_steps
-    t = np.arange(T + 1, dtype=np.float64)
-    s_t = params.lam * np.sin(t * np.pi / T)
-    h_tilde = 1.0 - h.mean(axis=-1, keepdims=True) / h
-    frac = 1.0 - t / T
-    if h.ndim == 1:
-        return frac[:, None] - s_t[:, None] * h_tilde[None, :]
-    return frac[None, :, None] - s_t[None, :, None] * h_tilde[:, None, :]
-
-
-def _clamp_monotone(raw: np.ndarray, params: ScheduleParams) -> tuple[np.ndarray, int]:
-    lo, hi = params.clamp_eps, 1.0 - params.clamp_eps
-    clipped = np.clip(raw, lo, hi)
-    mono = np.minimum.accumulate(clipped, axis=-2)
-    mono[..., 0, :] = 1.0
-    mono[..., -1, :] = 0.0
-    interior = raw[..., 1:-1, :]
-    events = int(((interior < lo) | (interior > hi)).sum())
-    events += int((clipped[..., 1:-1, :] != mono[..., 1:-1, :]).sum())
-    return mono, events
+    if np.ndim(h_seq) != 1:
+        raise ValueError("h_seq must be 1-D; use spindle_alpha_bar_at for batches of rows")
+    return _raw_rows(h_seq, np.arange(params.num_steps + 1), params)
 
 
 def spindle_schedule(h_seq: np.ndarray, params: ScheduleParams) -> SequenceSchedule:
     """Schedule for one sequence: raw spindle values clamped to [0, 1], made
     nonincreasing by a running minimum, with the t=0 and t=T rows forced to
-    exactly 1 and 0.
+    exactly 1 and 0. clamp_events counts the interior values either step moved.
     """
-    h = np.asarray(h_seq, dtype=np.float64)
-    if h.ndim != 1:
-        raise ValueError("h_seq must be 1-D; use spindle_alpha_bar_batch for batches")
-    raw = spindle_alpha_raw(h, params)
-    alpha_bar, events = _clamp_monotone(raw, params)
-    return SequenceSchedule(alpha_bar, h, events)
+    raw = spindle_alpha_raw(h_seq, params)
+    lo, hi = params.clamp_eps, 1.0 - params.clamp_eps
+    clipped = np.clip(raw, lo, hi)
+    alpha_bar = np.minimum.accumulate(clipped, axis=0)
+    alpha_bar[0] = 1.0
+    alpha_bar[-1] = 0.0
+    events = int(((raw[1:-1] < lo) | (raw[1:-1] > hi)).sum())
+    events += int((clipped[1:-1] != alpha_bar[1:-1]).sum())
+    return SequenceSchedule(alpha_bar, np.asarray(h_seq, dtype=np.float64), events)
 
 
-def spindle_alpha_bar_batch(h_batch: np.ndarray, params: ScheduleParams) -> np.ndarray:
-    """Clamped retention grids for a batch of surprisal rows, (B, T+1, n)."""
-    raw = spindle_alpha_raw(np.asarray(h_batch, dtype=np.float64), params)
-    alpha_bar, _ = _clamp_monotone(raw, params)
-    return alpha_bar
+def spindle_alpha_bar_at(h_seq: np.ndarray, t, params: ScheduleParams) -> np.ndarray:
+    """Row alpha_bar[t] of `spindle_schedule(h_seq, params)`, without the grid.
+
+    h_seq has shape (..., n); t (integers in 0..T) broadcasts against its
+    leading axes. The raw curve f(u) = 1 - u/T - lam*sin(pi*u/T)*h~ has at
+    most one stationary point in (0, T). Where h~ < 0 it is a maximum: f
+    rises above f(0) = 1, which the clip to 1 - clamp_eps flattens, then
+    falls. Where h~ > 0 it is a minimum (present only if lam*pi*h~ > 1),
+    after which f climbs back to f(T) = 0, under the clip's floor. So the
+    running minimum changes nothing after the clip: the row is f(t) clipped
+    to [clamp_eps, 1 - clamp_eps], with rows 0 and T forced to 1 and 0.
+    """
+    T = params.num_steps
+    t = np.asarray(t)
+    if ((t < 0) | (t > T)).any():
+        raise ValueError(f"t out of range [0, {T}]")
+    rows = np.clip(_raw_rows(h_seq, t, params), params.clamp_eps, 1.0 - params.clamp_eps)
+    t = t[..., None]
+    return np.where(t == 0, 1.0, np.where(t == T, 0.0, rows))
 
 
 def flat_schedule(length: int, params: ScheduleParams) -> SequenceSchedule:
@@ -184,20 +191,22 @@ def forward_sample(
     return np.where(keep, x0, MASK_ID)
 
 
-def reveal_probs(t: int, s: int, sched: SequenceSchedule) -> np.ndarray:
-    """Per-position probability that a token masked at step t is revealed when
-    jumping back to step s < t: (alpha_bar[s] - alpha_bar[t]) / (1 - alpha_bar[t]).
+def reveal_from_rows(alpha_s: np.ndarray, alpha_t: np.ndarray) -> np.ndarray:
+    """Probability that a token masked at step t is revealed by step s < t:
+    (alpha_bar[s] - alpha_bar[t]) / (1 - alpha_bar[t]), or 1 where alpha_bar[t] == 1.
     """
+    denom = 1.0 - alpha_t
+    ok = denom > 0
+    jump = (alpha_s - alpha_t) / np.where(ok, denom, 1.0)
+    return np.where(ok, np.clip(jump, 0.0, 1.0), 1.0)
+
+
+def reveal_probs(t: int, s: int, sched: SequenceSchedule) -> np.ndarray:
+    """`reveal_from_rows` for the jump from step t back to step s < t."""
     if not 0 <= s < t:
         raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
     _check_t(t, sched)
-    a_t = sched.alpha_bar[t]
-    a_s = sched.alpha_bar[s]
-    denom = 1.0 - a_t
-    out = np.ones(sched.length)
-    ok = denom > 0
-    out[ok] = (a_s[ok] - a_t[ok]) / denom[ok]
-    return np.clip(out, 0.0, 1.0)
+    return reveal_from_rows(sched.alpha_bar[s], sched.alpha_bar[t])
 
 
 def _posterior_grid(

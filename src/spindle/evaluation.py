@@ -20,13 +20,7 @@ import numpy as np
 
 from .corpus import MASK_ID, SurprisalTable, Vocab
 from .denoiser import DenoiserParams, predict_x0_logits
-from .diffusion import (
-    ScheduleParams,
-    SequenceSchedule,
-    forward_sample,
-    reveal_probs,
-    spindle_schedule,
-)
+from .diffusion import ScheduleParams, SequenceSchedule, reveal_probs, spindle_alpha_bar_at
 from .rng import stream
 from .sampling import SampleConfig, generate_batch
 
@@ -72,23 +66,24 @@ def elbo_eval(
     if not dataset:
         raise ValueError("empty dataset")
     dataset = [np.asarray(x, dtype=np.int64) for x in dataset]
-    scheds = [spindle_schedule(surprisal.h_for(x), sched_params) for x in dataset]
     big_t = sched_params.num_steps
     total_nats = 0.0
     total_tokens = sum(len(x) for x in dataset)
     for k in range(t_samples_per_example):
         for lo in range(0, len(dataset), _EVAL_CHUNK):
-            chunk = slice(lo, lo + _EVAL_CHUNK)
-            seqs = dataset[chunk]
-            chunk_scheds = scheds[chunk]
+            seqs = dataset[lo : lo + _EVAL_CHUNK]
             t_draws = np.array(
                 [
                     stream(seed, "elbo", k, lo + j).integers(1, big_t + 1)
                     for j in range(len(seqs))
                 ]
             )
+            rows = [
+                spindle_alpha_bar_at(surprisal.h_for(x), [t - 1, t], sched_params)
+                for x, t in zip(seqs, t_draws)
+            ]
             breakdown, _ = diffusion_loss_batch(
-                params, seqs, chunk_scheds, t_draws,
+                params, seqs, rows, t_draws, big_t,
                 stream(seed, "elbo-noise", k, lo),
                 train=False, want_grads=False,
             )

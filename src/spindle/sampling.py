@@ -1,10 +1,11 @@
 """Reverse-process generation with step skipping and top-K filtered sampling.
 
 Chains start fully masked and jump T/num_reverse_iterations steps at a time.
-Each iteration predicts a clean sequence at the masked positions, rebuilds
-the per-position retention curves from the surprisal of that prediction
-(lam > 0) or uses the flat 1 - t/T curve (lam = 0), and draws the next state
-from the closed-form skip posterior. Revealed tokens are frozen by default;
+Each iteration predicts a clean sequence at the masked positions, computes
+the two retention rows alpha_bar[s] and alpha_bar[t] of the jump t -> s in
+closed form from the surprisal of that prediction (the same clamped spindle
+schedule training uses, for every lam), and draws the next state from the
+closed-form skip posterior. Revealed tokens are frozen by default;
 `remask=True` instead re-predicts everything and redraws the mask pattern
 each iteration.
 """
@@ -18,7 +19,7 @@ import numpy as np
 from . import denoiser
 from .corpus import MASK_ID, SurprisalTable
 from .denoiser import DenoiserParams
-from .diffusion import ScheduleParams, spindle_alpha_bar_batch
+from .diffusion import ScheduleParams, reveal_from_rows, spindle_alpha_bar_at
 from .rng import as_generator
 
 
@@ -147,23 +148,16 @@ def generate_batch(
         masked = x == MASK_ID
         x0_hat = np.where(masked, drawn, x)
 
-        if sched_params.lam == 0:
-            alpha_s = np.full((num, n), 1.0 - s / big_t)
-            alpha_t = np.full((num, n), 1.0 - t / big_t)
-        else:
-            grid = spindle_alpha_bar_batch(surprisal.h_for(x0_hat), sched_params)
-            alpha_s, alpha_t = grid[:, s, :], grid[:, t, :]
+        h = surprisal.h_for(x0_hat)
+        alpha_s = spindle_alpha_bar_at(h, s, sched_params)
+        alpha_t = spindle_alpha_bar_at(h, t, sched_params)
 
         u = rng.random((num, n))
         if cfg.remask:
             x = np.where(u < alpha_s, x0_hat, MASK_ID)
             newly = (x != MASK_ID) & masked
         else:
-            denom = 1.0 - alpha_t
-            reveal = np.ones((num, n))
-            ok = denom > 0
-            reveal[ok] = np.clip((alpha_s[ok] - alpha_t[ok]) / denom[ok], 0.0, 1.0)
-            newly = masked & (u < reveal)
+            newly = masked & (u < reveal_from_rows(alpha_s, alpha_t))
             x = np.where(newly, x0_hat, x)
         reveal_iter[newly] = it
         if trajectory is not None:

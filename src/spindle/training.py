@@ -22,13 +22,7 @@ import numpy as np
 from . import denoiser
 from .corpus import MASK_ID, PAD_ID, SurprisalTable, Vocab
 from .denoiser import DenoiserParams, save_checkpoint, load_checkpoint
-from .diffusion import (
-    ScheduleParams,
-    SequenceSchedule,
-    forward_sample,
-    reveal_probs,
-    spindle_schedule,
-)
+from .diffusion import ScheduleParams, SequenceSchedule, reveal_from_rows, spindle_alpha_bar_at
 from .rng import as_generator, stream
 
 
@@ -109,8 +103,9 @@ def reverse_mixture_row(
 def diffusion_loss_batch(
     params: DenoiserParams,
     seqs: list[np.ndarray],
-    scheds: list[SequenceSchedule],
+    alpha_rows: list[np.ndarray],
     t_draws: np.ndarray,
+    num_steps: int,
     rng: np.random.Generator | int | None,
     *,
     train: bool = True,
@@ -118,27 +113,26 @@ def diffusion_loss_batch(
 ) -> tuple[LossBreakdown, dict[str, np.ndarray] | None]:
     """Sampled-t bound estimate and its parameter gradients for a batch.
 
-    Each item carries its own schedule and time draw. Gradients are of
-    `total`, i.e. already importance-weighted and per-token normalized.
+    Item i is drawn at step t_draws[i] in {1..num_steps}; alpha_rows[i] holds
+    its two retention rows alpha_bar[t-1] and alpha_bar[t], shape (2, n_i).
+    Gradients are of `total`, i.e. already importance-weighted and per-token
+    normalized.
     """
     rng = as_generator(rng)
-    big_t = scheds[0].num_steps
-    for s in scheds:
-        if s.num_steps != big_t:
-            raise ValueError("all schedules in a batch must share T")
-        if np.any(s.alpha_bar[-1] != 0.0):
-            raise ValueError("prior term nonzero: schedule must end fully masked")
     t_draws = np.asarray(t_draws, dtype=np.int64)
-    if ((t_draws < 1) | (t_draws > big_t)).any():
+    if ((t_draws < 1) | (t_draws > num_steps)).any():
         raise ValueError("t draws must lie in {1..T}")
 
     xts, reveals = [], []
-    for x0, sched, t in zip(seqs, scheds, t_draws):
+    for x0, rows in zip(seqs, alpha_rows, strict=True):
         x0 = np.asarray(x0, dtype=np.int64)
         if (x0 == MASK_ID).any():
             raise ValueError("training sequence contains [MASK]")
-        xts.append(forward_sample(x0, int(t), sched, rng))
-        reveals.append(reveal_probs(int(t), int(t) - 1, sched))
+        if np.shape(rows) != (2, len(x0)):
+            raise ValueError(f"retention rows {np.shape(rows)} do not match sequence n={len(x0)}")
+        alpha_prev, alpha_t = rows
+        xts.append(np.where(rng.random(len(x0)) < alpha_t, x0, MASK_ID))
+        reveals.append(reveal_from_rows(alpha_prev, alpha_t))
 
     xt_pad, valid = _pad_batch(xts)
     x0_pad, _ = _pad_batch([np.asarray(s, dtype=np.int64) for s in seqs])
@@ -162,13 +156,13 @@ def diffusion_loss_batch(
     l0 = float(per_item[is_recon].sum())
     l_kl = float(per_item[~is_recon].sum())
     num_tokens = int(valid.sum())
-    total = big_t * (l_kl + l0) / num_tokens
+    total = num_steps * (l_kl + l0) / num_tokens
 
     grads = None
     if want_grads:
         onehot_grad = np.exp(logp)
         onehot_grad[rows, cols, x0_pad] -= 1.0
-        upstream = onehot_grad * (weights * big_t / num_tokens)[:, :, None]
+        upstream = onehot_grad * (weights * num_steps / num_tokens)[:, :, None]
         upstream[~masked] = 0.0
         grads = denoiser.backward(cache, upstream.astype(params.dtype))
     return LossBreakdown(l_kl, l0, 0.0, total, num_tokens), grads
@@ -184,10 +178,12 @@ def diffusion_loss(
     train: bool = True,
     want_grads: bool = True,
 ) -> tuple[LossBreakdown, dict[str, np.ndarray] | None]:
-    """Single-sequence form of `diffusion_loss_batch`."""
+    """Single-sequence form of `diffusion_loss_batch` on an explicit schedule."""
+    if np.any(sched.alpha_bar[-1] != 0.0):
+        raise ValueError("prior term nonzero: schedule must end fully masked")
     return diffusion_loss_batch(
-        params, [np.asarray(x0)], [sched], np.array([t_draw]), rng,
-        train=train, want_grads=want_grads,
+        params, [np.asarray(x0)], [sched.alpha_bar[t_draw - 1 : t_draw + 1]],
+        np.array([t_draw]), sched.num_steps, rng, train=train, want_grads=want_grads,
     )
 
 
@@ -386,6 +382,8 @@ def run_training(
     """MLM pretraining (first mlm_pretrain_steps steps) followed by diffusion
     training. Batches walk shuffled passes over the corpus (`ShuffledPasses`):
     every line is seen once per pass, in an order fixed by (seed, pass).
+    Each item's retention rows alpha_bar[t-1], alpha_bar[t] are computed in
+    closed form from its surprisal; nothing is cached per corpus line.
     Every step derives its batch and its randomness from (seed, step) alone,
     so a run resumed from a checkpoint replays identically; checkpoints round
     live state through their float32 on-disk form so interrupted and
@@ -401,12 +399,7 @@ def run_training(
         out.mkdir(parents=True, exist_ok=True)
 
     passes = ShuffledPasses(cfg.seed, len(sequences))
-    sched_cache: dict[int, SequenceSchedule] = {}
-
-    def sched_for(idx: int) -> SequenceSchedule:
-        if idx not in sched_cache:
-            sched_cache[idx] = spindle_schedule(surprisal.h_for(sequences[idx]), sched_params)
-        return sched_cache[idx]
+    big_t = sched_params.num_steps
 
     metrics: list[dict] = []
     metrics_path = out / "metrics.jsonl" if out is not None else None
@@ -437,9 +430,12 @@ def run_training(
             breakdown = LossBreakdown(0.0, 0.0, 0.0, loss)
             opt_step = step
         else:
-            scheds = [sched_for(i) for i in idx]
-            t_draws = stratified_t_draws(rng, cfg.batch_size, sched_params.num_steps)
-            breakdown, grads = diffusion_loss_batch(params, batch, scheds, t_draws, rng)
+            t_draws = stratified_t_draws(rng, cfg.batch_size, big_t)
+            rows = [
+                spindle_alpha_bar_at(surprisal.h_for(x0), [t - 1, t], sched_params)
+                for x0, t in zip(batch, t_draws)
+            ]
+            breakdown, grads = diffusion_loss_batch(params, batch, rows, t_draws, big_t, rng)
             loss = breakdown.total
             opt_step = step - cfg.mlm_pretrain_steps
             if opt_step == 1:

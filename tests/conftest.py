@@ -5,36 +5,9 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 import spindle as sp  # noqa: E402
-
-WORD_POOL = ["lake", "bird", "tree", "wind", "moss", "fern", "rock", "reed", "dusk", "dawn"]
-
-
-def make_char_corpus(num_sentences: int = 100, words_per_sentence: int = 4, seed: int = 0):
-    """Sentences of `words_per_sentence` four-letter words; every sentence has
-    the same character length, so fixed-length generation can match verbatim.
-    """
-    rng = np.random.default_rng(seed)
-    sents = set()
-    while len(sents) < num_sentences:
-        ws = [WORD_POOL[rng.integers(len(WORD_POOL))] for _ in range(words_per_sentence)]
-        sents.add(" ".join(ws))
-    return sorted(sents)
-
-
-@pytest.fixture(scope="session")
-def char_corpus(tmp_path_factory):
-    """100-sentence char-level corpus plus vocab/surprisal/sequences."""
-    sents = make_char_corpus()
-    path = tmp_path_factory.mktemp("corpus") / "train.txt"
-    path.write_text("\n".join(sents) + "\n", encoding="utf-8")
-    vocab = sp.build_vocab(path, 100, "char")
-    table = sp.surprisal_table(path, vocab, 1.0)
-    seqs = [sp.tokenize(s, vocab) for s in sents]
-    return {"path": path, "sentences": sents, "vocab": vocab, "table": table, "seqs": seqs}
 
 
 @pytest.fixture(scope="session")
@@ -52,31 +25,3 @@ def word_corpus(tmp_path_factory):
     table = sp.surprisal_table(path, vocab, 1.0)
     seqs = [sp.tokenize(s, vocab) for s in lines]
     return {"path": path, "sentences": lines, "vocab": vocab, "table": table, "seqs": seqs}
-
-
-@pytest.fixture(scope="session")
-def memorized_model(char_corpus):
-    """The shared toy model used by the long-running acceptance criteria:
-    (L=4, d=128, T=64), lam=0.3, trained on the 100-sentence char corpus.
-    """
-    vocab = char_corpus["vocab"]
-    table = char_corpus["table"]
-    seqs = char_corpus["seqs"]
-    sched_params = sp.ScheduleParams(num_steps=64, lam=0.3)
-    cfg = sp.DenoiserConfig(
-        vocab_size=len(vocab), mode="tad", num_layers=4, d_model=128,
-        num_heads=4, n_max=64, num_steps=64, dropout=0.02,
-    )
-    params = sp.init_params(cfg, 0).astype(np.float32)
-    train_cfg = sp.TrainConfig(
-        learning_rate=1e-3, warmup_steps=100, batch_size=32, total_steps=2600, seed=0
-    )
-    result = sp.run_training(params, vocab, table, seqs, sched_params, train_cfg, log_every=500)
-    return {
-        "params": result.params,
-        "sched_params": sched_params,
-        "train_elbo": sp.elbo_eval(
-            result.params, seqs, sched_params, table, t_samples_per_example=4, seed=77
-        ),
-        **char_corpus,
-    }

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spindle as sp
 from spindle.corpus import MASK_ID
-from spindle.diffusion import spindle_alpha_bar_batch
+from spindle.diffusion import spindle_alpha_bar_at
 
 positive_h = st.lists(
     st.floats(min_value=0.05, max_value=20.0, allow_nan=False), min_size=1, max_size=16
@@ -86,13 +86,36 @@ def test_clamp_events_counted():
     assert np.all((sched.alpha_bar >= 0) & (sched.alpha_bar <= 1))
 
 
-def test_batch_matches_single():
-    params = sp.ScheduleParams(num_steps=10, lam=0.5)
-    h = np.array([[0.5, 2.0, 1.0], [3.0, 0.2, 1.7]])
-    batch = spindle_alpha_bar_batch(h, params)
-    for b in range(2):
-        single = sp.spindle_schedule(h[b], params)
-        assert np.array_equal(batch[b], single.alpha_bar)
+# repeated values give ties; 0.05 against 20 spreads h~ far enough that
+# lam * pi * h~ > 1, where the raw curve dips below 0 before t = T
+tied_h = st.lists(
+    st.one_of(st.sampled_from([0.05, 1.0, 20.0]), st.floats(0.05, 20.0)),
+    min_size=1, max_size=16,
+)
+
+
+@settings(max_examples=150, deadline=None)
+# h = 20 dips below 0 (lam*pi*h~ = 1.57), h = 0.05 rises above 1
+@example(h=[0.05, 20.0, 20.0], lam=1.5, eps=0.0, T=64)
+@given(
+    h=tied_h,
+    lam=st.floats(0.0, 2.0),
+    eps=st.floats(0.0, 0.49),
+    T=st.one_of(st.integers(1, 64), st.integers(1, 2048)),
+)
+def test_closed_form_rows_match_dense_schedule(h, lam, eps, T):
+    h = np.array(h)
+    params = sp.ScheduleParams(num_steps=T, lam=lam, clamp_eps=eps)
+    dense = sp.spindle_schedule(h, params).alpha_bar
+    rows = spindle_alpha_bar_at(h, np.arange(T + 1), params)
+    assert rows.shape == dense.shape
+    assert np.abs(rows - dense).max() <= 1e-12
+    # a batch of h rows, each at its own t
+    t = np.arange(T + 1)[::-1]
+    batch = spindle_alpha_bar_at(np.broadcast_to(h, (T + 1, len(h))), t, params)
+    assert np.abs(batch - dense[t]).max() <= 1e-12
+    with pytest.raises(ValueError):
+        spindle_alpha_bar_at(h, T + 1, params)
 
 
 def test_forward_marginal_boundaries(word_corpus):

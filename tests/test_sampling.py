@@ -165,22 +165,27 @@ def test_mask_trajectory_matches_linear_schedule():
 def test_reveal_times_match_schedule_distribution():
     """Frozen sampler reveal times follow alpha_bar[t-1] - alpha_bar[t]
     exactly (chi-squared at the 1% level, fixed seed); with lam=0 reveal
-    dynamics are prediction-independent so an untrained model suffices."""
+    dynamics are prediction-independent so an untrained model suffices.
+    The clamped case (shares 0.2, 0.05, 0.125 x4, 0.05, 0.2) checks that the
+    sampler walks the same clamped chain training uses."""
     from scipy.stats import chi2
 
     T, n, chains = 8, 6, 10_000
     params = _uniform_model(T=T)
-    sched_params = sp.ScheduleParams(num_steps=T, lam=0.0)
     cfg = sp.SampleConfig(length=n, num_reverse_iterations=T, top_k=12, seed=0)
-    res = sp.generate_batch(params, sched_params, cfg, _flat_surprisal(), chains,
-                            stream(1, "chi"))
-    # iteration it reveals the jump t = T - it + 1 -> t - 1
-    expected_per_t = {t: 1.0 / T for t in range(1, T + 1)}  # alpha flat: 1/T each
-    for pos in range(n):
-        observed = np.bincount(res.reveal_iteration[:, pos], minlength=T + 1)[1:]
-        expected = np.array([expected_per_t[T - it + 1] * chains for it in range(1, T + 1)])
-        stat = ((observed - expected) ** 2 / expected).sum()
-        assert stat <= chi2.ppf(0.99, df=T - 1), (pos, stat)
+    for clamp_eps in (0.0, 0.2):
+        sched_params = sp.ScheduleParams(num_steps=T, lam=0.0, clamp_eps=clamp_eps)
+        a = sp.flat_schedule(1, sched_params).alpha_bar[:, 0]
+        res = sp.generate_batch(params, sched_params, cfg, _flat_surprisal(), chains,
+                                stream(1, "chi"))
+        # iteration it reveals the jump t = T - it + 1 -> t - 1
+        shares = np.array([a[T - it] - a[T - it + 1] for it in range(1, T + 1)])
+        assert (shares > 0).all() and shares.sum() == pytest.approx(1.0)
+        for pos in range(n):
+            observed = np.bincount(res.reveal_iteration[:, pos], minlength=T + 1)[1:]
+            expected = shares * chains
+            stat = ((observed - expected) ** 2 / expected).sum()
+            assert stat <= chi2.ppf(0.99, df=T - 1), (clamp_eps, pos, stat)
 
 
 def test_spindle_reveals_low_surprisal_first():
