@@ -207,8 +207,9 @@ def surprisal_table(
 
     h[v] = -ln((count[v] + s) / (total + s * C)) over the C content tokens
     (including [UNK], which absorbs out-of-vocab occurrences). With s = 0 an
-    unseen token gets h = +inf; it only errors if such a token is later used
-    in a schedule.
+    unseen token gets h = +inf. It has no schedule, so the sampler never draws
+    it, and training on or scoring a sequence that contains it raises
+    ValueError.
     """
     if smoothing_count < 0:
         raise ValueError("smoothing_count must be nonnegative")

@@ -1,13 +1,16 @@
 """Reverse-process generation with step skipping and top-K filtered sampling.
 
 Chains start fully masked and jump T/num_reverse_iterations steps at a time.
-Each iteration predicts a clean sequence at the masked positions, computes
-the two retention rows alpha_bar[s] and alpha_bar[t] of the jump t -> s in
-closed form from the surprisal of that prediction (the same clamped spindle
-schedule training uses, for every lam), and draws the next state from the
-closed-form skip posterior. Revealed tokens are frozen by default;
-`remask=True` instead re-predicts everything and redraws the mask pattern
-each iteration.
+Each iteration runs the denoiser and draws a clean token at every position
+that is still masked from its top-K filtered softmax; top-K and the draw run
+on the masked rows only, and special ids and ids of infinite surprisal are
+never drawn. It then computes the two retention rows alpha_bar[s] and
+alpha_bar[t] of the jump t -> s in closed form from the surprisal of that
+prediction (the same clamped spindle schedule training uses, for every lam),
+and draws the next state from the closed-form skip posterior. Revealed
+tokens are frozen by default. With `remask=True` predictions are still drawn
+only at masked positions, but the mask is redrawn over all positions from
+alpha_bar[s], so a revealed token can be masked again.
 """
 
 from __future__ import annotations
@@ -67,31 +70,56 @@ def top_k_filter(logit_row: np.ndarray, k: int, temperature: float = 1.0) -> np.
     return probs / probs.sum()
 
 
-def _top_k_probs_batch(logits: np.ndarray, k: int, temperature: float) -> np.ndarray:
-    """Vectorized top-k + temperature softmax over the last axis. Assumes every
-    row has the same finite-logit count (true here: only the special columns
-    are -inf). Matches `top_k_filter` row for row.
+def _top_k_rows(
+    logits: np.ndarray, masked: np.ndarray, excluded: np.ndarray, k: int, temperature: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """`top_k_filter` for each masked position of the (B, n, K) logits, with
+    the columns in `excluded` never kept. Returns, in row-major order, the
+    kept ids (m, k_eff) in ascending order and their probabilities; the top k
+    are found by partition, and the softmax runs over the k kept columns only.
     """
-    flat = np.asarray(logits, dtype=np.float64).reshape(-1, logits.shape[-1])
-    k_eff = min(k, int(np.isfinite(flat[0]).sum()))
-    order = np.argsort(-flat, axis=-1, kind="stable")
-    kept = order[:, :k_eff]
-    filtered = np.full_like(flat, -np.inf)
-    np.put_along_axis(filtered, kept, np.take_along_axis(flat, kept, axis=-1), axis=-1)
-    filtered /= temperature
-    filtered -= filtered.max(axis=-1, keepdims=True)
-    probs = np.exp(filtered)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs.reshape(logits.shape)
+    rows = logits[masked]
+    rows[:, excluded] = -np.inf
+    K = rows.shape[1]
+    k_eff = min(k, K - len(excluded))
+    thr = np.partition(rows, K - k_eff, axis=1)[:, K - k_eff, None]  # k-th largest
+    keep = rows >= thr
+    n_keep = np.count_nonzero(keep, axis=1)
+    if (n_keep < k_eff).any():  # NaN compares false
+        raise ValueError("denoiser logits contain NaN")
+    # Rows with surplus ties at the k-th value keep only the lowest-id ties.
+    tied = np.flatnonzero(n_keep > k_eff)
+    above, ties = rows[tied] > thr[tied], rows[tied] == thr[tied]
+    need = k_eff - np.count_nonzero(above, axis=1, keepdims=True)
+    keep[tied] = above | (ties & (np.cumsum(ties, axis=1) <= need))
+    kept = (np.flatnonzero(keep) % K).reshape(-1, k_eff)
+
+    vals = np.take_along_axis(rows, kept, axis=1).astype(np.float64) / temperature
+    vals -= vals.max(axis=1, keepdims=True)
+    probs = np.exp(vals)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return kept, probs
 
 
-def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row of a (..., K) probability array."""
-    flat = probs.reshape(-1, probs.shape[-1])
-    cum = np.cumsum(flat, axis=1)
-    u = rng.random((flat.shape[0], 1)) * cum[:, -1:]
-    idx = (u > cum).sum(axis=1)
-    return idx.reshape(probs.shape[:-1])
+def _draw_top_k(
+    logits: np.ndarray,
+    masked: np.ndarray,
+    excluded: np.ndarray,
+    k: int,
+    temperature: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One top-k filtered categorical draw for each masked position of the
+    (B, n, K) logits; returns the drawn ids in row-major order. One uniform
+    is drawn per position, masked or not, so RNG use does not depend on the
+    mask. The kept ids are in ascending order, so the inverse-CDF draw over
+    them equals the full-row draw on `top_k_filter`'s probabilities.
+    """
+    u = rng.random((masked.size, 1))[masked.ravel()]
+    kept, probs = _top_k_rows(logits, masked, excluded, k, temperature)
+    cum = np.cumsum(probs, axis=1)
+    idx = (u * cum[:, -1:] > cum).sum(axis=1)
+    return kept[np.arange(len(kept)), idx]
 
 
 @dataclass
@@ -129,6 +157,11 @@ def generate_batch(
         raise ValueError(
             f"num_reverse_iterations={cfg.num_reverse_iterations} must divide T={big_t}"
         )
+    # Tokens of infinite surprisal (unseen under zero smoothing) have no
+    # schedule, so like the special ids they are never drawn.
+    excluded = np.union1d(denoiser.SPECIAL_IDS, np.flatnonzero(~np.isfinite(surprisal.h)))
+    if len(excluded) >= model_cfg.vocab_size:
+        raise ValueError("no content token has a finite surprisal to sample")
     rng = as_generator(cfg.seed if rng is None else rng)
     stride = big_t // cfg.num_reverse_iterations
     n = cfg.length
@@ -143,10 +176,9 @@ def generate_batch(
         s = t - stride
         t_in = np.full(num, t) if model_cfg.mode in ("lte", "pte") else None
         logits, _ = denoiser.forward(params, x, t_in, train=False)
-        probs = _top_k_probs_batch(logits, cfg.top_k, cfg.temperature)
-        drawn = _sample_rows(probs, rng)
         masked = x == MASK_ID
-        x0_hat = np.where(masked, drawn, x)
+        x0_hat = x.copy()
+        x0_hat[masked] = _draw_top_k(logits, masked, excluded, cfg.top_k, cfg.temperature, rng)
 
         h = surprisal.h_for(x0_hat)
         alpha_s = spindle_alpha_bar_at(h, s, sched_params)

@@ -153,6 +153,24 @@ def test_sample_deterministic_and_mask_free(tmp_path, corpus_file, prep_dir):
     assert json.loads((tmp_path / "s1.txt.meta.json").read_text())["format_version"] == 1
 
 
+def test_sample_never_draws_unseen_unk_under_zero_smoothing(tmp_path, corpus_file):
+    """With --smoothing 0 and no out-of-vocab word, [UNK] has infinite
+    surprisal. A barely trained head gives it about the probability of any
+    other content token and top-k spans the whole vocabulary, so a sampler
+    that kept it would draw it; sampling must leave it out."""
+    prep = tmp_path / "prep0"
+    assert cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "64",
+                     "--smoothing", "0", "--out", str(prep)]) == 0
+    run = train_tiny(tmp_path, corpus_file, prep)
+    out = tmp_path / "s.txt"
+    rc = cli.main(["sample", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep),
+                   "--num", "4", "--length", "6", "--iterations", "4", "--top-k", "64",
+                   "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4 and not any("[UNK]" in l for l in lines)
+
+
 def test_sample_iterations_must_divide_T(tmp_path, corpus_file, prep_dir):
     run = train_tiny(tmp_path, corpus_file, prep_dir)
     rc = cli.main(["sample", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),

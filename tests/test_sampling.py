@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 import spindle as sp
 from spindle import denoiser as dn
-from spindle.corpus import CLS_ID, MASK_ID, PAD_ID
+from spindle.corpus import CLS_ID, MASK_ID, PAD_ID, UNK_ID
+from spindle.diffusion import reveal_from_rows, spindle_alpha_bar_at
 from spindle.rng import stream
-from spindle.sampling import _top_k_probs_batch
+from spindle.sampling import _draw_top_k, _top_k_rows
 
 
 def test_top_k_basic():
@@ -62,9 +63,64 @@ def test_top_k_properties(logits, k, temp):
     probs = sp.top_k_filter(row, k, temp)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert (probs > 0).sum() <= k
-    # batch path matches the reference row implementation
-    batch = _top_k_probs_batch(np.stack([row, row]), k, temp)
-    assert np.allclose(batch[0], probs, atol=1e-12)
+
+
+def _full_row_draw(probs, u):
+    """Inverse-CDF draw over a whole row: the first id of positive
+    probability whose cumulative mass reaches u * total."""
+    cum = np.cumsum(probs)
+    return int(np.flatnonzero((cum >= u * cum[-1]) & (probs > 0))[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_batched_top_k_matches_top_k_filter(data):
+    """The sampler's batched top-k and draw against `top_k_filter` row by
+    row: same kept ids, same probabilities, and the same draw as a full-row
+    inverse-CDF draw with the same uniform."""
+    K = data.draw(st.integers(2, 12), label="K")
+    B, n = data.draw(st.integers(1, 3), label="B"), data.draw(st.integers(1, 4), label="n")
+    vals = data.draw(st.lists(st.floats(-5, 5), min_size=B * n * K, max_size=B * n * K))
+    logits = np.array(vals).reshape(B, n, K)
+    if data.draw(st.booleans(), label="round"):
+        logits = np.round(logits)  # many ties, also at the k-th value
+    excluded = np.array(sorted(data.draw(st.sets(st.integers(0, K - 1), max_size=K - 1),
+                                         label="excluded")), dtype=np.int64)
+    logits[..., excluded] = -np.inf
+    masked = np.array(data.draw(st.lists(st.booleans(), min_size=B * n, max_size=B * n),
+                                label="masked")).reshape(B, n)
+    k = data.draw(st.integers(1, K + 2), label="k")
+    temp = data.draw(st.floats(0.2, 3.0), label="temp")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+
+    kept, probs = _top_k_rows(logits, masked, excluded, k, temp)
+    drawn = _draw_top_k(logits, masked, excluded, k, temp, np.random.default_rng(seed))
+    u = np.random.default_rng(seed).random(B * n)[masked.ravel()]
+    assert len(drawn) == masked.sum()
+    for row, ids, p, ui, d in zip(logits[masked], kept, probs, u, drawn):
+        ref = sp.top_k_filter(row, k, temp)
+        assert np.array_equal(ids, np.flatnonzero(ref))
+        assert np.allclose(p, ref[ids], rtol=0, atol=1e-12)
+        assert d == _full_row_draw(ref, ui)
+
+
+class _ZeroUniforms:
+    def random(self, size):
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_draw_at_zero_uniform_is_lowest_kept_id(tied):
+    """u = 0 draws the lowest kept id, never an excluded special column."""
+    K = 10
+    logits = np.zeros((2, 3, K)) if tied else np.random.default_rng(0).normal(size=(2, 3, K))
+    logits[..., :3] = -np.inf
+    masked = np.array([[True, False, True], [True, True, True]])
+    excluded = np.array([0, 1, 2])
+    drawn = _draw_top_k(logits, masked, excluded, 4, 1.0, _ZeroUniforms())
+    kept, _ = _top_k_rows(logits, masked, excluded, 4, 1.0)
+    assert np.array_equal(drawn, kept[:, 0])
+    assert (drawn >= 3).all()
 
 
 def _uniform_model(vocab_size=12, T=16, mode="tad", n_max=16):
@@ -207,3 +263,93 @@ def test_spindle_reveals_low_surprisal_first():
     cheap = np.isin(toks, np.arange(3, 8))
     expensive = np.isin(toks, np.arange(8, 12))
     assert its[cheap].mean() < its[expensive].mean()
+
+
+def _reference_generate(params, sched_params, cfg, table, num, rng):
+    """`generate_batch` written out slowly: `top_k_filter` and a full-row
+    draw at each masked position, the same rng calls and schedule rows."""
+    T, n = sched_params.num_steps, cfg.length
+    stride = T // cfg.num_reverse_iterations
+    x = np.full((num, n), MASK_ID, dtype=np.int64)
+    reveal = np.full((num, n), -1, dtype=np.int64)
+    for it, t in enumerate(range(T, 0, -stride), start=1):
+        s = t - stride
+        t_in = np.full(num, t) if params.config.mode in ("lte", "pte") else None
+        logits, _ = dn.forward(params, x, t_in)
+        u = rng.random((num * n, 1)).reshape(num, n)
+        masked = x == MASK_ID
+        x0_hat = x.copy()
+        for b, i in zip(*np.nonzero(masked)):
+            row = np.where(np.isfinite(table.h), logits[b, i], -np.inf)
+            x0_hat[b, i] = _full_row_draw(sp.top_k_filter(row, cfg.top_k, cfg.temperature),
+                                          u[b, i])
+        h = table.h_for(x0_hat)
+        alpha_s = spindle_alpha_bar_at(h, s, sched_params)
+        alpha_t = spindle_alpha_bar_at(h, t, sched_params)
+        u = rng.random((num, n))
+        if cfg.remask:
+            x = np.where(u < alpha_s, x0_hat, MASK_ID)
+            newly = (x != MASK_ID) & masked
+        else:
+            newly = masked & (u < reveal_from_rows(alpha_s, alpha_t))
+            x = np.where(newly, x0_hat, x)
+        reveal[newly] = it
+    return x, reveal
+
+
+@pytest.mark.parametrize("mode", ["tad", "lte"])
+@pytest.mark.parametrize("remask", [False, True])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("head", ["random", "zero"])
+def test_generate_batch_matches_slow_reference(mode, remask, lam, head):
+    """Same sequences and reveal iterations as the row-by-row reference; the
+    zero head ties every logit, so the lower-id rule picks the kept ids."""
+    vocab_size, T = 40, 16
+    params = _uniform_model(vocab_size=vocab_size, T=T, mode=mode)
+    if head == "random":
+        rng = np.random.default_rng(5)
+        params.tensors["out.w"][:] = rng.normal(0.0, 1.0, params.tensors["out.w"].shape)
+        params.tensors["out.b"][:] = rng.normal(0.0, 1.0, vocab_size)
+    h = np.random.default_rng(6).uniform(0.5, 4.0, vocab_size)
+    h[:3] = 0.0
+    table = sp.SurprisalTable(h, 1.0)
+    sched_params = sp.ScheduleParams(num_steps=T, lam=lam)
+    cfg = sp.SampleConfig(length=7, num_reverse_iterations=8,
+                          top_k=3 if head == "zero" else 10, temperature=0.8, remask=remask)
+    res = sp.generate_batch(params, sched_params, cfg, table, 5, stream(9, "ref"))
+    seqs, reveal = _reference_generate(params, sched_params, cfg, table, 5, stream(9, "ref"))
+    assert np.array_equal(res.sequences, seqs)
+    assert np.array_equal(res.reveal_iteration, reveal)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_infinite_surprisal_token_is_never_drawn(lam):
+    """A token unseen under zero smoothing has h = inf and no schedule; the
+    sampler leaves it out even when the model prefers it."""
+    params = _uniform_model()
+    params.tensors["out.b"][UNK_ID] = 50.0
+    h = np.ones(12)
+    h[:3] = 0.0
+    h[UNK_ID] = np.inf
+    sched_params = sp.ScheduleParams(num_steps=16, lam=lam)
+    cfg = sp.SampleConfig(length=8, num_reverse_iterations=4, top_k=3, seed=0)
+    res = sp.generate_batch(params, sched_params, cfg, sp.SurprisalTable(h, 0.0), 6)
+    assert not np.isin(res.sequences, [MASK_ID, PAD_ID, CLS_ID, UNK_ID]).any()
+
+
+def test_no_finite_surprisal_token_raises():
+    h = np.full(12, np.inf)
+    h[:3] = 0.0
+    cfg = sp.SampleConfig(length=4, num_reverse_iterations=4, seed=0)
+    with pytest.raises(ValueError, match="finite surprisal"):
+        sp.generate_batch(_uniform_model(), sp.ScheduleParams(num_steps=16, lam=0.3), cfg,
+                          sp.SurprisalTable(h, 0.0), 2)
+
+
+def test_nan_logits_raise_value_error():
+    params = _uniform_model()
+    params.tensors["out.w"][:] = np.nan
+    cfg = sp.SampleConfig(length=4, num_reverse_iterations=4, top_k=3, seed=0)
+    with pytest.raises(ValueError, match="NaN"):
+        sp.generate_batch(params, sp.ScheduleParams(num_steps=16, lam=0.3), cfg,
+                          _flat_surprisal(), 2)
