@@ -182,6 +182,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise UsageError("vocab hash mismatch: checkpoint was trained on a different vocab")
         if ckpt.params.config.num_steps != sched_params.num_steps:
             raise UsageError("T mismatch between checkpoint and requested schedule")
+        if not ckpt.extra_tensors:
+            raise UsageError(f"{args.resume} holds no optimizer state; resume from a "
+                             "checkpoint_*.spnd file written during training")
         params = ckpt.params
         opt_state = opt_state_from_records(params, ckpt.extra_tensors)
         start_step = ckpt.step or 0
@@ -454,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--trajectory", help="also dump per-iteration states as JSONL")
     p.add_argument("--remask", action="store_true",
-                   help="re-predict all positions each iteration instead of freezing")
+                   help="predict at masked positions, then redraw the mask over all "
+                        "positions each iteration, so a revealed token can be masked "
+                        "again (default: revealed tokens stay frozen)")
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("eval", help="metrics report or quality/diversity sweep")

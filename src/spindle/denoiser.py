@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -424,14 +424,9 @@ def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
     if cache["emb_mask"] is not None:
         dh = dh * cache["emb_mask"]
     g["pos_emb"][:m] = dh.sum(axis=0)
-    ids = cache["ids"]
-    flat_ids = ids.reshape(-1)
-    flat_dh = dh.reshape(-1, cfg.d_model)
-    # scatter-add via a one-hot GEMM: far faster than np.add.at at these sizes
-    onehot = np.zeros((flat_ids.size, cfg.vocab_size), dtype=params.dtype)
-    rows_sel = np.arange(flat_ids.size)[flat_ids >= 0]
-    onehot[rows_sel, flat_ids[rows_sel]] = 1.0
-    g["tok_emb"] = onehot.T @ flat_dh
+    ids = cache["ids"].reshape(-1)
+    real = ids >= 0  # pte's time slot (-1) reads time_tok_emb instead
+    np.add.at(g["tok_emb"], ids[real], dh.reshape(-1, cfg.d_model)[real])
     if cfg.mode == "pte":
         np.add.at(g["time_tok_emb"], cache["t"], dh[:, 1, :])
     if cfg.mode == "lte":
@@ -453,6 +448,9 @@ def predict_x0_logits(
 
 
 # --- checkpoint serialization -------------------------------------------------
+
+_HEADER_KEYS = {"version", "lambda", "vocab_hash", "step"} | {f.name for f in fields(DenoiserConfig)}
+
 
 def save_checkpoint(
     path: str | Path,
@@ -512,47 +510,48 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str | Path, dtype=np.float64) -> Checkpoint:
-    raw = Path(path).read_bytes()
+    """Read a file written by `save_checkpoint`. A file that is not a
+    checkpoint, is cut short, lacks a header key, or holds a non-finite
+    tensor (optimizer records included) raises ValueError naming the path.
+    """
+    raw = memoryview(Path(path).read_bytes())
     if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a spindle checkpoint")
     off = len(CHECKPOINT_MAGIC)
-    (cfg_len,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    header = json.loads(raw[off : off + cfg_len].decode("utf-8"))
-    off += cfg_len
+
+    def take(size: int) -> memoryview:
+        nonlocal off
+        if off + size > len(raw):
+            raise ValueError(f"{path} is truncated: {len(raw)} bytes")
+        off += size
+        return raw[off - size : off]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    (cfg_len,) = unpack("<I")
+    header = json.loads(bytes(take(cfg_len)).decode("utf-8"))
+    missing = sorted(_HEADER_KEYS - set(header))
+    if missing:
+        raise ValueError(f"{path} header lacks {missing}")
     if header["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {header['version']}")
-    (num_records,) = struct.unpack_from("<I", raw, off)
-    off += 4
+        raise ValueError(f"{path}: unsupported checkpoint version {header['version']}")
+    (num_records,) = unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(num_records):
-        (name_len,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        shape = struct.unpack_from(f"<{rank}I", raw, off)
-        off += 4 * rank
-        count = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(raw, dtype="<f4", count=count, offset=off).reshape(shape)
-        off += 4 * count
+        (name_len,) = unpack("<H")
+        name = bytes(take(name_len)).decode("utf-8")
+        (rank,) = unpack("<B")
+        shape = unpack(f"<{rank}I")
+        data = np.frombuffer(take(4 * int(np.prod(shape))), dtype="<f4").reshape(shape)
+        if not np.isfinite(data).all():
+            raise ValueError(f"{path}: tensor {name} holds non-finite values")
         tensors[name] = data.astype(dtype)
-    config = DenoiserConfig(
-        vocab_size=header["vocab_size"],
-        mode=header["mode"],
-        num_layers=header["num_layers"],
-        d_model=header["d_model"],
-        num_heads=header["num_heads"],
-        n_max=header["n_max"],
-        num_steps=header["num_steps"],
-        dropout=header["dropout"],
-        ffn_mult=header["ffn_mult"],
-    )
+    config = DenoiserConfig(**{f.name: header[f.name] for f in fields(DenoiserConfig)})
     model_tensors = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
     extra = {k: v for k, v in tensors.items() if k.startswith("opt.")}
     params = DenoiserParams(config, model_tensors)
     expected = set(init_params(config, 0).names())
     if set(params.names()) != expected:
-        raise ValueError("checkpoint tensor names do not match the config")
+        raise ValueError(f"{path}: checkpoint tensor names do not match the config")
     return Checkpoint(params, header["lambda"], header["vocab_hash"], header["step"], extra)

@@ -8,6 +8,11 @@ masked position reveal_prob * (-log p(x0^i | x_t)); at t = 1 the reveal
 probability is 1 and the term is the full reconstruction loss. The sampled
 term is importance weighted by T so its expectation matches the full bound;
 the prior term is identically 0 because every schedule ends fully masked.
+
+MLM pretraining and the bound share one masked cross-entropy core
+(`_masked_ce`): both charge weight * (-log p(x0^i | x_t)) at the [MASK]
+positions of x_t and differ only in the weights. MLM uses 1/num_masked, the
+bound reveal_prob * T / num_tokens.
 """
 
 from __future__ import annotations
@@ -64,20 +69,54 @@ class LossBreakdown:
     num_tokens: int = 0
 
 
-def _pad_batch(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    n = max(len(s) for s in seqs)
-    out = np.full((len(seqs), n), PAD_ID, dtype=np.int64)
-    valid = np.zeros((len(seqs), n), dtype=bool)
-    for i, s in enumerate(seqs):
-        out[i, : len(s)] = s
-        valid[i, : len(s)] = True
-    return out, valid
+def _pad_batch(rows: list[np.ndarray], fill: float) -> np.ndarray:
+    out = np.full((len(rows), max(len(r) for r in rows)), fill)
+    for i, r in enumerate(rows):
+        out[i, : len(r)] = r
+    return out
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = np.max(logits, axis=-1, keepdims=True)
-    z = np.exp(logits - m)
-    return logits - m - np.log(z.sum(axis=-1, keepdims=True))
+    out = logits - np.max(logits, axis=-1, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=-1, keepdims=True))
+    return out
+
+
+def _masked_ce(
+    params: DenoiserParams,
+    xts: list[np.ndarray],
+    targets: list[np.ndarray],
+    weights: list[np.ndarray],
+    t: np.ndarray,
+    rng: np.random.Generator,
+    *,
+    train: bool,
+    want_grads: bool,
+) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
+    """The loss core shared by MLM and the bound: per item, the sum over its
+    [MASK] positions of weight * (-log p(target | x_t)), and the gradients of
+    the batch total. t is the step fed to lte/pte models; tad ignores it.
+    Pads are PAD_ID, so `xt == MASK_ID` never selects them.
+    """
+    x0 = _pad_batch(targets, PAD_ID)
+    if (x0 == MASK_ID).any():
+        raise ValueError("training sequence contains [MASK]")
+    xt = _pad_batch(xts, PAD_ID)
+    masked = xt == MASK_ID
+    w = np.where(masked, _pad_batch(weights, 0.0), 0.0)
+    t_in = None if params.config.mode == "tad" else t
+    logits, cache = denoiser.forward(params, xt, t_in, train=train, rng=rng)
+    logp = _log_softmax(logits)
+    rows, cols = np.ogrid[: xt.shape[0], : xt.shape[1]]
+    per_item = (w * np.where(masked, -logp[rows, cols, x0], 0.0)).sum(axis=1)
+
+    grads = None
+    if want_grads:
+        upstream = np.exp(logp, out=logp)
+        upstream[rows, cols, x0] -= 1.0
+        upstream *= w[:, :, None]
+        grads = denoiser.backward(cache, upstream)
+    return per_item, grads
 
 
 def masked_position_kl(reveal_prob: float, model_prob_truth: float) -> float:
@@ -123,49 +162,23 @@ def diffusion_loss_batch(
     if ((t_draws < 1) | (t_draws > num_steps)).any():
         raise ValueError("t draws must lie in {1..T}")
 
-    xts, reveals = [], []
+    num_tokens = sum(len(x0) for x0 in seqs)
+    xts, weights = [], []
     for x0, rows in zip(seqs, alpha_rows, strict=True):
-        x0 = np.asarray(x0, dtype=np.int64)
-        if (x0 == MASK_ID).any():
-            raise ValueError("training sequence contains [MASK]")
         if np.shape(rows) != (2, len(x0)):
             raise ValueError(f"retention rows {np.shape(rows)} do not match sequence n={len(x0)}")
         alpha_prev, alpha_t = rows
         xts.append(np.where(rng.random(len(x0)) < alpha_t, x0, MASK_ID))
-        reveals.append(reveal_from_rows(alpha_prev, alpha_t))
+        weights.append(reveal_from_rows(alpha_prev, alpha_t) * num_steps / num_tokens)
 
-    xt_pad, valid = _pad_batch(xts)
-    x0_pad, _ = _pad_batch([np.asarray(s, dtype=np.int64) for s in seqs])
-    r_pad = np.zeros_like(xt_pad, dtype=np.float64)
-    for i, r in enumerate(reveals):
-        r_pad[i, : len(r)] = r
-
-    mode = params.config.mode
-    t_in = t_draws if mode in ("lte", "pte") else None
-    logits, cache = denoiser.forward(params, xt_pad, t_in, train=train, rng=rng)
-
-    masked = (xt_pad == MASK_ID) & valid
-    logp = _log_softmax(logits)
-    rows = np.arange(xt_pad.shape[0])[:, None]
-    cols = np.arange(xt_pad.shape[1])[None, :]
-    ce = -logp[rows, cols, x0_pad]
-    weights = np.where(masked, r_pad, 0.0)
-
-    per_item = (weights * np.where(masked, ce, 0.0)).sum(axis=1)
+    per_item, grads = _masked_ce(
+        params, xts, seqs, weights, t_draws, rng, train=train, want_grads=want_grads
+    )
     is_recon = t_draws == 1
-    l0 = float(per_item[is_recon].sum())
-    l_kl = float(per_item[~is_recon].sum())
-    num_tokens = int(valid.sum())
-    total = num_steps * (l_kl + l0) / num_tokens
-
-    grads = None
-    if want_grads:
-        onehot_grad = np.exp(logp)
-        onehot_grad[rows, cols, x0_pad] -= 1.0
-        upstream = onehot_grad * (weights * num_steps / num_tokens)[:, :, None]
-        upstream[~masked] = 0.0
-        grads = denoiser.backward(cache, upstream.astype(params.dtype))
-    return LossBreakdown(l_kl, l0, 0.0, total, num_tokens), grads
+    unweight = num_tokens / num_steps
+    l0 = float(per_item[is_recon].sum() * unweight)
+    l_kl = float(per_item[~is_recon].sum() * unweight)
+    return LossBreakdown(l_kl, l0, 0.0, float(per_item.sum()), num_tokens), grads
 
 
 def diffusion_loss(
@@ -204,11 +217,8 @@ def mlm_pretrain_step(
     if not 0 < mask_rate <= 1:
         raise ValueError("mask_rate must be in (0, 1]")
     rng = as_generator(rng)
-    xts, keep = [], []
+    xts, keep, masks = [], [], []
     for x0 in seqs:
-        x0 = np.asarray(x0, dtype=np.int64)
-        if (x0 == MASK_ID).any():
-            raise ValueError("training sequence contains [MASK]")
         m = rng.random(len(x0)) < mask_rate
         if not m.any():
             m = rng.random(len(x0)) < mask_rate
@@ -216,30 +226,16 @@ def mlm_pretrain_step(
             continue
         xts.append(np.where(m, MASK_ID, x0))
         keep.append(x0)
+        masks.append(m)
     if not xts:
         return 0.0, params.zeros_like() if want_grads else None
 
-    xt_pad, valid = _pad_batch(xts)
-    x0_pad, _ = _pad_batch(keep)
-    mode = params.config.mode
-    t_in = np.full(len(xts), params.config.num_steps) if mode in ("lte", "pte") else None
-    logits, cache = denoiser.forward(params, xt_pad, t_in, train=train, rng=rng)
-    masked = (xt_pad == MASK_ID) & valid
-    logp = _log_softmax(logits)
-    rows = np.arange(xt_pad.shape[0])[:, None]
-    cols = np.arange(xt_pad.shape[1])[None, :]
-    ce = -logp[rows, cols, x0_pad]
-    num_masked = int(masked.sum())
-    loss = float(ce[masked].sum() / num_masked)
-
-    grads = None
-    if want_grads:
-        upstream = np.exp(logp)
-        upstream[rows, cols, x0_pad] -= 1.0
-        upstream[~masked] = 0.0
-        upstream /= num_masked
-        grads = denoiser.backward(cache, upstream.astype(params.dtype))
-    return loss, grads
+    num_masked = sum(int(m.sum()) for m in masks)
+    per_item, grads = _masked_ce(
+        params, xts, keep, [m / num_masked for m in masks],
+        np.full(len(xts), params.config.num_steps), rng, train=train, want_grads=want_grads,
+    )
+    return float(per_item.sum()), grads
 
 
 # --- optimizer -----------------------------------------------------------------

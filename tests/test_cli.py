@@ -132,6 +132,18 @@ def test_train_resume_vocab_hash_mismatch(tmp_path, corpus_file, prep_dir):
     assert rc == 2
 
 
+def test_train_resume_needs_optimizer_state(tmp_path, corpus_file, prep_dir, capsys):
+    """model.spnd carries no Adam state, so resuming from it would silently
+    restart the optimizer; the CLI refuses and names the files that work."""
+    run = train_tiny(tmp_path, corpus_file, prep_dir)
+    capsys.readouterr()
+    rc = cli.main(["train", "--corpus", str(corpus_file), "--prep", str(prep_dir),
+                   "--out", str(tmp_path / "x"), "--resume", str(run / "model.spnd"),
+                   "--T", "8", "--steps", "14"])
+    assert rc == 2
+    assert "no optimizer state" in capsys.readouterr().err
+
+
 def test_sample_deterministic_and_mask_free(tmp_path, corpus_file, prep_dir):
     run = train_tiny(tmp_path, corpus_file, prep_dir)
     args = ["sample", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
@@ -169,6 +181,19 @@ def test_sample_never_draws_unseen_unk_under_zero_smoothing(tmp_path, corpus_fil
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 4 and not any("[UNK]" in l for l in lines)
+
+
+def test_sample_rejects_corrupt_checkpoint(tmp_path, corpus_file, prep_dir,
+                                          corrupt_checkpoint, capsys):
+    run = train_tiny(tmp_path, corpus_file, prep_dir)
+    for kind in ("truncated", "missing_key", "nan_weight"):
+        bad = corrupt_checkpoint(run / "model.spnd", tmp_path / f"{kind}.spnd", kind)
+        capsys.readouterr()
+        rc = cli.main(["sample", "--checkpoint", str(bad), "--prep", str(prep_dir),
+                       "--num", "1", "--length", "4", "--iterations", "4",
+                       "--out", str(tmp_path / "s.txt")])
+        assert rc == 3, kind
+        assert str(bad) in capsys.readouterr().err, kind
 
 
 def test_sample_iterations_must_divide_T(tmp_path, corpus_file, prep_dir):

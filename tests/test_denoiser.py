@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,19 @@ def test_checkpoint_magic_guard(tmp_path):
     bad = tmp_path / "bad.spnd"
     bad.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError):
+        dn.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize(
+    "kind", ["truncated", "cut_record", "missing_key", "nan_weight", "inf_opt"]
+)
+def test_checkpoint_load_rejects_corrupt_files(tmp_path, corrupt_checkpoint, kind):
+    good = tmp_path / "good.spnd"
+    dn.save_checkpoint(good, dn.init_params(tiny_config("lte"), 13), lam=0.25,
+                       vocab_hash="deadbeef", step=3,
+                       extra_tensors={"opt.m.out.w": np.ones((16, 11))})
+    bad = corrupt_checkpoint(good, tmp_path / "bad.spnd", kind)
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
         dn.load_checkpoint(bad)
 
 

@@ -89,17 +89,26 @@ def test_diffusion_loss_rejects_masked_x0():
         sp.diffusion_loss(params, np.array([MASK_ID, 5]), 3, sched, 0)
 
 
-def test_diffusion_loss_grads_match_fd():
+@pytest.mark.parametrize("objective", ["diffusion", "mlm"])
+def test_diffusion_loss_grads_match_fd(objective):
+    """Both weightings of the shared masked cross-entropy core, the bound's
+    and MLM's (over a padded two-item batch), against finite differences."""
     params = tiny_params("lte", seed=3, dropout=0.1)
     h = np.exp(np.random.default_rng(0).uniform(-1, 1, size=5))
     sched = sp.spindle_schedule(h, sp.ScheduleParams(num_steps=8, lam=0.4))
     x0 = np.random.default_rng(1).integers(4, 13, size=5)
 
-    def loss(p):
-        b, _ = sp.diffusion_loss(p, x0, 6, sched, stream(9, "n"), want_grads=False)
-        return b.total
+    def loss_and_grads(p, want_grads):
+        if objective == "mlm":
+            return sp.mlm_pretrain_step(p, [x0, x0[:3]], 0.5, stream(9, "n"),
+                                        want_grads=want_grads)
+        b, grads = sp.diffusion_loss(p, x0, 6, sched, stream(9, "n"), want_grads=want_grads)
+        return b.total, grads
 
-    _, grads = sp.diffusion_loss(params, x0, 6, sched, stream(9, "n"))
+    def loss(p):
+        return loss_and_grads(p, False)[0]
+
+    _, grads = loss_and_grads(params, True)
     rng = np.random.default_rng(2)
     names = params.names()
     worst = 0.0
