@@ -47,7 +47,7 @@ from .evaluation import (
     self_bleu4,
     sentence_bleu,
 )
-from .sampling import GenerationResult, SampleConfig, generate, generate_batch, top_k_filter
+from .sampling import GenerationResult, SampleConfig, generate_batch, top_k_filter
 from .training import (
     AdamState,
     LossBreakdown,

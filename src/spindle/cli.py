@@ -21,7 +21,7 @@ from .denoiser import DenoiserConfig, init_params, load_checkpoint, save_checkpo
 from .diffusion import ScheduleParams, spindle_schedule
 from .evaluation import MetricsReport, bleu4, elbo_eval, quality_diversity_sweep, self_bleu4
 from .rng import stream
-from .sampling import SampleConfig, generate_batch
+from .sampling import SampleConfig, check_sample_config, generate_batch
 from .training import AdamState, TrainConfig, opt_state_from_records, run_training
 
 FORMAT_VERSION = 1
@@ -259,12 +259,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
             seed=args.seed,
             remask=args.remask,
         )
-        result = generate_batch(
-            ckpt.params, sched_params, sample_cfg, table, args.num,
-            stream(args.seed, "sample"), record_trajectory=args.trajectory is not None,
-        )
+        check_sample_config(ckpt.params, sched_params, sample_cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    result = generate_batch(
+        ckpt.params, sched_params, sample_cfg, table, args.num,
+        stream(args.seed, "sample"), record_trajectory=args.trajectory is not None,
+    )
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,8 @@ token prepended internally. Three time-conditioning modes:
   pte  a learned per-step token inserted between [CLS] and the sequence
   tad  no time input at all; the mask count carries the step implicitly
 
+An unmasked token is its own x0, so the model predicts only at [MASK]:
+`forward` runs the final layernorm and the output head on those rows alone.
 Forward passes record activations so `backward` can produce exact
 reverse-mode gradients for every parameter; correctness is pinned by
 finite-difference tests rather than an autodiff framework.
@@ -187,8 +189,9 @@ def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5):
 def _layernorm_backward(dy, cache, g):
     xhat, inv_std = cache
     dxhat = dy * g
-    d_g = (dy * xhat).sum(axis=(0, 1))
-    d_b = dy.sum(axis=(0, 1))
+    lead = tuple(range(dy.ndim - 1))
+    d_g = (dy * xhat).sum(axis=lead)
+    d_b = dy.sum(axis=lead)
     mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
     mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
@@ -241,12 +244,12 @@ def forward(
     train: bool = False,
     rng: np.random.Generator | int | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Logits over the vocabulary for each content position.
+    """Logits over the vocabulary at each [MASK] position of xt.
 
     xt: (B, n) token ids, possibly containing [MASK]/[PAD]. t: (B,) steps for
-    lte/pte, None for tad. Returns (logits (B, n, K), cache); mask/pad/cls
-    columns of the logits are -inf. The cache holds every activation needed
-    by `backward`.
+    lte/pte, None for tad. Returns (logits (m, K), cache): one row per [MASK]
+    of xt in row-major order, i.e. the rows of `xt == MASK_ID`; mask/pad/cls
+    columns are -inf. The cache holds every activation needed by `backward`.
     """
     cfg = params.config
     p = params.tensors
@@ -333,20 +336,20 @@ def forward(
             )
         )
 
-    hf, lnf_cache = _layernorm(h, p["ln_f.g"], p["ln_f.b"])
-    logits_full = _lin(hf, p["out.w"]) + p["out.b"]
-    logits = logits_full[:, prefix:, :].copy()
-    logits[:, :, SPECIAL_IDS] = -np.inf
+    hf, lnf_cache = _layernorm(h[:, prefix:][xt == MASK_ID], p["ln_f.g"], p["ln_f.b"])
+    logits = hf @ p["out.w"] + p["out.b"]
+    logits[:, SPECIAL_IDS] = -np.inf
 
     cache = dict(
         params=params, ids=ids, t=t, emb_mask=emb_mask, time_cache=time_cache,
-        layers=layers, hf=hf, lnf=lnf_cache, shape=(B, n, m),
+        layers=layers, hf=hf, lnf=lnf_cache,
     )
     return logits, cache
 
 
 def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of every parameter given d(loss)/d(logits).
+    """Exact gradients of every parameter given d(loss)/d(logits), an
+    (m, K) array over the rows `forward` returned.
 
     Entries of upstream_grad at the forced -inf columns are ignored (those
     logits are constants).
@@ -354,24 +357,21 @@ def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
     params: DenoiserParams = cache["params"]
     cfg = params.config
     p = params.tensors
-    B, n, m = cache["shape"]
+    B, m = cache["ids"].shape
     prefix = cfg.prefix_len
-    upstream_grad = np.asarray(upstream_grad)
-    if upstream_grad.shape != (B, n, cfg.vocab_size):
-        raise ValueError(
-            f"upstream grad shape {upstream_grad.shape} != {(B, n, cfg.vocab_size)}"
-        )
+    expected = (len(cache["hf"]), cfg.vocab_size)
+    if np.shape(upstream_grad) != expected:
+        raise ValueError(f"upstream grad shape {np.shape(upstream_grad)} != {expected}")
     g = {k: np.zeros_like(v) for k, v in p.items()}
 
-    dfull = np.zeros((B, m, cfg.vocab_size), dtype=params.dtype)
-    dfull[:, prefix:, :] = upstream_grad
-    dfull[:, :, SPECIAL_IDS] = 0.0
-
-    hf = cache["hf"]
-    g["out.w"] = _matgrad(hf, dfull)
-    g["out.b"] = dfull.sum(axis=(0, 1))
-    dhf = _lin(dfull, p["out.w"].T)
-    dh, g["ln_f.g"], g["ln_f.b"] = _layernorm_backward(dhf, cache["lnf"], p["ln_f.g"])
+    dlogits = np.array(upstream_grad, dtype=params.dtype)
+    dlogits[:, SPECIAL_IDS] = 0.0
+    g["out.w"] = cache["hf"].T @ dlogits
+    g["out.b"] = dlogits.sum(axis=0)
+    dhf = dlogits @ p["out.w"].T
+    dhf, g["ln_f.g"], g["ln_f.b"] = _layernorm_backward(dhf, cache["lnf"], p["ln_f.g"])
+    dh = np.zeros((B, m, cfg.d_model), dtype=params.dtype)
+    dh[:, prefix:][cache["ids"][:, prefix:] == MASK_ID] = dhf
 
     scale = 1.0 / np.sqrt(cfg.head_dim)
     dtvec = np.zeros((B, cfg.d_model), dtype=params.dtype) if cfg.mode == "lte" else None
@@ -442,9 +442,8 @@ def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
 def predict_x0_logits(
     params: DenoiserParams, xt: np.ndarray, t: int | None = None
 ) -> np.ndarray:
-    """Deterministic (n, K) logits for a single sequence; no dropout."""
-    logits, _ = forward(params, np.asarray(xt)[None, :], None if t is None else t)
-    return logits[0]
+    """Deterministic (m, K) logits at the [MASK]s of one sequence; no dropout."""
+    return forward(params, np.asarray(xt)[None, :], t)[0]
 
 
 # --- checkpoint serialization -------------------------------------------------

@@ -127,16 +127,18 @@ def exact_elbo(predict_fn, x0: np.ndarray, sched: SequenceSchedule) -> float:
 
 
 def model_predict_fn(params: DenoiserParams):
-    """(state, t) -> clean-token probability rows, as the tiny oracles expect.
+    """(state, t) -> (n, K) clean-token rows for the tiny oracles: the model's
+    softmax at [MASK] positions, a point mass on the token itself elsewhere.
     Time-agnostic models ignore t.
     """
     time_aware = params.config.mode in ("lte", "pte")
 
     def predict(xt: np.ndarray, t: int) -> np.ndarray:
         logits = predict_x0_logits(params, xt, t if time_aware else None)
-        m = logits.max(axis=-1, keepdims=True)
-        z = np.exp(logits - m)
-        return z / z.sum(axis=-1, keepdims=True)
+        z = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        rows = (xt[:, None] == np.arange(params.config.vocab_size)).astype(np.float64)
+        rows[xt == MASK_ID] = z / z.sum(axis=-1, keepdims=True)
+        return rows
 
     return predict
 

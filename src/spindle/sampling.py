@@ -1,16 +1,16 @@
 """Reverse-process generation with step skipping and top-K filtered sampling.
 
 Chains start fully masked and jump T/num_reverse_iterations steps at a time.
-Each iteration runs the denoiser and draws a clean token at every position
-that is still masked from its top-K filtered softmax; top-K and the draw run
-on the masked rows only, and special ids and ids of infinite surprisal are
-never drawn. It then computes the two retention rows alpha_bar[s] and
-alpha_bar[t] of the jump t -> s in closed form from the surprisal of that
-prediction (the same clamped spindle schedule training uses, for every lam),
-and draws the next state from the closed-form skip posterior. Revealed
-tokens are frozen by default. With `remask=True` predictions are still drawn
-only at masked positions, but the mask is redrawn over all positions from
-alpha_bar[s], so a revealed token can be masked again.
+Each iteration runs the denoiser, which predicts only at the positions that
+are still masked, and draws a clean token at each of them from its top-K
+filtered softmax; special ids and ids of infinite surprisal are never drawn.
+It then computes the two retention rows alpha_bar[s] and alpha_bar[t] of the
+jump t -> s in closed form from the surprisal of that prediction (the same
+clamped spindle schedule training uses, for every lam), and draws the next
+state from the closed-form skip posterior. Revealed tokens are frozen by
+default. With `remask=True` predictions are still drawn only at masked
+positions, but the mask is redrawn over all positions from alpha_bar[s], so
+a revealed token can be masked again.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class SampleConfig:
     temperature: float = 1.0
     seed: int = 0
     remask: bool = False
-    expected_time_mode: str | None = None
 
     def __post_init__(self) -> None:
         if self.length < 1:
@@ -71,14 +70,14 @@ def top_k_filter(logit_row: np.ndarray, k: int, temperature: float = 1.0) -> np.
 
 
 def _top_k_rows(
-    logits: np.ndarray, masked: np.ndarray, excluded: np.ndarray, k: int, temperature: float
+    logits: np.ndarray, excluded: np.ndarray, k: int, temperature: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`top_k_filter` for each masked position of the (B, n, K) logits, with
-    the columns in `excluded` never kept. Returns, in row-major order, the
-    kept ids (m, k_eff) in ascending order and their probabilities; the top k
-    are found by partition, and the softmax runs over the k kept columns only.
+    """`top_k_filter` for each row of the (m, K) logits, with the columns in
+    `excluded` never kept. Returns the kept ids (m, k_eff) of each row in
+    ascending order and their probabilities; the top k are found by
+    partition, and the softmax runs over the k kept columns only.
     """
-    rows = logits[masked]
+    rows = logits.copy()
     rows[:, excluded] = -np.inf
     K = rows.shape[1]
     k_eff = min(k, K - len(excluded))
@@ -109,17 +108,32 @@ def _draw_top_k(
     temperature: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One top-k filtered categorical draw for each masked position of the
-    (B, n, K) logits; returns the drawn ids in row-major order. One uniform
+    """One top-k filtered categorical draw for each row of the (m, K) logits,
+    the rows of the (B, n) `masked` positions in row-major order. One uniform
     is drawn per position, masked or not, so RNG use does not depend on the
     mask. The kept ids are in ascending order, so the inverse-CDF draw over
     them equals the full-row draw on `top_k_filter`'s probabilities.
     """
     u = rng.random((masked.size, 1))[masked.ravel()]
-    kept, probs = _top_k_rows(logits, masked, excluded, k, temperature)
+    kept, probs = _top_k_rows(logits, excluded, k, temperature)
     cum = np.cumsum(probs, axis=1)
     idx = (u * cum[:, -1:] > cum).sum(axis=1)
     return kept[np.arange(len(kept)), idx]
+
+
+def check_sample_config(
+    params: DenoiserParams, sched_params: ScheduleParams, cfg: SampleConfig
+) -> None:
+    """Raise ValueError unless the length fits n_max and the iterations divide T."""
+    if cfg.length > params.config.n_max:
+        raise ValueError(f"length {cfg.length} exceeds model n_max={params.config.n_max}")
+    big_t = sched_params.num_steps
+    if big_t != params.config.num_steps:
+        raise ValueError("schedule T does not match model T")
+    if big_t % cfg.num_reverse_iterations != 0:
+        raise ValueError(
+            f"num_reverse_iterations={cfg.num_reverse_iterations} must divide T={big_t}"
+        )
 
 
 @dataclass
@@ -142,21 +156,9 @@ def generate_batch(
     """Run `num` independent reverse chains in lockstep. Deterministic given
     the rng seed; every returned sequence is free of mask/pad/cls ids.
     """
+    check_sample_config(params, sched_params, cfg)
     model_cfg = params.config
-    if cfg.expected_time_mode is not None and cfg.expected_time_mode != model_cfg.mode:
-        raise ValueError(
-            f"checkpoint mode {model_cfg.mode!r} does not match expected "
-            f"{cfg.expected_time_mode!r}"
-        )
-    if cfg.length > model_cfg.n_max:
-        raise ValueError(f"length {cfg.length} exceeds model n_max={model_cfg.n_max}")
     big_t = sched_params.num_steps
-    if big_t != model_cfg.num_steps:
-        raise ValueError("schedule T does not match model T")
-    if big_t % cfg.num_reverse_iterations != 0:
-        raise ValueError(
-            f"num_reverse_iterations={cfg.num_reverse_iterations} must divide T={big_t}"
-        )
     # Tokens of infinite surprisal (unseen under zero smoothing) have no
     # schedule, so like the special ids they are never drawn.
     excluded = np.union1d(denoiser.SPECIAL_IDS, np.flatnonzero(~np.isfinite(surprisal.h)))
@@ -198,17 +200,3 @@ def generate_batch(
     if (x == MASK_ID).any():
         raise AssertionError("mask remaining after the final reverse step")
     return GenerationResult(x, reveal_iter, trajectory)
-
-
-def generate(
-    params: DenoiserParams,
-    sched_params: ScheduleParams,
-    cfg: SampleConfig,
-    surprisal: SurprisalTable,
-    rng: np.random.Generator | int | None = None,
-) -> tuple[np.ndarray, list[dict]]:
-    """Single chain; returns (ids, trajectory)."""
-    res = generate_batch(
-        params, sched_params, cfg, surprisal, 1, rng, record_trajectory=True
-    )
-    return res.sequences[0], res.trajectory

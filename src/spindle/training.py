@@ -96,25 +96,28 @@ def _masked_ce(
     """The loss core shared by MLM and the bound: per item, the sum over its
     [MASK] positions of weight * (-log p(target | x_t)), and the gradients of
     the batch total. t is the step fed to lte/pte models; tad ignores it.
-    Pads are PAD_ID, so `xt == MASK_ID` never selects them.
+    The denoiser's rows, the weights and the targets are all taken at
+    `xt == MASK_ID`; pads are PAD_ID, so it never selects them.
     """
     x0 = _pad_batch(targets, PAD_ID)
     if (x0 == MASK_ID).any():
         raise ValueError("training sequence contains [MASK]")
     xt = _pad_batch(xts, PAD_ID)
     masked = xt == MASK_ID
-    w = np.where(masked, _pad_batch(weights, 0.0), 0.0)
+    w = _pad_batch(weights, 0.0)[masked]
+    rows, target = np.arange(len(w)), x0[masked]
     t_in = None if params.config.mode == "tad" else t
     logits, cache = denoiser.forward(params, xt, t_in, train=train, rng=rng)
     logp = _log_softmax(logits)
-    rows, cols = np.ogrid[: xt.shape[0], : xt.shape[1]]
-    per_item = (w * np.where(masked, -logp[rows, cols, x0], 0.0)).sum(axis=1)
+    per_pos = np.zeros(xt.shape)
+    per_pos[masked] = w * -logp[rows, target]
+    per_item = per_pos.sum(axis=1)
 
     grads = None
     if want_grads:
         upstream = np.exp(logp, out=logp)
-        upstream[rows, cols, x0] -= 1.0
-        upstream *= w[:, :, None]
+        upstream[rows, target] -= 1.0
+        upstream *= w[:, None]
         grads = denoiser.backward(cache, upstream)
     return per_item, grads
 
@@ -383,7 +386,8 @@ def run_training(
     Every step derives its batch and its randomness from (seed, step) alone,
     so a run resumed from a checkpoint replays identically; checkpoints round
     live state through their float32 on-disk form so interrupted and
-    uninterrupted runs agree bitwise.
+    uninterrupted runs agree bitwise. metrics.jsonl keeps only its complete
+    records of steps <= start_step: a resume logs no step twice.
     """
     if not sequences:
         raise ValueError("no training sequences")
@@ -399,6 +403,10 @@ def run_training(
 
     metrics: list[dict] = []
     metrics_path = out / "metrics.jsonl" if out is not None else None
+    if metrics_path is not None and metrics_path.exists():
+        lines = metrics_path.read_text(encoding="utf-8").splitlines(True)
+        kept = [r for r in lines if r.endswith("\n") and json.loads(r)["step"] <= start_step]
+        metrics_path.write_text("".join(kept), encoding="utf-8")
     total = cfg.mlm_pretrain_steps + cfg.total_steps
     t_start = time.monotonic()
     vocab_hash = vocab.content_hash()

@@ -1,6 +1,7 @@
 """Oracle-backed verification checks shared by the CLI `verify` command and
 the acceptance suite. Each check is a pure function of its sizes and seed and
-returns (ok, detail); sizes default to the acceptance settings.
+returns (ok, detail); sizes default to the acceptance settings. Errors are
+folded with np.maximum / np.minimum, which keep a NaN, so a NaN fails its check.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class CheckResult:
 
 
 def _timed(name: str, ok: bool, detail: str, t0: float) -> CheckResult:
-    return CheckResult(name, ok, detail, time.perf_counter() - t0)
+    return CheckResult(name, bool(ok), detail, time.perf_counter() - t0)
 
 
 def check_spindle_identity(num_instances: int = 1000, seed: int = 0) -> CheckResult:
@@ -55,7 +56,7 @@ def check_spindle_identity(num_instances: int = 1000, seed: int = 0) -> CheckRes
         raw = spindle_alpha_raw(h, ScheduleParams(num_steps=big_t, lam=lam))
         weighted = raw @ h / h.sum()
         target = 1.0 - np.arange(big_t + 1) / big_t
-        worst = max(worst, float(np.abs(weighted - target).max()))
+        worst = np.maximum(worst, float(np.abs(weighted - target).max()))
     return _timed("spindle-identity", worst <= 1e-9, f"max |dev| = {worst:.3e}", t0)
 
 
@@ -68,7 +69,7 @@ def check_degenerate_schedule(ts: tuple[int, ...] = (1, 2, 3, 7, 64, 321, 1000, 
         a = sched.alpha_bar[:, 0]
         for t in range(1, big_t + 1):
             beta = 1.0 - (a[t] / a[t - 1] if a[t - 1] > 0 else 0.0)
-            worst = max(worst, abs(beta - 1.0 / (big_t - t + 1)))
+            worst = np.maximum(worst, abs(beta - 1.0 / (big_t - t + 1)))
     return _timed("degenerate-schedule", worst <= 1e-12, f"max |beta dev| = {worst:.3e}", t0)
 
 
@@ -88,11 +89,11 @@ def check_posterior_vs_brute(num_instances: int = 1000, seed: int = 0) -> CheckR
         xt = np.where(rng.random(tiny.n) < 0.5, MASK_ID, x0)
         brute = oracle.brute_skip_posterior(tiny, xt, x0, t, s)
         fast = skip_posterior(xt, x0, t, s, sched, tiny.num_classes)
-        worst = max(worst, float(np.abs(brute - fast).max()))
+        worst = np.maximum(worst, float(np.abs(brute - fast).max()))
         if s == t - 1:
             brute1 = oracle.brute_posterior(tiny, xt, x0, t)
             fast1 = posterior(xt, x0, t, sched, tiny.num_classes)
-            worst = max(worst, float(np.abs(brute1 - fast1).max()))
+            worst = np.maximum(worst, float(np.abs(brute1 - fast1).max()))
     return _timed("posterior-vs-brute", worst <= 1e-9, f"max |dev| = {worst:.3e}", t0)
 
 
@@ -110,7 +111,7 @@ def check_marginal_mc(
         t = int(rng.integers(0, tiny.T + 1))
         mc = oracle.mc_marginal(tiny, x0, t, num_draws, stream(seed, "marginal-draws", i))
         closed = forward_marginal(x0, t, sched, tiny.num_classes)
-        worst = max(worst, float(np.abs(mc - closed).max()))
+        worst = np.maximum(worst, float(np.abs(mc - closed).max()))
     return _timed("marginal-mc", worst <= tol, f"max |dev| = {worst:.4f}", t0)
 
 
@@ -154,7 +155,7 @@ def check_gradient_fd(num_coords: int = 100, seed: int = 0, eps: float = 1e-4) -
         fd = (up - down) / (2 * eps)
         an = grads[name][idx]
         rel = abs(fd - an) / max(abs(fd), abs(an), 1e-4)
-        worst = max(worst, rel)
+        worst = np.maximum(worst, rel)
     return _timed("gradient-fd", worst <= 1e-4, f"max rel err = {worst:.3e}", t0)
 
 
@@ -179,7 +180,7 @@ def check_kl_simplification(num_instances: int = 1000, seed: int = 0) -> CheckRe
         p_row = reverse_mixture_row(pred_full, reveal, k)
         simplified = masked_position_kl(reveal, pred[truth])
         generic = oracle.generic_kl(q_row, p_row)
-        worst = max(worst, abs(simplified - generic))
+        worst = np.maximum(worst, abs(simplified - generic))
     return _timed("kl-simplification", worst <= 1e-9, f"max |dev| = {worst:.3e}", t0)
 
 
@@ -203,7 +204,7 @@ def check_elbo_bound(num_instances: int = 50, seed: int = 0) -> CheckResult:
         x0 = rng.choice(tiny.content_ids, size=tiny.n)
         sched = schedule_from_betas(tiny.betas)
         gap = exact_elbo(predict, x0, sched) - oracle.exact_nll(tiny, predict, x0)
-        worst_gap = min(worst_gap, gap)
+        worst_gap = np.minimum(worst_gap, gap)
     return _timed("elbo-bound", worst_gap >= -1e-6, f"min gap = {worst_gap:.3e}", t0)
 
 

@@ -196,12 +196,33 @@ def test_sample_rejects_corrupt_checkpoint(tmp_path, corpus_file, prep_dir,
         assert str(bad) in capsys.readouterr().err, kind
 
 
-def test_sample_iterations_must_divide_T(tmp_path, corpus_file, prep_dir):
+def test_sample_iterations_must_divide_T(tmp_path, corpus_file, prep_dir, capsys):
     run = train_tiny(tmp_path, corpus_file, prep_dir)
     rc = cli.main(["sample", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
                    "--num", "1", "--length", "5", "--iterations", "3",
                    "--out", str(tmp_path / "s.txt")])
     assert rc == 2
+    assert "error: num_reverse_iterations=3 must divide T=8" in capsys.readouterr().err
+
+
+def test_sample_runtime_fault_exits_3(tmp_path, corpus_file, prep_dir, monkeypatch, capsys):
+    """Valid flags and a fault inside generation (NaN logits) is a runtime
+    failure, not a usage error."""
+    from spindle import denoiser as dn
+
+    run = train_tiny(tmp_path, corpus_file, prep_dir)
+    real_forward = dn.forward
+
+    def nan_forward(*args, **kwargs):
+        logits, cache = real_forward(*args, **kwargs)
+        return np.full_like(logits, np.nan), cache
+
+    monkeypatch.setattr(dn, "forward", nan_forward)
+    rc = cli.main(["sample", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
+                   "--num", "1", "--length", "5", "--iterations", "4",
+                   "--out", str(tmp_path / "s.txt")])
+    assert rc == 3
+    assert "runtime failure: denoiser logits contain NaN" in capsys.readouterr().err
 
 
 def test_eval_report_schema(tmp_path, corpus_file, prep_dir):

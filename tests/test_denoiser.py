@@ -30,14 +30,14 @@ def test_config_validation():
 
 def test_time_arg_contract():
     params = dn.init_params(tiny_config("tad"), 0)
-    xt = np.array([4, 5, 6])
-    assert dn.predict_x0_logits(params, xt).shape == (3, 11)
+    xt = np.array([4, MASK_ID, 6])
+    assert dn.predict_x0_logits(params, xt).shape == (1, 11)  # one row per [MASK]
     with pytest.raises(ValueError):
         dn.predict_x0_logits(params, xt, 3)
     params_lte = dn.init_params(tiny_config("lte"), 0)
     with pytest.raises(ValueError):
         dn.predict_x0_logits(params_lte, xt)
-    assert dn.predict_x0_logits(params_lte, xt, 3).shape == (3, 11)
+    assert dn.predict_x0_logits(params_lte, xt, 3).shape == (1, 11)
 
 
 def test_untrained_model_is_uniform_over_content():
@@ -97,30 +97,30 @@ def test_pte_time_token_changes_output():
     xt = np.array([4, MASK_ID, 6])
     assert not np.allclose(dn.predict_x0_logits(params, xt, 1),
                            dn.predict_x0_logits(params, xt, 5))
-    assert dn.predict_x0_logits(params, xt, 5).shape == (3, 11)  # prefix rows dropped
+    assert dn.predict_x0_logits(params, xt, 5).shape == (1, 11)  # the [MASK] row only
 
 
 def test_bidirectional_permutation_equivariance():
-    """Permuting two masked positions together with their positional rows
-    permutes the output rows (no causal mask)."""
+    """Swapping a masked and an unmasked position together with their
+    positional rows leaves the [MASK] rows unchanged (no causal mask)."""
     cfg = tiny_config("tad", num_layers=2)
     params = dn.init_params(cfg, 9)
     rng = np.random.default_rng(1)
     params.tensors["out.w"] += rng.normal(0, 0.4, params.tensors["out.w"].shape)
     xt = np.array([4, MASK_ID, 6, MASK_ID])
-    base = dn.predict_x0_logits(params, xt)
+    base = dn.predict_x0_logits(params, xt)  # rows of positions 1 and 3
 
     swapped = params.copy()
     # content position i sits at internal row i + 1 (after [CLS])
     pe = swapped.tensors["pos_emb"].copy()
-    pe[[2, 4]] = pe[[4, 2]]
+    pe[[2, 3]] = pe[[3, 2]]
     swapped.tensors["pos_emb"] = pe
     xt_sw = xt.copy()
-    xt_sw[[1, 3]] = xt_sw[[3, 1]]
-    out = dn.predict_x0_logits(swapped, xt_sw)
+    xt_sw[[1, 2]] = xt_sw[[2, 1]]
+    out = dn.predict_x0_logits(swapped, xt_sw)  # rows of positions 2 and 3
     finite = np.isfinite(base)
-    assert np.allclose(out[[3, 1]][finite[[1, 3]]], base[[1, 3]][finite[[1, 3]]], atol=1e-10)
-    assert np.allclose(out[[0, 2]][finite[[0, 2]]], base[[0, 2]][finite[[0, 2]]], atol=1e-10)
+    assert np.array_equal(finite, np.isfinite(out))
+    assert np.allclose(out[finite], base[finite], atol=1e-10)
 
 
 def test_backward_zero_upstream_gives_zero_grads():
@@ -156,20 +156,20 @@ def test_backward_unused_time_rows_zero_grad():
 @pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
 def test_gradients_match_finite_differences(mode):
     """Full-coverage FD check of the manual backward pass, with dropout and
-    padding active."""
+    padding active, through the (m, K) rows at the [MASK] positions. The
+    upstream is nonzero at the -inf special columns too, which backward must
+    ignore."""
     cfg = tiny_config(mode, dropout=0.1)
     params = dn.init_params(cfg, 11)
     rng = np.random.default_rng(4)
     params.tensors["out.w"] += rng.normal(0, 0.4, params.tensors["out.w"].shape)
-    xt = np.array([[4, MASK_ID, 5, PAD_ID], [MASK_ID, 9, 10, 6]])
+    xt = np.array([[4, MASK_ID, MASK_ID, PAD_ID], [MASK_ID, 9, MASK_ID, 6]])
     t = np.array([2, 6]) if mode != "tad" else None
-    w = rng.normal(0, 1, (2, 4, 11))
-    w[:, :, :3] = 0.0
-    w[0, 3] = 0.0  # pad position carries no loss
+    w = rng.normal(0, 1, (4, 11))
 
     def loss(p):
         logits, _ = dn.forward(p, xt, t, train=True, rng=stream(5, "drop"))
-        return float(np.sum(np.where(np.isfinite(logits), logits * w, 0.0)))
+        return float(np.sum(np.where(np.isfinite(logits), logits, 0.0) * w))
 
     _, cache = dn.forward(params, xt, t, train=True, rng=stream(5, "drop"))
     grads = dn.backward(cache, w)
@@ -189,8 +189,30 @@ def test_gradients_match_finite_differences(mode):
         tensor[idx] = orig
         fd = (up - down) / (2 * eps)
         an = grads[name][idx]
-        worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-4))
+        worst = np.maximum(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-4))  # keeps a NaN
     assert worst <= 1e-4
+
+
+@pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
+def test_forward_rows_are_the_mask_positions(mode):
+    """A padded batch's rows are each sequence's predict_x0_logits rows in
+    row-major order; a batch with no [MASK] gives (0, K) logits and zero
+    gradients."""
+    params = dn.init_params(tiny_config(mode), 12)
+    rng = np.random.default_rng(7)
+    params.tensors["out.w"] += rng.normal(0, 0.4, params.tensors["out.w"].shape)
+    seqs = [np.array([4, MASK_ID, 6]), np.array([MASK_ID, MASK_ID, 9, 10, MASK_ID])]
+    t = np.array([2, 5]) if mode != "tad" else None
+    xt = np.array([[4, MASK_ID, 6, PAD_ID, PAD_ID], seqs[1]])
+    logits, _ = dn.forward(params, xt, t)
+    rows = [dn.predict_x0_logits(params, x, None if t is None else t[i])
+            for i, x in enumerate(seqs)]
+    assert logits.shape == (4, 11)
+    np.testing.assert_allclose(logits, np.concatenate(rows), rtol=1e-12, atol=1e-12)
+
+    logits, cache = dn.forward(params, np.array([[4, 5, PAD_ID], [6, 7, 8]]), t)
+    assert logits.shape == (0, 11)
+    assert all(np.all(g == 0) for g in dn.backward(cache, logits).values())
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

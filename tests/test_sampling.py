@@ -93,8 +93,8 @@ def test_batched_top_k_matches_top_k_filter(data):
     temp = data.draw(st.floats(0.2, 3.0), label="temp")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
 
-    kept, probs = _top_k_rows(logits, masked, excluded, k, temp)
-    drawn = _draw_top_k(logits, masked, excluded, k, temp, np.random.default_rng(seed))
+    kept, probs = _top_k_rows(logits[masked], excluded, k, temp)
+    drawn = _draw_top_k(logits[masked], masked, excluded, k, temp, np.random.default_rng(seed))
     u = np.random.default_rng(seed).random(B * n)[masked.ravel()]
     assert len(drawn) == masked.sum()
     for row, ids, p, ui, d in zip(logits[masked], kept, probs, u, drawn):
@@ -117,8 +117,8 @@ def test_draw_at_zero_uniform_is_lowest_kept_id(tied):
     logits[..., :3] = -np.inf
     masked = np.array([[True, False, True], [True, True, True]])
     excluded = np.array([0, 1, 2])
-    drawn = _draw_top_k(logits, masked, excluded, 4, 1.0, _ZeroUniforms())
-    kept, _ = _top_k_rows(logits, masked, excluded, 4, 1.0)
+    drawn = _draw_top_k(logits[masked], masked, excluded, 4, 1.0, _ZeroUniforms())
+    kept, _ = _top_k_rows(logits[masked], excluded, 4, 1.0)
     assert np.array_equal(drawn, kept[:, 0])
     assert (drawn >= 3).all()
 
@@ -140,10 +140,13 @@ def test_generate_terminates_mask_free_and_deterministic():
     sched_params = sp.ScheduleParams(num_steps=16, lam=0.3)
     cfg = sp.SampleConfig(length=8, num_reverse_iterations=4, top_k=5, seed=3)
     table = _flat_surprisal()
-    ids1, traj = sp.generate(params, sched_params, cfg, table, stream(3, "g"))
-    ids2, _ = sp.generate(params, sched_params, cfg, table, stream(3, "g"))
-    assert np.array_equal(ids1, ids2)
-    assert not np.isin(ids1, [MASK_ID, PAD_ID, CLS_ID]).any()
+    res1 = sp.generate_batch(params, sched_params, cfg, table, 1, stream(3, "g"),
+                             record_trajectory=True)
+    res2 = sp.generate_batch(params, sched_params, cfg, table, 1, stream(3, "g"),
+                             record_trajectory=True)
+    assert np.array_equal(res1.sequences, res2.sequences)
+    assert not np.isin(res1.sequences, [MASK_ID, PAD_ID, CLS_ID]).any()
+    traj = res1.trajectory
     assert traj[0]["t"] == 16 and np.all(traj[0]["ids"] == MASK_ID)
     assert traj[-1]["t"] == 0
     assert len(traj) == 5
@@ -153,8 +156,9 @@ def test_generate_masked_count_nonincreasing_frozen_mode():
     params = _uniform_model()
     sched_params = sp.ScheduleParams(num_steps=16, lam=0.3)
     cfg = sp.SampleConfig(length=10, num_reverse_iterations=16, top_k=3, seed=5)
-    _, traj = sp.generate(params, sched_params, cfg, _flat_surprisal(), stream(5, "g"))
-    counts = [(rec["ids"] == MASK_ID).sum() for rec in traj]
+    res = sp.generate_batch(params, sched_params, cfg, _flat_surprisal(), 1, stream(5, "g"),
+                            record_trajectory=True)
+    counts = [(rec["ids"] == MASK_ID).sum() for rec in res.trajectory]
     assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 
@@ -163,16 +167,7 @@ def test_generate_stride_validation():
     sched_params = sp.ScheduleParams(num_steps=16, lam=0.0)
     cfg = sp.SampleConfig(length=4, num_reverse_iterations=5, seed=0)
     with pytest.raises(ValueError):
-        sp.generate(params, sched_params, cfg, _flat_surprisal(), 0)
-
-
-def test_generate_time_mode_consistency_flag():
-    params = _uniform_model(mode="lte")
-    sched_params = sp.ScheduleParams(num_steps=16, lam=0.0)
-    cfg = sp.SampleConfig(length=4, num_reverse_iterations=4, seed=0,
-                          expected_time_mode="tad")
-    with pytest.raises(ValueError):
-        sp.generate(params, sched_params, cfg, _flat_surprisal(), 0)
+        sp.generate_batch(params, sched_params, cfg, _flat_surprisal(), 1, 0)
 
 
 def test_generate_length_cap():
@@ -180,7 +175,7 @@ def test_generate_length_cap():
     sched_params = sp.ScheduleParams(num_steps=16, lam=0.0)
     cfg = sp.SampleConfig(length=9, num_reverse_iterations=4, seed=0)
     with pytest.raises(ValueError):
-        sp.generate(params, sched_params, cfg, _flat_surprisal(), 0)
+        sp.generate_batch(params, sched_params, cfg, _flat_surprisal(), 1, 0)
 
 
 @pytest.mark.parametrize("mode", ["lte", "pte"])
@@ -188,8 +183,9 @@ def test_generate_time_conditioned_modes(mode):
     params = _uniform_model(mode=mode)
     sched_params = sp.ScheduleParams(num_steps=16, lam=0.3)
     cfg = sp.SampleConfig(length=6, num_reverse_iterations=8, top_k=4, seed=1)
-    ids, _ = sp.generate(params, sched_params, cfg, _flat_surprisal(), stream(1, "g"))
-    assert not np.isin(ids, [MASK_ID, PAD_ID, CLS_ID]).any()
+    res = sp.generate_batch(params, sched_params, cfg, _flat_surprisal(), 1, stream(1, "g"),
+                            record_trajectory=True)
+    assert not np.isin(res.sequences, [MASK_ID, PAD_ID, CLS_ID]).any()
 
 
 def test_remask_mode_still_terminates_clean():
@@ -279,8 +275,8 @@ def _reference_generate(params, sched_params, cfg, table, num, rng):
         u = rng.random((num * n, 1)).reshape(num, n)
         masked = x == MASK_ID
         x0_hat = x.copy()
-        for b, i in zip(*np.nonzero(masked)):
-            row = np.where(np.isfinite(table.h), logits[b, i], -np.inf)
+        for j, (b, i) in enumerate(zip(*np.nonzero(masked))):  # logits: one row per [MASK]
+            row = np.where(np.isfinite(table.h), logits[j], -np.inf)
             x0_hat[b, i] = _full_row_draw(sp.top_k_filter(row, cfg.top_k, cfg.temperature),
                                           u[b, i])
         h = table.h_for(x0_hat)
