@@ -172,7 +172,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    sched_params = ScheduleParams(num_steps=int(cfg["T"]), lam=float(cfg["lam"]))
     dtype = np.float64 if args.float64 else np.float32
     start_step = 0
     opt_state = None
@@ -180,8 +179,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         ckpt = load_checkpoint(_require_file(args.resume, "checkpoint"), dtype=dtype)
         if ckpt.vocab_hash != vocab.content_hash():
             raise UsageError("vocab hash mismatch: checkpoint was trained on a different vocab")
-        if ckpt.params.config.num_steps != sched_params.num_steps:
-            raise UsageError("T mismatch between checkpoint and requested schedule")
         if not ckpt.extra_tensors:
             raise UsageError(f"{args.resume} holds no optimizer state; resume from a "
                              "checkpoint_*.spnd file written during training")
@@ -189,6 +186,19 @@ def cmd_train(args: argparse.Namespace) -> int:
         opt_state = opt_state_from_records(params, ckpt.extra_tensors)
         start_step = ckpt.step or 0
         model_cfg = params.config
+        # The run continues the checkpoint's schedule and model; a flag,
+        # preset or config file that asks for another one is refused.
+        held = {"lam": ckpt.lam, "time_mode": model_cfg.mode, "T": model_cfg.num_steps,
+                "layers": model_cfg.num_layers, "d_model": model_cfg.d_model,
+                "heads": model_cfg.num_heads, "n_max": model_cfg.n_max,
+                "dropout": model_cfg.dropout}
+        asked = _merge_config(args, dict.fromkeys(_TRAIN_DEFAULTS))
+        for key, value in held.items():
+            given = asked[key]
+            if given is not None and given != value:
+                flag = "lambda" if key == "lam" else key.replace("_", "-")
+                raise UsageError(f"--{flag} {given} contradicts the checkpoint's {value}")
+        cfg.update(held)
     else:
         model_cfg = DenoiserConfig(
             vocab_size=len(vocab),
@@ -201,6 +211,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             dropout=float(cfg["dropout"]),
         )
         params = init_params(model_cfg, stream(int(cfg["seed"]), "init")).astype(dtype)
+    sched_params = ScheduleParams(num_steps=int(cfg["T"]), lam=float(cfg["lam"]))
 
     train_cfg = TrainConfig(
         learning_rate=float(cfg["lr"]),
@@ -309,6 +320,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     sched_params = ScheduleParams(num_steps=ckpt.params.config.num_steps, lam=ckpt.lam)
     test_seqs = _read_sequences(test_path, vocab, ckpt.params.config.n_max)
     length = args.length or int(np.median([len(s) for s in test_seqs]))
+    try:
+        sample_cfg = SampleConfig(length=length, num_reverse_iterations=args.iterations,
+                                  top_k=args.top_k, temperature=args.temperature,
+                                  seed=args.seed)
+        check_sample_config(ckpt.params, sched_params, sample_cfg)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     config_echo = {
         "checkpoint": str(args.checkpoint),
@@ -345,8 +363,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     elbo = elbo_eval(ckpt.params, test_seqs, sched_params, table,
                      t_samples_per_example=args.t_samples, seed=args.seed)
-    sample_cfg = SampleConfig(length=length, num_reverse_iterations=args.iterations,
-                              top_k=args.top_k, temperature=args.temperature, seed=args.seed)
     gen = generate_batch(ckpt.params, sched_params, sample_cfg, table, args.num_gen,
                          stream(args.seed, "eval-gen"))
     gen_tokens = [tuple(vocab.tokens[int(i)] for i in row) for row in gen.sequences]
@@ -442,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-corpus", dest="val_corpus")
     p.add_argument("--val-every", type=int, dest="val_every")
     p.add_argument("--seed", type=int)
-    p.add_argument("--resume", help="checkpoint to resume from")
+    p.add_argument("--resume", help="checkpoint to resume from; its lambda, time mode, T "
+                                    "and model shape are kept")
     p.add_argument("--float64", action="store_true", help="train in float64 (slow)")
     p.set_defaults(fn=cmd_train)
 

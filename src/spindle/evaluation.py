@@ -58,10 +58,14 @@ def elbo_eval(
     seed: int = 0,
 ) -> float:
     """Monte Carlo estimate of the bound in nats per content token, averaged
-    over t_samples_per_example uniform time draws per example. Dropout is
-    always off; the result is a pure function of (params, dataset, seed).
+    over t_samples_per_example time draws per example. Each example's draws
+    are stratified over {1..T} (`stratified_t_draws`, one offset per example
+    from its own stream): each draw is uniform, so the estimate is unbiased,
+    and the draws cover {1..T} evenly, so it varies less than with iid draws.
+    Dropout is always off; the result is a pure function of (params,
+    dataset, seed).
     """
-    from .training import diffusion_loss_batch  # local import avoids a cycle
+    from .training import diffusion_loss_batch, stratified_t_draws  # avoids a cycle
 
     if not dataset:
         raise ValueError("empty dataset")
@@ -69,15 +73,14 @@ def elbo_eval(
     big_t = sched_params.num_steps
     total_nats = 0.0
     total_tokens = sum(len(x) for x in dataset)
+    t_all = np.array([
+        stratified_t_draws(stream(seed, "elbo", i), t_samples_per_example, big_t)
+        for i in range(len(dataset))
+    ])  # (examples, t_samples_per_example)
     for k in range(t_samples_per_example):
         for lo in range(0, len(dataset), _EVAL_CHUNK):
             seqs = dataset[lo : lo + _EVAL_CHUNK]
-            t_draws = np.array(
-                [
-                    stream(seed, "elbo", k, lo + j).integers(1, big_t + 1)
-                    for j in range(len(seqs))
-                ]
-            )
+            t_draws = t_all[lo : lo + len(seqs), k]
             rows = [
                 spindle_alpha_bar_at(surprisal.h_for(x), [t - 1, t], sched_params)
                 for x, t in zip(seqs, t_draws)

@@ -11,6 +11,14 @@ state from the closed-form skip posterior. Revealed tokens are frozen by
 default. With `remask=True` predictions are still drawn only at masked
 positions, but the mask is redrawn over all positions from alpha_bar[s], so
 a revealed token can be masked again.
+
+A tad model sees x_t alone, so a chain whose x_t did not change since the
+last iteration (no reveal, or in remask mode the same mask redrawn) has the
+same logits as then. Such chains reuse their previous rows, and the denoiser
+runs only on the chains that changed; the rows are the same numbers in the
+same order, and the uniforms are still drawn at every position, so the
+draws do not depend on the reuse. lte and pte models see t, which changes
+every iteration, and run on every chain.
 """
 
 from __future__ import annotations
@@ -176,9 +184,18 @@ def generate_batch(
 
     for it, t in enumerate(range(big_t, 0, -stride), start=1):
         s = t - stride
-        t_in = np.full(num, t) if model_cfg.mode in ("lte", "pte") else None
-        logits, _ = denoiser.forward(params, x, t_in, train=False)
         masked = x == MASK_ID
+        if model_cfg.mode in ("lte", "pte"):
+            logits, _ = denoiser.forward(params, x, np.full(num, t), train=False)
+        elif it == 1 or (changed := (x != prev_x).any(axis=1)).all():
+            logits, _ = denoiser.forward(params, x, None, train=False)
+        else:  # tad: a chain with the same x as last iteration reuses its rows
+            fresh = np.repeat(changed, masked.sum(axis=1))  # per logits row
+            logits = np.empty((len(fresh), prev_logits.shape[1]), dtype=prev_logits.dtype)
+            logits[~fresh] = prev_logits[~np.repeat(changed, (prev_x == MASK_ID).sum(axis=1))]
+            if changed.any():
+                logits[fresh] = denoiser.forward(params, x[changed], None, train=False)[0]
+        prev_x, prev_logits = x, logits
         x0_hat = x.copy()
         x0_hat[masked] = _draw_top_k(logits, masked, excluded, cfg.top_k, cfg.temperature, rng)
 

@@ -119,6 +119,42 @@ def test_train_resume_matches_uninterrupted(tmp_path, corpus_file, prep_dir):
         assert full_m[step]["loss_total"] == res_m[step]["loss_total"]
 
 
+def test_train_resume_keeps_checkpoint_lambda(tmp_path, corpus_file, prep_dir):
+    """Without --lambda a resume trains on, saves and records the
+    checkpoint's lambda, not the 0.3 default."""
+    from spindle.denoiser import load_checkpoint
+
+    part = train_tiny(tmp_path, corpus_file, prep_dir, "part",
+                      ["--lambda", "0.5", "--checkpoint-every", "6", "--steps", "6"])
+    resumed = train_tiny(tmp_path, corpus_file, prep_dir, "resumed",
+                         ["--resume", str(part / "checkpoint_0000006.spnd")])
+    assert load_checkpoint(resumed / "model.spnd").lam == 0.5
+    assert json.loads((resumed / "config.json").read_text())["config"]["lam"] == 0.5
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--lambda", "0.5"], "--lambda 0.5"),
+    (["--time-mode", "lte"], "--time-mode lte"),
+    (["--T", "16"], "--T 16"),
+    (["--config", "cfg.json"], "--lambda 0.5"),
+])
+def test_train_resume_rejects_contradicting_setting(tmp_path, corpus_file, prep_dir, capsys,
+                                                    flag, message):
+    """A flag or config file that asks for another lambda, time mode or T
+    than the checkpoint's is a usage error."""
+    (tmp_path / "cfg.json").write_text(json.dumps({"lam": 0.5}))
+    part = train_tiny(tmp_path, corpus_file, prep_dir, "part",
+                      ["--checkpoint-every", "6", "--steps", "6"])
+    capsys.readouterr()
+    rc = cli.main(["train", "--corpus", str(corpus_file), "--prep", str(prep_dir),
+                   "--out", str(tmp_path / "x"), "--steps", "8",
+                   "--resume", str(part / "checkpoint_0000006.spnd"),
+                   flag[0], str(tmp_path / flag[1]) if flag[0] == "--config" else flag[1]])
+    assert rc == 2
+    assert f"{message} contradicts the checkpoint's" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "model.spnd").exists()
+
+
 def test_train_resume_vocab_hash_mismatch(tmp_path, corpus_file, prep_dir):
     run = train_tiny(tmp_path, corpus_file, prep_dir, "base", ["--checkpoint-every", "6"])
     other_corpus = tmp_path / "other.txt"
@@ -250,6 +286,25 @@ def test_eval_sweep_csv(tmp_path, corpus_file, prep_dir):
     assert lines[0].startswith("# format_version=1")
     assert lines[1] == "k,temperature,bleu4,self_bleu4"
     assert len(lines) == 2 + 10  # one row per grid point
+
+
+@pytest.mark.parametrize("sweep", [False, True])
+def test_eval_checks_sampling_flags_first(tmp_path, corpus_file, prep_dir, monkeypatch,
+                                          capsys, sweep):
+    """Iterations that do not divide T are a usage error, found before the
+    ELBO pass or the sweep runs."""
+    run = train_tiny(tmp_path, corpus_file, prep_dir)
+    ran = []
+    monkeypatch.setattr(cli, "elbo_eval", lambda *a, **k: ran.append("elbo"))
+    monkeypatch.setattr(cli, "quality_diversity_sweep", lambda *a, **k: ran.append("sweep"))
+    out = tmp_path / ("sweep.csv" if sweep else "report.json")
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
+                   "--test", str(corpus_file), "--iterations", "3",
+                   "--sweep" if sweep else "--out", str(out)])
+    assert rc == 2
+    assert "error: num_reverse_iterations=3 must divide T=8" in capsys.readouterr().err
+    assert ran == [] and not out.exists()
 
 
 def test_eval_missing_test_file(tmp_path, corpus_file, prep_dir):

@@ -144,6 +144,9 @@ def test_elbo_eval_deterministic_and_seed_sensitive(word_corpus):
 
 
 def test_elbo_eval_consistency_under_more_samples(word_corpus):
+    """Uniform model, lam=0: the bound is exactly ln C per token, and
+    doubling the t draws brings the estimate closer to it over a fixed set
+    of seeds."""
     vocab, table, seqs = word_corpus["vocab"], word_corpus["table"], word_corpus["seqs"]
     params = dn.init_params(
         dn.DenoiserConfig(vocab_size=len(vocab), mode="tad", num_layers=1, d_model=16,
@@ -151,11 +154,54 @@ def test_elbo_eval_consistency_under_more_samples(word_corpus):
         0,
     )
     sched = sp.ScheduleParams(num_steps=8, lam=0.0)
-    few = sp.elbo_eval(params, seqs, sched, table, 8, seed=3)
-    many = sp.elbo_eval(params, seqs, sched, table, 16, seed=3)
-    # uniform model: both are near ln C; doubling samples moves the estimate
-    # by less than its own noise scale
-    assert abs(many - few) < 0.15
+
+    def rms_error(draws):
+        est = [sp.elbo_eval(params, seqs, sched, table, draws, seed=s) for s in range(20)]
+        return np.sqrt(np.mean((np.array(est) - math.log(vocab.num_content)) ** 2))
+
+    few, many = rms_error(8), rms_error(16)
+    assert many < few < 0.5
+
+
+def _tiny_elbo_instance(word_corpus):
+    """A three-token example, T = 8, lam = 0.3 and a large random head, so
+    that the bound at step t varies strongly with t; returns the model, the
+    example, the schedule and its exact bound per token."""
+    vocab, table = word_corpus["vocab"], word_corpus["table"]
+    params = dn.init_params(
+        dn.DenoiserConfig(vocab_size=len(vocab), mode="tad", num_layers=1, d_model=16,
+                          num_heads=2, n_max=16, num_steps=8, dropout=0.0),
+        0,
+    )
+    w = params.tensors["out.w"]
+    w[:] = np.random.default_rng(1).normal(0.0, 3.0, w.shape)
+    x = word_corpus["seqs"][0][:3]
+    sched = sp.ScheduleParams(num_steps=8, lam=0.3)
+    exact = sp.exact_elbo(sp.model_predict_fn(params), x,
+                          sp.spindle_schedule(table.h_for(x), sched)) / len(x)
+    return params, x, sched, exact
+
+
+def test_elbo_eval_stratified_draws_are_unbiased(word_corpus):
+    """The mean of the stratified estimate over many seeds lies within 4
+    standard errors of the exact bound."""
+    params, x, sched, exact = _tiny_elbo_instance(word_corpus)
+    est = np.array([sp.elbo_eval(params, [x], sched, word_corpus["table"], 4, seed=s)
+                    for s in range(200)])
+    se = est.std(ddof=1) / np.sqrt(len(est))
+    assert abs(est.mean() - exact) < 4 * se
+
+
+def test_elbo_eval_stratified_spread_below_iid(word_corpus):
+    """Over a fixed set of seeds, four stratified draws scatter less than
+    four iid draws. A one-draw estimate is a single uniform t, so the mean of
+    four one-draw estimates under distinct seeds is the iid estimate."""
+    params, x, sched, _ = _tiny_elbo_instance(word_corpus)
+    table = word_corpus["table"]
+    strat = [sp.elbo_eval(params, [x], sched, table, 4, seed=s) for s in range(60)]
+    iid = [np.mean([sp.elbo_eval(params, [x], sched, table, 1, seed=1000 + 4 * s + j)
+                    for j in range(4)]) for s in range(60)]
+    assert np.std(strat) < 0.85 * np.std(iid)
 
 
 def test_elbo_eval_empty_dataset_errors(word_corpus):

@@ -262,13 +262,16 @@ def test_spindle_reveals_low_surprisal_first():
 
 
 def _reference_generate(params, sched_params, cfg, table, num, rng):
-    """`generate_batch` written out slowly: `top_k_filter` and a full-row
-    draw at each masked position, the same rng calls and schedule rows."""
+    """`generate_batch` written out slowly: the model on every chain every
+    iteration, `top_k_filter` and a full-row draw at each masked position,
+    the same rng calls and schedule rows. Also returns each iteration's x."""
     T, n = sched_params.num_steps, cfg.length
     stride = T // cfg.num_reverse_iterations
     x = np.full((num, n), MASK_ID, dtype=np.int64)
     reveal = np.full((num, n), -1, dtype=np.int64)
+    xs = []
     for it, t in enumerate(range(T, 0, -stride), start=1):
+        xs.append(x)
         s = t - stride
         t_in = np.full(num, t) if params.config.mode in ("lte", "pte") else None
         logits, _ = dn.forward(params, x, t_in)
@@ -290,7 +293,35 @@ def _reference_generate(params, sched_params, cfg, table, num, rng):
             newly = masked & (u < reveal_from_rows(alpha_s, alpha_t))
             x = np.where(newly, x0_hat, x)
         reveal[newly] = it
-    return x, reveal
+    return x, reveal, xs
+
+
+def _random_head_model(vocab_size, T, mode, dtype=np.float64):
+    params = _uniform_model(vocab_size=vocab_size, T=T, mode=mode).astype(dtype)
+    rng = np.random.default_rng(5)
+    params.tensors["out.w"][:] = rng.normal(0.0, 1.0, params.tensors["out.w"].shape)
+    params.tensors["out.b"][:] = rng.normal(0.0, 1.0, vocab_size)
+    return params
+
+
+def _check_against_reference(mode, remask, lam, head, dtype=np.float64, T=16, iterations=8):
+    """`generate_batch` on 5 chains gives the same sequences and reveal
+    iterations as `_reference_generate` with the same rng."""
+    vocab_size = 40
+    if head == "random":
+        params = _random_head_model(vocab_size, T, mode, dtype)
+    else:
+        params = _uniform_model(vocab_size=vocab_size, T=T, mode=mode).astype(dtype)
+    h = np.random.default_rng(6).uniform(0.5, 4.0, vocab_size)
+    h[:3] = 0.0
+    table = sp.SurprisalTable(h, 1.0)
+    sched_params = sp.ScheduleParams(num_steps=T, lam=lam)
+    cfg = sp.SampleConfig(length=7, num_reverse_iterations=iterations,
+                          top_k=3 if head == "zero" else 10, temperature=0.8, remask=remask)
+    res = sp.generate_batch(params, sched_params, cfg, table, 5, stream(9, "ref"))
+    seqs, reveal, _ = _reference_generate(params, sched_params, cfg, table, 5, stream(9, "ref"))
+    assert np.array_equal(res.sequences, seqs)
+    assert np.array_equal(res.reveal_iteration, reveal)
 
 
 @pytest.mark.parametrize("mode", ["tad", "lte"])
@@ -300,22 +331,56 @@ def _reference_generate(params, sched_params, cfg, table, num, rng):
 def test_generate_batch_matches_slow_reference(mode, remask, lam, head):
     """Same sequences and reveal iterations as the row-by-row reference; the
     zero head ties every logit, so the lower-id rule picks the kept ids."""
-    vocab_size, T = 40, 16
-    params = _uniform_model(vocab_size=vocab_size, T=T, mode=mode)
-    if head == "random":
-        rng = np.random.default_rng(5)
-        params.tensors["out.w"][:] = rng.normal(0.0, 1.0, params.tensors["out.w"].shape)
-        params.tensors["out.b"][:] = rng.normal(0.0, 1.0, vocab_size)
-    h = np.random.default_rng(6).uniform(0.5, 4.0, vocab_size)
-    h[:3] = 0.0
-    table = sp.SurprisalTable(h, 1.0)
-    sched_params = sp.ScheduleParams(num_steps=T, lam=lam)
-    cfg = sp.SampleConfig(length=7, num_reverse_iterations=8,
-                          top_k=3 if head == "zero" else 10, temperature=0.8, remask=remask)
-    res = sp.generate_batch(params, sched_params, cfg, table, 5, stream(9, "ref"))
-    seqs, reveal = _reference_generate(params, sched_params, cfg, table, 5, stream(9, "ref"))
-    assert np.array_equal(res.sequences, seqs)
-    assert np.array_equal(res.reveal_iteration, reveal)
+    _check_against_reference(mode, remask, lam, head)
+
+
+@pytest.mark.parametrize("mode", ["tad", "lte"])
+@pytest.mark.parametrize("remask", [False, True])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("head", ["random", "zero"])
+@pytest.mark.parametrize("dtype, T, iterations", [
+    (np.float32, 16, 8), (np.float32, 64, 64), (np.float64, 64, 64)])
+def test_generate_batch_matches_slow_reference_with_reuse(mode, remask, lam, head, dtype, T,
+                                                          iterations):
+    """The same check in float32, and with T = 64 and 64 iterations, where
+    most iterations reveal nothing in some chains, so a tad model runs on a
+    strict subset of the chains or not at all and the rest reuse their rows.
+    A forward over fewer chains must not change a float32 logit."""
+    _check_against_reference(mode, remask, lam, head, dtype, T, iterations)
+
+
+@pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
+@pytest.mark.parametrize("remask", [False, True])
+def test_tad_forward_runs_only_on_changed_chains(monkeypatch, mode, remask):
+    """A tad model is run only on the chains whose x changed since the last
+    iteration, and not at all when none did; lte and pte see t, so they are
+    run on every chain every iteration."""
+    T, num = 64, 6
+    params = _random_head_model(12, T, mode)
+    sched_params = sp.ScheduleParams(num_steps=T, lam=0.3)
+    cfg = sp.SampleConfig(length=6, num_reverse_iterations=T, top_k=5, remask=remask)
+    *_, xs = _reference_generate(params, sched_params, cfg, _flat_surprisal(), num,
+                                 stream(7, "calls"))
+    expected = [xs[0]]
+    for prev, cur in zip(xs, xs[1:]):
+        changed = (cur != prev).any(axis=1) if mode == "tad" else np.ones(num, bool)
+        if changed.any():
+            expected.append(cur[changed])
+
+    forward, calls = dn.forward, []
+
+    def counting_forward(params, xt, t=None, **kwargs):
+        calls.append(np.array(xt))
+        return forward(params, xt, t, **kwargs)
+
+    monkeypatch.setattr(sp.sampling.denoiser, "forward", counting_forward)
+    sp.generate_batch(params, sched_params, cfg, _flat_surprisal(), num, stream(7, "calls"))
+    assert len(calls) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(calls, expected))
+    if mode == "tad":
+        assert len(calls) < T or any(len(xt) < num for xt in calls)
+    else:
+        assert len(calls) == T and all(len(xt) == num for xt in calls)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3])
