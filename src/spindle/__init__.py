@@ -27,13 +27,6 @@ from .diffusion import (
     ScheduleParams,
     SequenceSchedule,
     flat_schedule,
-    forward_marginal,
-    forward_sample,
-    posterior,
-    reveal_probs,
-    schedule_from_alpha_bar,
-    schedule_from_betas,
-    skip_posterior,
     spindle_alpha_raw,
     spindle_schedule,
 )
@@ -54,12 +47,9 @@ from .training import (
     TrainConfig,
     TrainResult,
     adam_step,
-    diffusion_loss,
     diffusion_loss_batch,
     learning_rate_at,
-    masked_position_kl,
     mlm_pretrain_step,
-    reverse_mixture_row,
     run_training,
 )
 

@@ -47,6 +47,14 @@ class UsageError(Exception):
     pass
 
 
+def _checked(cls, **fields):
+    """cls(**fields) for a settings dataclass; a value it rejects is a usage error."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _require_file(path: str | Path, what: str) -> Path:
     p = Path(path)
     if not p.exists():
@@ -115,6 +123,8 @@ def _read_sequences(path: Path, vocab: Vocab, n_max: int) -> list[np.ndarray]:
 def cmd_prepare(args: argparse.Namespace) -> int:
     if args.vocab_size < 4:
         raise UsageError(f"vocab too small: --vocab-size must be >= 4, got {args.vocab_size}")
+    if args.smoothing < 0:
+        raise UsageError(f"--smoothing must be nonnegative, got {args.smoothing}")
     corpus = _require_file(args.corpus, "corpus")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -167,6 +177,19 @@ _TRAIN_DEFAULTS = {
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, _TRAIN_DEFAULTS)
+    if int(cfg["log_every"]) < 1:
+        raise UsageError(f"--log-every must be >= 1, got {cfg['log_every']}")
+    train_cfg = _checked(
+        TrainConfig,
+        learning_rate=float(cfg["lr"]),
+        warmup_steps=int(cfg["warmup"]),
+        batch_size=int(cfg["batch_size"]),
+        total_steps=int(cfg["steps"]),
+        weight_decay=float(cfg["weight_decay"]),
+        mlm_pretrain_steps=int(cfg["mlm_pretrain_steps"]),
+        mlm_mask_rate=float(cfg["mlm_mask_rate"]),
+        seed=int(cfg["seed"]),
+    )
     vocab, table = _load_prep(args.prep)
     corpus = _require_file(args.corpus, "corpus")
     out = Path(args.out)
@@ -200,7 +223,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                 raise UsageError(f"--{flag} {given} contradicts the checkpoint's {value}")
         cfg.update(held)
     else:
-        model_cfg = DenoiserConfig(
+        model_cfg = _checked(
+            DenoiserConfig,
             vocab_size=len(vocab),
             mode=cfg["time_mode"],
             num_layers=int(cfg["layers"]),
@@ -211,18 +235,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             dropout=float(cfg["dropout"]),
         )
         params = init_params(model_cfg, stream(int(cfg["seed"]), "init")).astype(dtype)
-    sched_params = ScheduleParams(num_steps=int(cfg["T"]), lam=float(cfg["lam"]))
-
-    train_cfg = TrainConfig(
-        learning_rate=float(cfg["lr"]),
-        warmup_steps=int(cfg["warmup"]),
-        batch_size=int(cfg["batch_size"]),
-        total_steps=int(cfg["steps"]),
-        weight_decay=float(cfg["weight_decay"]),
-        mlm_pretrain_steps=int(cfg["mlm_pretrain_steps"]),
-        mlm_mask_rate=float(cfg["mlm_mask_rate"]),
-        seed=int(cfg["seed"]),
-    )
+    sched_params = _checked(ScheduleParams, num_steps=int(cfg["T"]), lam=float(cfg["lam"]))
     sequences = _read_sequences(corpus, vocab, model_cfg.n_max)
 
     val_fn = None
@@ -319,7 +332,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     test_path = _require_file(args.test, "test corpus")
     sched_params = ScheduleParams(num_steps=ckpt.params.config.num_steps, lam=ckpt.lam)
     test_seqs = _read_sequences(test_path, vocab, ckpt.params.config.n_max)
-    length = args.length or int(np.median([len(s) for s in test_seqs]))
+    length = args.length
+    if length is None:
+        length = int(np.median([len(s) for s in test_seqs]))
+    if args.num_gen < 2:
+        raise UsageError(f"--num-gen must be >= 2 for self-BLEU, got {args.num_gen}")
+    if args.t_samples < 1:
+        raise UsageError(f"--t-samples must be >= 1, got {args.t_samples}")
     try:
         sample_cfg = SampleConfig(length=length, num_reverse_iterations=args.iterations,
                                   top_k=args.top_k, temperature=args.temperature,
@@ -382,11 +401,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
+    sched_params = _checked(ScheduleParams, num_steps=args.T, lam=args.lam)
     vocab, table = _load_prep(args.prep)
     ids = tokenize(args.text, vocab)
     if ids.size == 0:
         raise UsageError("--text produced no tokens")
-    sched = spindle_schedule(table.h_for(ids), ScheduleParams(num_steps=args.T, lam=args.lam))
+    sched = spindle_schedule(table.h_for(ids), sched_params)
     out = Path(args.out)
     with out.open("w", encoding="utf-8") as fh:
         config_echo = {"text": args.text, "lambda": args.lam, "T": args.T}

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import MASK_ID
-from .rng import as_generator
-
 
 @dataclass(frozen=True)
 class ScheduleParams:
@@ -47,7 +44,6 @@ class SequenceSchedule:
     """
 
     alpha_bar: np.ndarray
-    h_seq: np.ndarray
     clamp_events: int = 0
 
     @property
@@ -97,7 +93,7 @@ def spindle_schedule(h_seq: np.ndarray, params: ScheduleParams) -> SequenceSched
     alpha_bar[-1] = 0.0
     events = int(((raw[1:-1] < lo) | (raw[1:-1] > hi)).sum())
     events += int((clipped[1:-1] != alpha_bar[1:-1]).sum())
-    return SequenceSchedule(alpha_bar, np.asarray(h_seq, dtype=np.float64), events)
+    return SequenceSchedule(alpha_bar, events)
 
 
 def spindle_alpha_bar_at(h_seq: np.ndarray, t, params: ScheduleParams) -> np.ndarray:
@@ -126,129 +122,15 @@ def flat_schedule(length: int, params: ScheduleParams) -> SequenceSchedule:
     return spindle_schedule(np.ones(length), params)
 
 
-def schedule_from_alpha_bar(alpha_bar: np.ndarray, h_seq: np.ndarray | None = None) -> SequenceSchedule:
-    """Wrap an explicit retention grid (rows t=0..T) as a schedule.
-
-    Unlike spindle schedules, explicit grids may end above 0; the prior term
-    of the training bound is only finite when alpha_bar[T] == 0.
-    """
-    alpha_bar = np.asarray(alpha_bar, dtype=np.float64)
-    if alpha_bar.ndim != 2:
-        raise ValueError("alpha_bar must be (T+1, n)")
-    if not np.allclose(alpha_bar[0], 1.0):
-        raise ValueError("alpha_bar must start at 1")
-    if (np.diff(alpha_bar, axis=0) > 1e-12).any():
-        raise ValueError("alpha_bar must be nonincreasing in t")
-    if h_seq is None:
-        h_seq = np.ones(alpha_bar.shape[1])
-    return SequenceSchedule(alpha_bar, np.asarray(h_seq, dtype=np.float64))
-
-
-def schedule_from_betas(betas: np.ndarray, h_seq: np.ndarray | None = None) -> SequenceSchedule:
-    """Schedule from an explicit per-step per-position beta table, shape (T, n)."""
-    betas = np.asarray(betas, dtype=np.float64)
-    alpha_bar = np.ones((betas.shape[0] + 1, betas.shape[1]))
-    alpha_bar[1:] = np.cumprod(1.0 - betas, axis=0)
-    return schedule_from_alpha_bar(alpha_bar, h_seq)
-
-
-def _check_t(t: int, sched: SequenceSchedule) -> None:
-    if not 0 <= t <= sched.num_steps:
-        raise ValueError(f"t={t} out of range [0, {sched.num_steps}]")
-
-
-def _check_seq(x: np.ndarray, sched: SequenceSchedule) -> np.ndarray:
-    x = np.asarray(x, dtype=np.int64)
-    if x.shape != (sched.length,):
-        raise ValueError(f"sequence length {x.shape} does not match schedule n={sched.length}")
-    return x
-
-
-def forward_marginal(
-    x0: np.ndarray, t: int, sched: SequenceSchedule, num_classes: int
-) -> np.ndarray:
-    """q(x_t | x_0) as an (n, K) row-stochastic grid: mass alpha_bar[t, i] on
-    x0[i] and the rest on [MASK].
-    """
-    x0 = _check_seq(x0, sched)
-    _check_t(t, sched)
-    a = sched.alpha_bar[t]
-    grid = np.zeros((sched.length, num_classes))
-    rows = np.arange(sched.length)
-    grid[rows, x0] = a
-    grid[rows, MASK_ID] += 1.0 - a
-    return grid
-
-
-def forward_sample(
-    x0: np.ndarray, t: int, sched: SequenceSchedule, rng: np.random.Generator | int | None
-) -> np.ndarray:
-    """One draw from q(x_t | x_0): keep each token with prob alpha_bar[t, i]."""
-    x0 = _check_seq(x0, sched)
-    _check_t(t, sched)
-    rng = as_generator(rng)
-    keep = rng.random(sched.length) < sched.alpha_bar[t]
-    return np.where(keep, x0, MASK_ID)
-
-
 def reveal_from_rows(alpha_s: np.ndarray, alpha_t: np.ndarray) -> np.ndarray:
     """Probability that a token masked at step t is revealed by step s < t:
     (alpha_bar[s] - alpha_bar[t]) / (1 - alpha_bar[t]), or 1 where alpha_bar[t] == 1.
+
+    This is the whole posterior q(x_s | x_t, x_0) of the two-state chain: a
+    [MASK] at step t becomes x_0 with this probability and otherwise stays
+    [MASK]; an unmasked token is x_0 and stays.
     """
     denom = 1.0 - alpha_t
     ok = denom > 0
     jump = (alpha_s - alpha_t) / np.where(ok, denom, 1.0)
     return np.where(ok, np.clip(jump, 0.0, 1.0), 1.0)
-
-
-def reveal_probs(t: int, s: int, sched: SequenceSchedule) -> np.ndarray:
-    """`reveal_from_rows` for the jump from step t back to step s < t."""
-    if not 0 <= s < t:
-        raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
-    _check_t(t, sched)
-    return reveal_from_rows(sched.alpha_bar[s], sched.alpha_bar[t])
-
-
-def _posterior_grid(
-    xt: np.ndarray, x0: np.ndarray, t: int, s: int, sched: SequenceSchedule, num_classes: int
-) -> np.ndarray:
-    masked = xt == MASK_ID
-    if np.any(~masked & (xt != x0)):
-        raise ValueError("xt inconsistent with x0 at an unmasked position")
-    if np.any(masked & (sched.alpha_bar[t] >= 1.0)):
-        raise ValueError("impossible state: masked position with retention probability 1")
-    reveal = reveal_probs(t, s, sched)
-    grid = np.zeros((sched.length, num_classes))
-    rows = np.arange(sched.length)
-    grid[rows[~masked], x0[~masked]] = 1.0
-    grid[rows[masked], x0[masked]] = reveal[masked]
-    grid[rows[masked], MASK_ID] += 1.0 - reveal[masked]
-    return grid
-
-
-def posterior(
-    xt: np.ndarray, x0: np.ndarray, t: int, sched: SequenceSchedule, num_classes: int
-) -> np.ndarray:
-    """q(x_{t-1} | x_t, x_0) per position: point mass on x0 where xt is
-    unmasked; otherwise reveal/stay split between x0 and [MASK].
-    """
-    if t < 1:
-        raise ValueError("posterior requires t >= 1")
-    xt = _check_seq(xt, sched)
-    x0 = _check_seq(x0, sched)
-    _check_t(t, sched)
-    return _posterior_grid(xt, x0, t, t - 1, sched, num_classes)
-
-
-def skip_posterior(
-    xt: np.ndarray, x0hat: np.ndarray, t: int, s: int, sched: SequenceSchedule, num_classes: int
-) -> np.ndarray:
-    """q(x_s | x_t, x0hat) for any jump s < t; the two-state chain makes this
-    the same reveal/stay form with alpha_bar[s] in place of alpha_bar[t-1].
-    """
-    if not 0 <= s < t:
-        raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
-    xt = _check_seq(xt, sched)
-    x0hat = _check_seq(x0hat, sched)
-    _check_t(t, sched)
-    return _posterior_grid(xt, x0hat, t, s, sched, num_classes)

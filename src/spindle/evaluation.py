@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import MASK_ID, SurprisalTable, Vocab
 from .denoiser import DenoiserParams, predict_x0_logits
-from .diffusion import ScheduleParams, SequenceSchedule, reveal_probs, spindle_alpha_bar_at
+from .diffusion import ScheduleParams, reveal_from_rows, spindle_alpha_bar_at
 from .rng import stream
 from .sampling import SampleConfig, generate_batch
 
@@ -94,15 +94,15 @@ def elbo_eval(
     return total_nats / t_samples_per_example / total_tokens
 
 
-def exact_elbo(predict_fn, x0: np.ndarray, sched: SequenceSchedule) -> float:
+def exact_elbo(predict_fn, x0: np.ndarray, alpha_bar: np.ndarray) -> float:
     """The bound in nats, exhaustively averaged over every time step and every
     forward mask pattern (tiny instances only: 2^n patterns per step).
-    predict_fn maps an (n,) state and the step t to (n, K) clean-token
-    probabilities.
+    alpha_bar is the (T+1, n) retention grid of x0, ending at 0; predict_fn
+    maps an (n,) state and the step t to (n, K) clean-token probabilities.
     """
     x0 = np.asarray(x0, dtype=np.int64)
     n = len(x0)
-    if np.any(sched.alpha_bar[-1] != 0.0):
+    if np.any(alpha_bar[-1] != 0.0):
         raise ValueError("prior term nonzero: schedule must end fully masked")
     preds: dict[tuple, np.ndarray] = {}
 
@@ -114,9 +114,9 @@ def exact_elbo(predict_fn, x0: np.ndarray, sched: SequenceSchedule) -> float:
         return preds[key]
 
     total = 0.0
-    for t in range(1, sched.num_steps + 1):
-        a_t = sched.alpha_bar[t]
-        r = reveal_probs(t, t - 1, sched)
+    for t in range(1, len(alpha_bar)):
+        a_t = alpha_bar[t]
+        r = reveal_from_rows(alpha_bar[t - 1], a_t)
         for pattern in itertools.product((False, True), repeat=n):
             m = np.array(pattern)
             weight = float(np.prod(np.where(m, 1.0 - a_t, a_t)))

@@ -27,7 +27,7 @@ import numpy as np
 from . import denoiser
 from .corpus import MASK_ID, PAD_ID, SurprisalTable, Vocab
 from .denoiser import DenoiserParams, save_checkpoint, load_checkpoint
-from .diffusion import ScheduleParams, SequenceSchedule, reveal_from_rows, spindle_alpha_bar_at
+from .diffusion import ScheduleParams, reveal_from_rows, spindle_alpha_bar_at
 from .rng import as_generator, stream
 
 
@@ -122,26 +122,6 @@ def _masked_ce(
     return per_item, grads
 
 
-def masked_position_kl(reveal_prob: float, model_prob_truth: float) -> float:
-    """KL(q(x_{t-1}^i | x_t, x_0) || p_theta(x_{t-1}^i | x_t)) at a masked
-    position collapses to reveal_prob * (-log of the model's mass on the true
-    token); the mask-stay components cancel exactly.
-    """
-    return float(reveal_prob) * -float(np.log(model_prob_truth))
-
-
-def reverse_mixture_row(
-    pred_row: np.ndarray, reveal_prob: float, num_classes: int
-) -> np.ndarray:
-    """p_theta(x_{t-1}^i | x_t) at a masked position: the model's clean-token
-    distribution scaled by the reveal probability, plus mask-stay mass.
-    """
-    row = np.zeros(num_classes)
-    row[: len(pred_row)] = reveal_prob * pred_row
-    row[MASK_ID] += 1.0 - reveal_prob
-    return row
-
-
 def diffusion_loss_batch(
     params: DenoiserParams,
     seqs: list[np.ndarray],
@@ -182,25 +162,6 @@ def diffusion_loss_batch(
     l0 = float(per_item[is_recon].sum() * unweight)
     l_kl = float(per_item[~is_recon].sum() * unweight)
     return LossBreakdown(l_kl, l0, 0.0, float(per_item.sum()), num_tokens), grads
-
-
-def diffusion_loss(
-    params: DenoiserParams,
-    x0: np.ndarray,
-    t_draw: int,
-    sched: SequenceSchedule,
-    rng: np.random.Generator | int | None,
-    *,
-    train: bool = True,
-    want_grads: bool = True,
-) -> tuple[LossBreakdown, dict[str, np.ndarray] | None]:
-    """Single-sequence form of `diffusion_loss_batch` on an explicit schedule."""
-    if np.any(sched.alpha_bar[-1] != 0.0):
-        raise ValueError("prior term nonzero: schedule must end fully masked")
-    return diffusion_loss_batch(
-        params, [np.asarray(x0)], [sched.alpha_bar[t_draw - 1 : t_draw + 1]],
-        np.array([t_draw]), sched.num_steps, rng, train=train, want_grads=want_grads,
-    )
 
 
 def mlm_pretrain_step(

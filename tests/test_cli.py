@@ -288,11 +288,18 @@ def test_eval_sweep_csv(tmp_path, corpus_file, prep_dir):
     assert len(lines) == 2 + 10  # one row per grid point
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--iterations", "3"], "num_reverse_iterations=3 must divide T=8"),
+    (["--length", "0"], "length must be >= 1"),
+    (["--num-gen", "1"], "--num-gen must be >= 2 for self-BLEU, got 1"),
+    (["--t-samples", "0"], "--t-samples must be >= 1, got 0"),
+], ids=["iterations", "length", "num-gen", "t-samples"])
 @pytest.mark.parametrize("sweep", [False, True])
 def test_eval_checks_sampling_flags_first(tmp_path, corpus_file, prep_dir, monkeypatch,
-                                          capsys, sweep):
-    """Iterations that do not divide T are a usage error, found before the
-    ELBO pass or the sweep runs."""
+                                          capsys, sweep, flags, message):
+    """Iterations that do not divide T, a zero length, fewer than two
+    generated samples (self-BLEU needs two) and no t draws are usage errors,
+    found before the ELBO pass or the sweep runs."""
     run = train_tiny(tmp_path, corpus_file, prep_dir)
     ran = []
     monkeypatch.setattr(cli, "elbo_eval", lambda *a, **k: ran.append("elbo"))
@@ -300,10 +307,10 @@ def test_eval_checks_sampling_flags_first(tmp_path, corpus_file, prep_dir, monke
     out = tmp_path / ("sweep.csv" if sweep else "report.json")
     capsys.readouterr()
     rc = cli.main(["eval", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
-                   "--test", str(corpus_file), "--iterations", "3",
+                   "--test", str(corpus_file), *flags,
                    "--sweep" if sweep else "--out", str(out)])
     assert rc == 2
-    assert "error: num_reverse_iterations=3 must divide T=8" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert ran == [] and not out.exists()
 
 
@@ -312,6 +319,32 @@ def test_eval_missing_test_file(tmp_path, corpus_file, prep_dir):
     rc = cli.main(["eval", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
                    "--test", str(tmp_path / "nope.txt")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("train", ["--log-every", "0"]),
+    ("train", ["--batch-size", "0"]),
+    ("train", ["--T", "0"]),
+    ("train", ["--d-model", "16", "--heads", "3"]),
+    ("schedule", ["--T", "0"]),
+    ("schedule", ["--lambda", "-1"]),
+    ("prepare", ["--smoothing", "-1"]),
+], ids=["log-every", "batch-size", "T", "heads", "schedule-T", "schedule-lambda", "smoothing"])
+def test_rejected_settings_exit_2(tmp_path, corpus_file, prep_dir, capsys, command, flags):
+    """A setting out of range is a usage error whether the CLI or a settings
+    dataclass finds it, and nothing is trained or written."""
+    out = tmp_path / "out"
+    base = {
+        "train": ["--corpus", str(corpus_file), "--prep", str(prep_dir), "--steps", "2",
+                  "--batch-size", "4", "--layers", "1", "--d-model", "16", "--heads", "2",
+                  "--n-max", "16", "--T", "8"],
+        "schedule": ["--prep", str(prep_dir), "--text", "the cat sat"],
+        "prepare": ["--corpus", str(corpus_file), "--vocab-size", "64"],
+    }[command]
+    capsys.readouterr()
+    assert cli.main([command, *base, "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_schedule_csv(tmp_path, corpus_file, prep_dir):

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spindle as sp
-from spindle.corpus import MASK_ID
-from spindle.diffusion import spindle_alpha_bar_at
+from spindle.diffusion import reveal_from_rows, spindle_alpha_bar_at
 
 positive_h = st.lists(
     st.floats(min_value=0.05, max_value=20.0, allow_nan=False), min_size=1, max_size=16
@@ -118,103 +117,35 @@ def test_closed_form_rows_match_dense_schedule(h, lam, eps, T):
         spindle_alpha_bar_at(h, T + 1, params)
 
 
-def test_forward_marginal_boundaries(word_corpus):
-    sched = sp.flat_schedule(3, sp.ScheduleParams(num_steps=4, lam=0.0))
-    x0 = np.array([5, 6, 7])
-    g0 = sp.forward_marginal(x0, 0, sched, 10)
-    assert np.all(g0[np.arange(3), x0] == 1.0)
-    gT = sp.forward_marginal(x0, 4, sched, 10)
-    assert np.all(gT[:, MASK_ID] == 1.0)
-    with pytest.raises(ValueError):
-        sp.forward_marginal(x0, 5, sched, 10)
-
-
-def test_forward_marginal_direct_readout():
-    ab = np.array([[1.0], [0.72], [0.0]])
-    sched = sp.schedule_from_alpha_bar(ab)
-    g = sp.forward_marginal(np.array([4]), 1, sched, 6)
-    assert g[0, 4] == pytest.approx(0.72) and g[0, MASK_ID] == pytest.approx(0.28)
-    assert g.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_forward_sample_boundaries_and_determinism():
-    sched = sp.flat_schedule(4, sp.ScheduleParams(num_steps=6, lam=0.0))
-    x0 = np.array([5, 6, 7, 8])
-    assert np.array_equal(sp.forward_sample(x0, 0, sched, 1), x0)
-    assert np.all(sp.forward_sample(x0, 6, sched, 1) == MASK_ID)
-    a = sp.forward_sample(x0, 3, sched, 42)
-    b = sp.forward_sample(x0, 3, sched, 42)
-    assert np.array_equal(a, b)
-
-
-def test_posterior_reveal_stay_split():
-    ab = np.array([[1.0], [0.8], [0.6], [0.0]])
-    sched = sp.schedule_from_alpha_bar(ab)
-    g = sp.posterior(np.array([MASK_ID]), np.array([4]), 2, sched, 6)
-    assert g[0, 4] == pytest.approx(0.5) and g[0, MASK_ID] == pytest.approx(0.5)
-
-
-def test_posterior_unmasked_is_point_mass():
-    sched = sp.flat_schedule(2, sp.ScheduleParams(num_steps=4, lam=0.0))
-    g = sp.posterior(np.array([4, MASK_ID]), np.array([4, 5]), 2, sched, 8)
-    assert g[0, 4] == 1.0 and g[0].sum() == 1.0
-
-
-def test_posterior_t1_reveals_surely():
-    sched = sp.flat_schedule(2, sp.ScheduleParams(num_steps=4, lam=0.0))
-    g = sp.posterior(np.array([MASK_ID, MASK_ID]), np.array([4, 5]), 1, sched, 8)
-    assert g[0, 4] == 1.0 and g[1, 5] == 1.0
-
-
-def test_posterior_errors():
-    sched = sp.flat_schedule(2, sp.ScheduleParams(num_steps=4, lam=0.0))
-    with pytest.raises(ValueError):  # inconsistent pair
-        sp.posterior(np.array([6, 5]), np.array([4, 5]), 2, sched, 8)
-    ab = np.array([[1.0, 1.0], [1.0, 0.5], [0.0, 0.0]])
-    sched2 = sp.schedule_from_alpha_bar(ab)
-    with pytest.raises(ValueError):  # masked position with retention 1
-        sp.posterior(np.array([MASK_ID, MASK_ID]), np.array([4, 5]), 1, sched2, 8)
-
-
-def test_skip_posterior_reduces_to_posterior():
-    sched = sp.spindle_schedule(np.array([0.5, 2.0]), sp.ScheduleParams(num_steps=8, lam=0.3))
-    xt = np.array([MASK_ID, 5])
-    x0 = np.array([4, 5])
-    a = sp.skip_posterior(xt, x0, 5, 4, sched, 8)
-    b = sp.posterior(xt, x0, 5, sched, 8)
-    assert np.allclose(a, b, atol=1e-15)
-
-
-def test_skip_posterior_hand_value():
-    ab = np.array([[1.0], [0.9], [0.3], [0.0]])
-    sched = sp.schedule_from_alpha_bar(ab)
-    g = sp.skip_posterior(np.array([MASK_ID]), np.array([4]), 2, 1, sched, 6)
-    assert g[0, 4] == pytest.approx(6 / 7)
-    assert g[0, MASK_ID] == pytest.approx(1 / 7)
-
-
-def test_skip_posterior_s0_reveals():
+def test_reveal_hand_values():
+    """(alpha_bar[s] - alpha_bar[t]) / (1 - alpha_bar[t]) on hand rows: one
+    step back, a skip, the reveal-everything jumps to s = 0 and from t = 1,
+    and the value 1 where nothing can be masked at t."""
+    assert reveal_from_rows(np.array([0.8]), np.array([0.6])) == pytest.approx([0.5])
+    assert reveal_from_rows(np.array([0.9]), np.array([0.3])) == pytest.approx([6 / 7])
     sched = sp.spindle_schedule(np.array([1.0, 2.0]), sp.ScheduleParams(num_steps=8, lam=0.2))
-    g = sp.skip_posterior(np.array([MASK_ID, MASK_ID]), np.array([4, 5]), 6, 0, sched, 8)
-    assert g[0, 4] == 1.0 and g[1, 5] == 1.0
-    with pytest.raises(ValueError):
-        sp.skip_posterior(np.array([MASK_ID]), np.array([4]), 3, 3, sched, 8)
+    a = sched.alpha_bar
+    assert np.array_equal(reveal_from_rows(a[0], a[6]), [1.0, 1.0])  # s = 0
+    assert np.array_equal(reveal_from_rows(a[0], a[1]), [1.0, 1.0])  # t = 1
+    assert np.array_equal(reveal_from_rows(np.ones(2), np.array([1.0, 0.5])), [1.0, 1.0])
 
 
 @settings(max_examples=40, deadline=None)
 @given(h=positive_h, lam=st.floats(0.0, 1.0), T=st.integers(2, 16), seed=st.integers(0, 999))
-def test_posterior_rows_are_distributions(h, lam, T, seed):
-    h = np.array(h)
+def test_reveal_rows_are_distributions(h, lam, T, seed):
+    """For every jump s < t of a spindle schedule, reveal and stay are a
+    distribution at each position, and the jump composes from one step back
+    and the rest: a [MASK] at t is revealed at t - 1 or, still masked there,
+    by s."""
+    a = sp.spindle_schedule(np.array(h), sp.ScheduleParams(num_steps=T, lam=lam)).alpha_bar
     rng = np.random.default_rng(seed)
-    sched = sp.spindle_schedule(h, sp.ScheduleParams(num_steps=T, lam=lam))
-    n = len(h)
-    x0 = rng.integers(4, 10, size=n)
-    t = int(rng.integers(1, T + 1))
-    mask = (rng.random(n) < 0.5) & (sched.alpha_bar[t] < 1.0)
-    xt = np.where(mask, MASK_ID, x0)
-    g = sp.posterior(xt, x0, t, sched, 10)
-    assert np.all(g >= 0)
-    assert np.allclose(g.sum(axis=1), 1.0, atol=1e-9)
+    t = int(rng.integers(2, T + 1))
+    s = int(rng.integers(0, t - 1))
+    reveal = reveal_from_rows(a[s], a[t])
+    assert np.all((reveal >= 0.0) & (reveal <= 1.0))
+    step = reveal_from_rows(a[t - 1], a[t])
+    composed = step + (1.0 - step) * reveal_from_rows(a[s], a[t - 1])
+    assert np.abs(reveal - composed).max() <= 1e-12
 
 
 def test_chapman_kolmogorov_two_state():

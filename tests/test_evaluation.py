@@ -123,8 +123,8 @@ def test_elbo_eval_exact_telescoping_exhaustive(word_corpus):
         0,
     )
     x0 = np.array([5, 7])
-    sched = sp.flat_schedule(2, sp.ScheduleParams(num_steps=4, lam=0.0))
-    total = sp.exact_elbo(sp.model_predict_fn(params), x0, sched)
+    a = sp.flat_schedule(2, sp.ScheduleParams(num_steps=4, lam=0.0)).alpha_bar
+    total = sp.exact_elbo(sp.model_predict_fn(params), x0, a)
     assert total / 2 == pytest.approx(math.log(vocab.num_content), abs=1e-9)
 
 
@@ -178,7 +178,7 @@ def _tiny_elbo_instance(word_corpus):
     x = word_corpus["seqs"][0][:3]
     sched = sp.ScheduleParams(num_steps=8, lam=0.3)
     exact = sp.exact_elbo(sp.model_predict_fn(params), x,
-                          sp.spindle_schedule(table.h_for(x), sched)) / len(x)
+                          sp.spindle_schedule(table.h_for(x), sched).alpha_bar) / len(x)
     return params, x, sched, exact
 
 

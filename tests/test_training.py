@@ -23,43 +23,39 @@ def tiny_params(mode="tad", vocab_size=13, seed=0, randomize=True, **kw):
     return params
 
 
-def test_uniform_model_single_masked_kl_value():
-    """Masked position with reveal 0.5 on an untrained uniform model over 10
-    content tokens contributes 0.5 * ln 10 nats."""
-    params = tiny_params(randomize=False)  # uniform: 10 content tokens
-    ab = np.ones((9, 2))
-    ab[1:, 0] = np.linspace(0.8, 0.0, 8)  # position 0: reveal (0.8-0.6)/(1-0.6)=0.5 at t=2
-    ab[1:, 1] = np.linspace(0.9, 0.0, 8)
-    # choose t where position 0 is masked and position 1 is not
-    sched = sp.schedule_from_alpha_bar(np.vstack([np.ones(2), ab[1:]]))
-    t = 2
-    reveal = sp.reveal_probs(t, t - 1, sched)
-    x0 = np.array([5, 6])
-    # force xt: position 0 masked, position 1 revealed, via a seed search
-    for seed in range(200):
-        xt = sp.forward_sample(x0, t, sched, seed)
-        if xt[0] == MASK_ID and xt[1] == x0[1]:
-            break
-    else:
-        pytest.fail("no seed produced the wanted mask pattern")
-    expected = reveal[0] * math.log(10)
-    kl = sp.masked_position_kl(reveal[0], 1.0 / 10)
-    assert kl == pytest.approx(expected, abs=1e-12)
+def test_uniform_model_charges_reveal_times_log_vocab():
+    """An untrained, uniform model over 10 content tokens is charged
+    reveal * ln 10 * T / N at each masked position. A retention row of 0 at t
+    masks a position surely and a row of 1 never does: item 0, at t = 2, is
+    masked at positions 0 and 2 with reveal 0.5 and 0.3; item 1, at t = 1, is
+    masked everywhere with reveal 1."""
+    params = tiny_params(randomize=False)
+    seqs = [np.array([5, 6, 7]), np.array([8, 9])]
+    rows = [np.array([[0.5, 1.0, 0.3], [0.0, 1.0, 0.0]]), np.array([[1.0, 1.0], [0.0, 0.0]])]
+    b, _ = sp.diffusion_loss_batch(params, seqs, rows, np.array([2, 1]), 8, stream(0, "u"),
+                                   want_grads=False)
+    ln10 = math.log(10)
+    assert b.total == pytest.approx((0.5 + 0.3 + 1.0 + 1.0) * ln10 * 8 / 5, abs=1e-12)
+    assert b.l_t_kl == pytest.approx(0.8 * ln10, abs=1e-12)
+    assert b.l_0 == pytest.approx(2.0 * ln10, abs=1e-12)
 
 
 def test_perfect_model_zero_loss():
     """A point-mass-on-truth model has zero KL and zero reconstruction loss."""
     params = tiny_params(randomize=False)
     x0 = np.full(8, 7)
-    sched = sp.flat_schedule(8, sp.ScheduleParams(num_steps=8, lam=0.0))
+    a = sp.flat_schedule(8, sp.ScheduleParams(num_steps=8, lam=0.0)).alpha_bar
     bias = params.tensors["out.b"]
+
+    def loss(t):
+        return sp.diffusion_loss_batch(params, [x0], [a[t - 1 : t + 1]], np.array([t]), 8,
+                                       stream(1, "perfect"), want_grads=False)[0]
 
     def losses(token):
         """(t = 1, t = 5) loss totals when the model is sure of `token`."""
         bias[:] = -60.0
         bias[token] = 60.0
-        recon, _ = sp.diffusion_loss(params, x0, 1, sched, stream(1, "perfect"), want_grads=False)
-        kl, _ = sp.diffusion_loss(params, x0, 5, sched, stream(1, "perfect"), want_grads=False)
+        recon, kl = loss(1), loss(5)
         assert recon.l_t_kl == 0.0 and kl.l_0 == 0.0
         return recon.total, kl.total
 
@@ -71,23 +67,25 @@ def test_perfect_model_zero_loss():
 def test_diffusion_loss_breakdown_fields():
     params = tiny_params()
     h = np.array([0.5, 1.0, 2.0])
-    sched = sp.spindle_schedule(h, sp.ScheduleParams(num_steps=8, lam=0.3))
+    a = sp.spindle_schedule(h, sp.ScheduleParams(num_steps=8, lam=0.3)).alpha_bar
     x0 = np.array([4, 5, 6])
-    breakdown, grads = sp.diffusion_loss(params, x0, 5, sched, stream(0, "x"))
+    breakdown, grads = sp.diffusion_loss_batch(params, [x0], [a[4:6]], np.array([5]), 8,
+                                               stream(0, "x"))
     assert breakdown.l_T == 0.0
     assert breakdown.l_0 == 0.0 and breakdown.l_t_kl >= 0.0
     assert breakdown.num_tokens == 3
     assert set(grads) == set(params.tensors)
     # t = 1 routes to the reconstruction slot
-    b1, _ = sp.diffusion_loss(params, x0, 1, sched, stream(1, "x"), want_grads=False)
+    b1, _ = sp.diffusion_loss_batch(params, [x0], [a[0:2]], np.array([1]), 8, stream(1, "x"),
+                                    want_grads=False)
     assert b1.l_t_kl == 0.0 and b1.l_0 >= 0.0
 
 
 def test_diffusion_loss_rejects_masked_x0():
     params = tiny_params()
-    sched = sp.flat_schedule(2, sp.ScheduleParams(num_steps=8, lam=0.0))
+    a = sp.flat_schedule(2, sp.ScheduleParams(num_steps=8, lam=0.0)).alpha_bar
     with pytest.raises(ValueError):
-        sp.diffusion_loss(params, np.array([MASK_ID, 5]), 3, sched, 0)
+        sp.diffusion_loss_batch(params, [np.array([MASK_ID, 5])], [a[2:4]], np.array([3]), 8, 0)
 
 
 @pytest.mark.parametrize("objective", ["diffusion", "mlm"])
@@ -96,14 +94,15 @@ def test_diffusion_loss_grads_match_fd(objective):
     and MLM's (over a padded two-item batch), against finite differences."""
     params = tiny_params("lte", seed=3, dropout=0.1)
     h = np.exp(np.random.default_rng(0).uniform(-1, 1, size=5))
-    sched = sp.spindle_schedule(h, sp.ScheduleParams(num_steps=8, lam=0.4))
+    a = sp.spindle_schedule(h, sp.ScheduleParams(num_steps=8, lam=0.4)).alpha_bar
     x0 = np.random.default_rng(1).integers(4, 13, size=5)
 
     def loss_and_grads(p, want_grads):
         if objective == "mlm":
             return sp.mlm_pretrain_step(p, [x0, x0[:3]], 0.5, stream(9, "n"),
                                         want_grads=want_grads)
-        b, grads = sp.diffusion_loss(p, x0, 6, sched, stream(9, "n"), want_grads=want_grads)
+        b, grads = sp.diffusion_loss_batch(p, [x0], [a[5:7]], np.array([6]), 8, stream(9, "n"),
+                                           want_grads=want_grads)
         return b.total, grads
 
     def loss(p):
@@ -138,18 +137,19 @@ def test_diffusion_loss_grads_match_fd(objective):
     seed=st.integers(0, 10_000),
 )
 def test_simplified_kl_equals_generic(reveal, c, truth, seed):
+    """At a masked position, the KL between the reveal/stay posterior and the
+    model's reverse step collapses to the bound's charge reveal * -ln p(x0):
+    the stay components cancel."""
     truth = truth % c
     pred = np.random.default_rng(seed).dirichlet(np.ones(c))
     k = c + 3
     q_row = np.zeros(k)
     q_row[3 + truth] = reveal
     q_row[MASK_ID] = 1.0 - reveal
-    pred_full = np.zeros(k)
-    pred_full[3:] = pred
-    p_row = sp.reverse_mixture_row(pred_full, reveal, k)
-    assert sp.masked_position_kl(reveal, pred[truth]) == pytest.approx(
-        orc.generic_kl(q_row, p_row), abs=1e-9
-    )
+    p_row = np.zeros(k)
+    p_row[3:] = reveal * pred
+    p_row[MASK_ID] = 1.0 - reveal
+    assert reveal * -math.log(pred[truth]) == pytest.approx(orc.generic_kl(q_row, p_row), abs=1e-9)
 
 
 def test_mlm_uniform_loss_is_log_vocab():
@@ -380,7 +380,7 @@ def test_stratified_t_marginal_is_uniform():
 def _exact_bound_per_token(params, seqs, table, sched_params):
     predict = sp.model_predict_fn(params)
     nats = sum(
-        sp.exact_elbo(predict, x, sp.spindle_schedule(table.h_for(x), sched_params))
+        sp.exact_elbo(predict, x, sp.spindle_schedule(table.h_for(x), sched_params).alpha_bar)
         for x in seqs
     )
     return nats / sum(len(x) for x in seqs)
