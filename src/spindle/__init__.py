@@ -20,16 +20,9 @@ from .denoiser import (
     forward,
     init_params,
     load_checkpoint,
-    predict_x0_logits,
     save_checkpoint,
 )
-from .diffusion import (
-    ScheduleParams,
-    SequenceSchedule,
-    flat_schedule,
-    spindle_alpha_raw,
-    spindle_schedule,
-)
+from .diffusion import ScheduleParams, spindle_alpha_raw
 from .evaluation import (
     MetricsReport,
     bleu4,

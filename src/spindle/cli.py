@@ -18,7 +18,7 @@ import numpy as np
 from . import verify as verify_mod
 from .corpus import SurprisalTable, Vocab, build_vocab, detokenize, surprisal_table, tokenize
 from .denoiser import DenoiserConfig, init_params, load_checkpoint, save_checkpoint
-from .diffusion import ScheduleParams, spindle_schedule
+from .diffusion import ScheduleParams, spindle_alpha_bar_at, spindle_alpha_raw
 from .evaluation import MetricsReport, bleu4, elbo_eval, quality_diversity_sweep, self_bleu4
 from .rng import stream
 from .sampling import SampleConfig, check_sample_config, generate_batch
@@ -62,22 +62,15 @@ def _require_file(path: str | Path, what: str) -> Path:
     return p
 
 
-def _load_prep(prep_dir: str | Path, smoothing: float | None = None):
+def _load_prep(prep_dir: str | Path):
     prep = _require_file(prep_dir, "prep directory")
     vocab_path = _require_file(prep / "vocab.tsv", "vocab file")
     stats_path = prep / "stats.json"
     tokenizer = "word"
-    prep_smoothing = 1.0
     if stats_path.exists():
-        stats = json.loads(stats_path.read_text())
-        tokenizer = stats["config"].get("tokenizer", "word")
-        prep_smoothing = stats["config"].get("smoothing", 1.0)
+        tokenizer = json.loads(stats_path.read_text())["config"].get("tokenizer", "word")
     vocab = Vocab.load(vocab_path, tokenizer)
-    table = SurprisalTable.load(
-        _require_file(prep / "surprisal.tsv", "surprisal table"),
-        vocab,
-        smoothing if smoothing is not None else prep_smoothing,
-    )
+    table = SurprisalTable.load(_require_file(prep / "surprisal.tsv", "surprisal table"), vocab)
     return vocab, table
 
 
@@ -269,6 +262,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if args.num < 1:
+        raise UsageError(f"--num must be >= 1, got {args.num}")
     vocab, table = _load_prep(args.prep)
     ckpt = load_checkpoint(_require_file(args.checkpoint, "checkpoint"), dtype=np.float32)
     if ckpt.vocab_hash != vocab.content_hash():
@@ -406,18 +401,22 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     ids = tokenize(args.text, vocab)
     if ids.size == 0:
         raise UsageError("--text produced no tokens")
-    sched = spindle_schedule(table.h_for(ids), sched_params)
+    h = table.h_for(ids)
+    steps = np.arange(args.T + 1)
+    alpha_bar = spindle_alpha_bar_at(h, steps, sched_params)
+    raw = spindle_alpha_raw(h, steps[1:-1], sched_params)
+    clamp_events = int(((raw < 0.0) | (raw > 1.0)).sum())
     out = Path(args.out)
     with out.open("w", encoding="utf-8") as fh:
         config_echo = {"text": args.text, "lambda": args.lam, "T": args.T}
         fh.write(f"# format_version={FORMAT_VERSION} config="
                  f"{json.dumps(config_echo, sort_keys=True)}\n")
         fh.write("t,position,alpha_bar\n")
-        for t in range(sched.num_steps + 1):
-            for i in range(sched.length):
-                fh.write(f"{t},{i},{float(sched.alpha_bar[t, i])!r}\n")
-    print(f"wrote schedule curves for {sched.length} positions "
-          f"({sched.clamp_events} clamp events) -> {out}")
+        for t, row in enumerate(alpha_bar):
+            for i, value in enumerate(row):
+                fh.write(f"{t},{i},{float(value)!r}\n")
+    print(f"wrote schedule curves for {len(h)} positions "
+          f"({clamp_events} clamp events) -> {out}")
     return 0
 
 

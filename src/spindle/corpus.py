@@ -75,18 +75,6 @@ class Vocab:
         return {tok: i for i, tok in enumerate(self.tokens)}
 
     @property
-    def mask_id(self) -> int:
-        return MASK_ID
-
-    @property
-    def pad_id(self) -> int:
-        return PAD_ID
-
-    @property
-    def cls_id(self) -> int:
-        return CLS_ID
-
-    @property
     def unk_id(self) -> int:
         return UNK_ID
 
@@ -170,7 +158,6 @@ class SurprisalTable:
     """
 
     h: np.ndarray
-    smoothing_count: float
 
     def __post_init__(self) -> None:
         if np.isnan(self.h).any():
@@ -188,7 +175,7 @@ class SurprisalTable:
         Path(path).write_bytes(self.to_tsv(vocab).encode("utf-8"))
 
     @classmethod
-    def load(cls, path: str | Path, vocab: Vocab, smoothing_count: float = 1.0) -> "SurprisalTable":
+    def load(cls, path: str | Path, vocab: Vocab) -> "SurprisalTable":
         h = np.zeros(len(vocab))
         for i, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n")):
             if not line:
@@ -197,7 +184,7 @@ class SurprisalTable:
             if tok != vocab.tokens[i]:
                 raise ValueError(f"surprisal table row {i} does not match vocab ({tok!r})")
             h[i] = float(val)
-        return cls(h, smoothing_count)
+        return cls(h)
 
 
 def surprisal_table(
@@ -228,4 +215,4 @@ def surprisal_table(
         h[NUM_SPECIALS:] = -np.log((counts[NUM_SPECIALS:] + smoothing_count) / denom)
     if np.isnan(h).any():
         raise ValueError("NaN surprisal: internal error")
-    return SurprisalTable(h, smoothing_count)
+    return SurprisalTable(h)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -439,13 +439,6 @@ def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
     return g
 
 
-def predict_x0_logits(
-    params: DenoiserParams, xt: np.ndarray, t: int | None = None
-) -> np.ndarray:
-    """Deterministic (m, K) logits at the [MASK]s of one sequence; no dropout."""
-    return forward(params, np.asarray(xt)[None, :], t)[0]
-
-
 # --- checkpoint serialization -------------------------------------------------
 
 _HEADER_KEYS = {"version", "lambda", "vocab_hash", "step"} | {f.name for f in fields(DenoiserConfig)}
@@ -464,22 +457,8 @@ def save_checkpoint(
     records. extra_tensors (e.g. optimizer state under "opt." names) ride in
     the same record stream and are ignored by model loaders.
     """
-    cfg = params.config
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "mode": cfg.mode,
-        "num_layers": cfg.num_layers,
-        "d_model": cfg.d_model,
-        "num_heads": cfg.num_heads,
-        "n_max": cfg.n_max,
-        "num_steps": cfg.num_steps,
-        "lambda": lam,
-        "vocab_hash": vocab_hash,
-        "vocab_size": cfg.vocab_size,
-        "dropout": cfg.dropout,
-        "ffn_mult": cfg.ffn_mult,
-        "step": step,
-    }
+    header = {**asdict(params.config), "version": CHECKPOINT_VERSION, "lambda": lam,
+              "vocab_hash": vocab_hash, "step": step}
     records = dict(params.tensors)
     if extra_tensors:
         records.update(extra_tensors)

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import MASK_ID, SurprisalTable, Vocab
-from .denoiser import DenoiserParams, predict_x0_logits
+from .denoiser import DenoiserParams, forward
 from .diffusion import ScheduleParams, reveal_from_rows, spindle_alpha_bar_at
 from .rng import stream
 from .sampling import SampleConfig, generate_batch
+from .training import diffusion_loss_batch, stratified_t_draws
 
 _EVAL_CHUNK = 64
 
@@ -65,10 +66,10 @@ def elbo_eval(
     Dropout is always off; the result is a pure function of (params,
     dataset, seed).
     """
-    from .training import diffusion_loss_batch, stratified_t_draws  # avoids a cycle
-
     if not dataset:
         raise ValueError("empty dataset")
+    if t_samples_per_example < 1:
+        raise ValueError(f"t_samples_per_example must be >= 1, got {t_samples_per_example}")
     dataset = [np.asarray(x, dtype=np.int64) for x in dataset]
     big_t = sched_params.num_steps
     total_nats = 0.0
@@ -137,7 +138,7 @@ def model_predict_fn(params: DenoiserParams):
     time_aware = params.config.mode in ("lte", "pte")
 
     def predict(xt: np.ndarray, t: int) -> np.ndarray:
-        logits = predict_x0_logits(params, xt, t if time_aware else None)
+        logits = forward(params, xt, t if time_aware else None)[0]
         z = np.exp(logits - logits.max(axis=-1, keepdims=True))
         rows = (xt[:, None] == np.arange(params.config.vocab_size)).astype(np.float64)
         rows[xt == MASK_ID] = z / z.sum(axis=-1, keepdims=True)

@@ -1,9 +1,10 @@
 """Brute-force reference implementations for tests and the verify command.
 
-Everything here is derived directly from the full transition-matrix picture
-of the absorbing chain (explicit Q_t products and Bayes normalization) and
-deliberately shares no computation with the closed-form main modules; the
-duplication is the point.
+Everything here is derived directly from the definitions: the spindle
+schedule entry by entry from its formula, the absorbing chain from the full
+transition-matrix picture (explicit Q_t products and Bayes normalization).
+It deliberately shares no computation with the closed-form main modules;
+the duplication is the point.
 """
 
 from __future__ import annotations
@@ -99,6 +100,33 @@ def random_tiny_instance(
     if absorb_fully:
         betas[-1] = 1.0
     return TinyInstance(c, betas)
+
+
+def spindle_grid(h: np.ndarray, num_steps: int, lam: float) -> tuple[np.ndarray, int]:
+    """The spindle schedule as a dense (T+1, n) grid, one entry at a time from
+    the formula alpha_bar[t, i] = 1 - t/T - lam * sin(pi t/T) * (1 - mean(h)/h[i]):
+    each value is clipped to [0, 1] and made nonincreasing in t by a running
+    minimum, and rows 0 and T are forced to exactly 1 and 0. Also returns the
+    number of interior values the clip or the running minimum moved.
+    """
+    h = [float(v) for v in np.asarray(h).ravel()]
+    n, T = len(h), num_steps
+    mean = math.fsum(h) / n
+    grid = np.zeros((T + 1, n))
+    events = 0
+    for i in range(n):
+        h_tilde = 1.0 - mean / h[i]
+        floor = 1.0
+        for t in range(T + 1):
+            raw = 1.0 - t / T - lam * math.sin(math.pi * t / T) * h_tilde
+            clipped = min(max(raw, 0.0), 1.0)
+            value = min(clipped, floor)
+            floor = value
+            if 0 < t < T:
+                events += (clipped != raw) + (value != clipped)
+                grid[t, i] = value
+        grid[0, i] = 1.0
+    return grid, events
 
 
 def brute_posterior(tiny: TinyInstance, xt: np.ndarray, x0: np.ndarray, t: int) -> np.ndarray:

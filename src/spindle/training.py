@@ -352,6 +352,8 @@ def run_training(
     """
     if not sequences:
         raise ValueError("no training sequences")
+    if log_every < 1:
+        raise ValueError(f"log_every must be >= 1, got {log_every}")
     sequences = [np.asarray(s, dtype=np.int64) for s in sequences]
     if opt_state is None:
         opt_state = AdamState.zeros(params)

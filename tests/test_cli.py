@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from spindle import cli
+import spindle as sp
+from spindle import cli, oracle
 from spindle.verify import CheckResult
 
 
@@ -241,6 +242,19 @@ def test_sample_iterations_must_divide_T(tmp_path, corpus_file, prep_dir, capsys
     assert "error: num_reverse_iterations=3 must divide T=8" in capsys.readouterr().err
 
 
+def test_sample_num_below_1_is_usage_error(tmp_path, corpus_file, prep_dir, capsys):
+    run = train_tiny(tmp_path, corpus_file, prep_dir)
+    out = tmp_path / "s.txt"
+    for num in ("0", "-2"):
+        capsys.readouterr()
+        rc = cli.main(["sample", "--checkpoint", str(run / "model.spnd"), "--prep",
+                       str(prep_dir), "--num", num, "--length", "5", "--iterations", "4",
+                       "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --num must be >= 1, got {num}\n"
+        assert not out.exists() and not (tmp_path / "s.txt.meta.json").exists()
+
+
 def test_sample_runtime_fault_exits_3(tmp_path, corpus_file, prep_dir, monkeypatch, capsys):
     """Valid flags and a fault inside generation (NaN logits) is a runtime
     failure, not a usage error."""
@@ -347,20 +361,34 @@ def test_rejected_settings_exit_2(tmp_path, corpus_file, prep_dir, capsys, comma
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_schedule_csv(tmp_path, corpus_file, prep_dir):
+def test_schedule_csv(tmp_path, corpus_file, prep_dir, capsys):
+    """Every value matches the oracle's dense grid, and the printed clamp
+    count is the number of interior values the oracle's clip moved; lam = 2
+    pushes the curve out of [0, 1]."""
+    vocab = sp.Vocab.load(prep_dir / "vocab.tsv")
+    table = sp.SurprisalTable.load(prep_dir / "surprisal.tsv", vocab)
+    h = table.h_for(sp.tokenize("the cat sat", vocab))
     out = tmp_path / "sched.csv"
-    rc = cli.main(["schedule", "--prep", str(prep_dir), "--text", "the cat sat",
-                   "--lambda", "0.3", "--T", "8", "--out", str(out)])
-    assert rc == 0
-    lines = out.read_text().splitlines()
-    assert lines[1] == "t,position,alpha_bar"
-    assert len(lines) == 2 + 9 * 3
-    first = lines[2].split(",")
-    assert first[0] == "0" and float(first[2]) == 1.0
+    for lam in ("0.3", "2.0"):
+        capsys.readouterr()
+        rc = cli.main(["schedule", "--prep", str(prep_dir), "--text", "the cat sat",
+                       "--lambda", lam, "--T", "8", "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert lines[1] == "t,position,alpha_bar"
+        assert len(lines) == 2 + 9 * 3
+        cells = [line.split(",") for line in lines[2:]]
+        assert [(int(t), int(i)) for t, i, _ in cells] == [(t, i) for t in range(9)
+                                                           for i in range(3)]
+        dense, events = oracle.spindle_grid(h, 8, float(lam))
+        values = np.array([float(v) for _, _, v in cells]).reshape(9, 3)
+        assert np.abs(values - dense).max() <= 1e-12
+        assert f"({events} clamp events)" in capsys.readouterr().out
+    assert events > 0
     # rerun is byte-identical
     out2 = tmp_path / "sched2.csv"
     cli.main(["schedule", "--prep", str(prep_dir), "--text", "the cat sat",
-              "--lambda", "0.3", "--T", "8", "--out", str(out2)])
+              "--lambda", "2.0", "--T", "8", "--out", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
 
 

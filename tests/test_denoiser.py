@@ -31,18 +31,18 @@ def test_config_validation():
 def test_time_arg_contract():
     params = dn.init_params(tiny_config("tad"), 0)
     xt = np.array([4, MASK_ID, 6])
-    assert dn.predict_x0_logits(params, xt).shape == (1, 11)  # one row per [MASK]
+    assert dn.forward(params, xt)[0].shape == (1, 11)  # one row per [MASK]
     with pytest.raises(ValueError):
-        dn.predict_x0_logits(params, xt, 3)
+        dn.forward(params, xt, 3)
     params_lte = dn.init_params(tiny_config("lte"), 0)
     with pytest.raises(ValueError):
-        dn.predict_x0_logits(params_lte, xt)
-    assert dn.predict_x0_logits(params_lte, xt, 3).shape == (1, 11)
+        dn.forward(params_lte, xt)
+    assert dn.forward(params_lte, xt, 3)[0].shape == (1, 11)
 
 
 def test_untrained_model_is_uniform_over_content():
     params = dn.init_params(tiny_config("tad"), 0)
-    logits = dn.predict_x0_logits(params, np.full(4, MASK_ID))
+    logits = dn.forward(params, np.full(4, MASK_ID))[0]
     assert np.all(np.isneginf(logits[:, [MASK_ID, PAD_ID, CLS_ID]]))
     probs = softmax(logits)
     assert np.allclose(probs[:, 3:], 1.0 / 8, atol=1e-12)
@@ -51,8 +51,8 @@ def test_untrained_model_is_uniform_over_content():
 def test_determinism():
     params = dn.init_params(tiny_config("pte"), 3)
     xt = np.array([4, MASK_ID, 6, 7])
-    a = dn.predict_x0_logits(params, xt, 2)
-    b = dn.predict_x0_logits(params, xt, 2)
+    a = dn.forward(params, xt, 2)[0]
+    b = dn.forward(params, xt, 2)[0]
     assert np.array_equal(a, b)
 
 
@@ -74,7 +74,7 @@ def test_softmax_rows_normalize():
     params = dn.init_params(tiny_config("tad", num_layers=1), 5)
     rng = np.random.default_rng(0)
     params.tensors["out.w"] += rng.normal(0, 0.4, params.tensors["out.w"].shape)
-    logits = dn.predict_x0_logits(params, np.array([4, MASK_ID, 9]))
+    logits = dn.forward(params, np.array([4, MASK_ID, 9]))[0]
     probs = softmax(logits)
     assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
     assert np.all(probs[:, :3] == 0.0)
@@ -86,8 +86,8 @@ def test_tad_ignores_time_lte_uses_it():
     params.tensors["out.w"] += rng.normal(0, 0.4, params.tensors["out.w"].shape)
     params.tensors["time_mlp.w2"] += rng.normal(0, 0.4, params.tensors["time_mlp.w2"].shape)
     xt = np.array([4, MASK_ID, 6])
-    assert not np.allclose(dn.predict_x0_logits(params, xt, 1),
-                           dn.predict_x0_logits(params, xt, 5))
+    assert not np.allclose(dn.forward(params, xt, 1)[0],
+                           dn.forward(params, xt, 5)[0])
 
 
 def test_pte_time_token_changes_output():
@@ -95,9 +95,9 @@ def test_pte_time_token_changes_output():
     params = dn.init_params(tiny_config("pte"), 7)
     params.tensors["out.w"] += rng.normal(0, 0.4, params.tensors["out.w"].shape)
     xt = np.array([4, MASK_ID, 6])
-    assert not np.allclose(dn.predict_x0_logits(params, xt, 1),
-                           dn.predict_x0_logits(params, xt, 5))
-    assert dn.predict_x0_logits(params, xt, 5).shape == (1, 11)  # the [MASK] row only
+    assert not np.allclose(dn.forward(params, xt, 1)[0],
+                           dn.forward(params, xt, 5)[0])
+    assert dn.forward(params, xt, 5)[0].shape == (1, 11)  # the [MASK] row only
 
 
 def test_bidirectional_permutation_equivariance():
@@ -108,7 +108,7 @@ def test_bidirectional_permutation_equivariance():
     rng = np.random.default_rng(1)
     params.tensors["out.w"] += rng.normal(0, 0.4, params.tensors["out.w"].shape)
     xt = np.array([4, MASK_ID, 6, MASK_ID])
-    base = dn.predict_x0_logits(params, xt)  # rows of positions 1 and 3
+    base = dn.forward(params, xt)[0]  # rows of positions 1 and 3
 
     swapped = params.copy()
     # content position i sits at internal row i + 1 (after [CLS])
@@ -117,7 +117,7 @@ def test_bidirectional_permutation_equivariance():
     swapped.tensors["pos_emb"] = pe
     xt_sw = xt.copy()
     xt_sw[[1, 2]] = xt_sw[[2, 1]]
-    out = dn.predict_x0_logits(swapped, xt_sw)  # rows of positions 2 and 3
+    out = dn.forward(swapped, xt_sw)[0]  # rows of positions 2 and 3
     finite = np.isfinite(base)
     assert np.array_equal(finite, np.isfinite(out))
     assert np.allclose(out[finite], base[finite], atol=1e-10)
@@ -195,7 +195,7 @@ def test_gradients_match_finite_differences(mode):
 
 @pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
 def test_forward_rows_are_the_mask_positions(mode):
-    """A padded batch's rows are each sequence's predict_x0_logits rows in
+    """A padded batch's rows are each sequence's own forward rows in
     row-major order; a batch with no [MASK] gives (0, K) logits and zero
     gradients."""
     params = dn.init_params(tiny_config(mode), 12)
@@ -205,7 +205,7 @@ def test_forward_rows_are_the_mask_positions(mode):
     t = np.array([2, 5]) if mode != "tad" else None
     xt = np.array([[4, MASK_ID, 6, PAD_ID, PAD_ID], seqs[1]])
     logits, _ = dn.forward(params, xt, t)
-    rows = [dn.predict_x0_logits(params, x, None if t is None else t[i])
+    rows = [dn.forward(params, x, None if t is None else t[i])[0]
             for i, x in enumerate(seqs)]
     assert logits.shape == (4, 11)
     np.testing.assert_allclose(logits, np.concatenate(rows), rtol=1e-12, atol=1e-12)
@@ -254,4 +254,4 @@ def test_checkpoint_load_rejects_corrupt_files(tmp_path, corrupt_checkpoint, kin
 def test_sequence_too_long_rejected():
     params = dn.init_params(tiny_config("tad", n_max=4), 0)
     with pytest.raises(ValueError):
-        dn.predict_x0_logits(params, np.full(5, 4))
+        dn.forward(params, np.full(5, 4))

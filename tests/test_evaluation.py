@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import spindle as sp
 from spindle import denoiser as dn, oracle as orc
+from spindle.diffusion import spindle_alpha_bar_at
 from spindle.rng import stream
 
 
@@ -114,6 +115,18 @@ def test_elbo_eval_uniform_model_telescopes_to_log_vocab(word_corpus):
     assert got == pytest.approx(math.log(vocab.num_content), rel=0.05)
 
 
+@pytest.mark.parametrize("t_samples", [0, -2])
+def test_elbo_eval_rejects_t_samples_below_1(word_corpus, t_samples):
+    params = dn.init_params(
+        dn.DenoiserConfig(vocab_size=len(word_corpus["vocab"]), mode="tad", num_layers=1,
+                          d_model=16, num_heads=2, n_max=16, num_steps=8, dropout=0.0),
+        0,
+    )
+    with pytest.raises(ValueError, match="t_samples_per_example"):
+        sp.elbo_eval(params, word_corpus["seqs"], sp.ScheduleParams(num_steps=8),
+                     word_corpus["table"], t_samples_per_example=t_samples)
+
+
 def test_elbo_eval_exact_telescoping_exhaustive(word_corpus):
     """Same statement but exact: exhaustive averaging gives ln C per token."""
     vocab = word_corpus["vocab"]
@@ -123,7 +136,7 @@ def test_elbo_eval_exact_telescoping_exhaustive(word_corpus):
         0,
     )
     x0 = np.array([5, 7])
-    a = sp.flat_schedule(2, sp.ScheduleParams(num_steps=4, lam=0.0)).alpha_bar
+    a = spindle_alpha_bar_at(np.ones(2), np.arange(5), sp.ScheduleParams(num_steps=4, lam=0.0))
     total = sp.exact_elbo(sp.model_predict_fn(params), x0, a)
     assert total / 2 == pytest.approx(math.log(vocab.num_content), abs=1e-9)
 
@@ -178,7 +191,7 @@ def _tiny_elbo_instance(word_corpus):
     x = word_corpus["seqs"][0][:3]
     sched = sp.ScheduleParams(num_steps=8, lam=0.3)
     exact = sp.exact_elbo(sp.model_predict_fn(params), x,
-                          sp.spindle_schedule(table.h_for(x), sched).alpha_bar) / len(x)
+                          spindle_alpha_bar_at(table.h_for(x), np.arange(9), sched)) / len(x)
     return params, x, sched, exact
 
 

@@ -132,7 +132,7 @@ def _uniform_model(vocab_size=12, T=16, mode="tad", n_max=16):
 def _flat_surprisal(vocab_size=12):
     h = np.ones(vocab_size)
     h[:3] = 0.0
-    return sp.SurprisalTable(h, 1.0)
+    return sp.SurprisalTable(h)
 
 
 def test_generate_terminates_mask_free_and_deterministic():
@@ -217,27 +217,24 @@ def test_mask_trajectory_matches_linear_schedule():
 def test_reveal_times_match_schedule_distribution():
     """Frozen sampler reveal times follow alpha_bar[t-1] - alpha_bar[t]
     exactly (chi-squared at the 1% level, fixed seed); with lam=0 reveal
-    dynamics are prediction-independent so an untrained model suffices.
-    The clamped case (shares 0.2, 0.05, 0.125 x4, 0.05, 0.2) checks that the
-    sampler walks the same clamped chain training uses."""
+    dynamics are prediction-independent so an untrained model suffices."""
     from scipy.stats import chi2
 
     T, n, chains = 8, 6, 10_000
     params = _uniform_model(T=T)
     cfg = sp.SampleConfig(length=n, num_reverse_iterations=T, top_k=12, seed=0)
-    for clamp_eps in (0.0, 0.2):
-        sched_params = sp.ScheduleParams(num_steps=T, lam=0.0, clamp_eps=clamp_eps)
-        a = sp.flat_schedule(1, sched_params).alpha_bar[:, 0]
-        res = sp.generate_batch(params, sched_params, cfg, _flat_surprisal(), chains,
-                                stream(1, "chi"))
-        # iteration it reveals the jump t = T - it + 1 -> t - 1
-        shares = np.array([a[T - it] - a[T - it + 1] for it in range(1, T + 1)])
-        assert (shares > 0).all() and shares.sum() == pytest.approx(1.0)
-        for pos in range(n):
-            observed = np.bincount(res.reveal_iteration[:, pos], minlength=T + 1)[1:]
-            expected = shares * chains
-            stat = ((observed - expected) ** 2 / expected).sum()
-            assert stat <= chi2.ppf(0.99, df=T - 1), (clamp_eps, pos, stat)
+    sched_params = sp.ScheduleParams(num_steps=T, lam=0.0)
+    a = spindle_alpha_bar_at(np.ones(1), np.arange(T + 1), sched_params)[:, 0]
+    res = sp.generate_batch(params, sched_params, cfg, _flat_surprisal(), chains,
+                            stream(1, "chi"))
+    # iteration it reveals the jump t = T - it + 1 -> t - 1
+    shares = np.array([a[T - it] - a[T - it + 1] for it in range(1, T + 1)])
+    assert (shares > 0).all() and shares.sum() == pytest.approx(1.0)
+    for pos in range(n):
+        observed = np.bincount(res.reveal_iteration[:, pos], minlength=T + 1)[1:]
+        expected = shares * chains
+        stat = ((observed - expected) ** 2 / expected).sum()
+        assert stat <= chi2.ppf(0.99, df=T - 1), (pos, stat)
 
 
 def test_spindle_reveals_low_surprisal_first():
@@ -250,7 +247,7 @@ def test_spindle_reveals_low_surprisal_first():
     h[:3] = 0.0
     h[3:8] = 0.3   # cheap tokens
     h[8:] = 3.0    # expensive tokens
-    table = sp.SurprisalTable(h, 1.0)
+    table = sp.SurprisalTable(h)
     sched_params = sp.ScheduleParams(num_steps=T, lam=0.5)
     cfg = sp.SampleConfig(length=10, num_reverse_iterations=T, top_k=vocab_size, seed=0)
     res = sp.generate_batch(params, sched_params, cfg, table, chains, stream(4, "s"))
@@ -314,7 +311,7 @@ def _check_against_reference(mode, remask, lam, head, dtype=np.float64, T=16, it
         params = _uniform_model(vocab_size=vocab_size, T=T, mode=mode).astype(dtype)
     h = np.random.default_rng(6).uniform(0.5, 4.0, vocab_size)
     h[:3] = 0.0
-    table = sp.SurprisalTable(h, 1.0)
+    table = sp.SurprisalTable(h)
     sched_params = sp.ScheduleParams(num_steps=T, lam=lam)
     cfg = sp.SampleConfig(length=7, num_reverse_iterations=iterations,
                           top_k=3 if head == "zero" else 10, temperature=0.8, remask=remask)
@@ -394,7 +391,7 @@ def test_infinite_surprisal_token_is_never_drawn(lam):
     h[UNK_ID] = np.inf
     sched_params = sp.ScheduleParams(num_steps=16, lam=lam)
     cfg = sp.SampleConfig(length=8, num_reverse_iterations=4, top_k=3, seed=0)
-    res = sp.generate_batch(params, sched_params, cfg, sp.SurprisalTable(h, 0.0), 6)
+    res = sp.generate_batch(params, sched_params, cfg, sp.SurprisalTable(h), 6)
     assert not np.isin(res.sequences, [MASK_ID, PAD_ID, CLS_ID, UNK_ID]).any()
 
 
@@ -404,7 +401,7 @@ def test_no_finite_surprisal_token_raises():
     cfg = sp.SampleConfig(length=4, num_reverse_iterations=4, seed=0)
     with pytest.raises(ValueError, match="finite surprisal"):
         sp.generate_batch(_uniform_model(), sp.ScheduleParams(num_steps=16, lam=0.3), cfg,
-                          sp.SurprisalTable(h, 0.0), 2)
+                          sp.SurprisalTable(h), 2)
 
 
 def test_nan_logits_raise_value_error():

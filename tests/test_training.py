@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import spindle as sp
 from spindle import denoiser as dn, oracle as orc
 from spindle.corpus import MASK_ID
+from spindle.diffusion import spindle_alpha_bar_at
 from spindle.rng import stream
 from spindle.training import ShuffledPasses, opt_state_from_records, stratified_t_draws
 
@@ -44,7 +45,7 @@ def test_perfect_model_zero_loss():
     """A point-mass-on-truth model has zero KL and zero reconstruction loss."""
     params = tiny_params(randomize=False)
     x0 = np.full(8, 7)
-    a = sp.flat_schedule(8, sp.ScheduleParams(num_steps=8, lam=0.0)).alpha_bar
+    a = spindle_alpha_bar_at(np.ones(8), np.arange(9), sp.ScheduleParams(num_steps=8, lam=0.0))
     bias = params.tensors["out.b"]
 
     def loss(t):
@@ -67,7 +68,7 @@ def test_perfect_model_zero_loss():
 def test_diffusion_loss_breakdown_fields():
     params = tiny_params()
     h = np.array([0.5, 1.0, 2.0])
-    a = sp.spindle_schedule(h, sp.ScheduleParams(num_steps=8, lam=0.3)).alpha_bar
+    a = spindle_alpha_bar_at(h, np.arange(9), sp.ScheduleParams(num_steps=8, lam=0.3))
     x0 = np.array([4, 5, 6])
     breakdown, grads = sp.diffusion_loss_batch(params, [x0], [a[4:6]], np.array([5]), 8,
                                                stream(0, "x"))
@@ -83,7 +84,7 @@ def test_diffusion_loss_breakdown_fields():
 
 def test_diffusion_loss_rejects_masked_x0():
     params = tiny_params()
-    a = sp.flat_schedule(2, sp.ScheduleParams(num_steps=8, lam=0.0)).alpha_bar
+    a = spindle_alpha_bar_at(np.ones(2), np.arange(9), sp.ScheduleParams(num_steps=8, lam=0.0))
     with pytest.raises(ValueError):
         sp.diffusion_loss_batch(params, [np.array([MASK_ID, 5])], [a[2:4]], np.array([3]), 8, 0)
 
@@ -94,7 +95,7 @@ def test_diffusion_loss_grads_match_fd(objective):
     and MLM's (over a padded two-item batch), against finite differences."""
     params = tiny_params("lte", seed=3, dropout=0.1)
     h = np.exp(np.random.default_rng(0).uniform(-1, 1, size=5))
-    a = sp.spindle_schedule(h, sp.ScheduleParams(num_steps=8, lam=0.4)).alpha_bar
+    a = spindle_alpha_bar_at(h, np.arange(9), sp.ScheduleParams(num_steps=8, lam=0.4))
     x0 = np.random.default_rng(1).integers(4, 13, size=5)
 
     def loss_and_grads(p, want_grads):
@@ -260,6 +261,16 @@ def test_run_training_smoke_and_metrics_schema(word_corpus, tmp_path):
     assert "mlm" in phases and "diffusion" in phases
 
 
+@pytest.mark.parametrize("log_every", [0, -1])
+def test_run_training_rejects_log_every_below_1(word_corpus, log_every):
+    vocab, table, seqs = word_corpus["vocab"], word_corpus["table"], word_corpus["seqs"]
+    params = tiny_params(vocab_size=len(vocab))
+    cfg = sp.TrainConfig(batch_size=2, total_steps=1)
+    with pytest.raises(ValueError, match="log_every"):
+        sp.run_training(params, vocab, table, seqs, sp.ScheduleParams(num_steps=8), cfg,
+                        log_every=log_every)
+
+
 def test_resume_matches_uninterrupted(word_corpus, tmp_path):
     """Stopping at a checkpoint and resuming replays the uninterrupted run
     exactly (same metrics, same final tensors)."""
@@ -379,8 +390,9 @@ def test_stratified_t_marginal_is_uniform():
 
 def _exact_bound_per_token(params, seqs, table, sched_params):
     predict = sp.model_predict_fn(params)
+    steps = np.arange(sched_params.num_steps + 1)
     nats = sum(
-        sp.exact_elbo(predict, x, sp.spindle_schedule(table.h_for(x), sched_params).alpha_bar)
+        sp.exact_elbo(predict, x, spindle_alpha_bar_at(table.h_for(x), steps, sched_params))
         for x in seqs
     )
     return nats / sum(len(x) for x in seqs)
