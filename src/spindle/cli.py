@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .corpus import SurprisalTable, Vocab, build_vocab, detokenize, surprisal_table, tokenize
+from .corpus import (UNK_ID, SurprisalTable, Vocab, build_vocab, detokenize, split_line,
+                     surprisal_table, tokenize)
 from .denoiser import DenoiserConfig, init_params, load_checkpoint, save_checkpoint
 from .diffusion import ScheduleParams, spindle_alpha_bar_at, spindle_alpha_raw
 from .evaluation import MetricsReport, bleu4, elbo_eval, quality_diversity_sweep, self_bleu4
@@ -136,7 +137,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         },
         "num_lines": len(lines),
         "total_tokens": int(sum(vocab.counts)),
-        "oov_folded": int(vocab.counts[vocab.unk_id]),
+        "oov_folded": int(vocab.counts[UNK_ID]),
         "vocab_entries": len(vocab),
         "vocab_hash": vocab.content_hash(),
     }
@@ -402,6 +403,9 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     if ids.size == 0:
         raise UsageError("--text produced no tokens")
     h = table.h_for(ids)
+    if not np.isfinite(h).all():
+        word = split_line(args.text, vocab.tokenizer)[np.flatnonzero(~np.isfinite(h))[0]]
+        raise UsageError(f"--text token {word!r} has infinite surprisal in {args.prep}")
     steps = np.arange(args.T + 1)
     alpha_bar = spindle_alpha_bar_at(h, steps, sched_params)
     raw = spindle_alpha_raw(h, steps[1:-1], sched_params)

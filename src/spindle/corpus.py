@@ -74,10 +74,6 @@ class Vocab:
     def ids(self) -> dict[str, int]:
         return {tok: i for i, tok in enumerate(self.tokens)}
 
-    @property
-    def unk_id(self) -> int:
-        return UNK_ID
-
     def __len__(self) -> int:
         return len(self.tokens)
 

@@ -18,7 +18,7 @@ finite-difference tests rather than an autodiff framework.
 from __future__ import annotations
 
 import json
-import struct
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -34,8 +34,7 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 _NEG = -1e30
 
-CHECKPOINT_MAGIC = b"SPND1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -441,7 +440,9 @@ def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
 
 # --- checkpoint serialization -------------------------------------------------
 
-_HEADER_KEYS = {"version", "lambda", "vocab_hash", "step"} | {f.name for f in fields(DenoiserConfig)}
+_HEADER = "[header]"  # archive member holding the JSON header; no tensor has this name
+_HEADER_KEYS = ({"version", "records", "lambda", "vocab_hash", "step"}
+                | {f.name for f in fields(DenoiserConfig)})
 
 
 def save_checkpoint(
@@ -453,29 +454,31 @@ def save_checkpoint(
     step: int | None = None,
     extra_tensors: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Binary checkpoint: magic, JSON config block, then named float32 tensor
-    records. extra_tensors (e.g. optimizer state under "opt." names) ride in
-    the same record stream and are ignored by model loaders.
+    """Write an uncompressed numpy .npz archive (zip with a CRC-32 per
+    member): the JSON header as one uint8 member named "[header]", then one
+    little-endian float32 .npy member per tensor. extra_tensors (optimizer
+    state under "opt." names) ride along and are ignored by model loaders.
+
+    The archive goes to `<path>.tmp` in the same directory, is flushed and
+    fsynced, and then replaces `path`, so a crash mid-write leaves the
+    previous file intact; the temp file is removed on any exception.
     """
-    header = {**asdict(params.config), "version": CHECKPOINT_VERSION, "lambda": lam,
-              "vocab_hash": vocab_hash, "step": step}
-    records = dict(params.tensors)
-    if extra_tensors:
-        records.update(extra_tensors)
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    cfg_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob += struct.pack("<I", len(cfg_bytes))
-    blob += cfg_bytes
-    blob += struct.pack("<I", len(records))
-    for name, tensor in records.items():
-        name_bytes = name.encode("utf-8")
-        blob += struct.pack("<H", len(name_bytes))
-        blob += name_bytes
-        blob += struct.pack("<B", tensor.ndim)
-        blob += struct.pack(f"<{tensor.ndim}I", *tensor.shape)
-        blob += np.ascontiguousarray(tensor, dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    records = {**params.tensors, **(extra_tensors or {})}
+    header = {**asdict(params.config), "version": CHECKPOINT_VERSION, "records": len(records),
+              "lambda": lam, "vocab_hash": vocab_hash, "step": step}
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    members = {name: np.ascontiguousarray(t, dtype="<f4") for name, t in records.items()}
+    tmp = Path(f"{path}.tmp")
+    try:
+        # np.savez appends ".npz" to a path, so it gets an open file
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **{_HEADER: np.frombuffer(blob, dtype=np.uint8)}, **members)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -488,48 +491,40 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str | Path, dtype=np.float64) -> Checkpoint:
-    """Read a file written by `save_checkpoint`. A file that is not a
-    checkpoint, is cut short, lacks a header key, or holds a non-finite
-    tensor (optimizer records included) raises ValueError naming the path.
+    """Read a file written by `save_checkpoint`. Damage raises ValueError
+    naming the path: not an .npz archive, cut short, a failed member CRC-32,
+    a header key missing, another version, a tensor record count unlike the
+    header's, a tensor that is not finite float32 (optimizer records
+    included), or model tensor names or shapes that do not fit the config.
+    Version-1 files (the "SPND1" record format) are rejected, not read.
     """
-    raw = memoryview(Path(path).read_bytes())
-    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path} is not a spindle checkpoint")
-    off = len(CHECKPOINT_MAGIC)
-
-    def take(size: int) -> memoryview:
-        nonlocal off
-        if off + size > len(raw):
-            raise ValueError(f"{path} is truncated: {len(raw)} bytes")
-        off += size
-        return raw[off - size : off]
-
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    (cfg_len,) = unpack("<I")
-    header = json.loads(bytes(take(cfg_len)).decode("utf-8"))
-    missing = sorted(_HEADER_KEYS - set(header))
-    if missing:
-        raise ValueError(f"{path} header lacks {missing}")
-    if header["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {header['version']}")
-    (num_records,) = unpack("<I")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(num_records):
-        (name_len,) = unpack("<H")
-        name = bytes(take(name_len)).decode("utf-8")
-        (rank,) = unpack("<B")
-        shape = unpack(f"<{rank}I")
-        data = np.frombuffer(take(4 * int(np.prod(shape))), dtype="<f4").reshape(shape)
-        if not np.isfinite(data).all():
-            raise ValueError(f"{path}: tensor {name} holds non-finite values")
-        tensors[name] = data.astype(dtype)
-    config = DenoiserConfig(**{f.name: header[f.name] for f in fields(DenoiserConfig)})
-    model_tensors = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
+    with open(path, "rb") as fh:
+        try:
+            if fh.read(5) == b"SPND1":
+                raise ValueError("version 1 checkpoints are no longer read")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
+                header = json.loads(archive[_HEADER].tobytes())
+                tensors = {name: archive[name] for name in archive.files if name != _HEADER}
+            missing = sorted(_HEADER_KEYS - set(header))
+            if missing:
+                raise ValueError(f"header lacks {missing}")
+            if header["version"] != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {header['version']}")
+            if len(tensors) != header["records"]:
+                raise ValueError(f"{len(tensors)} tensor records, header says {header['records']}")
+            for name, data in tensors.items():
+                if data.dtype != np.dtype("<f4") or not np.isfinite(data).all():
+                    raise ValueError(f"tensor {name} is not finite float32")
+                tensors[name] = data.astype(dtype, copy=False)
+            config = DenoiserConfig(**{f.name: header[f.name] for f in fields(DenoiserConfig)})
+            model = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
+            expected = {k: v.shape for k, v in init_params(config, 0).tensors.items()}
+            if {k: v.shape for k, v in model.items()} != expected:
+                raise ValueError("tensor names or shapes do not match the config")
+        # zipfile and its decompressors raise many exception types on damaged bytes
+        except Exception as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     extra = {k: v for k, v in tensors.items() if k.startswith("opt.")}
-    params = DenoiserParams(config, model_tensors)
-    expected = set(init_params(config, 0).names())
-    if set(params.names()) != expected:
-        raise ValueError(f"{path}: checkpoint tensor names do not match the config")
-    return Checkpoint(params, header["lambda"], header["vocab_hash"], header["step"], extra)
+    return Checkpoint(DenoiserParams(config, model), header["lambda"], header["vocab_hash"],
+                      header["step"], extra)

@@ -314,12 +314,16 @@ def _opt_records(state: AdamState) -> dict[str, np.ndarray]:
 
 
 def opt_state_from_records(params: DenoiserParams, records: dict[str, np.ndarray]) -> AdamState:
-    state = AdamState.zeros(params)
-    for name in params.names():
-        if f"opt.m.{name}" in records:
-            state.m[name] = records[f"opt.m.{name}"].astype(params.dtype)
-            state.v[name] = records[f"opt.v.{name}"].astype(params.dtype)
-    return state
+    """Adam moments from `_opt_records` output. Anything other than exactly
+    opt.m.<name> and opt.v.<name> of each parameter's shape raises ValueError."""
+    shapes = {f"opt.{k}.{name}": v.shape for name, v in params.tensors.items() for k in "mv"}
+    bad = sorted(k for k in shapes.keys() | records.keys()
+                 if shapes.get(k) != getattr(records.get(k), "shape", None))
+    if bad:
+        raise ValueError(f"{len(bad)} optimizer records missing, unexpected or misshapen, "
+                         f"first {bad[0]}")
+    m, v = ({n: records[f"opt.{k}.{n}"].astype(params.dtype) for n in params.names()} for k in "mv")
+    return AdamState(m, v)
 
 
 def run_training(

@@ -1,6 +1,5 @@
 import json
 import os
-import struct
 
 # single-threaded BLAS: these models are small enough that thread fan-out
 # costs more than it buys, and it keeps timings stable on shared runners
@@ -34,25 +33,32 @@ def word_corpus(tmp_path_factory):
 def _corrupt_checkpoint(src, dst, kind):
     """Write a damaged copy of checkpoint src to dst and return dst:
     "truncated" keeps 7 bytes, "cut_record" drops the last 3, "missing_key"
-    removes "mode" from the header, "nan_weight" sets all of out.w to NaN and
-    "inf_opt" sets one entry of the first opt.* record to inf.
+    removes "mode" from the header, "nan_weight" sets all of out.w to NaN,
+    "misshapen" drops the last entry of out.b, "inf_opt" sets one entry of
+    the first opt.* record to inf and "version1" writes a file that starts
+    like the retired SPND1 record format.
     """
     raw = src.read_bytes()
     if kind == "truncated":
         dst.write_bytes(raw[:7])
     elif kind == "cut_record":
         dst.write_bytes(raw[:-3])
+    elif kind == "version1":
+        dst.write_bytes(b"SPND1" + b"\x00" * 64)
     elif kind == "missing_key":
-        off = len(dn.CHECKPOINT_MAGIC)
-        (size,) = struct.unpack_from("<I", raw, off)
-        header = json.loads(raw[off + 4 : off + 4 + size])
+        with np.load(src) as archive:
+            members = {name: archive[name] for name in archive.files}
+        header = json.loads(members["[header]"].tobytes())
         del header["mode"]
-        body = json.dumps(header).encode("utf-8")
-        dst.write_bytes(raw[:off] + struct.pack("<I", len(body)) + body + raw[off + 4 + size :])
+        members["[header]"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+        with open(dst, "wb") as fh:
+            np.savez(fh, **members)
     else:
         ckpt = dn.load_checkpoint(src)
         if kind == "nan_weight":
             ckpt.params.tensors["out.w"][...] = np.nan
+        elif kind == "misshapen":
+            ckpt.params.tensors["out.b"] = ckpt.params.tensors["out.b"][:-1]
         else:
             next(iter(ckpt.extra_tensors.values())).flat[0] = np.inf
         dn.save_checkpoint(dst, ckpt.params, lam=ckpt.lam, vocab_hash=ckpt.vocab_hash,

@@ -181,6 +181,23 @@ def test_train_resume_needs_optimizer_state(tmp_path, corpus_file, prep_dir, cap
     assert "no optimizer state" in capsys.readouterr().err
 
 
+def test_train_resume_rejects_bad_optimizer_state(tmp_path, corpus_file, prep_dir, capsys):
+    """A checkpoint whose Adam records do not cover every parameter is a
+    damaged file: the resume stops with exit 3 instead of restarting part of
+    the optimizer."""
+    part = train_tiny(tmp_path, corpus_file, prep_dir, "part", ["--checkpoint-every", "6"])
+    ckpt = sp.load_checkpoint(part / "checkpoint_0000006.spnd", dtype=np.float32)
+    del ckpt.extra_tensors["opt.v.tok_emb"]
+    bad = tmp_path / "bad.spnd"
+    sp.save_checkpoint(bad, ckpt.params, lam=ckpt.lam, vocab_hash=ckpt.vocab_hash,
+                       step=ckpt.step, extra_tensors=ckpt.extra_tensors)
+    capsys.readouterr()
+    rc = cli.main(["train", "--corpus", str(corpus_file), "--prep", str(prep_dir),
+                   "--out", str(tmp_path / "x"), "--resume", str(bad), "--steps", "12"])
+    assert rc == 3
+    assert "opt.v.tok_emb" in capsys.readouterr().err
+
+
 def test_sample_deterministic_and_mask_free(tmp_path, corpus_file, prep_dir):
     run = train_tiny(tmp_path, corpus_file, prep_dir)
     args = ["sample", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
@@ -223,7 +240,7 @@ def test_sample_never_draws_unseen_unk_under_zero_smoothing(tmp_path, corpus_fil
 def test_sample_rejects_corrupt_checkpoint(tmp_path, corpus_file, prep_dir,
                                           corrupt_checkpoint, capsys):
     run = train_tiny(tmp_path, corpus_file, prep_dir)
-    for kind in ("truncated", "missing_key", "nan_weight"):
+    for kind in ("truncated", "missing_key", "nan_weight", "version1"):
         bad = corrupt_checkpoint(run / "model.spnd", tmp_path / f"{kind}.spnd", kind)
         capsys.readouterr()
         rc = cli.main(["sample", "--checkpoint", str(bad), "--prep", str(prep_dir),
@@ -390,6 +407,23 @@ def test_schedule_csv(tmp_path, corpus_file, prep_dir, capsys):
     cli.main(["schedule", "--prep", str(prep_dir), "--text", "the cat sat",
               "--lambda", "2.0", "--T", "8", "--out", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_schedule_rejects_text_of_infinite_surprisal(tmp_path, corpus_file, capsys):
+    """Under --smoothing 0 a word the corpus never produced folds to an
+    [UNK] of infinite surprisal; that is bad --text, a usage error naming
+    the word."""
+    prep = tmp_path / "prep0"
+    assert cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "64",
+                     "--smoothing", "0", "--out", str(prep)]) == 0
+    out = tmp_path / "sched.csv"
+    capsys.readouterr()
+    rc = cli.main(["schedule", "--prep", str(prep), "--text", "the unseenword",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'unseenword'" in err
+    assert not out.exists()
 
 
 def test_verify_command_reports_and_exit_codes(monkeypatch, capsys):

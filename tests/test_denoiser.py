@@ -1,7 +1,9 @@
+import io
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spindle as sp
 from spindle import denoiser as dn
@@ -231,15 +233,28 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(ckpt.params[name], params[name].astype(np.float32))
 
 
+def test_checkpoint_is_an_npz_archive(tmp_path):
+    path = tmp_path / "a.spnd"
+    params = dn.init_params(tiny_config("pte"), 13)
+    dn.save_checkpoint(path, params, lam=0.25, vocab_hash="deadbeef", step=None)
+    with np.load(path, allow_pickle=False) as archive:
+        assert set(archive.files) == {"[header]", *params.names()}
+        assert all(archive[name].dtype == np.dtype("<f4") for name in params.names())
+    assert [p.name for p in tmp_path.iterdir()] == ["a.spnd"]
+
+
 def test_checkpoint_magic_guard(tmp_path):
     bad = tmp_path / "bad.spnd"
     bad.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        dn.load_checkpoint(bad)
+    bad.write_bytes(b"SPND1" + b"\x00" * 32)
+    with pytest.raises(ValueError, match=re.escape(str(bad)) + ".*version 1"):
         dn.load_checkpoint(bad)
 
 
 @pytest.mark.parametrize(
-    "kind", ["truncated", "cut_record", "missing_key", "nan_weight", "inf_opt"]
+    "kind", ["truncated", "cut_record", "missing_key", "nan_weight", "misshapen", "inf_opt"]
 )
 def test_checkpoint_load_rejects_corrupt_files(tmp_path, corrupt_checkpoint, kind):
     good = tmp_path / "good.spnd"
@@ -249,6 +264,69 @@ def test_checkpoint_load_rejects_corrupt_files(tmp_path, corrupt_checkpoint, kin
     bad = corrupt_checkpoint(good, tmp_path / "bad.spnd", kind)
     with pytest.raises(ValueError, match=re.escape(str(bad))):
         dn.load_checkpoint(bad)
+
+
+@pytest.fixture(scope="module")
+def adam_checkpoint(tmp_path_factory):
+    """A small lte checkpoint with full Adam records, and every tensor it holds."""
+    params = dn.init_params(tiny_config("lte", num_layers=1), 13).astype(np.float32)
+    rng = np.random.default_rng(5)
+    extra = {f"opt.{k}.{name}": rng.random(v.shape, dtype=np.float32)
+             for k in "mv" for name, v in params.tensors.items()}
+    path = tmp_path_factory.mktemp("adam") / "adam.spnd"
+    dn.save_checkpoint(path, params, lam=0.25, vocab_hash="deadbeef", step=9,
+                       extra_tensors=extra)
+    return path, params.config, {**params.tensors, **extra}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_raises_or_loads_intact(adam_checkpoint, data):
+    """Any truncation or single-byte XOR either raises ValueError naming the
+    path or loads exactly what was saved; no other exception escapes."""
+    good, config, saved = adam_checkpoint
+    raw = bytearray(good.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        raw[data.draw(st.integers(0, len(raw) - 1), label="offset")] ^= data.draw(
+            st.integers(1, 255), label="xor")
+    bad = good.with_name("damaged.spnd")
+    bad.write_bytes(raw)
+    try:
+        ckpt = dn.load_checkpoint(bad, dtype=np.float32)
+    except ValueError as exc:
+        assert str(bad) in str(exc)
+        return
+    assert (ckpt.lam, ckpt.vocab_hash, ckpt.step, ckpt.params.config) == (0.25, "deadbeef", 9,
+                                                                          config)
+    loaded = {**ckpt.params.tensors, **ckpt.extra_tensors}
+    assert loaded.keys() == saved.keys()
+    assert all(np.array_equal(loaded[k], saved[k]) for k in saved)
+
+
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    """A write that fails partway leaves the file at path as it was and no
+    temp file behind."""
+    path = tmp_path / "model.spnd"
+    dn.save_checkpoint(path, dn.init_params(tiny_config("lte"), 13), lam=0.25,
+                       vocab_hash="deadbeef", step=1)
+    before = path.read_bytes()
+    real_savez = np.savez
+
+    def failing_savez(fh, **members):
+        buf = io.BytesIO()
+        real_savez(buf, **members)
+        fh.write(buf.getvalue()[: buf.tell() // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+    with pytest.raises(OSError, match="no space left"):
+        dn.save_checkpoint(path, dn.init_params(tiny_config("lte"), 14), lam=0.5,
+                           vocab_hash="deadbeef", step=2)
+    assert path.read_bytes() == before
+    assert dn.load_checkpoint(path).step == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["model.spnd"]
 
 
 def test_sequence_too_long_rejected():

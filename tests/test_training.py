@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -429,3 +430,25 @@ def test_two_seeds_land_close_on_toy_corpus(word_corpus):
         finals.append(_exact_bound_per_token(res.params, seqs, table, sched))
     rel = abs(finals[0] - finals[1]) / max(finals)
     assert rel <= 0.05, finals
+
+
+def test_opt_state_from_records_is_strict():
+    """A restore takes exactly opt.m.<name> and opt.v.<name> of each
+    parameter's shape; a missing, extra or misshapen record raises rather
+    than zero-filling or half-restoring a moment."""
+    params = tiny_params()
+    rng = np.random.default_rng(0)
+    good = {f"opt.{k}.{name}": rng.random(v.shape)
+            for k in "mv" for name, v in params.tensors.items()}
+    state = opt_state_from_records(params, good)
+    for name in params.names():
+        assert np.array_equal(state.m[name], good[f"opt.m.{name}"])
+        assert np.array_equal(state.v[name], good[f"opt.v.{name}"])
+    both_missing = {k: v for k, v in good.items() if not k.endswith(".out.b")}
+    v_missing = {k: v for k, v in good.items() if k != "opt.v.tok_emb"}
+    misshapen = {**good, "opt.m.tok_emb": good["opt.m.tok_emb"][:-1]}
+    extra = {**good, "opt.m.bogus": np.zeros(3)}
+    for records, named in [(both_missing, "opt.m.out.b"), (v_missing, "opt.v.tok_emb"),
+                           (misshapen, "opt.m.tok_emb"), (extra, "opt.m.bogus")]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            opt_state_from_records(params, records)
