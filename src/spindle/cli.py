@@ -27,8 +27,9 @@ from .training import AdamState, TrainConfig, opt_state_from_records, run_traini
 
 FORMAT_VERSION = 1
 
-# Full-scale settings from the reference protocol, recorded for completeness;
-# desk-scale defaults are the argparse defaults below.
+# Full-scale training settings from the reference protocol; desk-scale
+# defaults are _TRAIN_DEFAULTS below. The paper's sampling settings are named
+# in `spindle sample --help`.
 PRESETS = {
     "paper-lm1b": {
         "lr": 3e-6,
@@ -37,9 +38,6 @@ PRESETS = {
         "steps": 1_900_000,
         "T": 2048,
         "dropout": 0.1,
-        "length": 64,
-        "top_k": 30,
-        "iterations": 128,
     }
 }
 
@@ -76,22 +74,31 @@ def _load_prep(prep_dir: str | Path):
 
 
 def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
-    """Resolution order: parser defaults < preset < --config file < explicit flags."""
+    """Resolution order: parser defaults < preset < --config file < explicit
+    flags. A preset or config file key that is not a setting is a usage error."""
     resolved = dict(parser_defaults)
+
+    def merge(settings: dict, source: str) -> None:
+        unknown = sorted(set(settings) - set(resolved))
+        if unknown:
+            raise UsageError(f"{source} has unknown keys {unknown}; known: {sorted(resolved)}")
+        resolved.update(settings)
+
     preset = getattr(args, "preset", None)
     if preset:
         if preset not in PRESETS:
             raise UsageError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
-        for k, v in PRESETS[preset].items():
-            if k in resolved:
-                resolved[k] = v
+        merge(PRESETS[preset], f"preset {preset!r}")
     config_path = getattr(args, "config", None)
     if config_path:
-        payload = json.loads(_require_file(config_path, "config file").read_text())
-        cfg = payload.get("config", payload)
-        for k, v in cfg.items():
-            if k in resolved:
-                resolved[k] = v
+        try:
+            payload = json.loads(_require_file(config_path, "config file").read_text())
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config file {config_path} is not JSON: {exc}") from exc
+        settings = payload.get("config", payload) if isinstance(payload, dict) else payload
+        if not isinstance(settings, dict):
+            raise UsageError(f"config file {config_path} holds no settings object")
+        merge(settings, f"config file {config_path}")
     # argparse defaults for mergeable flags are all None, so a non-None value
     # means the flag was given explicitly and wins over preset/config file
     for k in parser_defaults:
@@ -102,13 +109,20 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
 
 
 def _read_sequences(path: Path, vocab: Vocab, n_max: int) -> list[np.ndarray]:
+    """Token ids of each nonempty line, cut to n_max; the count of cut lines
+    goes to stderr."""
     seqs = []
+    cut = 0
     for line in path.read_text(encoding="utf-8").split("\n"):
         ids = tokenize(line, vocab)
         if ids.size:
+            cut += ids.size > n_max
             seqs.append(ids[:n_max])
     if not seqs:
         raise UsageError(f"no usable sequences in {path}")
+    if cut:
+        print(f"note: cut {cut} of {len(seqs)} lines in {path} to n_max={n_max} tokens",
+              file=sys.stderr)
     return seqs
 
 
@@ -486,7 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--float64", action="store_true", help="train in float64 (slow)")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("sample", help="generate text from a checkpoint")
+    p = sub.add_parser(
+        "sample", help="generate text from a checkpoint",
+        description="Generate text from a checkpoint. The paper's LM1B setting is "
+                    "--length 64 --top-k 30 --iterations 128, on a T=2048 model "
+                    "(spindle train --preset paper-lm1b).")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--prep", required=True)
     p.add_argument("--num", type=int, default=8)

@@ -109,41 +109,43 @@ def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float =
     return out
 
 
-def init_params(config: DenoiserConfig, seed: int | np.random.Generator) -> DenoiserParams:
-    """Truncated-normal weights (std 0.02), zero biases, and a zero output
-    projection so the untrained model predicts uniformly over content tokens.
-    """
-    rng = as_generator(seed)
+def param_shapes(config: DenoiserConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter tensor the config implies, in the
+    order `init_params` draws them."""
     d, k = config.d_model, config.vocab_size
     dh = d * config.ffn_mult
-    t: dict[str, np.ndarray] = {}
-    t["tok_emb"] = _trunc_normal(rng, (k, d))
-    t["pos_emb"] = _trunc_normal(rng, (config.n_max + 2, d))
+    shapes = {"tok_emb": (k, d), "pos_emb": (config.n_max + 2, d)}
     for i in range(config.num_layers):
         p = f"layer{i}."
-        t[p + "ln1.g"] = np.ones(d)
-        t[p + "ln1.b"] = np.zeros(d)
-        for name in ("wq", "wk", "wv", "wo"):
-            t[p + "attn." + name] = _trunc_normal(rng, (d, d))
-        for name in ("bq", "bk", "bv", "bo"):
-            t[p + "attn." + name] = np.zeros(d)
-        t[p + "ln2.g"] = np.ones(d)
-        t[p + "ln2.b"] = np.zeros(d)
-        t[p + "ffn.w1"] = _trunc_normal(rng, (d, dh))
-        t[p + "ffn.b1"] = np.zeros(dh)
-        t[p + "ffn.w2"] = _trunc_normal(rng, (dh, d))
-        t[p + "ffn.b2"] = np.zeros(d)
-    t["ln_f.g"] = np.ones(d)
-    t["ln_f.b"] = np.zeros(d)
-    t["out.w"] = np.zeros((d, k))
-    t["out.b"] = np.zeros(k)
+        shapes.update({p + "ln1.g": (d,), p + "ln1.b": (d,)})
+        shapes.update({p + "attn." + name: (d, d) for name in ("wq", "wk", "wv", "wo")})
+        shapes.update({p + "attn." + name: (d,) for name in ("bq", "bk", "bv", "bo")})
+        shapes.update({p + "ln2.g": (d,), p + "ln2.b": (d,), p + "ffn.w1": (d, dh),
+                       p + "ffn.b1": (dh,), p + "ffn.w2": (dh, d), p + "ffn.b2": (d,)})
+    shapes.update({"ln_f.g": (d,), "ln_f.b": (d,), "out.w": (d, k), "out.b": (k,)})
     if config.mode == "lte":
-        t["time_mlp.w1"] = _trunc_normal(rng, (d, d))
-        t["time_mlp.b1"] = np.zeros(d)
-        t["time_mlp.w2"] = _trunc_normal(rng, (d, d))
-        t["time_mlp.b2"] = np.zeros(d)
+        shapes.update({"time_mlp.w1": (d, d), "time_mlp.b1": (d,),
+                       "time_mlp.w2": (d, d), "time_mlp.b2": (d,)})
     elif config.mode == "pte":
-        t["time_tok_emb"] = _trunc_normal(rng, (config.num_steps + 1, d))
+        shapes["time_tok_emb"] = (config.num_steps + 1, d)
+    return shapes
+
+
+def init_params(config: DenoiserConfig, seed: int | np.random.Generator) -> DenoiserParams:
+    """Truncated-normal weights (std 0.02), zero biases, unit norm gains, and
+    a zero output projection so the untrained model predicts uniformly over
+    content tokens.
+    """
+    rng = as_generator(seed)
+    t: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(config).items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "g":
+            t[name] = np.ones(shape)
+        elif leaf.startswith("b") or name == "out.w":
+            t[name] = np.zeros(shape)
+        else:
+            t[name] = _trunc_normal(rng, shape)
     return DenoiserParams(config, t)
 
 
@@ -299,7 +301,9 @@ def forward(
 
     key_valid = ids != PAD_ID
     key_bias = np.where(key_valid, 0.0, _NEG).astype(dtype)[:, None, None, :]
-    scale = 1.0 / np.sqrt(cfg.head_dim)
+    # A Python float, not np.float64: under NumPy 2's promotion rules a
+    # float64 scalar would turn every later float32 activation into float64.
+    scale = 1.0 / float(np.sqrt(cfg.head_dim))
 
     layers = []
     for i in range(cfg.num_layers):
@@ -372,7 +376,7 @@ def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
     dh = np.zeros((B, m, cfg.d_model), dtype=params.dtype)
     dh[:, prefix:][cache["ids"][:, prefix:] == MASK_ID] = dhf
 
-    scale = 1.0 / np.sqrt(cfg.head_dim)
+    scale = 1.0 / float(np.sqrt(cfg.head_dim))
     dtvec = np.zeros((B, cfg.d_model), dtype=params.dtype) if cfg.mode == "lte" else None
 
     for i in reversed(range(cfg.num_layers)):
@@ -519,8 +523,7 @@ def load_checkpoint(path: str | Path, dtype=np.float64) -> Checkpoint:
                 tensors[name] = data.astype(dtype, copy=False)
             config = DenoiserConfig(**{f.name: header[f.name] for f in fields(DenoiserConfig)})
             model = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
-            expected = {k: v.shape for k, v in init_params(config, 0).tensors.items()}
-            if {k: v.shape for k, v in model.items()} != expected:
+            if {k: v.shape for k, v in model.items()} != param_shapes(config):
                 raise ValueError("tensor names or shapes do not match the config")
         # zipfile and its decompressors raise many exception types on damaged bytes
         except Exception as exc:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import denoiser
 from .corpus import MASK_ID, PAD_ID, SurprisalTable, Vocab
-from .denoiser import DenoiserParams, save_checkpoint, load_checkpoint
+from .denoiser import DenoiserParams, load_checkpoint, param_shapes, save_checkpoint
 from .diffusion import ScheduleParams, reveal_from_rows, spindle_alpha_bar_at
 from .rng import as_generator, stream
 
@@ -57,14 +57,13 @@ class TrainConfig:
 @dataclass(frozen=True)
 class LossBreakdown:
     """One sampled-t estimate of the bound, in nats. l_t_kl carries the
-    masked-position KL when t >= 2, l_0 the t = 1 reconstruction, l_T the
-    (analytically zero) prior term. total is the importance-weighted
+    masked-position KL when t >= 2, l_0 the t = 1 reconstruction; the prior
+    term is identically 0 and not carried. total is the importance-weighted
     per-content-token estimate.
     """
 
     l_t_kl: float
     l_0: float
-    l_T: float
     total: float
     num_tokens: int = 0
 
@@ -161,7 +160,7 @@ def diffusion_loss_batch(
     unweight = num_tokens / num_steps
     l0 = float(per_item[is_recon].sum() * unweight)
     l_kl = float(per_item[~is_recon].sum() * unweight)
-    return LossBreakdown(l_kl, l0, 0.0, float(per_item.sum()), num_tokens), grads
+    return LossBreakdown(l_kl, l0, float(per_item.sum()), num_tokens), grads
 
 
 def mlm_pretrain_step(
@@ -316,7 +315,8 @@ def _opt_records(state: AdamState) -> dict[str, np.ndarray]:
 def opt_state_from_records(params: DenoiserParams, records: dict[str, np.ndarray]) -> AdamState:
     """Adam moments from `_opt_records` output. Anything other than exactly
     opt.m.<name> and opt.v.<name> of each parameter's shape raises ValueError."""
-    shapes = {f"opt.{k}.{name}": v.shape for name, v in params.tensors.items() for k in "mv"}
+    shapes = {f"opt.{k}.{name}": shape for name, shape in param_shapes(params.config).items()
+              for k in "mv"}
     bad = sorted(k for k in shapes.keys() | records.keys()
                  if shapes.get(k) != getattr(records.get(k), "shape", None))
     if bad:
@@ -398,7 +398,7 @@ def run_training(
         batch = [sequences[i] for i in idx]
         if mlm_phase:
             loss, grads = mlm_pretrain_step(params, batch, cfg.mlm_mask_rate, rng)
-            breakdown = LossBreakdown(0.0, 0.0, 0.0, loss)
+            breakdown = LossBreakdown(0.0, 0.0, loss)
             opt_step = step
         else:
             t_draws = stratified_t_draws(rng, cfg.batch_size, big_t)
@@ -421,7 +421,6 @@ def run_training(
                 "loss_total": float(loss),
                 "l_t_kl": breakdown.l_t_kl,
                 "l0": breakdown.l_0,
-                "lT": breakdown.l_T,
                 "lr": learning_rate_at(opt_step, cfg),
                 "elapsed_s": time.monotonic() - t_start,
             }

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -73,7 +74,8 @@ def test_train_writes_artifacts(tmp_path, corpus_file, prep_dir):
     assert (out / "model.spnd").exists()
     assert (out / "config.json").exists()
     metrics = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
-    assert metrics and {"step", "loss_total", "l_t_kl", "l0", "lT", "lr", "elapsed_s"} <= set(metrics[0])
+    assert metrics and {"step", "loss_total", "l_t_kl", "l0", "lr", "elapsed_s"} <= set(metrics[0])
+    assert "lT" not in metrics[0]
     resolved = json.loads((out / "config.json").read_text())
     assert resolved["config"]["steps"] == 12
 
@@ -439,3 +441,51 @@ def test_verify_command_reports_and_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(verify_mod, "run_all", lambda seed=0: bad)
     assert cli.main(["verify"]) == 3
     assert "FAIL b" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source, needle", [
+    ({"steps": 2, "lerning_rate": 1e-3}, "lerning_rate"),
+    ({"config": {"stpes": 2}}, "stpes"),
+    ([2], "no settings object"),
+    ("{steps", "not JSON"),
+    ("preset", "top_k"),
+], ids=["misspelt-key", "misspelt-nested-key", "list", "not-json", "preset-key"])
+def test_bad_setting_source_exits_2(tmp_path, corpus_file, prep_dir, capsys, monkeypatch,
+                                    source, needle):
+    """A config file that is not a settings object, a misspelt key in one, or
+    a preset key that train never reads is a usage error before any work:
+    nothing is written."""
+    if source == "preset":
+        monkeypatch.setitem(cli.PRESETS, "odd", {"steps": 2, "top_k": 30})
+        flags = ["--preset", "odd"]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(source if isinstance(source, str) else json.dumps(source))
+        flags = ["--config", str(path)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["train", "--corpus", str(corpus_file), "--prep", str(prep_dir),
+                     "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert not out.exists()
+
+
+def test_paper_preset_holds_train_settings_only():
+    resolved = cli._merge_config(argparse.Namespace(preset="paper-lm1b"), cli._TRAIN_DEFAULTS)
+    assert resolved["T"] == 2048 and resolved["steps"] == 1_900_000
+
+
+def test_cut_lines_are_counted_on_stderr(tmp_path, corpus_file, prep_dir, capsys):
+    """Lines longer than n_max are cut, and train and eval say how many."""
+    capsys.readouterr()
+    train_tiny(tmp_path, corpus_file, prep_dir, "full")
+    assert "cut" not in capsys.readouterr().err
+    run = train_tiny(tmp_path, corpus_file, prep_dir, "short", ["--n-max", "5"])
+    note = f"cut 3 of 3 lines in {corpus_file} to n_max=5 tokens"
+    assert note in capsys.readouterr().err
+    rc = cli.main(["eval", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
+                   "--test", str(corpus_file), "--num-gen", "2", "--iterations", "4",
+                   "--t-samples", "1", "--out", str(tmp_path / "report.json")])
+    assert rc == 0
+    assert note in capsys.readouterr().err

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spindle as sp
-from spindle import denoiser as dn
+from spindle import denoiser as dn, sampling
 from spindle.corpus import CLS_ID, MASK_ID, PAD_ID
+from spindle.diffusion import spindle_alpha_bar_at
 from spindle.rng import stream
 
 
@@ -193,6 +194,58 @@ def test_gradients_match_finite_differences(mode):
         an = grads[name][idx]
         worst = np.maximum(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-4))  # keeps a NaN
     assert worst <= 1e-4
+
+
+def _floating(obj, path: str) -> list[tuple[str, np.dtype]]:
+    """(path, dtype) of every floating array in nested dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [(path, obj.dtype)] if np.issubdtype(obj.dtype, np.floating) else []
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return []
+    return [hit for k, v in items for hit in _floating(v, f"{path}.{k}")]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
+def test_model_computes_in_its_parameter_dtype(mode, dtype, monkeypatch):
+    """Every floating array the model computes has the parameters' dtype: the
+    forward cache (layers included), the logits, the backward gradients, the
+    loss core's upstream gradient and the bound's gradients, and the logits
+    the sampler draws from. A float64 scalar in the trunk fails this."""
+    params = dn.init_params(tiny_config(mode, dropout=0.1), 11).astype(dtype)
+    rng = np.random.default_rng(4)
+    params.tensors["out.w"] += rng.normal(0, 0.4, params["out.w"].shape).astype(dtype)
+    xt = np.array([[4, MASK_ID, MASK_ID, PAD_ID], [MASK_ID, 9, MASK_ID, 6]])
+    t = np.array([2, 6]) if mode != "tad" else None
+    logits, cache = dn.forward(params, xt, t, train=True, rng=0)
+    grads = dn.backward(cache, np.ones_like(logits))
+    seen = _floating(cache, "cache") + _floating(logits, "logits") + _floating(grads, "grad")
+
+    def spy(fn, arg, name):
+        def wrapped(*args, **kwargs):
+            seen.extend(_floating(args[arg], name))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(dn, "backward", spy(dn.backward, 1, "upstream"))
+    monkeypatch.setattr(sampling, "_draw_top_k", spy(sampling._draw_top_k, 0, "sampler logits"))
+    sched = sp.ScheduleParams(num_steps=6, lam=0.3)
+    seqs = [np.array([4, 5, 6]), np.array([7, 8, 9, 10])]
+    t_draws = np.array([3, 6])
+    rows = [spindle_alpha_bar_at(np.linspace(0.5, 2.0, len(x)), [s - 1, s], sched)
+            for x, s in zip(seqs, t_draws)]
+    _, bound_grads = sp.diffusion_loss_batch(params, seqs, rows, t_draws, 6, 0)
+    seen += _floating(bound_grads, "bound grad")
+    h = np.r_[0.0, 0.0, 0.0, np.linspace(0.5, 2.0, 8)]
+    sp.generate_batch(params, sched, sp.SampleConfig(length=4, num_reverse_iterations=6,
+                                                     top_k=3), sp.SurprisalTable(h), 4, 0)
+    names = {name.split(".")[0] for name, _ in seen}
+    assert {"cache", "logits", "grad", "upstream", "bound grad", "sampler logits"} <= names
+    assert [name for name, dt in seen if dt != dtype] == []
 
 
 @pytest.mark.parametrize("mode", ["tad", "lte", "pte"])

@@ -73,8 +73,9 @@ def test_diffusion_loss_breakdown_fields():
     x0 = np.array([4, 5, 6])
     breakdown, grads = sp.diffusion_loss_batch(params, [x0], [a[4:6]], np.array([5]), 8,
                                                stream(0, "x"))
-    assert breakdown.l_T == 0.0
     assert breakdown.l_0 == 0.0 and breakdown.l_t_kl >= 0.0
+    # the two terms carry the whole estimate: the prior term is identically 0
+    assert breakdown.total == pytest.approx((breakdown.l_t_kl + breakdown.l_0) * 8 / 3)
     assert breakdown.num_tokens == 3
     assert set(grads) == set(params.tensors)
     # t = 1 routes to the reconstruction slot
@@ -257,7 +258,8 @@ def test_run_training_smoke_and_metrics_schema(word_corpus, tmp_path):
     assert res.final_step == 30
     assert (tmp_path / "metrics.jsonl").exists()
     for rec in res.metrics:
-        assert {"step", "loss_total", "l_t_kl", "l0", "lT", "lr", "elapsed_s"} <= set(rec)
+        assert {"step", "loss_total", "l_t_kl", "l0", "lr", "elapsed_s"} <= set(rec)
+        assert "lT" not in rec
     phases = [m["phase"] for m in res.metrics]
     assert "mlm" in phases and "diffusion" in phases
 
