@@ -4,6 +4,12 @@ Exit codes: 0 success, 2 usage or validation failure, 3 runtime failure.
 Every command is deterministic given --seed; outputs carry a format_version
 and the fully resolved config (plain-text sample files get a .meta.json
 sidecar instead).
+
+Each `spindle train` setting is declared once, in _TRAIN_DEFAULTS, which
+gives it its flag and its type. Settings resolve as defaults < --preset <
+--config file < flags. A preset or config-file value must have its
+default's type, except that an integer passes for a float: a bool, a null,
+a list, or a string where a number belongs is a usage error naming the key.
 """
 
 from __future__ import annotations
@@ -18,18 +24,41 @@ import numpy as np
 from . import verify as verify_mod
 from .corpus import (UNK_ID, SurprisalTable, Vocab, build_vocab, detokenize, split_line,
                      surprisal_table, tokenize)
-from .denoiser import DenoiserConfig, init_params, load_checkpoint, save_checkpoint
+from .denoiser import MODES, DenoiserConfig, init_params, load_checkpoint, save_checkpoint
 from .diffusion import ScheduleParams, spindle_alpha_bar_at, spindle_alpha_raw
 from .evaluation import MetricsReport, bleu4, elbo_eval, quality_diversity_sweep, self_bleu4
 from .rng import stream
 from .sampling import SampleConfig, check_sample_config, generate_batch
-from .training import AdamState, TrainConfig, opt_state_from_records, run_training
+from .training import TrainConfig, opt_state_from_records, run_training
 
 FORMAT_VERSION = 1
 
-# Full-scale training settings from the reference protocol; desk-scale
-# defaults are _TRAIN_DEFAULTS below. The paper's sampling settings are named
-# in `spindle sample --help`.
+# Every `spindle train` setting with its desk-scale default; the default's
+# type is the setting's type.
+_TRAIN_DEFAULTS = {
+    "time_mode": "tad",
+    "lam": 0.3,
+    "T": 64,
+    "steps": 2000,
+    "mlm_pretrain_steps": 0,
+    "mlm_mask_rate": 0.15,
+    "batch_size": 32,
+    "lr": 3e-4,
+    "warmup": 100,
+    "weight_decay": 0.0,
+    "layers": 4,
+    "d_model": 128,
+    "heads": 4,
+    "n_max": 64,
+    "dropout": 0.1,
+    "checkpoint_every": 0,
+    "log_every": 50,
+    "val_every": 0,
+    "seed": 0,
+}
+
+# Full-scale training settings from the reference protocol. The paper's
+# sampling settings are named in `spindle sample --help`.
 PRESETS = {
     "paper-lm1b": {
         "lr": 3e-6,
@@ -46,10 +75,11 @@ class UsageError(Exception):
     pass
 
 
-def _checked(cls, **fields):
-    """cls(**fields) for a settings dataclass; a value it rejects is a usage error."""
+def _checked(fn, *args, **fields):
+    """fn(*args, **fields) for a settings dataclass or check; a value it
+    rejects is a usage error."""
     try:
-        return cls(**fields)
+        return fn(*args, **fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -73,16 +103,48 @@ def _load_prep(prep_dir: str | Path):
     return vocab, table
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
-    """Resolution order: parser defaults < preset < --config file < explicit
-    flags. A preset or config file key that is not a setting is a usage error."""
-    resolved = dict(parser_defaults)
+def _load_model(args: argparse.Namespace):
+    """Prep tables, float32 checkpoint and its schedule for sample and eval."""
+    vocab, table = _load_prep(args.prep)
+    ckpt = load_checkpoint(_require_file(args.checkpoint, "checkpoint"), dtype=np.float32)
+    if ckpt.vocab_hash != vocab.content_hash():
+        raise UsageError("vocab hash mismatch between checkpoint and prep directory")
+    sched_params = ScheduleParams(num_steps=ckpt.params.config.num_steps, lam=ckpt.lam)
+    return vocab, table, ckpt, sched_params
+
+
+def _sample_config(args: argparse.Namespace, ckpt, sched_params, length: int) -> SampleConfig:
+    """The sampling flags, checked against the model; a bad value is a usage error."""
+    sample_cfg = _checked(SampleConfig, length=length, num_reverse_iterations=args.iterations,
+                          top_k=args.top_k, temperature=args.temperature, seed=args.seed,
+                          remask=getattr(args, "remask", False))
+    _checked(check_sample_config, ckpt.params, sched_params, sample_cfg)
+    return sample_cfg
+
+
+def _flag(key: str) -> str:
+    """The train flag that sets `key`."""
+    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+
+
+def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
+    """The train settings resolved over `defaults` (see the module docstring);
+    each preset and config-file value is checked against, and converted to,
+    the type of its _TRAIN_DEFAULTS entry."""
+    resolved = dict(defaults)
 
     def merge(settings: dict, source: str) -> None:
         unknown = sorted(set(settings) - set(resolved))
         if unknown:
             raise UsageError(f"{source} has unknown keys {unknown}; known: {sorted(resolved)}")
-        resolved.update(settings)
+        for key, value in settings.items():
+            kind = type(_TRAIN_DEFAULTS[key])
+            if kind is float and type(value) is int:
+                value = float(value)
+            if type(value) is not kind:
+                raise UsageError(f"{source}: {key} must be {kind.__name__}, "
+                                 f"got {json.dumps(value)}")
+            resolved[key] = value
 
     preset = getattr(args, "preset", None)
     if preset:
@@ -99,9 +161,9 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
         if not isinstance(settings, dict):
             raise UsageError(f"config file {config_path} holds no settings object")
         merge(settings, f"config file {config_path}")
-    # argparse defaults for mergeable flags are all None, so a non-None value
+    # argparse defaults for setting flags are all None, so a non-None value
     # means the flag was given explicitly and wins over preset/config file
-    for k in parser_defaults:
+    for k in defaults:
         actual = getattr(args, k, None)
         if actual is not None:
             resolved[k] = actual
@@ -160,54 +222,28 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return 0
 
 
-_TRAIN_DEFAULTS = {
-    "time_mode": "tad",
-    "lam": 0.3,
-    "T": 64,
-    "steps": 2000,
-    "mlm_pretrain_steps": 0,
-    "mlm_mask_rate": 0.15,
-    "batch_size": 32,
-    "lr": 3e-4,
-    "warmup": 100,
-    "weight_decay": 0.0,
-    "layers": 4,
-    "d_model": 128,
-    "heads": 4,
-    "n_max": 64,
-    "dropout": 0.1,
-    "checkpoint_every": 0,
-    "log_every": 50,
-    "val_every": 0,
-    "seed": 0,
-}
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, _TRAIN_DEFAULTS)
-    if int(cfg["log_every"]) < 1:
+    if cfg["log_every"] < 1:
         raise UsageError(f"--log-every must be >= 1, got {cfg['log_every']}")
     train_cfg = _checked(
         TrainConfig,
-        learning_rate=float(cfg["lr"]),
-        warmup_steps=int(cfg["warmup"]),
-        batch_size=int(cfg["batch_size"]),
-        total_steps=int(cfg["steps"]),
-        weight_decay=float(cfg["weight_decay"]),
-        mlm_pretrain_steps=int(cfg["mlm_pretrain_steps"]),
-        mlm_mask_rate=float(cfg["mlm_mask_rate"]),
-        seed=int(cfg["seed"]),
+        learning_rate=cfg["lr"],
+        warmup_steps=cfg["warmup"],
+        batch_size=cfg["batch_size"],
+        total_steps=cfg["steps"],
+        weight_decay=cfg["weight_decay"],
+        mlm_pretrain_steps=cfg["mlm_pretrain_steps"],
+        mlm_mask_rate=cfg["mlm_mask_rate"],
+        seed=cfg["seed"],
     )
     vocab, table = _load_prep(args.prep)
     corpus = _require_file(args.corpus, "corpus")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
-    dtype = np.float64 if args.float64 else np.float32
     start_step = 0
     opt_state = None
     if args.resume:
-        ckpt = load_checkpoint(_require_file(args.resume, "checkpoint"), dtype=dtype)
+        ckpt = load_checkpoint(_require_file(args.resume, "checkpoint"), dtype=np.float32)
         if ckpt.vocab_hash != vocab.content_hash():
             raise UsageError("vocab hash mismatch: checkpoint was trained on a different vocab")
         if not ckpt.extra_tensors:
@@ -227,23 +263,22 @@ def cmd_train(args: argparse.Namespace) -> int:
         for key, value in held.items():
             given = asked[key]
             if given is not None and given != value:
-                flag = "lambda" if key == "lam" else key.replace("_", "-")
-                raise UsageError(f"--{flag} {given} contradicts the checkpoint's {value}")
+                raise UsageError(f"{_flag(key)} {given} contradicts the checkpoint's {value}")
         cfg.update(held)
     else:
         model_cfg = _checked(
             DenoiserConfig,
             vocab_size=len(vocab),
             mode=cfg["time_mode"],
-            num_layers=int(cfg["layers"]),
-            d_model=int(cfg["d_model"]),
-            num_heads=int(cfg["heads"]),
-            n_max=int(cfg["n_max"]),
-            num_steps=int(cfg["T"]),
-            dropout=float(cfg["dropout"]),
+            num_layers=cfg["layers"],
+            d_model=cfg["d_model"],
+            num_heads=cfg["heads"],
+            n_max=cfg["n_max"],
+            num_steps=cfg["T"],
+            dropout=cfg["dropout"],
         )
-        params = init_params(model_cfg, stream(int(cfg["seed"]), "init")).astype(dtype)
-    sched_params = _checked(ScheduleParams, num_steps=int(cfg["T"]), lam=float(cfg["lam"]))
+        params = init_params(model_cfg, stream(cfg["seed"], "init")).astype(np.float32)
+    sched_params = _checked(ScheduleParams, num_steps=cfg["T"], lam=cfg["lam"])
     sequences = _read_sequences(corpus, vocab, model_cfg.n_max)
 
     val_fn = None
@@ -252,20 +287,22 @@ def cmd_train(args: argparse.Namespace) -> int:
 
         def val_fn(p, step):
             return elbo_eval(p, val_seqs, sched_params, table,
-                             t_samples_per_example=2, seed=int(cfg["seed"]))
+                             t_samples_per_example=2, seed=cfg["seed"])
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     resolved = {"format_version": FORMAT_VERSION, "config": cfg}
     (out / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
     result = run_training(
         params, vocab, table, sequences, sched_params, train_cfg,
         out_dir=out,
-        checkpoint_every=int(cfg["checkpoint_every"]),
-        log_every=int(cfg["log_every"]),
+        checkpoint_every=cfg["checkpoint_every"],
+        log_every=cfg["log_every"],
         start_step=start_step,
         opt_state=opt_state,
         val_fn=val_fn,
-        val_every=int(cfg["val_every"]),
+        val_every=cfg["val_every"],
     )
     final = out / "model.spnd"
     save_checkpoint(final, result.params, lam=sched_params.lam,
@@ -279,23 +316,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.num < 1:
         raise UsageError(f"--num must be >= 1, got {args.num}")
-    vocab, table = _load_prep(args.prep)
-    ckpt = load_checkpoint(_require_file(args.checkpoint, "checkpoint"), dtype=np.float32)
-    if ckpt.vocab_hash != vocab.content_hash():
-        raise UsageError("vocab hash mismatch between checkpoint and prep directory")
-    sched_params = ScheduleParams(num_steps=ckpt.params.config.num_steps, lam=ckpt.lam)
-    try:
-        sample_cfg = SampleConfig(
-            length=args.length,
-            num_reverse_iterations=args.iterations,
-            top_k=args.top_k,
-            temperature=args.temperature,
-            seed=args.seed,
-            remask=args.remask,
-        )
-        check_sample_config(ckpt.params, sched_params, sample_cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    vocab, table, ckpt, sched_params = _load_model(args)
+    sample_cfg = _sample_config(args, ckpt, sched_params, args.length)
     result = generate_batch(
         ckpt.params, sched_params, sample_cfg, table, args.num,
         stream(args.seed, "sample"), record_trajectory=args.trajectory is not None,
@@ -335,12 +357,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    vocab, table = _load_prep(args.prep)
-    ckpt = load_checkpoint(_require_file(args.checkpoint, "checkpoint"), dtype=np.float32)
-    if ckpt.vocab_hash != vocab.content_hash():
-        raise UsageError("vocab hash mismatch between checkpoint and prep directory")
+    vocab, table, ckpt, sched_params = _load_model(args)
     test_path = _require_file(args.test, "test corpus")
-    sched_params = ScheduleParams(num_steps=ckpt.params.config.num_steps, lam=ckpt.lam)
     test_seqs = _read_sequences(test_path, vocab, ckpt.params.config.n_max)
     length = args.length
     if length is None:
@@ -349,13 +367,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError(f"--num-gen must be >= 2 for self-BLEU, got {args.num_gen}")
     if args.t_samples < 1:
         raise UsageError(f"--t-samples must be >= 1, got {args.t_samples}")
-    try:
-        sample_cfg = SampleConfig(length=length, num_reverse_iterations=args.iterations,
-                                  top_k=args.top_k, temperature=args.temperature,
-                                  seed=args.seed)
-        check_sample_config(ckpt.params, sched_params, sample_cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    sample_cfg = _sample_config(args, ckpt, sched_params, length)
 
     config_echo = {
         "checkpoint": str(args.checkpoint),
@@ -475,29 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON config; flags override file values")
     p.add_argument("--preset", help=f"named preset: {sorted(PRESETS)}")
-    p.add_argument("--time-mode", choices=("lte", "pte", "tad"), dest="time_mode")
-    p.add_argument("--lambda", type=float, dest="lam")
-    p.add_argument("--T", type=int, dest="T")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--mlm-pretrain-steps", type=int, dest="mlm_pretrain_steps")
-    p.add_argument("--mlm-mask-rate", type=float, dest="mlm_mask_rate")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--d-model", type=int, dest="d_model")
-    p.add_argument("--heads", type=int)
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
-    p.add_argument("--log-every", type=int, dest="log_every")
+    for key, default in _TRAIN_DEFAULTS.items():
+        p.add_argument(_flag(key), dest=key, type=type(default), help=f"default {default}",
+                       choices=MODES if key == "time_mode" else None)
     p.add_argument("--val-corpus", dest="val_corpus")
-    p.add_argument("--val-every", type=int, dest="val_every")
-    p.add_argument("--seed", type=int)
     p.add_argument("--resume", help="checkpoint to resume from; its lambda, time mode, T "
                                     "and model shape are kept")
-    p.add_argument("--float64", action="store_true", help="train in float64 (slow)")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser(

@@ -9,7 +9,6 @@ additively smoothed unigram distribution over content tokens.
 from __future__ import annotations
 
 import hashlib
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,11 +75,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    @property
-    def content_ids(self) -> range:
-        """Ids the denoiser may predict: everything except mask/pad/cls."""
-        return range(NUM_SPECIALS, len(self.tokens))
 
     @property
     def num_content(self) -> int:
@@ -172,10 +166,12 @@ class SurprisalTable:
 
     @classmethod
     def load(cls, path: str | Path, vocab: Vocab) -> "SurprisalTable":
+        rows = [line for line in Path(path).read_text(encoding="utf-8").split("\n") if line]
+        if len(rows) != len(vocab):
+            raise ValueError(f"{path}: {len(rows)} surprisal rows for a vocab of "
+                             f"{len(vocab)} entries")
         h = np.zeros(len(vocab))
-        for i, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n")):
-            if not line:
-                continue
+        for i, line in enumerate(rows):
             tok, _, val = line.partition("\t")
             if tok != vocab.tokens[i]:
                 raise ValueError(f"surprisal table row {i} does not match vocab ({tok!r})")
@@ -209,6 +205,4 @@ def surprisal_table(
     h = np.zeros(len(vocab))
     with np.errstate(divide="ignore"):
         h[NUM_SPECIALS:] = -np.log((counts[NUM_SPECIALS:] + smoothing_count) / denom)
-    if np.isnan(h).any():
-        raise ValueError("NaN surprisal: internal error")
     return SurprisalTable(h)

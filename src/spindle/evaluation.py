@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,16 +38,7 @@ class MetricsReport:
     config: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "format_version": 1,
-            "elbo_nats_per_token": self.elbo_nats_per_token,
-            "ppl_proxy": self.ppl_proxy,
-            "bleu4": self.bleu4,
-            "self_bleu4": self.self_bleu4,
-            "num_samples": self.num_samples,
-            "config": self.config,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps({"format_version": 1, **asdict(self)}, indent=2, sort_keys=True)
 
 
 def elbo_eval(

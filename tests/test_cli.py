@@ -155,7 +155,7 @@ def test_train_resume_rejects_contradicting_setting(tmp_path, corpus_file, prep_
                    flag[0], str(tmp_path / flag[1]) if flag[0] == "--config" else flag[1]])
     assert rc == 2
     assert f"{message} contradicts the checkpoint's" in capsys.readouterr().err
-    assert not (tmp_path / "x" / "model.spnd").exists()
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_resume_vocab_hash_mismatch(tmp_path, corpus_file, prep_dir):
@@ -359,10 +359,12 @@ def test_eval_missing_test_file(tmp_path, corpus_file, prep_dir):
     ("train", ["--batch-size", "0"]),
     ("train", ["--T", "0"]),
     ("train", ["--d-model", "16", "--heads", "3"]),
+    ("train", ["--lambda", "-1"]),
     ("schedule", ["--T", "0"]),
     ("schedule", ["--lambda", "-1"]),
     ("prepare", ["--smoothing", "-1"]),
-], ids=["log-every", "batch-size", "T", "heads", "schedule-T", "schedule-lambda", "smoothing"])
+], ids=["log-every", "batch-size", "T", "heads", "lambda", "schedule-T", "schedule-lambda",
+        "smoothing"])
 def test_rejected_settings_exit_2(tmp_path, corpus_file, prep_dir, capsys, command, flags):
     """A setting out of range is a usage error whether the CLI or a settings
     dataclass finds it, and nothing is trained or written."""
@@ -377,7 +379,7 @@ def test_rejected_settings_exit_2(tmp_path, corpus_file, prep_dir, capsys, comma
     capsys.readouterr()
     assert cli.main([command, *base, "--out", str(out), *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_schedule_csv(tmp_path, corpus_file, prep_dir, capsys):
@@ -409,6 +411,20 @@ def test_schedule_csv(tmp_path, corpus_file, prep_dir, capsys):
     cli.main(["schedule", "--prep", str(prep_dir), "--text", "the cat sat",
               "--lambda", "2.0", "--T", "8", "--out", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_surprisal_row_count_mismatch_exits_3(tmp_path, corpus_file, prep_dir, capsys):
+    """A surprisal table with a row more than the vocab is a damaged prep
+    directory: a runtime failure naming the file, not a traceback."""
+    table = prep_dir / "surprisal.tsv"
+    table.write_text(table.read_text() + "extra\t1.0\n")
+    capsys.readouterr()
+    rc = cli.main(["schedule", "--prep", str(prep_dir), "--text", "the cat sat",
+                   "--out", str(tmp_path / "sched.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: ") and str(table) in err
+    assert "Traceback" not in err
 
 
 def test_schedule_rejects_text_of_infinite_surprisal(tmp_path, corpus_file, capsys):
@@ -448,27 +464,65 @@ def test_verify_command_reports_and_exit_codes(monkeypatch, capsys):
     ({"config": {"stpes": 2}}, "stpes"),
     ([2], "no settings object"),
     ("{steps", "not JSON"),
-    ("preset", "top_k"),
-], ids=["misspelt-key", "misspelt-nested-key", "list", "not-json", "preset-key"])
+    (("preset", {"steps": 2, "top_k": 30}), "top_k"),
+    ({"steps": None}, "steps must be int, got null"),
+    ({"steps": "ten"}, 'steps must be int, got "ten"'),
+    ({"steps": [2]}, "steps must be int, got [2]"),
+    ({"seed": 1.7}, "seed must be int, got 1.7"),
+    ({"steps": True}, "steps must be int, got true"),
+    ({"lam": "0.5"}, 'lam must be float, got "0.5"'),
+    ({"dropout": {}}, "dropout must be float, got {}"),
+    (("preset", {"lr": "3e-6"}), 'lr must be float, got "3e-6"'),
+], ids=["misspelt-key", "misspelt-nested-key", "list", "not-json", "preset-key",
+        "null", "string-int", "list-int", "float-int", "bool-int", "string-float",
+        "object-float", "preset-string-float"])
 def test_bad_setting_source_exits_2(tmp_path, corpus_file, prep_dir, capsys, monkeypatch,
                                     source, needle):
-    """A config file that is not a settings object, a misspelt key in one, or
-    a preset key that train never reads is a usage error before any work:
+    """A config file that is not a settings object, a misspelt key in one, a
+    preset key that train never reads, or a preset or config-file value not
+    of its default's type is a usage error before any work naming its source:
     nothing is written."""
-    if source == "preset":
-        monkeypatch.setitem(cli.PRESETS, "odd", {"steps": 2, "top_k": 30})
-        flags = ["--preset", "odd"]
+    if isinstance(source, tuple):
+        monkeypatch.setitem(cli.PRESETS, "odd", source[1])
+        flags, origin = ["--preset", "odd"], "preset 'odd'"
     else:
         path = tmp_path / "cfg.json"
         path.write_text(source if isinstance(source, str) else json.dumps(source))
-        flags = ["--config", str(path)]
+        flags, origin = ["--config", str(path)], f"config file {path}"
     out = tmp_path / "out"
     capsys.readouterr()
     assert cli.main(["train", "--corpus", str(corpus_file), "--prep", str(prep_dir),
                      "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and needle in err
+    assert err.startswith("error: ") and needle in err and origin in err
     assert not out.exists()
+
+
+def test_integer_passes_for_a_float_setting(tmp_path, corpus_file, prep_dir):
+    """An integer in a config file is a valid float setting and is recorded
+    as a float."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"lam": 1}))
+    out = train_tiny(tmp_path, corpus_file, prep_dir, extra=["--config", str(cfg_path)])
+    lam = json.loads((out / "config.json").read_text())["config"]["lam"]
+    assert lam == 1.0 and type(lam) is float
+
+
+def test_train_flags_are_the_settings_table():
+    """Each train setting has one flag, named and typed by its default, and
+    there is no --float64."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    train = sub.choices["train"]
+    others = {"help", "corpus", "prep", "out", "config", "preset", "val_corpus", "resume"}
+    assert {a.dest for a in train._actions} - others == set(cli._TRAIN_DEFAULTS)
+    for key, default in cli._TRAIN_DEFAULTS.items():
+        action = train._option_string_actions[cli._flag(key)]
+        assert action.dest == key and action.type is type(default)
+    assert cli._flag("lam") == "--lambda" and cli._flag("batch_size") == "--batch-size"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--corpus", "c", "--prep", "p", "--out", "o", "--float64"])
+    assert exc.value.code == 2
 
 
 def test_paper_preset_holds_train_settings_only():

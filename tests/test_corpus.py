@@ -111,6 +111,30 @@ def test_vocab_tsv_round_trip(tmp_path):
     assert (tmp_path / "v.tsv").read_bytes() == (tmp_path / "v2.tsv").read_bytes()
 
 
+def test_surprisal_tsv_round_trip(tmp_path):
+    corpus = write(tmp_path, "a b a c\n")
+    vocab = sp.build_vocab(corpus, 10)
+    table = sp.surprisal_table(corpus, vocab, 0.5)
+    table.save(tmp_path / "s.tsv", vocab)
+    again = sp.SurprisalTable.load(tmp_path / "s.tsv", vocab)
+    assert np.array_equal(again.h, table.h)
+
+
+@pytest.mark.parametrize("rows", [7, 5], ids=["extra-row", "missing-row"])
+def test_surprisal_load_checks_row_count(tmp_path, rows):
+    """A surprisal table that does not have one row per vocab entry is
+    refused at load, naming the file and both counts."""
+    corpus = write(tmp_path, "a b\n")
+    vocab = sp.build_vocab(corpus, 10)
+    assert len(vocab) == 6
+    lines = sp.surprisal_table(corpus, vocab, 1.0).to_tsv(vocab).splitlines()
+    path = tmp_path / "s.tsv"
+    path.write_text("".join(line + "\n" for line in (lines + ["d\t1.0"])[:rows]))
+    with pytest.raises(ValueError) as exc:
+        sp.SurprisalTable.load(path, vocab)
+    assert str(exc.value) == f"{path}: {rows} surprisal rows for a vocab of 6 entries"
+
+
 def test_tokenize_round_trip_word(tmp_path):
     corpus = write(tmp_path, "hello world again\n")
     vocab = sp.build_vocab(corpus, 10)
