@@ -122,6 +122,13 @@ def _sample_config(args: argparse.Namespace, ckpt, sched_params, length: int) ->
     return sample_cfg
 
 
+def _make_parents(*paths: str | Path | None) -> None:
+    """Create the parent directory of each output path given, before any work."""
+    for path in paths:
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _flag(key: str) -> str:
     """The train flag that sets `key`."""
     return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
@@ -226,6 +233,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, _TRAIN_DEFAULTS)
     if cfg["log_every"] < 1:
         raise UsageError(f"--log-every must be >= 1, got {cfg['log_every']}")
+    if args.val_corpus and cfg["val_every"] <= 0:
+        raise UsageError("--val-corpus needs --val-every > 0")
+    if cfg["val_every"] > 0 and not args.val_corpus:
+        raise UsageError("--val-every needs --val-corpus")
     train_cfg = _checked(
         TrainConfig,
         learning_rate=cfg["lr"],
@@ -318,13 +329,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise UsageError(f"--num must be >= 1, got {args.num}")
     vocab, table, ckpt, sched_params = _load_model(args)
     sample_cfg = _sample_config(args, ckpt, sched_params, args.length)
+    out = Path(args.out)
+    _make_parents(out, args.trajectory)
     result = generate_batch(
         ckpt.params, sched_params, sample_cfg, table, args.num,
         stream(args.seed, "sample"), record_trajectory=args.trajectory is not None,
     )
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     lines = [detokenize(row, vocab) for row in result.sequences]
     out.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     meta = {
@@ -368,6 +379,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.t_samples < 1:
         raise UsageError(f"--t-samples must be >= 1, got {args.t_samples}")
     sample_cfg = _sample_config(args, ckpt, sched_params, length)
+    _make_parents(args.sweep or args.out)
 
     config_echo = {
         "checkpoint": str(args.checkpoint),
@@ -432,6 +444,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     if not np.isfinite(h).all():
         word = split_line(args.text, vocab.tokenizer)[np.flatnonzero(~np.isfinite(h))[0]]
         raise UsageError(f"--text token {word!r} has infinite surprisal in {args.prep}")
+    _make_parents(args.out)
     steps = np.arange(args.T + 1)
     alpha_bar = spindle_alpha_bar_at(h, steps, sched_params)
     raw = spindle_alpha_raw(h, steps[1:-1], sched_params)

@@ -8,8 +8,10 @@ token prepended internally. Three time-conditioning modes:
   pte  a learned per-step token inserted between [CLS] and the sequence
   tad  no time input at all; the mask count carries the step implicitly
 
-An unmasked token is its own x0, so the model predicts only at [MASK]:
-`forward` runs the final layernorm and the output head on those rows alone.
+An unmasked token is its own x0, so the model predicts only at [MASK]. The
+last layer's keys and values read every row, but past its attention only
+the [MASK] rows go on: its output projection, second layernorm and FFN, the
+final layernorm and the output head all run on those rows alone.
 Forward passes record activations so `backward` can produce exact
 reverse-mode gradients for every parameter; correctness is pinned by
 finite-difference tests rather than an autodiff framework.
@@ -52,6 +54,8 @@ class DenoiserConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.num_layers < 1:
+            raise ValueError("num_layers must be >= 1")
         if self.d_model % self.num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
         if self.d_model % 2 != 0:
@@ -190,9 +194,8 @@ def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5):
 def _layernorm_backward(dy, cache, g):
     xhat, inv_std = cache
     dxhat = dy * g
-    lead = tuple(range(dy.ndim - 1))
-    d_g = (dy * xhat).sum(axis=lead)
-    d_b = dy.sum(axis=lead)
+    d_g = _sum_rows(dy * xhat)
+    d_b = _sum_rows(dy)
     mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
     mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
@@ -229,6 +232,19 @@ def _lin(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
 
 
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """x summed over every axis but the last."""
+    return x.sum(axis=tuple(range(x.ndim - 1)))
+
+
+def _scatter_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (r, d) rows x placed at the True entries of the (B, m) mask rows,
+    zeros elsewhere."""
+    out = np.zeros((*rows.shape, x.shape[-1]), dtype=x.dtype)
+    out[rows] = x
+    return out
+
+
 def _check_time_arg(config: DenoiserConfig, t) -> None:
     if config.mode == "tad":
         if t is not None:
@@ -250,7 +266,10 @@ def forward(
     xt: (B, n) token ids, possibly containing [MASK]/[PAD]. t: (B,) steps for
     lte/pte, None for tad. Returns (logits (m, K), cache): one row per [MASK]
     of xt in row-major order, i.e. the rows of `xt == MASK_ID`; mask/pad/cls
-    columns are -inf. The cache holds every activation needed by `backward`.
+    columns are -inf. The last layer runs past its attention on those rows
+    only. Its dropout masks are drawn at the full (B, n + prefix, d) shape
+    and taken at those rows, so a pass draws from rng as if every row ran.
+    The cache holds every activation needed by `backward`.
     """
     cfg = params.config
     p = params.tensors
@@ -277,16 +296,20 @@ def forward(
 
     drop = cfg.dropout if train else 0.0
     rng = as_generator(rng) if drop > 0 else None
+    full = h.shape
 
-    def make_mask(shape):
+    def make_mask(rows=None):
+        """A dropout mask drawn at the full (B, m, d) shape, taken at rows."""
         if drop <= 0:
             return None
-        u = rng.random(shape, dtype=np.float32) if dtype == np.float32 else rng.random(shape)
+        u = rng.random(full, dtype=np.float32) if dtype == np.float32 else rng.random(full)
+        if rows is not None:
+            u = u[rows]
         mask = (u >= drop).astype(dtype)
         mask /= 1.0 - drop
         return mask
 
-    emb_mask = make_mask(h.shape)
+    emb_mask = make_mask()
     if emb_mask is not None:
         h = h * emb_mask
 
@@ -305,9 +328,14 @@ def forward(
     # float64 scalar would turn every later float32 activation into float64.
     scale = 1.0 / float(np.sqrt(cfg.head_dim))
 
+    # The rows of `xt == MASK_ID` in row-major order: the rows of the logits.
+    head_rows = np.zeros((B, m), dtype=bool)
+    head_rows[:, prefix:] = xt == MASK_ID
+
     layers = []
     for i in range(cfg.num_layers):
         pre = f"layer{i}."
+        rows = head_rows if i == cfg.num_layers - 1 else None
         h_in = h + tvec[:, None, :] if tvec is not None else h
         a_norm, ln1_cache = _layernorm(h_in, p[pre + "ln1.g"], p[pre + "ln1.b"])
         q = _split_heads(_lin(a_norm, p[pre + "attn.wq"]) + p[pre + "attn.bq"], cfg.num_heads)
@@ -318,8 +346,12 @@ def forward(
         probs = np.exp(scores)
         probs /= probs.sum(axis=-1, keepdims=True)
         ctx = _merge_heads(probs @ v)
+        if rows is not None:
+            # Only the head reads the last layer's output, so past attention
+            # it runs on the (r, d) [MASK] rows alone.
+            ctx, h_in = ctx[rows], h_in[rows]
         attn_out = _lin(ctx, p[pre + "attn.wo"]) + p[pre + "attn.bo"]
-        attn_mask = make_mask(attn_out.shape)
+        attn_mask = make_mask(rows)
         if attn_mask is not None:
             attn_out = attn_out * attn_mask
         h_mid = h_in + attn_out
@@ -327,7 +359,7 @@ def forward(
         z = _lin(f_norm, p[pre + "ffn.w1"]) + p[pre + "ffn.b1"]
         act, z_th = _gelu(z)
         f_out = _lin(act, p[pre + "ffn.w2"]) + p[pre + "ffn.b2"]
-        ffn_mask = make_mask(f_out.shape)
+        ffn_mask = make_mask(rows)
         if ffn_mask is not None:
             f_out = f_out * ffn_mask
         h = h_mid + f_out
@@ -339,20 +371,22 @@ def forward(
             )
         )
 
-    hf, lnf_cache = _layernorm(h[:, prefix:][xt == MASK_ID], p["ln_f.g"], p["ln_f.b"])
+    hf, lnf_cache = _layernorm(h, p["ln_f.g"], p["ln_f.b"])
     logits = hf @ p["out.w"] + p["out.b"]
     logits[:, SPECIAL_IDS] = -np.inf
 
     cache = dict(
         params=params, ids=ids, t=t, emb_mask=emb_mask, time_cache=time_cache,
-        layers=layers, hf=hf, lnf=lnf_cache,
+        head_rows=head_rows, layers=layers, hf=hf, lnf=lnf_cache,
     )
     return logits, cache
 
 
 def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of every parameter given d(loss)/d(logits), an
-    (m, K) array over the rows `forward` returned.
+    (m, K) array over the rows `forward` returned. The gradient stays on
+    those rows down to the last layer's attention output, where it is
+    scattered back into the full (B, n + prefix, d) tensor.
 
     Entries of upstream_grad at the forced -inf columns are ignored (those
     logits are constants).
@@ -361,7 +395,6 @@ def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
     cfg = params.config
     p = params.tensors
     B, m = cache["ids"].shape
-    prefix = cfg.prefix_len
     expected = (len(cache["hf"]), cfg.vocab_size)
     if np.shape(upstream_grad) != expected:
         raise ValueError(f"upstream grad shape {np.shape(upstream_grad)} != {expected}")
@@ -371,10 +404,8 @@ def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
     dlogits[:, SPECIAL_IDS] = 0.0
     g["out.w"] = cache["hf"].T @ dlogits
     g["out.b"] = dlogits.sum(axis=0)
-    dhf = dlogits @ p["out.w"].T
-    dhf, g["ln_f.g"], g["ln_f.b"] = _layernorm_backward(dhf, cache["lnf"], p["ln_f.g"])
-    dh = np.zeros((B, m, cfg.d_model), dtype=params.dtype)
-    dh[:, prefix:][cache["ids"][:, prefix:] == MASK_ID] = dhf
+    dh = dlogits @ p["out.w"].T
+    dh, g["ln_f.g"], g["ln_f.b"] = _layernorm_backward(dh, cache["lnf"], p["ln_f.g"])
 
     scale = 1.0 / float(np.sqrt(cfg.head_dim))
     dtvec = np.zeros((B, cfg.d_model), dtype=params.dtype) if cfg.mode == "lte" else None
@@ -385,10 +416,10 @@ def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
         # ffn sublayer: h = h_mid + drop(w2 gelu(w1 ln2(h_mid)))
         df = dh * c["ffn_mask"] if c["ffn_mask"] is not None else dh
         g[pre + "ffn.w2"] = _matgrad(c["act"], df)
-        g[pre + "ffn.b2"] = df.sum(axis=(0, 1))
+        g[pre + "ffn.b2"] = _sum_rows(df)
         dz = _lin(df, p[pre + "ffn.w2"].T) * _gelu_grad(c["z"], c["z_th"])
         g[pre + "ffn.w1"] = _matgrad(c["f_norm"], dz)
-        g[pre + "ffn.b1"] = dz.sum(axis=(0, 1))
+        g[pre + "ffn.b1"] = _sum_rows(dz)
         dln2 = _lin(dz, p[pre + "ffn.w1"].T)
         dx, g[pre + "ln2.g"], g[pre + "ln2.b"] = _layernorm_backward(
             dln2, c["ln2"], p[pre + "ln2.g"]
@@ -397,8 +428,13 @@ def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
         # attention sublayer: h_mid = h_in + drop(attn(ln1(h_in)))
         dattn = dh_mid * c["attn_mask"] if c["attn_mask"] is not None else dh_mid
         g[pre + "attn.wo"] = _matgrad(c["ctx"], dattn)
-        g[pre + "attn.bo"] = dattn.sum(axis=(0, 1))
-        dctx = _split_heads(_lin(dattn, p[pre + "attn.wo"].T), cfg.num_heads)
+        g[pre + "attn.bo"] = _sum_rows(dattn)
+        dctx = _lin(dattn, p[pre + "attn.wo"].T)
+        if i == cfg.num_layers - 1:
+            # the last layer ran past attention on the [MASK] rows alone
+            rows = cache["head_rows"]
+            dh_mid, dctx = _scatter_rows(dh_mid, rows), _scatter_rows(dctx, rows)
+        dctx = _split_heads(dctx, cfg.num_heads)
         dprobs = dctx @ c["v"].swapaxes(-1, -2)
         dv = c["probs"].swapaxes(-1, -2) @ dctx
         dscores = c["probs"] * (dprobs - (dprobs * c["probs"]).sum(axis=-1, keepdims=True))

@@ -12,7 +12,10 @@ the prior term is identically 0 because every schedule ends fully masked.
 MLM pretraining and the bound share one masked cross-entropy core
 (`_masked_ce`): both charge weight * (-log p(x0^i | x_t)) at the [MASK]
 positions of x_t and differ only in the weights. MLM uses 1/num_masked, the
-bound reveal_prob * T / num_tokens.
+bound reveal_prob * T / num_tokens. The core runs a batch in length groups:
+it stable-sorts the items by length, cuts groups of 8, and pads each group
+only to its own longest line, so the trunk does little work on pad rows.
+A batch of 8 or fewer items is one group.
 """
 
 from __future__ import annotations
@@ -68,6 +71,11 @@ class LossBreakdown:
     num_tokens: int = 0
 
 
+# Items per forward pass in `_masked_ce`: enough rows for efficient GEMMs,
+# few enough that a group's lines are close in length.
+_GROUP_SIZE = 8
+
+
 def _pad_batch(rows: list[np.ndarray], fill: float) -> np.ndarray:
     out = np.full((len(rows), max(len(r) for r in rows)), fill)
     for i, r in enumerate(rows):
@@ -97,27 +105,41 @@ def _masked_ce(
     the batch total. t is the step fed to lte/pte models; tad ignores it.
     The denoiser's rows, the weights and the targets are all taken at
     `xt == MASK_ID`; pads are PAD_ID, so it never selects them.
-    """
-    x0 = _pad_batch(targets, PAD_ID)
-    if (x0 == MASK_ID).any():
-        raise ValueError("training sequence contains [MASK]")
-    xt = _pad_batch(xts, PAD_ID)
-    masked = xt == MASK_ID
-    w = _pad_batch(weights, 0.0)[masked]
-    rows, target = np.arange(len(w)), x0[masked]
-    t_in = None if params.config.mode == "tad" else t
-    logits, cache = denoiser.forward(params, xt, t_in, train=train, rng=rng)
-    logp = _log_softmax(logits)
-    per_pos = np.zeros(xt.shape)
-    per_pos[masked] = w * -logp[rows, target]
-    per_item = per_pos.sum(axis=1)
 
+    The items run in groups of _GROUP_SIZE consecutive items of the stable
+    sort by length, each group in batch order and padded to its own longest
+    line; the per-item losses come back in batch order and the gradients are
+    the sum of the groups'.
+    """
+    if any((x0 == MASK_ID).any() for x0 in targets):
+        raise ValueError("training sequence contains [MASK]")
+    t_in = None if params.config.mode == "tad" else np.asarray(t)
+    per_item = np.zeros(len(xts))
     grads = None
-    if want_grads:
-        upstream = np.exp(logp, out=logp)
-        upstream[rows, target] -= 1.0
-        upstream *= w[:, None]
-        grads = denoiser.backward(cache, upstream)
+    order = np.argsort([len(x) for x in xts], kind="stable")
+    for lo in range(0, len(order), _GROUP_SIZE):
+        group = np.sort(order[lo : lo + _GROUP_SIZE])
+        x0 = _pad_batch([targets[i] for i in group], PAD_ID)
+        xt = _pad_batch([xts[i] for i in group], PAD_ID)
+        masked = xt == MASK_ID
+        w = _pad_batch([weights[i] for i in group], 0.0)[masked]
+        rows, target = np.arange(len(w)), x0[masked]
+        logits, cache = denoiser.forward(params, xt, None if t_in is None else t_in[group],
+                                         train=train, rng=rng)
+        logp = _log_softmax(logits)
+        per_pos = np.zeros(xt.shape)
+        per_pos[masked] = w * -logp[rows, target]
+        per_item[group] = per_pos.sum(axis=1)
+        if want_grads:
+            upstream = np.exp(logp, out=logp)
+            upstream[rows, target] -= 1.0
+            upstream *= w[:, None]
+            g = denoiser.backward(cache, upstream)
+            if grads is None:
+                grads = g
+            else:
+                for name, value in g.items():
+                    grads[name] += value
     return per_item, grads
 
 
@@ -230,7 +252,10 @@ def adam_step(
     """One decoupled-weight-decay Adam update (in place; step is 1-based).
 
     Weight decay applies to matrices only, never biases or norm gains. A
-    non-finite gradient skips the whole update and reports it.
+    non-finite gradient skips the whole update and reports it. Temporaries
+    live in one scratch buffer per call; each result is the bitwise value of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p -= lr ((m / c1) / (sqrt(v / c2) + eps) + wd p).
     """
     if set(grads) != set(params.tensors):
         raise ValueError("gradient names do not match parameters")
@@ -243,18 +268,26 @@ def adam_step(
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     c1 = 1.0 - b1**step
     c2 = 1.0 - b2**step
+    size = max(p.size for p in params.tensors.values())
+    scratch = np.empty(2 * size, dtype=params.dtype)
     for name, g in grads.items():
         p = params.tensors[name]
         m = state.m[name]
         v = state.v[name]
+        a = scratch[: p.size].reshape(p.shape)
+        b = scratch[size : size + p.size].reshape(p.shape)
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(1 - b1, g, out=a)
         v *= b2
-        v += (1 - b2) * g * g
-        update = (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+        np.multiply(1 - b2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        a += cfg.adam_eps
+        np.divide(np.divide(m, c1, out=b), a, out=a)  # the update
         if cfg.weight_decay > 0 and p.ndim >= 2:
-            update = update + cfg.weight_decay * p
-        p -= lr * update
+            a += np.multiply(cfg.weight_decay, p, out=b)
+        p -= np.multiply(lr, a, out=a)
     return params, state, False
 
 

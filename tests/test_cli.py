@@ -321,6 +321,60 @@ def test_eval_sweep_csv(tmp_path, corpus_file, prep_dir):
     assert len(lines) == 2 + 10  # one row per grid point
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("eval", "--out"), ("eval", "--sweep"), ("sample", "--trajectory"), ("schedule", "--out"),
+], ids=["eval-out", "eval-sweep", "sample-trajectory", "schedule-out"])
+def test_output_parent_is_created_before_the_work(tmp_path, corpus_file, prep_dir, monkeypatch,
+                                                  command, flag):
+    """An output path in a directory that does not exist yet gets its
+    directory before the ELBO pass, the sweep, the generation or the
+    schedule curves run."""
+    target = tmp_path / "nodir" / "deeper" / "file.out"
+    seen = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            seen.append(target.parent.is_dir())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("elbo_eval", "quality_diversity_sweep", "generate_batch", "spindle_alpha_bar_at"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    if command == "schedule":
+        argv = ["schedule", "--prep", str(prep_dir), "--text", "the cat sat"]
+    else:
+        run = train_tiny(tmp_path, corpus_file, prep_dir)
+        argv = [command, "--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
+                "--iterations", "4"]
+    if command == "eval":
+        argv += ["--test", str(corpus_file), "--num-gen", "2", "--t-samples", "1"]
+    elif command == "sample":
+        argv += ["--num", "2", "--length", "4", "--out", str(tmp_path / "s.txt")]
+    assert cli.main([*argv, flag, str(target)]) == 0
+    assert target.is_file() and target.stat().st_size > 0
+    assert seen and all(seen)
+
+
+@pytest.mark.parametrize("flags, missing", [
+    (["--val-corpus", "VAL"], "--val-every"),
+    (["--val-every", "2"], "--val-corpus"),
+], ids=["corpus-only", "every-only"])
+def test_half_set_validation_is_usage_error(tmp_path, corpus_file, prep_dir, capsys,
+                                            flags, missing):
+    """Validation needs both a corpus and an interval: either one alone
+    exits 2 naming the other, and nothing is written."""
+    out = tmp_path / "out"
+    flags = [str(corpus_file) if f == "VAL" else f for f in flags]
+    capsys.readouterr()
+    rc = cli.main(["train", "--corpus", str(corpus_file), "--prep", str(prep_dir),
+                   "--out", str(out), "--steps", "2", "--batch-size", "4", "--layers", "1",
+                   "--d-model", "16", "--heads", "2", "--n-max", "16", "--T", "8", *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--iterations", "3"], "num_reverse_iterations=3 must divide T=8"),
     (["--length", "0"], "length must be >= 1"),

@@ -29,6 +29,8 @@ def test_config_validation():
         tiny_config(d_model=15)  # not divisible by heads
     with pytest.raises(ValueError):
         tiny_config(mode="foo")
+    with pytest.raises(ValueError, match="num_layers"):
+        tiny_config(num_layers=0)  # the head reads the last layer's [MASK] rows
 
 
 def test_time_arg_contract():
@@ -268,6 +270,23 @@ def test_forward_rows_are_the_mask_positions(mode):
     logits, cache = dn.forward(params, np.array([[4, 5, PAD_ID], [6, 7, 8]]), t)
     assert logits.shape == (0, 11)
     assert all(np.all(g == 0) for g in dn.backward(cache, logits).values())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_draws_full_shape_masks(dtype):
+    """Every dropout mask is drawn at the full (B, m, d) shape, the last
+    layer's too, though past attention that layer keeps only the [MASK]
+    rows: a forward pass advances the generator by exactly 2 L + 1 draws of
+    that shape."""
+    cfg = tiny_config("pte", dropout=0.1)
+    params = dn.init_params(cfg, 3).astype(dtype)
+    xt = np.array([[4, MASK_ID, 6, PAD_ID], [MASK_ID, 9, MASK_ID, 6]])
+    rng = np.random.default_rng(9)
+    dn.forward(params, xt, np.array([2, 6]), train=True, rng=rng)
+    ref = np.random.default_rng(9)
+    for _ in range(2 * cfg.num_layers + 1):
+        ref.random((2, cfg.prefix_len + 4, cfg.d_model), dtype=dtype)
+    assert rng.random() == ref.random()
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

@@ -11,7 +11,8 @@ from spindle import denoiser as dn, oracle as orc
 from spindle.corpus import MASK_ID
 from spindle.diffusion import spindle_alpha_bar_at
 from spindle.rng import stream
-from spindle.training import ShuffledPasses, opt_state_from_records, stratified_t_draws
+from spindle.training import (ShuffledPasses, _masked_ce, opt_state_from_records,
+                              stratified_t_draws)
 
 
 def tiny_params(mode="tad", vocab_size=13, seed=0, randomize=True, **kw):
@@ -153,6 +154,136 @@ def test_simplified_kl_equals_generic(reveal, c, truth, seed):
     p_row[3:] = reveal * pred
     p_row[MASK_ID] = 1.0 - reveal
     assert reveal * -math.log(pred[truth]) == pytest.approx(orc.generic_kl(q_row, p_row), abs=1e-9)
+
+
+def _ragged_batch(lengths, seed, mask_rate=0.4, num_steps=8):
+    """(xts, targets, weights, t) for items of the given lengths: random
+    content tokens, each position masked with probability mask_rate, random
+    positive weights and steps in {1..num_steps}."""
+    rng = np.random.default_rng(seed)
+    targets = [rng.integers(4, 13, size=n) for n in lengths]
+    xts = [np.where(rng.random(len(x)) < mask_rate, MASK_ID, x) for x in targets]
+    weights = [rng.uniform(0.1, 1.0, size=len(x)) for x in targets]
+    return xts, targets, weights, rng.integers(1, num_steps + 1, size=len(lengths))
+
+
+def _ragged_params(mode, seed=0):
+    """A float64 two-layer model for 63-token lines, every tensor perturbed."""
+    params = tiny_params(mode, seed=seed, num_layers=2, n_max=64)
+    rng = np.random.default_rng(seed + 200)
+    for v in params.tensors.values():
+        v += rng.normal(0, 0.05, v.shape)
+    return params
+
+
+@pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
+def test_masked_ce_length_groups_match_singletons(mode):
+    """The length-grouped loss core agrees with one call per item (no
+    padding at all): 29 items of lengths 5-63 make three full groups and a
+    short one. Per-item losses agree to 1e-13 relative and each gradient to
+    1e-12 of its tensor's largest entry; attn.bk's exact gradient is 0
+    (softmax ignores a constant added to every key), so it is bounded by
+    the model's largest gradient entry instead."""
+    params = _ragged_params(mode)
+    lengths = np.random.default_rng(1).integers(5, 64, size=29)
+    lengths[:2] = 5, 63
+    xts, targets, weights, t = _ragged_batch(lengths, seed=2)
+    per_item, grads = _masked_ce(params, xts, targets, weights, t, stream(0, "ce"),
+                                 train=True, want_grads=True)
+    ref_items, ref_grads = [], params.zeros_like()
+    for i in range(len(xts)):
+        item, g = _masked_ce(params, xts[i : i + 1], targets[i : i + 1], weights[i : i + 1],
+                             t[i : i + 1], stream(0, "ce"), train=True, want_grads=True)
+        ref_items.append(item[0])
+        for name in g:
+            ref_grads[name] += g[name]
+    np.testing.assert_allclose(per_item, ref_items, rtol=1e-13, atol=0)
+    largest = max(float(np.abs(g).max()) for g in ref_grads.values())
+    for name, ref in ref_grads.items():
+        scale = largest if name.endswith("attn.bk") else float(np.abs(ref).max())
+        assert float(np.abs(grads[name] - ref).max()) <= 1e-12 * scale, name
+
+
+def test_masked_ce_follows_batch_order():
+    """Permuting the batch permutes the per-item losses."""
+    params = _ragged_params("lte", seed=1)
+    lengths = np.random.default_rng(3).integers(5, 64, size=19)
+    xts, targets, weights, t = _ragged_batch(lengths, seed=4)
+    per_item, _ = _masked_ce(params, xts, targets, weights, t, stream(1, "ce"),
+                             train=False, want_grads=False)
+    perm = np.random.default_rng(5).permutation(len(xts))
+    permuted, _ = _masked_ce(params, [xts[i] for i in perm], [targets[i] for i in perm],
+                             [weights[i] for i in perm], t[perm], stream(1, "ce"),
+                             train=False, want_grads=False)
+    assert np.all(per_item > 0)
+    np.testing.assert_allclose(permuted, per_item[perm], rtol=1e-13, atol=0)
+
+
+def test_masked_ce_checks_targets_before_any_forward(monkeypatch):
+    """A [MASK] target in the longest item, which lands in the last group,
+    raises before the first group runs the denoiser."""
+    params = _ragged_params("tad")
+    lengths = list(range(5, 22))
+    xts, targets, weights, t = _ragged_batch(lengths, seed=6)
+    targets[-1] = targets[-1].copy()
+    targets[-1][3] = MASK_ID
+    calls = []
+    monkeypatch.setattr(dn, "forward", lambda *a, **k: calls.append(1))
+    with pytest.raises(ValueError, match=r"\[MASK\]"):
+        _masked_ce(params, xts, targets, weights, t, stream(2, "ce"), train=True,
+                   want_grads=True)
+    assert calls == []
+
+
+def test_masked_ce_group_without_masked_rows():
+    """A group whose items hold no [MASK] charges them nothing and adds
+    finite gradients: the 8 short unmasked lines form their own group, and
+    the batch's gradients are those of the 8 long lines alone."""
+    params = _ragged_params("pte", seed=2)
+    xts, targets, weights, t = _ragged_batch([5] * 8 + [40] * 8, seed=7)
+    xts[:8] = targets[:8]
+    per_item, grads = _masked_ce(params, xts, targets, weights, t, stream(3, "ce"),
+                                 train=False, want_grads=True)
+    assert np.all(per_item[:8] == 0) and np.all(per_item[8:] > 0)
+    assert all(np.isfinite(g).all() for g in grads.values())
+    long_items, long_grads = _masked_ce(params, xts[8:], targets[8:], weights[8:], t[8:],
+                                        stream(3, "ce"), train=False, want_grads=True)
+    np.testing.assert_array_equal(per_item[8:], long_items)
+    for name, g in long_grads.items():
+        np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-14 * np.abs(g).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_step_is_bitwise_the_textbook_expression(dtype, weight_decay):
+    """Three updates equal, bit for bit, the moments and the update written
+    out as whole-array expressions, one temporary per operation."""
+    params = tiny_params("lte").astype(dtype)
+    expected = params.copy()
+    m, v = expected.zeros_like(), expected.zeros_like()
+    state = sp.AdamState.zeros(params)
+    cfg = sp.TrainConfig(weight_decay=weight_decay, warmup_steps=2)
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    rng = np.random.default_rng(8)
+    for step in range(1, 4):
+        grads = {k: rng.normal(0, 1, x.shape).astype(dtype) for k, x in params.tensors.items()}
+        params, state, skipped = sp.adam_step(params, grads, state, cfg, step)
+        assert not skipped
+        lr, c1, c2 = sp.learning_rate_at(step, cfg), 1.0 - b1**step, 1.0 - b2**step
+        for name, g in grads.items():
+            p = expected.tensors[name]
+            m[name] *= b1
+            m[name] += (1 - b1) * g
+            v[name] *= b2
+            v[name] += (1 - b2) * g * g
+            update = (m[name] / c1) / (np.sqrt(v[name] / c2) + cfg.adam_eps)
+            if weight_decay > 0 and p.ndim >= 2:
+                update = update + weight_decay * p
+            p -= lr * update
+    for name in params.names():
+        assert params[name].dtype == dtype
+        assert np.array_equal(params[name], expected[name]), name
+        assert np.array_equal(state.m[name], m[name]) and np.array_equal(state.v[name], v[name])
 
 
 def test_mlm_uniform_loss_is_log_vocab():
