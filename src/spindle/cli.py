@@ -57,6 +57,11 @@ _TRAIN_DEFAULTS = {
     "seed": 0,
 }
 
+# The train settings that shape the model, each with its DenoiserConfig field.
+_MODEL_FIELDS = {"time_mode": "mode", "T": "num_steps", "layers": "num_layers",
+                 "d_model": "d_model", "heads": "num_heads", "n_max": "n_max",
+                 "dropout": "dropout"}
+
 # Full-scale training settings from the reference protocol. The paper's
 # sampling settings are named in `spindle sample --help`.
 PRESETS = {
@@ -231,8 +236,9 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, _TRAIN_DEFAULTS)
-    if cfg["log_every"] < 1:
-        raise UsageError(f"--log-every must be >= 1, got {cfg['log_every']}")
+    for key, least in (("log_every", 1), ("val_every", 0), ("checkpoint_every", 0)):
+        if cfg[key] < least:
+            raise UsageError(f"{_flag(key)} must be >= {least}, got {cfg[key]}")
     if args.val_corpus and cfg["val_every"] <= 0:
         raise UsageError("--val-corpus needs --val-every > 0")
     if cfg["val_every"] > 0 and not args.val_corpus:
@@ -266,10 +272,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         model_cfg = params.config
         # The run continues the checkpoint's schedule and model; a flag,
         # preset or config file that asks for another one is refused.
-        held = {"lam": ckpt.lam, "time_mode": model_cfg.mode, "T": model_cfg.num_steps,
-                "layers": model_cfg.num_layers, "d_model": model_cfg.d_model,
-                "heads": model_cfg.num_heads, "n_max": model_cfg.n_max,
-                "dropout": model_cfg.dropout}
+        held = {"lam": ckpt.lam, **{k: getattr(model_cfg, f) for k, f in _MODEL_FIELDS.items()}}
         asked = _merge_config(args, dict.fromkeys(_TRAIN_DEFAULTS))
         for key, value in held.items():
             given = asked[key]
@@ -277,17 +280,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                 raise UsageError(f"{_flag(key)} {given} contradicts the checkpoint's {value}")
         cfg.update(held)
     else:
-        model_cfg = _checked(
-            DenoiserConfig,
-            vocab_size=len(vocab),
-            mode=cfg["time_mode"],
-            num_layers=cfg["layers"],
-            d_model=cfg["d_model"],
-            num_heads=cfg["heads"],
-            n_max=cfg["n_max"],
-            num_steps=cfg["T"],
-            dropout=cfg["dropout"],
-        )
+        model_cfg = _checked(DenoiserConfig, vocab_size=len(vocab),
+                             **{f: cfg[k] for k, f in _MODEL_FIELDS.items()})
         params = init_params(model_cfg, stream(cfg["seed"], "init")).astype(np.float32)
     sched_params = _checked(ScheduleParams, num_steps=cfg["T"], lam=cfg["lam"])
     sequences = _read_sequences(corpus, vocab, model_cfg.n_max)
@@ -567,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
 

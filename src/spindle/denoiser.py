@@ -191,15 +191,16 @@ def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5):
     return g * xhat + b, (xhat, inv_std)
 
 
-def _layernorm_backward(dy, cache, g):
+def _layernorm_backward(dy, cache, gain, grads, name):
+    """dx of a layernorm; adds its gain and bias gradients into grads at
+    `name`.g and `name`.b."""
     xhat, inv_std = cache
-    dxhat = dy * g
-    d_g = _sum_rows(dy * xhat)
-    d_b = _sum_rows(dy)
+    dxhat = dy * gain
+    grads[name + ".g"] += _sum_rows(dy * xhat)
+    grads[name + ".b"] += _sum_rows(dy)
     mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
     mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
-    return dx, d_g, d_b
+    return inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
 
 
 def _time_features(t: np.ndarray, d: int, dtype) -> np.ndarray:
@@ -243,6 +244,15 @@ def _scatter_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     out = np.zeros((*rows.shape, x.shape[-1]), dtype=x.dtype)
     out[rows] = x
     return out
+
+
+def _add_rows_at(into: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """into[idx] += rows, with repeated indices summed among themselves first
+    (in order), so the result is the same whatever `into` held."""
+    uniq, inv = np.unique(idx, return_inverse=True)
+    part = np.zeros((len(uniq), rows.shape[-1]), dtype=rows.dtype)
+    np.add.at(part, inv, rows)
+    into[uniq] += part
 
 
 def _check_time_arg(config: DenoiserConfig, t) -> None:
@@ -302,7 +312,7 @@ def forward(
         """A dropout mask drawn at the full (B, m, d) shape, taken at rows."""
         if drop <= 0:
             return None
-        u = rng.random(full, dtype=np.float32) if dtype == np.float32 else rng.random(full)
+        u = rng.random(full, dtype=dtype)
         if rows is not None:
             u = u[rows]
         mask = (u >= drop).astype(dtype)
@@ -382,11 +392,16 @@ def forward(
     return logits, cache
 
 
-def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of every parameter given d(loss)/d(logits), an
-    (m, K) array over the rows `forward` returned. The gradient stays on
-    those rows down to the last layer's attention output, where it is
-    scattered back into the full (B, n + prefix, d) tensor.
+def backward(
+    cache: dict, upstream_grad: np.ndarray, grads: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """Adds the exact gradient of every parameter, given d(loss)/d(logits)
+    as an (m, K) array over the rows `forward` returned, into `grads` and
+    returns it. `grads` holds one array per parameter, of its shape (zeros
+    for a fresh sum), so passes over several batches accumulate into one
+    buffer. The gradient stays on the [MASK] rows down
+    to the last layer's attention output, where it is scattered back into
+    the full (B, n + prefix, d) tensor.
 
     Entries of upstream_grad at the forced -inf columns are ignored (those
     logits are constants).
@@ -398,14 +413,14 @@ def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
     expected = (len(cache["hf"]), cfg.vocab_size)
     if np.shape(upstream_grad) != expected:
         raise ValueError(f"upstream grad shape {np.shape(upstream_grad)} != {expected}")
-    g = {k: np.zeros_like(v) for k, v in p.items()}
+    g = grads
 
     dlogits = np.array(upstream_grad, dtype=params.dtype)
     dlogits[:, SPECIAL_IDS] = 0.0
-    g["out.w"] = cache["hf"].T @ dlogits
-    g["out.b"] = dlogits.sum(axis=0)
+    g["out.w"] += cache["hf"].T @ dlogits
+    g["out.b"] += dlogits.sum(axis=0)
     dh = dlogits @ p["out.w"].T
-    dh, g["ln_f.g"], g["ln_f.b"] = _layernorm_backward(dh, cache["lnf"], p["ln_f.g"])
+    dh = _layernorm_backward(dh, cache["lnf"], p["ln_f.g"], g, "ln_f")
 
     scale = 1.0 / float(np.sqrt(cfg.head_dim))
     dtvec = np.zeros((B, cfg.d_model), dtype=params.dtype) if cfg.mode == "lte" else None
@@ -415,20 +430,17 @@ def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
         c = cache["layers"][i]
         # ffn sublayer: h = h_mid + drop(w2 gelu(w1 ln2(h_mid)))
         df = dh * c["ffn_mask"] if c["ffn_mask"] is not None else dh
-        g[pre + "ffn.w2"] = _matgrad(c["act"], df)
-        g[pre + "ffn.b2"] = _sum_rows(df)
+        g[pre + "ffn.w2"] += _matgrad(c["act"], df)
+        g[pre + "ffn.b2"] += _sum_rows(df)
         dz = _lin(df, p[pre + "ffn.w2"].T) * _gelu_grad(c["z"], c["z_th"])
-        g[pre + "ffn.w1"] = _matgrad(c["f_norm"], dz)
-        g[pre + "ffn.b1"] = _sum_rows(dz)
+        g[pre + "ffn.w1"] += _matgrad(c["f_norm"], dz)
+        g[pre + "ffn.b1"] += _sum_rows(dz)
         dln2 = _lin(dz, p[pre + "ffn.w1"].T)
-        dx, g[pre + "ln2.g"], g[pre + "ln2.b"] = _layernorm_backward(
-            dln2, c["ln2"], p[pre + "ln2.g"]
-        )
-        dh_mid = dh + dx
+        dh_mid = dh + _layernorm_backward(dln2, c["ln2"], p[pre + "ln2.g"], g, pre + "ln2")
         # attention sublayer: h_mid = h_in + drop(attn(ln1(h_in)))
         dattn = dh_mid * c["attn_mask"] if c["attn_mask"] is not None else dh_mid
-        g[pre + "attn.wo"] = _matgrad(c["ctx"], dattn)
-        g[pre + "attn.bo"] = _sum_rows(dattn)
+        g[pre + "attn.wo"] += _matgrad(c["ctx"], dattn)
+        g[pre + "attn.bo"] += _sum_rows(dattn)
         dctx = _lin(dattn, p[pre + "attn.wo"].T)
         if i == cfg.num_layers - 1:
             # the last layer ran past attention on the [MASK] rows alone
@@ -442,39 +454,36 @@ def backward(cache: dict, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
         dk = _merge_heads(dscores.swapaxes(-1, -2) @ c["q"] * scale)
         dv = _merge_heads(dv)
         a_norm = c["a_norm"]
-        g[pre + "attn.wq"] = _matgrad(a_norm, dq)
-        g[pre + "attn.bq"] = dq.sum(axis=(0, 1))
-        g[pre + "attn.wk"] = _matgrad(a_norm, dk)
-        g[pre + "attn.bk"] = dk.sum(axis=(0, 1))
-        g[pre + "attn.wv"] = _matgrad(a_norm, dv)
-        g[pre + "attn.bv"] = dv.sum(axis=(0, 1))
+        g[pre + "attn.wq"] += _matgrad(a_norm, dq)
+        g[pre + "attn.bq"] += dq.sum(axis=(0, 1))
+        g[pre + "attn.wk"] += _matgrad(a_norm, dk)
+        g[pre + "attn.bk"] += dk.sum(axis=(0, 1))
+        g[pre + "attn.wv"] += _matgrad(a_norm, dv)
+        g[pre + "attn.bv"] += dv.sum(axis=(0, 1))
         dln1 = (
             _lin(dq, p[pre + "attn.wq"].T)
             + _lin(dk, p[pre + "attn.wk"].T)
             + _lin(dv, p[pre + "attn.wv"].T)
         )
-        dx, g[pre + "ln1.g"], g[pre + "ln1.b"] = _layernorm_backward(
-            dln1, c["ln1"], p[pre + "ln1.g"]
-        )
-        dh = dh_mid + dx
+        dh = dh_mid + _layernorm_backward(dln1, c["ln1"], p[pre + "ln1.g"], g, pre + "ln1")
         if dtvec is not None:
             dtvec += dh.sum(axis=1)
 
     if cache["emb_mask"] is not None:
         dh = dh * cache["emb_mask"]
-    g["pos_emb"][:m] = dh.sum(axis=0)
+    g["pos_emb"][:m] += dh.sum(axis=0)
     ids = cache["ids"].reshape(-1)
     real = ids >= 0  # pte's time slot (-1) reads time_tok_emb instead
-    np.add.at(g["tok_emb"], ids[real], dh.reshape(-1, cfg.d_model)[real])
+    _add_rows_at(g["tok_emb"], ids[real], dh.reshape(-1, cfg.d_model)[real])
     if cfg.mode == "pte":
-        np.add.at(g["time_tok_emb"], cache["t"], dh[:, 1, :])
+        _add_rows_at(g["time_tok_emb"], cache["t"], dh[:, 1, :])
     if cfg.mode == "lte":
         feats, z1, th1, a1 = cache["time_cache"]
-        g["time_mlp.w2"] = _matgrad(a1, dtvec)
-        g["time_mlp.b2"] = dtvec.sum(axis=0)
+        g["time_mlp.w2"] += _matgrad(a1, dtvec)
+        g["time_mlp.b2"] += dtvec.sum(axis=0)
         dz1 = (dtvec @ p["time_mlp.w2"].T) * _gelu_grad(z1, th1)
-        g["time_mlp.w1"] = _matgrad(feats, dz1)
-        g["time_mlp.b1"] = dz1.sum(axis=0)
+        g["time_mlp.w1"] += _matgrad(feats, dz1)
+        g["time_mlp.b1"] += dz1.sum(axis=0)
     return g
 
 

@@ -40,9 +40,6 @@ class TrainConfig:
     warmup_steps: int = 100
     batch_size: int = 32
     total_steps: int = 2000
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-8
     weight_decay: float = 0.0
     mlm_pretrain_steps: int = 0
     mlm_mask_rate: float = 0.15
@@ -108,14 +105,15 @@ def _masked_ce(
 
     The items run in groups of _GROUP_SIZE consecutive items of the stable
     sort by length, each group in batch order and padded to its own longest
-    line; the per-item losses come back in batch order and the gradients are
-    the sum of the groups'.
+    line; the per-item losses come back in batch order. With want_grads,
+    one zero buffer is allocated per call and every group's `backward` adds
+    into it; an empty batch gives zero losses and zero gradients.
     """
     if any((x0 == MASK_ID).any() for x0 in targets):
         raise ValueError("training sequence contains [MASK]")
     t_in = None if params.config.mode == "tad" else np.asarray(t)
     per_item = np.zeros(len(xts))
-    grads = None
+    grads = params.zeros_like() if want_grads else None
     order = np.argsort([len(x) for x in xts], kind="stable")
     for lo in range(0, len(order), _GROUP_SIZE):
         group = np.sort(order[lo : lo + _GROUP_SIZE])
@@ -134,12 +132,7 @@ def _masked_ce(
             upstream = np.exp(logp, out=logp)
             upstream[rows, target] -= 1.0
             upstream *= w[:, None]
-            g = denoiser.backward(cache, upstream)
-            if grads is None:
-                grads = g
-            else:
-                for name, value in g.items():
-                    grads[name] += value
+            denoiser.backward(cache, upstream, grads)
     return per_item, grads
 
 
@@ -191,12 +184,12 @@ def mlm_pretrain_step(
     mask_rate: float,
     rng: np.random.Generator | int | None,
     *,
-    train: bool = True,
     want_grads: bool = True,
 ) -> tuple[float, dict[str, np.ndarray] | None]:
     """Masked-LM cross entropy: mask each position independently, score masked
     positions only, averaged per masked token. A draw that masks nothing is
-    retried once and then the item is skipped. lte/pte models receive the
+    retried once and then the item is skipped; if every item is skipped the
+    loss is 0 and the gradients are zero. lte/pte models receive the
     sentinel step t = T.
     """
     if not 0 < mask_rate <= 1:
@@ -212,18 +205,20 @@ def mlm_pretrain_step(
         xts.append(np.where(m, MASK_ID, x0))
         keep.append(x0)
         masks.append(m)
-    if not xts:
-        return 0.0, params.zeros_like() if want_grads else None
-
     num_masked = sum(int(m.sum()) for m in masks)
     per_item, grads = _masked_ce(
         params, xts, keep, [m / num_masked for m in masks],
-        np.full(len(xts), params.config.num_steps), rng, train=train, want_grads=want_grads,
+        np.full(len(xts), params.config.num_steps), rng, train=True, want_grads=want_grads,
     )
     return float(per_item.sum()), grads
 
 
 # --- optimizer -----------------------------------------------------------------
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -265,7 +260,7 @@ def adam_step(
         if not np.isfinite(g).all():
             return params, state, True
     lr = learning_rate_at(step, cfg)
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**step
     c2 = 1.0 - b2**step
     size = max(p.size for p in params.tensors.values())
@@ -283,7 +278,7 @@ def adam_step(
         v += np.multiply(a, g, out=a)
         np.divide(v, c2, out=a)
         np.sqrt(a, out=a)
-        a += cfg.adam_eps
+        a += ADAM_EPS
         np.divide(np.divide(m, c1, out=b), a, out=a)  # the update
         if cfg.weight_decay > 0 and p.ndim >= 2:
             a += np.multiply(cfg.weight_decay, p, out=b)

@@ -139,12 +139,17 @@ def test_train_resume_keeps_checkpoint_lambda(tmp_path, corpus_file, prep_dir):
     (["--lambda", "0.5"], "--lambda 0.5"),
     (["--time-mode", "lte"], "--time-mode lte"),
     (["--T", "16"], "--T 16"),
+    (["--layers", "2"], "--layers 2"),
+    (["--d-model", "32"], "--d-model 32"),
+    (["--heads", "4"], "--heads 4"),
+    (["--n-max", "32"], "--n-max 32"),
+    (["--dropout", "0.2"], "--dropout 0.2"),
     (["--config", "cfg.json"], "--lambda 0.5"),
 ])
 def test_train_resume_rejects_contradicting_setting(tmp_path, corpus_file, prep_dir, capsys,
                                                     flag, message):
-    """A flag or config file that asks for another lambda, time mode or T
-    than the checkpoint's is a usage error."""
+    """A flag or config file that asks for another lambda, time mode, T or
+    model shape than the checkpoint's is a usage error."""
     (tmp_path / "cfg.json").write_text(json.dumps({"lam": 0.5}))
     part = train_tiny(tmp_path, corpus_file, prep_dir, "part",
                       ["--checkpoint-every", "6", "--steps", "6"])
@@ -399,6 +404,49 @@ def test_eval_checks_sampling_flags_first(tmp_path, corpus_file, prep_dir, monke
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert ran == [] and not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--val-every", "--checkpoint-every"])
+def test_negative_interval_is_usage_error(tmp_path, corpus_file, prep_dir, capsys, flag):
+    """An interval below 0 exits 2 naming its flag, before anything is
+    written."""
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = cli.main(["train", "--corpus", str(corpus_file), "--prep", str(prep_dir),
+                   "--out", str(out), "--steps", "2", "--batch-size", "4", "--layers", "1",
+                   "--d-model", "16", "--heads", "2", "--n-max", "16", "--T", "8",
+                   flag, "-3"])
+    assert rc == 2
+    assert f"error: {flag} must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["prepare-out", "prepare-corpus", "sample-out", "train-out"])
+def test_os_error_is_runtime_failure(tmp_path, corpus_file, prep_dir, capsys, case):
+    """An output path under a regular file, or a corpus that is a directory,
+    exits 3 naming the path, without a traceback."""
+    blocker = tmp_path / "f"
+    blocker.write_text("a file\n")
+    if case == "sample-out":
+        train_tiny(tmp_path, corpus_file, prep_dir)
+    argv, path = {
+        "prepare-out": (["prepare", "--corpus", str(corpus_file), "--vocab-size", "64",
+                         "--out", str(blocker / "sub")], blocker / "sub"),
+        "prepare-corpus": (["prepare", "--corpus", str(tmp_path), "--vocab-size", "64",
+                            "--out", str(tmp_path / "p")], tmp_path),
+        "sample-out": (["sample", "--checkpoint", str(tmp_path / "run" / "model.spnd"),
+                        "--prep", str(prep_dir), "--num", "2", "--length", "4",
+                        "--iterations", "4", "--out", str(blocker / "s.txt")], blocker),
+        "train-out": (["train", "--corpus", str(corpus_file), "--prep", str(prep_dir),
+                       "--out", str(blocker / "run"), "--steps", "2", "--batch-size", "4",
+                       "--layers", "1", "--d-model", "16", "--heads", "2", "--n-max", "16",
+                       "--T", "8"], blocker / "run"),
+    }[case]
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: ") and str(path) in err
+    assert "Traceback" not in err
 
 
 def test_eval_missing_test_file(tmp_path, corpus_file, prep_dir):

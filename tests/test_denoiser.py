@@ -132,15 +132,38 @@ def test_backward_zero_upstream_gives_zero_grads():
     params = dn.init_params(tiny_config("lte"), 2)
     xt = np.array([[4, 5, MASK_ID]])
     logits, cache = dn.forward(params, xt, np.array([3]))
-    grads = dn.backward(cache, np.zeros_like(logits))
+    grads = dn.backward(cache, np.zeros_like(logits), params.zeros_like())
     assert all(np.all(g == 0) for g in grads.values())
+
+
+@pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
+def test_backward_adds_into_the_given_buffer(mode):
+    """backward adds into the dict it is given and returns that same dict:
+    a buffer pre-filled with G ends holding G plus a fresh call's gradients,
+    bit for bit, so a batch run in groups sums to what adding the groups'
+    separate gradients gives. The batch repeats tokens and steps, so the
+    embedding scatters add several rows at one index."""
+    params = dn.init_params(tiny_config(mode, dropout=0.1), 3)
+    rng = np.random.default_rng(5)
+    params.tensors["out.w"] += rng.normal(0, 0.4, params["out.w"].shape)
+    xt = np.array([[4, MASK_ID, 4, MASK_ID], [MASK_ID, 4, MASK_ID, PAD_ID]])
+    t = np.array([3, 3]) if mode != "tad" else None
+    logits, cache = dn.forward(params, xt, t, train=True, rng=0)
+    up = rng.normal(0, 1, logits.shape)
+    fresh = dn.backward(cache, up, params.zeros_like())
+    prefilled = {k: rng.normal(0, 1, v.shape) for k, v in params.tensors.items()}
+    buffer = {k: v.copy() for k, v in prefilled.items()}
+    assert dn.backward(cache, up, buffer) is buffer
+    assert set(buffer) == set(fresh)
+    for name, g in fresh.items():
+        np.testing.assert_array_equal(buffer[name], prefilled[name] + g, err_msg=name)
 
 
 def test_backward_shape_mismatch_errors():
     params = dn.init_params(tiny_config("tad"), 2)
     _, cache = dn.forward(params, np.array([[4, 5]]))
     with pytest.raises(ValueError):
-        dn.backward(cache, np.zeros((1, 3, 11)))
+        dn.backward(cache, np.zeros((1, 3, 11)), params.zeros_like())
 
 
 def test_backward_unused_time_rows_zero_grad():
@@ -151,7 +174,7 @@ def test_backward_unused_time_rows_zero_grad():
     logits, cache = dn.forward(params, xt, np.array([2]))
     up = np.ones_like(logits)
     up[~np.isfinite(logits)] = 0.0
-    grads = dn.backward(cache, up)
+    grads = dn.backward(cache, up, params.zeros_like())
     used = np.zeros(7, dtype=bool)
     used[2] = True
     assert np.all(grads["time_tok_emb"][~used] == 0.0)
@@ -177,7 +200,7 @@ def test_gradients_match_finite_differences(mode):
         return float(np.sum(np.where(np.isfinite(logits), logits, 0.0) * w))
 
     _, cache = dn.forward(params, xt, t, train=True, rng=stream(5, "drop"))
-    grads = dn.backward(cache, w)
+    grads = dn.backward(cache, w, params.zeros_like())
     worst = 0.0
     rng2 = np.random.default_rng(6)
     names = params.names()
@@ -224,7 +247,7 @@ def test_model_computes_in_its_parameter_dtype(mode, dtype, monkeypatch):
     xt = np.array([[4, MASK_ID, MASK_ID, PAD_ID], [MASK_ID, 9, MASK_ID, 6]])
     t = np.array([2, 6]) if mode != "tad" else None
     logits, cache = dn.forward(params, xt, t, train=True, rng=0)
-    grads = dn.backward(cache, np.ones_like(logits))
+    grads = dn.backward(cache, np.ones_like(logits), params.zeros_like())
     seen = _floating(cache, "cache") + _floating(logits, "logits") + _floating(grads, "grad")
 
     def spy(fn, arg, name):
@@ -269,7 +292,7 @@ def test_forward_rows_are_the_mask_positions(mode):
 
     logits, cache = dn.forward(params, np.array([[4, 5, PAD_ID], [6, 7, 8]]), t)
     assert logits.shape == (0, 11)
-    assert all(np.all(g == 0) for g in dn.backward(cache, logits).values())
+    assert all(np.all(g == 0) for g in dn.backward(cache, logits, params.zeros_like()).values())
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -11,8 +11,8 @@ from spindle import denoiser as dn, oracle as orc
 from spindle.corpus import MASK_ID
 from spindle.diffusion import spindle_alpha_bar_at
 from spindle.rng import stream
-from spindle.training import (ShuffledPasses, _masked_ce, opt_state_from_records,
-                              stratified_t_draws)
+from spindle.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ShuffledPasses, _masked_ce,
+                              opt_state_from_records, stratified_t_draws)
 
 
 def tiny_params(mode="tad", vocab_size=13, seed=0, randomize=True, **kw):
@@ -263,7 +263,7 @@ def test_adam_step_is_bitwise_the_textbook_expression(dtype, weight_decay):
     m, v = expected.zeros_like(), expected.zeros_like()
     state = sp.AdamState.zeros(params)
     cfg = sp.TrainConfig(weight_decay=weight_decay, warmup_steps=2)
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     rng = np.random.default_rng(8)
     for step in range(1, 4):
         grads = {k: rng.normal(0, 1, x.shape).astype(dtype) for k, x in params.tensors.items()}
@@ -276,7 +276,7 @@ def test_adam_step_is_bitwise_the_textbook_expression(dtype, weight_decay):
             m[name] += (1 - b1) * g
             v[name] *= b2
             v[name] += (1 - b2) * g * g
-            update = (m[name] / c1) / (np.sqrt(v[name] / c2) + cfg.adam_eps)
+            update = (m[name] / c1) / (np.sqrt(v[name] / c2) + ADAM_EPS)
             if weight_decay > 0 and p.ndim >= 2:
                 update = update + weight_decay * p
             p -= lr * update
@@ -299,6 +299,18 @@ def test_mlm_full_mask_rate_masks_everything():
     rng = stream(1, "m")
     loss, _ = sp.mlm_pretrain_step(params, [x0], 1.0, rng, want_grads=False)
     assert loss == pytest.approx(math.log(10), abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
+def test_mlm_batch_that_masks_nothing_is_zero(mode):
+    """When every draw masks nothing, every item is skipped: the loss is 0.0
+    and the gradients are zero, one of each parameter's shape."""
+    params = tiny_params(mode)
+    seqs = [np.array([4, 5]), np.array([6]), np.array([7, 8, 9])]
+    loss, grads = sp.mlm_pretrain_step(params, seqs, 1e-12, stream(2, "m"))
+    assert loss == 0.0
+    assert {k: g.shape for k, g in grads.items()} == {k: v.shape for k, v in params.tensors.items()}
+    assert all(not g.any() for g in grads.values())
 
 
 def test_mlm_rejects_bad_inputs():
