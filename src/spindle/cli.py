@@ -5,6 +5,10 @@ Every command is deterministic given --seed; outputs carry a format_version
 and the fully resolved config (plain-text sample files get a .meta.json
 sidecar instead).
 
+A prep directory (`spindle prepare`) holds vocab.tsv, the tokens with their
+counts, and stats.json, the settings. The surprisal table is not stored:
+each command computes it from the counts and stats.json's smoothing.
+
 Each `spindle train` setting is declared once, in _TRAIN_DEFAULTS, which
 gives it its flag and its type. Settings resolve as defaults < --preset <
 --config file < flags. A preset or config-file value must have its
@@ -22,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .corpus import (UNK_ID, SurprisalTable, Vocab, build_vocab, detokenize, split_line,
-                     surprisal_table, tokenize)
+from .corpus import (TOKENIZERS, UNK_ID, SurprisalTable, Vocab, build_vocab, detokenize,
+                     split_line, tokenize)
 from .denoiser import MODES, DenoiserConfig, init_params, load_checkpoint, save_checkpoint
 from .diffusion import ScheduleParams, spindle_alpha_bar_at, spindle_alpha_raw
 from .evaluation import MetricsReport, bleu4, elbo_eval, quality_diversity_sweep, self_bleu4
@@ -62,6 +66,11 @@ _MODEL_FIELDS = {"time_mode": "mode", "T": "num_steps", "layers": "num_layers",
                  "d_model": "d_model", "heads": "num_heads", "n_max": "n_max",
                  "dropout": "dropout"}
 
+# The train settings that TrainConfig holds, each with its field.
+_TRAIN_FIELDS = {"lr": "learning_rate", "warmup": "warmup_steps", "steps": "total_steps",
+                 **{k: k for k in ("batch_size", "weight_decay", "mlm_pretrain_steps",
+                                   "mlm_mask_rate", "seed")}}
+
 # Full-scale training settings from the reference protocol. The paper's
 # sampling settings are named in `spindle sample --help`.
 PRESETS = {
@@ -80,13 +89,15 @@ class UsageError(Exception):
     pass
 
 
-def _checked(fn, *args, **fields):
+def _checked(fn, *args, flags: dict[str, str] | None = None, **fields):
     """fn(*args, **fields) for a settings dataclass or check; a value it
-    rejects is a usage error."""
+    rejects is a usage error, naming the flag that `flags` gives for the
+    field its message starts with."""
     try:
         return fn(*args, **fields)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        field, _, rest = str(exc).partition(" ")
+        raise UsageError(f"{(flags or {}).get(field, field)} {rest}") from exc
 
 
 def _require_file(path: str | Path, what: str) -> Path:
@@ -97,15 +108,25 @@ def _require_file(path: str | Path, what: str) -> Path:
 
 
 def _load_prep(prep_dir: str | Path):
+    """The vocab of a prep directory and the surprisal table of its counts
+    and stats.json's smoothing. A missing file is a usage error; a damaged
+    stats.json raises ValueError naming it."""
     prep = _require_file(prep_dir, "prep directory")
     vocab_path = _require_file(prep / "vocab.tsv", "vocab file")
-    stats_path = prep / "stats.json"
-    tokenizer = "word"
-    if stats_path.exists():
-        tokenizer = json.loads(stats_path.read_text())["config"].get("tokenizer", "word")
+    stats_path = _require_file(prep / "stats.json", "prep stats file")
+    try:
+        config = json.loads(stats_path.read_text(encoding="utf-8"))["config"]
+        tokenizer, smoothing = config["tokenizer"], config["smoothing"]
+        smoothing_ok = type(smoothing) in (int, float) and 0 <= smoothing < np.inf
+        if tokenizer not in TOKENIZERS or not smoothing_ok:
+            raise ValueError(f"tokenizer {json.dumps(tokenizer)} or smoothing "
+                             f"{json.dumps(smoothing)} is not valid")
+    except KeyError as exc:
+        raise ValueError(f"{stats_path}: no {exc} key") from exc
+    except (TypeError, ValueError) as exc:  # not JSON, not an object, or a bad value
+        raise ValueError(f"{stats_path}: {exc}") from exc
     vocab = Vocab.load(vocab_path, tokenizer)
-    table = SurprisalTable.load(_require_file(prep / "surprisal.tsv", "surprisal table"), vocab)
-    return vocab, table
+    return vocab, SurprisalTable.from_counts(vocab.counts, smoothing)
 
 
 def _load_model(args: argparse.Namespace):
@@ -205,16 +226,15 @@ def _read_sequences(path: Path, vocab: Vocab, n_max: int) -> list[np.ndarray]:
 def cmd_prepare(args: argparse.Namespace) -> int:
     if args.vocab_size < 4:
         raise UsageError(f"vocab too small: --vocab-size must be >= 4, got {args.vocab_size}")
-    if args.smoothing < 0:
-        raise UsageError(f"--smoothing must be nonnegative, got {args.smoothing}")
+    if not 0 <= args.smoothing < np.inf:
+        raise UsageError(f"--smoothing must be finite and >= 0, got {args.smoothing}")
     corpus = _require_file(args.corpus, "corpus")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vocab = build_vocab(corpus, args.vocab_size, args.tokenizer)
-    table = surprisal_table(corpus, vocab, args.smoothing)
     vocab.save(out / "vocab.tsv")
-    table.save(out / "surprisal.tsv", vocab)
-    lines = [l for l in corpus.read_text(encoding="utf-8").split("\n") if l.strip()]
+    with corpus.open(encoding="utf-8") as fh:
+        num_lines = sum(1 for line in fh if line.strip())
     stats = {
         "format_version": FORMAT_VERSION,
         "config": {
@@ -223,7 +243,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
             "tokenizer": args.tokenizer,
             "smoothing": args.smoothing,
         },
-        "num_lines": len(lines),
+        "num_lines": num_lines,
         "total_tokens": int(sum(vocab.counts)),
         "oov_folded": int(vocab.counts[UNK_ID]),
         "vocab_entries": len(vocab),
@@ -243,17 +263,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError("--val-corpus needs --val-every > 0")
     if cfg["val_every"] > 0 and not args.val_corpus:
         raise UsageError("--val-every needs --val-corpus")
-    train_cfg = _checked(
-        TrainConfig,
-        learning_rate=cfg["lr"],
-        warmup_steps=cfg["warmup"],
-        batch_size=cfg["batch_size"],
-        total_steps=cfg["steps"],
-        weight_decay=cfg["weight_decay"],
-        mlm_pretrain_steps=cfg["mlm_pretrain_steps"],
-        mlm_mask_rate=cfg["mlm_mask_rate"],
-        seed=cfg["seed"],
-    )
+    train_cfg = _checked(TrainConfig, flags={f: _flag(k) for k, f in _TRAIN_FIELDS.items()},
+                         **{f: cfg[k] for k, f in _TRAIN_FIELDS.items()})
     vocab, table = _load_prep(args.prep)
     corpus = _require_file(args.corpus, "corpus")
 
@@ -480,10 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", help="build vocab + surprisal table from a corpus")
+    p = sub.add_parser("prepare", help="write vocab.tsv and stats.json from a corpus; the "
+                                        "surprisal table is computed from them, not stored")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab-size", type=int, required=True)
-    p.add_argument("--tokenizer", choices=("word", "char"), default="word")
+    p.add_argument("--vocab-size", type=int, required=True,
+                   help="entries in all, the four reserved ids included")
+    p.add_argument("--tokenizer", choices=TOKENIZERS, default="word")
     p.add_argument("--smoothing", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_prepare)

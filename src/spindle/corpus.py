@@ -3,7 +3,9 @@
 The vocabulary reserves [MASK]/[PAD]/[CLS] at indices 0..2 and an [UNK]
 content token at index 3; everything above is corpus-derived. Surprisal is
 the per-occurrence information content -ln p(token) in nats under the
-additively smoothed unigram distribution over content tokens.
+additively smoothed unigram distribution over content tokens. It depends
+only on the vocab's counts and the smoothing, so it is computed from them
+(`SurprisalTable.from_counts`) and never stored.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class Vocab:
     tokenizer: str = "word"
 
     def __post_init__(self) -> None:
-        if self.tokens[:NUM_SPECIALS] != SPECIAL_TOKENS or self.tokens[UNK_ID] != UNK_TOKEN:
+        if self.tokens[: UNK_ID + 1] != SPECIAL_TOKENS + (UNK_TOKEN,):
             raise ValueError("vocab must start with [MASK] [PAD] [CLS] [UNK]")
         if len(self.tokens) != len(set(self.tokens)):
             raise ValueError("duplicate tokens in vocab")
@@ -83,24 +85,18 @@ class Vocab:
     def to_tsv(self) -> str:
         return "".join(f"{tok}\t{cnt}\n" for tok, cnt in zip(self.tokens, self.counts))
 
-    @classmethod
-    def from_tsv(cls, text: str, tokenizer: str = "word") -> "Vocab":
-        tokens: list[str] = []
-        counts: list[int] = []
-        for line in text.split("\n"):
-            if not line:
-                continue
-            tok, _, cnt = line.partition("\t")
-            tokens.append(tok)
-            counts.append(int(cnt))
-        return cls(tuple(tokens), tuple(counts), tokenizer)
-
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_tsv().encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path, tokenizer: str = "word") -> "Vocab":
-        return cls.from_tsv(Path(path).read_bytes().decode("utf-8"), tokenizer)
+        """Read a file written by `save`; damage raises ValueError naming it."""
+        try:
+            text = Path(path).read_bytes().decode("utf-8")
+            rows = [line.split("\t") for line in text.split("\n") if line]
+            return cls(tuple(t for t, _ in rows), tuple(int(c) for _, c in rows), tokenizer)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def content_hash(self) -> str:
         """Stable hash binding checkpoints to the vocabulary they were trained on."""
@@ -109,9 +105,9 @@ class Vocab:
 
 
 def build_vocab(corpus_path: str | Path, max_vocab: int, tokenizer: str = "word") -> Vocab:
-    """Count tokens in the corpus and keep the `max_vocab - 3` most frequent
-    (ties broken lexicographically) after the three specials. [UNK] is always
-    present and absorbs the counts of truncated-away tokens.
+    """A vocab of at most `max_vocab` entries in all: the three specials,
+    [UNK], and the `max_vocab - 4` most frequent corpus tokens (ties broken
+    lexicographically). [UNK] absorbs the counts of truncated-away tokens.
     """
     if max_vocab < NUM_SPECIALS + 1:
         raise ValueError(f"max_vocab must be >= {NUM_SPECIALS + 1}, got {max_vocab}")
@@ -121,7 +117,7 @@ def build_vocab(corpus_path: str | Path, max_vocab: int, tokenizer: str = "word"
     if not counter:
         raise ValueError(f"corpus {corpus_path} contains no tokens")
     ranked = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-    keep = ranked[: max_vocab - NUM_SPECIALS]
+    keep = ranked[: max_vocab - NUM_SPECIALS - 1]
     folded = sum(cnt for _, cnt in ranked[len(keep) :])
     tokens = SPECIAL_TOKENS + (UNK_TOKEN,) + tuple(tok for tok, _ in keep)
     counts = (0, 0, 0, folded) + tuple(cnt for _, cnt in keep)
@@ -158,51 +154,35 @@ class SurprisalTable:
     def h_for(self, ids: np.ndarray) -> np.ndarray:
         return self.h[np.asarray(ids, dtype=np.int64)]
 
-    def to_tsv(self, vocab: Vocab) -> str:
-        return "".join(f"{tok}\t{float(h)!r}\n" for tok, h in zip(vocab.tokens, self.h))
-
-    def save(self, path: str | Path, vocab: Vocab) -> None:
-        Path(path).write_bytes(self.to_tsv(vocab).encode("utf-8"))
-
     @classmethod
-    def load(cls, path: str | Path, vocab: Vocab) -> "SurprisalTable":
-        rows = [line for line in Path(path).read_text(encoding="utf-8").split("\n") if line]
-        if len(rows) != len(vocab):
-            raise ValueError(f"{path}: {len(rows)} surprisal rows for a vocab of "
-                             f"{len(vocab)} entries")
-        h = np.zeros(len(vocab))
-        for i, line in enumerate(rows):
-            tok, _, val = line.partition("\t")
-            if tok != vocab.tokens[i]:
-                raise ValueError(f"surprisal table row {i} does not match vocab ({tok!r})")
-            h[i] = float(val)
+    def from_counts(cls, counts, smoothing_count: float = 1.0) -> "SurprisalTable":
+        """h[v] = -ln((count[v] + s) / (total + s * C)) over the C content
+        tokens, [UNK] included. With s = 0 an unseen token gets h = +inf. It
+        has no schedule, so the sampler never draws it, and training on or
+        scoring a sequence that contains it raises ValueError.
+        """
+        if not 0 <= smoothing_count < np.inf:
+            raise ValueError(f"smoothing_count must be finite and >= 0, got {smoothing_count}")
+        counts = np.asarray(counts, dtype=np.int64)
+        total = int(counts[NUM_SPECIALS:].sum())
+        if total == 0 or (counts < 0).any():
+            raise ValueError("counts must be >= 0, and some content count > 0")
+        denom = total + smoothing_count * (len(counts) - NUM_SPECIALS)
+        h = np.zeros(len(counts))
+        with np.errstate(divide="ignore"):
+            h[NUM_SPECIALS:] = -np.log((counts[NUM_SPECIALS:] + smoothing_count) / denom)
         return cls(h)
 
 
 def surprisal_table(
     corpus_path: str | Path, vocab: Vocab, smoothing_count: float = 1.0
 ) -> SurprisalTable:
-    """Unigram surprisal from a corpus scan with additive smoothing.
-
-    h[v] = -ln((count[v] + s) / (total + s * C)) over the C content tokens
-    (including [UNK], which absorbs out-of-vocab occurrences). With s = 0 an
-    unseen token gets h = +inf. It has no schedule, so the sampler never draws
-    it, and training on or scoring a sequence that contains it raises
-    ValueError.
+    """`SurprisalTable.from_counts` over the ids of the corpus tokenized
+    under `vocab`. On the corpus `vocab` was built from, those counts are
+    `vocab.counts`: a normalized line is lowercase, so it never spells a
+    special token, and every out-of-vocab occurrence lands on [UNK].
     """
-    if smoothing_count < 0:
-        raise ValueError("smoothing_count must be nonnegative")
     counts = np.zeros(len(vocab), dtype=np.int64)
     for line in Path(corpus_path).read_text(encoding="utf-8").split("\n"):
-        ids = tokenize(line, vocab)
-        if ids.size:
-            np.add.at(counts, ids, 1)
-    total = int(counts[NUM_SPECIALS:].sum())
-    if total == 0:
-        raise ValueError(f"corpus {corpus_path} contains no tokens")
-    num_content = len(vocab) - NUM_SPECIALS
-    denom = total + smoothing_count * num_content
-    h = np.zeros(len(vocab))
-    with np.errstate(divide="ignore"):
-        h[NUM_SPECIALS:] = -np.log((counts[NUM_SPECIALS:] + smoothing_count) / denom)
-    return SurprisalTable(h)
+        np.add.at(counts, tokenize(line, vocab), 1)
+    return SurprisalTable.from_counts(counts, smoothing_count)

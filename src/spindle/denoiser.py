@@ -508,15 +508,20 @@ def save_checkpoint(
     little-endian float32 .npy member per tensor. extra_tensors (optimizer
     state under "opt." names) ride along and are ignored by model loaders.
 
-    The archive goes to `<path>.tmp` in the same directory, is flushed and
-    fsynced, and then replaces `path`, so a crash mid-write leaves the
-    previous file intact; the temp file is removed on any exception.
+    A tensor that is not finite in float32 raises ValueError naming it
+    before anything is written. The archive goes to `<path>.tmp` in the
+    same directory, is flushed and fsynced, and then replaces `path`, so a
+    crash mid-write leaves the previous file intact; the temp file is
+    removed on any exception.
     """
     records = {**params.tensors, **(extra_tensors or {})}
     header = {**asdict(params.config), "version": CHECKPOINT_VERSION, "records": len(records),
               "lambda": lam, "vocab_hash": vocab_hash, "step": step}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     members = {name: np.ascontiguousarray(t, dtype="<f4") for name, t in records.items()}
+    for name, t in members.items():
+        if not np.isfinite(t).all():
+            raise ValueError(f"{path}: tensor {name} is not finite in float32; nothing written")
     tmp = Path(f"{path}.tmp")
     try:
         # np.savez appends ".npz" to a path, so it gets an open file

@@ -50,8 +50,8 @@ class SampleConfig:
             raise ValueError("num_reverse_iterations must be >= 1")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 def top_k_filter(logit_row: np.ndarray, k: int, temperature: float = 1.0) -> np.ndarray:
@@ -61,8 +61,8 @@ def top_k_filter(logit_row: np.ndarray, k: int, temperature: float = 1.0) -> np.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < temperature < np.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     row = np.asarray(logit_row, dtype=np.float64)
     finite = np.isfinite(row)
     k_eff = min(k, int(finite.sum()))

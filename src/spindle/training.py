@@ -29,7 +29,7 @@ import numpy as np
 
 from . import denoiser
 from .corpus import MASK_ID, PAD_ID, SurprisalTable, Vocab
-from .denoiser import DenoiserParams, load_checkpoint, param_shapes, save_checkpoint
+from .denoiser import DenoiserParams, param_shapes, save_checkpoint
 from .diffusion import ScheduleParams, reveal_from_rows, spindle_alpha_bar_at
 from .rng import as_generator, stream
 
@@ -46,12 +46,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.total_steps < 0:
-            raise ValueError("learning_rate, batch_size, total_steps must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0 < self.mlm_mask_rate < 1:
             raise ValueError("mlm_mask_rate must be in (0, 1)")
-        if self.warmup_steps < 0 or self.mlm_pretrain_steps < 0:
-            raise ValueError("step counts must be nonnegative")
+        if self.batch_size < 1 or min(self.total_steps, self.warmup_steps,
+                                      self.mlm_pretrain_steps) < 0:
+            raise ValueError("batch_size must be >= 1 and step counts >= 0")
 
 
 @dataclass(frozen=True)
@@ -377,10 +380,12 @@ def run_training(
     Each item's retention rows alpha_bar[t-1], alpha_bar[t] are computed in
     closed form from its surprisal; nothing is cached per corpus line.
     Every step derives its batch and its randomness from (seed, step) alone,
-    so a run resumed from a checkpoint replays identically; checkpoints round
-    live state through their float32 on-disk form so interrupted and
-    uninterrupted runs agree bitwise. metrics.jsonl keeps only its complete
-    records of steps <= start_step: a resume logs no step twice.
+    and checkpoints hold parameters and Adam state as float32, so for float32
+    parameters a run resumed from a checkpoint agrees bitwise with an
+    uninterrupted one. Checkpoints are written, never read back; a
+    non-finite tensor makes `save_checkpoint` raise. metrics.jsonl keeps
+    only its complete records of steps <= start_step: a resume logs no step
+    twice.
     """
     if not sequences:
         raise ValueError("no training sequences")
@@ -407,15 +412,10 @@ def run_training(
     vocab_hash = vocab.content_hash()
 
     def emit_checkpoint(step: int) -> None:
-        nonlocal params, opt_state
-        path = out / f"checkpoint_{step:07d}.spnd"
         save_checkpoint(
-            path, params, lam=sched_params.lam, vocab_hash=vocab_hash,
-            step=step, extra_tensors=_opt_records(opt_state),
+            out / f"checkpoint_{step:07d}.spnd", params, lam=sched_params.lam,
+            vocab_hash=vocab_hash, step=step, extra_tensors=_opt_records(opt_state),
         )
-        ckpt = load_checkpoint(path, dtype=params.dtype)
-        params = ckpt.params
-        opt_state = opt_state_from_records(params, ckpt.extra_tensors)
 
     step = start_step
     while step < total:

@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -45,7 +47,7 @@ def test_prepare_outputs_and_idempotence(tmp_path, corpus_file):
     assert cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "64",
                      "--out", str(out)]) == 0
     first = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert {"vocab.tsv", "surprisal.tsv", "stats.json"} <= set(first)
+    assert set(first) == {"vocab.tsv", "stats.json"}
     vocab_lines = first["vocab.tsv"].decode().splitlines()
     assert vocab_lines[0].startswith("[MASK]\t")
     assert cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "64",
@@ -488,8 +490,7 @@ def test_schedule_csv(tmp_path, corpus_file, prep_dir, capsys):
     """Every value matches the oracle's dense grid, and the printed clamp
     count is the number of interior values the oracle's clip moved; lam = 2
     pushes the curve out of [0, 1]."""
-    vocab = sp.Vocab.load(prep_dir / "vocab.tsv")
-    table = sp.SurprisalTable.load(prep_dir / "surprisal.tsv", vocab)
+    vocab, table = cli._load_prep(prep_dir)
     h = table.h_for(sp.tokenize("the cat sat", vocab))
     out = tmp_path / "sched.csv"
     for lam in ("0.3", "2.0"):
@@ -515,18 +516,131 @@ def test_schedule_csv(tmp_path, corpus_file, prep_dir, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_surprisal_row_count_mismatch_exits_3(tmp_path, corpus_file, prep_dir, capsys):
-    """A surprisal table with a row more than the vocab is a damaged prep
-    directory: a runtime failure naming the file, not a traceback."""
-    table = prep_dir / "surprisal.tsv"
-    table.write_text(table.read_text() + "extra\t1.0\n")
+@pytest.mark.parametrize("smoothing", ["0", "0.7", "1"])
+@pytest.mark.parametrize("tokenizer", ["word", "char"])
+def test_prep_table_is_the_corpus_scan(tmp_path, corpus_file, tokenizer, smoothing):
+    """The table a prep directory loads to, computed from vocab.tsv and
+    stats.json, is bitwise the one a scan of the corpus gives."""
+    prep = tmp_path / "prep"
+    assert cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "12",
+                     "--tokenizer", tokenizer, "--smoothing", smoothing,
+                     "--out", str(prep)]) == 0
+    vocab, table = cli._load_prep(prep)
+    assert vocab.tokenizer == tokenizer and len(vocab) == 12
+    assert np.array_equal(table.h, sp.surprisal_table(corpus_file, vocab, float(smoothing)).h)
+
+
+@pytest.mark.parametrize("stats, needle", [
+    ("{}", "no 'config' key"),
+    ("{config", "Expecting"),
+    ('{"config": []}', "list indices"),
+    ('{"config": {"tokenizer": "word"}}', "no 'smoothing' key"),
+    ('{"config": {"tokenizer": "word", "smoothing": "x"}}', 'smoothing "x"'),
+    ('{"config": {"tokenizer": "word", "smoothing": NaN}}', "smoothing NaN"),
+    ('{"config": {"tokenizer": "bpe", "smoothing": 1.0}}', 'tokenizer "bpe"'),
+], ids=["empty", "not-json", "config-list", "no-smoothing", "string-smoothing",
+        "nan-smoothing", "unknown-tokenizer"])
+def test_damaged_stats_json_exits_3(tmp_path, prep_dir, capsys, stats, needle):
+    """A stats.json that does not give the tokenizer and the smoothing is a
+    damaged prep directory: a runtime failure naming the file."""
+    stats_path = prep_dir / "stats.json"
+    stats_path.write_text(stats)
+    out = tmp_path / "sched.csv"
+    capsys.readouterr()
+    rc = cli.main(["schedule", "--prep", str(prep_dir), "--text", "the cat sat",
+                   "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime failure: {stats_path}: ") and needle in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[MASK]\t0\n[PAD]\t0\n[CLS]\t0\n",
+    "[MASK]\t0\n[PAD]\t0\n[CLS]\t0\n[UNK]\tx\n",
+    "[MASK]\t0\n[PAD]\t0\n[CLS]\t0\n[UNK]\n",
+], ids=["no-unk", "count-not-int", "no-tab"])
+def test_damaged_vocab_tsv_exits_3(tmp_path, prep_dir, capsys, text):
+    vocab_path = prep_dir / "vocab.tsv"
+    vocab_path.write_text(text)
     capsys.readouterr()
     rc = cli.main(["schedule", "--prep", str(prep_dir), "--text", "the cat sat",
                    "--out", str(tmp_path / "sched.csv")])
     assert rc == 3
     err = capsys.readouterr().err
-    assert err.startswith("runtime failure: ") and str(table) in err
+    assert err.startswith(f"runtime failure: {vocab_path}: ") and "Traceback" not in err
+
+
+def test_missing_stats_json_exits_2(tmp_path, corpus_file, capsys):
+    """A prep directory without stats.json is not read under a guessed
+    tokenizer: it is a usage error, as a missing vocab.tsv is."""
+    prep = tmp_path / "prep"
+    assert cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "64",
+                     "--tokenizer", "char", "--out", str(prep)]) == 0
+    (prep / "stats.json").unlink()
+    out = tmp_path / "sched.csv"
+    capsys.readouterr()
+    rc = cli.main(["schedule", "--prep", str(prep), "--text", "w1 w2", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(prep / "stats.json") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("sample", "--temperature", "nan"),
+    ("sample", "--temperature", "inf"),
+    ("eval", "--temperature", "nan"),
+    ("train", "--lr", "nan"),
+    ("train", "--lr", "inf"),
+    ("train", "--weight-decay", "-5"),
+    ("train", "--weight-decay", "nan"),
+    ("prepare", "--smoothing", "nan"),
+    ("prepare", "--smoothing", "inf"),
+])
+def test_non_finite_or_negative_setting_exits_2(tmp_path, corpus_file, prep_dir, capsys,
+                                                command, flag, value):
+    """A NaN, infinite or negative value where the setting must be finite
+    and in range is a usage error naming the flag (sample and eval name the
+    SampleConfig field, which is the flag's word), before anything is
+    written."""
+    out = tmp_path / "out"
+    base = {"prepare": ["--corpus", str(corpus_file), "--vocab-size", "64"],
+            "train": ["--corpus", str(corpus_file), "--prep", str(prep_dir), "--steps", "2",
+                      "--batch-size", "4", "--layers", "1", "--d-model", "16", "--heads", "2",
+                      "--n-max", "16", "--T", "8"]}.get(command)
+    if base is None:
+        run = train_tiny(tmp_path, corpus_file, prep_dir)
+        base = ["--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
+                "--iterations", "4", "--length", "4"]
+        if command == "eval":
+            base += ["--test", str(corpus_file), "--num-gen", "2"]
+    capsys.readouterr()
+    assert cli.main([command, *base, "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and value in err
+    assert f"{flag.lstrip('-')} must be finite and " in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_defaults_are_the_library_defaults():
+    """Each train setting's CLI default is, in value and type, the default
+    of the library field or argument that owns it."""
+    owned = {}
+    train_fields = {f.name: f.default for f in dataclasses.fields(sp.TrainConfig)}
+    owned.update({key: train_fields[f] for key, f in cli._TRAIN_FIELDS.items()})
+    model_fields = {f.name: f.default for f in dataclasses.fields(sp.DenoiserConfig)}
+    owned.update({key: model_fields[f] for key, f in cli._MODEL_FIELDS.items()})
+    owned["lam"] = next(f.default for f in dataclasses.fields(sp.ScheduleParams)
+                        if f.name == "lam")
+    run_args = inspect.signature(sp.run_training).parameters
+    owned.update({key: run_args[key].default
+                  for key in ("checkpoint_every", "log_every", "val_every")})
+    assert len(owned) == len(cli._TRAIN_DEFAULTS) == 19
+    for key, default in cli._TRAIN_DEFAULTS.items():
+        assert (type(default), default) == (type(owned[key]), owned[key]), key
 
 
 def test_schedule_rejects_text_of_infinite_surprisal(tmp_path, corpus_file, capsys):

@@ -28,9 +28,17 @@ def test_build_vocab_lowercases(tmp_path):
 
 
 def test_build_vocab_truncation_ties_lexicographic(tmp_path):
-    vocab = sp.build_vocab(write(tmp_path, "a b c\n"), 4)
+    vocab = sp.build_vocab(write(tmp_path, "a b c\n"), 5)
     assert vocab.tokens[4:] == ("a",)
     assert vocab.counts[UNK_ID] == 2  # b and c folded
+
+
+@pytest.mark.parametrize("max_vocab", [4, 5, 8, 10])
+def test_build_vocab_has_max_vocab_entries(tmp_path, max_vocab):
+    """max_vocab counts every entry, the four reserved ids included."""
+    vocab = sp.build_vocab(write(tmp_path, "a b c d e f g h i j k\n"), max_vocab)
+    assert len(vocab) == max_vocab
+    assert sum(vocab.counts) == 11
 
 
 def test_build_vocab_errors(tmp_path):
@@ -111,28 +119,29 @@ def test_vocab_tsv_round_trip(tmp_path):
     assert (tmp_path / "v.tsv").read_bytes() == (tmp_path / "v2.tsv").read_bytes()
 
 
-def test_surprisal_tsv_round_trip(tmp_path):
-    corpus = write(tmp_path, "a b a c\n")
-    vocab = sp.build_vocab(corpus, 10)
-    table = sp.surprisal_table(corpus, vocab, 0.5)
-    table.save(tmp_path / "s.tsv", vocab)
-    again = sp.SurprisalTable.load(tmp_path / "s.tsv", vocab)
-    assert np.array_equal(again.h, table.h)
+@pytest.mark.parametrize("smoothing", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("tokenizer, max_vocab", [("word", 10), ("word", 5), ("char", 40)])
+def test_surprisal_from_vocab_counts_is_the_corpus_scan(tmp_path, smoothing, tokenizer,
+                                                        max_vocab):
+    """The corpus scan under the vocab counts exactly vocab.counts, [UNK]'s
+    folded mass included, so the table from the counts alone is bitwise
+    the scan's."""
+    corpus = write(tmp_path, "A b a c a b\nречь unicode [MASK] [unk]\n\n b  d\n")
+    vocab = sp.build_vocab(corpus, max_vocab, tokenizer)
+    scanned = sp.surprisal_table(corpus, vocab, smoothing)
+    assert np.array_equal(sp.SurprisalTable.from_counts(vocab.counts, smoothing).h, scanned.h)
 
 
-@pytest.mark.parametrize("rows", [7, 5], ids=["extra-row", "missing-row"])
-def test_surprisal_load_checks_row_count(tmp_path, rows):
-    """A surprisal table that does not have one row per vocab entry is
-    refused at load, naming the file and both counts."""
-    corpus = write(tmp_path, "a b\n")
-    vocab = sp.build_vocab(corpus, 10)
-    assert len(vocab) == 6
-    lines = sp.surprisal_table(corpus, vocab, 1.0).to_tsv(vocab).splitlines()
-    path = tmp_path / "s.tsv"
-    path.write_text("".join(line + "\n" for line in (lines + ["d\t1.0"])[:rows]))
-    with pytest.raises(ValueError) as exc:
-        sp.SurprisalTable.load(path, vocab)
-    assert str(exc.value) == f"{path}: {rows} surprisal rows for a vocab of 6 entries"
+@pytest.mark.parametrize("counts, smoothing", [
+    ((0, 0, 0, 1, 2), float("nan")),
+    ((0, 0, 0, 1, 2), float("inf")),
+    ((0, 0, 0, 1, 2), -0.5),
+    ((0, 0, 0, 0, 0), 1.0),
+    ((0, 0, 0, 3, -1), 1.0),
+], ids=["nan", "inf", "negative", "no-content-count", "negative-count"])
+def test_surprisal_from_counts_rejects(counts, smoothing):
+    with pytest.raises(ValueError):
+        sp.SurprisalTable.from_counts(counts, smoothing)
 
 
 def test_tokenize_round_trip_word(tmp_path):

@@ -424,6 +424,19 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["model.spnd"]
 
 
+@pytest.mark.parametrize("name, value", [("out.w", np.nan), ("opt.v.out.b", np.inf)])
+def test_save_refuses_non_finite_tensor(tmp_path, name, value):
+    """A non-finite tensor, model or optimizer, is refused before anything
+    is written: the error names it, and no file or temp file is left."""
+    params = dn.init_params(tiny_config("lte"), 13)
+    extra = {"opt.v.out.b": np.zeros_like(params.tensors["out.b"])}
+    {**params.tensors, **extra}[name].flat[1] = value
+    with pytest.raises(ValueError, match=f"tensor {name} is not finite"):
+        dn.save_checkpoint(tmp_path / "model.spnd", params, lam=0.25, vocab_hash="deadbeef",
+                           step=1, extra_tensors=extra)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sequence_too_long_rejected():
     params = dn.init_params(tiny_config("tad", n_max=4), 0)
     with pytest.raises(ValueError):

@@ -217,6 +217,37 @@ def test_elbo_eval_stratified_spread_below_iid(word_corpus):
     assert np.std(strat) < 0.85 * np.std(iid)
 
 
+@pytest.mark.parametrize("big_t", [8, 64])
+def test_elbo_eval_puts_one_draw_in_each_stratum(word_corpus, monkeypatch, big_t):
+    """With k = 4 draws per example, each example has exactly one t in each
+    stratum floor(jT/k)+1 .. floor((j+1)T/k), over more examples than one
+    evaluation chunk holds."""
+    from spindle import evaluation
+
+    k = 4
+    params = dn.init_params(
+        dn.DenoiserConfig(vocab_size=len(word_corpus["vocab"]), mode="tad", num_layers=1,
+                          d_model=16, num_heads=2, n_max=16, num_steps=big_t),
+        0,
+    )
+    dataset = [word_corpus["seqs"][i % 5].copy() for i in range(evaluation._EVAL_CHUNK + 6)]
+    position = {id(x): i for i, x in enumerate(dataset)}
+    draws = [[] for _ in dataset]
+    real = evaluation.diffusion_loss_batch
+
+    def recording(params, seqs, rows, t_draws, *args, **kwargs):
+        for x, t in zip(seqs, t_draws):
+            draws[position[id(x)]].append(int(t))
+        return real(params, seqs, rows, t_draws, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "diffusion_loss_batch", recording)
+    sp.elbo_eval(params, dataset, sp.ScheduleParams(num_steps=big_t), word_corpus["table"], k,
+                 seed=5)
+    strata = [(j * big_t // k + 1, (j + 1) * big_t // k) for j in range(k)]
+    for ts in draws:
+        assert [sum(lo <= t <= hi for t in ts) for lo, hi in strata] == [1] * k
+
+
 def test_elbo_eval_empty_dataset_errors(word_corpus):
     params = dn.init_params(
         dn.DenoiserConfig(vocab_size=len(word_corpus["vocab"]), mode="tad", num_layers=1,
