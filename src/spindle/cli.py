@@ -71,6 +71,20 @@ _TRAIN_FIELDS = {"lr": "learning_rate", "warmup": "warmup_steps", "steps": "tota
                  **{k: k for k in ("batch_size", "weight_decay", "mlm_pretrain_steps",
                                    "mlm_mask_rate", "seed")}}
 
+
+def _flag(key: str) -> str:
+    """The train flag that sets `key`."""
+    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+
+
+# The flag that sets each field of TrainConfig, DenoiserConfig, ScheduleParams
+# and SampleConfig, for usage errors; a field without one keeps its name.
+_FIELD_FLAGS = {
+    **{f: _flag(k) for k, f in {**_MODEL_FIELDS, **_TRAIN_FIELDS, "lam": "lam"}.items()},
+    "length": "--length", "num_reverse_iterations": "--iterations", "top_k": "--top-k",
+    "temperature": "--temperature",
+}
+
 # Full-scale training settings from the reference protocol. The paper's
 # sampling settings are named in `spindle sample --help`.
 PRESETS = {
@@ -89,15 +103,15 @@ class UsageError(Exception):
     pass
 
 
-def _checked(fn, *args, flags: dict[str, str] | None = None, **fields):
+def _checked(fn, *args, **fields):
     """fn(*args, **fields) for a settings dataclass or check; a value it
-    rejects is a usage error, naming the flag that `flags` gives for the
-    field its message starts with."""
+    rejects is a usage error, naming the flag of the field its message
+    starts with."""
     try:
         return fn(*args, **fields)
     except ValueError as exc:
         field, _, rest = str(exc).partition(" ")
-        raise UsageError(f"{(flags or {}).get(field, field)} {rest}") from exc
+        raise UsageError(f"{_FIELD_FLAGS.get(field, field)} {rest}") from exc
 
 
 def _require_file(path: str | Path, what: str) -> Path:
@@ -153,11 +167,6 @@ def _make_parents(*paths: str | Path | None) -> None:
     for path in paths:
         if path is not None:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
-
-
-def _flag(key: str) -> str:
-    """The train flag that sets `key`."""
-    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
@@ -263,8 +272,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError("--val-corpus needs --val-every > 0")
     if cfg["val_every"] > 0 and not args.val_corpus:
         raise UsageError("--val-every needs --val-corpus")
-    train_cfg = _checked(TrainConfig, flags={f: _flag(k) for k, f in _TRAIN_FIELDS.items()},
-                         **{f: cfg[k] for k, f in _TRAIN_FIELDS.items()})
+    train_cfg = _checked(TrainConfig, **{f: cfg[k] for k, f in _TRAIN_FIELDS.items()})
     vocab, table = _load_prep(args.prep)
     corpus = _require_file(args.corpus, "corpus")
 

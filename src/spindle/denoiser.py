@@ -55,15 +55,19 @@ class DenoiserConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        if self.d_model % self.num_heads != 0:
-            raise ValueError("d_model must be divisible by num_heads")
-        if self.d_model % 2 != 0:
-            raise ValueError("d_model must be even (sinusoidal time features)")
+            raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
+        if self.d_model < 2 or self.d_model % 2 != 0:
+            raise ValueError(f"d_model must be even and >= 2 (sinusoidal time features), "
+                             f"got {self.d_model}")
+        if self.num_heads < 1 or self.d_model % self.num_heads != 0:
+            raise ValueError(f"num_heads must be >= 1 and divide d_model={self.d_model}, "
+                             f"got {self.num_heads}")
+        if self.n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.vocab_size < 4:
             raise ValueError("vocab_size must be >= 4")
         if not 0 <= self.dropout < 1:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def prefix_len(self) -> int:

@@ -31,9 +31,15 @@ class ScheduleParams:
 
     def __post_init__(self) -> None:
         if self.num_steps < 1:
-            raise ValueError("num_steps must be >= 1")
+            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
         if not 0 <= self.lam < np.inf:
-            raise ValueError("lam must be finite and nonnegative")
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+
+    def check_model_steps(self, model_steps: int) -> None:
+        """Raise ValueError unless a model built for model_steps steps can run
+        under this schedule: its T is the schedule's T."""
+        if model_steps != self.num_steps:
+            raise ValueError(f"schedule T={self.num_steps} does not match model T={model_steps}")
 
 
 def spindle_alpha_raw(h_seq: np.ndarray, t, params: ScheduleParams) -> np.ndarray:

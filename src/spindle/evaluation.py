@@ -49,41 +49,37 @@ def elbo_eval(
     t_samples_per_example: int = 4,
     seed: int = 0,
 ) -> float:
-    """Monte Carlo estimate of the bound in nats per content token, averaged
-    over t_samples_per_example time draws per example. Each example's draws
-    are stratified over {1..T} (`stratified_t_draws`, one offset per example
-    from its own stream): each draw is uniform, so the estimate is unbiased,
-    and the draws cover {1..T} evenly, so it varies less than with iid draws.
-    Dropout is always off; the result is a pure function of (params,
-    dataset, seed).
+    """Monte Carlo estimate of the bound in nats per content token, from
+    t_samples_per_example time draws per example. Each example's draws are
+    stratified over {1..T} (`stratified_t_draws` on its own stream): each is
+    uniform, so the estimate is unbiased, and together they cover {1..T}
+    evenly, so it varies less than with iid draws. The (example, draw)
+    pairs, example-major, go _EVAL_CHUNK at a time to `diffusion_loss_batch`,
+    which bounds memory. Every mask comes from one stream, pair j taking its
+    j-th block of uniforms, so the value does not depend on the chunk size.
+    Dropout is off; the result is a pure function of (params, dataset, seed).
     """
     if not dataset:
         raise ValueError("empty dataset")
     if t_samples_per_example < 1:
         raise ValueError(f"t_samples_per_example must be >= 1, got {t_samples_per_example}")
-    dataset = [np.asarray(x, dtype=np.int64) for x in dataset]
+    sched_params.check_model_steps(params.config.num_steps)
     big_t = sched_params.num_steps
+    dataset = [np.asarray(x, dtype=np.int64) for x in dataset]
+    pairs = [(x, t) for i, x in enumerate(dataset)
+             for t in stratified_t_draws(stream(seed, "elbo", i), t_samples_per_example, big_t)]
+    noise = stream(seed, "elbo-noise")
     total_nats = 0.0
-    total_tokens = sum(len(x) for x in dataset)
-    t_all = np.array([
-        stratified_t_draws(stream(seed, "elbo", i), t_samples_per_example, big_t)
-        for i in range(len(dataset))
-    ])  # (examples, t_samples_per_example)
-    for k in range(t_samples_per_example):
-        for lo in range(0, len(dataset), _EVAL_CHUNK):
-            seqs = dataset[lo : lo + _EVAL_CHUNK]
-            t_draws = t_all[lo : lo + len(seqs), k]
-            rows = [
-                spindle_alpha_bar_at(surprisal.h_for(x), [t - 1, t], sched_params)
-                for x, t in zip(seqs, t_draws)
-            ]
-            breakdown, _ = diffusion_loss_batch(
-                params, seqs, rows, t_draws, big_t,
-                stream(seed, "elbo-noise", k, lo),
-                train=False, want_grads=False,
-            )
-            total_nats += big_t * (breakdown.l_t_kl + breakdown.l_0)
-    return total_nats / t_samples_per_example / total_tokens
+    for lo in range(0, len(pairs), _EVAL_CHUNK):
+        chunk = pairs[lo : lo + _EVAL_CHUNK]
+        rows = [spindle_alpha_bar_at(surprisal.h_for(x), [t - 1, t], sched_params)
+                for x, t in chunk]
+        breakdown, _ = diffusion_loss_batch(
+            params, [x for x, _ in chunk], rows, np.array([t for _, t in chunk]), big_t,
+            noise, train=False, want_grads=False,
+        )
+        total_nats += breakdown.total * breakdown.num_tokens
+    return total_nats / sum(len(x) for x, _ in pairs)
 
 
 def exact_elbo(predict_fn, x0: np.ndarray, alpha_bar: np.ndarray) -> float:

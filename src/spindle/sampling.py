@@ -45,11 +45,12 @@ class SampleConfig:
 
     def __post_init__(self) -> None:
         if self.length < 1:
-            raise ValueError("length must be >= 1")
+            raise ValueError(f"length must be >= 1, got {self.length}")
         if self.num_reverse_iterations < 1:
-            raise ValueError("num_reverse_iterations must be >= 1")
+            raise ValueError(
+                f"num_reverse_iterations must be >= 1, got {self.num_reverse_iterations}")
         if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
         if not 0 < self.temperature < np.inf:
             raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
 
@@ -132,16 +133,16 @@ def _draw_top_k(
 def check_sample_config(
     params: DenoiserParams, sched_params: ScheduleParams, cfg: SampleConfig
 ) -> None:
-    """Raise ValueError unless the length fits n_max and the iterations divide T."""
+    """Raise ValueError unless the length fits n_max, the schedule has the
+    model's T and the iterations divide T. Each message starts with the name
+    of the setting at fault."""
     if cfg.length > params.config.n_max:
         raise ValueError(f"length {cfg.length} exceeds model n_max={params.config.n_max}")
+    sched_params.check_model_steps(params.config.num_steps)
     big_t = sched_params.num_steps
-    if big_t != params.config.num_steps:
-        raise ValueError("schedule T does not match model T")
     if big_t % cfg.num_reverse_iterations != 0:
         raise ValueError(
-            f"num_reverse_iterations={cfg.num_reverse_iterations} must divide T={big_t}"
-        )
+            f"num_reverse_iterations must divide T={big_t}, got {cfg.num_reverse_iterations}")
 
 
 @dataclass

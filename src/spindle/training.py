@@ -51,10 +51,12 @@ class TrainConfig:
         if not 0 <= self.weight_decay < np.inf:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0 < self.mlm_mask_rate < 1:
-            raise ValueError("mlm_mask_rate must be in (0, 1)")
-        if self.batch_size < 1 or min(self.total_steps, self.warmup_steps,
-                                      self.mlm_pretrain_steps) < 0:
-            raise ValueError("batch_size must be >= 1 and step counts >= 0")
+            raise ValueError(f"mlm_mask_rate must be in (0, 1), got {self.mlm_mask_rate}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("total_steps", "warmup_steps", "mlm_pretrain_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,12 @@ def _masked_ce(
 
     The items run in groups of _GROUP_SIZE consecutive items of the stable
     sort by length, each group in batch order and padded to its own longest
-    line; the per-item losses come back in batch order. With want_grads,
-    one zero buffer is allocated per call and every group's `backward` adds
-    into it; an empty batch gives zero losses and zero gradients.
+    line; the per-item losses come back in batch order. Each group's logits,
+    log-probabilities and forward cache are released before the next
+    group's forward, so a call holds one group's tensors at a time. With
+    want_grads, one zero buffer is allocated per call and every group's
+    `backward` adds into it; an empty batch gives zero losses and zero
+    gradients.
     """
     if any((x0 == MASK_ID).any() for x0 in targets):
         raise ValueError("training sequence contains [MASK]")
@@ -131,11 +136,12 @@ def _masked_ce(
         per_pos = np.zeros(xt.shape)
         per_pos[masked] = w * -logp[rows, target]
         per_item[group] = per_pos.sum(axis=1)
-        if want_grads:
-            upstream = np.exp(logp, out=logp)
-            upstream[rows, target] -= 1.0
-            upstream *= w[:, None]
-            denoiser.backward(cache, upstream, grads)
+        if want_grads:  # in place, logp becomes d(loss)/d(logits) = w * (softmax - onehot)
+            np.exp(logp, out=logp)
+            logp[rows, target] -= 1.0
+            logp *= w[:, None]
+            denoiser.backward(cache, logp, grads)
+        del logits, logp, cache  # else the next group's forward runs while these are held
     return per_item, grads
 
 
@@ -389,6 +395,7 @@ def run_training(
     """
     if not sequences:
         raise ValueError("no training sequences")
+    sched_params.check_model_steps(params.config.num_steps)
     if log_every < 1:
         raise ValueError(f"log_every must be >= 1, got {log_every}")
     sequences = [np.asarray(s, dtype=np.int64) for s in sequences]

@@ -265,7 +265,7 @@ def test_sample_iterations_must_divide_T(tmp_path, corpus_file, prep_dir, capsys
                    "--num", "1", "--length", "5", "--iterations", "3",
                    "--out", str(tmp_path / "s.txt")])
     assert rc == 2
-    assert "error: num_reverse_iterations=3 must divide T=8" in capsys.readouterr().err
+    assert "error: --iterations must divide T=8, got 3" in capsys.readouterr().err
 
 
 def test_sample_num_below_1_is_usage_error(tmp_path, corpus_file, prep_dir, capsys):
@@ -383,8 +383,8 @@ def test_half_set_validation_is_usage_error(tmp_path, corpus_file, prep_dir, cap
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--iterations", "3"], "num_reverse_iterations=3 must divide T=8"),
-    (["--length", "0"], "length must be >= 1"),
+    (["--iterations", "3"], "--iterations must divide T=8, got 3"),
+    (["--length", "0"], "--length must be >= 1, got 0"),
     (["--num-gen", "1"], "--num-gen must be >= 2 for self-BLEU, got 1"),
     (["--t-samples", "0"], "--t-samples must be >= 1, got 0"),
 ], ids=["iterations", "length", "num-gen", "t-samples"])
@@ -483,6 +483,49 @@ def test_rejected_settings_exit_2(tmp_path, corpus_file, prep_dir, capsys, comma
     capsys.readouterr()
     assert cli.main([command, *base, "--out", str(out), *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--warmup", "-1"),
+    ("train", "--steps", "-1"),
+    ("train", "--T", "0"),
+    ("train", "--lambda", "-1"),
+    ("train", "--layers", "0"),
+    ("train", "--heads", "3"),
+    ("train", "--heads", "0"),
+    ("train", "--d-model", "0"),
+    ("train", "--n-max", "0"),
+    ("sample", "--iterations", "3"),
+    ("sample", "--iterations", "0"),
+    ("sample", "--top-k", "0"),
+    ("eval", "--iterations", "0"),
+    ("eval", "--top-k", "0"),
+    ("schedule", "--T", "0"),
+    ("schedule", "--lambda", "-1"),
+])
+def test_usage_error_names_the_flag(tmp_path, corpus_file, prep_dir, capsys, command, flag,
+                                    value):
+    """A value that a settings dataclass or check rejects is a usage error
+    that names the flag the user typed, not the field behind it; nothing is
+    written and no traceback is printed."""
+    out = tmp_path / "out"
+    base = {
+        "train": ["--corpus", str(corpus_file), "--prep", str(prep_dir), "--steps", "2",
+                  "--batch-size", "4", "--layers", "1", "--d-model", "16", "--heads", "2",
+                  "--n-max", "16", "--T", "8"],
+        "schedule": ["--prep", str(prep_dir), "--text", "the cat sat"],
+    }.get(command)
+    if base is None:
+        run = train_tiny(tmp_path, corpus_file, prep_dir)
+        base = ["--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
+                "--iterations", "4", "--length", "4"]
+        if command == "eval":
+            base += ["--test", str(corpus_file), "--num-gen", "2"]
+    capsys.readouterr()
+    assert cli.main([command, *base, "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and "Traceback" not in err
     assert not out.exists()
 
 

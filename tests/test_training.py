@@ -417,6 +417,42 @@ def test_run_training_rejects_log_every_below_1(word_corpus, log_every):
                         log_every=log_every)
 
 
+@pytest.mark.parametrize("sched_t", [2, 16])
+def test_run_training_rejects_a_schedule_of_another_T(word_corpus, sched_t):
+    """A T = 8 model trains only under a T = 8 schedule."""
+    vocab, table, seqs = word_corpus["vocab"], word_corpus["table"], word_corpus["seqs"]
+    params = tiny_params(vocab_size=len(vocab))
+    with pytest.raises(ValueError, match=f"schedule T={sched_t} does not match model T=8"):
+        sp.run_training(params, vocab, table, seqs, sp.ScheduleParams(num_steps=sched_t),
+                        sp.TrainConfig(batch_size=2, total_steps=1))
+
+
+def test_masked_ce_holds_one_group_at_a_time():
+    """A four-group call peaks at under 1.2x the memory of a one-group call
+    on the same shapes: each group's logits, log-probabilities and forward
+    cache are released before the next group's forward. Holding the last
+    group's arrays through the next forward reads 1.43x."""
+    import tracemalloc
+
+    from spindle.training import _GROUP_SIZE
+
+    params = tiny_params(vocab_size=4000, num_layers=2, d_model=32, n_max=32, randomize=False)
+    rng = np.random.default_rng(0)
+    x0 = rng.integers(4, 4000, (4 * _GROUP_SIZE, 32))
+    xt = np.where(rng.random(x0.shape) < 0.5, MASK_ID, x0)
+
+    def peak(b):
+        tracemalloc.start()
+        try:
+            _masked_ce(params, list(xt[:b]), list(x0[:b]), [np.ones(32)] * b, np.ones(b, int),
+                       rng, train=False, want_grads=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * _GROUP_SIZE) < 1.2 * peak(_GROUP_SIZE)
+
+
 def test_resume_matches_uninterrupted(word_corpus, tmp_path):
     """Stopping at a checkpoint and resuming replays the uninterrupted run
     exactly (same metrics, same final tensors)."""
