@@ -238,9 +238,9 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     if not 0 <= args.smoothing < np.inf:
         raise UsageError(f"--smoothing must be finite and >= 0, got {args.smoothing}")
     corpus = _require_file(args.corpus, "corpus")
+    vocab = _checked(build_vocab, corpus, args.vocab_size, args.tokenizer)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    vocab = build_vocab(corpus, args.vocab_size, args.tokenizer)
     vocab.save(out / "vocab.tsv")
     with corpus.open(encoding="utf-8") as fh:
         num_lines = sum(1 for line in fh if line.strip())
@@ -303,18 +303,27 @@ def cmd_train(args: argparse.Namespace) -> int:
                              **{f: cfg[k] for k, f in _MODEL_FIELDS.items()})
         params = init_params(model_cfg, stream(cfg["seed"], "init")).astype(np.float32)
     sched_params = _checked(ScheduleParams, num_steps=cfg["T"], lam=cfg["lam"])
-    sequences = _read_sequences(corpus, vocab, model_cfg.n_max)
+    val_path = _require_file(args.val_corpus, "validation corpus") if args.val_corpus else None
+
+    # --out is made before the corpora are tokenized, so an unusable one
+    # fails at once; a corpus without a usable line removes what was made.
+    out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        sequences = _read_sequences(corpus, vocab, model_cfg.n_max)
+        val_seqs = _read_sequences(val_path, vocab, model_cfg.n_max) if val_path else None
+    except UsageError:
+        for d in made:
+            d.rmdir()
+        raise
 
     val_fn = None
-    if args.val_corpus:
-        val_seqs = _read_sequences(_require_file(args.val_corpus, "validation corpus"), vocab, model_cfg.n_max)
-
+    if val_path:
         def val_fn(p, step):
             return elbo_eval(p, val_seqs, sched_params, table,
                              t_samples_per_example=2, seed=cfg["seed"])
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     resolved = {"format_version": FORMAT_VERSION, "config": cfg}
     (out / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 

@@ -112,7 +112,9 @@ def _masked_ce(
     sort by length, each group in batch order and padded to its own longest
     line; the per-item losses come back in batch order. Each group's logits,
     log-probabilities and forward cache are released before the next
-    group's forward, so a call holds one group's tensors at a time. With
+    group's forward, so a call holds one group's tensors at a time. The
+    release costs no page faults: with the heap thresholds the package
+    pins at import, the next group reuses the freed blocks in place. With
     want_grads, one zero buffer is allocated per call and every group's
     `backward` adds into it; an empty batch gives zero losses and zero
     gradients.

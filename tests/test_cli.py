@@ -71,6 +71,18 @@ def test_prepare_missing_corpus(tmp_path):
     assert rc == 2
 
 
+def test_prepare_empty_corpus_is_usage_error(tmp_path, capsys):
+    """A corpus without a token exits 2 naming it, and --out is not made."""
+    corpus = tmp_path / "empty.txt"
+    corpus.write_text("\n  \n", encoding="utf-8")
+    out = tmp_path / "p"
+    capsys.readouterr()
+    rc = cli.main(["prepare", "--corpus", str(corpus), "--vocab-size", "10", "--out", str(out)])
+    assert rc == 2
+    assert f"error: corpus {corpus} contains no tokens" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_writes_artifacts(tmp_path, corpus_file, prep_dir):
     out = train_tiny(tmp_path, corpus_file, prep_dir)
     assert (out / "model.spnd").exists()
@@ -449,6 +461,44 @@ def test_os_error_is_runtime_failure(tmp_path, corpus_file, prep_dir, capsys, ca
     err = capsys.readouterr().err
     assert err.startswith("runtime failure: ") and str(path) in err
     assert "Traceback" not in err
+
+
+def test_train_unusable_out_fails_before_tokenizing(tmp_path, corpus_file, prep_dir, capsys,
+                                                    monkeypatch):
+    """An --out under a regular file exits 3 naming it before any corpus is
+    tokenized."""
+    blocker = tmp_path / "f"
+    blocker.write_text("a file\n")
+    read = []
+    monkeypatch.setattr(cli, "_read_sequences", lambda *a: read.append(a))
+    capsys.readouterr()
+    rc = cli.main(["train", "--corpus", str(corpus_file), "--prep", str(prep_dir),
+                   "--val-corpus", str(corpus_file), "--val-every", "1",
+                   "--out", str(blocker / "run"), "--steps", "2", "--batch-size", "4",
+                   "--layers", "1", "--d-model", "16", "--heads", "2", "--n-max", "16",
+                   "--T", "8"])
+    assert rc == 3
+    assert str(blocker / "run") in capsys.readouterr().err
+    assert read == []
+
+
+@pytest.mark.parametrize("which", ["train", "validation"])
+def test_train_corpus_without_lines_makes_no_out(tmp_path, corpus_file, prep_dir, capsys,
+                                                 which):
+    """A training or validation corpus without a usable line exits 2, and
+    the --out directories made for the run are removed again."""
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n \n", encoding="utf-8")
+    train, val = (blank, corpus_file) if which == "train" else (corpus_file, blank)
+    out = tmp_path / "a" / "b" / "run"
+    capsys.readouterr()
+    rc = cli.main(["train", "--corpus", str(train), "--prep", str(prep_dir),
+                   "--val-corpus", str(val), "--val-every", "1",
+                   "--out", str(out), "--steps", "2", "--batch-size", "4", "--layers", "1",
+                   "--d-model", "16", "--heads", "2", "--n-max", "16", "--T", "8"])
+    assert rc == 2
+    assert f"error: no usable sequences in {blank}" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
 
 
 def test_eval_missing_test_file(tmp_path, corpus_file, prep_dir):

@@ -453,6 +453,76 @@ def test_masked_ce_holds_one_group_at_a_time():
     assert peak(4 * _GROUP_SIZE) < 1.2 * peak(_GROUP_SIZE)
 
 
+def test_keep_freed_heap_sets_both_thresholds_in_order():
+    """The mmap threshold is pinned at 32 MiB, then the trim threshold at
+    64 MiB; a libc without mallopt, or whose mallopt refuses, raises
+    nothing."""
+    calls = []
+
+    class Libc:
+        @staticmethod
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 0
+
+    sp._keep_freed_heap(Libc())
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    sp._keep_freed_heap(object())
+
+
+_FAULTS_PER_STEP = """
+import resource
+
+import numpy as np
+
+import spindle as sp
+from spindle.corpus import SPECIAL_TOKENS, UNK_TOKEN
+
+vocab = sp.Vocab(SPECIAL_TOKENS + (UNK_TOKEN,) + tuple(f"w{i}" for i in range(1996)),
+                 (0, 0, 0) + (1,) * 1997)
+rng = np.random.default_rng(0)
+seqs = [rng.integers(4, 2000, 40) for _ in range(64)]
+config = sp.DenoiserConfig(vocab_size=2000, num_layers=2, d_model=64, n_max=40)
+faults = []
+
+
+def stop(metrics, step):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return step == 8
+
+
+sp.run_training(sp.init_params(config, 0).astype(np.float32), vocab,
+                sp.SurprisalTable.from_counts(vocab.counts), seqs, sp.ScheduleParams(64),
+                sp.TrainConfig(batch_size=16, total_steps=100), log_every=1, stop_fn=stop)
+print((faults[7] - faults[2]) / 5)
+"""
+
+
+def _has_mallopt() -> bool:
+    import ctypes
+    import os
+
+    return os.name == "posix" and hasattr(ctypes.CDLL(None), "mallopt")
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_train_steps_reuse_freed_heap():
+    """Steps 4-8 of a run whose group arrays are larger than glibc's default
+    128 KiB mmap threshold fault fewer than 100 pages each: the freed heap
+    is reused, not given back to the kernel and faulted in again. Without
+    the pinned thresholds a step faults about 1,800 pages."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 100
+
+
 def test_resume_matches_uninterrupted(word_corpus, tmp_path):
     """Stopping at a checkpoint and resuming replays the uninterrupted run
     exactly (same metrics, same final tensors)."""
