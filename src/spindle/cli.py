@@ -121,6 +121,14 @@ def _require_file(path: str | Path, what: str) -> Path:
     return p
 
 
+def _read_text(path: Path) -> str:
+    """A UTF-8 input file's text; another encoding is a usage error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _load_prep(prep_dir: str | Path):
     """The vocab of a prep directory and the surprisal table of its counts
     and stats.json's smoothing. A missing file is a usage error; a damaged
@@ -196,7 +204,7 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         try:
-            payload = json.loads(_require_file(config_path, "config file").read_text())
+            payload = json.loads(_read_text(_require_file(config_path, "config file")))
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file {config_path} is not JSON: {exc}") from exc
         settings = payload.get("config", payload) if isinstance(payload, dict) else payload
@@ -217,7 +225,7 @@ def _read_sequences(path: Path, vocab: Vocab, n_max: int) -> list[np.ndarray]:
     goes to stderr."""
     seqs = []
     cut = 0
-    for line in path.read_text(encoding="utf-8").split("\n"):
+    for line in _read_text(path).split("\n"):
         ids = tokenize(line, vocab)
         if ids.size:
             cut += ids.size > n_max
@@ -238,12 +246,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     if not 0 <= args.smoothing < np.inf:
         raise UsageError(f"--smoothing must be finite and >= 0, got {args.smoothing}")
     corpus = _require_file(args.corpus, "corpus")
+    num_lines = sum(1 for line in _read_text(corpus).split("\n") if line.strip())
     vocab = _checked(build_vocab, corpus, args.vocab_size, args.tokenizer)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vocab.save(out / "vocab.tsv")
-    with corpus.open(encoding="utf-8") as fh:
-        num_lines = sum(1 for line in fh if line.strip())
     stats = {
         "format_version": FORMAT_VERSION,
         "config": {

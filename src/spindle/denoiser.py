@@ -6,7 +6,7 @@ token prepended internally. Three time-conditioning modes:
   lte  sinusoidal step embedding through a 2-layer MLP, added to the hidden
        state at the input of every layer
   pte  a learned per-step token inserted between [CLS] and the sequence
-  tad  no time input at all; the mask count carries the step implicitly
+  tad  ignores the step `forward` is given; the mask count carries it
 
 An unmasked token is its own x0, so the model predicts only at [MASK]. The
 last layer's keys and values read every row, but past its attention only
@@ -35,6 +35,7 @@ SPECIAL_IDS = (MASK_ID, PAD_ID, CLS_ID)
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 _NEG = -1e30
+_FFN_MULT = 4  # FFN hidden width, in multiples of d_model
 
 CHECKPOINT_VERSION = 2
 
@@ -49,7 +50,6 @@ class DenoiserConfig:
     n_max: int = 64
     num_steps: int = 64
     dropout: float = 0.1
-    ffn_mult: int = 4
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -121,7 +121,7 @@ def param_shapes(config: DenoiserConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter tensor the config implies, in the
     order `init_params` draws them."""
     d, k = config.d_model, config.vocab_size
-    dh = d * config.ffn_mult
+    dh = d * _FFN_MULT
     shapes = {"tok_emb": (k, d), "pos_emb": (config.n_max + 2, d)}
     for i in range(config.num_layers):
         p = f"layer{i}."
@@ -259,14 +259,6 @@ def _add_rows_at(into: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
     into[uniq] += part
 
 
-def _check_time_arg(config: DenoiserConfig, t) -> None:
-    if config.mode == "tad":
-        if t is not None:
-            raise ValueError("tad mode takes no time step")
-    elif t is None:
-        raise ValueError(f"{config.mode} mode requires a time step")
-
-
 def forward(
     params: DenoiserParams,
     xt: np.ndarray,
@@ -277,13 +269,14 @@ def forward(
 ) -> tuple[np.ndarray, dict]:
     """Logits over the vocabulary at each [MASK] position of xt.
 
-    xt: (B, n) token ids, possibly containing [MASK]/[PAD]. t: (B,) steps for
-    lte/pte, None for tad. Returns (logits (m, K), cache): one row per [MASK]
-    of xt in row-major order, i.e. the rows of `xt == MASK_ID`; mask/pad/cls
-    columns are -inf. The last layer runs past its attention on those rows
-    only. Its dropout masks are drawn at the full (B, n + prefix, d) shape
-    and taken at those rows, so a pass draws from rng as if every row ran.
-    The cache holds every activation needed by `backward`.
+    xt: (B, n) token ids, possibly containing [MASK]/[PAD]. t: (B,) steps or
+    one step, which lte and pte need in 0..T and tad drops on entry. Returns
+    (logits (m, K), cache): one row per [MASK] of xt in row-major order, i.e.
+    the rows of `xt == MASK_ID`; mask/pad/cls columns are -inf. The last
+    layer runs past its attention on those rows only. Its dropout masks are
+    drawn at the full (B, n + prefix, d) shape and taken at those rows, so a
+    pass draws from rng as if every row ran. The cache holds every
+    activation needed by `backward`.
     """
     cfg = params.config
     p = params.tensors
@@ -291,8 +284,11 @@ def forward(
     B, n = xt.shape
     if n > cfg.n_max:
         raise ValueError(f"sequence length {n} exceeds n_max={cfg.n_max}")
-    _check_time_arg(cfg, t)
-    if t is not None:
+    if cfg.mode == "tad":
+        t = None
+    elif t is None:
+        raise ValueError(f"{cfg.mode} mode requires a time step")
+    else:
         t = np.broadcast_to(np.asarray(t, dtype=np.int64), (B,)).copy()
         if (t < 0).any() or (t > cfg.num_steps).any():
             raise ValueError("time step out of range")

@@ -25,8 +25,6 @@ from .rng import stream
 from .sampling import SampleConfig, generate_batch
 from .training import diffusion_loss_batch, stratified_t_draws
 
-_EVAL_CHUNK = 64
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -54,32 +52,27 @@ def elbo_eval(
     stratified over {1..T} (`stratified_t_draws` on its own stream): each is
     uniform, so the estimate is unbiased, and together they cover {1..T}
     evenly, so it varies less than with iid draws. The (example, draw)
-    pairs, example-major, go _EVAL_CHUNK at a time to `diffusion_loss_batch`,
-    which bounds memory. Every mask comes from one stream, pair j taking its
-    j-th block of uniforms, so the value does not depend on the chunk size.
-    Dropout is off; the result is a pure function of (params, dataset, seed).
+    pairs, example-major, go to `diffusion_loss_batch` in one call: its
+    length groups hold one group's tensors at a time, which bounds memory.
+    Every mask comes from one stream, pair j taking its j-th block of
+    uniforms. Dropout is off; the result is a pure function of (params,
+    dataset, seed).
     """
     if not dataset:
         raise ValueError("empty dataset")
     if t_samples_per_example < 1:
         raise ValueError(f"t_samples_per_example must be >= 1, got {t_samples_per_example}")
     sched_params.check_model_steps(params.config.num_steps)
-    big_t = sched_params.num_steps
+    big_t, k = sched_params.num_steps, t_samples_per_example
     dataset = [np.asarray(x, dtype=np.int64) for x in dataset]
-    pairs = [(x, t) for i, x in enumerate(dataset)
-             for t in stratified_t_draws(stream(seed, "elbo", i), t_samples_per_example, big_t)]
-    noise = stream(seed, "elbo-noise")
-    total_nats = 0.0
-    for lo in range(0, len(pairs), _EVAL_CHUNK):
-        chunk = pairs[lo : lo + _EVAL_CHUNK]
-        rows = [spindle_alpha_bar_at(surprisal.h_for(x), [t - 1, t], sched_params)
-                for x, t in chunk]
-        breakdown, _ = diffusion_loss_batch(
-            params, [x for x, _ in chunk], rows, np.array([t for _, t in chunk]), big_t,
-            noise, train=False, want_grads=False,
-        )
-        total_nats += breakdown.total * breakdown.num_tokens
-    return total_nats / sum(len(x) for x, _ in pairs)
+    seqs = [x for x in dataset for _ in range(k)]
+    t_draws = np.concatenate([stratified_t_draws(stream(seed, "elbo", i), k, big_t)
+                              for i in range(len(dataset))])
+    rows = [spindle_alpha_bar_at(surprisal.h_for(x), [t - 1, t], sched_params)
+            for x, t in zip(seqs, t_draws)]
+    breakdown, _ = diffusion_loss_batch(params, seqs, rows, t_draws, stream(seed, "elbo-noise"),
+                                        train=False, want_grads=False)
+    return breakdown.total
 
 
 def exact_elbo(predict_fn, x0: np.ndarray, alpha_bar: np.ndarray) -> float:
@@ -92,15 +85,6 @@ def exact_elbo(predict_fn, x0: np.ndarray, alpha_bar: np.ndarray) -> float:
     n = len(x0)
     if np.any(alpha_bar[-1] != 0.0):
         raise ValueError("prior term nonzero: schedule must end fully masked")
-    preds: dict[tuple, np.ndarray] = {}
-
-    def pred_for(pattern: tuple[bool, ...], t: int) -> np.ndarray:
-        key = (pattern, t)
-        if key not in preds:
-            xt = np.where(np.array(pattern), MASK_ID, x0)
-            preds[key] = np.asarray(predict_fn(xt, t))
-        return preds[key]
-
     total = 0.0
     for t in range(1, len(alpha_bar)):
         a_t = alpha_bar[t]
@@ -110,7 +94,7 @@ def exact_elbo(predict_fn, x0: np.ndarray, alpha_bar: np.ndarray) -> float:
             weight = float(np.prod(np.where(m, 1.0 - a_t, a_t)))
             if weight == 0.0:
                 continue
-            pred = pred_for(pattern, t)
+            pred = np.asarray(predict_fn(np.where(m, MASK_ID, x0), t))
             p_truth = pred[np.arange(n), x0]
             term = float(np.sum(np.where(m, r * -np.log(np.maximum(p_truth, 1e-300)), 0.0)))
             total += weight * term
@@ -119,13 +103,10 @@ def exact_elbo(predict_fn, x0: np.ndarray, alpha_bar: np.ndarray) -> float:
 
 def model_predict_fn(params: DenoiserParams):
     """(state, t) -> (n, K) clean-token rows for the tiny oracles: the model's
-    softmax at [MASK] positions, a point mass on the token itself elsewhere.
-    Time-agnostic models ignore t.
-    """
-    time_aware = params.config.mode in ("lte", "pte")
+    softmax at [MASK] positions, a point mass on the token itself elsewhere."""
 
     def predict(xt: np.ndarray, t: int) -> np.ndarray:
-        logits = forward(params, xt, t if time_aware else None)[0]
+        logits = forward(params, xt, t)[0]
         z = np.exp(logits - logits.max(axis=-1, keepdims=True))
         rows = (xt[:, None] == np.arange(params.config.vocab_size)).astype(np.float64)
         rows[xt == MASK_ID] = z / z.sum(axis=-1, keepdims=True)

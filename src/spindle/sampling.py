@@ -186,16 +186,14 @@ def generate_batch(
     for it, t in enumerate(range(big_t, 0, -stride), start=1):
         s = t - stride
         masked = x == MASK_ID
-        if model_cfg.mode in ("lte", "pte"):
-            logits, _ = denoiser.forward(params, x, np.full(num, t), train=False)
-        elif it == 1 or (changed := (x != prev_x).any(axis=1)).all():
-            logits, _ = denoiser.forward(params, x, None, train=False)
+        if model_cfg.mode != "tad" or it == 1 or (changed := (x != prev_x).any(axis=1)).all():
+            logits, _ = denoiser.forward(params, x, t, train=False)
         else:  # tad: a chain with the same x as last iteration reuses its rows
             fresh = np.repeat(changed, masked.sum(axis=1))  # per logits row
             logits = np.empty((len(fresh), prev_logits.shape[1]), dtype=prev_logits.dtype)
             logits[~fresh] = prev_logits[~np.repeat(changed, (prev_x == MASK_ID).sum(axis=1))]
             if changed.any():
-                logits[fresh] = denoiser.forward(params, x[changed], None, train=False)[0]
+                logits[fresh] = denoiser.forward(params, x[changed], t, train=False)[0]
         prev_x, prev_logits = x, logits
         x0_hat = x.copy()
         x0_hat[masked] = _draw_top_k(logits, masked, excluded, cfg.top_k, cfg.temperature, rng)

@@ -12,10 +12,11 @@ the prior term is identically 0 because every schedule ends fully masked.
 MLM pretraining and the bound share one masked cross-entropy core
 (`_masked_ce`): both charge weight * (-log p(x0^i | x_t)) at the [MASK]
 positions of x_t and differ only in the weights. MLM uses 1/num_masked, the
-bound reveal_prob * T / num_tokens. The core runs a batch in length groups:
-it stable-sorts the items by length, cuts groups of 8, and pads each group
-only to its own longest line, so the trunk does little work on pad rows.
-A batch of 8 or fewer items is one group.
+bound reveal_prob * T / num_tokens, T the model's. Each item's step goes to
+the denoiser, whose time mode decides whether to read it. The core runs a
+batch in length groups: it stable-sorts the items by length, cuts groups of
+8, and pads each group only to its own longest line, so the trunk does
+little work on pad rows. A batch of 8 or fewer items is one group.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class LossBreakdown:
     l_t_kl: float
     l_0: float
     total: float
-    num_tokens: int = 0
 
 
 # Items per forward pass in `_masked_ce`: enough rows for efficient GEMMs,
@@ -104,7 +104,7 @@ def _masked_ce(
 ) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
     """The loss core shared by MLM and the bound: per item, the sum over its
     [MASK] positions of weight * (-log p(target | x_t)), and the gradients of
-    the batch total. t is the step fed to lte/pte models; tad ignores it.
+    the batch total. t holds each item's step, passed to the denoiser as is.
     The denoiser's rows, the weights and the targets are all taken at
     `xt == MASK_ID`; pads are PAD_ID, so it never selects them.
 
@@ -112,16 +112,15 @@ def _masked_ce(
     sort by length, each group in batch order and padded to its own longest
     line; the per-item losses come back in batch order. Each group's logits,
     log-probabilities and forward cache are released before the next
-    group's forward, so a call holds one group's tensors at a time. The
-    release costs no page faults: with the heap thresholds the package
-    pins at import, the next group reuses the freed blocks in place. With
-    want_grads, one zero buffer is allocated per call and every group's
-    `backward` adds into it; an empty batch gives zero losses and zero
-    gradients.
+    group's forward, so a call holds one group's tensors at a time, however
+    many items it scores: that bounds its memory. The release costs no page
+    faults: with the heap thresholds the package pins at import, the next
+    group reuses the freed blocks in place. With want_grads, one zero buffer
+    is allocated per call and every group's `backward` adds into it; an
+    empty batch gives zero losses and zero gradients.
     """
     if any((x0 == MASK_ID).any() for x0 in targets):
         raise ValueError("training sequence contains [MASK]")
-    t_in = None if params.config.mode == "tad" else np.asarray(t)
     per_item = np.zeros(len(xts))
     grads = params.zeros_like() if want_grads else None
     order = np.argsort([len(x) for x in xts], kind="stable")
@@ -132,8 +131,7 @@ def _masked_ce(
         masked = xt == MASK_ID
         w = _pad_batch([weights[i] for i in group], 0.0)[masked]
         rows, target = np.arange(len(w)), x0[masked]
-        logits, cache = denoiser.forward(params, xt, None if t_in is None else t_in[group],
-                                         train=train, rng=rng)
+        logits, cache = denoiser.forward(params, xt, t[group], train=train, rng=rng)
         logp = _log_softmax(logits)
         per_pos = np.zeros(xt.shape)
         per_pos[masked] = w * -logp[rows, target]
@@ -152,7 +150,6 @@ def diffusion_loss_batch(
     seqs: list[np.ndarray],
     alpha_rows: list[np.ndarray],
     t_draws: np.ndarray,
-    num_steps: int,
     rng: np.random.Generator | int | None,
     *,
     train: bool = True,
@@ -160,12 +157,13 @@ def diffusion_loss_batch(
 ) -> tuple[LossBreakdown, dict[str, np.ndarray] | None]:
     """Sampled-t bound estimate and its parameter gradients for a batch.
 
-    Item i is drawn at step t_draws[i] in {1..num_steps}; alpha_rows[i] holds
-    its two retention rows alpha_bar[t-1] and alpha_bar[t], shape (2, n_i).
-    Gradients are of `total`, i.e. already importance-weighted and per-token
-    normalized.
+    Item i is drawn at step t_draws[i] in {1..T}, T the model's num_steps;
+    alpha_rows[i] holds its two retention rows alpha_bar[t-1] and
+    alpha_bar[t], shape (2, n_i). Gradients are of `total`, i.e. already
+    importance-weighted and per-token normalized.
     """
     rng = as_generator(rng)
+    num_steps = params.config.num_steps
     t_draws = np.asarray(t_draws, dtype=np.int64)
     if ((t_draws < 1) | (t_draws > num_steps)).any():
         raise ValueError("t draws must lie in {1..T}")
@@ -186,7 +184,7 @@ def diffusion_loss_batch(
     unweight = num_tokens / num_steps
     l0 = float(per_item[is_recon].sum() * unweight)
     l_kl = float(per_item[~is_recon].sum() * unweight)
-    return LossBreakdown(l_kl, l0, float(per_item.sum()), num_tokens), grads
+    return LossBreakdown(l_kl, l0, float(per_item.sum())), grads
 
 
 def mlm_pretrain_step(
@@ -365,6 +363,24 @@ def opt_state_from_records(params: DenoiserParams, records: dict[str, np.ndarray
     return AdamState(m, v)
 
 
+def _records_through(path: Path, last_step: int) -> bytes:
+    """The complete lines of metrics file `path` of steps <= last_step; one
+    that is not a UTF-8 JSON object with an integer "step" raises ValueError."""
+    kept = []
+    for num, line in enumerate(path.read_bytes().splitlines(True), start=1):
+        if not line.endswith(b"\n"):
+            continue  # a record cut short
+        try:
+            step = json.loads(line)["step"]
+        except (ValueError, TypeError, KeyError):  # not UTF-8 JSON, or no object with a step
+            step = None
+        if type(step) is not int:
+            raise ValueError(f"{path}: line {num} is not a JSON object with an integer step")
+        if step <= last_step:
+            kept.append(line)
+    return b"".join(kept)
+
+
 def run_training(
     params: DenoiserParams,
     vocab: Vocab,
@@ -393,7 +409,7 @@ def run_training(
     uninterrupted one. Checkpoints are written, never read back; a
     non-finite tensor makes `save_checkpoint` raise. metrics.jsonl keeps
     only its complete records of steps <= start_step: a resume logs no step
-    twice.
+    twice, and a damaged record raises ValueError naming its line.
     """
     if not sequences:
         raise ValueError("no training sequences")
@@ -408,14 +424,11 @@ def run_training(
         out.mkdir(parents=True, exist_ok=True)
 
     passes = ShuffledPasses(cfg.seed, len(sequences))
-    big_t = sched_params.num_steps
 
     metrics: list[dict] = []
     metrics_path = out / "metrics.jsonl" if out is not None else None
     if metrics_path is not None and metrics_path.exists():
-        lines = metrics_path.read_text(encoding="utf-8").splitlines(True)
-        kept = [r for r in lines if r.endswith("\n") and json.loads(r)["step"] <= start_step]
-        metrics_path.write_text("".join(kept), encoding="utf-8")
+        metrics_path.write_bytes(_records_through(metrics_path, start_step))
     total = cfg.mlm_pretrain_steps + cfg.total_steps
     t_start = time.monotonic()
     vocab_hash = vocab.content_hash()
@@ -438,12 +451,12 @@ def run_training(
             breakdown = LossBreakdown(0.0, 0.0, loss)
             opt_step = step
         else:
-            t_draws = stratified_t_draws(rng, cfg.batch_size, big_t)
+            t_draws = stratified_t_draws(rng, cfg.batch_size, sched_params.num_steps)
             rows = [
                 spindle_alpha_bar_at(surprisal.h_for(x0), [t - 1, t], sched_params)
                 for x0, t in zip(batch, t_draws)
             ]
-            breakdown, grads = diffusion_loss_batch(params, batch, rows, t_draws, big_t, rng)
+            breakdown, grads = diffusion_loss_batch(params, batch, rows, t_draws, rng)
             loss = breakdown.total
             opt_step = step - cfg.mlm_pretrain_steps
             if opt_step == 1:

@@ -139,7 +139,7 @@ def check_gradient_fd(num_coords: int = 100, seed: int = 0, eps: float = 1e-4) -
     rows = spindle_alpha_bar_at(h, [t_draw - 1, t_draw], ScheduleParams(num_steps=8, lam=0.3))
 
     def loss(p, want_grads=False):
-        return diffusion_loss_batch(p, [x0], [rows], np.array([t_draw]), 8,
+        return diffusion_loss_batch(p, [x0], [rows], np.array([t_draw]),
                                     stream(seed, "gradcheck-noise"), want_grads=want_grads)
 
     _, grads = loss(params, want_grads=True)
@@ -184,7 +184,7 @@ def check_kl_simplification(num_instances: int = 1000, seed: int = 0) -> CheckRe
         r = float(rng.uniform(0.01, 1.0))
         x0 = int(rng.integers(3, k))
         breakdown, _ = diffusion_loss_batch(
-            params, [np.array([x0])], [np.array([[r], [0.0]])], np.array([t]), big_t,
+            params, [np.array([x0])], [np.array([[r], [0.0]])], np.array([t]),
             stream(seed, "kl-noise", i), train=False, want_grads=False,
         )
         pred = model_predict_fn(params)(np.array([MASK_ID]), t)[0]

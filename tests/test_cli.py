@@ -463,6 +463,57 @@ def test_os_error_is_runtime_failure(tmp_path, corpus_file, prep_dir, capsys, ca
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["prepare-corpus", "train-corpus", "train-val-corpus",
+                                  "train-config", "eval-test"])
+def test_input_that_is_not_utf8_is_usage_error(tmp_path, corpus_file, prep_dir, capsys, case):
+    """A corpus, validation corpus, test corpus or config file that is not
+    UTF-8 exits 2 naming it, without a traceback, and no --out is left."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes("\ufeffthe cat\n".encode("utf-16-le"))  # starts ff fe
+    out = tmp_path / "new" / "out"
+
+    def train(corpus, *extra):
+        return ["train", "--corpus", str(corpus), "--prep", str(prep_dir), "--out", str(out),
+                "--steps", "2", "--batch-size", "4", "--layers", "1", "--d-model", "16",
+                "--heads", "2", "--n-max", "16", "--T", "8", *extra]
+
+    if case == "eval-test":
+        train_tiny(tmp_path, corpus_file, prep_dir)
+    argv = {
+        "prepare-corpus": ["prepare", "--corpus", str(bad), "--vocab-size", "64",
+                           "--out", str(out)],
+        "train-corpus": train(bad),
+        "train-val-corpus": train(corpus_file, "--val-corpus", str(bad), "--val-every", "1"),
+        "train-config": train(corpus_file, "--config", str(bad)),
+        "eval-test": ["eval", "--checkpoint", str(tmp_path / "run" / "model.spnd"), "--prep",
+                      str(prep_dir), "--test", str(bad), "--out", str(out)],
+    }[case]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{bad} is not UTF-8" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("line", [b"not json", b"[]", b'{"step": "4"}', b"\xff{}"])
+def test_resume_rejects_a_damaged_metrics_line(tmp_path, corpus_file, prep_dir, capsys, line):
+    """On resume, a complete metrics.jsonl line that is not a UTF-8 JSON
+    object with an integer step exits 3 naming the file and the line number."""
+    run = train_tiny(tmp_path, corpus_file, prep_dir, extra=["--checkpoint-every", "4"])
+    metrics = run / "metrics.jsonl"
+    first, *rest = metrics.read_bytes().splitlines(True)
+    metrics.write_bytes(b"".join([first, line + b"\n", *rest]))
+    capsys.readouterr()
+    rc = cli.main(["train", "--corpus", str(corpus_file), "--prep", str(prep_dir),
+                   "--out", str(run), "--steps", "12", "--batch-size", "4",
+                   "--resume", str(run / "checkpoint_0000004.spnd")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == (f"runtime failure: {metrics}: line 2 is not a JSON object with an "
+                   "integer step\n")
+
+
 def test_train_unusable_out_fails_before_tokenizing(tmp_path, corpus_file, prep_dir, capsys,
                                                     monkeypatch):
     """An --out under a regular file exits 3 naming it before any corpus is
@@ -815,6 +866,13 @@ def test_integer_passes_for_a_float_setting(tmp_path, corpus_file, prep_dir):
     out = train_tiny(tmp_path, corpus_file, prep_dir, extra=["--config", str(cfg_path)])
     lam = json.loads((out / "config.json").read_text())["config"]["lam"]
     assert lam == 1.0 and type(lam) is float
+
+
+def test_every_model_field_is_a_train_setting():
+    """Every DenoiserConfig field but vocab_size, which the prep directory
+    gives, has a train setting: a flag sets it and a resume checks it."""
+    fields = {f.name for f in dataclasses.fields(sp.DenoiserConfig)}
+    assert fields - {"vocab_size"} == set(cli._MODEL_FIELDS.values())
 
 
 def test_train_flags_are_the_settings_table():

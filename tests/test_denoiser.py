@@ -1,4 +1,5 @@
 import io
+import json
 import re
 
 import numpy as np
@@ -34,15 +35,22 @@ def test_config_validation():
 
 
 def test_time_arg_contract():
+    """Every mode takes a step: tad drops it, so its logits with any t are
+    bitwise those with none; lte and pte raise without one or out of range."""
     params = dn.init_params(tiny_config("tad"), 0)
-    xt = np.array([4, MASK_ID, 6])
-    assert dn.forward(params, xt)[0].shape == (1, 11)  # one row per [MASK]
-    with pytest.raises(ValueError):
-        dn.forward(params, xt, 3)
-    params_lte = dn.init_params(tiny_config("lte"), 0)
-    with pytest.raises(ValueError):
-        dn.forward(params_lte, xt)
-    assert dn.forward(params_lte, xt, 3)[0].shape == (1, 11)
+    params.tensors["out.w"] += np.random.default_rng(1).normal(0, 0.4, params["out.w"].shape)
+    xt = np.array([[4, MASK_ID, 6], [MASK_ID, MASK_ID, 5]])
+    base = dn.forward(params, xt)[0]
+    assert base.shape == (3, 11)  # one row per [MASK]
+    for t in (0, 3, 6, np.array([1, 6]), -1, 99):
+        np.testing.assert_array_equal(dn.forward(params, xt, t)[0], base)
+    for mode in ("lte", "pte"):
+        params_t = dn.init_params(tiny_config(mode), 0)
+        with pytest.raises(ValueError, match="requires a time step"):
+            dn.forward(params_t, xt)
+        with pytest.raises(ValueError, match="out of range"):
+            dn.forward(params_t, xt, 7)
+        assert dn.forward(params_t, xt, 3)[0].shape == (3, 11)
 
 
 def test_untrained_model_is_uniform_over_content():
@@ -147,7 +155,7 @@ def test_backward_adds_into_the_given_buffer(mode):
     rng = np.random.default_rng(5)
     params.tensors["out.w"] += rng.normal(0, 0.4, params["out.w"].shape)
     xt = np.array([[4, MASK_ID, 4, MASK_ID], [MASK_ID, 4, MASK_ID, PAD_ID]])
-    t = np.array([3, 3]) if mode != "tad" else None
+    t = np.array([3, 3])
     logits, cache = dn.forward(params, xt, t, train=True, rng=0)
     up = rng.normal(0, 1, logits.shape)
     fresh = dn.backward(cache, up, params.zeros_like())
@@ -192,7 +200,7 @@ def test_gradients_match_finite_differences(mode):
     rng = np.random.default_rng(4)
     params.tensors["out.w"] += rng.normal(0, 0.4, params.tensors["out.w"].shape)
     xt = np.array([[4, MASK_ID, MASK_ID, PAD_ID], [MASK_ID, 9, MASK_ID, 6]])
-    t = np.array([2, 6]) if mode != "tad" else None
+    t = np.array([2, 6])
     w = rng.normal(0, 1, (4, 11))
 
     def loss(p):
@@ -245,7 +253,7 @@ def test_model_computes_in_its_parameter_dtype(mode, dtype, monkeypatch):
     rng = np.random.default_rng(4)
     params.tensors["out.w"] += rng.normal(0, 0.4, params["out.w"].shape).astype(dtype)
     xt = np.array([[4, MASK_ID, MASK_ID, PAD_ID], [MASK_ID, 9, MASK_ID, 6]])
-    t = np.array([2, 6]) if mode != "tad" else None
+    t = np.array([2, 6])
     logits, cache = dn.forward(params, xt, t, train=True, rng=0)
     grads = dn.backward(cache, np.ones_like(logits), params.zeros_like())
     seen = _floating(cache, "cache") + _floating(logits, "logits") + _floating(grads, "grad")
@@ -263,7 +271,7 @@ def test_model_computes_in_its_parameter_dtype(mode, dtype, monkeypatch):
     t_draws = np.array([3, 6])
     rows = [spindle_alpha_bar_at(np.linspace(0.5, 2.0, len(x)), [s - 1, s], sched)
             for x, s in zip(seqs, t_draws)]
-    _, bound_grads = sp.diffusion_loss_batch(params, seqs, rows, t_draws, 6, 0)
+    _, bound_grads = sp.diffusion_loss_batch(params, seqs, rows, t_draws, 0)
     seen += _floating(bound_grads, "bound grad")
     h = np.r_[0.0, 0.0, 0.0, np.linspace(0.5, 2.0, 8)]
     sp.generate_batch(params, sched, sp.SampleConfig(length=4, num_reverse_iterations=6,
@@ -282,11 +290,10 @@ def test_forward_rows_are_the_mask_positions(mode):
     rng = np.random.default_rng(7)
     params.tensors["out.w"] += rng.normal(0, 0.4, params.tensors["out.w"].shape)
     seqs = [np.array([4, MASK_ID, 6]), np.array([MASK_ID, MASK_ID, 9, 10, MASK_ID])]
-    t = np.array([2, 5]) if mode != "tad" else None
+    t = np.array([2, 5])
     xt = np.array([[4, MASK_ID, 6, PAD_ID, PAD_ID], seqs[1]])
     logits, _ = dn.forward(params, xt, t)
-    rows = [dn.forward(params, x, None if t is None else t[i])[0]
-            for i, x in enumerate(seqs)]
+    rows = [dn.forward(params, x, t[i])[0] for i, x in enumerate(seqs)]
     assert logits.shape == (4, 11)
     np.testing.assert_allclose(logits, np.concatenate(rows), rtol=1e-12, atol=1e-12)
 
@@ -395,6 +402,26 @@ def test_damaged_checkpoint_raises_or_loads_intact(adam_checkpoint, data):
         return
     assert (ckpt.lam, ckpt.vocab_hash, ckpt.step, ckpt.params.config) == (0.25, "deadbeef", 9,
                                                                           config)
+    loaded = {**ckpt.params.tensors, **ckpt.extra_tensors}
+    assert loaded.keys() == saved.keys()
+    assert all(np.array_equal(loaded[k], saved[k]) for k in saved)
+
+
+def test_checkpoint_with_an_ffn_mult_header_still_loads(adam_checkpoint, tmp_path):
+    """Version-2 files written while the FFN width was a config field hold
+    "ffn_mult": 4 in their header; they still load, every tensor as saved."""
+    good, config, saved = adam_checkpoint
+    with np.load(good) as archive:
+        members = {name: archive[name] for name in archive.files}
+    header = json.loads(members["[header]"].tobytes())
+    assert "ffn_mult" not in header and saved["layer0.ffn.w1"].shape == (16, 4 * 16)
+    header["ffn_mult"] = 4
+    members["[header]"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    old = tmp_path / "old.spnd"
+    with open(old, "wb") as fh:
+        np.savez(fh, **members)
+    ckpt = dn.load_checkpoint(old, dtype=np.float32)
+    assert (ckpt.step, ckpt.params.config) == (9, config)
     loaded = {**ckpt.params.tensors, **ckpt.extra_tensors}
     assert loaded.keys() == saved.keys()
     assert all(np.array_equal(loaded[k], saved[k]) for k in saved)

@@ -249,33 +249,11 @@ def test_elbo_eval_stratified_spread_below_iid(word_corpus):
     assert strat.std() < 0.85 * iid.std()
 
 
-def test_elbo_eval_does_not_depend_on_the_chunk_size(word_corpus, monkeypatch):
-    """Pair j of the (example, draw) layout takes the j-th block of the one
-    noise stream, so cutting the pairs into chunks of 1, 7 or 64 gives the
-    same value up to float64 rounding."""
-    from spindle import evaluation
-
-    params = dn.init_params(
-        dn.DenoiserConfig(vocab_size=len(word_corpus["vocab"]), mode="tad", num_layers=1,
-                          d_model=16, num_heads=2, n_max=16, num_steps=8, dropout=0.0),
-        0,
-    )
-    params.tensors["out.w"][:] = np.random.default_rng(1).normal(0.0, 1.0,
-                                                                params.tensors["out.w"].shape)
-    dataset = [word_corpus["seqs"][i % 5] for i in range(9)]
-    got = []
-    for chunk in (1, 7, 64):
-        monkeypatch.setattr(evaluation, "_EVAL_CHUNK", chunk)
-        got.append(sp.elbo_eval(params, dataset, sp.ScheduleParams(num_steps=8),
-                                word_corpus["table"], 4, seed=3))
-    assert got == pytest.approx([got[-1]] * 3, rel=1e-12, abs=0)
-
-
 @pytest.mark.parametrize("big_t", [8, 64])
 def test_elbo_eval_puts_one_draw_in_each_stratum(word_corpus, monkeypatch, big_t):
     """With k = 4 draws per example, each example has exactly one t in each
-    stratum floor(jT/k)+1 .. floor((j+1)T/k), over more examples than one
-    evaluation chunk holds."""
+    stratum floor(jT/k)+1 .. floor((j+1)T/k); all 280 (example, draw) pairs
+    go to the loss core in one call."""
     from spindle import evaluation
 
     k = 4
@@ -284,12 +262,14 @@ def test_elbo_eval_puts_one_draw_in_each_stratum(word_corpus, monkeypatch, big_t
                           d_model=16, num_heads=2, n_max=16, num_steps=big_t),
         0,
     )
-    dataset = [word_corpus["seqs"][i % 5].copy() for i in range(evaluation._EVAL_CHUNK + 6)]
+    dataset = [word_corpus["seqs"][i % 5].copy() for i in range(70)]
     position = {id(x): i for i, x in enumerate(dataset)}
     draws = [[] for _ in dataset]
+    calls = []
     real = evaluation.diffusion_loss_batch
 
     def recording(params, seqs, rows, t_draws, *args, **kwargs):
+        calls.append(len(seqs))
         for x, t in zip(seqs, t_draws):
             draws[position[id(x)]].append(int(t))
         return real(params, seqs, rows, t_draws, *args, **kwargs)
@@ -297,6 +277,7 @@ def test_elbo_eval_puts_one_draw_in_each_stratum(word_corpus, monkeypatch, big_t
     monkeypatch.setattr(evaluation, "diffusion_loss_batch", recording)
     sp.elbo_eval(params, dataset, sp.ScheduleParams(num_steps=big_t), word_corpus["table"], k,
                  seed=5)
+    assert calls == [70 * k]
     strata = [(j * big_t // k + 1, (j + 1) * big_t // k) for j in range(k)]
     for ts in draws:
         assert [sum(lo <= t <= hi for t in ts) for lo, hi in strata] == [1] * k

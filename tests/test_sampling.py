@@ -270,8 +270,7 @@ def _reference_generate(params, sched_params, cfg, table, num, rng):
     for it, t in enumerate(range(T, 0, -stride), start=1):
         xs.append(x)
         s = t - stride
-        t_in = np.full(num, t) if params.config.mode in ("lte", "pte") else None
-        logits, _ = dn.forward(params, x, t_in)
+        logits, _ = dn.forward(params, x, t)
         u = rng.random((num * n, 1)).reshape(num, n)
         masked = x == MASK_ID
         x0_hat = x.copy()

@@ -35,7 +35,7 @@ def test_uniform_model_charges_reveal_times_log_vocab():
     params = tiny_params(randomize=False)
     seqs = [np.array([5, 6, 7]), np.array([8, 9])]
     rows = [np.array([[0.5, 1.0, 0.3], [0.0, 1.0, 0.0]]), np.array([[1.0, 1.0], [0.0, 0.0]])]
-    b, _ = sp.diffusion_loss_batch(params, seqs, rows, np.array([2, 1]), 8, stream(0, "u"),
+    b, _ = sp.diffusion_loss_batch(params, seqs, rows, np.array([2, 1]), stream(0, "u"),
                                    want_grads=False)
     ln10 = math.log(10)
     assert b.total == pytest.approx((0.5 + 0.3 + 1.0 + 1.0) * ln10 * 8 / 5, abs=1e-12)
@@ -51,7 +51,7 @@ def test_perfect_model_zero_loss():
     bias = params.tensors["out.b"]
 
     def loss(t):
-        return sp.diffusion_loss_batch(params, [x0], [a[t - 1 : t + 1]], np.array([t]), 8,
+        return sp.diffusion_loss_batch(params, [x0], [a[t - 1 : t + 1]], np.array([t]),
                                        stream(1, "perfect"), want_grads=False)[0]
 
     def losses(token):
@@ -72,15 +72,14 @@ def test_diffusion_loss_breakdown_fields():
     h = np.array([0.5, 1.0, 2.0])
     a = spindle_alpha_bar_at(h, np.arange(9), sp.ScheduleParams(num_steps=8, lam=0.3))
     x0 = np.array([4, 5, 6])
-    breakdown, grads = sp.diffusion_loss_batch(params, [x0], [a[4:6]], np.array([5]), 8,
+    breakdown, grads = sp.diffusion_loss_batch(params, [x0], [a[4:6]], np.array([5]),
                                                stream(0, "x"))
     assert breakdown.l_0 == 0.0 and breakdown.l_t_kl >= 0.0
     # the two terms carry the whole estimate: the prior term is identically 0
     assert breakdown.total == pytest.approx((breakdown.l_t_kl + breakdown.l_0) * 8 / 3)
-    assert breakdown.num_tokens == 3
     assert set(grads) == set(params.tensors)
     # t = 1 routes to the reconstruction slot
-    b1, _ = sp.diffusion_loss_batch(params, [x0], [a[0:2]], np.array([1]), 8, stream(1, "x"),
+    b1, _ = sp.diffusion_loss_batch(params, [x0], [a[0:2]], np.array([1]), stream(1, "x"),
                                     want_grads=False)
     assert b1.l_t_kl == 0.0 and b1.l_0 >= 0.0
 
@@ -89,7 +88,7 @@ def test_diffusion_loss_rejects_masked_x0():
     params = tiny_params()
     a = spindle_alpha_bar_at(np.ones(2), np.arange(9), sp.ScheduleParams(num_steps=8, lam=0.0))
     with pytest.raises(ValueError):
-        sp.diffusion_loss_batch(params, [np.array([MASK_ID, 5])], [a[2:4]], np.array([3]), 8, 0)
+        sp.diffusion_loss_batch(params, [np.array([MASK_ID, 5])], [a[2:4]], np.array([3]), 0)
 
 
 @pytest.mark.parametrize("objective", ["diffusion", "mlm"])
@@ -105,7 +104,7 @@ def test_diffusion_loss_grads_match_fd(objective):
         if objective == "mlm":
             return sp.mlm_pretrain_step(p, [x0, x0[:3]], 0.5, stream(9, "n"),
                                         want_grads=want_grads)
-        b, grads = sp.diffusion_loss_batch(p, [x0], [a[5:7]], np.array([6]), 8, stream(9, "n"),
+        b, grads = sp.diffusion_loss_batch(p, [x0], [a[5:7]], np.array([6]), stream(9, "n"),
                                            want_grads=want_grads)
         return b.total, grads
 
