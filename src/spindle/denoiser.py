@@ -37,7 +37,7 @@ _GELU_A = 0.044715
 _NEG = -1e30
 _FFN_MULT = 4  # FFN hidden width, in multiples of d_model
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3  # version 2 headers also held ffn_mult; they still load
 
 
 @dataclass(frozen=True)
@@ -270,13 +270,13 @@ def forward(
     """Logits over the vocabulary at each [MASK] position of xt.
 
     xt: (B, n) token ids, possibly containing [MASK]/[PAD]. t: (B,) steps or
-    one step, which lte and pte need in 0..T and tad drops on entry. Returns
-    (logits (m, K), cache): one row per [MASK] of xt in row-major order, i.e.
-    the rows of `xt == MASK_ID`; mask/pad/cls columns are -inf. The last
-    layer runs past its attention on those rows only. Its dropout masks are
-    drawn at the full (B, n + prefix, d) shape and taken at those rows, so a
-    pass draws from rng as if every row ran. The cache holds every
-    activation needed by `backward`.
+    one step, in 0..T whenever given; lte and pte need it, and tad drops it
+    once checked. Returns (logits (m, K), cache): one row per [MASK] of xt
+    in row-major order, i.e. the rows of `xt == MASK_ID`; mask/pad/cls
+    columns are -inf. The last layer runs past its attention on those rows
+    only. Its dropout masks are drawn at the full (B, n + prefix, d) shape
+    and taken at those rows, so a pass draws from rng as if every row ran.
+    The cache holds every activation needed by `backward`.
     """
     cfg = params.config
     p = params.tensors
@@ -284,14 +284,13 @@ def forward(
     B, n = xt.shape
     if n > cfg.n_max:
         raise ValueError(f"sequence length {n} exceeds n_max={cfg.n_max}")
-    if cfg.mode == "tad":
-        t = None
-    elif t is None:
+    if t is None and cfg.mode != "tad":
         raise ValueError(f"{cfg.mode} mode requires a time step")
-    else:
+    if t is not None:
         t = np.broadcast_to(np.asarray(t, dtype=np.int64), (B,)).copy()
         if (t < 0).any() or (t > cfg.num_steps).any():
             raise ValueError("time step out of range")
+    t = None if cfg.mode == "tad" else t
     dtype = params.dtype
     prefix = cfg.prefix_len
     m = prefix + n
@@ -550,7 +549,9 @@ def load_checkpoint(path: str | Path, dtype=np.float64) -> Checkpoint:
     a header key missing, another version, a tensor record count unlike the
     header's, a tensor that is not finite float32 (optimizer records
     included), or model tensor names or shapes that do not fit the config.
-    Version-1 files (the "SPND1" record format) are rejected, not read.
+    Version-2 files load: their header's extra ffn_mult key, always 4, is
+    ignored, as the FFN width is now the constant _FFN_MULT. Version-1 files
+    (the "SPND1" record format) are rejected, not read.
     """
     with open(path, "rb") as fh:
         try:
@@ -563,7 +564,7 @@ def load_checkpoint(path: str | Path, dtype=np.float64) -> Checkpoint:
             missing = sorted(_HEADER_KEYS - set(header))
             if missing:
                 raise ValueError(f"header lacks {missing}")
-            if header["version"] != CHECKPOINT_VERSION:
+            if header["version"] not in (2, CHECKPOINT_VERSION):
                 raise ValueError(f"unsupported checkpoint version {header['version']}")
             if len(tensors) != header["records"]:
                 raise ValueError(f"{len(tensors)} tensor records, header says {header['records']}")

@@ -52,11 +52,11 @@ def elbo_eval(
     stratified over {1..T} (`stratified_t_draws` on its own stream): each is
     uniform, so the estimate is unbiased, and together they cover {1..T}
     evenly, so it varies less than with iid draws. The (example, draw)
-    pairs, example-major, go to `diffusion_loss_batch` in one call: its
-    length groups hold one group's tensors at a time, which bounds memory.
-    Every mask comes from one stream, pair j taking its j-th block of
-    uniforms. Dropout is off; the result is a pure function of (params,
-    dataset, seed).
+    pairs, example-major, go to `diffusion_loss_batch` in one call, their
+    retention rows as a generator: the loss core builds rows, states and
+    weights one window of pairs at a time, which bounds memory. Every mask
+    comes from one stream, pair j taking its j-th block of uniforms.
+    Dropout is off; the result is a pure function of (params, dataset, seed).
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -68,8 +68,8 @@ def elbo_eval(
     seqs = [x for x in dataset for _ in range(k)]
     t_draws = np.concatenate([stratified_t_draws(stream(seed, "elbo", i), k, big_t)
                               for i in range(len(dataset))])
-    rows = [spindle_alpha_bar_at(surprisal.h_for(x), [t - 1, t], sched_params)
-            for x, t in zip(seqs, t_draws)]
+    rows = (spindle_alpha_bar_at(surprisal.h_for(x), [t - 1, t], sched_params)
+            for x, t in zip(seqs, t_draws))
     breakdown, _ = diffusion_loss_batch(params, seqs, rows, t_draws, stream(seed, "elbo-noise"),
                                         train=False, want_grads=False)
     return breakdown.total

@@ -17,10 +17,13 @@ the denoiser, whose time mode decides whether to read it. The core runs a
 batch in length groups: it stable-sorts the items by length, cuts groups of
 8, and pads each group only to its own longest line, so the trunk does
 little work on pad rows. A batch of 8 or fewer items is one group.
+The loss core alone bounds memory: it holds the inputs of one window of 64
+items and the tensors of one group at a time, however many items it scores.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -76,6 +79,9 @@ class LossBreakdown:
 # Items per forward pass in `_masked_ce`: enough rows for efficient GEMMs,
 # few enough that a group's lines are close in length.
 _GROUP_SIZE = 8
+# Items per `_masked_ce` call in `diffusion_loss_batch`: the states, weights
+# and retention rows of one window exist at a time.
+_WINDOW = 64
 
 
 def _pad_batch(rows: list[np.ndarray], fill: float) -> np.ndarray:
@@ -98,13 +104,14 @@ def _masked_ce(
     weights: list[np.ndarray],
     t: np.ndarray,
     rng: np.random.Generator,
+    grads: dict[str, np.ndarray] | None,
     *,
     train: bool,
-    want_grads: bool,
-) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
+) -> np.ndarray:
     """The loss core shared by MLM and the bound: per item, the sum over its
-    [MASK] positions of weight * (-log p(target | x_t)), and the gradients of
-    the batch total. t holds each item's step, passed to the denoiser as is.
+    [MASK] positions of weight * (-log p(target | x_t)); given a `grads`
+    buffer, it adds the gradients of the batch total into it. t holds each
+    item's step, passed to the denoiser as is.
     The denoiser's rows, the weights and the targets are all taken at
     `xt == MASK_ID`; pads are PAD_ID, so it never selects them.
 
@@ -112,17 +119,16 @@ def _masked_ce(
     sort by length, each group in batch order and padded to its own longest
     line; the per-item losses come back in batch order. Each group's logits,
     log-probabilities and forward cache are released before the next
-    group's forward, so a call holds one group's tensors at a time, however
-    many items it scores: that bounds its memory. The release costs no page
+    group's forward, so a call holds one group's model tensors at a time,
+    however many items it scores. The release costs no page
     faults: with the heap thresholds the package pins at import, the next
-    group reuses the freed blocks in place. With want_grads, one zero buffer
-    is allocated per call and every group's `backward` adds into it; an
-    empty batch gives zero losses and zero gradients.
+    group reuses the freed blocks in place. Every group's `backward` adds
+    into the one buffer, so calls on several windows of a batch sum into it
+    too; an empty batch gives zero losses and adds nothing.
     """
     if any((x0 == MASK_ID).any() for x0 in targets):
         raise ValueError("training sequence contains [MASK]")
     per_item = np.zeros(len(xts))
-    grads = params.zeros_like() if want_grads else None
     order = np.argsort([len(x) for x in xts], kind="stable")
     for lo in range(0, len(order), _GROUP_SIZE):
         group = np.sort(order[lo : lo + _GROUP_SIZE])
@@ -136,19 +142,19 @@ def _masked_ce(
         per_pos = np.zeros(xt.shape)
         per_pos[masked] = w * -logp[rows, target]
         per_item[group] = per_pos.sum(axis=1)
-        if want_grads:  # in place, logp becomes d(loss)/d(logits) = w * (softmax - onehot)
+        if grads is not None:  # in place, logp becomes d(loss)/d(logits) = w * (softmax - onehot)
             np.exp(logp, out=logp)
             logp[rows, target] -= 1.0
             logp *= w[:, None]
             denoiser.backward(cache, logp, grads)
         del logits, logp, cache  # else the next group's forward runs while these are held
-    return per_item, grads
+    return per_item
 
 
 def diffusion_loss_batch(
     params: DenoiserParams,
     seqs: list[np.ndarray],
-    alpha_rows: list[np.ndarray],
+    alpha_rows,
     t_draws: np.ndarray,
     rng: np.random.Generator | int | None,
     *,
@@ -158,9 +164,14 @@ def diffusion_loss_batch(
     """Sampled-t bound estimate and its parameter gradients for a batch.
 
     Item i is drawn at step t_draws[i] in {1..T}, T the model's num_steps;
-    alpha_rows[i] holds its two retention rows alpha_bar[t-1] and
-    alpha_bar[t], shape (2, n_i). Gradients are of `total`, i.e. already
-    importance-weighted and per-token normalized.
+    the i-th entry of the iterable alpha_rows holds its two retention rows
+    alpha_bar[t-1] and alpha_bar[t], shape (2, n_i). Gradients are of
+    `total`, i.e. already importance-weighted and per-token normalized.
+
+    The items go to `_masked_ce` _WINDOW at a time, in batch order. A
+    window takes its rows from alpha_rows and then draws its masks from rng,
+    item i the next n_i uniforms, so a generator of rows is read one window
+    at a time, and the masks do not depend on the window size.
     """
     rng = as_generator(rng)
     num_steps = params.config.num_steps
@@ -169,17 +180,22 @@ def diffusion_loss_batch(
         raise ValueError("t draws must lie in {1..T}")
 
     num_tokens = sum(len(x0) for x0 in seqs)
-    xts, weights = [], []
-    for x0, rows in zip(seqs, alpha_rows, strict=True):
-        if np.shape(rows) != (2, len(x0)):
-            raise ValueError(f"retention rows {np.shape(rows)} do not match sequence n={len(x0)}")
-        alpha_prev, alpha_t = rows
-        xts.append(np.where(rng.random(len(x0)) < alpha_t, x0, MASK_ID))
-        weights.append(reveal_from_rows(alpha_prev, alpha_t) * num_steps / num_tokens)
-
-    per_item, grads = _masked_ce(
-        params, xts, seqs, weights, t_draws, rng, train=train, want_grads=want_grads
-    )
+    items = zip(seqs, alpha_rows, strict=True)
+    per_item = np.zeros(len(seqs))
+    grads = params.zeros_like() if want_grads else None
+    for lo in range(0, len(seqs), _WINDOW):
+        window = list(itertools.islice(items, _WINDOW))
+        xts, weights = [], []
+        for x0, rows in window:
+            if np.shape(rows) != (2, len(x0)):
+                raise ValueError(f"retention rows {np.shape(rows)} do not match n={len(x0)}")
+            alpha_prev, alpha_t = rows
+            xts.append(np.where(rng.random(len(x0)) < alpha_t, x0, MASK_ID))
+            weights.append(reveal_from_rows(alpha_prev, alpha_t) * num_steps / num_tokens)
+        per_item[lo : lo + _WINDOW] = _masked_ce(params, xts, [x0 for x0, _ in window], weights,
+                                                 t_draws[lo : lo + _WINDOW], rng, grads,
+                                                 train=train)
+    next(items, None)  # the strict zip raises if alpha_rows outlasts seqs
     is_recon = t_draws == 1
     unweight = num_tokens / num_steps
     l0 = float(per_item[is_recon].sum() * unweight)
@@ -215,10 +231,9 @@ def mlm_pretrain_step(
         keep.append(x0)
         masks.append(m)
     num_masked = sum(int(m.sum()) for m in masks)
-    per_item, grads = _masked_ce(
-        params, xts, keep, [m / num_masked for m in masks],
-        np.full(len(xts), params.config.num_steps), rng, train=True, want_grads=want_grads,
-    )
+    grads = params.zeros_like() if want_grads else None
+    per_item = _masked_ce(params, xts, keep, [m / num_masked for m in masks],
+                          np.full(len(xts), params.config.num_steps), rng, grads, train=True)
     return float(per_item.sum()), grads
 
 
@@ -363,24 +378,6 @@ def opt_state_from_records(params: DenoiserParams, records: dict[str, np.ndarray
     return AdamState(m, v)
 
 
-def _records_through(path: Path, last_step: int) -> bytes:
-    """The complete lines of metrics file `path` of steps <= last_step; one
-    that is not a UTF-8 JSON object with an integer "step" raises ValueError."""
-    kept = []
-    for num, line in enumerate(path.read_bytes().splitlines(True), start=1):
-        if not line.endswith(b"\n"):
-            continue  # a record cut short
-        try:
-            step = json.loads(line)["step"]
-        except (ValueError, TypeError, KeyError):  # not UTF-8 JSON, or no object with a step
-            step = None
-        if type(step) is not int:
-            raise ValueError(f"{path}: line {num} is not a JSON object with an integer step")
-        if step <= last_step:
-            kept.append(line)
-    return b"".join(kept)
-
-
 def run_training(
     params: DenoiserParams,
     vocab: Vocab,
@@ -428,7 +425,20 @@ def run_training(
     metrics: list[dict] = []
     metrics_path = out / "metrics.jsonl" if out is not None else None
     if metrics_path is not None and metrics_path.exists():
-        metrics_path.write_bytes(_records_through(metrics_path, start_step))
+        kept = []
+        for num, line in enumerate(metrics_path.read_bytes().splitlines(True), start=1):
+            if not line.endswith(b"\n"):
+                continue  # a record cut short
+            try:
+                step = json.loads(line)["step"]
+            except (ValueError, TypeError, KeyError):  # not UTF-8 JSON, or no object with a step
+                step = None
+            if type(step) is not int:
+                raise ValueError(f"{metrics_path}: line {num} is not a JSON object with an "
+                                 "integer step")
+            if step <= start_step:
+                kept.append(line)
+        metrics_path.write_bytes(b"".join(kept))
     total = cfg.mlm_pretrain_steps + cfg.total_steps
     t_start = time.monotonic()
     vocab_hash = vocab.content_hash()

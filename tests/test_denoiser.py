@@ -35,22 +35,25 @@ def test_config_validation():
 
 
 def test_time_arg_contract():
-    """Every mode takes a step: tad drops it, so its logits with any t are
-    bitwise those with none; lte and pte raise without one or out of range."""
+    """Every mode takes a step in 0..T and raises on one out of range; tad
+    then drops it, so its logits with any step are bitwise those with none,
+    and lte and pte raise without one."""
     params = dn.init_params(tiny_config("tad"), 0)
     params.tensors["out.w"] += np.random.default_rng(1).normal(0, 0.4, params["out.w"].shape)
     xt = np.array([[4, MASK_ID, 6], [MASK_ID, MASK_ID, 5]])
     base = dn.forward(params, xt)[0]
     assert base.shape == (3, 11)  # one row per [MASK]
-    for t in (0, 3, 6, np.array([1, 6]), -1, 99):
+    for t in (0, 3, 6, np.array([1, 6])):
         np.testing.assert_array_equal(dn.forward(params, xt, t)[0], base)
-    for mode in ("lte", "pte"):
+    for mode in ("tad", "lte", "pte"):
         params_t = dn.init_params(tiny_config(mode), 0)
-        with pytest.raises(ValueError, match="requires a time step"):
-            dn.forward(params_t, xt)
-        with pytest.raises(ValueError, match="out of range"):
-            dn.forward(params_t, xt, 7)
+        for t in (-1, 7, 99, np.array([1, 7])):
+            with pytest.raises(ValueError, match="out of range"):
+                dn.forward(params_t, xt, t)
         assert dn.forward(params_t, xt, 3)[0].shape == (3, 11)
+        if mode != "tad":
+            with pytest.raises(ValueError, match="requires a time step"):
+                dn.forward(params_t, xt)
 
 
 def test_untrained_model_is_uniform_over_content():
@@ -409,18 +412,25 @@ def test_damaged_checkpoint_raises_or_loads_intact(adam_checkpoint, data):
 
 def test_checkpoint_with_an_ffn_mult_header_still_loads(adam_checkpoint, tmp_path):
     """Version-2 files written while the FFN width was a config field hold
-    "ffn_mult": 4 in their header; they still load, every tensor as saved."""
+    "ffn_mult": 4 in their header; they still load, every tensor as saved.
+    Files written now are version 3, and version 4 is refused."""
     good, config, saved = adam_checkpoint
     with np.load(good) as archive:
         members = {name: archive[name] for name in archive.files}
     header = json.loads(members["[header]"].tobytes())
     assert "ffn_mult" not in header and saved["layer0.ffn.w1"].shape == (16, 4 * 16)
-    header["ffn_mult"] = 4
-    members["[header]"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    old = tmp_path / "old.spnd"
-    with open(old, "wb") as fh:
-        np.savez(fh, **members)
-    ckpt = dn.load_checkpoint(old, dtype=np.float32)
+    assert header["version"] == 3
+
+    def rewrite(**changes):
+        members["[header]"] = np.frombuffer(json.dumps({**header, **changes}).encode("utf-8"),
+                                            dtype=np.uint8)
+        with open(tmp_path / "old.spnd", "wb") as fh:
+            np.savez(fh, **members)
+        return tmp_path / "old.spnd"
+
+    with pytest.raises(ValueError, match="unsupported checkpoint version 4"):
+        dn.load_checkpoint(rewrite(version=4))
+    ckpt = dn.load_checkpoint(rewrite(version=2, ffn_mult=4), dtype=np.float32)
     assert (ckpt.step, ckpt.params.config) == (9, config)
     loaded = {**ckpt.params.tensors, **ckpt.extra_tensors}
     assert loaded.keys() == saved.keys()

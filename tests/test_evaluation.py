@@ -249,6 +249,54 @@ def test_elbo_eval_stratified_spread_below_iid(word_corpus):
     assert strat.std() < 0.85 * iid.std()
 
 
+def test_elbo_eval_does_not_depend_on_the_chunk_size(word_corpus, monkeypatch):
+    """Pair j of the (example, draw) layout takes the j-th block of the one
+    noise stream, so the loss core's windows of 1, 7 or 64 pairs give the
+    same value up to float64 rounding."""
+    from spindle import training
+
+    params = dn.init_params(
+        dn.DenoiserConfig(vocab_size=len(word_corpus["vocab"]), mode="tad", num_layers=1,
+                          d_model=16, num_heads=2, n_max=16, num_steps=8, dropout=0.0),
+        0,
+    )
+    params.tensors["out.w"][:] = np.random.default_rng(1).normal(0.0, 1.0,
+                                                                params.tensors["out.w"].shape)
+    dataset = [word_corpus["seqs"][i % 5] for i in range(9)]
+    got = []
+    for window in (1, 7, 64):
+        monkeypatch.setattr(training, "_WINDOW", window)
+        got.append(sp.elbo_eval(params, dataset, sp.ScheduleParams(num_steps=8),
+                                word_corpus["table"], 4, seed=3))
+    assert got == pytest.approx([got[-1]] * 3, rel=1e-12, abs=0)
+
+
+def test_elbo_eval_memory_does_not_grow_with_the_test_set(word_corpus):
+    """The retention rows, states and weights of one window of pairs exist
+    at a time, so scoring 16x the examples peaks at under 1.25x the memory.
+    With every pair's rows, states and weights built before the loss core
+    runs, the ratio reads 4.1x; this code reads 1.13x."""
+    import tracemalloc
+
+    params = dn.init_params(
+        dn.DenoiserConfig(vocab_size=len(word_corpus["vocab"]), mode="tad", num_layers=1,
+                          d_model=16, num_heads=2, n_max=16, num_steps=8, dropout=0.0),
+        0,
+    )
+    examples = [np.resize(word_corpus["seqs"][i % 5], 16) for i in range(512)]
+
+    def peak(num):
+        tracemalloc.start()
+        try:
+            sp.elbo_eval(params, examples[:num], sp.ScheduleParams(num_steps=8),
+                         word_corpus["table"], 4, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(512) < 1.25 * peak(32)
+
+
 @pytest.mark.parametrize("big_t", [8, 64])
 def test_elbo_eval_puts_one_draw_in_each_stratum(word_corpus, monkeypatch, big_t):
     """With k = 4 draws per example, each example has exactly one t in each

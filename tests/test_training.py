@@ -91,6 +91,48 @@ def test_diffusion_loss_rejects_masked_x0():
         sp.diffusion_loss_batch(params, [np.array([MASK_ID, 5])], [a[2:4]], np.array([3]), 0)
 
 
+def test_diffusion_loss_batch_reads_rows_one_window_at_a_time(monkeypatch):
+    """150 items reach the loss core in windows of 64, 64 and 22, and a
+    generator of retention rows has yielded only the rows of the windows
+    scored so far. The masks follow batch order and the three windows add
+    into one gradient buffer, so loss and gradients equal those of one
+    150-item window to rounding. A row count unlike the item count raises."""
+    from spindle import training
+
+    params = tiny_params("lte", seed=4)
+    rng = np.random.default_rng(6)
+    seqs = [rng.integers(4, 13, size=rng.integers(2, 9)) for _ in range(150)]
+    t_draws = rng.integers(1, 9, size=150)
+    sched = sp.ScheduleParams(num_steps=8)
+    rows = [spindle_alpha_bar_at(rng.uniform(0.5, 2.0, len(x)), [t - 1, t], sched)
+            for x, t in zip(seqs, t_draws)]
+    produced, calls = [], []
+
+    def lazy_rows():
+        for r in rows:
+            produced.append(1)
+            yield r
+
+    def recording(params, xts, *args, **kwargs):
+        calls.append((len(xts), len(produced)))
+        return real(params, xts, *args, **kwargs)
+
+    real = training._masked_ce
+    monkeypatch.setattr(training, "_masked_ce", recording)
+    got, grads = sp.diffusion_loss_batch(params, seqs, lazy_rows(), t_draws, 7, train=False)
+    assert calls == [(64, 64), (64, 128), (22, 150)]
+    monkeypatch.setattr(training, "_WINDOW", 150)
+    ref, ref_grads = sp.diffusion_loss_batch(params, seqs, rows, t_draws, 7, train=False)
+    assert got.total == pytest.approx(ref.total, rel=1e-12)
+    largest = max(float(np.abs(g).max()) for g in ref_grads.values())
+    for name, g in ref_grads.items():  # attn.bk's exact gradient is 0
+        scale = largest if name.endswith("attn.bk") else float(np.abs(g).max())
+        assert float(np.abs(grads[name] - g).max()) <= 1e-12 * scale, name
+    for wrong in (rows[:-1], rows + rows[:1]):
+        with pytest.raises(ValueError):
+            sp.diffusion_loss_batch(params, seqs, iter(wrong), t_draws, 7, want_grads=False)
+
+
 @pytest.mark.parametrize("objective", ["diffusion", "mlm"])
 def test_diffusion_loss_grads_match_fd(objective):
     """Both weightings of the shared masked cross-entropy core, the bound's
@@ -187,15 +229,11 @@ def test_masked_ce_length_groups_match_singletons(mode):
     lengths = np.random.default_rng(1).integers(5, 64, size=29)
     lengths[:2] = 5, 63
     xts, targets, weights, t = _ragged_batch(lengths, seed=2)
-    per_item, grads = _masked_ce(params, xts, targets, weights, t, stream(0, "ce"),
-                                 train=True, want_grads=True)
-    ref_items, ref_grads = [], params.zeros_like()
-    for i in range(len(xts)):
-        item, g = _masked_ce(params, xts[i : i + 1], targets[i : i + 1], weights[i : i + 1],
-                             t[i : i + 1], stream(0, "ce"), train=True, want_grads=True)
-        ref_items.append(item[0])
-        for name in g:
-            ref_grads[name] += g[name]
+    grads, ref_grads = params.zeros_like(), params.zeros_like()
+    per_item = _masked_ce(params, xts, targets, weights, t, stream(0, "ce"), grads, train=True)
+    ref_items = [_masked_ce(params, xts[i : i + 1], targets[i : i + 1], weights[i : i + 1],
+                            t[i : i + 1], stream(0, "ce"), ref_grads, train=True)[0]
+                 for i in range(len(xts))]
     np.testing.assert_allclose(per_item, ref_items, rtol=1e-13, atol=0)
     largest = max(float(np.abs(g).max()) for g in ref_grads.values())
     for name, ref in ref_grads.items():
@@ -208,12 +246,11 @@ def test_masked_ce_follows_batch_order():
     params = _ragged_params("lte", seed=1)
     lengths = np.random.default_rng(3).integers(5, 64, size=19)
     xts, targets, weights, t = _ragged_batch(lengths, seed=4)
-    per_item, _ = _masked_ce(params, xts, targets, weights, t, stream(1, "ce"),
-                             train=False, want_grads=False)
+    per_item = _masked_ce(params, xts, targets, weights, t, stream(1, "ce"), None, train=False)
     perm = np.random.default_rng(5).permutation(len(xts))
-    permuted, _ = _masked_ce(params, [xts[i] for i in perm], [targets[i] for i in perm],
-                             [weights[i] for i in perm], t[perm], stream(1, "ce"),
-                             train=False, want_grads=False)
+    permuted = _masked_ce(params, [xts[i] for i in perm], [targets[i] for i in perm],
+                          [weights[i] for i in perm], t[perm], stream(1, "ce"), None,
+                          train=False)
     assert np.all(per_item > 0)
     np.testing.assert_allclose(permuted, per_item[perm], rtol=1e-13, atol=0)
 
@@ -229,8 +266,8 @@ def test_masked_ce_checks_targets_before_any_forward(monkeypatch):
     calls = []
     monkeypatch.setattr(dn, "forward", lambda *a, **k: calls.append(1))
     with pytest.raises(ValueError, match=r"\[MASK\]"):
-        _masked_ce(params, xts, targets, weights, t, stream(2, "ce"), train=True,
-                   want_grads=True)
+        _masked_ce(params, xts, targets, weights, t, stream(2, "ce"), params.zeros_like(),
+                   train=True)
     assert calls == []
 
 
@@ -241,12 +278,12 @@ def test_masked_ce_group_without_masked_rows():
     params = _ragged_params("pte", seed=2)
     xts, targets, weights, t = _ragged_batch([5] * 8 + [40] * 8, seed=7)
     xts[:8] = targets[:8]
-    per_item, grads = _masked_ce(params, xts, targets, weights, t, stream(3, "ce"),
-                                 train=False, want_grads=True)
+    grads, long_grads = params.zeros_like(), params.zeros_like()
+    per_item = _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), grads, train=False)
     assert np.all(per_item[:8] == 0) and np.all(per_item[8:] > 0)
     assert all(np.isfinite(g).all() for g in grads.values())
-    long_items, long_grads = _masked_ce(params, xts[8:], targets[8:], weights[8:], t[8:],
-                                        stream(3, "ce"), train=False, want_grads=True)
+    long_items = _masked_ce(params, xts[8:], targets[8:], weights[8:], t[8:], stream(3, "ce"),
+                            long_grads, train=False)
     np.testing.assert_array_equal(per_item[8:], long_items)
     for name, g in long_grads.items():
         np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-14 * np.abs(g).max())
@@ -444,7 +481,7 @@ def test_masked_ce_holds_one_group_at_a_time():
         tracemalloc.start()
         try:
             _masked_ce(params, list(xt[:b]), list(x0[:b]), [np.ones(32)] * b, np.ones(b, int),
-                       rng, train=False, want_grads=False)
+                       rng, None, train=False)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
