@@ -60,7 +60,6 @@ from .denoiser import (  # noqa: E402
 )
 from .diffusion import ScheduleParams, spindle_alpha_raw  # noqa: E402
 from .evaluation import (  # noqa: E402
-    MetricsReport,
     bleu4,
     elbo_eval,
     exact_elbo,

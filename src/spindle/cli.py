@@ -9,9 +9,11 @@ A prep directory (`spindle prepare`) holds vocab.tsv, the tokens with their
 counts, and stats.json, the settings. The surprisal table is not stored:
 each command computes it from the counts and stats.json's smoothing.
 
-Each `spindle train` setting is declared once, in _TRAIN_DEFAULTS, which
-gives it its flag and its type. Settings resolve as defaults < --preset <
---config file < flags. A preset or config-file value must have its
+The library owns each setting's default and range: a flag's default is
+that of the field or `run_training` keyword it sets (for train settings,
+through _TRAIN_DEFAULTS, also its type), and a value the library refuses is
+a usage error naming the flag. Train settings resolve as defaults < --preset
+< --config file < flags. A preset or config-file value must have its
 default's type, except that an integer passes for a float: a bool, a null,
 a list, or a string where a number belongs is a usage error naming the key.
 """
@@ -30,36 +32,12 @@ from .corpus import (TOKENIZERS, UNK_ID, SurprisalTable, Vocab, build_vocab, det
                      split_line, tokenize)
 from .denoiser import MODES, DenoiserConfig, init_params, load_checkpoint, save_checkpoint
 from .diffusion import ScheduleParams, spindle_alpha_bar_at, spindle_alpha_raw
-from .evaluation import MetricsReport, bleu4, elbo_eval, quality_diversity_sweep, self_bleu4
+from .evaluation import bleu4, elbo_eval, quality_diversity_sweep, self_bleu4
 from .rng import stream
 from .sampling import SampleConfig, check_sample_config, generate_batch
 from .training import TrainConfig, opt_state_from_records, run_training
 
 FORMAT_VERSION = 1
-
-# Every `spindle train` setting with its desk-scale default; the default's
-# type is the setting's type.
-_TRAIN_DEFAULTS = {
-    "time_mode": "tad",
-    "lam": 0.3,
-    "T": 64,
-    "steps": 2000,
-    "mlm_pretrain_steps": 0,
-    "mlm_mask_rate": 0.15,
-    "batch_size": 32,
-    "lr": 3e-4,
-    "warmup": 100,
-    "weight_decay": 0.0,
-    "layers": 4,
-    "d_model": 128,
-    "heads": 4,
-    "n_max": 64,
-    "dropout": 0.1,
-    "checkpoint_every": 0,
-    "log_every": 50,
-    "val_every": 0,
-    "seed": 0,
-}
 
 # The train settings that shape the model, each with its DenoiserConfig field.
 _MODEL_FIELDS = {"time_mode": "mode", "T": "num_steps", "layers": "num_layers",
@@ -70,6 +48,15 @@ _MODEL_FIELDS = {"time_mode": "mode", "T": "num_steps", "layers": "num_layers",
 _TRAIN_FIELDS = {"lr": "learning_rate", "warmup": "warmup_steps", "steps": "total_steps",
                  **{k: k for k in ("batch_size", "weight_decay", "mlm_pretrain_steps",
                                    "mlm_mask_rate", "seed")}}
+
+# Every `spindle train` setting with the default of the library field or
+# `run_training` keyword that owns it; the default's type is the setting's.
+_TRAIN_DEFAULTS = {
+    **{k: getattr(DenoiserConfig, f) for k, f in _MODEL_FIELDS.items()},
+    "lam": ScheduleParams.lam,
+    **{k: getattr(TrainConfig, f) for k, f in _TRAIN_FIELDS.items()},
+    **{k: run_training.__kwdefaults__[k] for k in ("checkpoint_every", "log_every", "val_every")},
+}
 
 
 def _flag(key: str) -> str:
@@ -82,7 +69,7 @@ def _flag(key: str) -> str:
 _FIELD_FLAGS = {
     **{f: _flag(k) for k, f in {**_MODEL_FIELDS, **_TRAIN_FIELDS, "lam": "lam"}.items()},
     "length": "--length", "num_reverse_iterations": "--iterations", "top_k": "--top-k",
-    "temperature": "--temperature",
+    "temperature": "--temperature", "max_vocab": "--vocab-size", "smoothing_count": "--smoothing",
 }
 
 # Full-scale training settings from the reference protocol. The paper's
@@ -177,16 +164,17 @@ def _make_parents(*paths: str | Path | None) -> None:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """The train settings resolved over `defaults` (see the module docstring);
-    each preset and config-file value is checked against, and converted to,
-    the type of its _TRAIN_DEFAULTS entry."""
-    resolved = dict(defaults)
+def _merge_config(args: argparse.Namespace) -> dict:
+    """The train settings --preset, --config and the flags give, later ones
+    winning; a preset or config-file value is checked against, and converted
+    to, the type of its _TRAIN_DEFAULTS entry."""
+    given = {}
 
     def merge(settings: dict, source: str) -> None:
-        unknown = sorted(set(settings) - set(resolved))
+        unknown = sorted(set(settings) - set(_TRAIN_DEFAULTS))
         if unknown:
-            raise UsageError(f"{source} has unknown keys {unknown}; known: {sorted(resolved)}")
+            raise UsageError(f"{source} has unknown keys {unknown}; "
+                             f"known: {sorted(_TRAIN_DEFAULTS)}")
         for key, value in settings.items():
             kind = type(_TRAIN_DEFAULTS[key])
             if kind is float and type(value) is int:
@@ -194,7 +182,7 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
             if type(value) is not kind:
                 raise UsageError(f"{source}: {key} must be {kind.__name__}, "
                                  f"got {json.dumps(value)}")
-            resolved[key] = value
+            given[key] = value
 
     preset = getattr(args, "preset", None)
     if preset:
@@ -213,25 +201,40 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         merge(settings, f"config file {config_path}")
     # argparse defaults for setting flags are all None, so a non-None value
     # means the flag was given explicitly and wins over preset/config file
-    for k in defaults:
+    for k in _TRAIN_DEFAULTS:
         actual = getattr(args, k, None)
         if actual is not None:
-            resolved[k] = actual
-    return resolved
+            given[k] = actual
+    return given
 
 
-def _read_sequences(path: Path, vocab: Vocab, n_max: int) -> list[np.ndarray]:
+def _refuse_infinite(where: str, line: str, ids, table: SurprisalTable, vocab: Vocab) -> None:
+    """Refuse `line` (token ids `ids`) as a usage error naming its first word
+    of infinite surprisal: a word the prep corpus lacks, under smoothing 0."""
+    bad = np.flatnonzero(~np.isfinite(table.h_for(ids)))
+    if bad.size:
+        word = split_line(line, vocab.tokenizer)[bad[0]]
+        raise UsageError(f"{where}: token {word!r} has infinite surprisal under smoothing 0")
+
+
+def _read_sequences(path: Path, vocab: Vocab, table: SurprisalTable,
+                    n_max: int) -> list[np.ndarray]:
     """Token ids of each nonempty line, cut to n_max; the count of cut lines
-    goes to stderr."""
-    seqs = []
-    cut = 0
-    for line in _read_text(path).split("\n"):
+    goes to stderr. A token of infinite surprisal is a usage error naming
+    its line."""
+    lines = _read_text(path).split("\n")
+    seqs, cut = [], 0
+    for line in lines:
         ids = tokenize(line, vocab)
         if ids.size:
             cut += ids.size > n_max
             seqs.append(ids[:n_max])
     if not seqs:
         raise UsageError(f"no usable sequences in {path}")
+    # one check over all the ids; the lines are searched only on failure
+    if not np.isfinite(table.h_for(np.concatenate(seqs))).all():
+        for n, line in enumerate(lines, 1):
+            _refuse_infinite(f"{path} line {n}", line, tokenize(line, vocab)[:n_max], table, vocab)
     if cut:
         print(f"note: cut {cut} of {len(seqs)} lines in {path} to n_max={n_max} tokens",
               file=sys.stderr)
@@ -241,13 +244,10 @@ def _read_sequences(path: Path, vocab: Vocab, n_max: int) -> list[np.ndarray]:
 # --- commands ---------------------------------------------------------------------
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    if args.vocab_size < 4:
-        raise UsageError(f"vocab too small: --vocab-size must be >= 4, got {args.vocab_size}")
-    if not 0 <= args.smoothing < np.inf:
-        raise UsageError(f"--smoothing must be finite and >= 0, got {args.smoothing}")
     corpus = _require_file(args.corpus, "corpus")
     num_lines = sum(1 for line in _read_text(corpus).split("\n") if line.strip())
     vocab = _checked(build_vocab, corpus, args.vocab_size, args.tokenizer)
+    _checked(SurprisalTable.from_counts, vocab.counts, args.smoothing)  # checks --smoothing
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vocab.save(out / "vocab.tsv")
@@ -271,7 +271,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _TRAIN_DEFAULTS)
+    given = _merge_config(args)
+    cfg = {**_TRAIN_DEFAULTS, **given}
     for key, least in (("log_every", 1), ("val_every", 0), ("checkpoint_every", 0)):
         if cfg[key] < least:
             raise UsageError(f"{_flag(key)} must be >= {least}, got {cfg[key]}")
@@ -299,11 +300,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         # The run continues the checkpoint's schedule and model; a flag,
         # preset or config file that asks for another one is refused.
         held = {"lam": ckpt.lam, **{k: getattr(model_cfg, f) for k, f in _MODEL_FIELDS.items()}}
-        asked = _merge_config(args, dict.fromkeys(_TRAIN_DEFAULTS))
         for key, value in held.items():
-            given = asked[key]
-            if given is not None and given != value:
-                raise UsageError(f"{_flag(key)} {given} contradicts the checkpoint's {value}")
+            if given.get(key, value) != value:
+                raise UsageError(f"{_flag(key)} {given[key]} contradicts the checkpoint's {value}")
         cfg.update(held)
     else:
         model_cfg = _checked(DenoiserConfig, vocab_size=len(vocab),
@@ -313,13 +312,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     val_path = _require_file(args.val_corpus, "validation corpus") if args.val_corpus else None
 
     # --out is made before the corpora are tokenized, so an unusable one
-    # fails at once; a corpus without a usable line removes what was made.
+    # fails at once; a corpus refused as a usage error removes what was made.
     out = Path(args.out)
     made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     try:
-        sequences = _read_sequences(corpus, vocab, model_cfg.n_max)
-        val_seqs = _read_sequences(val_path, vocab, model_cfg.n_max) if val_path else None
+        sequences = _read_sequences(corpus, vocab, table, model_cfg.n_max)
+        val_seqs = _read_sequences(val_path, vocab, table, model_cfg.n_max) if val_path else None
     except UsageError:
         for d in made:
             d.rmdir()
@@ -399,7 +398,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     vocab, table, ckpt, sched_params = _load_model(args)
     test_path = _require_file(args.test, "test corpus")
-    test_seqs = _read_sequences(test_path, vocab, ckpt.params.config.n_max)
+    test_seqs = _read_sequences(test_path, vocab, table, ckpt.params.config.n_max)
     length = args.length
     if length is None:
         length = int(np.median([len(s) for s in test_seqs]))
@@ -426,9 +425,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.sweep:
         grid = [(k, t) for t in (0.8, 1.0) for k in (1, 2, 5, 15, 30)]
-        refs = [tuple(vocab.tokens[int(i)] for i in s) for s in test_seqs]
         rows = quality_diversity_sweep(
-            ckpt.params, sched_params, table, vocab, refs, grid,
+            ckpt.params, sched_params, table, test_seqs, grid,
             num_per_point=args.num_gen, length=length,
             num_reverse_iterations=args.iterations, seed=args.seed,
         )
@@ -447,19 +445,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
                      t_samples_per_example=args.t_samples, seed=args.seed)
     gen = generate_batch(ckpt.params, sched_params, sample_cfg, table, args.num_gen,
                          stream(args.seed, "eval-gen"))
-    gen_tokens = [tuple(vocab.tokens[int(i)] for i in row) for row in gen.sequences]
-    ref_tokens = [tuple(vocab.tokens[int(i)] for i in s) for s in test_seqs]
-    report = MetricsReport(
-        elbo_nats_per_token=elbo,
-        ppl_proxy=float(np.exp(elbo)),
-        bleu4=bleu4(gen_tokens, ref_tokens),
-        self_bleu4=self_bleu4(gen_tokens),
-        num_samples=args.num_gen,
-        config=config_echo,
-    )
-    Path(args.out).write_text(report.to_json() + "\n")
-    print(f"elbo/token {elbo:.4f} ppl-proxy {report.ppl_proxy:.2f} "
-          f"bleu4 {report.bleu4:.4f} self-bleu4 {report.self_bleu4:.4f} -> {args.out}")
+    report = {
+        "format_version": FORMAT_VERSION,
+        "elbo_nats_per_token": elbo,
+        "ppl_proxy": float(np.exp(elbo)),
+        "bleu4": bleu4(gen.sequences, test_seqs),
+        "self_bleu4": self_bleu4(gen.sequences),
+        "num_samples": args.num_gen,
+        "config": config_echo,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print(f"elbo/token {elbo:.4f} ppl-proxy {report['ppl_proxy']:.2f} "
+          f"bleu4 {report['bleu4']:.4f} self-bleu4 {report['self_bleu4']:.4f} -> {args.out}")
     return 0
 
 
@@ -469,10 +466,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     ids = tokenize(args.text, vocab)
     if ids.size == 0:
         raise UsageError("--text produced no tokens")
+    _refuse_infinite("--text", args.text, ids, table, vocab)
     h = table.h_for(ids)
-    if not np.isfinite(h).all():
-        word = split_line(args.text, vocab.tokenizer)[np.flatnonzero(~np.isfinite(h))[0]]
-        raise UsageError(f"--text token {word!r} has infinite surprisal in {args.prep}")
     _make_parents(args.out)
     steps = np.arange(args.T + 1)
     alpha_bar = spindle_alpha_bar_at(h, steps, sched_params)
@@ -549,9 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num", type=int, default=8)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--iterations", type=int, required=True)
-    p.add_argument("--top-k", type=int, default=30, dest="top_k")
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--top-k", type=int, default=SampleConfig.top_k, dest="top_k")
+    p.add_argument("--temperature", type=float, default=SampleConfig.temperature)
+    p.add_argument("--seed", type=int, default=SampleConfig.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--trajectory", help="also dump per-iteration states as JSONL")
     p.add_argument("--remask", action="store_true",
@@ -568,9 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-samples", type=int, default=4, dest="t_samples")
     p.add_argument("--length", type=int)
     p.add_argument("--iterations", type=int, default=16)
-    p.add_argument("--top-k", type=int, default=30, dest="top_k")
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--top-k", type=int, default=SampleConfig.top_k, dest="top_k")
+    p.add_argument("--temperature", type=float, default=SampleConfig.temperature)
+    p.add_argument("--seed", type=int, default=SampleConfig.seed)
     p.add_argument("--out", default="report.json")
     p.add_argument("--sweep", help="write the (k, temperature) sweep CSV here instead")
     p.set_defaults(fn=cmd_eval)
@@ -578,8 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="dump per-token retention curves as CSV")
     p.add_argument("--prep", required=True)
     p.add_argument("--text", required=True)
-    p.add_argument("--lambda", type=float, default=0.3, dest="lam")
-    p.add_argument("--T", type=int, default=64, dest="T")
+    p.add_argument("--lambda", type=float, default=ScheduleParams.lam, dest="lam")
+    p.add_argument("--T", type=int, default=DenoiserConfig.num_steps, dest="T")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_schedule)
 

@@ -5,38 +5,25 @@ BLEU follows the per-candidate multi-reference convention: each candidate is
 scored against the whole reference set (self-BLEU: against the other
 candidates) with order-4 modified precisions, add-one smoothing on
 zero-match orders, and the closest-reference-length brevity penalty; scores
-are then averaged over candidates.
+are then averaged over candidates. A candidate or reference is a string
+(split on whitespace), a token tuple, or a row of token ids; a vocab maps
+ids to tokens one to one, so BLEU over id rows equals BLEU over their tokens.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .corpus import MASK_ID, SurprisalTable, Vocab
+from .corpus import MASK_ID, SurprisalTable
 from .denoiser import DenoiserParams, forward
 from .diffusion import ScheduleParams, reveal_from_rows, spindle_alpha_bar_at
 from .rng import stream
 from .sampling import SampleConfig, generate_batch
 from .training import diffusion_loss_batch, stratified_t_draws
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    elbo_nats_per_token: float
-    ppl_proxy: float
-    bleu4: float
-    self_bleu4: float
-    num_samples: int
-    config: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps({"format_version": 1, **asdict(self)}, indent=2, sort_keys=True)
 
 
 def elbo_eval(
@@ -117,20 +104,21 @@ def model_predict_fn(params: DenoiserParams):
 
 # --- BLEU ------------------------------------------------------------------------
 
-def _tokens(item) -> tuple[str, ...]:
+def _tokens(item) -> tuple:
+    """A string's words, or a sequence's items (an id row's as Python ints)."""
     if isinstance(item, str):
         return tuple(item.split())
-    return tuple(item)
+    return tuple(item.tolist() if isinstance(item, np.ndarray) else item)
 
 
-def _ngrams(tokens: tuple[str, ...], order: int) -> Counter:
+def _ngrams(tokens: tuple, order: int) -> Counter:
     return Counter(tokens[i : i + order] for i in range(len(tokens) - order + 1))
 
 
-def sentence_bleu(candidate, references, max_order: int = 4) -> float:
+def sentence_bleu(candidate, references) -> float:
     """BLEU of one candidate against a reference set: geometric mean of
-    modified precisions up to max_order (add-one smoothing for orders with no
-    matches) times the closest-length brevity penalty.
+    modified precisions of orders 1 to 4 (add-one smoothing for orders with
+    no matches) times the closest-length brevity penalty.
     """
     cand = _tokens(candidate)
     refs = [_tokens(r) for r in references]
@@ -139,7 +127,7 @@ def sentence_bleu(candidate, references, max_order: int = 4) -> float:
     if len(cand) == 0:
         return 0.0
     log_p = 0.0
-    for order in range(1, max_order + 1):
+    for order in range(1, 5):
         counts = _ngrams(cand, order)
         total = sum(counts.values())
         clipped = 0
@@ -158,21 +146,21 @@ def sentence_bleu(candidate, references, max_order: int = 4) -> float:
     c = len(cand)
     r = min((abs(len(ref) - c), len(ref)) for ref in refs)[1]
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
-    return bp * math.exp(log_p / max_order)
+    return bp * math.exp(log_p / 4)
 
 
 def bleu4(candidates, reference_corpus) -> float:
     """Mean per-candidate BLEU against the full reference corpus."""
-    candidates = list(candidates)
+    candidates = [_tokens(c) for c in candidates]
     if not candidates:
         raise ValueError("no candidates")
-    refs = list(reference_corpus)
+    refs = [_tokens(r) for r in reference_corpus]
     return float(np.mean([sentence_bleu(c, refs) for c in candidates]))
 
 
 def self_bleu4(candidates) -> float:
     """Mean BLEU of each candidate against all the others (lower = more diverse)."""
-    candidates = list(candidates)
+    candidates = [_tokens(c) for c in candidates]
     if len(candidates) < 2:
         raise ValueError("self-BLEU needs at least 2 candidates")
     scores = [
@@ -188,8 +176,7 @@ def quality_diversity_sweep(
     params: DenoiserParams,
     sched_params: ScheduleParams,
     surprisal: SurprisalTable,
-    vocab: Vocab,
-    reference_token_lists: list[tuple[str, ...]],
+    references: list,
     grid: list[tuple[int, float]],
     *,
     num_per_point: int,
@@ -197,7 +184,8 @@ def quality_diversity_sweep(
     num_reverse_iterations: int,
     seed: int = 0,
 ) -> list[dict]:
-    """BLEU / self-BLEU at each (top_k, temperature) grid point."""
+    """BLEU against `references` and self-BLEU at each (top_k, temperature)
+    grid point."""
     rows = []
     for gi, (k, temp) in enumerate(grid):
         cfg = SampleConfig(
@@ -208,13 +196,6 @@ def quality_diversity_sweep(
             params, sched_params, cfg, surprisal, num_per_point,
             stream(seed, "sweep", gi),
         )
-        texts = [tuple(vocab.tokens[int(i)] for i in row) for row in res.sequences]
-        rows.append(
-            {
-                "top_k": k,
-                "temperature": temp,
-                "bleu4": bleu4(texts, reference_token_lists),
-                "self_bleu4": self_bleu4(texts),
-            }
-        )
+        rows.append({"top_k": k, "temperature": temp, "bleu4": bleu4(res.sequences, references),
+                     "self_bleu4": self_bleu4(res.sequences)})
     return rows

@@ -129,14 +129,6 @@ def spindle_grid(h: np.ndarray, num_steps: int, lam: float) -> tuple[np.ndarray,
     return grid, events
 
 
-def brute_posterior(tiny: TinyInstance, xt: np.ndarray, x0: np.ndarray, t: int) -> np.ndarray:
-    """q(x_{t-1} | x_t, x_0) per position, computed literally from transition
-    matrices: numerator Q_t[k, xt] * Qbar_{t-1}[x0, k], normalized by
-    Qbar_t[x0, xt].
-    """
-    return brute_skip_posterior(tiny, xt, x0, t, t - 1)
-
-
 def brute_skip_posterior(
     tiny: TinyInstance, xt: np.ndarray, x0: np.ndarray, t: int, s: int
 ) -> np.ndarray:

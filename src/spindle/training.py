@@ -54,8 +54,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 <= self.weight_decay < np.inf:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if not 0 < self.mlm_mask_rate < 1:
-            raise ValueError(f"mlm_mask_rate must be in (0, 1), got {self.mlm_mask_rate}")
+        if not 0 < self.mlm_mask_rate <= 1:
+            raise ValueError(f"mlm_mask_rate must be in (0, 1], got {self.mlm_mask_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         for name in ("total_steps", "warmup_steps", "mlm_pretrain_steps"):
@@ -120,11 +120,13 @@ def _masked_ce(
     line; the per-item losses come back in batch order. Each group's logits,
     log-probabilities and forward cache are released before the next
     group's forward, so a call holds one group's model tensors at a time,
-    however many items it scores. The release costs no page
-    faults: with the heap thresholds the package pins at import, the next
-    group reuses the freed blocks in place. Every group's `backward` adds
-    into the one buffer, so calls on several windows of a batch sum into it
-    too; an empty batch gives zero losses and adds nothing.
+    however many items it scores. With the heap thresholds the package pins
+    at import the next group reuses the freed blocks; on a 2-core x86_64 box
+    a desk training step then faulted no pages, but vocab30k `elbo_eval`
+    before any training still faulted 3.4k-4.6k (14 MB) per call. Every
+    group's `backward` adds into the one buffer, so calls on several windows
+    of a batch sum into it too; an empty batch gives zero losses and adds
+    nothing.
     """
     if any((x0 == MASK_ID).any() for x0 in targets):
         raise ValueError("training sequence contains [MASK]")

@@ -1,8 +1,9 @@
 import json
 import os
 
-# single-threaded BLAS: these models are small enough that thread fan-out
-# costs more than it buys, and it keeps timings stable on shared runners
+# one BLAS thread, as in the benchmark, keeps test timings stable on shared
+# runners; a second thread sped a desk-shaped loss call only 268 -> 234 ms
+# on a 2-core box
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 

@@ -62,7 +62,8 @@ def test_prepare_vocab_too_small(tmp_path, corpus_file, capsys):
     rc = cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "3",
                    "--out", str(tmp_path / "p")])
     assert rc == 2
-    assert "vocab too small" in capsys.readouterr().err
+    assert "error: --vocab-size must be >= 4, got 3" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_prepare_missing_corpus(tmp_path):
@@ -100,6 +101,9 @@ def test_train_lambda_zero_and_mlm(tmp_path, corpus_file, prep_dir):
     metrics = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
     assert any(m["phase"] == "mlm" for m in metrics)
     assert any(m["phase"] == "diffusion" for m in metrics)
+    # a mask rate of 1 masks every token, as mlm_pretrain_step allows
+    train_tiny(tmp_path, corpus_file, prep_dir, "run1",
+               ["--mlm-mask-rate", "1", "--mlm-pretrain-steps", "1"])
 
 
 def test_train_config_file_and_flag_override(tmp_path, corpus_file, prep_dir):
@@ -568,8 +572,10 @@ def test_eval_missing_test_file(tmp_path, corpus_file, prep_dir):
     ("schedule", ["--T", "0"]),
     ("schedule", ["--lambda", "-1"]),
     ("prepare", ["--smoothing", "-1"]),
+    ("train", ["--mlm-mask-rate", "0"]),
+    ("train", ["--mlm-mask-rate", "1.5"]),
 ], ids=["log-every", "batch-size", "T", "heads", "lambda", "schedule-T", "schedule-lambda",
-        "smoothing"])
+        "smoothing", "mlm-mask-rate-0", "mlm-mask-rate-1.5"])
 def test_rejected_settings_exit_2(tmp_path, corpus_file, prep_dir, capsys, command, flags):
     """A setting out of range is a usage error whether the CLI or a settings
     dataclass finds it, and nothing is trained or written."""
@@ -769,9 +775,15 @@ def test_non_finite_or_negative_setting_exits_2(tmp_path, corpus_file, prep_dir,
     assert not out.exists()
 
 
+def _subparsers() -> dict:
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_train_defaults_are_the_library_defaults():
-    """Each train setting's CLI default is, in value and type, the default
-    of the library field or argument that owns it."""
+    """Each train setting's CLI default, and each sample, eval and schedule
+    flag default that a library field owns, is in value and type the
+    default of that field or argument."""
     owned = {}
     train_fields = {f.name: f.default for f in dataclasses.fields(sp.TrainConfig)}
     owned.update({key: train_fields[f] for key, f in cli._TRAIN_FIELDS.items()})
@@ -785,6 +797,14 @@ def test_train_defaults_are_the_library_defaults():
     assert len(owned) == len(cli._TRAIN_DEFAULTS) == 19
     for key, default in cli._TRAIN_DEFAULTS.items():
         assert (type(default), default) == (type(owned[key]), owned[key]), key
+    parsers = _subparsers()
+    sample_fields = {f.name: f.default for f in dataclasses.fields(sp.SampleConfig)}
+    flag_owners = [("sample", key, sample_fields[key]) for key in ("top_k", "temperature", "seed")]
+    flag_owners += [("eval", key, default) for _, key, default in flag_owners]
+    flag_owners += [("schedule", "lam", owned["lam"]), ("schedule", "T", model_fields["num_steps"])]
+    for command, key, default in flag_owners:
+        got = parsers[command].get_default(key)
+        assert (type(got), got) == (type(default), default), (command, key)
 
 
 def test_schedule_rejects_text_of_infinite_surprisal(tmp_path, corpus_file, capsys):
@@ -802,6 +822,39 @@ def test_schedule_rejects_text_of_infinite_surprisal(tmp_path, corpus_file, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'unseenword'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, bad_flag", [
+    ("train", "--corpus"), ("train", "--val-corpus"), ("eval", "--test")])
+def test_text_of_infinite_surprisal_is_refused_at_once(tmp_path, corpus_file, capsys,
+                                                      command, bad_flag):
+    """Under --smoothing 0 a word the prep corpus never gave has infinite
+    surprisal. A corpus, validation or test file holding one is a usage error
+    naming the file, its line and the word, before any training, and train
+    leaves no --out behind."""
+    prep = tmp_path / "prep0"
+    assert cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "64",
+                     "--smoothing", "0", "--out", str(prep)]) == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_text("the cat sat\n\nthe unseenword sat on the mat\n", encoding="utf-8")
+    out = tmp_path / "a" / "run"
+    if command == "train":
+        files = {"--corpus": corpus_file, "--val-corpus": corpus_file, bad_flag: bad}
+        argv = ["train", "--prep", str(prep), "--out", str(out), "--val-every", "1",
+                "--steps", "2", "--batch-size", "4", "--layers", "1", "--d-model", "16",
+                "--heads", "2", "--n-max", "16", "--T", "8",
+                *(x for flag, path in files.items() for x in (flag, str(path)))]
+    else:
+        run = train_tiny(tmp_path, corpus_file, prep)
+        argv = ["eval", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep),
+                "--test", str(bad), "--num-gen", "2", "--iterations", "4",
+                "--out", str(out)]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{bad} line 3" in err and "'unseenword'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "a").exists()
 
 
 def test_verify_command_reports_and_exit_codes(monkeypatch, capsys):
@@ -878,9 +931,7 @@ def test_every_model_field_is_a_train_setting():
 def test_train_flags_are_the_settings_table():
     """Each train setting has one flag, named and typed by its default, and
     there is no --float64."""
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    train = sub.choices["train"]
+    train = _subparsers()["train"]
     others = {"help", "corpus", "prep", "out", "config", "preset", "val_corpus", "resume"}
     assert {a.dest for a in train._actions} - others == set(cli._TRAIN_DEFAULTS)
     for key, default in cli._TRAIN_DEFAULTS.items():
@@ -893,8 +944,11 @@ def test_train_flags_are_the_settings_table():
 
 
 def test_paper_preset_holds_train_settings_only():
-    resolved = cli._merge_config(argparse.Namespace(preset="paper-lm1b"), cli._TRAIN_DEFAULTS)
-    assert resolved["T"] == 2048 and resolved["steps"] == 1_900_000
+    """The merge gives exactly the preset's settings; the defaults are laid
+    under them by train, not by the merge."""
+    given = cli._merge_config(argparse.Namespace(preset="paper-lm1b"))
+    assert given == cli.PRESETS["paper-lm1b"]
+    assert given["T"] == 2048 and given["steps"] == 1_900_000
 
 
 def test_cut_lines_are_counted_on_stderr(tmp_path, corpus_file, prep_dir, capsys):

@@ -86,6 +86,25 @@ def test_bleu_permutation_invariance(seed):
     assert sp.bleu4(cands, refs) == pytest.approx(sp.bleu4([cands[i] for i in perm], refs))
 
 
+def test_bleu_over_ids_equals_bleu_over_tokens(word_corpus):
+    """A vocab maps ids to tokens one to one, so BLEU and self-BLEU over id
+    rows, a 2-D id array among them, equal the same calls over the rows'
+    token tuples exactly, with empty and duplicate rows."""
+    vocab = word_corpus["vocab"]
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        rows = [rng.integers(0, 12, size=int(rng.integers(0, 9))) for _ in range(6)]
+        rows += [rows[1], rows[1], np.array([], dtype=np.int64)]
+        grid = rng.integers(0, 12, size=(4, 5))
+        rng.shuffle(rows)
+        tokens = [tuple(vocab.tokens[i] for i in row) for row in rows]
+        grid_tokens = [tuple(vocab.tokens[i] for i in row) for row in grid]
+        assert sp.bleu4(rows[:4], rows[4:]) == sp.bleu4(tokens[:4], tokens[4:])
+        assert sp.bleu4(grid, rows) == sp.bleu4(grid_tokens, tokens)
+        assert sp.self_bleu4(rows) == sp.self_bleu4(tokens)
+        assert sp.self_bleu4(grid) == sp.self_bleu4(grid_tokens)
+
+
 def test_self_bleu_identical_sentences():
     assert sp.self_bleu4(["x y z w"] * 5) == pytest.approx(1.0)
 
@@ -353,12 +372,3 @@ def test_elbo_eval_empty_dataset_errors(word_corpus):
     with pytest.raises(ValueError):
         sp.elbo_eval(params, [], sp.ScheduleParams(num_steps=8), word_corpus["table"])
 
-
-def test_metrics_report_round_trip():
-    import json
-
-    rep = sp.MetricsReport(0.5, math.exp(0.5), 0.4, 0.2, 100, {"seed": 1})
-    payload = json.loads(rep.to_json())
-    assert payload["format_version"] == 1
-    assert payload["ppl_proxy"] >= 1.0
-    assert 0 <= payload["bleu4"] <= 1 and 0 <= payload["self_bleu4"] <= 1

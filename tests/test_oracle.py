@@ -27,7 +27,7 @@ def test_q_matrix_rows_stochastic():
 def test_brute_posterior_deterministic_chain_is_point_mass():
     tiny = orc.TinyInstance(3, np.zeros((3, 2)))  # beta = 0 everywhere
     x0 = np.array([4, 5])
-    g = orc.brute_posterior(tiny, x0, x0, 2)
+    g = orc.brute_skip_posterior(tiny, x0, x0, 2, 1)
     assert g[0, 4] == 1.0 and g[1, 5] == 1.0
 
 
@@ -35,7 +35,7 @@ def test_brute_posterior_certain_mask_step():
     tiny = orc.TinyInstance(2, np.array([[1.0, 1.0]]))  # beta_1 = 1
     x0 = np.array([3, 4])
     xt = np.full(2, MASK_ID)
-    g = orc.brute_posterior(tiny, xt, x0, 1)
+    g = orc.brute_skip_posterior(tiny, xt, x0, 1, 0)
     # t=1, s=0: posterior must reveal x0 surely
     assert g[0, 3] == 1.0 and g[1, 4] == 1.0
 
@@ -43,7 +43,7 @@ def test_brute_posterior_certain_mask_step():
 def test_brute_posterior_impossible_evidence():
     tiny = orc.TinyInstance(2, np.array([[0.5, 0.5]]))
     with pytest.raises(ValueError):
-        orc.brute_posterior(tiny, np.array([4, 3]), np.array([3, 3]), 1)
+        orc.brute_skip_posterior(tiny, np.array([4, 3]), np.array([3, 3]), 1, 0)
 
 
 def test_mc_marginal_t0_exact():
