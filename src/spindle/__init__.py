@@ -66,7 +66,6 @@ from .evaluation import (  # noqa: E402
     model_predict_fn,
     quality_diversity_sweep,
     self_bleu4,
-    sentence_bleu,
 )
 from .sampling import GenerationResult, SampleConfig, generate_batch, top_k_filter  # noqa: E402
 from .training import (  # noqa: E402

@@ -2,12 +2,16 @@
 quality/diversity sweep.
 
 BLEU follows the per-candidate multi-reference convention: each candidate is
-scored against the whole reference set (self-BLEU: against the other
-candidates) with order-4 modified precisions, add-one smoothing on
-zero-match orders, and the closest-reference-length brevity penalty; scores
-are then averaged over candidates. A candidate or reference is a string
-(split on whitespace), a token tuple, or a row of token ids; a vocab maps
-ids to tokens one to one, so BLEU over id rows equals BLEU over their tokens.
+scored against the whole reference set with order-4 modified precisions,
+add-one smoothing on zero-match orders and the closest-reference-length
+brevity penalty (ties go to the shorter); an empty candidate scores 0, and
+the scores are averaged over candidates. Each order clips every candidate
+against one table of each reference n-gram's largest and second-largest
+count. Self-BLEU scores each candidate against the others from tables over
+all candidates: a count equal to the largest is clipped to the second, the
+largest among the others. A candidate or reference is a string (split on
+whitespace), a token tuple, or a row of token ids; a vocab maps ids to
+tokens one to one, so BLEU over id rows equals BLEU over their tokens.
 """
 
 from __future__ import annotations
@@ -115,59 +119,54 @@ def _ngrams(tokens: tuple, order: int) -> Counter:
     return Counter(tokens[i : i + order] for i in range(len(tokens) - order + 1))
 
 
-def sentence_bleu(candidate, references) -> float:
-    """BLEU of one candidate against a reference set: geometric mean of
-    modified precisions of orders 1 to 4 (add-one smoothing for orders with
-    no matches) times the closest-length brevity penalty.
-    """
-    cand = _tokens(candidate)
-    refs = [_tokens(r) for r in references]
+def _bleu_scores(cands: list, refs: list, leave_one_out: bool) -> list[float]:
+    """Each candidate's BLEU (module docstring) against `refs`, or with
+    `leave_one_out`, where refs is cands, against the other candidates."""
     if not refs:
         raise ValueError("reference set is empty")
-    if len(cand) == 0:
-        return 0.0
-    log_p = 0.0
+    log_p = [0.0] * len(cands)
     for order in range(1, 5):
-        counts = _ngrams(cand, order)
-        total = sum(counts.values())
-        clipped = 0
-        if counts:
-            max_ref: Counter = Counter()
-            for ref in refs:
-                ref_counts = _ngrams(ref, order)
-                for gram, cnt in ref_counts.items():
-                    if cnt > max_ref[gram]:
-                        max_ref[gram] = cnt
-            clipped = sum(min(cnt, max_ref[gram]) for gram, cnt in counts.items())
-        if clipped == 0:
-            log_p += math.log((clipped + 1) / (total + 1))
-        else:
-            log_p += math.log(clipped / total)
-    c = len(cand)
-    r = min((abs(len(ref) - c), len(ref)) for ref in refs)[1]
-    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
-    return bp * math.exp(log_p / 4)
+        top: dict = {}  # gram -> (largest, second-largest) count over refs
+        for ref in refs:
+            for gram, cnt in _ngrams(ref, order).items():
+                first, second = top.get(gram, (0, 0))
+                top[gram] = (max(first, cnt), max(second, min(first, cnt)))
+        for i, cand in enumerate(cands):
+            counts = _ngrams(cand, order)
+            total = sum(counts.values())
+            clipped = 0
+            for gram, cnt in counts.items():
+                first, second = top.get(gram, (0, 0))
+                clipped += min(cnt, second if leave_one_out and cnt == first else first)
+            log_p[i] += math.log((clipped + 1) / (total + 1) if clipped == 0 else clipped / total)
+    ref_lens = Counter(len(ref) for ref in refs)
+    scores = []
+    for cand, lp in zip(cands, log_p):
+        c = len(cand)
+        r = min((abs(n - c), n) for n, k in ref_lens.items() if k > (leave_one_out and n == c))[1]
+        bp = 0.0 if c == 0 else 1.0 if c >= r else math.exp(1.0 - r / c)
+        scores.append(bp * math.exp(lp / 4))
+    return scores
 
 
 def bleu4(candidates, reference_corpus) -> float:
-    """Mean per-candidate BLEU against the full reference corpus."""
+    """Mean per-candidate BLEU against the full reference corpus. Each call
+    builds its own reference tables, one n-gram order at a time."""
     candidates = [_tokens(c) for c in candidates]
     if not candidates:
         raise ValueError("no candidates")
     refs = [_tokens(r) for r in reference_corpus]
-    return float(np.mean([sentence_bleu(c, refs) for c in candidates]))
+    return float(np.mean(_bleu_scores(candidates, refs, leave_one_out=False)))
 
 
 def self_bleu4(candidates) -> float:
-    """Mean BLEU of each candidate against all the others (lower = more diverse)."""
+    """Mean BLEU of each candidate against all the others (lower = more
+    diverse). Each call builds its own tables over the candidates, one
+    n-gram order at a time."""
     candidates = [_tokens(c) for c in candidates]
     if len(candidates) < 2:
         raise ValueError("self-BLEU needs at least 2 candidates")
-    scores = [
-        sentence_bleu(c, candidates[:i] + candidates[i + 1 :])
-        for i, c in enumerate(candidates)
-    ]
-    return float(np.mean(scores))
+    return float(np.mean(_bleu_scores(candidates, candidates, leave_one_out=True)))
 
 
 # --- sweeps ------------------------------------------------------------------------

@@ -497,10 +497,11 @@ def run_training(
             if metrics_path is not None:
                 with metrics_path.open("a", encoding="utf-8") as fh:
                     fh.write(json.dumps(record, sort_keys=True) + "\n")
-        if out is not None and checkpoint_every > 0 and step % checkpoint_every == 0:
-            emit_checkpoint(step)
         if stop_fn is not None and stop_fn(metrics, step):
             break
+        if (out is not None and checkpoint_every > 0 and step % checkpoint_every == 0
+                and step < total):  # the last step's checkpoint is written below
+            emit_checkpoint(step)
 
     if out is not None:
         emit_checkpoint(step)

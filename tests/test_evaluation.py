@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spindle as sp
-from spindle import denoiser as dn, oracle as orc
+from spindle import denoiser as dn, evaluation, oracle as orc
 from spindle.corpus import MASK_ID
 from spindle.diffusion import reveal_from_rows, spindle_alpha_bar_at
 from spindle.rng import stream
@@ -34,45 +34,80 @@ def test_bleu_disjoint_vocab_is_smoothing_floor():
 
 
 def test_bleu_empty_candidate_scores_zero():
-    assert sp.sentence_bleu("", ["a b c"]) == 0.0
+    assert sp.bleu4([""], ["a b c"]) == 0.0
+
+
+def ref_bleu(cand: tuple, refs: list) -> float:
+    """A from-scratch BLEU of one token tuple against token tuples, written
+    differently (explicit clipping loops, no shared code)."""
+    if not cand:
+        return 0.0
+    log_sum = 0.0
+    for order in range(1, 5):
+        cand_ngrams = [tuple(cand[i:i + order]) for i in range(len(cand) - order + 1)]
+        matched = 0
+        for gram in set(cand_ngrams):
+            best = max(
+                sum(1 for j in range(len(r) - order + 1) if tuple(r[j:j + order]) == gram)
+                for r in refs
+            )
+            matched += min(cand_ngrams.count(gram), best)
+        total = len(cand_ngrams)
+        if matched == 0:
+            log_sum += math.log((matched + 1) / (total + 1))
+        else:
+            log_sum += math.log(matched / total)
+    c = len(cand)
+    r = min((abs(len(r_) - c), len(r_)) for r_ in refs)[1]
+    bp = 1.0 if c >= r else math.exp(1 - r / c)
+    return bp * math.exp(log_sum / 4)
 
 
 def test_bleu_matches_independent_implementation():
-    """Cross-check against a from-scratch BLEU written differently (explicit
-    clipping loops, no shared code)."""
-
-    def ref_bleu(cand, refs):
-        cand = cand.split()
-        refs = [r.split() for r in refs]
-        if not cand:
-            return 0.0
-        log_sum = 0.0
-        for order in range(1, 5):
-            cand_ngrams = [tuple(cand[i:i + order]) for i in range(len(cand) - order + 1)]
-            matched = 0
-            for gram in set(cand_ngrams):
-                best = max(
-                    sum(1 for j in range(len(r) - order + 1) if tuple(r[j:j + order]) == gram)
-                    for r in refs
-                )
-                matched += min(cand_ngrams.count(gram), best)
-            total = len(cand_ngrams)
-            if matched == 0:
-                log_sum += math.log((matched + 1) / (total + 1))
-            else:
-                log_sum += math.log(matched / total)
-        c = len(cand)
-        r = min((abs(len(r_) - c), len(r_)) for r_ in refs)[1]
-        bp = 1.0 if c >= r else math.exp(1 - r / c)
-        return bp * math.exp(log_sum / 4)
-
+    """`bleu4` of one string candidate agrees with `ref_bleu` on its words."""
     rng = np.random.default_rng(0)
     vocab = ["a", "b", "c", "d", "e"]
     for _ in range(40):
         cand = " ".join(rng.choice(vocab, size=rng.integers(1, 9)))
         refs = [" ".join(rng.choice(vocab, size=rng.integers(1, 9)))
                 for _ in range(int(rng.integers(1, 4)))]
-        assert sp.sentence_bleu(cand, refs) == pytest.approx(ref_bleu(cand, refs), abs=1e-12)
+        want = ref_bleu(tuple(cand.split()), [tuple(r.split()) for r in refs])
+        assert sp.bleu4([cand], refs) == pytest.approx(want, abs=1e-12)
+
+
+_token_rows = st.lists(st.lists(st.sampled_from("abc"), max_size=7).map(tuple),
+                       min_size=1, max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cands=_token_rows, refs=_token_rows, dup=st.integers(-1, 6))
+@example(cands=[(), ("a",)], refs=[("a", "b")], dup=-1)  # empty candidate, one reference, N = 2
+@example(cands=[("a", "b")], refs=[("a",), ("a", "b", "c")], dup=0)  # length tie at c - 1, c + 1
+@example(cands=[("a", "a", "b"), ("a", "b")], refs=[("a", "a")], dup=0)  # two rows hold a maximum
+def test_bleu_and_self_bleu_equal_the_independent_reference(cands, refs, dup):
+    """`bleu4` and `self_bleu4`, which clip against one table per order,
+    equal the mean of `ref_bleu` over the candidates exactly; for self-BLEU
+    each candidate's references are all the other candidates."""
+    if dup >= 0:
+        cands = cands + [cands[dup % len(cands)]]
+    assert sp.bleu4(cands, refs) == np.mean([ref_bleu(c, refs) for c in cands])
+    if len(cands) >= 2:
+        others = [cands[:i] + cands[i + 1:] for i in range(len(cands))]
+        assert sp.self_bleu4(cands) == np.mean([ref_bleu(c, o) for c, o in zip(cands, others)])
+
+
+def test_bleu_counts_each_reference_once_per_order(monkeypatch):
+    """`bleu4` over C candidates and R references counts n-grams at most
+    4 (C + R) times: no candidate rescans the references."""
+    calls = []
+    ngrams = evaluation._ngrams
+    monkeypatch.setattr(evaluation, "_ngrams",
+                        lambda tokens, order: calls.append(order) or ngrams(tokens, order))
+    rng = np.random.default_rng(0)
+    cands = [rng.integers(0, 9, size=int(rng.integers(4, 12))) for _ in range(5)]
+    refs = [rng.integers(0, 9, size=int(rng.integers(4, 12))) for _ in range(50)]
+    sp.bleu4(cands, refs)
+    assert 0 < len(calls) <= 4 * (5 + 50)
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spindle as sp
-from spindle import denoiser as dn, oracle as orc
+from spindle import denoiser as dn, oracle as orc, training
 from spindle.corpus import MASK_ID
 from spindle.diffusion import spindle_alpha_bar_at
 from spindle.rng import stream
@@ -441,6 +441,23 @@ def test_run_training_smoke_and_metrics_schema(word_corpus, tmp_path):
         assert "lT" not in rec
     phases = [m["phase"] for m in res.metrics]
     assert "mlm" in phases and "diffusion" in phases
+
+
+@pytest.mark.parametrize("stop_at, written", [(None, [2, 4]), (3, [2, 3]), (4, [2, 4])])
+def test_run_training_writes_each_checkpoint_once(word_corpus, tmp_path, monkeypatch,
+                                                  stop_at, written):
+    """4 steps with a checkpoint every 2 write steps 2 and 4 once each; a run
+    that `stop_fn` ends early writes the interval steps before it and its
+    last step."""
+    vocab, table, seqs = word_corpus["vocab"], word_corpus["table"], word_corpus["seqs"]
+    saved = []
+    monkeypatch.setattr(training, "save_checkpoint",
+                        lambda path, params, **kw: saved.append(kw["step"]))
+    sp.run_training(tiny_params(vocab_size=len(vocab)), vocab, table, seqs,
+                    sp.ScheduleParams(num_steps=8), sp.TrainConfig(batch_size=2, total_steps=4),
+                    out_dir=tmp_path, checkpoint_every=2,
+                    stop_fn=None if stop_at is None else lambda metrics, step: step == stop_at)
+    assert saved == written
 
 
 @pytest.mark.parametrize("log_every", [0, -1])
