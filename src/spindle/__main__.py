@@ -1,0 +1,8 @@
+"""`python -m spindle`: the command line of `spindle.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

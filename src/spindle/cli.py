@@ -119,15 +119,15 @@ def _read_text(path: Path) -> str:
 def _load_prep(prep_dir: str | Path):
     """The vocab of a prep directory and the surprisal table of its counts
     and stats.json's smoothing. A missing file is a usage error; a damaged
-    stats.json raises ValueError naming it."""
+    stats.json, or a smoothing `SurprisalTable.from_counts` refuses, raises
+    ValueError naming it."""
     prep = _require_file(prep_dir, "prep directory")
     vocab_path = _require_file(prep / "vocab.tsv", "vocab file")
     stats_path = _require_file(prep / "stats.json", "prep stats file")
     try:
         config = json.loads(stats_path.read_text(encoding="utf-8"))["config"]
         tokenizer, smoothing = config["tokenizer"], config["smoothing"]
-        smoothing_ok = type(smoothing) in (int, float) and 0 <= smoothing < np.inf
-        if tokenizer not in TOKENIZERS or not smoothing_ok:
+        if tokenizer not in TOKENIZERS or type(smoothing) not in (int, float):  # bool is no number
             raise ValueError(f"tokenizer {json.dumps(tokenizer)} or smoothing "
                              f"{json.dumps(smoothing)} is not valid")
     except KeyError as exc:
@@ -135,7 +135,10 @@ def _load_prep(prep_dir: str | Path):
     except (TypeError, ValueError) as exc:  # not JSON, not an object, or a bad value
         raise ValueError(f"{stats_path}: {exc}") from exc
     vocab = Vocab.load(vocab_path, tokenizer)
-    return vocab, SurprisalTable.from_counts(vocab.counts, smoothing)
+    try:
+        return vocab, SurprisalTable.from_counts(vocab.counts, smoothing)
+    except ValueError as exc:  # the smoothing is out of range
+        raise ValueError(f"{stats_path}: {exc}") from exc
 
 
 def _load_model(args: argparse.Namespace):

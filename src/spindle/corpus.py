@@ -68,6 +68,8 @@ class Vocab:
             raise ValueError("duplicate tokens in vocab")
         if len(self.tokens) != len(self.counts):
             raise ValueError("tokens/counts length mismatch")
+        if min(self.counts) < 0 or not any(self.counts[NUM_SPECIALS:]):
+            raise ValueError("counts must be >= 0, and some content count > 0")
         if self.tokenizer not in TOKENIZERS:
             raise ValueError(f"unknown tokenizer {self.tokenizer!r}")
 

@@ -403,7 +403,9 @@ def backward(
     the full (B, n + prefix, d) tensor.
 
     Entries of upstream_grad at the forced -inf columns are ignored (those
-    logits are constants).
+    logits are constants). upstream_grad is never written: it is read as
+    is when those columns are already zero, as the loss core's gradients
+    are, and through a copy with them zeroed otherwise.
     """
     params: DenoiserParams = cache["params"]
     cfg = params.config
@@ -414,8 +416,10 @@ def backward(
         raise ValueError(f"upstream grad shape {np.shape(upstream_grad)} != {expected}")
     g = grads
 
-    dlogits = np.array(upstream_grad, dtype=params.dtype)
-    dlogits[:, SPECIAL_IDS] = 0.0
+    dlogits = np.asarray(upstream_grad, dtype=params.dtype)
+    if dlogits[:, SPECIAL_IDS].any():
+        dlogits = np.array(upstream_grad, dtype=params.dtype)
+        dlogits[:, SPECIAL_IDS] = 0.0
     g["out.w"] += cache["hf"].T @ dlogits
     g["out.b"] += dlogits.sum(axis=0)
     dh = dlogits @ p["out.w"].T

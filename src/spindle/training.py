@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,6 +83,10 @@ _GROUP_SIZE = 8
 # Items per `_masked_ce` call in `diffusion_loss_batch`: the states, weights
 # and retention rows of one window exist at a time.
 _WINDOW = 64
+# Elements per block of the vocabulary-wide passes in `adam_step` and
+# `_head_logp`: 256 KB of float32, so each block's operands stay in L2
+# instead of streaming whole (30,522, d) tensors through DRAM once per op.
+_BLOCK = 1 << 16
 
 
 def _pad_batch(rows: list[np.ndarray], fill: float) -> np.ndarray:
@@ -91,9 +96,33 @@ def _pad_batch(rows: list[np.ndarray], fill: float) -> np.ndarray:
     return out
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    out = logits - np.max(logits, axis=-1, keepdims=True)
-    out -= np.log(np.exp(out).sum(axis=-1, keepdims=True))
+def _block_rows(shape: tuple[int, ...]) -> int:
+    """Rows per leading-axis block of an array of this shape: _BLOCK
+    elements' worth, at least one row."""
+    return max(1, _BLOCK // math.prod(shape[1:]))
+
+
+def _head_logp(logits: np.ndarray, target: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """log softmax(logits)[i, target[i]] for each row i, computed one row
+    block at a time in place: logits is left holding the log-probabilities,
+    or, given the row weights w, d(sum_i w_i * -logp_i)/d(logits) =
+    w * (softmax - onehot). Each value is the bitwise one of the whole-array
+    expressions; the only temporary is one block-sized exp scratch.
+    """
+    step = _block_rows(logits.shape)
+    scratch = np.empty((min(step, len(logits)), logits.shape[-1]), dtype=logits.dtype)
+    out = np.empty(len(logits), dtype=logits.dtype)
+    for lo in range(0, len(logits), step):
+        z = logits[lo : lo + step]
+        rows, tgt = np.arange(len(z)), target[lo : lo + step]
+        z -= z.max(axis=-1, keepdims=True)
+        e = np.exp(z, out=scratch[: len(z)])
+        z -= np.log(e.sum(axis=-1, keepdims=True))
+        out[lo : lo + step] = z[rows, tgt]
+        if w is not None:
+            np.exp(z, out=z)
+            z[rows, tgt] -= 1.0
+            z *= w[lo : lo + step, None]
     return out
 
 
@@ -117,15 +146,19 @@ def _masked_ce(
 
     The items run in groups of _GROUP_SIZE consecutive items of the stable
     sort by length, each group in batch order and padded to its own longest
-    line; the per-item losses come back in batch order. Each group's logits,
-    log-probabilities and forward cache are released before the next
-    group's forward, so a call holds one group's model tensors at a time,
-    however many items it scores. With the heap thresholds the package pins
-    at import the next group reuses the freed blocks; on a 2-core x86_64 box
-    a desk training step then faulted no pages, but vocab30k `elbo_eval`
-    before any training still faulted 3.4k-4.6k (14 MB) per call. Every
-    group's `backward` adds into the one buffer, so calls on several windows
-    of a batch sum into it too; an empty batch gives zero losses and adds
+    line; the per-item losses come back in batch order. The head's
+    log-softmax, its reading at the targets and the logit gradient run one
+    row block at a time in place (`_head_logp`), so the logits array itself
+    becomes `backward`'s upstream gradient and no second (rows, K) array
+    exists. Each group's logits and forward cache are released before the
+    next group's forward, so a call holds one group's model tensors at a
+    time, however many items it scores. With the heap thresholds the package
+    pins at import the next group reuses the freed blocks; on a 2-core
+    x86_64 box a desk training step then faulted no pages, and vocab30k
+    `elbo_eval` before any training faulted 2.2k-2.3k pages on its first
+    call and 0-1.4k (mostly none) on each later one. Every group's
+    `backward` adds into the one buffer, so calls on several windows of a
+    batch sum into it too; an empty batch gives zero losses and adds
     nothing.
     """
     if any((x0 == MASK_ID).any() for x0 in targets):
@@ -138,18 +171,14 @@ def _masked_ce(
         xt = _pad_batch([xts[i] for i in group], PAD_ID)
         masked = xt == MASK_ID
         w = _pad_batch([weights[i] for i in group], 0.0)[masked]
-        rows, target = np.arange(len(w)), x0[masked]
         logits, cache = denoiser.forward(params, xt, t[group], train=train, rng=rng)
-        logp = _log_softmax(logits)
+        logp = _head_logp(logits, x0[masked], w if grads is not None else None)
         per_pos = np.zeros(xt.shape)
-        per_pos[masked] = w * -logp[rows, target]
+        per_pos[masked] = w * -logp
         per_item[group] = per_pos.sum(axis=1)
-        if grads is not None:  # in place, logp becomes d(loss)/d(logits) = w * (softmax - onehot)
-            np.exp(logp, out=logp)
-            logp[rows, target] -= 1.0
-            logp *= w[:, None]
-            denoiser.backward(cache, logp, grads)
-        del logits, logp, cache  # else the next group's forward runs while these are held
+        if grads is not None:  # logits now holds d(loss)/d(logits)
+            denoiser.backward(cache, logits, grads)
+        del logits, cache  # else the next group's forward runs while these are held
     return per_item
 
 
@@ -273,10 +302,12 @@ def adam_step(
     """One decoupled-weight-decay Adam update (in place; step is 1-based).
 
     Weight decay applies to matrices only, never biases or norm gains. A
-    non-finite gradient skips the whole update and reports it. Temporaries
-    live in one scratch buffer per call; each result is the bitwise value of
-    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-    p -= lr ((m / c1) / (sqrt(v / c2) + eps) + wd p).
+    non-finite gradient skips the whole update and reports it. Each tensor
+    is updated one leading-axis block of about _BLOCK elements at a time
+    (one block if it is no larger), so the operands of each operation stay
+    in cache; the temporaries live in one block-sized scratch pair per call.
+    Each result is the bitwise value of m = b1 m + (1 - b1) g,
+    v = b2 v + (1 - b2) g g and p -= lr ((m / c1) / (sqrt(v / c2) + eps) + wd p).
     """
     if set(grads) != set(params.tensors):
         raise ValueError("gradient names do not match parameters")
@@ -289,26 +320,28 @@ def adam_step(
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**step
     c2 = 1.0 - b2**step
-    size = max(p.size for p in params.tensors.values())
+    size = max(p[: _block_rows(p.shape)].size for p in params.tensors.values())
     scratch = np.empty(2 * size, dtype=params.dtype)
     for name, g in grads.items():
-        p = params.tensors[name]
-        m = state.m[name]
-        v = state.v[name]
-        a = scratch[: p.size].reshape(p.shape)
-        b = scratch[size : size + p.size].reshape(p.shape)
-        m *= b1
-        m += np.multiply(1 - b1, g, out=a)
-        v *= b2
-        np.multiply(1 - b2, g, out=a)
-        v += np.multiply(a, g, out=a)
-        np.divide(v, c2, out=a)
-        np.sqrt(a, out=a)
-        a += ADAM_EPS
-        np.divide(np.divide(m, c1, out=b), a, out=a)  # the update
-        if cfg.weight_decay > 0 and p.ndim >= 2:
-            a += np.multiply(cfg.weight_decay, p, out=b)
-        p -= np.multiply(lr, a, out=a)
+        step_rows = _block_rows(g.shape)
+        decay = cfg.weight_decay > 0 and g.ndim >= 2
+        for lo in range(0, len(g), step_rows):
+            blk = slice(lo, lo + step_rows)
+            p, m, v, gb = params.tensors[name][blk], state.m[name][blk], state.v[name][blk], g[blk]
+            a = scratch[: p.size].reshape(p.shape)
+            b = scratch[size : size + p.size].reshape(p.shape)
+            m *= b1
+            m += np.multiply(1 - b1, gb, out=a)
+            v *= b2
+            np.multiply(1 - b2, gb, out=a)
+            v += np.multiply(a, gb, out=a)
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += ADAM_EPS
+            np.divide(np.divide(m, c1, out=b), a, out=a)  # the update
+            if decay:
+                a += np.multiply(cfg.weight_decay, p, out=b)
+            p -= np.multiply(lr, a, out=a)
     return params, state, False
 
 
@@ -413,8 +446,11 @@ def run_training(
     if not sequences:
         raise ValueError("no training sequences")
     sched_params.check_model_steps(params.config.num_steps)
-    if log_every < 1:
-        raise ValueError(f"log_every must be >= 1, got {log_every}")
+    for name, value, least in (("log_every", log_every, 1),
+                               ("checkpoint_every", checkpoint_every, 0),
+                               ("val_every", val_every, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     sequences = [np.asarray(s, dtype=np.int64) for s in sequences]
     if opt_state is None:
         opt_state = AdamState.zeros(params)

@@ -2,6 +2,10 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -686,13 +690,17 @@ def test_prep_table_is_the_corpus_scan(tmp_path, corpus_file, tokenizer, smoothi
     ('{"config": []}', "list indices"),
     ('{"config": {"tokenizer": "word"}}', "no 'smoothing' key"),
     ('{"config": {"tokenizer": "word", "smoothing": "x"}}', 'smoothing "x"'),
-    ('{"config": {"tokenizer": "word", "smoothing": NaN}}', "smoothing NaN"),
+    ('{"config": {"tokenizer": "word", "smoothing": true}}', "smoothing true"),
+    ('{"config": {"tokenizer": "word", "smoothing": NaN}}', "finite and >= 0, got nan"),
+    ('{"config": {"tokenizer": "word", "smoothing": -1}}', "finite and >= 0, got -1"),
     ('{"config": {"tokenizer": "bpe", "smoothing": 1.0}}', 'tokenizer "bpe"'),
 ], ids=["empty", "not-json", "config-list", "no-smoothing", "string-smoothing",
-        "nan-smoothing", "unknown-tokenizer"])
+        "bool-smoothing", "nan-smoothing", "negative-smoothing", "unknown-tokenizer"])
 def test_damaged_stats_json_exits_3(tmp_path, prep_dir, capsys, stats, needle):
     """A stats.json that does not give the tokenizer and the smoothing is a
-    damaged prep directory: a runtime failure naming the file."""
+    damaged prep directory: a runtime failure naming the file. A bool is
+    not a number; a smoothing out of range is refused by
+    `SurprisalTable.from_counts`, under the file's name."""
     stats_path = prep_dir / "stats.json"
     stats_path.write_text(stats)
     out = tmp_path / "sched.csv"
@@ -710,7 +718,9 @@ def test_damaged_stats_json_exits_3(tmp_path, prep_dir, capsys, stats, needle):
     "[MASK]\t0\n[PAD]\t0\n[CLS]\t0\n",
     "[MASK]\t0\n[PAD]\t0\n[CLS]\t0\n[UNK]\tx\n",
     "[MASK]\t0\n[PAD]\t0\n[CLS]\t0\n[UNK]\n",
-], ids=["no-unk", "count-not-int", "no-tab"])
+    "[MASK]\t0\n[PAD]\t0\n[CLS]\t0\n[UNK]\t0\nthe\t-3\ncat\t5\n",
+    "[MASK]\t0\n[PAD]\t0\n[CLS]\t0\n[UNK]\t0\nthe\t0\n",
+], ids=["no-unk", "count-not-int", "no-tab", "negative-count", "no-content-count"])
 def test_damaged_vocab_tsv_exits_3(tmp_path, prep_dir, capsys, text):
     vocab_path = prep_dir / "vocab.tsv"
     vocab_path.write_text(text)
@@ -964,3 +974,13 @@ def test_cut_lines_are_counted_on_stderr(tmp_path, corpus_file, prep_dir, capsys
                    "--t-samples", "1", "--out", str(tmp_path / "report.json")])
     assert rc == 0
     assert note in capsys.readouterr().err
+
+
+def test_python_dash_m_spindle_runs_the_cli():
+    """`python -m spindle` is the command line: --help lists the commands
+    and exits 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sp.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-m", "spindle", "--help"], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "verify" in done.stdout

@@ -170,6 +170,29 @@ def test_backward_adds_into_the_given_buffer(mode):
         np.testing.assert_array_equal(buffer[name], prefilled[name] + g, err_msg=name)
 
 
+@pytest.mark.parametrize("special", [0.0, -0.0, 0.7], ids=["zero", "negative-zero", "nonzero"])
+def test_backward_never_writes_its_upstream(special):
+    """backward leaves its upstream array as it was, whether it reads it as
+    is (zeros at the forced -inf columns, as the loss core's gradients
+    are, -0 included) or through a copy with those columns zeroed; either
+    way the gradients are bitwise those of the +0 upstream."""
+    params = dn.init_params(tiny_config("lte"), 3)
+    rng = np.random.default_rng(6)
+    params.tensors["out.w"] += rng.normal(0, 0.4, params["out.w"].shape)
+    xt = np.array([[4, MASK_ID, 5, MASK_ID], [MASK_ID, 6, MASK_ID, PAD_ID]])
+    logits, cache = dn.forward(params, xt, np.array([2, 5]))
+    zeroed = rng.normal(0, 1, logits.shape)
+    zeroed[:, dn.SPECIAL_IDS] = 0.0
+    up = zeroed.copy()
+    up[:, dn.SPECIAL_IDS] = special
+    before = up.copy()
+    grads = dn.backward(cache, up, params.zeros_like())
+    assert up.tobytes() == before.tobytes()
+    expected = dn.backward(cache, zeroed, params.zeros_like())
+    for name, g in expected.items():
+        assert grads[name].tobytes() == g.tobytes(), name
+
+
 def test_backward_shape_mismatch_errors():
     params = dn.init_params(tiny_config("tad"), 2)
     _, cache = dn.forward(params, np.array([[4, 5]]))

@@ -322,6 +322,100 @@ def test_adam_step_is_bitwise_the_textbook_expression(dtype, weight_decay):
         assert np.array_equal(state.m[name], m[name]) and np.array_equal(state.v[name], v[name])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_blocked_adam_is_bitwise_the_textbook_expression_across_block_edges(
+        monkeypatch, dtype, weight_decay):
+    """With 5-element blocks, tensors of 1, 5, 6 and 11 elements and 2-D
+    ones of 2-element, 3-element and wider-than-a-block rows update in one
+    block, at a block edge and over several blocks with a remainder; each
+    m, v and p equals, bit for bit, the whole-array expression."""
+    monkeypatch.setattr(training, "_BLOCK", 5)
+    shapes = {"a": (1,), "b": (5,), "c": (6,), "d": (11,), "w2": (7, 2), "w3": (4, 3),
+              "w7": (2, 7)}
+    rng = np.random.default_rng(9)
+    params = dn.DenoiserParams(tiny_params().config,
+                               {k: rng.normal(0, 1, s).astype(dtype) for k, s in shapes.items()})
+    expected = params.copy()
+    m, v = expected.zeros_like(), expected.zeros_like()
+    state = sp.AdamState.zeros(params)
+    cfg = sp.TrainConfig(weight_decay=weight_decay, warmup_steps=2)
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    for step in range(1, 4):
+        grads = {k: rng.normal(0, 1, x.shape).astype(dtype) for k, x in params.tensors.items()}
+        params, state, skipped = sp.adam_step(params, grads, state, cfg, step)
+        assert not skipped
+        lr, c1, c2 = sp.learning_rate_at(step, cfg), 1.0 - b1**step, 1.0 - b2**step
+        for name, g in grads.items():
+            p = expected.tensors[name]
+            m[name] = b1 * m[name] + (1 - b1) * g
+            v[name] = b2 * v[name] + (1 - b2) * g * g
+            update = (m[name] / c1) / (np.sqrt(v[name] / c2) + ADAM_EPS)
+            if weight_decay > 0 and p.ndim >= 2:
+                update = update + weight_decay * p
+            p -= lr * update
+    for name in params.names():
+        assert params[name].dtype == dtype
+        assert params[name].tobytes() == expected[name].tobytes(), name
+        assert state.m[name].tobytes() == m[name].tobytes(), name
+        assert state.v[name].tobytes() == v[name].tobytes(), name
+
+
+def _whole_array_head(logits, target, w):
+    """The head as whole-array expressions: the log-probabilities at the
+    targets and, given w, the logit gradient w * (softmax - onehot)."""
+    logp = logits - np.max(logits, axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    rows = np.arange(len(logits))
+    at_target = logp[rows, target]
+    if w is None:
+        return at_target, logp
+    grad = np.exp(logp)
+    grad[rows, target] -= 1.0
+    grad *= w[:, None]
+    return at_target, grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_grad", [False, True])
+@pytest.mark.parametrize("num_rows", [0, 1, 3, 10])
+def test_blocked_head_is_bitwise_the_whole_array_expressions(monkeypatch, dtype, with_grad,
+                                                            num_rows):
+    """At 3 rows per block, 10 rows run as blocks of 3, 3, 3 and 1: the
+    log-probabilities at the targets, and the logits array left holding the
+    log-probabilities or the gradient, equal the whole-array expressions bit
+    for bit."""
+    k = 13
+    monkeypatch.setattr(training, "_BLOCK", 3 * k + 2)
+    rng = np.random.default_rng(num_rows)
+    logits = rng.normal(0, 3, (num_rows, k)).astype(dtype)
+    logits[:, dn.SPECIAL_IDS] = -np.inf
+    target = rng.integers(4, k, num_rows)
+    w = rng.random(num_rows) if with_grad else None
+    want_logp, want_array = _whole_array_head(logits, target, w)
+    got_logp = training._head_logp(logits, target, w)
+    assert got_logp.dtype == dtype
+    assert got_logp.tobytes() == want_logp.tobytes()
+    assert logits.tobytes() == want_array.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
+def test_masked_ce_is_bitwise_across_head_block_sizes(monkeypatch, mode):
+    """A ragged batch scores and differentiates bit for bit alike whether
+    the head runs in one row block per group or in blocks of 2 rows."""
+    params = _ragged_params(mode, seed=4).astype(np.float32)
+    xts, targets, weights, t = _ragged_batch([5, 9, 13, 40, 22, 7, 31, 18, 12, 3], seed=8)
+    results = []
+    for block in (training._BLOCK, 2 * params.config.vocab_size):
+        monkeypatch.setattr(training, "_BLOCK", block)
+        for train in (True, False):
+            grads = params.zeros_like()
+            per_item = _masked_ce(params, xts, targets, weights, t, stream(5, "ce"), grads,
+                                  train=train)
+            results.append([per_item.tobytes(), *(grads[k].tobytes() for k in sorted(grads))])
+    assert results[:2] == results[2:]
+
+
 def test_mlm_uniform_loss_is_log_vocab():
     params = tiny_params(randomize=False)
     seqs = [np.array([4, 5, 6, 7]), np.array([8, 9])]
@@ -468,6 +562,21 @@ def test_run_training_rejects_log_every_below_1(word_corpus, log_every):
     with pytest.raises(ValueError, match="log_every"):
         sp.run_training(params, vocab, table, seqs, sp.ScheduleParams(num_steps=8), cfg,
                         log_every=log_every)
+
+
+@pytest.mark.parametrize("keyword", ["checkpoint_every", "val_every"])
+def test_run_training_rejects_a_negative_interval(word_corpus, tmp_path, keyword):
+    """A negative interval raises naming its keyword before any step runs
+    or any file is written."""
+    vocab, table, seqs = word_corpus["vocab"], word_corpus["table"], word_corpus["seqs"]
+    params = tiny_params(vocab_size=len(vocab))
+    before = params.copy()
+    cfg = sp.TrainConfig(batch_size=2, total_steps=1)
+    with pytest.raises(ValueError, match=f"^{keyword} must be >= 0, got -1$"):
+        sp.run_training(params, vocab, table, seqs, sp.ScheduleParams(num_steps=8), cfg,
+                        out_dir=tmp_path, val_fn=lambda p, step: 0.0, **{keyword: -1})
+    assert list(tmp_path.iterdir()) == []
+    assert all(np.array_equal(params[k], before[k]) for k in params.names())
 
 
 @pytest.mark.parametrize("sched_t", [2, 16])
