@@ -28,8 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .corpus import (TOKENIZERS, UNK_ID, SurprisalTable, Vocab, build_vocab, detokenize,
-                     split_line, tokenize)
+from .corpus import TOKENIZERS, UNK_ID, SurprisalTable, Vocab, build_vocab, detokenize, tokenize
 from .denoiser import MODES, DenoiserConfig, init_params, load_checkpoint, save_checkpoint
 from .diffusion import ScheduleParams, spindle_alpha_bar_at, spindle_alpha_raw
 from .evaluation import bleu4, elbo_eval, quality_diversity_sweep, self_bleu4
@@ -211,33 +210,17 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return given
 
 
-def _refuse_infinite(where: str, line: str, ids, table: SurprisalTable, vocab: Vocab) -> None:
-    """Refuse `line` (token ids `ids`) as a usage error naming its first word
-    of infinite surprisal: a word the prep corpus lacks, under smoothing 0."""
-    bad = np.flatnonzero(~np.isfinite(table.h_for(ids)))
-    if bad.size:
-        word = split_line(line, vocab.tokenizer)[bad[0]]
-        raise UsageError(f"{where}: token {word!r} has infinite surprisal under smoothing 0")
-
-
-def _read_sequences(path: Path, vocab: Vocab, table: SurprisalTable,
-                    n_max: int) -> list[np.ndarray]:
+def _read_sequences(path: Path, vocab: Vocab, n_max: int) -> list[np.ndarray]:
     """Token ids of each nonempty line, cut to n_max; the count of cut lines
-    goes to stderr. A token of infinite surprisal is a usage error naming
-    its line."""
-    lines = _read_text(path).split("\n")
+    goes to stderr. A file with no such line is a usage error."""
     seqs, cut = [], 0
-    for line in lines:
+    for line in _read_text(path).split("\n"):
         ids = tokenize(line, vocab)
         if ids.size:
             cut += ids.size > n_max
             seqs.append(ids[:n_max])
     if not seqs:
         raise UsageError(f"no usable sequences in {path}")
-    # one check over all the ids; the lines are searched only on failure
-    if not np.isfinite(table.h_for(np.concatenate(seqs))).all():
-        for n, line in enumerate(lines, 1):
-            _refuse_infinite(f"{path} line {n}", line, tokenize(line, vocab)[:n_max], table, vocab)
     if cut:
         print(f"note: cut {cut} of {len(seqs)} lines in {path} to n_max={n_max} tokens",
               file=sys.stderr)
@@ -320,8 +303,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     try:
-        sequences = _read_sequences(corpus, vocab, table, model_cfg.n_max)
-        val_seqs = _read_sequences(val_path, vocab, table, model_cfg.n_max) if val_path else None
+        sequences = _read_sequences(corpus, vocab, model_cfg.n_max)
+        val_seqs = _read_sequences(val_path, vocab, model_cfg.n_max) if val_path else None
     except UsageError:
         for d in made:
             d.rmdir()
@@ -401,7 +384,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     vocab, table, ckpt, sched_params = _load_model(args)
     test_path = _require_file(args.test, "test corpus")
-    test_seqs = _read_sequences(test_path, vocab, table, ckpt.params.config.n_max)
+    test_seqs = _read_sequences(test_path, vocab, ckpt.params.config.n_max)
     length = args.length
     if length is None:
         length = int(np.median([len(s) for s in test_seqs]))
@@ -469,7 +452,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     ids = tokenize(args.text, vocab)
     if ids.size == 0:
         raise UsageError("--text produced no tokens")
-    _refuse_infinite("--text", args.text, ids, table, vocab)
     h = table.h_for(ids)
     _make_parents(args.out)
     steps = np.arange(args.T + 1)
@@ -519,7 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-size", type=int, required=True,
                    help="entries in all, the four reserved ids included")
     p.add_argument("--tokenizer", choices=TOKENIZERS, default="word")
-    p.add_argument("--smoothing", type=float, default=1.0)
+    p.add_argument("--smoothing", type=float, default=1.0,
+                   help="added to each content token's count; finite and > 0, so every "
+                        "token has a finite surprisal (default 1.0)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_prepare)
 

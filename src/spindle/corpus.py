@@ -64,6 +64,8 @@ class Vocab:
     def __post_init__(self) -> None:
         if self.tokens[: UNK_ID + 1] != SPECIAL_TOKENS + (UNK_TOKEN,):
             raise ValueError("vocab must start with [MASK] [PAD] [CLS] [UNK]")
+        if len(self.tokens) < UNK_ID + 2:
+            raise ValueError("vocab must hold a content token besides [UNK]")
         if len(self.tokens) != len(set(self.tokens)):
             raise ValueError("duplicate tokens in vocab")
         if len(self.tokens) != len(self.counts):
@@ -110,9 +112,10 @@ def build_vocab(corpus_path: str | Path, max_vocab: int, tokenizer: str = "word"
     """A vocab of at most `max_vocab` entries in all: the three specials,
     [UNK], and the `max_vocab - 4` most frequent corpus tokens (ties broken
     lexicographically). [UNK] absorbs the counts of truncated-away tokens.
+    `max_vocab` must leave room for one corpus token besides [UNK].
     """
-    if max_vocab < NUM_SPECIALS + 1:
-        raise ValueError(f"max_vocab must be >= {NUM_SPECIALS + 1}, got {max_vocab}")
+    if max_vocab < UNK_ID + 2:
+        raise ValueError(f"max_vocab must be >= {UNK_ID + 2}, got {max_vocab}")
     counter: Counter[str] = Counter()
     for line in Path(corpus_path).read_text(encoding="utf-8").split("\n"):
         counter.update(split_line(line, tokenizer))
@@ -148,10 +151,8 @@ class SurprisalTable:
     h: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.isnan(self.h).any():
-            raise ValueError("NaN surprisal: internal error")
-        if (self.h < 0).any():
-            raise ValueError("negative surprisal")
+        if not (np.isfinite(self.h) & (self.h >= 0)).all():
+            raise ValueError("every surprisal must be finite and >= 0")
 
     def h_for(self, ids: np.ndarray) -> np.ndarray:
         return self.h[np.asarray(ids, dtype=np.int64)]
@@ -159,20 +160,18 @@ class SurprisalTable:
     @classmethod
     def from_counts(cls, counts, smoothing_count: float = 1.0) -> "SurprisalTable":
         """h[v] = -ln((count[v] + s) / (total + s * C)) over the C content
-        tokens, [UNK] included. With s = 0 an unseen token gets h = +inf. It
-        has no schedule, so the sampler never draws it, and training on or
-        scoring a sequence that contains it raises ValueError.
+        tokens, [UNK] included. s must be finite and > 0, so a token the
+        corpus never produced still gets a finite surprisal, and a schedule.
         """
-        if not 0 <= smoothing_count < np.inf:
-            raise ValueError(f"smoothing_count must be finite and >= 0, got {smoothing_count}")
+        if not 0 < smoothing_count < np.inf:
+            raise ValueError(f"smoothing_count must be finite and > 0, got {smoothing_count}")
         counts = np.asarray(counts, dtype=np.int64)
         total = int(counts[NUM_SPECIALS:].sum())
         if total == 0 or (counts < 0).any():
             raise ValueError("counts must be >= 0, and some content count > 0")
         denom = total + smoothing_count * (len(counts) - NUM_SPECIALS)
         h = np.zeros(len(counts))
-        with np.errstate(divide="ignore"):
-            h[NUM_SPECIALS:] = -np.log((counts[NUM_SPECIALS:] + smoothing_count) / denom)
+        h[NUM_SPECIALS:] = -np.log((counts[NUM_SPECIALS:] + smoothing_count) / denom)
         return cls(h)
 
 

@@ -23,10 +23,12 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .corpus import CLS_ID, MASK_ID, PAD_ID
+from .diffusion import ScheduleParams
 from .rng import as_generator
 
 MODES = ("lte", "pte", "tad")
@@ -64,6 +66,8 @@ class DenoiserConfig:
                              f"got {self.num_heads}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if self.num_steps < 1:
+            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
         if self.vocab_size < 4:
             raise ValueError("vocab_size must be >= 4")
         if not 0 <= self.dropout < 1:
@@ -495,6 +499,11 @@ def backward(
 _HEADER = "[header]"  # archive member holding the JSON header; no tensor has this name
 _HEADER_KEYS = ({"version", "records", "lambda", "vocab_hash", "step"}
                 | {f.name for f in fields(DenoiserConfig)})
+# The types each header value may have: a config field's own type, where an
+# int passes for a float (a bool passes for neither).
+_HEADER_TYPES = {**{k: (int, float) if v is float else (v,)
+                    for k, v in get_type_hints(DenoiserConfig).items()},
+                 "lambda": (int, float), "vocab_hash": (str,), "step": (int, type(None))}
 
 
 def save_checkpoint(
@@ -551,8 +560,10 @@ def load_checkpoint(path: str | Path, dtype=np.float64) -> Checkpoint:
     """Read a file written by `save_checkpoint`. Damage raises ValueError
     naming the path: not an .npz archive, cut short, a failed member CRC-32,
     a header key missing, another version, a tensor record count unlike the
-    header's, a tensor that is not finite float32 (optimizer records
-    included), or model tensor names or shapes that do not fit the config.
+    header's, a header value of the wrong type, a config or lambda out of
+    range, a negative step, a tensor that is not finite float32 (optimizer
+    records included), or model tensor names or shapes that do not fit the
+    config.
     Version-2 files load: their header's extra ffn_mult key, always 4, is
     ignored, as the FFN width is now the constant _FFN_MULT. Version-1 files
     (the "SPND1" record format) are rejected, not read.
@@ -572,11 +583,17 @@ def load_checkpoint(path: str | Path, dtype=np.float64) -> Checkpoint:
                 raise ValueError(f"unsupported checkpoint version {header['version']}")
             if len(tensors) != header["records"]:
                 raise ValueError(f"{len(tensors)} tensor records, header says {header['records']}")
+            for key, kinds in _HEADER_TYPES.items():
+                if type(header[key]) not in kinds:
+                    raise ValueError(f"header {key} {json.dumps(header[key])} has the wrong type")
+            if (header["step"] or 0) < 0:
+                raise ValueError(f"header step {header['step']} is negative")
             for name, data in tensors.items():
                 if data.dtype != np.dtype("<f4") or not np.isfinite(data).all():
                     raise ValueError(f"tensor {name} is not finite float32")
                 tensors[name] = data.astype(dtype, copy=False)
             config = DenoiserConfig(**{f.name: header[f.name] for f in fields(DenoiserConfig)})
+            ScheduleParams(config.num_steps, header["lambda"])  # range-checks lambda
             model = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
             if {k: v.shape for k, v in model.items()} != param_shapes(config):
                 raise ValueError("tensor names or shapes do not match the config")

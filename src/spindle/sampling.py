@@ -3,7 +3,8 @@
 Chains start fully masked and jump T/num_reverse_iterations steps at a time.
 Each iteration runs the denoiser, which predicts only at the positions that
 are still masked, and draws a clean token at each of them from its top-K
-filtered softmax; special ids and ids of infinite surprisal are never drawn.
+filtered softmax; the special ids, whose logits the denoiser sets to -inf,
+are never drawn.
 It then computes the two retention rows alpha_bar[s] and alpha_bar[t] of the
 jump t -> s in closed form from the surprisal of that prediction (the same
 clamped spindle schedule training uses, for every lam), and draws the next
@@ -78,31 +79,28 @@ def top_k_filter(logit_row: np.ndarray, k: int, temperature: float = 1.0) -> np.
     return probs / probs.sum()
 
 
-def _top_k_rows(
-    logits: np.ndarray, excluded: np.ndarray, k: int, temperature: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """`top_k_filter` for each row of the (m, K) logits, with the columns in
-    `excluded` never kept. Returns the kept ids (m, k_eff) of each row in
-    ascending order and their probabilities; the top k are found by
-    partition, and the softmax runs over the k kept columns only.
+def _top_k_rows(logits: np.ndarray, k: int, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """`top_k_filter` for each row of the (m, K) logits of `denoiser.forward`,
+    whose `SPECIAL_IDS` columns are -inf and so never kept. The logits are
+    only read. Returns the kept ids (m, k_eff) of each row in ascending order
+    and their probabilities; the top k are found by partition, and the
+    softmax runs over the k kept columns only.
     """
-    rows = logits.copy()
-    rows[:, excluded] = -np.inf
-    K = rows.shape[1]
-    k_eff = min(k, K - len(excluded))
-    thr = np.partition(rows, K - k_eff, axis=1)[:, K - k_eff, None]  # k-th largest
-    keep = rows >= thr
+    K = logits.shape[1]
+    k_eff = min(k, K - len(denoiser.SPECIAL_IDS))
+    thr = np.partition(logits, K - k_eff, axis=1)[:, K - k_eff, None]  # k-th largest
+    keep = logits >= thr
     n_keep = np.count_nonzero(keep, axis=1)
     if (n_keep < k_eff).any():  # NaN compares false
         raise ValueError("denoiser logits contain NaN")
     # Rows with surplus ties at the k-th value keep only the lowest-id ties.
     tied = np.flatnonzero(n_keep > k_eff)
-    above, ties = rows[tied] > thr[tied], rows[tied] == thr[tied]
+    above, ties = logits[tied] > thr[tied], logits[tied] == thr[tied]
     need = k_eff - np.count_nonzero(above, axis=1, keepdims=True)
     keep[tied] = above | (ties & (np.cumsum(ties, axis=1) <= need))
     kept = (np.flatnonzero(keep) % K).reshape(-1, k_eff)
 
-    vals = np.take_along_axis(rows, kept, axis=1).astype(np.float64) / temperature
+    vals = np.take_along_axis(logits, kept, axis=1).astype(np.float64) / temperature
     vals -= vals.max(axis=1, keepdims=True)
     probs = np.exp(vals)
     probs /= probs.sum(axis=1, keepdims=True)
@@ -112,7 +110,6 @@ def _top_k_rows(
 def _draw_top_k(
     logits: np.ndarray,
     masked: np.ndarray,
-    excluded: np.ndarray,
     k: int,
     temperature: float,
     rng: np.random.Generator,
@@ -124,7 +121,7 @@ def _draw_top_k(
     them equals the full-row draw on `top_k_filter`'s probabilities.
     """
     u = rng.random((masked.size, 1))[masked.ravel()]
-    kept, probs = _top_k_rows(logits, excluded, k, temperature)
+    kept, probs = _top_k_rows(logits, k, temperature)
     cum = np.cumsum(probs, axis=1)
     idx = (u * cum[:, -1:] > cum).sum(axis=1)
     return kept[np.arange(len(kept)), idx]
@@ -168,11 +165,6 @@ def generate_batch(
     check_sample_config(params, sched_params, cfg)
     model_cfg = params.config
     big_t = sched_params.num_steps
-    # Tokens of infinite surprisal (unseen under zero smoothing) have no
-    # schedule, so like the special ids they are never drawn.
-    excluded = np.union1d(denoiser.SPECIAL_IDS, np.flatnonzero(~np.isfinite(surprisal.h)))
-    if len(excluded) >= model_cfg.vocab_size:
-        raise ValueError("no content token has a finite surprisal to sample")
     rng = as_generator(cfg.seed if rng is None else rng)
     stride = big_t // cfg.num_reverse_iterations
     n = cfg.length
@@ -196,7 +188,7 @@ def generate_batch(
                 logits[fresh] = denoiser.forward(params, x[changed], t, train=False)[0]
         prev_x, prev_logits = x, logits
         x0_hat = x.copy()
-        x0_hat[masked] = _draw_top_k(logits, masked, excluded, cfg.top_k, cfg.temperature, rng)
+        x0_hat[masked] = _draw_top_k(logits, masked, cfg.top_k, cfg.temperature, rng)
 
         h = surprisal.h_for(x0_hat)
         alpha_s = spindle_alpha_bar_at(h, s, sched_params)

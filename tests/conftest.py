@@ -36,7 +36,8 @@ def _corrupt_checkpoint(src, dst, kind):
     removes "mode" from the header, "nan_weight" sets all of out.w to NaN,
     "misshapen" drops the last entry of out.b, "inf_opt" sets one entry of
     the first opt.* record to inf and "version1" writes a file that starts
-    like the retired SPND1 record format.
+    like the retired SPND1 record format. A kind "<key>=<json>", such as
+    'lambda="x"', sets that header value.
     """
     raw = src.read_bytes()
     if kind == "truncated":
@@ -50,9 +51,13 @@ def _corrupt_checkpoint(src, dst, kind):
         # non-finite tensors
         with np.load(src) as archive:
             members = {name: archive[name] for name in archive.files}
-        if kind == "missing_key":
+        if kind == "missing_key" or "=" in kind:
             header = json.loads(members["[header]"].tobytes())
-            del header["mode"]
+            if kind == "missing_key":
+                del header["mode"]
+            else:
+                key, _, value = kind.partition("=")
+                header[key] = json.loads(value)
             members["[header]"] = np.frombuffer(json.dumps(header).encode("utf-8"),
                                                 dtype=np.uint8)
         elif kind == "nan_weight":
@@ -64,6 +69,11 @@ def _corrupt_checkpoint(src, dst, kind):
         with open(dst, "wb") as fh:
             np.savez(fh, **members)
     return dst
+
+
+# header values of the wrong type or out of range, as _corrupt_checkpoint kinds
+BAD_HEADER_KINDS = ('lambda="x"', "lambda=-1", 'num_steps="4"', "num_steps=0",
+                    "num_heads=2.0", 'step="5"', "step=2.5", "step=-1", "vocab_hash=7")
 
 
 @pytest.fixture()

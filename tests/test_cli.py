@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import BAD_HEADER_KINDS
 
 import spindle as sp
 from spindle import cli, oracle
@@ -63,10 +64,11 @@ def test_prepare_outputs_and_idempotence(tmp_path, corpus_file):
 
 
 def test_prepare_vocab_too_small(tmp_path, corpus_file, capsys):
-    rc = cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "3",
+    """Four entries leave [UNK] the only content token, of surprisal 0."""
+    rc = cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "4",
                    "--out", str(tmp_path / "p")])
     assert rc == 2
-    assert "error: --vocab-size must be >= 4, got 3" in capsys.readouterr().err
+    assert "error: --vocab-size must be >= 5, got 4" in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
 
 
@@ -227,6 +229,21 @@ def test_train_resume_rejects_bad_optimizer_state(tmp_path, corpus_file, prep_di
     assert "opt.v.tok_emb" in capsys.readouterr().err
 
 
+def test_train_resume_rejects_bad_header_values(tmp_path, corpus_file, prep_dir,
+                                                corrupt_checkpoint, capsys):
+    """A header value of the wrong type or out of range is a damaged
+    checkpoint, named as such: not a traceback, and not a flag nobody gave."""
+    part = train_tiny(tmp_path, corpus_file, prep_dir, "part", ["--checkpoint-every", "6"])
+    for n, kind in enumerate(BAD_HEADER_KINDS):
+        bad = corrupt_checkpoint(part / "checkpoint_0000006.spnd", tmp_path / f"{n}.spnd", kind)
+        capsys.readouterr()
+        rc = cli.main(["train", "--corpus", str(corpus_file), "--prep", str(prep_dir),
+                       "--out", str(tmp_path / "x"), "--resume", str(bad), "--steps", "12"])
+        err = capsys.readouterr().err
+        assert rc == 3, kind
+        assert err.startswith(f"runtime failure: {bad}: ") and "Traceback" not in err, kind
+
+
 def test_sample_deterministic_and_mask_free(tmp_path, corpus_file, prep_dir):
     run = train_tiny(tmp_path, corpus_file, prep_dir)
     args = ["sample", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
@@ -248,35 +265,19 @@ def test_sample_deterministic_and_mask_free(tmp_path, corpus_file, prep_dir):
     assert json.loads((tmp_path / "s1.txt.meta.json").read_text())["format_version"] == 1
 
 
-def test_sample_never_draws_unseen_unk_under_zero_smoothing(tmp_path, corpus_file):
-    """With --smoothing 0 and no out-of-vocab word, [UNK] has infinite
-    surprisal. A barely trained head gives it about the probability of any
-    other content token and top-k spans the whole vocabulary, so a sampler
-    that kept it would draw it; sampling must leave it out."""
-    prep = tmp_path / "prep0"
-    assert cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "64",
-                     "--smoothing", "0", "--out", str(prep)]) == 0
-    run = train_tiny(tmp_path, corpus_file, prep)
-    out = tmp_path / "s.txt"
-    rc = cli.main(["sample", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep),
-                   "--num", "4", "--length", "6", "--iterations", "4", "--top-k", "64",
-                   "--seed", "3", "--out", str(out)])
-    assert rc == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 4 and not any("[UNK]" in l for l in lines)
-
-
 def test_sample_rejects_corrupt_checkpoint(tmp_path, corpus_file, prep_dir,
                                           corrupt_checkpoint, capsys):
     run = train_tiny(tmp_path, corpus_file, prep_dir)
-    for kind in ("truncated", "missing_key", "nan_weight", "version1"):
-        bad = corrupt_checkpoint(run / "model.spnd", tmp_path / f"{kind}.spnd", kind)
+    for n, kind in enumerate(("truncated", "missing_key", "nan_weight", "version1",
+                              *BAD_HEADER_KINDS)):
+        bad = corrupt_checkpoint(run / "model.spnd", tmp_path / f"{n}.spnd", kind)
         capsys.readouterr()
         rc = cli.main(["sample", "--checkpoint", str(bad), "--prep", str(prep_dir),
                        "--num", "1", "--length", "4", "--iterations", "4",
                        "--out", str(tmp_path / "s.txt")])
+        err = capsys.readouterr().err
         assert rc == 3, kind
-        assert str(bad) in capsys.readouterr().err, kind
+        assert str(bad) in err and "Traceback" not in err, kind
 
 
 def test_sample_iterations_must_divide_T(tmp_path, corpus_file, prep_dir, capsys):
@@ -576,13 +577,15 @@ def test_eval_missing_test_file(tmp_path, corpus_file, prep_dir):
     ("schedule", ["--T", "0"]),
     ("schedule", ["--lambda", "-1"]),
     ("prepare", ["--smoothing", "-1"]),
+    ("prepare", ["--smoothing", "0"]),
     ("train", ["--mlm-mask-rate", "0"]),
     ("train", ["--mlm-mask-rate", "1.5"]),
 ], ids=["log-every", "batch-size", "T", "heads", "lambda", "schedule-T", "schedule-lambda",
-        "smoothing", "mlm-mask-rate-0", "mlm-mask-rate-1.5"])
+        "smoothing", "zero-smoothing", "mlm-mask-rate-0", "mlm-mask-rate-1.5"])
 def test_rejected_settings_exit_2(tmp_path, corpus_file, prep_dir, capsys, command, flags):
-    """A setting out of range is a usage error whether the CLI or a settings
-    dataclass finds it, and nothing is trained or written."""
+    """A setting out of range is a usage error naming the last flag given,
+    whether the CLI or a settings dataclass finds it, and nothing is trained
+    or written."""
     out = tmp_path / "out"
     base = {
         "train": ["--corpus", str(corpus_file), "--prep", str(prep_dir), "--steps", "2",
@@ -593,7 +596,8 @@ def test_rejected_settings_exit_2(tmp_path, corpus_file, prep_dir, capsys, comma
     }[command]
     capsys.readouterr()
     assert cli.main([command, *base, "--out", str(out), *flags]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flags[-2] in err
     assert not out.exists()
 
 
@@ -670,7 +674,7 @@ def test_schedule_csv(tmp_path, corpus_file, prep_dir, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("smoothing", ["0", "0.7", "1"])
+@pytest.mark.parametrize("smoothing", ["0.5", "0.7", "1"])
 @pytest.mark.parametrize("tokenizer", ["word", "char"])
 def test_prep_table_is_the_corpus_scan(tmp_path, corpus_file, tokenizer, smoothing):
     """The table a prep directory loads to, computed from vocab.tsv and
@@ -691,11 +695,13 @@ def test_prep_table_is_the_corpus_scan(tmp_path, corpus_file, tokenizer, smoothi
     ('{"config": {"tokenizer": "word"}}', "no 'smoothing' key"),
     ('{"config": {"tokenizer": "word", "smoothing": "x"}}', 'smoothing "x"'),
     ('{"config": {"tokenizer": "word", "smoothing": true}}', "smoothing true"),
-    ('{"config": {"tokenizer": "word", "smoothing": NaN}}', "finite and >= 0, got nan"),
-    ('{"config": {"tokenizer": "word", "smoothing": -1}}', "finite and >= 0, got -1"),
+    ('{"config": {"tokenizer": "word", "smoothing": NaN}}', "finite and > 0, got nan"),
+    ('{"config": {"tokenizer": "word", "smoothing": -1}}', "finite and > 0, got -1"),
+    ('{"config": {"tokenizer": "word", "smoothing": 0}}', "finite and > 0, got 0"),
     ('{"config": {"tokenizer": "bpe", "smoothing": 1.0}}', 'tokenizer "bpe"'),
 ], ids=["empty", "not-json", "config-list", "no-smoothing", "string-smoothing",
-        "bool-smoothing", "nan-smoothing", "negative-smoothing", "unknown-tokenizer"])
+        "bool-smoothing", "nan-smoothing", "negative-smoothing", "zero-smoothing",
+        "unknown-tokenizer"])
 def test_damaged_stats_json_exits_3(tmp_path, prep_dir, capsys, stats, needle):
     """A stats.json that does not give the tokenizer and the smoothing is a
     damaged prep directory: a runtime failure naming the file. A bool is
@@ -720,7 +726,9 @@ def test_damaged_stats_json_exits_3(tmp_path, prep_dir, capsys, stats, needle):
     "[MASK]\t0\n[PAD]\t0\n[CLS]\t0\n[UNK]\n",
     "[MASK]\t0\n[PAD]\t0\n[CLS]\t0\n[UNK]\t0\nthe\t-3\ncat\t5\n",
     "[MASK]\t0\n[PAD]\t0\n[CLS]\t0\n[UNK]\t0\nthe\t0\n",
-], ids=["no-unk", "count-not-int", "no-tab", "negative-count", "no-content-count"])
+    "[MASK]\t0\n[PAD]\t0\n[CLS]\t0\n[UNK]\t9\n",
+], ids=["no-unk", "count-not-int", "no-tab", "negative-count", "no-content-count",
+        "unk-only"])
 def test_damaged_vocab_tsv_exits_3(tmp_path, prep_dir, capsys, text):
     vocab_path = prep_dir / "vocab.tsv"
     vocab_path.write_text(text)
@@ -815,56 +823,6 @@ def test_train_defaults_are_the_library_defaults():
     for command, key, default in flag_owners:
         got = parsers[command].get_default(key)
         assert (type(got), got) == (type(default), default), (command, key)
-
-
-def test_schedule_rejects_text_of_infinite_surprisal(tmp_path, corpus_file, capsys):
-    """Under --smoothing 0 a word the corpus never produced folds to an
-    [UNK] of infinite surprisal; that is bad --text, a usage error naming
-    the word."""
-    prep = tmp_path / "prep0"
-    assert cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "64",
-                     "--smoothing", "0", "--out", str(prep)]) == 0
-    out = tmp_path / "sched.csv"
-    capsys.readouterr()
-    rc = cli.main(["schedule", "--prep", str(prep), "--text", "the unseenword",
-                   "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "'unseenword'" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, bad_flag", [
-    ("train", "--corpus"), ("train", "--val-corpus"), ("eval", "--test")])
-def test_text_of_infinite_surprisal_is_refused_at_once(tmp_path, corpus_file, capsys,
-                                                      command, bad_flag):
-    """Under --smoothing 0 a word the prep corpus never gave has infinite
-    surprisal. A corpus, validation or test file holding one is a usage error
-    naming the file, its line and the word, before any training, and train
-    leaves no --out behind."""
-    prep = tmp_path / "prep0"
-    assert cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "64",
-                     "--smoothing", "0", "--out", str(prep)]) == 0
-    bad = tmp_path / "bad.txt"
-    bad.write_text("the cat sat\n\nthe unseenword sat on the mat\n", encoding="utf-8")
-    out = tmp_path / "a" / "run"
-    if command == "train":
-        files = {"--corpus": corpus_file, "--val-corpus": corpus_file, bad_flag: bad}
-        argv = ["train", "--prep", str(prep), "--out", str(out), "--val-every", "1",
-                "--steps", "2", "--batch-size", "4", "--layers", "1", "--d-model", "16",
-                "--heads", "2", "--n-max", "16", "--T", "8",
-                *(x for flag, path in files.items() for x in (flag, str(path)))]
-    else:
-        run = train_tiny(tmp_path, corpus_file, prep)
-        argv = ["eval", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep),
-                "--test", str(bad), "--num-gen", "2", "--iterations", "4",
-                "--out", str(out)]
-    capsys.readouterr()
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{bad} line 3" in err and "'unseenword'" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "a").exists()
 
 
 def test_verify_command_reports_and_exit_codes(monkeypatch, capsys):

@@ -33,7 +33,7 @@ def test_build_vocab_truncation_ties_lexicographic(tmp_path):
     assert vocab.counts[UNK_ID] == 2  # b and c folded
 
 
-@pytest.mark.parametrize("max_vocab", [4, 5, 8, 10])
+@pytest.mark.parametrize("max_vocab", [5, 6, 8, 10])
 def test_build_vocab_has_max_vocab_entries(tmp_path, max_vocab):
     """max_vocab counts every entry, the four reserved ids included."""
     vocab = sp.build_vocab(write(tmp_path, "a b c d e f g h i j k\n"), max_vocab)
@@ -46,19 +46,22 @@ def test_build_vocab_errors(tmp_path):
         sp.build_vocab(write(tmp_path, "\n\n"), 10)
     with pytest.raises(ValueError):
         sp.build_vocab(write(tmp_path, "a\n"), 3)
+    # [UNK] alone would hold all the mass, at surprisal 0
+    with pytest.raises(ValueError, match="max_vocab must be >= 5, got 4"):
+        sp.build_vocab(write(tmp_path, "a b\n"), 4)
 
 
 def test_special_ids():
     assert (MASK_ID, PAD_ID, CLS_ID, UNK_ID) == (0, 1, 2, 3)
 
 
-def test_surprisal_unsmoothed_matches_hand_value(tmp_path):
+def test_surprisal_matches_hand_value(tmp_path):
+    """counts a 2, b 1, [UNK] 0 and s = 0.5: the total is 3 + 3 * 0.5."""
     corpus = write(tmp_path, "a b a\n")
     vocab = sp.build_vocab(corpus, 10)
-    table = sp.surprisal_table(corpus, vocab, smoothing_count=0.0)
-    a_id = vocab.ids["a"]
-    assert table.h[a_id] == pytest.approx(-math.log(2 / 3), abs=1e-12)
-    assert math.isinf(table.h[UNK_ID])  # unseen with s=0
+    table = sp.surprisal_table(corpus, vocab, smoothing_count=0.5)
+    assert table.h[vocab.ids["a"]] == pytest.approx(-math.log(2.5 / 4.5), abs=1e-12)
+    assert table.h[UNK_ID] == pytest.approx(-math.log(0.5 / 4.5), abs=1e-12)  # unseen
 
 
 def test_surprisal_uniform_counts_equal(tmp_path):
@@ -119,7 +122,7 @@ def test_vocab_tsv_round_trip(tmp_path):
     assert (tmp_path / "v.tsv").read_bytes() == (tmp_path / "v2.tsv").read_bytes()
 
 
-@pytest.mark.parametrize("smoothing", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("smoothing", [0.5, 0.7, 1.0])
 @pytest.mark.parametrize("tokenizer, max_vocab", [("word", 10), ("word", 5), ("char", 40)])
 def test_surprisal_from_vocab_counts_is_the_corpus_scan(tmp_path, smoothing, tokenizer,
                                                         max_vocab):
@@ -136,12 +139,25 @@ def test_surprisal_from_vocab_counts_is_the_corpus_scan(tmp_path, smoothing, tok
     ((0, 0, 0, 1, 2), float("nan")),
     ((0, 0, 0, 1, 2), float("inf")),
     ((0, 0, 0, 1, 2), -0.5),
+    ((0, 0, 0, 1, 2), 0.0),
     ((0, 0, 0, 0, 0), 1.0),
     ((0, 0, 0, 3, -1), 1.0),
-], ids=["nan", "inf", "negative", "no-content-count", "negative-count"])
+], ids=["nan", "inf", "negative", "zero", "no-content-count", "negative-count"])
 def test_surprisal_from_counts_rejects(counts, smoothing):
     with pytest.raises(ValueError):
         sp.SurprisalTable.from_counts(counts, smoothing)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+def test_surprisal_table_holds_only_finite_nonnegative_values(bad):
+    """A token with no finite surprisal has no schedule, so no table holds one."""
+    h = np.array([0.0, 0.0, 0.0, 1.5, 2.0])
+    h[3] = bad
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        sp.SurprisalTable(h)
+    h[3:] = bad  # no content token left with a finite surprisal
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        sp.SurprisalTable(h)
 
 
 def test_tokenize_round_trip_word(tmp_path):

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import BAD_HEADER_KINDS
 from hypothesis import given, settings, strategies as st
 
 import spindle as sp
@@ -382,7 +383,8 @@ def test_checkpoint_magic_guard(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kind", ["truncated", "cut_record", "missing_key", "nan_weight", "misshapen", "inf_opt"]
+    "kind", ["truncated", "cut_record", "missing_key", "nan_weight", "misshapen", "inf_opt",
+             *BAD_HEADER_KINDS]
 )
 def test_checkpoint_load_rejects_corrupt_files(tmp_path, corrupt_checkpoint, kind):
     good = tmp_path / "good.spnd"

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import spindle as sp
 from spindle import denoiser as dn
-from spindle.corpus import CLS_ID, MASK_ID, PAD_ID, UNK_ID
+from spindle.corpus import CLS_ID, MASK_ID, PAD_ID
 from spindle.diffusion import reveal_from_rows, spindle_alpha_bar_at
 from spindle.rng import stream
 from spindle.sampling import _draw_top_k, _top_k_rows
@@ -76,25 +76,24 @@ def _full_row_draw(probs, u):
 @given(data=st.data())
 def test_batched_top_k_matches_top_k_filter(data):
     """The sampler's batched top-k and draw against `top_k_filter` row by
-    row: same kept ids, same probabilities, and the same draw as a full-row
+    row, on logits shaped like the denoiser's (its special columns -inf):
+    same kept ids, same probabilities, and the same draw as a full-row
     inverse-CDF draw with the same uniform."""
-    K = data.draw(st.integers(2, 12), label="K")
+    K = data.draw(st.integers(4, 12), label="K")
     B, n = data.draw(st.integers(1, 3), label="B"), data.draw(st.integers(1, 4), label="n")
     vals = data.draw(st.lists(st.floats(-5, 5), min_size=B * n * K, max_size=B * n * K))
     logits = np.array(vals).reshape(B, n, K)
     if data.draw(st.booleans(), label="round"):
         logits = np.round(logits)  # many ties, also at the k-th value
-    excluded = np.array(sorted(data.draw(st.sets(st.integers(0, K - 1), max_size=K - 1),
-                                         label="excluded")), dtype=np.int64)
-    logits[..., excluded] = -np.inf
+    logits[..., dn.SPECIAL_IDS] = -np.inf
     masked = np.array(data.draw(st.lists(st.booleans(), min_size=B * n, max_size=B * n),
                                 label="masked")).reshape(B, n)
     k = data.draw(st.integers(1, K + 2), label="k")
     temp = data.draw(st.floats(0.2, 3.0), label="temp")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
 
-    kept, probs = _top_k_rows(logits[masked], excluded, k, temp)
-    drawn = _draw_top_k(logits[masked], masked, excluded, k, temp, np.random.default_rng(seed))
+    kept, probs = _top_k_rows(logits[masked], k, temp)
+    drawn = _draw_top_k(logits[masked], masked, k, temp, np.random.default_rng(seed))
     u = np.random.default_rng(seed).random(B * n)[masked.ravel()]
     assert len(drawn) == masked.sum()
     for row, ids, p, ui, d in zip(logits[masked], kept, probs, u, drawn):
@@ -111,16 +110,27 @@ class _ZeroUniforms:
 
 @pytest.mark.parametrize("tied", [False, True])
 def test_draw_at_zero_uniform_is_lowest_kept_id(tied):
-    """u = 0 draws the lowest kept id, never an excluded special column."""
+    """u = 0 draws the lowest kept id, never a special column."""
     K = 10
     logits = np.zeros((2, 3, K)) if tied else np.random.default_rng(0).normal(size=(2, 3, K))
-    logits[..., :3] = -np.inf
+    logits[..., dn.SPECIAL_IDS] = -np.inf
     masked = np.array([[True, False, True], [True, True, True]])
-    excluded = np.array([0, 1, 2])
-    drawn = _draw_top_k(logits[masked], masked, excluded, 4, 1.0, _ZeroUniforms())
-    kept, _ = _top_k_rows(logits[masked], excluded, 4, 1.0)
+    drawn = _draw_top_k(logits[masked], masked, 4, 1.0, _ZeroUniforms())
+    kept, _ = _top_k_rows(logits[masked], 4, 1.0)
     assert np.array_equal(drawn, kept[:, 0])
     assert (drawn >= 3).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_draw_leaves_its_logits_unchanged(dtype):
+    """The draw only reads its logits: a tad chain that does not change
+    reuses them at the next iteration."""
+    logits = np.random.default_rng(1).normal(size=(5, 9)).astype(dtype)
+    logits[:, dn.SPECIAL_IDS] = -np.inf
+    logits[2, 4:7] = 0.5  # ties at the k-th value
+    before = logits.tobytes()
+    _draw_top_k(logits, np.ones((1, 5), dtype=bool), 3, 0.7, np.random.default_rng(2))
+    assert logits.tobytes() == before
 
 
 def _uniform_model(vocab_size=12, T=16, mode="tad", n_max=16):
@@ -275,9 +285,8 @@ def _reference_generate(params, sched_params, cfg, table, num, rng):
         masked = x == MASK_ID
         x0_hat = x.copy()
         for j, (b, i) in enumerate(zip(*np.nonzero(masked))):  # logits: one row per [MASK]
-            row = np.where(np.isfinite(table.h), logits[j], -np.inf)
-            x0_hat[b, i] = _full_row_draw(sp.top_k_filter(row, cfg.top_k, cfg.temperature),
-                                          u[b, i])
+            x0_hat[b, i] = _full_row_draw(
+                sp.top_k_filter(logits[j], cfg.top_k, cfg.temperature), u[b, i])
         h = table.h_for(x0_hat)
         alpha_s = spindle_alpha_bar_at(h, s, sched_params)
         alpha_t = spindle_alpha_bar_at(h, t, sched_params)
@@ -377,30 +386,6 @@ def test_tad_forward_runs_only_on_changed_chains(monkeypatch, mode, remask):
         assert len(calls) < T or any(len(xt) < num for xt in calls)
     else:
         assert len(calls) == T and all(len(xt) == num for xt in calls)
-
-
-@pytest.mark.parametrize("lam", [0.0, 0.3])
-def test_infinite_surprisal_token_is_never_drawn(lam):
-    """A token unseen under zero smoothing has h = inf and no schedule; the
-    sampler leaves it out even when the model prefers it."""
-    params = _uniform_model()
-    params.tensors["out.b"][UNK_ID] = 50.0
-    h = np.ones(12)
-    h[:3] = 0.0
-    h[UNK_ID] = np.inf
-    sched_params = sp.ScheduleParams(num_steps=16, lam=lam)
-    cfg = sp.SampleConfig(length=8, num_reverse_iterations=4, top_k=3, seed=0)
-    res = sp.generate_batch(params, sched_params, cfg, sp.SurprisalTable(h), 6)
-    assert not np.isin(res.sequences, [MASK_ID, PAD_ID, CLS_ID, UNK_ID]).any()
-
-
-def test_no_finite_surprisal_token_raises():
-    h = np.full(12, np.inf)
-    h[:3] = 0.0
-    cfg = sp.SampleConfig(length=4, num_reverse_iterations=4, seed=0)
-    with pytest.raises(ValueError, match="finite surprisal"):
-        sp.generate_batch(_uniform_model(), sp.ScheduleParams(num_steps=16, lam=0.3), cfg,
-                          sp.SurprisalTable(h), 2)
 
 
 def test_nan_logits_raise_value_error():
