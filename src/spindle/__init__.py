@@ -1,14 +1,19 @@
 """Absorbing-state discrete text diffusion with a per-token spindle schedule.
 
 Allocator policy: importing the package pins glibc's mmap threshold at
-32 MiB and its trim threshold at 64 MiB (`_keep_freed_heap`). Training,
-evaluation and sampling run the same array shapes call after call, and
-each call frees its tensors before the next one allocates them again.
-Under glibc's default sliding thresholds that freed heap goes back to the
-kernel and the next call faults every page of it back in: over 10k minor
-page faults per desk training step, and a tenth or more of the step spent
-in the kernel. With the thresholds pinned the freed blocks stay in the
-process and are reused; peak memory is unchanged, and so is every result.
+32 MiB and its trim threshold at 64 MiB, and keeps every thread on one
+malloc arena (`_keep_freed_heap`). Training, evaluation and sampling run
+the same array shapes call after call, and each call frees its tensors
+before the next one allocates them again. Under glibc's default sliding
+thresholds that freed heap goes back to the kernel and the next call
+faults every page of it back in: over 10k minor page faults per desk
+training step, and a tenth or more of the step spent in the kernel. With
+the thresholds pinned the freed blocks stay in the process and are reused;
+peak memory is unchanged, and so is every result. Forward-only loss calls
+run their length groups on two threads. Under glibc's default each thread
+gets an arena of its own, whose freed blocks the others cannot reuse: desk
+benchmark runs on a 2-core x86_64 box then peaked at 164 MB, against
+115 MB on one arena (3 runs each).
 """
 
 import ctypes
@@ -17,20 +22,23 @@ import os
 # glibc's mallopt parameter numbers (malloc.h).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_heap(libc) -> None:
     """Pin glibc's mmap and trim thresholds through `libc.mallopt`, at the
     ceilings glibc's own sliding thresholds reach (32 MiB for mmap, twice
-    that for trim). Blocks under 32 MiB then come from the heap, and freed
-    ones are reused instead of being unmapped or trimmed. Both are set:
-    setting either alone turns glibc's sliding rule off and leaves the other
-    threshold at its small default. A libc without mallopt, or a mallopt
-    that refuses a value, changes nothing."""
+    that for trim), and cap its arenas at one. Blocks under 32 MiB then come
+    from the one heap every thread shares, and freed ones are reused instead
+    of being unmapped or trimmed. Both thresholds are set: setting either
+    alone turns glibc's sliding rule off and leaves the other threshold at
+    its small default. A libc without mallopt, or a mallopt that refuses a
+    value, changes nothing."""
     mallopt = getattr(libc, "mallopt", None)
     if mallopt is not None:
         mallopt(_M_MMAP_THRESHOLD, 32 << 20)
         mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+        mallopt(_M_ARENA_MAX, 1)
 
 
 if os.name == "posix":

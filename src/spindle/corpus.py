@@ -161,7 +161,8 @@ class SurprisalTable:
     def from_counts(cls, counts, smoothing_count: float = 1.0) -> "SurprisalTable":
         """h[v] = -ln((count[v] + s) / (total + s * C)) over the C content
         tokens, [UNK] included. s must be finite and > 0, so a token the
-        corpus never produced still gets a finite surprisal, and a schedule.
+        corpus never produced still gets a finite surprisal, and a schedule;
+        an s so small that such a token's probability rounds to 0 is refused.
         """
         if not 0 < smoothing_count < np.inf:
             raise ValueError(f"smoothing_count must be finite and > 0, got {smoothing_count}")
@@ -170,8 +171,12 @@ class SurprisalTable:
         if total == 0 or (counts < 0).any():
             raise ValueError("counts must be >= 0, and some content count > 0")
         denom = total + smoothing_count * (len(counts) - NUM_SPECIALS)
+        prob = (counts[NUM_SPECIALS:] + smoothing_count) / denom
+        if not (prob > 0).all():
+            raise ValueError(f"smoothing_count {smoothing_count} rounds a token's probability "
+                             "to 0, which has no finite surprisal")
         h = np.zeros(len(counts))
-        h[NUM_SPECIALS:] = -np.log((counts[NUM_SPECIALS:] + smoothing_count) / denom)
+        h[NUM_SPECIALS:] = -np.log(prob)
         return cls(h)
 
 

@@ -385,7 +385,8 @@ def forward(
         )
 
     hf, lnf_cache = _layernorm(h, p["ln_f.g"], p["ln_f.b"])
-    logits = hf @ p["out.w"] + p["out.b"]
+    logits = hf @ p["out.w"]
+    logits += p["out.b"]
     logits[:, SPECIAL_IDS] = -np.inf
 
     cache = dict(

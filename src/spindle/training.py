@@ -17,16 +17,25 @@ the denoiser, whose time mode decides whether to read it. The core runs a
 batch in length groups: it stable-sorts the items by length, cuts groups of
 8, and pads each group only to its own longest line, so the trunk does
 little work on pad rows. A batch of 8 or fewer items is one group.
+Forward-only calls without dropout (`elbo_eval`) run two groups at once on
+two threads where two CPUs are usable and the groups are large enough; each
+group's result is bitwise the one of a single thread. Training runs its
+groups one after another.
 The loss core alone bounds memory: it holds the inputs of one window of 64
-items and the tensors of one group at a time, however many items it scores.
+items and the tensors of at most two groups at a time, however many items
+it scores.
 """
 
 from __future__ import annotations
 
+import collections
+import ctypes
 import itertools
 import json
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,6 +89,20 @@ class LossBreakdown:
 # Items per forward pass in `_masked_ce`: enough rows for efficient GEMMs,
 # few enough that a group's lines are close in length.
 _GROUP_SIZE = 8
+# Groups of a forward-only `_masked_ce` call in flight at once, each on its
+# own thread, where that many CPUs are usable.
+_THREADS = 2
+# Multiply-adds of a group's GEMMs per layer, about rows * d * ((4 + 2 *
+# _FFN_MULT) * d + K / layers), on average over a call, below which a
+# forward-only `_masked_ce` keeps to one thread: smaller groups spend most
+# of their time in the interpreter, which holds the GIL. Measured on a
+# 2-core x86_64 box, 64 float32 items per call, lines of L tokens on
+# average: two threads broke even near 2^24 at d = 128, 4 layers, K = 2004
+# (L 4: x0.93, L 6: x1.02, L 10: x1.15), at d = 64, 2 layers (L 16:
+# x0.80, L 24: x1.15) and at d = 32, 2 layers, K = 4000 (L 16: x0.94,
+# L 32: x1.27). Test-sized models fall below it; every benchmark workload
+# is 2.6x or more above it, so only these measurements place it.
+_MIN_THREADED_WORK = 1 << 24
 # Items per `_masked_ce` call in `diffusion_loss_batch`: the states, weights
 # and retention rows of one window exist at a time.
 _WINDOW = 64
@@ -126,6 +149,58 @@ def _head_logp(logits: np.ndarray, target: np.ndarray, w: np.ndarray | None) -> 
     return out
 
 
+def _find_blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheels
+    bundle, through its `*openblas_{get,set}_num_threads64_` exports; None
+    where numpy has no such library."""
+    here = Path(np.__file__).parent
+    for path in sorted([*(here.parent / "numpy.libs").glob("*openblas*"),
+                        *(here / ".dylibs").glob("*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):  # numpy 2.x, 1.x wheels
+            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+_BLAS_THREADS = _find_blas_threads()
+
+
+def _workers(group_work: float) -> int:
+    """Threads that run a forward-only `_masked_ce`'s groups, whose GEMMs
+    take group_work multiply-adds per layer each on average: _THREADS, or
+    the usable CPUs if fewer, where BLAS can be pinned to one thread while
+    they run and the work reaches _MIN_THREADED_WORK; else one. Without the
+    pin each thread's BLAS calls would contend for the same cores."""
+    if _BLAS_THREADS is None or group_work < _MIN_THREADED_WORK:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(_THREADS, cpus)
+
+
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (pid that made it, pool)
+
+
+def _thread_pool() -> ThreadPoolExecutor:
+    """One pool of _THREADS threads for the process, kept between calls,
+    since a new thread costs OpenBLAS fresh buffers on its first GEMM. A
+    forked child makes its own."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        _pool = os.getpid(), ThreadPoolExecutor(_THREADS, thread_name_prefix="spindle-loss")
+    return _pool[1]
+
+
 def _masked_ce(
     params: DenoiserParams,
     xts: list[np.ndarray],
@@ -150,23 +225,32 @@ def _masked_ce(
     log-softmax, its reading at the targets and the logit gradient run one
     row block at a time in place (`_head_logp`), so the logits array itself
     becomes `backward`'s upstream gradient and no second (rows, K) array
-    exists. Each group's logits and forward cache are released before the
-    next group's forward, so a call holds one group's model tensors at a
-    time, however many items it scores. With the heap thresholds the package
-    pins at import the next group reuses the freed blocks; on a 2-core
-    x86_64 box a desk training step then faulted no pages, and vocab30k
-    `elbo_eval` before any training faulted 2.2k-2.3k pages on its first
-    call and 0-1.4k (mostly none) on each later one. Every group's
-    `backward` adds into the one buffer, so calls on several windows of a
-    batch sum into it too; an empty batch gives zero losses and adds
-    nothing.
+    exists. A group's logits and forward cache are released when the group
+    is done. With the heap settings the package pins at import the next
+    group reuses the freed blocks; on a 2-core x86_64 box a desk training
+    step then faulted no pages, and vocab30k `elbo_eval` before any training
+    faulted 2.2k-2.3k pages on its first call and 0-1.4k (mostly none) on
+    each later one.
+
+    With `grads` or `train`, the groups run one after another on the calling
+    thread, so a call holds one group's model tensors at a time, rng's
+    dropout draws keep group order, and every group's `backward` adds into
+    the one buffer; calls on several windows of a batch sum into it too.
+    Otherwise a group's result depends on its own inputs alone, and up to
+    `_workers()` groups are in flight at once, each on its own thread, with
+    BLAS pinned to one thread meanwhile and restored after. The calling
+    thread dispatches the groups in order and holds at most two unfinished,
+    so the call holds two groups' tensors at a time; its losses are bitwise
+    those of one thread. A group that raises ends the call with its error
+    once no thread of the call is running. An empty batch gives zero losses
+    and adds nothing.
     """
     if any((x0 == MASK_ID).any() for x0 in targets):
         raise ValueError("training sequence contains [MASK]")
-    per_item = np.zeros(len(xts))
     order = np.argsort([len(x) for x in xts], kind="stable")
-    for lo in range(0, len(order), _GROUP_SIZE):
-        group = np.sort(order[lo : lo + _GROUP_SIZE])
+    groups = [np.sort(order[lo : lo + _GROUP_SIZE]) for lo in range(0, len(order), _GROUP_SIZE)]
+
+    def score(group):
         x0 = _pad_batch([targets[i] for i in group], PAD_ID)
         xt = _pad_batch([xts[i] for i in group], PAD_ID)
         masked = xt == MASK_ID
@@ -175,10 +259,37 @@ def _masked_ce(
         logp = _head_logp(logits, x0[masked], w if grads is not None else None)
         per_pos = np.zeros(xt.shape)
         per_pos[masked] = w * -logp
-        per_item[group] = per_pos.sum(axis=1)
         if grads is not None:  # logits now holds d(loss)/d(logits)
             denoiser.backward(cache, logits, grads)
-        del logits, cache  # else the next group's forward runs while these are held
+        return per_pos.sum(axis=1)
+
+    per_item = np.zeros(len(xts))
+    workers = 1
+    if grads is None and not train and len(groups) > 1:
+        cfg, d = params.config, params.config.d_model
+        rows = sum(len(x) + cfg.prefix_len for x in xts) / len(groups)
+        work = rows * d * ((4 + 2 * denoiser._FFN_MULT) * d + cfg.vocab_size / cfg.num_layers)
+        workers = min(_workers(work), len(groups))
+    if workers == 1:
+        for group in groups:
+            per_item[group] = score(group)
+        return per_item
+    in_flight: collections.deque = collections.deque()
+    get_blas_threads, set_blas_threads = _BLAS_THREADS or (lambda: None, lambda n: None)
+    blas_threads = get_blas_threads()
+    set_blas_threads(1)
+    try:
+        for group in groups:
+            if len(in_flight) == workers:
+                done, future = in_flight.popleft()
+                per_item[done] = future.result()
+            in_flight.append((group, _thread_pool().submit(score, group)))
+        while in_flight:
+            done, future = in_flight.popleft()
+            per_item[done] = future.result()
+    finally:
+        wait([future for _, future in in_flight])
+        set_blas_threads(blas_threads)
     return per_item
 
 

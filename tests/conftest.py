@@ -2,8 +2,10 @@ import json
 import os
 
 # one BLAS thread, as in the benchmark, keeps test timings stable on shared
-# runners; a second thread sped a desk-shaped loss call only 268 -> 234 ms
-# on a 2-core box
+# runners. The loss core pins BLAS to one thread itself while it runs
+# forward-only length groups on two threads: on a 2-core box a desk-shaped
+# loss call took 268 ms serially, 234 ms on two BLAS threads, 183 ms on two
+# Python threads and 433 ms on both
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 

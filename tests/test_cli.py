@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -598,6 +599,23 @@ def test_rejected_settings_exit_2(tmp_path, corpus_file, prep_dir, capsys, comma
     assert cli.main([command, *base, "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flags[-2] in err
+    assert not out.exists()
+
+
+def test_smoothing_that_rounds_a_probability_to_0_exits_2_naming_it(tmp_path, corpus_file,
+                                                                      capsys):
+    """A subnormal smoothing rounds the probability of [UNK], which this
+    corpus never produces, to 0: `prepare` exits 2 with one error line that
+    names --smoothing, warns of nothing and writes nothing."""
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "64",
+                       "--smoothing", "5e-324", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and caught == []
+    assert err.startswith("error: --smoothing 5e-324 rounds") and err.count("\n") == 1
     assert not out.exists()
 
 

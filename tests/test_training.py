@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import spindle as sp
 from spindle import denoiser as dn, oracle as orc, training
-from spindle.corpus import MASK_ID
+from spindle.corpus import MASK_ID, PAD_ID
 from spindle.diffusion import spindle_alpha_bar_at
 from spindle.rng import stream
 from spindle.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ShuffledPasses, _masked_ce,
@@ -208,9 +210,9 @@ def _ragged_batch(lengths, seed, mask_rate=0.4, num_steps=8):
     return xts, targets, weights, rng.integers(1, num_steps + 1, size=len(lengths))
 
 
-def _ragged_params(mode, seed=0):
+def _ragged_params(mode, seed=0, **kw):
     """A float64 two-layer model for 63-token lines, every tensor perturbed."""
-    params = tiny_params(mode, seed=seed, num_layers=2, n_max=64)
+    params = tiny_params(mode, seed=seed, num_layers=2, n_max=64, **kw)
     rng = np.random.default_rng(seed + 200)
     for v in params.tensors.values():
         v += rng.normal(0, 0.05, v.shape)
@@ -287,6 +289,182 @@ def test_masked_ce_group_without_masked_rows():
     np.testing.assert_array_equal(per_item[8:], long_items)
     for name, g in long_grads.items():
         np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-14 * np.abs(g).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
+def test_loss_core_is_bitwise_alike_on_one_and_two_threads(monkeypatch, mode, dtype):
+    """Over 150 items (three windows, summed into one buffer), a
+    forward-only call, the bound's loss and gradients with dropout on, and
+    an MLM step equal, byte for byte, on one thread and on two. On two,
+    every forward-only group runs off the calling thread, and every
+    training group on it."""
+    params = _ragged_params(mode, seed=5, dropout=0.1).astype(dtype)
+    rng = np.random.default_rng(6)
+    seqs = [rng.integers(4, 13, size=n) for n in rng.integers(2, 64, size=150)]
+    t_draws = rng.integers(1, 9, size=150)
+    sched = sp.ScheduleParams(num_steps=8)
+    rows = [spindle_alpha_bar_at(rng.uniform(0.5, 2.0, len(x)), [t - 1, t], sched)
+            for x, t in zip(seqs, t_draws)]
+    real, threads = dn.forward, []
+
+    def recording(*args, **kwargs):
+        threads.append((kwargs["train"], threading.get_ident()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dn, "forward", recording)
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(training, "_workers", lambda _: workers)
+        threads.clear()
+        scored, _ = sp.diffusion_loss_batch(params, seqs, rows, t_draws, 8, train=False,
+                                            want_grads=False)
+        bound, grads = sp.diffusion_loss_batch(params, seqs, rows, t_draws, 7)
+        mlm, mlm_grads = sp.mlm_pretrain_step(params, seqs[:40], 0.3, 9)
+        results.append([scored, bound, mlm, *(grads[k].tobytes() for k in sorted(grads)),
+                        *(mlm_grads[k].tobytes() for k in sorted(mlm_grads))])
+        here = threading.get_ident()
+        assert all((ident == here) == (train or workers == 1) for train, ident in threads)
+    assert results[0] == results[1]
+
+
+def test_loss_core_under_thread_stress_matches_one_thread(monkeypatch):
+    """Four forward-only groups in flight on four threads, more than a
+    2-core box has, with the interpreter switching threads every
+    microsecond: the losses of 48 items equal those of one thread byte for
+    byte."""
+    import sys
+
+    params = _ragged_params("pte", seed=6).astype(np.float32)
+    xts, targets, weights, t = _ragged_batch(np.random.default_rng(7).integers(5, 64, 48),
+                                             seed=10)
+    results = []
+    for workers in (1, 4):
+        monkeypatch.setattr(training, "_workers", lambda _: workers)
+        monkeypatch.setattr(training, "_THREADS", workers)
+        monkeypatch.setattr(training, "_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            per_item = _masked_ce(params, xts, targets, weights, t, stream(6, "ce"), None,
+                                  train=False)
+        finally:
+            sys.setswitchinterval(interval)
+            if training._pool is not None:
+                training._pool[1].shutdown()
+        results.append(per_item.tobytes())
+    assert results[0] == results[1]
+
+
+def _serial_masked_ce(params, xts, targets, weights, t, rng, grads, *, train):
+    """The loss core as it ran before it used threads: groups of 8 items of
+    the stable length sort, one after another."""
+    per_item = np.zeros(len(xts))
+    order = np.argsort([len(x) for x in xts], kind="stable")
+    for lo in range(0, len(order), 8):
+        group = np.sort(order[lo : lo + 8])
+        x0 = training._pad_batch([targets[i] for i in group], PAD_ID)
+        xt = training._pad_batch([xts[i] for i in group], PAD_ID)
+        masked = xt == MASK_ID
+        w = training._pad_batch([weights[i] for i in group], 0.0)[masked]
+        logits, _ = dn.forward(params, xt, t[group], train=train, rng=rng)
+        logp = training._head_logp(logits, x0[masked], None)
+        per_pos = np.zeros(xt.shape)
+        per_pos[masked] = w * -logp
+        per_item[group] = per_pos.sum(axis=1)
+    return per_item
+
+
+def test_elbo_eval_keeps_the_single_thread_value(monkeypatch):
+    """A fixed float32 evaluation on two threads gives, bit for bit, the
+    value of the serial loss core it replaced."""
+    params = _ragged_params("lte", seed=3).astype(np.float32)
+    rng = np.random.default_rng(11)
+    dataset = [rng.integers(4, 13, size=n) for n in rng.integers(5, 64, size=40)]
+    table = sp.SurprisalTable.from_counts(np.concatenate([[0, 0, 0], rng.integers(1, 50, 10)]))
+
+    def value():
+        return sp.elbo_eval(params, dataset, sp.ScheduleParams(8, 0.3), table, 4, seed=5)
+
+    monkeypatch.setattr(training, "_workers", lambda _: 2)
+    threaded = value()
+    monkeypatch.setattr(training, "_masked_ce", _serial_masked_ce)
+    assert threaded == value()
+
+
+def test_a_failing_group_ends_the_call_with_no_thread_left_running(monkeypatch):
+    """On two threads, an error in the forward of the third of six
+    forward-only groups reaches the caller with its message; no group after
+    the fourth starts, every forward that started has ended by the time the
+    call returns and none starts later, and the BLAS thread count is back
+    to its value before the call."""
+    params = _ragged_params("tad")
+    xts, targets, weights, t = _ragged_batch([20] * 48, seed=9)
+    real, calls, ended = dn.forward, [], []
+
+    def failing(*args, **kwargs):
+        calls.append(threading.get_ident())
+        try:
+            if len(calls) == 3:
+                raise RuntimeError("group three failed")
+            return real(*args, **kwargs)
+        finally:
+            ended.append(len(calls))
+
+    monkeypatch.setattr(dn, "forward", failing)
+    monkeypatch.setattr(training, "_workers", lambda _: 2)
+    blas = training._BLAS_THREADS
+    before = blas[0]() if blas is not None else None
+    with pytest.raises(RuntimeError, match="^group three failed$"):
+        _masked_ce(params, xts, targets, weights, t, stream(4, "ce"), None, train=False)
+    started, finished = len(calls), len(ended)
+    time.sleep(0.2)
+    assert 3 <= started <= 4 and finished == started == len(calls)
+    assert threading.get_ident() not in calls
+    if blas is not None:
+        assert blas[0]() == before
+
+
+@pytest.mark.skipif(training._BLAS_THREADS is None, reason="numpy bundles no OpenBLAS")
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_blas_runs_one_thread_during_a_call_and_its_count_comes_back(monkeypatch, count):
+    """BLAS set to `count` threads before a two-thread call runs on one
+    thread inside it, and on `count` threads again after it."""
+    get, set_ = training._BLAS_THREADS
+    params = _ragged_params("tad")
+    xts, targets, weights, t = _ragged_batch([5, 9, 13, 40, 22, 7, 31, 18, 12, 3], seed=8)
+    real, seen = dn.forward, []
+
+    def recording(*args, **kwargs):
+        seen.append(get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dn, "forward", recording)
+    monkeypatch.setattr(training, "_workers", lambda _: 2)
+    original = get()
+    set_(count)
+    try:
+        _masked_ce(params, xts, targets, weights, t, stream(5, "ce"), None, train=False)
+        assert get() == count
+    finally:
+        set_(original)
+    assert len(seen) == 2 and set(seen) == {1}
+
+
+def test_workers_follow_the_group_work_threshold(monkeypatch):
+    """Forward-only calls go to threads only where a group's GEMMs reach
+    _MIN_THREADED_WORK multiply-adds per layer: a test-sized model stays
+    on the calling thread, a default-sized one with 20-token lines does
+    not."""
+    seen = []
+    monkeypatch.setattr(training, "_workers", lambda work: seen.append(work) or 1)
+    xts, targets, weights, t = _ragged_batch([20] * 16, seed=3)
+    for d, layers in ((16, 2), (128, 4)):
+        params = tiny_params(vocab_size=2004, d_model=d, num_layers=layers, num_heads=4,
+                             n_max=64, randomize=False)
+        _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), None, train=False)
+    small, default = seen
+    assert small < training._MIN_THREADED_WORK < default
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -589,36 +767,54 @@ def test_run_training_rejects_a_schedule_of_another_T(word_corpus, sched_t):
                         sp.TrainConfig(batch_size=2, total_steps=1))
 
 
-def test_masked_ce_holds_one_group_at_a_time():
-    """A four-group call peaks at under 1.2x the memory of a one-group call
-    on the same shapes: each group's logits, log-probabilities and forward
-    cache are released before the next group's forward. Holding the last
-    group's arrays through the next forward reads 1.43x."""
+@pytest.mark.parametrize("workers, train", [(1, False), (2, False), (2, True)])
+def test_masked_ce_holds_one_group_per_thread(monkeypatch, workers, train):
+    """A call of four groups per thread peaks at under 1.2x the memory of a
+    call of one group per thread, on the same shapes: each group's logits,
+    log-probabilities and forward cache are released when it is done, and a
+    forward-only call keeps at most one group in flight per thread. A call
+    with gradients runs one group at a time even where two threads are
+    usable. On one thread, holding the last group's arrays through the next
+    forward reads 1.43x. On two, each forward waits at a barrier for the
+    other thread's forward to return, so both groups' arrays are held at
+    once in every call, as they are in a run where the two overlap fully."""
     import tracemalloc
 
     from spindle.training import _GROUP_SIZE
 
     params = tiny_params(vocab_size=4000, num_layers=2, d_model=32, n_max=32, randomize=False)
     rng = np.random.default_rng(0)
-    x0 = rng.integers(4, 4000, (4 * _GROUP_SIZE, 32))
+    per_call = _GROUP_SIZE * (1 if train else workers)
+    x0 = rng.integers(4, 4000, (4 * per_call, 32))
     xt = np.where(rng.random(x0.shape) < 0.5, MASK_ID, x0)
+    monkeypatch.setattr(training, "_workers", lambda _: workers)
+    if workers == 2 and not train:
+        real, barrier = dn.forward, threading.Barrier(2, timeout=30)
+
+        def paired(*args, **kwargs):
+            out = real(*args, **kwargs)
+            barrier.wait()
+            return out
+
+        monkeypatch.setattr(dn, "forward", paired)
 
     def peak(b):
+        grads = params.zeros_like() if train else None
         tracemalloc.start()
         try:
             _masked_ce(params, list(xt[:b]), list(x0[:b]), [np.ones(32)] * b, np.ones(b, int),
-                       rng, None, train=False)
+                       rng, grads, train=train)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(4 * _GROUP_SIZE) < 1.2 * peak(_GROUP_SIZE)
+    assert peak(4 * per_call) < 1.2 * peak(per_call)
 
 
 def test_keep_freed_heap_sets_both_thresholds_in_order():
     """The mmap threshold is pinned at 32 MiB, then the trim threshold at
-    64 MiB; a libc without mallopt, or whose mallopt refuses, raises
-    nothing."""
+    64 MiB, then the arena count at 1; a libc without mallopt, or whose
+    mallopt refuses, raises nothing."""
     calls = []
 
     class Libc:
@@ -628,7 +824,7 @@ def test_keep_freed_heap_sets_both_thresholds_in_order():
             return 0
 
     sp._keep_freed_heap(Libc())
-    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20), (-8, 1)]
     sp._keep_freed_heap(object())
 
 
