@@ -9,11 +9,13 @@ thresholds that freed heap goes back to the kernel and the next call
 faults every page of it back in: over 10k minor page faults per desk
 training step, and a tenth or more of the step spent in the kernel. With
 the thresholds pinned the freed blocks stay in the process and are reused;
-peak memory is unchanged, and so is every result. Forward-only loss calls
-run their length groups on two threads. Under glibc's default each thread
-gets an arena of its own, whose freed blocks the others cannot reuse: desk
-benchmark runs on a 2-core x86_64 box then peaked at 164 MB, against
-115 MB on one arena (3 runs each).
+peak memory is unchanged, and so is every result. Loss calls run their
+length groups on two threads: forward-only calls two groups at once,
+training calls one group's backward beside the next group's forward. Under
+glibc's default each thread gets an arena of its own, whose freed blocks
+the others cannot reuse: desk benchmark runs on a 2-core x86_64 box, with
+only forward-only calls threaded, then peaked at 164 MB, against 115 MB on
+one arena (3 runs each).
 """
 
 import ctypes

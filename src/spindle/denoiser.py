@@ -411,7 +411,15 @@ def backward(
     logits are constants). upstream_grad is never written: it is read as
     is when those columns are already zero, as the loss core's gradients
     are, and through a copy with them zeroed otherwise.
+
+    backward consumes its cache: it drops the head's input and each layer's
+    activations as soon as it has used them, so the cache it works through
+    shrinks while a caller's next forward fills another. A second backward
+    on a spent cache raises ValueError; run forward again for it.
     """
+    if "hf" not in cache:
+        raise ValueError("this forward cache was spent by an earlier backward; run forward "
+                         "again")
     params: DenoiserParams = cache["params"]
     cfg = params.config
     p = params.tensors
@@ -425,7 +433,7 @@ def backward(
     if dlogits[:, SPECIAL_IDS].any():
         dlogits = np.array(upstream_grad, dtype=params.dtype)
         dlogits[:, SPECIAL_IDS] = 0.0
-    g["out.w"] += cache["hf"].T @ dlogits
+    g["out.w"] += cache.pop("hf").T @ dlogits
     g["out.b"] += dlogits.sum(axis=0)
     dh = dlogits @ p["out.w"].T
     dh = _layernorm_backward(dh, cache["lnf"], p["ln_f.g"], g, "ln_f")
@@ -435,7 +443,7 @@ def backward(
 
     for i in reversed(range(cfg.num_layers)):
         pre = f"layer{i}."
-        c = cache["layers"][i]
+        c = cache["layers"].pop()  # layer i's activations, freed with c
         # ffn sublayer: h = h_mid + drop(w2 gelu(w1 ln2(h_mid)))
         df = dh * c["ffn_mask"] if c["ffn_mask"] is not None else dh
         g[pre + "ffn.w2"] += _matgrad(c["act"], df)
@@ -461,12 +469,11 @@ def backward(
         dq = _merge_heads(dscores @ c["k"] * scale)
         dk = _merge_heads(dscores.swapaxes(-1, -2) @ c["q"] * scale)
         dv = _merge_heads(dv)
-        a_norm = c["a_norm"]
-        g[pre + "attn.wq"] += _matgrad(a_norm, dq)
+        g[pre + "attn.wq"] += _matgrad(c["a_norm"], dq)
         g[pre + "attn.bq"] += dq.sum(axis=(0, 1))
-        g[pre + "attn.wk"] += _matgrad(a_norm, dk)
+        g[pre + "attn.wk"] += _matgrad(c["a_norm"], dk)
         g[pre + "attn.bk"] += dk.sum(axis=(0, 1))
-        g[pre + "attn.wv"] += _matgrad(a_norm, dv)
+        g[pre + "attn.wv"] += _matgrad(c["a_norm"], dv)
         g[pre + "attn.bv"] += dv.sum(axis=(0, 1))
         dln1 = (
             _lin(dq, p[pre + "attn.wq"].T)

@@ -17,10 +17,11 @@ the denoiser, whose time mode decides whether to read it. The core runs a
 batch in length groups: it stable-sorts the items by length, cuts groups of
 8, and pads each group only to its own longest line, so the trunk does
 little work on pad rows. A batch of 8 or fewer items is one group.
-Forward-only calls without dropout (`elbo_eval`) run two groups at once on
-two threads where two CPUs are usable and the groups are large enough; each
-group's result is bitwise the one of a single thread. Training runs its
-groups one after another.
+Where two CPUs are usable and the groups are large enough, a call uses both:
+forward-only calls without dropout (`elbo_eval`) run two groups at once, and
+calls with gradients (training, MLM) run each group's backward on the second
+thread beside the next group's forward, one backward at a time in group
+order. Every loss and gradient is bitwise the one of a single thread.
 The loss core alone bounds memory: it holds the inputs of one window of 64
 items and the tensors of at most two groups at a time, however many items
 it scores.
@@ -29,6 +30,7 @@ it scores.
 from __future__ import annotations
 
 import collections
+import contextlib
 import ctypes
 import itertools
 import json
@@ -89,19 +91,25 @@ class LossBreakdown:
 # Items per forward pass in `_masked_ce`: enough rows for efficient GEMMs,
 # few enough that a group's lines are close in length.
 _GROUP_SIZE = 8
-# Groups of a forward-only `_masked_ce` call in flight at once, each on its
-# own thread, where that many CPUs are usable.
+# Threads a `_masked_ce` call runs on at once, where that many CPUs are
+# usable: two forward-only groups, or one group's forward and the previous
+# group's backward.
 _THREADS = 2
 # Multiply-adds of a group's GEMMs per layer, about rows * d * ((4 + 2 *
 # _FFN_MULT) * d + K / layers), on average over a call, below which a
-# forward-only `_masked_ce` keeps to one thread: smaller groups spend most
-# of their time in the interpreter, which holds the GIL. Measured on a
+# `_masked_ce` keeps to one thread: smaller groups spend most of their time
+# in the interpreter, which holds the GIL. Measured for forward-only calls on a
 # 2-core x86_64 box, 64 float32 items per call, lines of L tokens on
 # average: two threads broke even near 2^24 at d = 128, 4 layers, K = 2004
 # (L 4: x0.93, L 6: x1.02, L 10: x1.15), at d = 64, 2 layers (L 16:
 # x0.80, L 24: x1.15) and at d = 32, 2 layers, K = 4000 (L 16: x0.94,
 # L 32: x1.27). Test-sized models fall below it; every benchmark workload
-# is 2.6x or more above it, so only these measurements place it.
+# is 2.6x or more above it, so only these measurements place it. Gradient
+# calls with dropout, timed the same way in 31 alternating pairs, break
+# even in about the same place: under 0.5x the gate their pipeline read
+# x0.64-1.02 (test-sized d = 16, 1 layer, K = 13: x0.64-0.76), from 0.6x to
+# 1x x0.86-1.12 by shape (d = 32, 1 layer: x0.86-0.98), and from 1.2x up
+# x1.13-1.34 (d = 32, 1 layer: x1.15 at 1.8x).
 _MIN_THREADED_WORK = 1 << 24
 # Items per `_masked_ce` call in `diffusion_loss_batch`: the states, weights
 # and retention rows of one window exist at a time.
@@ -173,12 +181,28 @@ def _find_blas_threads():
 _BLAS_THREADS = _find_blas_threads()
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """BLAS pinned to one thread for the block and restored after it; a
+    no-op where `_BLAS_THREADS` found no library."""
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get, set_ = _BLAS_THREADS
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _workers(group_work: float) -> int:
-    """Threads that run a forward-only `_masked_ce`'s groups, whose GEMMs
-    take group_work multiply-adds per layer each on average: _THREADS, or
-    the usable CPUs if fewer, where BLAS can be pinned to one thread while
-    they run and the work reaches _MIN_THREADED_WORK; else one. Without the
-    pin each thread's BLAS calls would contend for the same cores."""
+    """Threads that run a `_masked_ce`'s groups, whose GEMMs take group_work
+    multiply-adds per layer each on average: _THREADS, or the usable CPUs if
+    fewer, where BLAS can be pinned to one thread while they run and the
+    work reaches _MIN_THREADED_WORK; else one. Without the pin each thread's
+    BLAS calls would contend for the same cores."""
     if _BLAS_THREADS is None or group_work < _MIN_THREADED_WORK:
         return 1
     try:
@@ -227,30 +251,46 @@ def _masked_ce(
     becomes `backward`'s upstream gradient and no second (rows, K) array
     exists. A group's logits and forward cache are released when the group
     is done. With the heap settings the package pins at import the next
-    group reuses the freed blocks; on a 2-core x86_64 box a desk training
-    step then faulted no pages, and vocab30k `elbo_eval` before any training
+    group reuses the freed blocks; on a 2-core x86_64 box desk-shaped
+    training steps then faulted 0-283 pages each (mostly none), on two
+    threads, and vocab30k `elbo_eval` before any training
     faulted 2.2k-2.3k pages on its first call and 0-1.4k (mostly none) on
     each later one.
 
-    With `grads` or `train`, the groups run one after another on the calling
-    thread, so a call holds one group's model tensors at a time, rng's
-    dropout draws keep group order, and every group's `backward` adds into
-    the one buffer; calls on several windows of a batch sum into it too.
-    Otherwise a group's result depends on its own inputs alone, and up to
-    `_workers()` groups are in flight at once, each on its own thread, with
-    BLAS pinned to one thread meanwhile and restored after. The calling
-    thread dispatches the groups in order and holds at most two unfinished,
-    so the call holds two groups' tensors at a time; its losses are bitwise
-    those of one thread. A group that raises ends the call with its error
-    once no thread of the call is running. An empty batch gives zero losses
-    and adds nothing.
+    Every group's `backward` adds into the one `grads` buffer, in group
+    order; calls on several windows of a batch sum into it too. A call of
+    one group, one with `train` and no `grads`, and one for which
+    `_workers()` gives one thread run their groups one after another on
+    the calling thread, holding one group's model tensors at a time.
+    Otherwise BLAS is pinned to one thread while the call runs, the call
+    holds two groups' tensors at a time, and:
+
+    - with `grads`, the calling thread runs every forward and head in group
+      order, so rng's dropout draws keep that order, and hands each group's
+      `backward` to a second thread once the previous group's has finished.
+      So group k+1's forward runs beside group k's backward, which frees
+      group k's cache layer by layer, and each parameter still gets one
+      `+=` per group, in group order.
+    - without `grads` or `train`, a group's result depends on its own inputs
+      alone, and two groups are in flight at once, each on its own thread.
+      The calling thread dispatches the groups in order and holds at most
+      two unfinished.
+
+    Either way the losses and gradients are bitwise those of one thread. A
+    group that raises ends the call with its error once no thread of the
+    call is running. If group k's forward raised, `grads` then holds what it
+    held plus the gradients of groups 0..k-1; if its backward raised, also
+    whatever part of group k's it had added. An empty batch gives zero
+    losses and adds nothing.
     """
     if any((x0 == MASK_ID).any() for x0 in targets):
         raise ValueError("training sequence contains [MASK]")
     order = np.argsort([len(x) for x in xts], kind="stable")
     groups = [np.sort(order[lo : lo + _GROUP_SIZE]) for lo in range(0, len(order), _GROUP_SIZE)]
 
-    def score(group):
+    def score(group, backward):
+        """The group's per-item losses; given grads, backward(cache,
+        d(loss)/d(logits)) takes the group's gradient."""
         x0 = _pad_batch([targets[i] for i in group], PAD_ID)
         xt = _pad_batch([xts[i] for i in group], PAD_ID)
         masked = xt == MASK_ID
@@ -260,36 +300,54 @@ def _masked_ce(
         per_pos = np.zeros(xt.shape)
         per_pos[masked] = w * -logp
         if grads is not None:  # logits now holds d(loss)/d(logits)
-            denoiser.backward(cache, logits, grads)
+            backward(cache, logits)
         return per_pos.sum(axis=1)
+
+    def backward_here(cache, upstream):
+        denoiser.backward(cache, upstream, grads)
 
     per_item = np.zeros(len(xts))
     workers = 1
-    if grads is None and not train and len(groups) > 1:
+    if len(groups) > 1 and (grads is not None or not train):
         cfg, d = params.config, params.config.d_model
         rows = sum(len(x) + cfg.prefix_len for x in xts) / len(groups)
         work = rows * d * ((4 + 2 * denoiser._FFN_MULT) * d + cfg.vocab_size / cfg.num_layers)
         workers = min(_workers(work), len(groups))
     if workers == 1:
         for group in groups:
-            per_item[group] = score(group)
+            per_item[group] = score(group, backward_here)
+        return per_item
+    if grads is not None:
+        last = None  # the future of the last backward handed to the pool
+
+        def backward_beside(cache, upstream):
+            nonlocal last
+            if last is not None:
+                last.result()  # one backward at a time, in group order
+            last = _thread_pool().submit(denoiser.backward, cache, upstream, grads)
+
+        with _one_blas_thread():
+            try:
+                for group in groups:
+                    per_item[group] = score(group, backward_beside)
+                last.result()
+            finally:
+                if last is not None:
+                    wait([last])
         return per_item
     in_flight: collections.deque = collections.deque()
-    get_blas_threads, set_blas_threads = _BLAS_THREADS or (lambda: None, lambda n: None)
-    blas_threads = get_blas_threads()
-    set_blas_threads(1)
-    try:
-        for group in groups:
-            if len(in_flight) == workers:
+    with _one_blas_thread():
+        try:
+            for group in groups:
+                if len(in_flight) == workers:
+                    done, future = in_flight.popleft()
+                    per_item[done] = future.result()
+                in_flight.append((group, _thread_pool().submit(score, group, None)))
+            while in_flight:
                 done, future = in_flight.popleft()
                 per_item[done] = future.result()
-            in_flight.append((group, _thread_pool().submit(score, group)))
-        while in_flight:
-            done, future = in_flight.popleft()
-            per_item[done] = future.result()
-    finally:
-        wait([future for _, future in in_flight])
-        set_blas_threads(blas_threads)
+        finally:
+            wait([future for _, future in in_flight])
     return per_item
 
 

@@ -3,7 +3,7 @@ import os
 
 # one BLAS thread, as in the benchmark, keeps test timings stable on shared
 # runners. The loss core pins BLAS to one thread itself while it runs
-# forward-only length groups on two threads: on a 2-core box a desk-shaped
+# length groups on two threads: on a 2-core box a desk-shaped forward-only
 # loss call took 268 ms serially, 234 ms on two BLAS threads, 183 ms on two
 # Python threads and 433 ms on both
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

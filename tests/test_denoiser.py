@@ -154,7 +154,9 @@ def test_backward_adds_into_the_given_buffer(mode):
     a buffer pre-filled with G ends holding G plus a fresh call's gradients,
     bit for bit, so a batch run in groups sums to what adding the groups'
     separate gradients gives. The batch repeats tokens and steps, so the
-    embedding scatters add several rows at one index."""
+    embedding scatters add several rows at one index. backward consumes its
+    cache, so the second call runs forward again, on the same dropout
+    draws."""
     params = dn.init_params(tiny_config(mode, dropout=0.1), 3)
     rng = np.random.default_rng(5)
     params.tensors["out.w"] += rng.normal(0, 0.4, params["out.w"].shape)
@@ -165,6 +167,7 @@ def test_backward_adds_into_the_given_buffer(mode):
     fresh = dn.backward(cache, up, params.zeros_like())
     prefilled = {k: rng.normal(0, 1, v.shape) for k, v in params.tensors.items()}
     buffer = {k: v.copy() for k, v in prefilled.items()}
+    _, cache = dn.forward(params, xt, t, train=True, rng=0)
     assert dn.backward(cache, up, buffer) is buffer
     assert set(buffer) == set(fresh)
     for name, g in fresh.items():
@@ -176,7 +179,8 @@ def test_backward_never_writes_its_upstream(special):
     """backward leaves its upstream array as it was, whether it reads it as
     is (zeros at the forced -inf columns, as the loss core's gradients
     are, -0 included) or through a copy with those columns zeroed; either
-    way the gradients are bitwise those of the +0 upstream."""
+    way the gradients are bitwise those of the +0 upstream, taken on a
+    second forward of the same input."""
     params = dn.init_params(tiny_config("lte"), 3)
     rng = np.random.default_rng(6)
     params.tensors["out.w"] += rng.normal(0, 0.4, params["out.w"].shape)
@@ -189,6 +193,7 @@ def test_backward_never_writes_its_upstream(special):
     before = up.copy()
     grads = dn.backward(cache, up, params.zeros_like())
     assert up.tobytes() == before.tobytes()
+    _, cache = dn.forward(params, xt, np.array([2, 5]))
     expected = dn.backward(cache, zeroed, params.zeros_like())
     for name, g in expected.items():
         assert grads[name].tobytes() == g.tobytes(), name
@@ -199,6 +204,64 @@ def test_backward_shape_mismatch_errors():
     _, cache = dn.forward(params, np.array([[4, 5]]))
     with pytest.raises(ValueError):
         dn.backward(cache, np.zeros((1, 3, 11)), params.zeros_like())
+
+
+def test_backward_consumes_its_cache():
+    """A backward that fails its shape check leaves the cache whole; one
+    that runs spends it, and a second backward on it raises ValueError
+    saying so, with nothing added to its buffer."""
+    params = dn.init_params(tiny_config("lte"), 2)
+    logits, cache = dn.forward(params, np.array([[4, MASK_ID, 5]]), np.array([3]))
+    up = np.where(np.isfinite(logits), 1.0, 0.0)
+    with pytest.raises(ValueError, match="upstream grad shape"):
+        dn.backward(cache, np.zeros((1, 3, 11)), params.zeros_like())
+    first = dn.backward(cache, up, params.zeros_like())
+    assert any(g.any() for g in first.values())
+    grads = params.zeros_like()
+    with pytest.raises(ValueError, match="spent by an earlier backward; run forward again"):
+        dn.backward(cache, up, grads)
+    assert not any(g.any() for g in grads.values())
+
+
+def _arrays(layer: dict) -> list[np.ndarray]:
+    """The arrays of one layer's cache entry, its layernorm tuples unpacked."""
+    out = []
+    for v in layer.values():
+        out.extend(v if isinstance(v, tuple) else [v])
+    return [a for a in out if a is not None]
+
+
+@pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
+def test_backward_frees_each_layer_once_used(monkeypatch, mode):
+    """backward frees the head's input, and each layer's activations as
+    soon as it has used them: when it reaches a layer's FFN, no array of a
+    layer above it is still alive, every array of the layers below is, and
+    once it returns none is, although the caller still holds the cache."""
+    import weakref
+
+    params = dn.init_params(tiny_config(mode, num_layers=3, dropout=0.1), 4)
+    xt = np.array([[4, MASK_ID, 5, MASK_ID], [MASK_ID, 6, 7, PAD_ID]])
+    logits, cache = dn.forward(params, xt, np.array([2, 5]), train=True, rng=0)
+    layers = [[weakref.ref(a) for a in _arrays(c)] for c in cache["layers"]]
+    z = [weakref.ref(c["z"]) for c in cache["layers"]]
+    hf = weakref.ref(cache["hf"])
+    real, seen = dn._gelu_grad, []
+
+    def watching(x, th):
+        here = [i for i, ref in enumerate(z) if ref() is x]
+        if here:
+            seen.append((here[0], [all(r() is None for r in refs) for refs in layers],
+                         [all(r() is not None for r in refs) for refs in layers], hf() is None))
+        return real(x, th)
+
+    monkeypatch.setattr(dn, "_gelu_grad", watching)
+    up = np.where(np.isfinite(logits), 1.0, 0.0)
+    dn.backward(cache, up, params.zeros_like())
+    assert [i for i, *_ in seen] == [2, 1, 0]
+    for i, freed, alive, hf_freed in seen:
+        assert freed[i + 1 :] == [True] * (2 - i) and alive[: i + 1] == [True] * (i + 1)
+        assert hf_freed
+    assert all(r() is None for refs in layers for r in refs) and cache["layers"] == []
 
 
 def test_backward_unused_time_rows_zero_grad():

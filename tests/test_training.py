@@ -297,8 +297,8 @@ def test_loss_core_is_bitwise_alike_on_one_and_two_threads(monkeypatch, mode, dt
     """Over 150 items (three windows, summed into one buffer), a
     forward-only call, the bound's loss and gradients with dropout on, and
     an MLM step equal, byte for byte, on one thread and on two. On two,
-    every forward-only group runs off the calling thread, and every
-    training group on it."""
+    every forward-only group runs off the calling thread; in the gradient
+    calls every forward runs on it and every backward off it."""
     params = _ragged_params(mode, seed=5, dropout=0.1).astype(dtype)
     rng = np.random.default_rng(6)
     seqs = [rng.integers(4, 13, size=n) for n in rng.integers(2, 64, size=150)]
@@ -306,13 +306,18 @@ def test_loss_core_is_bitwise_alike_on_one_and_two_threads(monkeypatch, mode, dt
     sched = sp.ScheduleParams(num_steps=8)
     rows = [spindle_alpha_bar_at(rng.uniform(0.5, 2.0, len(x)), [t - 1, t], sched)
             for x, t in zip(seqs, t_draws)]
-    real, threads = dn.forward, []
+    forward, backward, threads = dn.forward, dn.backward, []
 
-    def recording(*args, **kwargs):
-        threads.append((kwargs["train"], threading.get_ident()))
-        return real(*args, **kwargs)
+    def recording_forward(*args, **kwargs):
+        threads.append(("forward", kwargs["train"], threading.get_ident()))
+        return forward(*args, **kwargs)
 
-    monkeypatch.setattr(dn, "forward", recording)
+    def recording_backward(*args):
+        threads.append(("backward", True, threading.get_ident()))
+        return backward(*args)
+
+    monkeypatch.setattr(dn, "forward", recording_forward)
+    monkeypatch.setattr(dn, "backward", recording_backward)
     results = []
     for workers in (1, 2):
         monkeypatch.setattr(training, "_workers", lambda _: workers)
@@ -324,7 +329,10 @@ def test_loss_core_is_bitwise_alike_on_one_and_two_threads(monkeypatch, mode, dt
         results.append([scored, bound, mlm, *(grads[k].tobytes() for k in sorted(grads)),
                         *(mlm_grads[k].tobytes() for k in sorted(mlm_grads))])
         here = threading.get_ident()
-        assert all((ident == here) == (train or workers == 1) for train, ident in threads)
+        assert len(threads) == 19 + 2 * (19 + 5)  # groups: 8 + 8 + 3 per pass, 5 for MLM
+        assert {(stage, train, ident == here) for stage, train, ident in threads} == {
+            ("forward", False, workers == 1), ("forward", True, True),
+            ("backward", True, workers == 1)}
     assert results[0] == results[1]
 
 
@@ -332,27 +340,43 @@ def test_loss_core_under_thread_stress_matches_one_thread(monkeypatch):
     """Four forward-only groups in flight on four threads, more than a
     2-core box has, with the interpreter switching threads every
     microsecond: the losses of 48 items equal those of one thread byte for
-    byte."""
+    byte. So do the losses and gradients of a training call with dropout
+    and of an MLM step, whose backwards land on any of the four threads;
+    each backward starts 10 ms late, longer than a forward, so that one handed over before
+    the previous one had finished would overlap it."""
     import sys
 
-    params = _ragged_params("pte", seed=6).astype(np.float32)
+    params = _ragged_params("pte", seed=6, dropout=0.1).astype(np.float32)
     xts, targets, weights, t = _ragged_batch(np.random.default_rng(7).integers(5, 64, 48),
                                              seed=10)
+    backward = dn.backward
+
+    def late(*args):
+        time.sleep(0.01)
+        return backward(*args)
+
+    monkeypatch.setattr(dn, "backward", late)
     results = []
     for workers in (1, 4):
         monkeypatch.setattr(training, "_workers", lambda _: workers)
         monkeypatch.setattr(training, "_THREADS", workers)
         monkeypatch.setattr(training, "_pool", None)
+        grads = params.zeros_like()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             per_item = _masked_ce(params, xts, targets, weights, t, stream(6, "ce"), None,
                                   train=False)
+            trained = _masked_ce(params, xts, targets, weights, t, stream(7, "ce"), grads,
+                                 train=True)
+            mlm, mlm_grads = sp.mlm_pretrain_step(params, targets, 0.3, 8)
         finally:
             sys.setswitchinterval(interval)
             if training._pool is not None:
                 training._pool[1].shutdown()
-        results.append(per_item.tobytes())
+        results.append([per_item.tobytes(), trained.tobytes(), mlm,
+                        *(grads[k].tobytes() for k in sorted(grads)),
+                        *(mlm_grads[k].tobytes() for k in sorted(mlm_grads))])
     assert results[0] == results[1]
 
 
@@ -425,46 +449,108 @@ def test_a_failing_group_ends_the_call_with_no_thread_left_running(monkeypatch):
         assert blas[0]() == before
 
 
+@pytest.mark.parametrize("stage", ["forward", "backward"])
+def test_a_failing_group_ends_a_gradient_call_with_no_backward_left_running(monkeypatch,
+                                                                           stage):
+    """On two threads, an error in the third of six groups' forward or
+    backward reaches the caller with its message. A failing forward ends
+    the call before the third backward starts, a failing backward at the
+    next hand-over, after the fourth forward. Either way no backward is
+    still running when the call returns and none starts later, the BLAS
+    thread count is back to its value before the call, and `grads` holds
+    the gradients of the first two groups, bit for bit."""
+    params = _ragged_params("lte", dropout=0.1)
+    xts, targets, weights, t = _ragged_batch([20] * 48, seed=9)
+    calls = {"forward": [], "backward": []}
+    ended = []
+    real = {"forward": dn.forward, "backward": dn.backward}
+
+    def failing(name):
+        def run(*args, **kwargs):
+            calls[name].append(threading.get_ident())
+            try:
+                if name == stage and len(calls[name]) == 3:
+                    raise RuntimeError(f"{stage} three failed")
+                return real[name](*args, **kwargs)
+            finally:
+                if name == "backward":
+                    ended.append(len(calls[name]))
+        return run
+
+    expected = params.zeros_like()  # lengths are equal, so the groups are items 0-7, 8-15, ...
+    _masked_ce(params, xts[:16], targets[:16], weights[:16], t[:16], stream(4, "ce"), expected,
+               train=True)
+    monkeypatch.setattr(dn, "forward", failing("forward"))
+    monkeypatch.setattr(dn, "backward", failing("backward"))
+    monkeypatch.setattr(training, "_workers", lambda _: 2)
+    blas = training._BLAS_THREADS
+    before = blas[0]() if blas is not None else None
+    grads = params.zeros_like()
+    with pytest.raises(RuntimeError, match=f"^{stage} three failed$"):
+        _masked_ce(params, xts, targets, weights, t, stream(4, "ce"), grads, train=True)
+    started, finished = len(calls["backward"]), len(ended)
+    time.sleep(0.2)
+    assert (len(calls["forward"]), started) == ((3, 2) if stage == "forward" else (4, 3))
+    assert finished == started == len(calls["backward"])
+    assert threading.get_ident() not in calls["backward"]
+    if blas is not None:
+        assert blas[0]() == before
+    for name, g in expected.items():
+        assert grads[name].tobytes() == g.tobytes(), name
+
+
 @pytest.mark.skipif(training._BLAS_THREADS is None, reason="numpy bundles no OpenBLAS")
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_blas_runs_one_thread_during_a_call_and_its_count_comes_back(monkeypatch, count):
-    """BLAS set to `count` threads before a two-thread call runs on one
-    thread inside it, and on `count` threads again after it."""
+    """BLAS set to `count` threads before a two-thread call, forward-only
+    or with gradients, runs on one thread inside it (in every forward and
+    backward), and on `count` threads again after it."""
     get, set_ = training._BLAS_THREADS
     params = _ragged_params("tad")
     xts, targets, weights, t = _ragged_batch([5, 9, 13, 40, 22, 7, 31, 18, 12, 3], seed=8)
-    real, seen = dn.forward, []
+    forward, backward, seen = dn.forward, dn.backward, []
 
-    def recording(*args, **kwargs):
+    def recording_forward(*args, **kwargs):
         seen.append(get())
-        return real(*args, **kwargs)
+        return forward(*args, **kwargs)
 
-    monkeypatch.setattr(dn, "forward", recording)
+    def recording_backward(*args):
+        seen.append(get())
+        return backward(*args)
+
+    monkeypatch.setattr(dn, "forward", recording_forward)
+    monkeypatch.setattr(dn, "backward", recording_backward)
     monkeypatch.setattr(training, "_workers", lambda _: 2)
     original = get()
     set_(count)
     try:
         _masked_ce(params, xts, targets, weights, t, stream(5, "ce"), None, train=False)
         assert get() == count
+        _masked_ce(params, xts, targets, weights, t, stream(5, "ce"), params.zeros_like(),
+                   train=True)
+        assert get() == count
     finally:
         set_(original)
-    assert len(seen) == 2 and set(seen) == {1}
+    assert len(seen) == 2 + 4 and set(seen) == {1}
 
 
 def test_workers_follow_the_group_work_threshold(monkeypatch):
-    """Forward-only calls go to threads only where a group's GEMMs reach
-    _MIN_THREADED_WORK multiply-adds per layer: a test-sized model stays
-    on the calling thread, a default-sized one with 20-token lines does
-    not."""
+    """Forward-only and gradient calls go to threads only where a group's
+    GEMMs reach _MIN_THREADED_WORK multiply-adds per layer: a test-sized
+    model stays on the calling thread, a default-sized one with 20-token
+    lines does not. A call with dropout and no gradients does not ask."""
     seen = []
     monkeypatch.setattr(training, "_workers", lambda work: seen.append(work) or 1)
     xts, targets, weights, t = _ragged_batch([20] * 16, seed=3)
     for d, layers in ((16, 2), (128, 4)):
         params = tiny_params(vocab_size=2004, d_model=d, num_layers=layers, num_heads=4,
-                             n_max=64, randomize=False)
+                             n_max=64, randomize=False, dropout=0.1)
         _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), None, train=False)
-    small, default = seen
-    assert small < training._MIN_THREADED_WORK < default
+        _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), params.zeros_like(),
+                   train=True)
+        _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), None, train=True)
+    small, small_grad, default, default_grad = seen
+    assert small == small_grad < training._MIN_THREADED_WORK < default == default_grad
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -767,27 +853,35 @@ def test_run_training_rejects_a_schedule_of_another_T(word_corpus, sched_t):
                         sp.TrainConfig(batch_size=2, total_steps=1))
 
 
-@pytest.mark.parametrize("workers, train", [(1, False), (2, False), (2, True)])
+@pytest.mark.parametrize("workers, train", [(1, False), (2, False), (1, True), (2, True)])
 def test_masked_ce_holds_one_group_per_thread(monkeypatch, workers, train):
     """A call of four groups per thread peaks at under 1.2x the memory of a
     call of one group per thread, on the same shapes: each group's logits,
     log-probabilities and forward cache are released when it is done, and a
-    forward-only call keeps at most one group in flight per thread. A call
-    with gradients runs one group at a time even where two threads are
-    usable. On one thread, holding the last group's arrays through the next
-    forward reads 1.43x. On two, each forward waits at a barrier for the
-    other thread's forward to return, so both groups' arrays are held at
-    once in every call, as they are in a run where the two overlap fully."""
+    call keeps at most one group in flight per thread. On one thread,
+    holding the last group's arrays through the next forward reads 1.43x.
+    On two threads the overlap is forced to its worst, so both groups'
+    arrays are held at once in every call, as they are in a run where the
+    two overlap fully: each forward-only forward waits at a barrier for the
+    other thread's forward to return, and each backward starts only once the
+    next group's head has returned. That fixes the order of every large
+    allocation of a gradient call, so its peak is the same in every run.
+    A pipelined call holds at most two groups: one group's cache and
+    upstream gradient beside the next group's forward and head, or one
+    group's backward beside the next group's cache and upstream, each part
+    no more than a one-group call's peak. So a gradient call of two groups
+    peaks under 2x a call of one group, which runs on one thread."""
     import tracemalloc
 
     from spindle.training import _GROUP_SIZE
 
     params = tiny_params(vocab_size=4000, num_layers=2, d_model=32, n_max=32, randomize=False)
     rng = np.random.default_rng(0)
-    per_call = _GROUP_SIZE * (1 if train else workers)
+    per_call = _GROUP_SIZE * workers
     x0 = rng.integers(4, 4000, (4 * per_call, 32))
     xt = np.where(rng.random(x0.shape) < 0.5, MASK_ID, x0)
     monkeypatch.setattr(training, "_workers", lambda _: workers)
+    calls = {"groups": 0, "heads": 0, "backward": 0}
     if workers == 2 and not train:
         real, barrier = dn.forward, threading.Barrier(2, timeout=30)
 
@@ -797,8 +891,28 @@ def test_masked_ce_holds_one_group_per_thread(monkeypatch, workers, train):
             return out
 
         monkeypatch.setattr(dn, "forward", paired)
+    if workers == 2 and train:
+        head, backward, ready = training._head_logp, dn.backward, threading.Condition()
+
+        def counted(*args):
+            out = head(*args)
+            with ready:
+                calls["heads"] += 1
+                ready.notify_all()
+            return out
+
+        def late(*args):
+            with ready:
+                calls["backward"] += 1
+                after = min(calls["backward"] + 1, calls["groups"])
+                assert ready.wait_for(lambda: calls["heads"] >= after, timeout=30)
+            return backward(*args)
+
+        monkeypatch.setattr(training, "_head_logp", counted)
+        monkeypatch.setattr(dn, "backward", late)
 
     def peak(b):
+        calls.update(groups=b // _GROUP_SIZE, heads=0, backward=0)
         grads = params.zeros_like() if train else None
         tracemalloc.start()
         try:
@@ -809,6 +923,8 @@ def test_masked_ce_holds_one_group_per_thread(monkeypatch, workers, train):
             tracemalloc.stop()
 
     assert peak(4 * per_call) < 1.2 * peak(per_call)
+    if workers == 2 and train:
+        assert peak(per_call) < 2 * peak(_GROUP_SIZE)
 
 
 def test_keep_freed_heap_sets_both_thresholds_in_order():
@@ -881,7 +997,7 @@ def test_train_steps_reuse_freed_heap():
     assert float(proc.stdout) < 100
 
 
-def test_resume_matches_uninterrupted(word_corpus, tmp_path):
+def test_resume_matches_uninterrupted(word_corpus, tmp_path, batch_size=4):
     """Stopping at a checkpoint and resuming replays the uninterrupted run
     exactly (same metrics, same final tensors)."""
     vocab, table, seqs = word_corpus["vocab"], word_corpus["table"], word_corpus["seqs"]
@@ -894,12 +1010,12 @@ def test_resume_matches_uninterrupted(word_corpus, tmp_path):
         ).astype(np.float32)
 
     sched = sp.ScheduleParams(num_steps=8, lam=0.3)
-    cfg_a = sp.TrainConfig(learning_rate=1e-3, warmup_steps=5, batch_size=4,
+    cfg_a = sp.TrainConfig(learning_rate=1e-3, warmup_steps=5, batch_size=batch_size,
                            total_steps=24, seed=3)
     full = sp.run_training(fresh_params(), vocab, table, seqs, sched, cfg_a,
                            out_dir=tmp_path / "full", checkpoint_every=8, log_every=4)
 
-    cfg_b = sp.TrainConfig(learning_rate=1e-3, warmup_steps=5, batch_size=4,
+    cfg_b = sp.TrainConfig(learning_rate=1e-3, warmup_steps=5, batch_size=batch_size,
                            total_steps=16, seed=3)
     part = sp.run_training(fresh_params(), vocab, table, seqs, sched, cfg_b,
                            out_dir=tmp_path / "part", checkpoint_every=8, log_every=4)
@@ -914,6 +1030,21 @@ def test_resume_matches_uninterrupted(word_corpus, tmp_path):
     tail_res = [m for m in resumed.metrics if m["step"] > 16]
     for a, b in zip(tail_full, tail_res):
         assert a["loss_total"] == b["loss_total"]
+
+
+def test_resume_matches_uninterrupted_on_two_threads(word_corpus, tmp_path, monkeypatch):
+    """The same with batches of 20, three length groups, each step's
+    backwards run on a second thread beside the next group's forward."""
+    backward, threads = dn.backward, set()
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        return backward(*args)
+
+    monkeypatch.setattr(dn, "backward", recording)
+    monkeypatch.setattr(training, "_workers", lambda _: 2)
+    test_resume_matches_uninterrupted(word_corpus, tmp_path, batch_size=20)
+    assert threads and threading.get_ident() not in threads
 
 
 def test_resume_into_same_dir_logs_each_step_once(word_corpus, tmp_path):
