@@ -580,8 +580,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"runtime failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -17,11 +17,12 @@ the denoiser, whose time mode decides whether to read it. The core runs a
 batch in length groups: it stable-sorts the items by length, cuts groups of
 8, and pads each group only to its own longest line, so the trunk does
 little work on pad rows. A batch of 8 or fewer items is one group.
-Where two CPUs are usable and the groups are large enough, a call uses both:
-forward-only calls without dropout (`elbo_eval`) run two groups at once, and
-calls with gradients (training, MLM) run each group's backward on the second
-thread beside the next group's forward, one backward at a time in group
-order. Every loss and gradient is bitwise the one of a single thread.
+Where two CPUs are usable and the groups are large enough, a call hands
+work to a pool of two threads by one rule: a call with gradients (training,
+MLM) hands over each group's backward, one at a time, which runs beside the
+next group's forward, and a forward-only call without dropout (`elbo_eval`)
+hands over each group whole, two at a time. Every loss and gradient is
+bitwise the one of a single thread.
 The loss core alone bounds memory: it holds the inputs of one window of 64
 items and the tensors of at most two groups at a time, however many items
 it scores.
@@ -29,7 +30,6 @@ it scores.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import ctypes
 import itertools
@@ -91,25 +91,25 @@ class LossBreakdown:
 # Items per forward pass in `_masked_ce`: enough rows for efficient GEMMs,
 # few enough that a group's lines are close in length.
 _GROUP_SIZE = 8
-# Threads a `_masked_ce` call runs on at once, where that many CPUs are
-# usable: two forward-only groups, or one group's forward and the previous
-# group's backward.
+# Threads of the pool a threaded `_masked_ce` hands its tasks to: the two
+# groups a forward-only call keeps in flight while the calling thread waits.
 _THREADS = 2
 # Multiply-adds of a group's GEMMs per layer, about rows * d * ((4 + 2 *
 # _FFN_MULT) * d + K / layers), on average over a call, below which a
 # `_masked_ce` keeps to one thread: smaller groups spend most of their time
-# in the interpreter, which holds the GIL. Measured for forward-only calls on a
-# 2-core x86_64 box, 64 float32 items per call, lines of L tokens on
-# average: two threads broke even near 2^24 at d = 128, 4 layers, K = 2004
-# (L 4: x0.93, L 6: x1.02, L 10: x1.15), at d = 64, 2 layers (L 16:
-# x0.80, L 24: x1.15) and at d = 32, 2 layers, K = 4000 (L 16: x0.94,
-# L 32: x1.27). Test-sized models fall below it; every benchmark workload
-# is 2.6x or more above it, so only these measurements place it. Gradient
-# calls with dropout, timed the same way in 31 alternating pairs, break
-# even in about the same place: under 0.5x the gate their pipeline read
-# x0.64-1.02 (test-sized d = 16, 1 layer, K = 13: x0.64-0.76), from 0.6x to
-# 1x x0.86-1.12 by shape (d = 32, 1 layer: x0.86-0.98), and from 1.2x up
-# x1.13-1.34 (d = 32, 1 layer: x1.15 at 1.8x).
+# in the interpreter, which holds the GIL. Measured for forward-only calls
+# on a 2-core x86_64 box, 64 float32 items per call, lines of L tokens on
+# average, medians of 8 runs: at 0.5x / 1x / 2x the gate two threads read
+# x0.82 / x1.00 / x1.29 at d = 128, 4 layers, K = 2004 (L 3 / 7 / 15),
+# x0.70 / x0.99 / x1.29 at d = 64, 2 layers (L 8 / 18 / 36) and x0.85 /
+# x1.04 / x1.29 at d = 32, 2 layers, K = 4000 (L 13 / 26 / 54), so they
+# break even near 1x. Test-sized models fall below it; every benchmark
+# workload is 2.6x or more above it, so only these measurements place it.
+# Gradient calls with dropout, timed the same way in 31 alternating pairs,
+# break even in about the same place: under 0.5x the gate their pipeline
+# read x0.64-1.02 (test-sized d = 16, 1 layer, K = 13: x0.64-0.76), from
+# 0.6x to 1x x0.86-1.12 by shape (d = 32, 1 layer: x0.86-0.98), and from
+# 1.2x up x1.13-1.34 (d = 32, 1 layer: x1.15 at 1.8x).
 _MIN_THREADED_WORK = 1 << 24
 # Items per `_masked_ce` call in `diffusion_loss_batch`: the states, weights
 # and retention rows of one window exist at a time.
@@ -197,19 +197,19 @@ def _one_blas_thread():
         set_(before)
 
 
-def _workers(group_work: float) -> int:
-    """Threads that run a `_masked_ce`'s groups, whose GEMMs take group_work
-    multiply-adds per layer each on average: _THREADS, or the usable CPUs if
-    fewer, where BLAS can be pinned to one thread while they run and the
-    work reaches _MIN_THREADED_WORK; else one. Without the pin each thread's
-    BLAS calls would contend for the same cores."""
+def _threaded(group_work: float) -> bool:
+    """Whether a `_masked_ce` whose groups' GEMMs take group_work
+    multiply-adds per layer each on average hands work to the pool: where
+    two CPUs are usable, BLAS can be pinned to one thread while two run, and
+    the work reaches _MIN_THREADED_WORK. Without the pin each thread's BLAS
+    calls would contend for the same cores."""
     if _BLAS_THREADS is None or group_work < _MIN_THREADED_WORK:
-        return 1
+        return False
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(_THREADS, cpus)
+    return cpus > 1
 
 
 _pool: tuple[int, ThreadPoolExecutor] | None = None  # (pid that made it, pool)
@@ -259,38 +259,60 @@ def _masked_ce(
 
     Every group's `backward` adds into the one `grads` buffer, in group
     order; calls on several windows of a batch sum into it too. A call of
-    one group, one with `train` and no `grads`, and one for which
-    `_workers()` gives one thread run their groups one after another on
-    the calling thread, holding one group's model tensors at a time.
-    Otherwise BLAS is pinned to one thread while the call runs, the call
-    holds two groups' tensors at a time, and:
+    one group, one with `train` and no `grads`, and one that `_threaded()`
+    turns down run on the calling thread alone, holding one group's model
+    tensors at a time. Any other call pins BLAS to one thread while it runs
+    and hands tasks to the pool in order, each once fewer than its slots of
+    the call's tasks are unfinished, waiting for the oldest. A call with
+    `grads` has one slot: it runs every forward and head on the calling
+    thread in group order, so rng's dropout draws keep that order, and
+    hands over each group's `backward`, which frees the group's cache layer
+    by layer while the next group's forward runs; each parameter still gets
+    one `+=` per group, in group order. A forward-only call, whose groups
+    each depend on their own inputs alone, has two slots and hands over
+    every group whole, so two groups run at once while the calling thread
+    waits. The calling thread then sleeps through the call and may wake on
+    either core; one that scored groups itself kept to one core for a whole
+    run, and on a shared 2-core box, where each core's speed swung by up to
+    1.4x apart from the other's, the single-threaded sampler between ELBO
+    calls then read that one core's speed. So a threaded call holds at most
+    two groups' tensors at a time, and its losses and gradients are bitwise
+    those of one thread.
 
-    - with `grads`, the calling thread runs every forward and head in group
-      order, so rng's dropout draws keep that order, and hands each group's
-      `backward` to a second thread once the previous group's has finished.
-      So group k+1's forward runs beside group k's backward, which frees
-      group k's cache layer by layer, and each parameter still gets one
-      `+=` per group, in group order.
-    - without `grads` or `train`, a group's result depends on its own inputs
-      alone, and two groups are in flight at once, each on its own thread.
-      The calling thread dispatches the groups in order and holds at most
-      two unfinished.
-
-    Either way the losses and gradients are bitwise those of one thread. A
-    group that raises ends the call with its error once no thread of the
-    call is running. If group k's forward raised, `grads` then holds what it
-    held plus the gradients of groups 0..k-1; if its backward raised, also
-    whatever part of group k's it had added. An empty batch gives zero
-    losses and adds nothing.
+    A group that raises ends the call with its error once none of the
+    call's tasks is running. If group k's forward raised, `grads` then
+    holds what it held plus the gradients of groups 0..k-1; if its backward
+    raised, also whatever part of group k's it had added. An empty batch
+    gives zero losses and adds nothing.
     """
     if any((x0 == MASK_ID).any() for x0 in targets):
         raise ValueError("training sequence contains [MASK]")
     order = np.argsort([len(x) for x in xts], kind="stable")
     groups = [np.sort(order[lo : lo + _GROUP_SIZE]) for lo in range(0, len(order), _GROUP_SIZE)]
+    threaded = False
+    if len(groups) > 1 and (grads is not None or not train):
+        cfg, d = params.config, params.config.d_model
+        rows = sum(len(x) + cfg.prefix_len for x in xts) / len(groups)
+        work = rows * d * ((4 + 2 * denoiser._FFN_MULT) * d + cfg.vocab_size / cfg.num_layers)
+        threaded = _threaded(work)
+    slots = 1 if grads is not None else _THREADS
+    in_flight = []  # the futures of the call's unfinished tasks, oldest first
 
-    def score(group, backward):
-        """The group's per-item losses; given grads, backward(cache,
-        d(loss)/d(logits)) takes the group's gradient."""
+    def hand_over(fn, *args):
+        """fn(*args) on a pool thread once fewer than `slots` of the call's
+        tasks are unfinished, waiting for the oldest; or here on a
+        single-threaded call."""
+        if not threaded:
+            return fn(*args)
+        if len(in_flight) == slots:
+            in_flight.pop(0).result()
+        in_flight.append(_thread_pool().submit(fn, *args))
+
+    per_item = np.zeros(len(xts))
+
+    def score(group):
+        """Write the group's per-item losses; given grads, hand over its
+        backward."""
         x0 = _pad_batch([targets[i] for i in group], PAD_ID)
         xt = _pad_batch([xts[i] for i in group], PAD_ID)
         masked = xt == MASK_ID
@@ -299,55 +321,21 @@ def _masked_ce(
         logp = _head_logp(logits, x0[masked], w if grads is not None else None)
         per_pos = np.zeros(xt.shape)
         per_pos[masked] = w * -logp
+        per_item[group] = per_pos.sum(axis=1)
         if grads is not None:  # logits now holds d(loss)/d(logits)
-            backward(cache, logits)
-        return per_pos.sum(axis=1)
+            hand_over(denoiser.backward, cache, logits, grads)
 
-    def backward_here(cache, upstream):
-        denoiser.backward(cache, upstream, grads)
-
-    per_item = np.zeros(len(xts))
-    workers = 1
-    if len(groups) > 1 and (grads is not None or not train):
-        cfg, d = params.config, params.config.d_model
-        rows = sum(len(x) + cfg.prefix_len for x in xts) / len(groups)
-        work = rows * d * ((4 + 2 * denoiser._FFN_MULT) * d + cfg.vocab_size / cfg.num_layers)
-        workers = min(_workers(work), len(groups))
-    if workers == 1:
-        for group in groups:
-            per_item[group] = score(group, backward_here)
-        return per_item
-    if grads is not None:
-        last = None  # the future of the last backward handed to the pool
-
-        def backward_beside(cache, upstream):
-            nonlocal last
-            if last is not None:
-                last.result()  # one backward at a time, in group order
-            last = _thread_pool().submit(denoiser.backward, cache, upstream, grads)
-
-        with _one_blas_thread():
-            try:
-                for group in groups:
-                    per_item[group] = score(group, backward_beside)
-                last.result()
-            finally:
-                if last is not None:
-                    wait([last])
-        return per_item
-    in_flight: collections.deque = collections.deque()
-    with _one_blas_thread():
+    with _one_blas_thread() if threaded else contextlib.nullcontext():
         try:
             for group in groups:
-                if len(in_flight) == workers:
-                    done, future = in_flight.popleft()
-                    per_item[done] = future.result()
-                in_flight.append((group, _thread_pool().submit(score, group, None)))
-            while in_flight:
-                done, future = in_flight.popleft()
-                per_item[done] = future.result()
+                if grads is None:  # forward-only: the whole group goes to the pool
+                    hand_over(score, group)
+                else:
+                    score(group)
+            for future in in_flight:
+                future.result()
         finally:
-            wait([future for _, future in in_flight])
+            wait(in_flight)
     return per_item
 
 

@@ -323,6 +323,25 @@ def test_sample_runtime_fault_exits_3(tmp_path, corpus_file, prep_dir, monkeypat
     assert "runtime failure: denoiser logits contain NaN" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_a_size_beyond_memory_exits_3_with_a_message(tmp_path, corpus_file, prep_dir, capsys,
+                                                       command):
+    """A sample or generation count whose arrays cannot be allocated exits 3
+    with numpy's message and no traceback. numpy refuses a 10^15-row array
+    before it allocates anything."""
+    run = train_tiny(tmp_path, corpus_file, prep_dir)
+    huge = "1000000000000000"
+    common = ["--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
+              "--iterations", "4", "--out", str(tmp_path / "out")]
+    extra = (["--num", huge, "--length", "5"] if command == "sample"
+             else ["--test", str(corpus_file), "--num-gen", huge])
+    capsys.readouterr()
+    assert cli.main([command, *common, *extra]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_report_schema(tmp_path, corpus_file, prep_dir):
     run = train_tiny(tmp_path, corpus_file, prep_dir)
     report_path = tmp_path / "report.json"

@@ -319,8 +319,8 @@ def test_loss_core_is_bitwise_alike_on_one_and_two_threads(monkeypatch, mode, dt
     monkeypatch.setattr(dn, "forward", recording_forward)
     monkeypatch.setattr(dn, "backward", recording_backward)
     results = []
-    for workers in (1, 2):
-        monkeypatch.setattr(training, "_workers", lambda _: workers)
+    for threaded in (False, True):
+        monkeypatch.setattr(training, "_threaded", lambda _: threaded)
         threads.clear()
         scored, _ = sp.diffusion_loss_batch(params, seqs, rows, t_draws, 8, train=False,
                                             want_grads=False)
@@ -331,19 +331,19 @@ def test_loss_core_is_bitwise_alike_on_one_and_two_threads(monkeypatch, mode, dt
         here = threading.get_ident()
         assert len(threads) == 19 + 2 * (19 + 5)  # groups: 8 + 8 + 3 per pass, 5 for MLM
         assert {(stage, train, ident == here) for stage, train, ident in threads} == {
-            ("forward", False, workers == 1), ("forward", True, True),
-            ("backward", True, workers == 1)}
+            ("forward", False, not threaded), ("forward", True, True),
+            ("backward", True, not threaded)}
     assert results[0] == results[1]
 
 
 def test_loss_core_under_thread_stress_matches_one_thread(monkeypatch):
-    """Four forward-only groups in flight on four threads, more than a
-    2-core box has, with the interpreter switching threads every
-    microsecond: the losses of 48 items equal those of one thread byte for
-    byte. So do the losses and gradients of a training call with dropout
-    and of an MLM step, whose backwards land on any of the four threads;
-    each backward starts 10 ms late, longer than a forward, so that one handed over before
-    the previous one had finished would overlap it."""
+    """Two forward-only groups in flight on the pool's two threads, with
+    the interpreter switching threads every microsecond: the losses of 48
+    items equal those of one thread byte for byte. So do the losses and
+    gradients of a training call with dropout and of an MLM step, whose
+    backwards run on the pool; each backward starts 10 ms late, longer
+    than a forward, so the calling thread reaches each hand-over while the
+    previous backward still runs."""
     import sys
 
     params = _ragged_params("pte", seed=6, dropout=0.1).astype(np.float32)
@@ -357,10 +357,8 @@ def test_loss_core_under_thread_stress_matches_one_thread(monkeypatch):
 
     monkeypatch.setattr(dn, "backward", late)
     results = []
-    for workers in (1, 4):
-        monkeypatch.setattr(training, "_workers", lambda _: workers)
-        monkeypatch.setattr(training, "_THREADS", workers)
-        monkeypatch.setattr(training, "_pool", None)
+    for threaded in (False, True):
+        monkeypatch.setattr(training, "_threaded", lambda _: threaded)
         grads = params.zeros_like()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -372,8 +370,6 @@ def test_loss_core_under_thread_stress_matches_one_thread(monkeypatch):
             mlm, mlm_grads = sp.mlm_pretrain_step(params, targets, 0.3, 8)
         finally:
             sys.setswitchinterval(interval)
-            if training._pool is not None:
-                training._pool[1].shutdown()
         results.append([per_item.tobytes(), trained.tobytes(), mlm,
                         *(grads[k].tobytes() for k in sorted(grads)),
                         *(mlm_grads[k].tobytes() for k in sorted(mlm_grads))])
@@ -410,57 +406,32 @@ def test_elbo_eval_keeps_the_single_thread_value(monkeypatch):
     def value():
         return sp.elbo_eval(params, dataset, sp.ScheduleParams(8, 0.3), table, 4, seed=5)
 
-    monkeypatch.setattr(training, "_workers", lambda _: 2)
+    monkeypatch.setattr(training, "_threaded", lambda _: True)
     threaded = value()
     monkeypatch.setattr(training, "_masked_ce", _serial_masked_ce)
     assert threaded == value()
 
 
-def test_a_failing_group_ends_the_call_with_no_thread_left_running(monkeypatch):
-    """On two threads, an error in the forward of the third of six
-    forward-only groups reaches the caller with its message; no group after
-    the fourth starts, every forward that started has ended by the time the
-    call returns and none starts later, and the BLAS thread count is back
-    to its value before the call."""
-    params = _ragged_params("tad")
-    xts, targets, weights, t = _ragged_batch([20] * 48, seed=9)
-    real, calls, ended = dn.forward, [], []
-
-    def failing(*args, **kwargs):
-        calls.append(threading.get_ident())
-        try:
-            if len(calls) == 3:
-                raise RuntimeError("group three failed")
-            return real(*args, **kwargs)
-        finally:
-            ended.append(len(calls))
-
-    monkeypatch.setattr(dn, "forward", failing)
-    monkeypatch.setattr(training, "_workers", lambda _: 2)
-    blas = training._BLAS_THREADS
-    before = blas[0]() if blas is not None else None
-    with pytest.raises(RuntimeError, match="^group three failed$"):
-        _masked_ce(params, xts, targets, weights, t, stream(4, "ce"), None, train=False)
-    started, finished = len(calls), len(ended)
-    time.sleep(0.2)
-    assert 3 <= started <= 4 and finished == started == len(calls)
-    assert threading.get_ident() not in calls
-    if blas is not None:
-        assert blas[0]() == before
-
-
-@pytest.mark.parametrize("stage", ["forward", "backward"])
-def test_a_failing_group_ends_a_gradient_call_with_no_backward_left_running(monkeypatch,
-                                                                           stage):
-    """On two threads, an error in the third of six groups' forward or
-    backward reaches the caller with its message. A failing forward ends
-    the call before the third backward starts, a failing backward at the
-    next hand-over, after the fourth forward. Either way no backward is
-    still running when the call returns and none starts later, the BLAS
-    thread count is back to its value before the call, and `grads` holds
-    the gradients of the first two groups, bit for bit."""
+@pytest.mark.parametrize("grad, stage", [(False, "forward"), (True, "forward"),
+                                         (True, "backward")],
+                         ids=["forward-only-forward", "gradient-forward", "gradient-backward"])
+def test_a_failing_group_ends_the_call_with_no_task_left_running(monkeypatch, grad, stage):
+    """On two threads, an error in the third group's forward or backward
+    reaches the caller with its message. Of six groups: in a forward-only
+    call the pool runs the failing third group beside the fourth, and the
+    call ends when it waits for the third to hand over the fifth; in a
+    gradient call a failing forward ends the call before the third backward
+    starts, and a failing backward at the next hand-over, after the fourth
+    forward. Of three groups, the failing group or backward is the last
+    task handed over, and the call ends at its final wait. In each case no
+    forward or backward is still running when the call returns and none
+    starts later, the BLAS thread count is back to its value before the
+    call, and a gradient call's `grads` holds the gradients of the first
+    two groups, bit for bit."""
     params = _ragged_params("lte", dropout=0.1)
     xts, targets, weights, t = _ragged_batch([20] * 48, seed=9)
+    third = np.stack(xts[16:24])  # lengths are equal, so the groups are items 0-7, 8-15, ...
+    here = threading.get_ident()
     calls = {"forward": [], "backward": []}
     ended = []
     real = {"forward": dn.forward, "backward": dn.backward}
@@ -469,34 +440,51 @@ def test_a_failing_group_ends_a_gradient_call_with_no_backward_left_running(monk
         def run(*args, **kwargs):
             calls[name].append(threading.get_ident())
             try:
-                if name == stage and len(calls[name]) == 3:
+                if name == stage and (np.array_equal(args[1], third) if name == "forward"
+                                      else len(calls[name]) == 3):
                     raise RuntimeError(f"{stage} three failed")
                 return real[name](*args, **kwargs)
             finally:
-                if name == "backward":
-                    ended.append(len(calls[name]))
+                ended.append(name)
         return run
 
-    expected = params.zeros_like()  # lengths are equal, so the groups are items 0-7, 8-15, ...
-    _masked_ce(params, xts[:16], targets[:16], weights[:16], t[:16], stream(4, "ce"), expected,
-               train=True)
+    expected = params.zeros_like() if grad else None
+    if grad:
+        _masked_ce(params, xts[:16], targets[:16], weights[:16], t[:16], stream(4, "ce"),
+                   expected, train=True)
     monkeypatch.setattr(dn, "forward", failing("forward"))
     monkeypatch.setattr(dn, "backward", failing("backward"))
-    monkeypatch.setattr(training, "_workers", lambda _: 2)
+    monkeypatch.setattr(training, "_threaded", lambda _: True)
     blas = training._BLAS_THREADS
     before = blas[0]() if blas is not None else None
-    grads = params.zeros_like()
-    with pytest.raises(RuntimeError, match=f"^{stage} three failed$"):
-        _masked_ce(params, xts, targets, weights, t, stream(4, "ce"), grads, train=True)
-    started, finished = len(calls["backward"]), len(ended)
-    time.sleep(0.2)
-    assert (len(calls["forward"]), started) == ((3, 2) if stage == "forward" else (4, 3))
-    assert finished == started == len(calls["backward"])
-    assert threading.get_ident() not in calls["backward"]
-    if blas is not None:
-        assert blas[0]() == before
-    for name, g in expected.items():
-        assert grads[name].tobytes() == g.tobytes(), name
+
+    def failing_call(items):
+        """(forwards, backwards) of a failing call on the first `items`
+        items, once its aftermath is checked."""
+        for seen in (*calls.values(), ended):
+            seen.clear()
+        grads = params.zeros_like() if grad else None
+        with pytest.raises(RuntimeError, match=f"^{stage} three failed$"):
+            _masked_ce(params, xts[:items], targets[:items], weights[:items], t[:items],
+                       stream(4, "ce"), grads, train=grad)
+        counts, finished = (len(calls["forward"]), len(calls["backward"])), len(ended)
+        time.sleep(0.2)
+        assert finished == sum(counts) == len(calls["forward"]) + len(calls["backward"])
+        assert here not in calls["backward"]
+        if blas is not None:
+            assert blas[0]() == before
+        if grad:
+            assert set(calls["forward"]) == {here}
+            for name, g in expected.items():
+                assert grads[name].tobytes() == g.tobytes(), name
+        else:
+            assert here not in calls["forward"]
+        return counts
+
+    assert failing_call(48) == {(False, "forward"): (4, 0), (True, "forward"): (3, 2),
+                                (True, "backward"): (4, 3)}[grad, stage]
+    assert failing_call(24) == {(False, "forward"): (3, 0), (True, "forward"): (3, 2),
+                                (True, "backward"): (3, 3)}[grad, stage]
 
 
 @pytest.mark.skipif(training._BLAS_THREADS is None, reason="numpy bundles no OpenBLAS")
@@ -520,7 +508,7 @@ def test_blas_runs_one_thread_during_a_call_and_its_count_comes_back(monkeypatch
 
     monkeypatch.setattr(dn, "forward", recording_forward)
     monkeypatch.setattr(dn, "backward", recording_backward)
-    monkeypatch.setattr(training, "_workers", lambda _: 2)
+    monkeypatch.setattr(training, "_threaded", lambda _: True)
     original = get()
     set_(count)
     try:
@@ -540,7 +528,7 @@ def test_workers_follow_the_group_work_threshold(monkeypatch):
     model stays on the calling thread, a default-sized one with 20-token
     lines does not. A call with dropout and no gradients does not ask."""
     seen = []
-    monkeypatch.setattr(training, "_workers", lambda work: seen.append(work) or 1)
+    monkeypatch.setattr(training, "_threaded", lambda work: seen.append(work) or False)
     xts, targets, weights, t = _ragged_batch([20] * 16, seed=3)
     for d, layers in ((16, 2), (128, 4)):
         params = tiny_params(vocab_size=2004, d_model=d, num_layers=layers, num_heads=4,
@@ -860,12 +848,13 @@ def test_masked_ce_holds_one_group_per_thread(monkeypatch, workers, train):
     log-probabilities and forward cache are released when it is done, and a
     call keeps at most one group in flight per thread. On one thread,
     holding the last group's arrays through the next forward reads 1.43x.
-    On two threads the overlap is forced to its worst, so both groups'
+    On two threads the overlap is forced to its worst, so two groups'
     arrays are held at once in every call, as they are in a run where the
-    two overlap fully: each forward-only forward waits at a barrier for the
-    other thread's forward to return, and each backward starts only once the
-    next group's head has returned. That fixes the order of every large
-    allocation of a gradient call, so its peak is the same in every run.
+    two overlap fully. A forward-only call runs two groups at once on the
+    pool, and each forward waits at a barrier for the other thread's
+    forward to return. In a gradient call each backward starts
+    only once the next group's head has returned, which fixes the order of
+    every large allocation, so its peak is the same in every run.
     A pipelined call holds at most two groups: one group's cache and
     upstream gradient beside the next group's forward and head, or one
     group's backward beside the next group's cache and upstream, each part
@@ -880,7 +869,7 @@ def test_masked_ce_holds_one_group_per_thread(monkeypatch, workers, train):
     per_call = _GROUP_SIZE * workers
     x0 = rng.integers(4, 4000, (4 * per_call, 32))
     xt = np.where(rng.random(x0.shape) < 0.5, MASK_ID, x0)
-    monkeypatch.setattr(training, "_workers", lambda _: workers)
+    monkeypatch.setattr(training, "_threaded", lambda _: workers == 2)
     calls = {"groups": 0, "heads": 0, "backward": 0}
     if workers == 2 and not train:
         real, barrier = dn.forward, threading.Barrier(2, timeout=30)
@@ -1042,7 +1031,7 @@ def test_resume_matches_uninterrupted_on_two_threads(word_corpus, tmp_path, monk
         return backward(*args)
 
     monkeypatch.setattr(dn, "backward", recording)
-    monkeypatch.setattr(training, "_workers", lambda _: 2)
+    monkeypatch.setattr(training, "_threaded", lambda _: True)
     test_resume_matches_uninterrupted(word_corpus, tmp_path, batch_size=20)
     assert threads and threading.get_ident() not in threads
 
