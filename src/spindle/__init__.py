@@ -11,11 +11,12 @@ training step, and a tenth or more of the step spent in the kernel. With
 the thresholds pinned the freed blocks stay in the process and are reused;
 peak memory is unchanged, and so is every result. Loss calls run their
 length groups on two threads: forward-only calls two groups at once,
-training calls one group's backward beside the next group's forward. Under
-glibc's default each thread gets an arena of its own, whose freed blocks
-the others cannot reuse: desk benchmark runs on a 2-core x86_64 box, with
-only forward-only calls threaded, then peaked at 164 MB, against 115 MB on
-one arena (3 runs each).
+training calls one group's backward beside the next group's forward. The
+sampler runs the two halves of a multi-chain call's chains at once, each
+a forward and its top-k. Under glibc's default each thread gets an arena
+of its own, whose freed blocks the others cannot reuse: desk benchmark
+runs on a 2-core x86_64 box, with only forward-only loss calls threaded,
+then peaked at 164 MB, against 115 MB on one arena (3 runs each).
 """
 
 import ctypes

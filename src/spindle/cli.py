@@ -34,7 +34,7 @@ from .diffusion import ScheduleParams, spindle_alpha_bar_at, spindle_alpha_raw
 from .evaluation import bleu4, elbo_eval, quality_diversity_sweep, self_bleu4
 from .rng import stream
 from .sampling import SampleConfig, check_sample_config, generate_batch
-from .training import TrainConfig, opt_state_from_records, run_training
+from .training import TrainConfig, check_intervals, opt_state_from_records, run_training
 
 FORMAT_VERSION = 1
 
@@ -48,13 +48,16 @@ _TRAIN_FIELDS = {"lr": "learning_rate", "warmup": "warmup_steps", "steps": "tota
                  **{k: k for k in ("batch_size", "weight_decay", "mlm_pretrain_steps",
                                    "mlm_mask_rate", "seed")}}
 
+# The train settings that are `run_training` keywords, of the same name.
+_INTERVALS = ("checkpoint_every", "log_every", "val_every")
+
 # Every `spindle train` setting with the default of the library field or
 # `run_training` keyword that owns it; the default's type is the setting's.
 _TRAIN_DEFAULTS = {
     **{k: getattr(DenoiserConfig, f) for k, f in _MODEL_FIELDS.items()},
     "lam": ScheduleParams.lam,
     **{k: getattr(TrainConfig, f) for k, f in _TRAIN_FIELDS.items()},
-    **{k: run_training.__kwdefaults__[k] for k in ("checkpoint_every", "log_every", "val_every")},
+    **{k: run_training.__kwdefaults__[k] for k in _INTERVALS},
 }
 
 
@@ -67,6 +70,7 @@ def _flag(key: str) -> str:
 # and SampleConfig, for usage errors; a field without one keeps its name.
 _FIELD_FLAGS = {
     **{f: _flag(k) for k, f in {**_MODEL_FIELDS, **_TRAIN_FIELDS, "lam": "lam"}.items()},
+    **{k: _flag(k) for k in _INTERVALS},
     "length": "--length", "num_reverse_iterations": "--iterations", "top_k": "--top-k",
     "temperature": "--temperature", "max_vocab": "--vocab-size", "smoothing_count": "--smoothing",
 }
@@ -259,9 +263,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     given = _merge_config(args)
     cfg = {**_TRAIN_DEFAULTS, **given}
-    for key, least in (("log_every", 1), ("val_every", 0), ("checkpoint_every", 0)):
-        if cfg[key] < least:
-            raise UsageError(f"{_flag(key)} must be >= {least}, got {cfg[key]}")
+    _checked(check_intervals, **{k: cfg[k] for k in _INTERVALS})
     if args.val_corpus and cfg["val_every"] <= 0:
         raise UsageError("--val-corpus needs --val-every > 0")
     if cfg["val_every"] > 0 and not args.val_corpus:

@@ -15,11 +15,19 @@ a revealed token can be masked again.
 
 A tad model sees x_t alone, so a chain whose x_t did not change since the
 last iteration (no reveal, or in remask mode the same mask redrawn) has the
-same logits as then. Such chains reuse their previous rows, and the denoiser
-runs only on the chains that changed; the rows are the same numbers in the
-same order, and the uniforms are still drawn at every position, so the
-draws do not depend on the reuse. lte and pte models see t, which changes
-every iteration, and run on every chain.
+same prediction as then. Such chains reuse their previous rows of top-k ids
+and probabilities, and the denoiser and top-k run only on the chains that
+changed; the uniforms are still drawn at every position, so RNG use does
+not depend on the reuse. lte and pte models see t, which changes every
+iteration, and run on every chain.
+
+Where an iteration runs the denoiser on two or more chains and each half of
+them reaches the work gate of the package's thread pool (`_threads`), the
+halves' forwards and top-k are two tasks, run on the pool's two threads
+where two CPUs are usable and one after the other otherwise. The calling
+thread joins their rows in order and draws every uniform itself, so the
+samples are bitwise the same on one thread or two. One-chain calls and
+small models run one forward on the calling thread.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import denoiser
+from . import _threads, denoiser
 from .corpus import MASK_ID, SurprisalTable
 from .denoiser import DenoiserParams
 from .diffusion import ScheduleParams, reveal_from_rows, spindle_alpha_bar_at
@@ -108,23 +116,56 @@ def _top_k_rows(logits: np.ndarray, k: int, temperature: float) -> tuple[np.ndar
 
 
 def _draw_top_k(
-    logits: np.ndarray,
+    kept: np.ndarray,
+    probs: np.ndarray,
     masked: np.ndarray,
-    k: int,
-    temperature: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One top-k filtered categorical draw for each row of the (m, K) logits,
-    the rows of the (B, n) `masked` positions in row-major order. One uniform
-    is drawn per position, masked or not, so RNG use does not depend on the
-    mask. The kept ids are in ascending order, so the inverse-CDF draw over
-    them equals the full-row draw on `top_k_filter`'s probabilities.
+    """One categorical draw for each row of `_top_k_rows`' (kept, probs),
+    the rows of the (B, n) `masked` positions in row-major order. One
+    uniform is drawn per position, masked or not, so RNG use does not depend
+    on the mask. The kept ids are in ascending order, so the inverse-CDF
+    draw over them equals the full-row draw on `top_k_filter`'s
+    probabilities.
     """
     u = rng.random((masked.size, 1))[masked.ravel()]
-    kept, probs = _top_k_rows(logits, k, temperature)
     cum = np.cumsum(probs, axis=1)
     idx = (u * cum[:, -1:] > cum).sum(axis=1)
     return kept[np.arange(len(kept)), idx]
+
+
+def _predict(
+    params: DenoiserParams, x: np.ndarray, t: int, cfg: SampleConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, probs) of `_top_k_rows` on the denoiser's logits at the [MASK]
+    positions of the chains x, in row-major order.
+
+    Where two or more chains split into halves, the first len(x) // 2 and
+    the rest, whose forwards each reach `_threads._MIN_THREADED_WORK`, each
+    half's forward and top-k is one task, and the halves' rows are joined in
+    order. The split depends on the shapes alone; where `_threads._threaded`
+    allows it the two tasks run at once on the shared pool, else one after
+    the other here. A task's rows depend only on its own chains, so the
+    result is bitwise the same on one thread or two. It is not always that
+    of one forward over all chains: OpenBLAS can round a GEMM row
+    differently at another row count (see `generate_batch`).
+    """
+    half = len(x) // 2
+    work = _threads._gemm_work(params.config, half * (x.shape[1] + params.config.prefix_len))
+    parts = [x[:half], x[half:]] if half and work >= _threads._MIN_THREADED_WORK else [x]
+    out = [None] * len(parts)
+
+    def run(i):
+        logits, _ = denoiser.forward(params, parts[i], t, train=False)
+        out[i] = _top_k_rows(logits, cfg.top_k, cfg.temperature)
+
+    threaded = len(parts) == 2 and _threads._threaded(work)
+    with _threads._tasks(threaded, _threads._THREADS) as hand_over:
+        for i in range(len(parts)):
+            hand_over(run, i)
+    if len(out) == 1:
+        return out[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*out))
 
 
 def check_sample_config(
@@ -161,6 +202,22 @@ def generate_batch(
 ) -> GenerationResult:
     """Run `num` independent reverse chains in lockstep. Deterministic given
     the rng seed; every returned sequence is free of mask/pad/cls ids.
+
+    Each iteration predicts (`_predict`) on the chains that need it: every
+    chain, or for a tad model those whose x changed, the rest reusing the
+    (kept, probs) rows they had. A prediction over c >= 2 chains whose
+    halves each reach `_threads._MIN_THREADED_WORK` (a desk-shaped model's
+    8 chains do; a one-chain call or a test-sized model does not) runs as
+    two tasks, on the pool's two threads where `_threads._threaded` allows.
+    Which chains a forward runs on depends on the shapes and the draws
+    alone, never on the thread count, so neither do the samples. A row can
+    round differently in a forward over other chains, since OpenBLAS picks
+    GEMM kernels by row count: on a 2-core x86_64 box (OpenBLAS 0.3.31,
+    Haswell kernels) desk-shaped float32 forwards with 10% or fewer of the
+    positions masked gave other logit bytes over all 8 chains than over
+    their halves in 6-16 of 20 draws. So the reuse and the split are
+    deterministic, but where they apply they are not always bitwise a run
+    of one forward over every chain.
     """
     check_sample_config(params, sched_params, cfg)
     model_cfg = params.config
@@ -179,16 +236,18 @@ def generate_batch(
         s = t - stride
         masked = x == MASK_ID
         if model_cfg.mode != "tad" or it == 1 or (changed := (x != prev_x).any(axis=1)).all():
-            logits, _ = denoiser.forward(params, x, t, train=False)
+            kept, probs = _predict(params, x, t, cfg)
         else:  # tad: a chain with the same x as last iteration reuses its rows
-            fresh = np.repeat(changed, masked.sum(axis=1))  # per logits row
-            logits = np.empty((len(fresh), prev_logits.shape[1]), dtype=prev_logits.dtype)
-            logits[~fresh] = prev_logits[~np.repeat(changed, (prev_x == MASK_ID).sum(axis=1))]
+            fresh = np.repeat(changed, masked.sum(axis=1))  # per masked row
+            reused = ~np.repeat(changed, (prev_x == MASK_ID).sum(axis=1))
+            kept = np.empty((len(fresh), prev_kept.shape[1]), dtype=prev_kept.dtype)
+            probs = np.empty(kept.shape, dtype=prev_probs.dtype)
+            kept[~fresh], probs[~fresh] = prev_kept[reused], prev_probs[reused]
             if changed.any():
-                logits[fresh] = denoiser.forward(params, x[changed], t, train=False)[0]
-        prev_x, prev_logits = x, logits
+                kept[fresh], probs[fresh] = _predict(params, x[changed], t, cfg)
+        prev_x, prev_kept, prev_probs = x, kept, probs
         x0_hat = x.copy()
-        x0_hat[masked] = _draw_top_k(logits, masked, cfg.top_k, cfg.temperature, rng)
+        x0_hat[masked] = _draw_top_k(kept, probs, masked, rng)
 
         h = surprisal.h_for(x0_hat)
         alpha_s = spindle_alpha_bar_at(h, s, sched_params)

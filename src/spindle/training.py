@@ -18,11 +18,12 @@ batch in length groups: it stable-sorts the items by length, cuts groups of
 8, and pads each group only to its own longest line, so the trunk does
 little work on pad rows. A batch of 8 or fewer items is one group.
 Where two CPUs are usable and the groups are large enough, a call hands
-work to a pool of two threads by one rule: a call with gradients (training,
-MLM) hands over each group's backward, one at a time, which runs beside the
-next group's forward, and a forward-only call without dropout (`elbo_eval`)
-hands over each group whole, two at a time. Every loss and gradient is
-bitwise the one of a single thread.
+work to the package's pool of two threads (`_threads`, which the sampler
+shares) by one rule: a call with gradients (training, MLM) hands over each
+group's backward, one at a time, which runs beside the next group's
+forward, and a forward-only call without dropout (`elbo_eval`) hands over
+each group whole, two at a time. Every loss and gradient is bitwise the one
+of a single thread.
 The loss core alone bounds memory: it holds the inputs of one window of 64
 items and the tensors of at most two groups at a time, however many items
 it scores.
@@ -30,20 +31,16 @@ it scores.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import itertools
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import denoiser
+from . import _threads, denoiser
 from .corpus import MASK_ID, PAD_ID, SurprisalTable, Vocab
 from .denoiser import DenoiserParams, param_shapes, save_checkpoint
 from .diffusion import ScheduleParams, reveal_from_rows, spindle_alpha_bar_at
@@ -91,26 +88,6 @@ class LossBreakdown:
 # Items per forward pass in `_masked_ce`: enough rows for efficient GEMMs,
 # few enough that a group's lines are close in length.
 _GROUP_SIZE = 8
-# Threads of the pool a threaded `_masked_ce` hands its tasks to: the two
-# groups a forward-only call keeps in flight while the calling thread waits.
-_THREADS = 2
-# Multiply-adds of a group's GEMMs per layer, about rows * d * ((4 + 2 *
-# _FFN_MULT) * d + K / layers), on average over a call, below which a
-# `_masked_ce` keeps to one thread: smaller groups spend most of their time
-# in the interpreter, which holds the GIL. Measured for forward-only calls
-# on a 2-core x86_64 box, 64 float32 items per call, lines of L tokens on
-# average, medians of 8 runs: at 0.5x / 1x / 2x the gate two threads read
-# x0.82 / x1.00 / x1.29 at d = 128, 4 layers, K = 2004 (L 3 / 7 / 15),
-# x0.70 / x0.99 / x1.29 at d = 64, 2 layers (L 8 / 18 / 36) and x0.85 /
-# x1.04 / x1.29 at d = 32, 2 layers, K = 4000 (L 13 / 26 / 54), so they
-# break even near 1x. Test-sized models fall below it; every benchmark
-# workload is 2.6x or more above it, so only these measurements place it.
-# Gradient calls with dropout, timed the same way in 31 alternating pairs,
-# break even in about the same place: under 0.5x the gate their pipeline
-# read x0.64-1.02 (test-sized d = 16, 1 layer, K = 13: x0.64-0.76), from
-# 0.6x to 1x x0.86-1.12 by shape (d = 32, 1 layer: x0.86-0.98), and from
-# 1.2x up x1.13-1.34 (d = 32, 1 layer: x1.15 at 1.8x).
-_MIN_THREADED_WORK = 1 << 24
 # Items per `_masked_ce` call in `diffusion_loss_batch`: the states, weights
 # and retention rows of one window exist at a time.
 _WINDOW = 64
@@ -157,74 +134,6 @@ def _head_logp(logits: np.ndarray, target: np.ndarray, w: np.ndarray | None) -> 
     return out
 
 
-def _find_blas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy's wheels
-    bundle, through its `*openblas_{get,set}_num_threads64_` exports; None
-    where numpy has no such library."""
-    here = Path(np.__file__).parent
-    for path in sorted([*(here.parent / "numpy.libs").glob("*openblas*"),
-                        *(here / ".dylibs").glob("*openblas*")]):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):  # numpy 2.x, 1.x wheels
-            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads64_", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-_BLAS_THREADS = _find_blas_threads()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """BLAS pinned to one thread for the block and restored after it; a
-    no-op where `_BLAS_THREADS` found no library."""
-    if _BLAS_THREADS is None:
-        yield
-        return
-    get, set_ = _BLAS_THREADS
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
-def _threaded(group_work: float) -> bool:
-    """Whether a `_masked_ce` whose groups' GEMMs take group_work
-    multiply-adds per layer each on average hands work to the pool: where
-    two CPUs are usable, BLAS can be pinned to one thread while two run, and
-    the work reaches _MIN_THREADED_WORK. Without the pin each thread's BLAS
-    calls would contend for the same cores."""
-    if _BLAS_THREADS is None or group_work < _MIN_THREADED_WORK:
-        return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return cpus > 1
-
-
-_pool: tuple[int, ThreadPoolExecutor] | None = None  # (pid that made it, pool)
-
-
-def _thread_pool() -> ThreadPoolExecutor:
-    """One pool of _THREADS threads for the process, kept between calls,
-    since a new thread costs OpenBLAS fresh buffers on its first GEMM. A
-    forked child makes its own."""
-    global _pool
-    if _pool is None or _pool[0] != os.getpid():
-        _pool = os.getpid(), ThreadPoolExecutor(_THREADS, thread_name_prefix="spindle-loss")
-    return _pool[1]
-
-
 def _masked_ce(
     params: DenoiserParams,
     xts: list[np.ndarray],
@@ -259,11 +168,12 @@ def _masked_ce(
 
     Every group's `backward` adds into the one `grads` buffer, in group
     order; calls on several windows of a batch sum into it too. A call of
-    one group, one with `train` and no `grads`, and one that `_threaded()`
-    turns down run on the calling thread alone, holding one group's model
-    tensors at a time. Any other call pins BLAS to one thread while it runs
-    and hands tasks to the pool in order, each once fewer than its slots of
-    the call's tasks are unfinished, waiting for the oldest. A call with
+    one group, one with `train` and no `grads`, and one that
+    `_threads._threaded()` turns down, given a group's average work, run on
+    the calling thread alone, holding one group's model tensors at a time.
+    Any other call hands tasks to the shared pool through `_threads._tasks`,
+    with BLAS pinned to one thread: in order, each once fewer than its slots
+    of the call's tasks are unfinished, waiting for the oldest. A call with
     `grads` has one slot: it runs every forward and head on the calling
     thread in group order, so rng's dropout draws keep that order, and
     hands over each group's `backward`, which frees the group's cache layer
@@ -291,23 +201,8 @@ def _masked_ce(
     groups = [np.sort(order[lo : lo + _GROUP_SIZE]) for lo in range(0, len(order), _GROUP_SIZE)]
     threaded = False
     if len(groups) > 1 and (grads is not None or not train):
-        cfg, d = params.config, params.config.d_model
-        rows = sum(len(x) + cfg.prefix_len for x in xts) / len(groups)
-        work = rows * d * ((4 + 2 * denoiser._FFN_MULT) * d + cfg.vocab_size / cfg.num_layers)
-        threaded = _threaded(work)
-    slots = 1 if grads is not None else _THREADS
-    in_flight = []  # the futures of the call's unfinished tasks, oldest first
-
-    def hand_over(fn, *args):
-        """fn(*args) on a pool thread once fewer than `slots` of the call's
-        tasks are unfinished, waiting for the oldest; or here on a
-        single-threaded call."""
-        if not threaded:
-            return fn(*args)
-        if len(in_flight) == slots:
-            in_flight.pop(0).result()
-        in_flight.append(_thread_pool().submit(fn, *args))
-
+        rows = sum(len(x) + params.config.prefix_len for x in xts) / len(groups)
+        threaded = _threads._threaded(_threads._gemm_work(params.config, rows))
     per_item = np.zeros(len(xts))
 
     def score(group):
@@ -325,17 +220,12 @@ def _masked_ce(
         if grads is not None:  # logits now holds d(loss)/d(logits)
             hand_over(denoiser.backward, cache, logits, grads)
 
-    with _one_blas_thread() if threaded else contextlib.nullcontext():
-        try:
-            for group in groups:
-                if grads is None:  # forward-only: the whole group goes to the pool
-                    hand_over(score, group)
-                else:
-                    score(group)
-            for future in in_flight:
-                future.result()
-        finally:
-            wait(in_flight)
+    with _threads._tasks(threaded, 1 if grads is not None else _threads._THREADS) as hand_over:
+        for group in groups:
+            if grads is None:  # forward-only: the whole group goes to the pool
+                hand_over(score, group)
+            else:
+                score(group)
     return per_item
 
 
@@ -570,6 +460,17 @@ def opt_state_from_records(params: DenoiserParams, records: dict[str, np.ndarray
     return AdamState(m, v)
 
 
+def check_intervals(*, log_every: int, checkpoint_every: int, val_every: int) -> None:
+    """Raise ValueError, with a message that starts with the argument's
+    name, unless `run_training`'s log_every >= 1, checkpoint_every >= 0
+    and val_every >= 0 (0 turns checkpoints and validation off)."""
+    for name, value, least in (("log_every", log_every, 1),
+                               ("checkpoint_every", checkpoint_every, 0),
+                               ("val_every", val_every, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def run_training(
     params: DenoiserParams,
     vocab: Vocab,
@@ -603,11 +504,7 @@ def run_training(
     if not sequences:
         raise ValueError("no training sequences")
     sched_params.check_model_steps(params.config.num_steps)
-    for name, value, least in (("log_every", log_every, 1),
-                               ("checkpoint_every", checkpoint_every, 0),
-                               ("val_every", val_every, 0)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    check_intervals(log_every=log_every, checkpoint_every=checkpoint_every, val_every=val_every)
     sequences = [np.asarray(s, dtype=np.int64) for s in sequences]
     if opt_state is None:
         opt_state = AdamState.zeros(params)

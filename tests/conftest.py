@@ -2,8 +2,8 @@ import json
 import os
 
 # one BLAS thread, as in the benchmark, keeps test timings stable on shared
-# runners. The loss core pins BLAS to one thread itself while it runs
-# length groups on two threads: on a 2-core box a desk-shaped forward-only
+# runners. The loss core and the sampler pin BLAS to one thread themselves
+# while they run tasks on two threads: on a 2-core box a desk-shaped forward-only
 # loss call took 268 ms serially, 234 ms on two BLAS threads, 183 ms on two
 # Python threads and 433 ms on both
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -13,6 +13,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 import spindle as sp  # noqa: E402
+from spindle import _threads  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -81,3 +82,14 @@ BAD_HEADER_KINDS = ('lambda="x"', "lambda=-1", 'num_steps="4"', "num_steps=0",
 @pytest.fixture()
 def corrupt_checkpoint():
     return _corrupt_checkpoint
+
+
+@pytest.fixture()
+def force_threads(monkeypatch):
+    """force_threads(True) or force_threads(False) makes the shared gate
+    `_threads._threaded` answer that for every call that asks it, whatever
+    the work; force_threads(fn) answers fn(work) instead."""
+    def force(answer):
+        monkeypatch.setattr(_threads, "_threaded",
+                            answer if callable(answer) else lambda _: answer)
+    return force

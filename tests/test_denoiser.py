@@ -355,7 +355,7 @@ def test_model_computes_in_its_parameter_dtype(mode, dtype, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(dn, "backward", spy(dn.backward, 1, "upstream"))
-    monkeypatch.setattr(sampling, "_draw_top_k", spy(sampling._draw_top_k, 0, "sampler logits"))
+    monkeypatch.setattr(sampling, "_top_k_rows", spy(sampling._top_k_rows, 0, "sampler logits"))
     sched = sp.ScheduleParams(num_steps=6, lam=0.3)
     seqs = [np.array([4, 5, 6]), np.array([7, 8, 9, 10])]
     t_draws = np.array([3, 6])

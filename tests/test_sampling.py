@@ -1,13 +1,17 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import spindle as sp
-from spindle import denoiser as dn
+from spindle import _threads, denoiser as dn
 from spindle.corpus import CLS_ID, MASK_ID, PAD_ID
 from spindle.diffusion import reveal_from_rows, spindle_alpha_bar_at
 from spindle.rng import stream
-from spindle.sampling import _draw_top_k, _top_k_rows
+from spindle.sampling import _draw_top_k, _predict, _top_k_rows
 
 
 def test_top_k_basic():
@@ -93,7 +97,7 @@ def test_batched_top_k_matches_top_k_filter(data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
 
     kept, probs = _top_k_rows(logits[masked], k, temp)
-    drawn = _draw_top_k(logits[masked], masked, k, temp, np.random.default_rng(seed))
+    drawn = _draw_top_k(kept, probs, masked, np.random.default_rng(seed))
     u = np.random.default_rng(seed).random(B * n)[masked.ravel()]
     assert len(drawn) == masked.sum()
     for row, ids, p, ui, d in zip(logits[masked], kept, probs, u, drawn):
@@ -115,21 +119,21 @@ def test_draw_at_zero_uniform_is_lowest_kept_id(tied):
     logits = np.zeros((2, 3, K)) if tied else np.random.default_rng(0).normal(size=(2, 3, K))
     logits[..., dn.SPECIAL_IDS] = -np.inf
     masked = np.array([[True, False, True], [True, True, True]])
-    drawn = _draw_top_k(logits[masked], masked, 4, 1.0, _ZeroUniforms())
-    kept, _ = _top_k_rows(logits[masked], 4, 1.0)
+    kept, probs = _top_k_rows(logits[masked], 4, 1.0)
+    drawn = _draw_top_k(kept, probs, masked, _ZeroUniforms())
     assert np.array_equal(drawn, kept[:, 0])
     assert (drawn >= 3).all()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_draw_leaves_its_logits_unchanged(dtype):
-    """The draw only reads its logits: a tad chain that does not change
-    reuses them at the next iteration."""
+    """Top-k and the draw only read the logits."""
     logits = np.random.default_rng(1).normal(size=(5, 9)).astype(dtype)
     logits[:, dn.SPECIAL_IDS] = -np.inf
     logits[2, 4:7] = 0.5  # ties at the k-th value
     before = logits.tobytes()
-    _draw_top_k(logits, np.ones((1, 5), dtype=bool), 3, 0.7, np.random.default_rng(2))
+    _draw_top_k(*_top_k_rows(logits, 3, 0.7), np.ones((1, 5), dtype=bool),
+                np.random.default_rng(2))
     assert logits.tobytes() == before
 
 
@@ -395,3 +399,178 @@ def test_nan_logits_raise_value_error():
     with pytest.raises(ValueError, match="NaN"):
         sp.generate_batch(params, sp.ScheduleParams(num_steps=16, lam=0.3), cfg,
                           _flat_surprisal(), 2)
+
+
+def _desk_model(mode="tad", dtype=np.float32, T=64):
+    """A desk-shaped model (K = 2,004, d = 128, 4 layers) with a seeded
+    N(0, 0.1) head, so its logits are not all tied."""
+    cfg = dn.DenoiserConfig(vocab_size=2004, mode=mode, num_layers=4, d_model=128,
+                            num_heads=4, n_max=64, num_steps=T, dropout=0.0)
+    params = dn.init_params(cfg, 3).astype(dtype)
+    params.tensors["out.w"][:] = np.random.default_rng(4).normal(0.0, 0.1, (128, 2004))
+    return params
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["tad", "lte"])
+def test_desk_halves_are_bitwise_alike_on_one_and_two_threads(force_threads, mode, dtype):
+    """At a desk shape, whose halves of 8 chains each reach the gate, one
+    prediction gives the same (kept, probs) bytes with the halves on the
+    pool and with them one after the other on the calling thread: the top-k
+    of each half's own forward, joined in order. Few rows are masked, where
+    OpenBLAS may round a row of one forward over all 8 chains otherwise."""
+    params = _desk_model(mode, dtype)
+    cfg = sp.SampleConfig(length=48, num_reverse_iterations=16, top_k=30)
+    rng = np.random.default_rng(8)
+    x = np.where(rng.random((8, 48)) < 0.05, MASK_ID, rng.integers(4, 2004, (8, 48)))
+    rows = 4 * (48 + params.config.prefix_len)
+    assert _threads._gemm_work(params.config, rows) >= _threads._MIN_THREADED_WORK
+    results = []
+    for threaded in (False, True):
+        force_threads(threaded)
+        results.append([a.tobytes() for a in _predict(params, x, 40, cfg)])
+    halves = [_top_k_rows(dn.forward(params, x[lo:hi], 40)[0], 30, 1.0)
+              for lo, hi in ((0, 4), (4, 8))]
+    assert results[0] == results[1] == [np.concatenate(a).tobytes() for a in zip(*halves)]
+
+
+def _split_calls(serial):
+    """The forward inputs of a run with the chains split, given those of a
+    run without: each call of two or more chains as its two halves, the
+    first len // 2 chains and the rest."""
+    return [[xt] if len(xt) < 2 else [xt[: len(xt) // 2], xt[len(xt) // 2 :]] for xt in serial]
+
+
+@pytest.mark.parametrize("remask", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
+def test_generate_batch_is_bitwise_alike_on_one_and_two_threads(monkeypatch, force_threads,
+                                                                 mode, dtype, remask):
+    """Five chains of a test-sized model over 64 iterations give the same
+    sequences and reveal iterations, byte for byte, below the gate, with the
+    gate opened to this size and the threaded path off, and with it on.
+    With the gate open each forward of c >= 2 chains runs as two, on its
+    first c // 2 chains and on the rest (2 and 3 for all five), off the
+    calling thread when threaded; a tad model also runs on strict subsets
+    of the chains, so the halves are uneven in other ways too."""
+    T, num = 64, 5
+    params = _random_head_model(40, T, mode, dtype)
+    sched_params = sp.ScheduleParams(num_steps=T, lam=0.3)
+    cfg = sp.SampleConfig(length=7, num_reverse_iterations=T, top_k=10, remask=remask)
+    h = np.random.default_rng(6).uniform(0.5, 4.0, 40)
+    h[:3] = 0.0
+    forward, calls = dn.forward, []
+
+    def recording_forward(params, xt, t=None, **kwargs):
+        calls.append((np.array(xt), threading.get_ident()))
+        return forward(params, xt, t, **kwargs)
+
+    monkeypatch.setattr(dn, "forward", recording_forward)
+    results, runs = [], []
+    for gate, threaded in ((_threads._MIN_THREADED_WORK, False), (0, False), (0, True)):
+        monkeypatch.setattr(_threads, "_MIN_THREADED_WORK", gate)
+        force_threads(threaded)
+        calls.clear()
+        res = sp.generate_batch(params, sched_params, cfg, sp.SurprisalTable(h), num,
+                                stream(12, "threads"))
+        results.append((res.sequences.tobytes(), res.reveal_iteration.tobytes()))
+        runs.append(list(calls))
+    assert results[0] == results[1] == results[2]
+
+    here = threading.get_ident()
+    whole = [xt for xt, _ in runs[0]]
+    expected = _split_calls(whole)
+    assert [xt.tobytes() for xt, _ in runs[1]] == [xt.tobytes() for p in expected for xt in p]
+    assert all(ident == here for _, ident in runs[0] + runs[1])
+    threaded_calls = iter(runs[2])
+    for parts in expected:  # the two halves of one forward may start in either order
+        got = [next(threaded_calls) for _ in parts]
+        assert sorted(xt.tobytes() for xt, _ in got) == sorted(xt.tobytes() for xt in parts)
+        assert all((ident == here) == (len(parts) == 1) for _, ident in got)
+    assert next(threaded_calls, None) is None
+    sizes = {len(xt) for xt in whole}
+    assert num in sizes
+    if mode == "tad":
+        assert any(2 <= c < num for c in sizes)
+
+
+def test_generate_batch_under_thread_stress_matches_one_thread(monkeypatch, force_threads):
+    """Both halves in flight on the pool's two threads, with the interpreter
+    switching threads every microsecond: the samples of 6 tad chains equal
+    those of one thread byte for byte."""
+    monkeypatch.setattr(_threads, "_MIN_THREADED_WORK", 0)
+    params = _random_head_model(40, 32, "tad", np.float32)
+    cfg = sp.SampleConfig(length=9, num_reverse_iterations=16, top_k=8)
+    results = []
+    for threaded in (False, True):
+        force_threads(threaded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            res = sp.generate_batch(params, sp.ScheduleParams(32, 0.3), cfg, _flat_surprisal(40),
+                                    6, stream(13, "stress"))
+        finally:
+            sys.setswitchinterval(interval)
+        results.append((res.sequences.tobytes(), res.reveal_iteration.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_a_failing_half_ends_the_call_with_no_task_left_running(monkeypatch, force_threads):
+    """With an all-NaN head, both halves' top-k raise on the pool threads,
+    the later one 50 ms after the first; the call ends with that message
+    once neither task runs, none starts later, and BLAS, set to two threads
+    before the call, is back at two after it."""
+    monkeypatch.setattr(_threads, "_MIN_THREADED_WORK", 0)
+    params = _uniform_model()
+    params.tensors["out.w"][:] = np.nan
+    started, ended = [], []
+    top_k_rows = sp.sampling._top_k_rows
+
+    def recording(*args):
+        started.append(threading.get_ident())
+        time.sleep(0.05 * len(started))
+        try:
+            return top_k_rows(*args)
+        finally:
+            ended.append(threading.get_ident())
+
+    monkeypatch.setattr(sp.sampling, "_top_k_rows", recording)
+    force_threads(True)
+    blas = _threads._BLAS_THREADS
+    original = blas[0]() if blas is not None else None
+    if blas is not None:
+        blas[1](2)
+    cfg = sp.SampleConfig(length=4, num_reverse_iterations=4, top_k=3, seed=0)
+    try:
+        with pytest.raises(ValueError, match="^denoiser logits contain NaN$"):
+            sp.generate_batch(params, sp.ScheduleParams(num_steps=16, lam=0.3), cfg,
+                              _flat_surprisal(), 4)
+        assert blas is None or blas[0]() == 2
+    finally:
+        if blas is not None:
+            blas[1](original)
+    finished = len(ended)
+    time.sleep(0.2)
+    assert len(started) == len(ended) == finished == 2
+    assert threading.get_ident() not in started
+
+
+def test_sampler_hands_over_only_desk_shaped_multi_chain_calls(monkeypatch, force_threads):
+    """With the threaded path on wherever a call's halves reach the gate,
+    a one-chain call at the desk shape and an 8-chain call of a test-sized
+    model never use the pool; an 8-chain desk-shaped call does, once per
+    iteration, and samples the bytes it samples with the path off."""
+    pool, used = _threads._thread_pool, []
+    monkeypatch.setattr(_threads, "_thread_pool", lambda: used.append(1) or pool())
+    cfg = sp.SampleConfig(length=48, num_reverse_iterations=2, top_k=30)
+    desk, h = _desk_model(T=4), np.r_[0.0, 0.0, 0.0, np.linspace(0.5, 4.0, 2001)]
+    for params, num in ((desk, 1), (_uniform_model(T=4, n_max=48), 8), (desk, 8)):
+        runs = []
+        for threaded in (True, False):
+            force_threads(threaded)
+            used.clear()
+            res = sp.generate_batch(params, sp.ScheduleParams(4, 0.3), cfg,
+                                    sp.SurprisalTable(h[: params.config.vocab_size]), num, 5)
+            runs.append((len(used), res.sequences.tobytes(), res.reveal_iteration.tobytes()))
+        assert runs[0][0] == (4 if params is desk and num == 8 else 0)
+        assert runs[1][0] == 0 and runs[0][1:] == runs[1][1:]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spindle as sp
-from spindle import denoiser as dn, oracle as orc, training
+from spindle import _threads, denoiser as dn, oracle as orc, training
 from spindle.corpus import MASK_ID, PAD_ID
 from spindle.diffusion import spindle_alpha_bar_at
 from spindle.rng import stream
@@ -293,7 +293,7 @@ def test_masked_ce_group_without_masked_rows():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
-def test_loss_core_is_bitwise_alike_on_one_and_two_threads(monkeypatch, mode, dtype):
+def test_loss_core_is_bitwise_alike_on_one_and_two_threads(monkeypatch, force_threads, mode, dtype):
     """Over 150 items (three windows, summed into one buffer), a
     forward-only call, the bound's loss and gradients with dropout on, and
     an MLM step equal, byte for byte, on one thread and on two. On two,
@@ -320,7 +320,7 @@ def test_loss_core_is_bitwise_alike_on_one_and_two_threads(monkeypatch, mode, dt
     monkeypatch.setattr(dn, "backward", recording_backward)
     results = []
     for threaded in (False, True):
-        monkeypatch.setattr(training, "_threaded", lambda _: threaded)
+        force_threads(threaded)
         threads.clear()
         scored, _ = sp.diffusion_loss_batch(params, seqs, rows, t_draws, 8, train=False,
                                             want_grads=False)
@@ -336,7 +336,7 @@ def test_loss_core_is_bitwise_alike_on_one_and_two_threads(monkeypatch, mode, dt
     assert results[0] == results[1]
 
 
-def test_loss_core_under_thread_stress_matches_one_thread(monkeypatch):
+def test_loss_core_under_thread_stress_matches_one_thread(monkeypatch, force_threads):
     """Two forward-only groups in flight on the pool's two threads, with
     the interpreter switching threads every microsecond: the losses of 48
     items equal those of one thread byte for byte. So do the losses and
@@ -358,7 +358,7 @@ def test_loss_core_under_thread_stress_matches_one_thread(monkeypatch):
     monkeypatch.setattr(dn, "backward", late)
     results = []
     for threaded in (False, True):
-        monkeypatch.setattr(training, "_threaded", lambda _: threaded)
+        force_threads(threaded)
         grads = params.zeros_like()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -395,7 +395,7 @@ def _serial_masked_ce(params, xts, targets, weights, t, rng, grads, *, train):
     return per_item
 
 
-def test_elbo_eval_keeps_the_single_thread_value(monkeypatch):
+def test_elbo_eval_keeps_the_single_thread_value(monkeypatch, force_threads):
     """A fixed float32 evaluation on two threads gives, bit for bit, the
     value of the serial loss core it replaced."""
     params = _ragged_params("lte", seed=3).astype(np.float32)
@@ -406,7 +406,7 @@ def test_elbo_eval_keeps_the_single_thread_value(monkeypatch):
     def value():
         return sp.elbo_eval(params, dataset, sp.ScheduleParams(8, 0.3), table, 4, seed=5)
 
-    monkeypatch.setattr(training, "_threaded", lambda _: True)
+    force_threads(True)
     threaded = value()
     monkeypatch.setattr(training, "_masked_ce", _serial_masked_ce)
     assert threaded == value()
@@ -415,7 +415,8 @@ def test_elbo_eval_keeps_the_single_thread_value(monkeypatch):
 @pytest.mark.parametrize("grad, stage", [(False, "forward"), (True, "forward"),
                                          (True, "backward")],
                          ids=["forward-only-forward", "gradient-forward", "gradient-backward"])
-def test_a_failing_group_ends_the_call_with_no_task_left_running(monkeypatch, grad, stage):
+def test_a_failing_group_ends_the_call_with_no_task_left_running(monkeypatch, force_threads,
+                                                                 grad, stage):
     """On two threads, an error in the third group's forward or backward
     reaches the caller with its message. Of six groups: in a forward-only
     call the pool runs the failing third group beside the fourth, and the
@@ -454,8 +455,8 @@ def test_a_failing_group_ends_the_call_with_no_task_left_running(monkeypatch, gr
                    expected, train=True)
     monkeypatch.setattr(dn, "forward", failing("forward"))
     monkeypatch.setattr(dn, "backward", failing("backward"))
-    monkeypatch.setattr(training, "_threaded", lambda _: True)
-    blas = training._BLAS_THREADS
+    force_threads(True)
+    blas = _threads._BLAS_THREADS
     before = blas[0]() if blas is not None else None
 
     def failing_call(items):
@@ -487,13 +488,14 @@ def test_a_failing_group_ends_the_call_with_no_task_left_running(monkeypatch, gr
                                 (True, "backward"): (3, 3)}[grad, stage]
 
 
-@pytest.mark.skipif(training._BLAS_THREADS is None, reason="numpy bundles no OpenBLAS")
+@pytest.mark.skipif(_threads._BLAS_THREADS is None, reason="numpy bundles no OpenBLAS")
 @pytest.mark.parametrize("count", [1, 2, 3])
-def test_blas_runs_one_thread_during_a_call_and_its_count_comes_back(monkeypatch, count):
+def test_blas_runs_one_thread_during_a_call_and_its_count_comes_back(monkeypatch, force_threads,
+                                                                     count):
     """BLAS set to `count` threads before a two-thread call, forward-only
     or with gradients, runs on one thread inside it (in every forward and
     backward), and on `count` threads again after it."""
-    get, set_ = training._BLAS_THREADS
+    get, set_ = _threads._BLAS_THREADS
     params = _ragged_params("tad")
     xts, targets, weights, t = _ragged_batch([5, 9, 13, 40, 22, 7, 31, 18, 12, 3], seed=8)
     forward, backward, seen = dn.forward, dn.backward, []
@@ -508,7 +510,7 @@ def test_blas_runs_one_thread_during_a_call_and_its_count_comes_back(monkeypatch
 
     monkeypatch.setattr(dn, "forward", recording_forward)
     monkeypatch.setattr(dn, "backward", recording_backward)
-    monkeypatch.setattr(training, "_threaded", lambda _: True)
+    force_threads(True)
     original = get()
     set_(count)
     try:
@@ -522,13 +524,13 @@ def test_blas_runs_one_thread_during_a_call_and_its_count_comes_back(monkeypatch
     assert len(seen) == 2 + 4 and set(seen) == {1}
 
 
-def test_workers_follow_the_group_work_threshold(monkeypatch):
+def test_workers_follow_the_group_work_threshold(force_threads):
     """Forward-only and gradient calls go to threads only where a group's
     GEMMs reach _MIN_THREADED_WORK multiply-adds per layer: a test-sized
     model stays on the calling thread, a default-sized one with 20-token
     lines does not. A call with dropout and no gradients does not ask."""
     seen = []
-    monkeypatch.setattr(training, "_threaded", lambda work: seen.append(work) or False)
+    force_threads(lambda work: seen.append(work) or False)
     xts, targets, weights, t = _ragged_batch([20] * 16, seed=3)
     for d, layers in ((16, 2), (128, 4)):
         params = tiny_params(vocab_size=2004, d_model=d, num_layers=layers, num_heads=4,
@@ -538,7 +540,7 @@ def test_workers_follow_the_group_work_threshold(monkeypatch):
                    train=True)
         _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), None, train=True)
     small, small_grad, default, default_grad = seen
-    assert small == small_grad < training._MIN_THREADED_WORK < default == default_grad
+    assert small == small_grad < _threads._MIN_THREADED_WORK < default == default_grad
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -842,7 +844,7 @@ def test_run_training_rejects_a_schedule_of_another_T(word_corpus, sched_t):
 
 
 @pytest.mark.parametrize("workers, train", [(1, False), (2, False), (1, True), (2, True)])
-def test_masked_ce_holds_one_group_per_thread(monkeypatch, workers, train):
+def test_masked_ce_holds_one_group_per_thread(monkeypatch, force_threads, workers, train):
     """A call of four groups per thread peaks at under 1.2x the memory of a
     call of one group per thread, on the same shapes: each group's logits,
     log-probabilities and forward cache are released when it is done, and a
@@ -869,7 +871,7 @@ def test_masked_ce_holds_one_group_per_thread(monkeypatch, workers, train):
     per_call = _GROUP_SIZE * workers
     x0 = rng.integers(4, 4000, (4 * per_call, 32))
     xt = np.where(rng.random(x0.shape) < 0.5, MASK_ID, x0)
-    monkeypatch.setattr(training, "_threaded", lambda _: workers == 2)
+    force_threads(workers == 2)
     calls = {"groups": 0, "heads": 0, "backward": 0}
     if workers == 2 and not train:
         real, barrier = dn.forward, threading.Barrier(2, timeout=30)
@@ -1021,7 +1023,8 @@ def test_resume_matches_uninterrupted(word_corpus, tmp_path, batch_size=4):
         assert a["loss_total"] == b["loss_total"]
 
 
-def test_resume_matches_uninterrupted_on_two_threads(word_corpus, tmp_path, monkeypatch):
+def test_resume_matches_uninterrupted_on_two_threads(word_corpus, tmp_path, monkeypatch,
+                                                     force_threads):
     """The same with batches of 20, three length groups, each step's
     backwards run on a second thread beside the next group's forward."""
     backward, threads = dn.backward, set()
@@ -1031,7 +1034,7 @@ def test_resume_matches_uninterrupted_on_two_threads(word_corpus, tmp_path, monk
         return backward(*args)
 
     monkeypatch.setattr(dn, "backward", recording)
-    monkeypatch.setattr(training, "_threaded", lambda _: True)
+    force_threads(True)
     test_resume_matches_uninterrupted(word_corpus, tmp_path, batch_size=20)
     assert threads and threading.get_ident() not in threads
 
