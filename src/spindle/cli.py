@@ -1,6 +1,11 @@
 """Operator CLI: prepare / train / sample / eval / schedule / verify.
 
-Exit codes: 0 success, 2 usage or validation failure, 3 runtime failure.
+Exit codes: 0 success, 2 usage or validation failure, 3 runtime failure or
+a `train` run stopped by SIGINT or SIGTERM. The first such signal stops a
+run at the end of the step it is in: that step's checkpoint, with the Adam
+state, is written, no model.spnd is, and the command that resumes the run is
+printed. A second signal exits at once, and a signal ignored at start stays
+ignored.
 Every command is deterministic given --seed; outputs carry a format_version
 and the fully resolved config (plain-text sample files get a .meta.json
 sidecar instead).
@@ -21,7 +26,10 @@ a list, or a string where a number belongs is a usage error naming the key.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import shlex
+import signal
 import sys
 from pathlib import Path
 
@@ -214,6 +222,29 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return given
 
 
+@contextlib.contextmanager
+def _stop_requests():
+    """A list the first SIGINT or SIGTERM in the block appends its number
+    to; a second one exits with 3 at once. A signal ignored at start stays
+    ignored, and each handler comes back after the block."""
+    received = []
+
+    def handle(signum, frame):
+        if received:
+            raise SystemExit(3)
+        received.append(signum)
+
+    before = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)
+              if signal.getsignal(sig) is not signal.SIG_IGN}
+    for sig in before:
+        signal.signal(sig, handle)
+    try:
+        yield received
+    finally:
+        for sig, handler in before.items():
+            signal.signal(sig, handler)
+
+
 def _read_sequences(path: Path, vocab: Vocab, n_max: int) -> list[np.ndarray]:
     """Token ids of each nonempty line, cut to n_max; the count of cut lines
     goes to stderr. A file with no such line is a usage error."""
@@ -321,16 +352,29 @@ def cmd_train(args: argparse.Namespace) -> int:
     resolved = {"format_version": FORMAT_VERSION, "config": cfg}
     (out / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
-    result = run_training(
-        params, vocab, table, sequences, sched_params, train_cfg,
-        out_dir=out,
-        checkpoint_every=cfg["checkpoint_every"],
-        log_every=cfg["log_every"],
-        start_step=start_step,
-        opt_state=opt_state,
-        val_fn=val_fn,
-        val_every=cfg["val_every"],
-    )
+    with _stop_requests() as received:
+        result = run_training(
+            params, vocab, table, sequences, sched_params, train_cfg,
+            out_dir=out,
+            checkpoint_every=cfg["checkpoint_every"],
+            log_every=cfg["log_every"],
+            start_step=start_step,
+            opt_state=opt_state,
+            val_fn=val_fn,
+            val_every=cfg["val_every"],
+            stop_fn=lambda metrics, step: bool(received),
+        )
+    total = train_cfg.mlm_pretrain_steps + train_cfg.total_steps
+    if result.final_step < total:
+        ckpt = out / f"checkpoint_{result.final_step:07d}.spnd"
+        resume = ["spindle", "train", "--corpus", str(corpus), "--prep", str(args.prep),
+                  "--out", str(out), "--config", str(out / "config.json"), "--resume", str(ckpt)]
+        if val_path:
+            resume += ["--val-corpus", str(val_path)]
+        print(f"stopped by {signal.Signals(received[0]).name} at step {result.final_step} of "
+              f"{total}; checkpoint -> {ckpt}; no model.spnd written\n"
+              f"resume with: {shlex.join(resume)}", file=sys.stderr)
+        return 3
     final = out / "model.spnd"
     save_checkpoint(final, result.params, lam=sched_params.lam,
                     vocab_hash=vocab.content_hash(), step=result.final_step)
@@ -384,16 +428,16 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.num_gen < 2:
+        raise UsageError(f"--num-gen must be >= 2 for self-BLEU, got {args.num_gen}")
+    if args.t_samples < 1:
+        raise UsageError(f"--t-samples must be >= 1, got {args.t_samples}")
     vocab, table, ckpt, sched_params = _load_model(args)
     test_path = _require_file(args.test, "test corpus")
     test_seqs = _read_sequences(test_path, vocab, ckpt.params.config.n_max)
     length = args.length
     if length is None:
         length = int(np.median([len(s) for s in test_seqs]))
-    if args.num_gen < 2:
-        raise UsageError(f"--num-gen must be >= 2 for self-BLEU, got {args.num_gen}")
-    if args.t_samples < 1:
-        raise UsageError(f"--t-samples must be >= 1, got {args.t_samples}")
     sample_cfg = _sample_config(args, ckpt, sched_params, length)
     _make_parents(args.sweep or args.out)
 
@@ -509,7 +553,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_prepare)
 
-    p = sub.add_parser("train", help="train a denoiser")
+    p = sub.add_parser(
+        "train", help="train a denoiser",
+        description="Train a denoiser. The first SIGINT or SIGTERM stops the run at the end "
+                    "of its step: that step's checkpoint, with the Adam state, is written, "
+                    "no model.spnd is, the resume command is printed, and the exit code is "
+                    "3. A second signal exits with 3 at once.")
     p.add_argument("--corpus", required=True)
     p.add_argument("--prep", required=True, help="directory written by prepare")
     p.add_argument("--out", required=True)
@@ -544,7 +593,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "again (default: revealed tokens stay frozen)")
     p.set_defaults(fn=cmd_sample)
 
-    p = sub.add_parser("eval", help="metrics report or quality/diversity sweep")
+    p = sub.add_parser(
+        "eval", help="metrics report or quality/diversity sweep",
+        description="Write a metrics report, or a quality/diversity sweep. The report's "
+                    "elbo_nats_per_token (and ppl_proxy, its exp) is the paper's objective, "
+                    "scored with the spindle schedule of each true test line. For a model "
+                    "trained at --lambda 0 it bounds the negative log-likelihood (NLL) of "
+                    "the lines `spindle sample` draws with --iterations T, --top-k of the "
+                    "whole vocabulary, --temperature 1 and no --remask. At lambda > 0 it "
+                    "does not: the "
+                    "sampler takes its schedule from its own predicted line, and the value "
+                    "can understate its NLL (on tiny tad models at lambda 0.3, on 8 of 25 "
+                    "sequences, by up to 0.64 nats).")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--prep", required=True)
     p.add_argument("--test", required=True)

@@ -511,7 +511,8 @@ _HEADER_KEYS = ({"version", "records", "lambda", "vocab_hash", "step"}
 # int passes for a float (a bool passes for neither).
 _HEADER_TYPES = {**{k: (int, float) if v is float else (v,)
                     for k, v in get_type_hints(DenoiserConfig).items()},
-                 "lambda": (int, float), "vocab_hash": (str,), "step": (int, type(None))}
+                 "version": (int,), "records": (int,), "lambda": (int, float),
+                 "vocab_hash": (str,), "step": (int, type(None))}
 
 
 def save_checkpoint(
@@ -567,8 +568,8 @@ class Checkpoint:
 def load_checkpoint(path: str | Path, dtype=np.float64) -> Checkpoint:
     """Read a file written by `save_checkpoint`. Damage raises ValueError
     naming the path: not an .npz archive, cut short, a failed member CRC-32,
-    a header key missing, another version, a tensor record count unlike the
-    header's, a header value of the wrong type, a config or lambda out of
+    a header key missing, a header value of the wrong type, another version,
+    a tensor record count unlike the header's, a config or lambda out of
     range, a negative step, a tensor that is not finite float32 (optimizer
     records included), or model tensor names or shapes that do not fit the
     config.
@@ -587,13 +588,13 @@ def load_checkpoint(path: str | Path, dtype=np.float64) -> Checkpoint:
             missing = sorted(_HEADER_KEYS - set(header))
             if missing:
                 raise ValueError(f"header lacks {missing}")
+            for key, kinds in _HEADER_TYPES.items():
+                if type(header[key]) not in kinds:
+                    raise ValueError(f"header {key} {json.dumps(header[key])} has the wrong type")
             if header["version"] not in (2, CHECKPOINT_VERSION):
                 raise ValueError(f"unsupported checkpoint version {header['version']}")
             if len(tensors) != header["records"]:
                 raise ValueError(f"{len(tensors)} tensor records, header says {header['records']}")
-            for key, kinds in _HEADER_TYPES.items():
-                if type(header[key]) not in kinds:
-                    raise ValueError(f"header {key} {json.dumps(header[key])} has the wrong type")
             if (header["step"] or 0) < 0:
                 raise ValueError(f"header step {header['step']} is negative")
             for name, data in tensors.items():

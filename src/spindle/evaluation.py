@@ -48,6 +48,16 @@ def elbo_eval(
     weights one window of pairs at a time, which bounds memory. Every mask
     comes from one stream, pair j taking its j-th block of uniforms.
     Dropout is off; the result is a pure function of (params, dataset, seed).
+
+    What it bounds: the schedule of each example is that of its true x0.
+    At lam = 0 every line has the same linear schedule, and the value
+    bounds the negative log-likelihood (NLL) of the lines `generate_batch`
+    draws with one iteration per step, frozen, at temperature 1 and with
+    top_k covering the vocabulary. At lam > 0 the sampler takes its
+    schedule from its own predicted x0, so the value is the paper's
+    objective but can understate that NLL: on tiny tad models at lam = 0.3
+    it did on 8 of 25 sequences, by up to 0.64 nats, against an exact
+    enumeration of the sampler's kernel.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -71,6 +81,8 @@ def exact_elbo(predict_fn, x0: np.ndarray, alpha_bar: np.ndarray) -> float:
     forward mask pattern (tiny instances only: 2^n patterns per step).
     alpha_bar is the (T+1, n) retention grid of x0, ending at 0; predict_fn
     maps an (n,) state and the step t to (n, K) clean-token probabilities.
+    With x0's own spindle grid this is the bound `elbo_eval` estimates, and
+    like it, it bounds the sampler's NLL at lam = 0 only.
     """
     x0 = np.asarray(x0, dtype=np.int64)
     n = len(x0)

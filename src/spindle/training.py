@@ -500,6 +500,9 @@ def run_training(
     non-finite tensor makes `save_checkpoint` raise. metrics.jsonl keeps
     only its complete records of steps <= start_step: a resume logs no step
     twice, and a damaged record raises ValueError naming its line.
+    stop_fn(metrics, step), where given, is asked at the end of every step;
+    True ends the run there, and that step's checkpoint is written as the
+    last step's is.
     """
     if not sequences:
         raise ValueError("no training sequences")

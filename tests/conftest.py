@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+import time
 
 # one BLAS thread, as in the benchmark, keeps test timings stable on shared
 # runners. The loss core and the sampler pin BLAS to one thread themselves
@@ -13,7 +15,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 import spindle as sp  # noqa: E402
-from spindle import _threads  # noqa: E402
+from spindle import _threads, denoiser  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -40,7 +42,8 @@ def _corrupt_checkpoint(src, dst, kind):
     "misshapen" drops the last entry of out.b, "inf_opt" sets one entry of
     the first opt.* record to inf and "version1" writes a file that starts
     like the retired SPND1 record format. A kind "<key>=<json>", such as
-    'lambda="x"', sets that header value.
+    'lambda="x"', sets that header value; "<n>" in the JSON stands for the
+    file's record count.
     """
     raw = src.read_bytes()
     if kind == "truncated":
@@ -60,7 +63,7 @@ def _corrupt_checkpoint(src, dst, kind):
                 del header["mode"]
             else:
                 key, _, value = kind.partition("=")
-                header[key] = json.loads(value)
+                header[key] = json.loads(value.replace("<n>", str(header["records"])))
             members["[header]"] = np.frombuffer(json.dumps(header).encode("utf-8"),
                                                 dtype=np.uint8)
         elif kind == "nan_weight":
@@ -76,7 +79,8 @@ def _corrupt_checkpoint(src, dst, kind):
 
 # header values of the wrong type or out of range, as _corrupt_checkpoint kinds
 BAD_HEADER_KINDS = ('lambda="x"', "lambda=-1", 'num_steps="4"', "num_steps=0",
-                    "num_heads=2.0", 'step="5"', "step=2.5", "step=-1", "vocab_hash=7")
+                    "num_heads=2.0", 'step="5"', "step=2.5", "step=-1", "vocab_hash=7",
+                    "version=3.0", 'version="3"', "records=<n>.0")
 
 
 @pytest.fixture()
@@ -93,3 +97,17 @@ def force_threads(monkeypatch):
         monkeypatch.setattr(_threads, "_threaded",
                             answer if callable(answer) else lambda _: answer)
     return force
+
+
+@pytest.fixture()
+def thread_stress(monkeypatch):
+    """The interpreter switches threads every microsecond, and each
+    `denoiser.backward` starts 10 ms late, longer than a test-sized
+    forward, so a calling thread reaches each hand-over while the previous
+    backward still runs."""
+    backward = denoiser.backward
+    monkeypatch.setattr(denoiser, "backward", lambda *args: time.sleep(0.01) or backward(*args))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)

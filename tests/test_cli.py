@@ -3,8 +3,11 @@ import dataclasses
 import inspect
 import json
 import os
+import shlex
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -36,19 +39,20 @@ def prep_dir(tmp_path, corpus_file):
     return out
 
 
+# the model and batch of every tiny training run
+TINY = ["--batch-size", "4", "--layers", "1", "--d-model", "16", "--heads", "2", "--n-max",
+        "16", "--T", "8", "--seed", "1"]
+
+
 def train_tiny(tmp_path, corpus_file, prep_dir, out_name="run", extra=()):
     out = tmp_path / out_name
-    rc = cli.main([
-        "train", "--corpus", str(corpus_file), "--prep", str(prep_dir),
-        "--out", str(out), "--steps", "12", "--batch-size", "4", "--layers", "1",
-        "--d-model", "16", "--heads", "2", "--n-max", "16", "--T", "8",
-        "--log-every", "4", "--seed", "1", *extra,
-    ])
+    rc = cli.main(["train", "--corpus", str(corpus_file), "--prep", str(prep_dir), "--out",
+                   str(out), "--steps", "12", "--log-every", "4", *TINY, *extra])
     assert rc == 0
     return out
 
 
-def test_prepare_outputs_and_idempotence(tmp_path, corpus_file):
+def test_prepare_outputs(tmp_path, corpus_file):
     out = tmp_path / "prep"
     assert cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "64",
                      "--out", str(out)]) == 0
@@ -56,10 +60,6 @@ def test_prepare_outputs_and_idempotence(tmp_path, corpus_file):
     assert set(first) == {"vocab.tsv", "stats.json"}
     vocab_lines = first["vocab.tsv"].decode().splitlines()
     assert vocab_lines[0].startswith("[MASK]\t")
-    assert cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "64",
-                     "--out", str(out)]) == 0
-    second = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert first == second  # byte-identical rerun
     stats = json.loads(first["stats.json"])
     assert stats["format_version"] == 1 and "config" in stats
 
@@ -89,17 +89,6 @@ def test_prepare_empty_corpus_is_usage_error(tmp_path, capsys):
     assert rc == 2
     assert f"error: corpus {corpus} contains no tokens" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_train_writes_artifacts(tmp_path, corpus_file, prep_dir):
-    out = train_tiny(tmp_path, corpus_file, prep_dir)
-    assert (out / "model.spnd").exists()
-    assert (out / "config.json").exists()
-    metrics = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
-    assert metrics and {"step", "loss_total", "l_t_kl", "l0", "lr", "elapsed_s"} <= set(metrics[0])
-    assert "lT" not in metrics[0]
-    resolved = json.loads((out / "config.json").read_text())
-    assert resolved["config"]["steps"] == 12
 
 
 def test_train_lambda_zero_and_mlm(tmp_path, corpus_file, prep_dir):
@@ -132,19 +121,6 @@ def test_train_config_file_and_flag_override(tmp_path, corpus_file, prep_dir):
     assert rc == 0
     resolved2 = json.loads((tmp_path / "cfgrun2" / "config.json").read_text())
     assert resolved2["config"] == resolved["config"]
-
-
-def test_train_resume_matches_uninterrupted(tmp_path, corpus_file, prep_dir):
-    full = train_tiny(tmp_path, corpus_file, prep_dir, "full", ["--checkpoint-every", "6"])
-    part = train_tiny(tmp_path, corpus_file, prep_dir, "part",
-                      ["--checkpoint-every", "6", "--steps", "6"])
-    resumed = train_tiny(tmp_path, corpus_file, prep_dir, "resumed",
-                         ["--checkpoint-every", "6",
-                          "--resume", str(part / "checkpoint_0000006.spnd")])
-    full_m = {m["step"]: m for m in map(json.loads, (full / "metrics.jsonl").read_text().splitlines())}
-    res_m = {m["step"]: m for m in map(json.loads, (resumed / "metrics.jsonl").read_text().splitlines())}
-    for step in (8, 12):
-        assert full_m[step]["loss_total"] == res_m[step]["loss_total"]
 
 
 def test_train_resume_keeps_checkpoint_lambda(tmp_path, corpus_file, prep_dir):
@@ -245,18 +221,12 @@ def test_train_resume_rejects_bad_header_values(tmp_path, corpus_file, prep_dir,
         assert err.startswith(f"runtime failure: {bad}: ") and "Traceback" not in err, kind
 
 
-def test_sample_deterministic_and_mask_free(tmp_path, corpus_file, prep_dir):
+def test_sample_is_mask_free(tmp_path, corpus_file, prep_dir):
     run = train_tiny(tmp_path, corpus_file, prep_dir)
-    args = ["sample", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
-            "--num", "3", "--length", "5", "--iterations", "4", "--top-k", "5",
-            "--seed", "7", "--out", str(tmp_path / "s1.txt"),
-            "--trajectory", str(tmp_path / "t1.jsonl")]
-    assert cli.main(args) == 0
-    args2 = list(args)
-    args2[args.index(str(tmp_path / "s1.txt"))] = str(tmp_path / "s2.txt")
-    args2[args.index(str(tmp_path / "t1.jsonl"))] = str(tmp_path / "t2.jsonl")
-    assert cli.main(args2) == 0
-    assert (tmp_path / "s1.txt").read_bytes() == (tmp_path / "s2.txt").read_bytes()
+    assert cli.main(["sample", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
+                     "--num", "3", "--length", "5", "--iterations", "4", "--top-k", "5",
+                     "--seed", "7", "--out", str(tmp_path / "s1.txt"),
+                     "--trajectory", str(tmp_path / "t1.jsonl")]) == 0
     lines = (tmp_path / "s1.txt").read_text().splitlines()
     assert len(lines) == 3
     assert all("[MASK]" not in l and "[PAD]" not in l for l in lines)
@@ -434,8 +404,10 @@ def test_eval_checks_sampling_flags_first(tmp_path, corpus_file, prep_dir, monke
                                           capsys, sweep, flags, message):
     """Iterations that do not divide T, a zero length, fewer than two
     generated samples (self-BLEU needs two) and no t draws are usage errors,
-    found before the ELBO pass or the sweep runs."""
-    run = train_tiny(tmp_path, corpus_file, prep_dir)
+    found before the ELBO pass or the sweep runs; the last two even before
+    the checkpoint is loaded, so a missing one is not what they report."""
+    early = flags[0] in ("--num-gen", "--t-samples")
+    run = tmp_path if early else train_tiny(tmp_path, corpus_file, prep_dir)
     ran = []
     monkeypatch.setattr(cli, "elbo_eval", lambda *a, **k: ran.append("elbo"))
     monkeypatch.setattr(cli, "quality_diversity_sweep", lambda *a, **k: ran.append("sweep"))
@@ -447,6 +419,57 @@ def test_eval_checks_sampling_flags_first(tmp_path, corpus_file, prep_dir, monke
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert ran == [] and not out.exists()
+
+
+def test_a_signal_stops_train_at_a_step_that_resumes_bitwise(tmp_path, corpus_file, prep_dir):
+    """`python -m spindle train`, sent SIGTERM once a step is logged, stops
+    at the end of its step: it writes that step's checkpoint and no
+    model.spnd, prints the resume command and exits 3 without a traceback.
+    That command, run for two more steps, ends with the tensors and losses
+    of a run never stopped."""
+    flags = ["--corpus", str(corpus_file), "--prep", str(prep_dir), "--log-every", "1", *TINY]
+    out, full = tmp_path / "stopped", tmp_path / "full"
+    env = {**os.environ, "PYTHONPATH": str(Path(sp.__file__).resolve().parent.parent)}
+    proc = subprocess.Popen([sys.executable, "-m", "spindle", "train", *flags, "--out", str(out),
+                             "--steps", "1000000"], env=env, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and time.monotonic() < deadline and not (
+                (out / "metrics.jsonl").exists() and (out / "metrics.jsonl").read_text()):
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        err = proc.communicate(timeout=60)[1]
+    finally:
+        proc.kill()
+    assert proc.returncode == 3 and "Traceback" not in err, err
+    (ckpt,) = out.glob("checkpoint_*.spnd")
+    step = sp.load_checkpoint(ckpt).step
+    assert not (out / "model.spnd").exists()
+    resume = shlex.split(err.split("resume with: ")[1])[1:]
+    assert cli.main([*resume, "--steps", str(step + 2)]) == 0
+    assert cli.main(["train", *flags, "--steps", str(step + 2), "--out", str(full)]) == 0
+    a, b = (sp.load_checkpoint(d / "model.spnd", dtype=np.float32).params for d in (out, full))
+    assert all(np.array_equal(a[name], b[name]) for name in a.names())
+    losses = [[json.loads(line)["loss_total"] for line in (d / "metrics.jsonl").read_text()
+               .splitlines()] for d in (out, full)]
+    assert losses[0] == losses[1] and len(losses[0]) == step + 2
+
+
+def test_stop_requests_take_one_signal_and_leave_an_ignored_one_ignored():
+    """In the block the first SIGTERM is recorded and a second exits with
+    3; a SIGINT ignored before the block stays ignored, and the SIGTERM
+    handler comes back after it."""
+    sigint, sigterm = signal.signal(signal.SIGINT, signal.SIG_IGN), signal.getsignal(signal.SIGTERM)
+    try:
+        with cli._stop_requests() as received:
+            assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+            os.kill(os.getpid(), signal.SIGTERM)
+            assert received == [signal.SIGTERM]
+            with pytest.raises(SystemExit, match="^3$"):
+                os.kill(os.getpid(), signal.SIGTERM)
+        assert signal.getsignal(signal.SIGTERM) is sigterm
+    finally:
+        signal.signal(signal.SIGINT, sigint)
 
 
 @pytest.mark.parametrize("flag", ["--val-every", "--checkpoint-every"])
@@ -704,11 +727,6 @@ def test_schedule_csv(tmp_path, corpus_file, prep_dir, capsys):
         assert np.abs(values - dense).max() <= 1e-12
         assert f"({events} clamp events)" in capsys.readouterr().out
     assert events > 0
-    # rerun is byte-identical
-    out2 = tmp_path / "sched2.csv"
-    cli.main(["schedule", "--prep", str(prep_dir), "--text", "the cat sat",
-              "--lambda", "2.0", "--T", "8", "--out", str(out2)])
-    assert out.read_bytes() == out2.read_bytes()
 
 
 @pytest.mark.parametrize("smoothing", ["0.5", "0.7", "1"])
@@ -969,13 +987,3 @@ def test_cut_lines_are_counted_on_stderr(tmp_path, corpus_file, prep_dir, capsys
                    "--t-samples", "1", "--out", str(tmp_path / "report.json")])
     assert rc == 0
     assert note in capsys.readouterr().err
-
-
-def test_python_dash_m_spindle_runs_the_cli():
-    """`python -m spindle` is the command line: --help lists the commands
-    and exits 0."""
-    env = {**os.environ, "PYTHONPATH": str(Path(sp.__file__).resolve().parent.parent)}
-    done = subprocess.run([sys.executable, "-m", "spindle", "--help"], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert "verify" in done.stdout

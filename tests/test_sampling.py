@@ -1,4 +1,3 @@
-import sys
 import threading
 import time
 
@@ -11,7 +10,7 @@ from spindle import _threads, denoiser as dn
 from spindle.corpus import CLS_ID, MASK_ID, PAD_ID
 from spindle.diffusion import reveal_from_rows, spindle_alpha_bar_at
 from spindle.rng import stream
-from spindle.sampling import _draw_top_k, _predict, _top_k_rows
+from spindle.sampling import _draw_top_k, _top_k_rows
 
 
 def test_top_k_basic():
@@ -149,18 +148,14 @@ def _flat_surprisal(vocab_size=12):
     return sp.SurprisalTable(h)
 
 
-def test_generate_terminates_mask_free_and_deterministic():
+def test_generate_terminates_mask_free():
     params = _uniform_model()
     sched_params = sp.ScheduleParams(num_steps=16, lam=0.3)
     cfg = sp.SampleConfig(length=8, num_reverse_iterations=4, top_k=5, seed=3)
-    table = _flat_surprisal()
-    res1 = sp.generate_batch(params, sched_params, cfg, table, 1, stream(3, "g"),
-                             record_trajectory=True)
-    res2 = sp.generate_batch(params, sched_params, cfg, table, 1, stream(3, "g"),
-                             record_trajectory=True)
-    assert np.array_equal(res1.sequences, res2.sequences)
-    assert not np.isin(res1.sequences, [MASK_ID, PAD_ID, CLS_ID]).any()
-    traj = res1.trajectory
+    res = sp.generate_batch(params, sched_params, cfg, _flat_surprisal(), 1, stream(3, "g"),
+                            record_trajectory=True)
+    assert not np.isin(res.sequences, [MASK_ID, PAD_ID, CLS_ID]).any()
+    traj = res.trajectory
     assert traj[0]["t"] == 16 and np.all(traj[0]["ids"] == MASK_ID)
     assert traj[-1]["t"] == 0
     assert len(traj) == 5
@@ -401,118 +396,33 @@ def test_nan_logits_raise_value_error():
                           _flat_surprisal(), 2)
 
 
-def _desk_model(mode="tad", dtype=np.float32, T=64):
-    """A desk-shaped model (K = 2,004, d = 128, 4 layers) with a seeded
-    N(0, 0.1) head, so its logits are not all tied."""
-    cfg = dn.DenoiserConfig(vocab_size=2004, mode=mode, num_layers=4, d_model=128,
-                            num_heads=4, n_max=64, num_steps=T, dropout=0.0)
-    params = dn.init_params(cfg, 3).astype(dtype)
-    params.tensors["out.w"][:] = np.random.default_rng(4).normal(0.0, 0.1, (128, 2004))
-    return params
+def test_threaded_sampler_runs_each_half_off_the_calling_thread(monkeypatch, force_threads):
+    """With the gate at 0 and the threaded path on, a prediction over c >= 2
+    chains runs two forwards, on its first c // 2 chains and on the rest,
+    both off the calling thread, and a one-chain prediction runs one forward
+    on it; a tad model also predicts on strict subsets of its chains.
+    test_golden.py pins the bytes on one thread and on two."""
+    monkeypatch.setattr(_threads, "_MIN_THREADED_WORK", 0)
+    force_threads(True)
+    predict, forward, here, calls = sp.sampling._predict, dn.forward, threading.get_ident(), []
 
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("mode", ["tad", "lte"])
-def test_desk_halves_are_bitwise_alike_on_one_and_two_threads(force_threads, mode, dtype):
-    """At a desk shape, whose halves of 8 chains each reach the gate, one
-    prediction gives the same (kept, probs) bytes with the halves on the
-    pool and with them one after the other on the calling thread: the top-k
-    of each half's own forward, joined in order. Few rows are masked, where
-    OpenBLAS may round a row of one forward over all 8 chains otherwise."""
-    params = _desk_model(mode, dtype)
-    cfg = sp.SampleConfig(length=48, num_reverse_iterations=16, top_k=30)
-    rng = np.random.default_rng(8)
-    x = np.where(rng.random((8, 48)) < 0.05, MASK_ID, rng.integers(4, 2004, (8, 48)))
-    rows = 4 * (48 + params.config.prefix_len)
-    assert _threads._gemm_work(params.config, rows) >= _threads._MIN_THREADED_WORK
-    results = []
-    for threaded in (False, True):
-        force_threads(threaded)
-        results.append([a.tobytes() for a in _predict(params, x, 40, cfg)])
-    halves = [_top_k_rows(dn.forward(params, x[lo:hi], 40)[0], 30, 1.0)
-              for lo, hi in ((0, 4), (4, 8))]
-    assert results[0] == results[1] == [np.concatenate(a).tobytes() for a in zip(*halves)]
-
-
-def _split_calls(serial):
-    """The forward inputs of a run with the chains split, given those of a
-    run without: each call of two or more chains as its two halves, the
-    first len // 2 chains and the rest."""
-    return [[xt] if len(xt) < 2 else [xt[: len(xt) // 2], xt[len(xt) // 2 :]] for xt in serial]
-
-
-@pytest.mark.parametrize("remask", [False, True])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
-def test_generate_batch_is_bitwise_alike_on_one_and_two_threads(monkeypatch, force_threads,
-                                                                 mode, dtype, remask):
-    """Five chains of a test-sized model over 64 iterations give the same
-    sequences and reveal iterations, byte for byte, below the gate, with the
-    gate opened to this size and the threaded path off, and with it on.
-    With the gate open each forward of c >= 2 chains runs as two, on its
-    first c // 2 chains and on the rest (2 and 3 for all five), off the
-    calling thread when threaded; a tad model also runs on strict subsets
-    of the chains, so the halves are uneven in other ways too."""
-    T, num = 64, 5
-    params = _random_head_model(40, T, mode, dtype)
-    sched_params = sp.ScheduleParams(num_steps=T, lam=0.3)
-    cfg = sp.SampleConfig(length=7, num_reverse_iterations=T, top_k=10, remask=remask)
-    h = np.random.default_rng(6).uniform(0.5, 4.0, 40)
-    h[:3] = 0.0
-    forward, calls = dn.forward, []
+    def recording_predict(params, x, t, cfg):
+        calls.append((x, []))
+        return predict(params, x, t, cfg)
 
     def recording_forward(params, xt, t=None, **kwargs):
-        calls.append((np.array(xt), threading.get_ident()))
+        calls[-1][1].append((xt.tobytes(), threading.get_ident() == here))
         return forward(params, xt, t, **kwargs)
 
+    monkeypatch.setattr(sp.sampling, "_predict", recording_predict)
     monkeypatch.setattr(dn, "forward", recording_forward)
-    results, runs = [], []
-    for gate, threaded in ((_threads._MIN_THREADED_WORK, False), (0, False), (0, True)):
-        monkeypatch.setattr(_threads, "_MIN_THREADED_WORK", gate)
-        force_threads(threaded)
-        calls.clear()
-        res = sp.generate_batch(params, sched_params, cfg, sp.SurprisalTable(h), num,
-                                stream(12, "threads"))
-        results.append((res.sequences.tobytes(), res.reveal_iteration.tobytes()))
-        runs.append(list(calls))
-    assert results[0] == results[1] == results[2]
-
-    here = threading.get_ident()
-    whole = [xt for xt, _ in runs[0]]
-    expected = _split_calls(whole)
-    assert [xt.tobytes() for xt, _ in runs[1]] == [xt.tobytes() for p in expected for xt in p]
-    assert all(ident == here for _, ident in runs[0] + runs[1])
-    threaded_calls = iter(runs[2])
-    for parts in expected:  # the two halves of one forward may start in either order
-        got = [next(threaded_calls) for _ in parts]
-        assert sorted(xt.tobytes() for xt, _ in got) == sorted(xt.tobytes() for xt in parts)
-        assert all((ident == here) == (len(parts) == 1) for _, ident in got)
-    assert next(threaded_calls, None) is None
-    sizes = {len(xt) for xt in whole}
-    assert num in sizes
-    if mode == "tad":
-        assert any(2 <= c < num for c in sizes)
-
-
-def test_generate_batch_under_thread_stress_matches_one_thread(monkeypatch, force_threads):
-    """Both halves in flight on the pool's two threads, with the interpreter
-    switching threads every microsecond: the samples of 6 tad chains equal
-    those of one thread byte for byte."""
-    monkeypatch.setattr(_threads, "_MIN_THREADED_WORK", 0)
-    params = _random_head_model(40, 32, "tad", np.float32)
-    cfg = sp.SampleConfig(length=9, num_reverse_iterations=16, top_k=8)
-    results = []
-    for threaded in (False, True):
-        force_threads(threaded)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            res = sp.generate_batch(params, sp.ScheduleParams(32, 0.3), cfg, _flat_surprisal(40),
-                                    6, stream(13, "stress"))
-        finally:
-            sys.setswitchinterval(interval)
-        results.append((res.sequences.tobytes(), res.reveal_iteration.tobytes()))
-    assert results[0] == results[1]
+    cfg = sp.SampleConfig(length=7, num_reverse_iterations=64, top_k=10)
+    sp.generate_batch(_random_head_model(40, 64, "tad", np.float32), sp.ScheduleParams(64, 0.3),
+                      cfg, _flat_surprisal(40), 5, stream(12, "threads"))
+    for x, forwards in calls:
+        parts = [x[: len(x) // 2], x[len(x) // 2 :]] if len(x) > 1 else [x]
+        assert sorted(forwards) == sorted((part.tobytes(), len(x) == 1) for part in parts)
+    assert {1, 5} <= {len(x) for x, _ in calls} and any(1 < len(x) < 5 for x, _ in calls)
 
 
 def test_a_failing_half_ends_the_call_with_no_task_left_running(monkeypatch, force_threads):
@@ -559,18 +469,17 @@ def test_sampler_hands_over_only_desk_shaped_multi_chain_calls(monkeypatch, forc
     """With the threaded path on wherever a call's halves reach the gate,
     a one-chain call at the desk shape and an 8-chain call of a test-sized
     model never use the pool; an 8-chain desk-shaped call does, once per
-    iteration, and samples the bytes it samples with the path off."""
+    iteration. test_golden.py pins the desk-shaped call's bytes on one
+    thread and on two."""
     pool, used = _threads._thread_pool, []
     monkeypatch.setattr(_threads, "_thread_pool", lambda: used.append(1) or pool())
+    force_threads(True)
     cfg = sp.SampleConfig(length=48, num_reverse_iterations=2, top_k=30)
-    desk, h = _desk_model(T=4), np.r_[0.0, 0.0, 0.0, np.linspace(0.5, 4.0, 2001)]
+    desk = dn.init_params(dn.DenoiserConfig(vocab_size=2004, num_steps=4), 3)  # desk-shaped
+    desk.tensors["out.w"][:] = np.random.default_rng(4).normal(0.0, 0.1, (128, 2004))
+    h = np.r_[0.0, 0.0, 0.0, np.linspace(0.5, 4.0, 2001)]
     for params, num in ((desk, 1), (_uniform_model(T=4, n_max=48), 8), (desk, 8)):
-        runs = []
-        for threaded in (True, False):
-            force_threads(threaded)
-            used.clear()
-            res = sp.generate_batch(params, sp.ScheduleParams(4, 0.3), cfg,
-                                    sp.SurprisalTable(h[: params.config.vocab_size]), num, 5)
-            runs.append((len(used), res.sequences.tobytes(), res.reveal_iteration.tobytes()))
-        assert runs[0][0] == (4 if params is desk and num == 8 else 0)
-        assert runs[1][0] == 0 and runs[0][1:] == runs[1][1:]
+        used.clear()
+        sp.generate_batch(params, sp.ScheduleParams(4, 0.3), cfg,
+                          sp.SurprisalTable(h[: params.config.vocab_size]), num, 5)
+        assert len(used) == (4 if params is desk and num == 8 else 0)

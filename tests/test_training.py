@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import spindle as sp
 from spindle import _threads, denoiser as dn, oracle as orc, training
-from spindle.corpus import MASK_ID, PAD_ID
+from spindle.corpus import MASK_ID
 from spindle.diffusion import spindle_alpha_bar_at
 from spindle.rng import stream
 from spindle.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ShuffledPasses, _masked_ce,
@@ -291,125 +291,30 @@ def test_masked_ce_group_without_masked_rows():
         np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-14 * np.abs(g).max())
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
-def test_loss_core_is_bitwise_alike_on_one_and_two_threads(monkeypatch, force_threads, mode, dtype):
-    """Over 150 items (three windows, summed into one buffer), a
-    forward-only call, the bound's loss and gradients with dropout on, and
-    an MLM step equal, byte for byte, on one thread and on two. On two,
-    every forward-only group runs off the calling thread; in the gradient
-    calls every forward runs on it and every backward off it."""
-    params = _ragged_params(mode, seed=5, dropout=0.1).astype(dtype)
-    rng = np.random.default_rng(6)
-    seqs = [rng.integers(4, 13, size=n) for n in rng.integers(2, 64, size=150)]
-    t_draws = rng.integers(1, 9, size=150)
-    sched = sp.ScheduleParams(num_steps=8)
-    rows = [spindle_alpha_bar_at(rng.uniform(0.5, 2.0, len(x)), [t - 1, t], sched)
-            for x, t in zip(seqs, t_draws)]
-    forward, backward, threads = dn.forward, dn.backward, []
+def test_threaded_loss_calls_run_each_stage_on_its_thread(monkeypatch, force_threads):
+    """On two threads, each group of a forward-only call runs off the
+    calling thread; a gradient call runs every forward on it, so the
+    dropout draws keep their order, and every backward off it.
+    test_golden.py pins the bytes on one thread and on two."""
+    params = _ragged_params("lte", dropout=0.1)
+    xts, targets, weights, t = _ragged_batch([20] * 24, seed=9)
+    here, seen = threading.get_ident(), []
 
-    def recording_forward(*args, **kwargs):
-        threads.append(("forward", kwargs["train"], threading.get_ident()))
-        return forward(*args, **kwargs)
+    def recording(stage, fn):
+        def run(*args, **kwargs):
+            seen.append((stage, threading.get_ident() == here))
+            return fn(*args, **kwargs)
+        return run
 
-    def recording_backward(*args):
-        threads.append(("backward", True, threading.get_ident()))
-        return backward(*args)
-
-    monkeypatch.setattr(dn, "forward", recording_forward)
-    monkeypatch.setattr(dn, "backward", recording_backward)
-    results = []
-    for threaded in (False, True):
-        force_threads(threaded)
-        threads.clear()
-        scored, _ = sp.diffusion_loss_batch(params, seqs, rows, t_draws, 8, train=False,
-                                            want_grads=False)
-        bound, grads = sp.diffusion_loss_batch(params, seqs, rows, t_draws, 7)
-        mlm, mlm_grads = sp.mlm_pretrain_step(params, seqs[:40], 0.3, 9)
-        results.append([scored, bound, mlm, *(grads[k].tobytes() for k in sorted(grads)),
-                        *(mlm_grads[k].tobytes() for k in sorted(mlm_grads))])
-        here = threading.get_ident()
-        assert len(threads) == 19 + 2 * (19 + 5)  # groups: 8 + 8 + 3 per pass, 5 for MLM
-        assert {(stage, train, ident == here) for stage, train, ident in threads} == {
-            ("forward", False, not threaded), ("forward", True, True),
-            ("backward", True, not threaded)}
-    assert results[0] == results[1]
-
-
-def test_loss_core_under_thread_stress_matches_one_thread(monkeypatch, force_threads):
-    """Two forward-only groups in flight on the pool's two threads, with
-    the interpreter switching threads every microsecond: the losses of 48
-    items equal those of one thread byte for byte. So do the losses and
-    gradients of a training call with dropout and of an MLM step, whose
-    backwards run on the pool; each backward starts 10 ms late, longer
-    than a forward, so the calling thread reaches each hand-over while the
-    previous backward still runs."""
-    import sys
-
-    params = _ragged_params("pte", seed=6, dropout=0.1).astype(np.float32)
-    xts, targets, weights, t = _ragged_batch(np.random.default_rng(7).integers(5, 64, 48),
-                                             seed=10)
-    backward = dn.backward
-
-    def late(*args):
-        time.sleep(0.01)
-        return backward(*args)
-
-    monkeypatch.setattr(dn, "backward", late)
-    results = []
-    for threaded in (False, True):
-        force_threads(threaded)
-        grads = params.zeros_like()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            per_item = _masked_ce(params, xts, targets, weights, t, stream(6, "ce"), None,
-                                  train=False)
-            trained = _masked_ce(params, xts, targets, weights, t, stream(7, "ce"), grads,
-                                 train=True)
-            mlm, mlm_grads = sp.mlm_pretrain_step(params, targets, 0.3, 8)
-        finally:
-            sys.setswitchinterval(interval)
-        results.append([per_item.tobytes(), trained.tobytes(), mlm,
-                        *(grads[k].tobytes() for k in sorted(grads)),
-                        *(mlm_grads[k].tobytes() for k in sorted(mlm_grads))])
-    assert results[0] == results[1]
-
-
-def _serial_masked_ce(params, xts, targets, weights, t, rng, grads, *, train):
-    """The loss core as it ran before it used threads: groups of 8 items of
-    the stable length sort, one after another."""
-    per_item = np.zeros(len(xts))
-    order = np.argsort([len(x) for x in xts], kind="stable")
-    for lo in range(0, len(order), 8):
-        group = np.sort(order[lo : lo + 8])
-        x0 = training._pad_batch([targets[i] for i in group], PAD_ID)
-        xt = training._pad_batch([xts[i] for i in group], PAD_ID)
-        masked = xt == MASK_ID
-        w = training._pad_batch([weights[i] for i in group], 0.0)[masked]
-        logits, _ = dn.forward(params, xt, t[group], train=train, rng=rng)
-        logp = training._head_logp(logits, x0[masked], None)
-        per_pos = np.zeros(xt.shape)
-        per_pos[masked] = w * -logp
-        per_item[group] = per_pos.sum(axis=1)
-    return per_item
-
-
-def test_elbo_eval_keeps_the_single_thread_value(monkeypatch, force_threads):
-    """A fixed float32 evaluation on two threads gives, bit for bit, the
-    value of the serial loss core it replaced."""
-    params = _ragged_params("lte", seed=3).astype(np.float32)
-    rng = np.random.default_rng(11)
-    dataset = [rng.integers(4, 13, size=n) for n in rng.integers(5, 64, size=40)]
-    table = sp.SurprisalTable.from_counts(np.concatenate([[0, 0, 0], rng.integers(1, 50, 10)]))
-
-    def value():
-        return sp.elbo_eval(params, dataset, sp.ScheduleParams(8, 0.3), table, 4, seed=5)
-
+    monkeypatch.setattr(dn, "forward", recording("forward", dn.forward))
+    monkeypatch.setattr(dn, "backward", recording("backward", dn.backward))
     force_threads(True)
-    threaded = value()
-    monkeypatch.setattr(training, "_masked_ce", _serial_masked_ce)
-    assert threaded == value()
+    _masked_ce(params, xts, targets, weights, t, stream(4, "ce"), None, train=False)
+    assert seen == [("forward", False)] * 3
+    seen.clear()
+    _masked_ce(params, xts, targets, weights, t, stream(4, "ce"), params.zeros_like(),
+               train=True)
+    assert sorted(seen) == [("backward", False)] * 3 + [("forward", True)] * 3
 
 
 @pytest.mark.parametrize("grad, stage", [(False, "forward"), (True, "forward"),
@@ -986,57 +891,6 @@ def test_train_steps_reuse_freed_heap():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 100
-
-
-def test_resume_matches_uninterrupted(word_corpus, tmp_path, batch_size=4):
-    """Stopping at a checkpoint and resuming replays the uninterrupted run
-    exactly (same metrics, same final tensors)."""
-    vocab, table, seqs = word_corpus["vocab"], word_corpus["table"], word_corpus["seqs"]
-
-    def fresh_params():
-        return dn.init_params(
-            dn.DenoiserConfig(vocab_size=len(vocab), mode="tad", num_layers=1, d_model=16,
-                              num_heads=2, n_max=16, num_steps=8, dropout=0.1),
-            7,
-        ).astype(np.float32)
-
-    sched = sp.ScheduleParams(num_steps=8, lam=0.3)
-    cfg_a = sp.TrainConfig(learning_rate=1e-3, warmup_steps=5, batch_size=batch_size,
-                           total_steps=24, seed=3)
-    full = sp.run_training(fresh_params(), vocab, table, seqs, sched, cfg_a,
-                           out_dir=tmp_path / "full", checkpoint_every=8, log_every=4)
-
-    cfg_b = sp.TrainConfig(learning_rate=1e-3, warmup_steps=5, batch_size=batch_size,
-                           total_steps=16, seed=3)
-    part = sp.run_training(fresh_params(), vocab, table, seqs, sched, cfg_b,
-                           out_dir=tmp_path / "part", checkpoint_every=8, log_every=4)
-    ckpt = sp.load_checkpoint(tmp_path / "part" / "checkpoint_0000016.spnd", dtype=np.float32)
-    resumed = sp.run_training(ckpt.params, vocab, table, seqs, sched, cfg_a,
-                              out_dir=tmp_path / "resumed", checkpoint_every=8,
-                              log_every=4, start_step=ckpt.step,
-                              opt_state=opt_state_from_records(ckpt.params, ckpt.extra_tensors))
-    for name in full.params.names():
-        assert np.array_equal(full.params[name], resumed.params[name])
-    tail_full = [m for m in full.metrics if m["step"] > 16]
-    tail_res = [m for m in resumed.metrics if m["step"] > 16]
-    for a, b in zip(tail_full, tail_res):
-        assert a["loss_total"] == b["loss_total"]
-
-
-def test_resume_matches_uninterrupted_on_two_threads(word_corpus, tmp_path, monkeypatch,
-                                                     force_threads):
-    """The same with batches of 20, three length groups, each step's
-    backwards run on a second thread beside the next group's forward."""
-    backward, threads = dn.backward, set()
-
-    def recording(*args):
-        threads.add(threading.get_ident())
-        return backward(*args)
-
-    monkeypatch.setattr(dn, "backward", recording)
-    force_threads(True)
-    test_resume_matches_uninterrupted(word_corpus, tmp_path, batch_size=20)
-    assert threads and threading.get_ident() not in threads
 
 
 def test_resume_into_same_dir_logs_each_step_once(word_corpus, tmp_path):
