@@ -4,8 +4,8 @@ session and of a few library calls, pinned in golden.json beside this file.
 The session runs two ways, and both must give the same digests: on the
 calling thread alone with the default work gate, and with the gate at 0 and
 every gated call on the pool's two threads, under `thread_stress`. The first
-must also give the committed digests, where the platform is the one that
-wrote them. The session runs in a fresh directory on relative paths, so the
+must also give the committed digests, one test per entry, where the
+platform is the one that wrote them. The session runs in a fresh directory on relative paths, so the
 paths it echoes never vary. Regenerate the file, saying why in CHANGES.md,
 with
 
@@ -194,14 +194,29 @@ def one_thread():
     return _one_thread()
 
 
-def test_the_session_gives_the_committed_digests(one_thread):
-    golden = json.loads(GOLDEN.read_text())
+# read at collection, one test per entry; empty before the first --write
+COMMITTED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"digests": {}}
+
+
+@pytest.fixture(scope="module")
+def committed():
+    """The committed digests, where this platform is the one that wrote them."""
     here = platform_record()
-    if golden["platform"] != here:
-        pytest.skip(f"digests written on {golden['platform']}, this is {here}")
-    changed = moved(golden["digests"], one_thread)
-    assert not changed, (f"moved: {changed}; if the change means to move them, regenerate "
-                         f"with `{REGENERATE}` and say why in CHANGES.md")
+    if COMMITTED.get("platform") != here:
+        pytest.skip(f"digests written on {COMMITTED.get('platform')}, this is {here}")
+    return COMMITTED["digests"]
+
+
+@pytest.mark.parametrize("entry", sorted(COMMITTED["digests"]))
+def test_the_session_gives_the_committed_digest(entry, committed, one_thread):
+    assert one_thread.get(entry) == committed[entry], (
+        f"moved: {entry!r}; if the change means to move it, regenerate with `{REGENERATE}` "
+        f"and say why in CHANGES.md")
+
+
+def test_the_session_gives_no_entry_the_file_lacks(committed, one_thread):
+    new = sorted(one_thread.keys() - committed.keys())
+    assert not new, f"not in {GOLDEN.name}: {new}; regenerate with `{REGENERATE}`"
 
 
 def test_the_session_is_the_same_on_two_threads_under_stress(one_thread, force_threads,
