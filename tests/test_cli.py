@@ -52,7 +52,7 @@ def train_tiny(tmp_path, corpus_file, prep_dir, out_name="run", extra=()):
     return out
 
 
-def test_prepare_outputs(tmp_path, corpus_file):
+def test_prepare_outputs_and_idempotence(tmp_path, corpus_file):
     out = tmp_path / "prep"
     assert cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "64",
                      "--out", str(out)]) == 0
@@ -60,6 +60,10 @@ def test_prepare_outputs(tmp_path, corpus_file):
     assert set(first) == {"vocab.tsv", "stats.json"}
     vocab_lines = first["vocab.tsv"].decode().splitlines()
     assert vocab_lines[0].startswith("[MASK]\t")
+    assert cli.main(["prepare", "--corpus", str(corpus_file), "--vocab-size", "64",
+                     "--out", str(out)]) == 0
+    second = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert first == second  # byte-identical rerun
     stats = json.loads(first["stats.json"])
     assert stats["format_version"] == 1 and "config" in stats
 
@@ -89,6 +93,17 @@ def test_prepare_empty_corpus_is_usage_error(tmp_path, capsys):
     assert rc == 2
     assert f"error: corpus {corpus} contains no tokens" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_writes_artifacts(tmp_path, corpus_file, prep_dir):
+    out = train_tiny(tmp_path, corpus_file, prep_dir)
+    assert (out / "model.spnd").exists()
+    assert (out / "config.json").exists()
+    metrics = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
+    assert metrics and {"step", "loss_total", "l_t_kl", "l0", "lr", "elapsed_s"} <= set(metrics[0])
+    assert "lT" not in metrics[0]
+    resolved = json.loads((out / "config.json").read_text())
+    assert resolved["config"]["steps"] == 12
 
 
 def test_train_lambda_zero_and_mlm(tmp_path, corpus_file, prep_dir):
@@ -121,6 +136,19 @@ def test_train_config_file_and_flag_override(tmp_path, corpus_file, prep_dir):
     assert rc == 0
     resolved2 = json.loads((tmp_path / "cfgrun2" / "config.json").read_text())
     assert resolved2["config"] == resolved["config"]
+
+
+def test_train_resume_matches_uninterrupted(tmp_path, corpus_file, prep_dir):
+    full = train_tiny(tmp_path, corpus_file, prep_dir, "full", ["--checkpoint-every", "6"])
+    part = train_tiny(tmp_path, corpus_file, prep_dir, "part",
+                      ["--checkpoint-every", "6", "--steps", "6"])
+    resumed = train_tiny(tmp_path, corpus_file, prep_dir, "resumed",
+                         ["--checkpoint-every", "6",
+                          "--resume", str(part / "checkpoint_0000006.spnd")])
+    full_m = {m["step"]: m for m in map(json.loads, (full / "metrics.jsonl").read_text().splitlines())}
+    res_m = {m["step"]: m for m in map(json.loads, (resumed / "metrics.jsonl").read_text().splitlines())}
+    for step in (8, 12):
+        assert full_m[step]["loss_total"] == res_m[step]["loss_total"]
 
 
 def test_train_resume_keeps_checkpoint_lambda(tmp_path, corpus_file, prep_dir):
@@ -221,12 +249,18 @@ def test_train_resume_rejects_bad_header_values(tmp_path, corpus_file, prep_dir,
         assert err.startswith(f"runtime failure: {bad}: ") and "Traceback" not in err, kind
 
 
-def test_sample_is_mask_free(tmp_path, corpus_file, prep_dir):
+def test_sample_deterministic_and_mask_free(tmp_path, corpus_file, prep_dir):
     run = train_tiny(tmp_path, corpus_file, prep_dir)
-    assert cli.main(["sample", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
-                     "--num", "3", "--length", "5", "--iterations", "4", "--top-k", "5",
-                     "--seed", "7", "--out", str(tmp_path / "s1.txt"),
-                     "--trajectory", str(tmp_path / "t1.jsonl")]) == 0
+    args = ["sample", "--checkpoint", str(run / "model.spnd"), "--prep", str(prep_dir),
+            "--num", "3", "--length", "5", "--iterations", "4", "--top-k", "5",
+            "--seed", "7", "--out", str(tmp_path / "s1.txt"),
+            "--trajectory", str(tmp_path / "t1.jsonl")]
+    assert cli.main(args) == 0
+    args2 = list(args)
+    args2[args.index(str(tmp_path / "s1.txt"))] = str(tmp_path / "s2.txt")
+    args2[args.index(str(tmp_path / "t1.jsonl"))] = str(tmp_path / "t2.jsonl")
+    assert cli.main(args2) == 0
+    assert (tmp_path / "s1.txt").read_bytes() == (tmp_path / "s2.txt").read_bytes()
     lines = (tmp_path / "s1.txt").read_text().splitlines()
     assert len(lines) == 3
     assert all("[MASK]" not in l and "[PAD]" not in l for l in lines)
@@ -727,6 +761,11 @@ def test_schedule_csv(tmp_path, corpus_file, prep_dir, capsys):
         assert np.abs(values - dense).max() <= 1e-12
         assert f"({events} clamp events)" in capsys.readouterr().out
     assert events > 0
+    # rerun is byte-identical
+    out2 = tmp_path / "sched2.csv"
+    cli.main(["schedule", "--prep", str(prep_dir), "--text", "the cat sat",
+              "--lambda", "2.0", "--T", "8", "--out", str(out2)])
+    assert out.read_bytes() == out2.read_bytes()
 
 
 @pytest.mark.parametrize("smoothing", ["0.5", "0.7", "1"])
@@ -987,3 +1026,13 @@ def test_cut_lines_are_counted_on_stderr(tmp_path, corpus_file, prep_dir, capsys
                    "--t-samples", "1", "--out", str(tmp_path / "report.json")])
     assert rc == 0
     assert note in capsys.readouterr().err
+
+
+def test_python_dash_m_spindle_runs_the_cli():
+    """`python -m spindle` is the command line: --help lists the commands
+    and exits 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sp.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-m", "spindle", "--help"], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "verify" in done.stdout

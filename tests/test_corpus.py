@@ -104,6 +104,13 @@ def test_specials_have_zero_surprisal(tmp_path):
     assert np.all(table.h[:3] == 0.0)
 
 
+def test_vocab_build_deterministic(tmp_path):
+    corpus = write(tmp_path, "x y z y x x\n")
+    v1 = sp.build_vocab(corpus, 10)
+    v2 = sp.build_vocab(corpus, 10)
+    assert v1.to_tsv() == v2.to_tsv()
+
+
 def test_vocab_tsv_round_trip(tmp_path):
     corpus = write(tmp_path, "a b a\n")
     vocab = sp.build_vocab(corpus, 10)

@@ -65,10 +65,20 @@ def test_untrained_model_is_uniform_over_content():
     assert np.allclose(probs[:, 3:], 1.0 / 8, atol=1e-12)
 
 
+def test_determinism():
+    params = dn.init_params(tiny_config("pte"), 3)
+    xt = np.array([4, MASK_ID, 6, 7])
+    a = dn.forward(params, xt, 2)[0]
+    b = dn.forward(params, xt, 2)[0]
+    assert np.array_equal(a, b)
+
+
 def test_init_seeding_and_sigma():
     cfg = tiny_config("lte", d_model=64, num_heads=4)
     p1 = dn.init_params(cfg, 1)
+    p2 = dn.init_params(cfg, 1)
     p3 = dn.init_params(cfg, 2)
+    assert all(np.array_equal(p1[k], p2[k]) for k in p1.names())
     assert any(not np.array_equal(p1[k], p3[k]) for k in p1.names())
     assert np.all(p1["out.w"] == 0.0) and np.all(p1["out.b"] == 0.0)
     draws = np.concatenate([p1[k].ravel() for k in p1.names()

@@ -85,9 +85,10 @@ def _run(digests: dict[str, str], label: str, *argv: str) -> None:
 
 def _library(digests: dict[str, str]) -> None:
     """Per mode and dtype, the loss and its gradients over 70 items, so two
-    windows sum into one buffer, and a frozen and a remask sample; three
-    float64 Adam updates; a sample of tied logits; a desk-shaped 8-chain
-    tad sample."""
+    windows sum into one buffer, and a frozen and a remask sample of 64
+    iterations, in which a tad model predicts on strict subsets of its
+    chains; three float64 Adam updates; a sample of tied logits; a
+    desk-shaped 8-chain tad sample."""
     rng = np.random.default_rng(0)
     h = np.r_[0.0, 0.0, 0.0, np.linspace(0.5, 4.0, 2001)]
     seqs = [rng.integers(4, 13, size=n) for n in rng.integers(2, 16, size=70)]
@@ -97,7 +98,7 @@ def _library(digests: dict[str, str]) -> None:
             for x, t in zip(seqs, t_draws)]
     for mode in dn.MODES:
         config = dn.DenoiserConfig(vocab_size=13, mode=mode, num_layers=1, d_model=16,
-                                   num_heads=2, n_max=16, num_steps=8)
+                                   num_heads=2, n_max=16, num_steps=64)
         params = dn.init_params(config, 5)
         params.tensors["out.w"][:] = np.random.default_rng(6).normal(0.0, 0.4, (16, 13))
         for dtype in (np.float32, np.float64):
@@ -110,7 +111,8 @@ def _library(digests: dict[str, str]) -> None:
                 g[k].tobytes() for g in (grads, mlm_grads) for k in sorted(g))
             digests[f"loss {mode} {np.dtype(dtype)}"] = _digest(blob)
             for remask in (False, True):
-                res = sp.generate_batch(p, sched, sp.SampleConfig(7, 8, top_k=6, remask=remask),
+                res = sp.generate_batch(p, sp.ScheduleParams(64, 0.3),
+                                        sp.SampleConfig(7, 64, top_k=6, remask=remask),
                                         sp.SurprisalTable(h[:13]), 5, 11)
                 digests[f"sample {mode} {np.dtype(dtype)} remask={remask}"] = _digest(
                     res.sequences.tobytes() + res.reveal_iteration.tobytes())
@@ -221,18 +223,22 @@ def test_the_session_gives_no_entry_the_file_lacks(committed, one_thread):
 
 def test_the_session_is_the_same_on_two_threads_under_stress(one_thread, force_threads,
                                                             thread_stress, monkeypatch, tmp_path):
-    """The gate at 0 splits every sampler call of two or more chains, and
-    every call of the loss core on more than one group goes to the pool.
-    The resumed run ends where the one it resumed does."""
+    """The gate at 0 splits every sampler call of two or more chains, those
+    on strict subsets of a tad batch too, and sends every call of the loss
+    core on more than one group to the pool. The resumed run ends where the
+    one it resumed does."""
     pool, submitted = _threads._thread_pool, []
+    predict, predicted = sp.sampling._predict, []
     monkeypatch.setattr(_threads, "_thread_pool", lambda: submitted.append(1) or pool())
+    monkeypatch.setattr(sp.sampling, "_predict",
+                        lambda params, x, *a: predicted.append(len(x)) or predict(params, x, *a))
     monkeypatch.setattr(_threads, "_MIN_THREADED_WORK", 0)
     force_threads(True)
     monkeypatch.chdir(tmp_path)
     two = session()
     changed = moved(one_thread, two)
     assert not changed, f"moved on two threads: {changed}"
-    assert len(submitted) > 200
+    assert len(submitted) > 200 and {2, 3} & set(predicted)  # only tad predicts on 2 or 3
     assert two["resumed/model.spnd"] == two["tad/model.spnd"]
 
 

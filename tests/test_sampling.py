@@ -148,14 +148,18 @@ def _flat_surprisal(vocab_size=12):
     return sp.SurprisalTable(h)
 
 
-def test_generate_terminates_mask_free():
+def test_generate_terminates_mask_free_and_deterministic():
     params = _uniform_model()
     sched_params = sp.ScheduleParams(num_steps=16, lam=0.3)
     cfg = sp.SampleConfig(length=8, num_reverse_iterations=4, top_k=5, seed=3)
-    res = sp.generate_batch(params, sched_params, cfg, _flat_surprisal(), 1, stream(3, "g"),
-                            record_trajectory=True)
-    assert not np.isin(res.sequences, [MASK_ID, PAD_ID, CLS_ID]).any()
-    traj = res.trajectory
+    table = _flat_surprisal()
+    res1 = sp.generate_batch(params, sched_params, cfg, table, 1, stream(3, "g"),
+                             record_trajectory=True)
+    res2 = sp.generate_batch(params, sched_params, cfg, table, 1, stream(3, "g"),
+                             record_trajectory=True)
+    assert np.array_equal(res1.sequences, res2.sequences)
+    assert not np.isin(res1.sequences, [MASK_ID, PAD_ID, CLS_ID]).any()
+    traj = res1.trajectory
     assert traj[0]["t"] == 16 and np.all(traj[0]["ids"] == MASK_ID)
     assert traj[-1]["t"] == 0
     assert len(traj) == 5

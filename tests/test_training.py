@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import spindle as sp
 from spindle import _threads, denoiser as dn, oracle as orc, training
-from spindle.corpus import MASK_ID
+from spindle.corpus import MASK_ID, PAD_ID
 from spindle.diffusion import spindle_alpha_bar_at
 from spindle.rng import stream
 from spindle.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ShuffledPasses, _masked_ce,
@@ -315,6 +315,43 @@ def test_threaded_loss_calls_run_each_stage_on_its_thread(monkeypatch, force_thr
     _masked_ce(params, xts, targets, weights, t, stream(4, "ce"), params.zeros_like(),
                train=True)
     assert sorted(seen) == [("backward", False)] * 3 + [("forward", True)] * 3
+
+
+def _serial_masked_ce(params, xts, targets, weights, t, rng, grads, *, train):
+    """The loss core as it ran before it used threads: groups of 8 items of
+    the stable length sort, one after another."""
+    per_item = np.zeros(len(xts))
+    order = np.argsort([len(x) for x in xts], kind="stable")
+    for lo in range(0, len(order), 8):
+        group = np.sort(order[lo : lo + 8])
+        x0 = training._pad_batch([targets[i] for i in group], PAD_ID)
+        xt = training._pad_batch([xts[i] for i in group], PAD_ID)
+        masked = xt == MASK_ID
+        w = training._pad_batch([weights[i] for i in group], 0.0)[masked]
+        logits, _ = dn.forward(params, xt, t[group], train=train, rng=rng)
+        logp = training._head_logp(logits, x0[masked], None)
+        per_pos = np.zeros(xt.shape)
+        per_pos[masked] = w * -logp
+        per_item[group] = per_pos.sum(axis=1)
+    return per_item
+
+
+def test_elbo_eval_keeps_the_single_thread_value(monkeypatch, force_threads):
+    """A fixed float32 evaluation on two threads gives, bit for bit, the
+    value of the serial loss core it replaced. Unlike golden.json's
+    digests, this reference check runs on any platform."""
+    params = _ragged_params("lte", seed=3).astype(np.float32)
+    rng = np.random.default_rng(11)
+    dataset = [rng.integers(4, 13, size=n) for n in rng.integers(5, 64, size=40)]
+    table = sp.SurprisalTable.from_counts(np.concatenate([[0, 0, 0], rng.integers(1, 50, 10)]))
+
+    def value():
+        return sp.elbo_eval(params, dataset, sp.ScheduleParams(8, 0.3), table, 4, seed=5)
+
+    force_threads(True)
+    threaded = value()
+    monkeypatch.setattr(training, "_masked_ce", _serial_masked_ce)
+    assert threaded == value()
 
 
 @pytest.mark.parametrize("grad, stage", [(False, "forward"), (True, "forward"),
@@ -891,6 +928,41 @@ def test_train_steps_reuse_freed_heap():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 100
+
+
+def test_resume_matches_uninterrupted(word_corpus, tmp_path):
+    """Stopping at a checkpoint and resuming replays the uninterrupted run
+    exactly (same metrics, same final tensors)."""
+    vocab, table, seqs = word_corpus["vocab"], word_corpus["table"], word_corpus["seqs"]
+
+    def fresh_params():
+        return dn.init_params(
+            dn.DenoiserConfig(vocab_size=len(vocab), mode="tad", num_layers=1, d_model=16,
+                              num_heads=2, n_max=16, num_steps=8, dropout=0.1),
+            7,
+        ).astype(np.float32)
+
+    sched = sp.ScheduleParams(num_steps=8, lam=0.3)
+    cfg_a = sp.TrainConfig(learning_rate=1e-3, warmup_steps=5, batch_size=4,
+                           total_steps=24, seed=3)
+    full = sp.run_training(fresh_params(), vocab, table, seqs, sched, cfg_a,
+                           out_dir=tmp_path / "full", checkpoint_every=8, log_every=4)
+
+    cfg_b = sp.TrainConfig(learning_rate=1e-3, warmup_steps=5, batch_size=4,
+                           total_steps=16, seed=3)
+    part = sp.run_training(fresh_params(), vocab, table, seqs, sched, cfg_b,
+                           out_dir=tmp_path / "part", checkpoint_every=8, log_every=4)
+    ckpt = sp.load_checkpoint(tmp_path / "part" / "checkpoint_0000016.spnd", dtype=np.float32)
+    resumed = sp.run_training(ckpt.params, vocab, table, seqs, sched, cfg_a,
+                              out_dir=tmp_path / "resumed", checkpoint_every=8,
+                              log_every=4, start_step=ckpt.step,
+                              opt_state=opt_state_from_records(ckpt.params, ckpt.extra_tensors))
+    for name in full.params.names():
+        assert np.array_equal(full.params[name], resumed.params[name])
+    tail_full = [m for m in full.metrics if m["step"] > 16]
+    tail_res = [m for m in resumed.metrics if m["step"] > 16]
+    for a, b in zip(tail_full, tail_res):
+        assert a["loss_total"] == b["loss_total"]
 
 
 def test_resume_into_same_dir_logs_each_step_once(word_corpus, tmp_path):
