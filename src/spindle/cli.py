@@ -1,11 +1,22 @@
 """Operator CLI: prepare / train / sample / eval / schedule / verify.
 
-Exit codes: 0 success, 2 usage or validation failure, 3 runtime failure or
-a `train` run stopped by SIGINT or SIGTERM. The first such signal stops a
-run at the end of the step it is in: that step's checkpoint, with the Adam
-state, is written, no model.spnd is, and the command that resumes the run is
-printed. A second signal exits at once, and a signal ignored at start stays
-ignored.
+Every command, given any flags and inputs, exits with one of three codes,
+never with a traceback:
+- 0: the work is done.
+- 2: a usage error, found before any output is written: a flag argparse
+  cannot parse, a setting its library owner refuses, a missing input, an
+  input that is not UTF-8 or holds no usable line, a config file or preset
+  that is not a settings object of the right types, or a checkpoint of
+  another vocab or model. The message names the flag or the file.
+- 3: a runtime failure: a damaged prep directory, checkpoint or metrics
+  file, an output path that cannot be written, a fault in the work, a
+  failed `verify` check, or a size that numpy refuses to allocate, which
+  exits with numpy's message and names no flag. A `train` run stopped by
+  SIGINT or SIGTERM exits 3 too.
+The first such signal stops a run at the end of the step it is in: that
+step's checkpoint, with the Adam state, is written, no model.spnd is, and the
+command that resumes the run is printed. A second signal exits at once, and
+a signal ignored at start stays ignored.
 Every command is deterministic given --seed; outputs carry a format_version
 and the fully resolved config (plain-text sample files get a .meta.json
 sidecar instead).
@@ -157,7 +168,8 @@ def _load_model(args: argparse.Namespace):
     vocab, table = _load_prep(args.prep)
     ckpt = load_checkpoint(_require_file(args.checkpoint, "checkpoint"), dtype=np.float32)
     if ckpt.vocab_hash != vocab.content_hash():
-        raise UsageError("vocab hash mismatch between checkpoint and prep directory")
+        raise UsageError(f"vocab hash mismatch between checkpoint {args.checkpoint} and prep "
+                         f"directory {args.prep}")
     sched_params = ScheduleParams(num_steps=ckpt.params.config.num_steps, lam=ckpt.lam)
     return vocab, table, ckpt, sched_params
 
@@ -308,7 +320,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.resume:
         ckpt = load_checkpoint(_require_file(args.resume, "checkpoint"), dtype=np.float32)
         if ckpt.vocab_hash != vocab.content_hash():
-            raise UsageError("vocab hash mismatch: checkpoint was trained on a different vocab")
+            raise UsageError(f"vocab hash mismatch: checkpoint {args.resume} was trained on "
+                             f"another vocab than prep directory {args.prep}")
         if not ckpt.extra_tensors:
             raise UsageError(f"{args.resume} holds no optimizer state; resume from a "
                              "checkpoint_*.spnd file written during training")

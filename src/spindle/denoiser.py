@@ -28,7 +28,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .corpus import CLS_ID, MASK_ID, PAD_ID
-from .diffusion import ScheduleParams
+from .diffusion import MAX_STEPS, ScheduleParams
 from .rng import as_generator
 
 MODES = ("lte", "pte", "tad")
@@ -40,6 +40,11 @@ _NEG = -1e30
 _FFN_MULT = 4  # FFN hidden width, in multiples of d_model
 
 CHECKPOINT_VERSION = 3  # version 2 headers also held ffn_mult; they still load
+# The deepest model. `init_params` and every pass loop over the layers in
+# Python, so a depth no machine can hold would grow memory one layer's small
+# arrays at a time instead of failing at once: 2^32 layers took 2.5 s to fill
+# 512 MiB before a MemoryError.
+MAX_LAYERS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -56,8 +61,8 @@ class DenoiserConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.num_layers < 1:
-            raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
+        if not 1 <= self.num_layers <= MAX_LAYERS:
+            raise ValueError(f"num_layers must be in [1, {MAX_LAYERS}], got {self.num_layers}")
         if self.d_model < 2 or self.d_model % 2 != 0:
             raise ValueError(f"d_model must be even and >= 2 (sinusoidal time features), "
                              f"got {self.d_model}")
@@ -66,8 +71,8 @@ class DenoiserConfig:
                              f"got {self.num_heads}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
+        if not 1 <= self.num_steps <= MAX_STEPS:
+            raise ValueError(f"num_steps must be in [1, {MAX_STEPS}], got {self.num_steps}")
         if self.vocab_size < 4:
             raise ValueError("vocab_size must be >= 4")
         if not 0 <= self.dropout < 1:

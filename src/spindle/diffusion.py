@@ -19,6 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The most steps a schedule or model takes: at T = 2^32, 1/T is still 2^21
+# ulps of a retention value just below 1. Near T = 2^53 it is one ulp, and
+# past 2^63 a step is no int64.
+MAX_STEPS = 1 << 32
+
 
 @dataclass(frozen=True)
 class ScheduleParams:
@@ -30,8 +35,8 @@ class ScheduleParams:
     lam: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
+        if not 1 <= self.num_steps <= MAX_STEPS:
+            raise ValueError(f"num_steps must be in [1, {MAX_STEPS}], got {self.num_steps}")
         if not 0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
 

@@ -66,9 +66,10 @@ def elbo_eval(
     sched_params.check_model_steps(params.config.num_steps)
     big_t, k = sched_params.num_steps, t_samples_per_example
     dataset = [np.asarray(x, dtype=np.int64) for x in dataset]
-    seqs = [x for x in dataset for _ in range(k)]
+    # the t draws come first: a k that numpy cannot allocate fails before the pairs are listed
     t_draws = np.concatenate([stratified_t_draws(stream(seed, "elbo", i), k, big_t)
                               for i in range(len(dataset))])
+    seqs = [x for x in dataset for _ in range(k)]
     rows = (spindle_alpha_bar_at(surprisal.h_for(x), [t - 1, t], sched_params)
             for x, t in zip(seqs, t_draws))
     breakdown, _ = diffusion_loss_batch(params, seqs, rows, t_draws, stream(seed, "elbo-noise"),

@@ -409,17 +409,18 @@ class ShuffledPasses:
         self._perm = np.empty(0, dtype=np.int64)
 
     def batch(self, step: int, batch_size: int) -> np.ndarray:
-        pos, hi = (step - 1) * batch_size, step * batch_size
-        parts = []
-        while pos < hi:
-            epoch, off = divmod(pos, self.n)
+        # allocated first, so a size numpy cannot allocate fails before any pass is drawn
+        out = np.empty(batch_size, dtype=np.int64)
+        start, done = (step - 1) * batch_size, 0
+        while done < batch_size:
+            epoch, off = divmod(start + done, self.n)
             if epoch != self._epoch:
                 self._epoch = epoch
                 self._perm = stream(self.seed, "epoch", epoch).permutation(self.n)
-            take = min(self.n - off, hi - pos)
-            parts.append(self._perm[off : off + take])
-            pos += take
-        return np.concatenate(parts)
+            take = min(self.n - off, batch_size - done)
+            out[done : done + take] = self._perm[off : off + take]
+            done += take
+        return out
 
 
 def stratified_t_draws(rng: np.random.Generator, batch_size: int, num_steps: int) -> np.ndarray:
@@ -428,7 +429,8 @@ def stratified_t_draws(rng: np.random.Generator, batch_size: int, num_steps: int
     batch covers {1..T} as evenly as B allows.
     """
     u = rng.random()
-    t = np.floor((np.arange(batch_size) + u) * num_steps / batch_size).astype(np.int64) + 1
+    # np.indices refuses a size numpy cannot allocate; np.arange gives no items near 2^63
+    t = np.floor((np.indices((batch_size,))[0] + u) * num_steps / batch_size).astype(np.int64) + 1
     return rng.permutation(np.minimum(t, num_steps))
 
 

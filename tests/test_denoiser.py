@@ -33,6 +33,10 @@ def test_config_validation():
         tiny_config(mode="foo")
     with pytest.raises(ValueError, match="num_layers"):
         tiny_config(num_layers=0)  # the head reads the last layer's [MASK] rows
+    for field, hi in (("num_layers", dn.MAX_LAYERS), ("num_steps", dn.MAX_STEPS)):
+        assert getattr(tiny_config(**{field: hi}), field) == hi
+        with pytest.raises(ValueError, match=rf"^{field} must be in \[1, {hi}\], got {hi + 1}$"):
+            tiny_config(**{field: hi + 1})
 
 
 def test_time_arg_contract():

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import spindle as sp
 from spindle import oracle
-from spindle.diffusion import reveal_from_rows, spindle_alpha_bar_at
+from spindle.diffusion import MAX_STEPS, reveal_from_rows, spindle_alpha_bar_at
 
 positive_h = st.lists(
     st.floats(min_value=0.05, max_value=20.0, allow_nan=False), min_size=1, max_size=16
@@ -80,6 +80,9 @@ def test_schedule_rejects_bad_h():
     for lam in (-0.1, np.inf, np.nan):
         with pytest.raises(ValueError):
             sp.ScheduleParams(num_steps=4, lam=lam)
+    assert sp.ScheduleParams(num_steps=MAX_STEPS).num_steps == 1 << 32
+    with pytest.raises(ValueError, match=rf"^num_steps must be in \[1, {1 << 32}\], got {2**63}$"):
+        sp.ScheduleParams(num_steps=2**63)
 
 
 # repeated values give ties; 0.05 against 20 spreads h~ far enough that
