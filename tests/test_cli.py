@@ -20,7 +20,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import BAD_HEADER_KINDS, _corrupt_checkpoint
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import spindle as sp
 from spindle import cli, oracle
@@ -952,7 +952,7 @@ def cli_files(tmp_path_factory):
     return files
 
 
-# The replaced per-flag tests' cases, a --T past int64 and a directory corpus, run every pass.
+# The replaced per-flag tests' cases, a --T past int64 and a directory corpus, one test each.
 _PINNED = [(base, flag, value) for base, cases in {
     "train": "--log-every 0 --batch-size 0 --T 0 --heads 3 --lambda -1 --mlm-mask-rate 0 "
              "--mlm-mask-rate 1.5 --warmup -1 --steps -1 --layers 0 --heads 0 --d-model 0 "
@@ -1025,6 +1025,6 @@ def test_every_flag_keeps_the_exit_code_contract(cli_files, draw):
             assert rc == 2 and (damaged in err if damaged else err.startswith(f"error: {flag} "))
 
 
-for _case in _PINNED:
-    test_every_flag_keeps_the_exit_code_contract = example(draw=_case)(
-        test_every_flag_keeps_the_exit_code_contract)
+@pytest.mark.parametrize("draw", _PINNED, ids=[f"{b}{f}={v}" for b, f, v in _PINNED])
+def test_pinned_case_keeps_the_exit_code_contract(cli_files, draw):
+    test_every_flag_keeps_the_exit_code_contract.hypothesis.inner_test(cli_files, draw)
