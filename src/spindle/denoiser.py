@@ -14,7 +14,9 @@ the [MASK] rows go on: its output projection, second layernorm and FFN, the
 final layernorm and the output head all run on those rows alone.
 Forward passes record activations so `backward` can produce exact
 reverse-mode gradients for every parameter; correctness is pinned by
-finite-difference tests rather than an autodiff framework.
+finite-difference tests rather than an autodiff framework. Each op with
+parameters is one forward/backward pair: `_layernorm`, `_linear` (every GEMM
+with a bias) and `_mlp` (the FFN and lte's time MLP); attention is inline.
 """
 
 from __future__ import annotations
@@ -240,10 +242,38 @@ def _matgrad(a: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _lin(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w with leading dims flattened; one large GEMM beats numpy's
-    strided batched path by a wide margin at these shapes.
-    """
+    """x @ w as one GEMM over x's flattened leading dims, far faster at these
+    shapes than numpy's strided batched path."""
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+
+
+def _linear(x: np.ndarray, p: dict, w: str, b: str) -> np.ndarray:
+    """x @ p[w] + p[b], the bias added in place."""
+    y = _lin(x, p[w])
+    y += p[b]
+    return y
+
+
+def _linear_grad(a: np.ndarray, d: np.ndarray, p: dict, w: str, b: str, grads: dict) -> np.ndarray:
+    """dx of `_linear` at input a given upstream d; adds w's, then b's gradient into grads."""
+    grads[w] += _matgrad(a, d)
+    grads[b] += _sum_rows(d)
+    return _lin(d, p[w].T)
+
+
+def _mlp(x: np.ndarray, p: dict, prefix: str) -> tuple[np.ndarray, tuple]:
+    """w2 GELU(w1 x + b1) + b2, its tensors named prefix + "w1" and so on; returns (y, cache)."""
+    z = _linear(x, p, prefix + "w1", prefix + "b1")
+    act, th = _gelu(z)
+    return _linear(act, p, prefix + "w2", prefix + "b2"), (x, z, th, act)
+
+
+def _mlp_grad(cache: tuple, dy: np.ndarray, p: dict, prefix: str, grads: dict) -> np.ndarray:
+    """dx of `_mlp`; adds the gradients of its four tensors into grads."""
+    x, z, th, act = cache
+    dz = _linear_grad(act, dy, p, prefix + "w2", prefix + "b2", grads)
+    dz *= _gelu_grad(z, th)
+    return _linear_grad(x, dz, p, prefix + "w1", prefix + "b1", grads)
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
@@ -331,14 +361,9 @@ def forward(
     if emb_mask is not None:
         h = h * emb_mask
 
-    tvec = None
-    time_cache = None
+    tvec = time_cache = None
     if cfg.mode == "lte":
-        feats = _time_features(t, cfg.d_model, dtype)
-        z1 = feats @ p["time_mlp.w1"] + p["time_mlp.b1"]
-        a1, th1 = _gelu(z1)
-        tvec = a1 @ p["time_mlp.w2"] + p["time_mlp.b2"]
-        time_cache = (feats, z1, th1, a1)
+        tvec, time_cache = _mlp(_time_features(t, cfg.d_model, dtype), p, "time_mlp.")
 
     key_valid = ids != PAD_ID
     key_bias = np.where(key_valid, 0.0, _NEG).astype(dtype)[:, None, None, :]
@@ -352,13 +377,12 @@ def forward(
 
     layers = []
     for i in range(cfg.num_layers):
-        pre = f"layer{i}."
+        pre, at = f"layer{i}.", f"layer{i}.attn."
         rows = head_rows if i == cfg.num_layers - 1 else None
         h_in = h + tvec[:, None, :] if tvec is not None else h
         a_norm, ln1_cache = _layernorm(h_in, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        q = _split_heads(_lin(a_norm, p[pre + "attn.wq"]) + p[pre + "attn.bq"], cfg.num_heads)
-        k = _split_heads(_lin(a_norm, p[pre + "attn.wk"]) + p[pre + "attn.bk"], cfg.num_heads)
-        v = _split_heads(_lin(a_norm, p[pre + "attn.wv"]) + p[pre + "attn.bv"], cfg.num_heads)
+        q, k, v = (_split_heads(_linear(a_norm, p, at + "w" + s, at + "b" + s), cfg.num_heads)
+                   for s in "qkv")
         scores = q @ k.swapaxes(-1, -2) * scale + key_bias
         scores -= scores.max(axis=-1, keepdims=True)
         probs = np.exp(scores)
@@ -368,15 +392,13 @@ def forward(
             # Only the head reads the last layer's output, so past attention
             # it runs on the (r, d) [MASK] rows alone.
             ctx, h_in = ctx[rows], h_in[rows]
-        attn_out = _lin(ctx, p[pre + "attn.wo"]) + p[pre + "attn.bo"]
+        attn_out = _linear(ctx, p, at + "wo", at + "bo")
         attn_mask = make_mask(rows)
         if attn_mask is not None:
             attn_out = attn_out * attn_mask
         h_mid = h_in + attn_out
         f_norm, ln2_cache = _layernorm(h_mid, p[pre + "ln2.g"], p[pre + "ln2.b"])
-        z = _lin(f_norm, p[pre + "ffn.w1"]) + p[pre + "ffn.b1"]
-        act, z_th = _gelu(z)
-        f_out = _lin(act, p[pre + "ffn.w2"]) + p[pre + "ffn.b2"]
+        f_out, ffn_cache = _mlp(f_norm, p, pre + "ffn.")
         ffn_mask = make_mask(rows)
         if ffn_mask is not None:
             f_out = f_out * ffn_mask
@@ -384,14 +406,12 @@ def forward(
         layers.append(
             dict(
                 ln1=ln1_cache, a_norm=a_norm, q=q, k=k, v=v, probs=probs, ctx=ctx,
-                attn_mask=attn_mask, ln2=ln2_cache, f_norm=f_norm, z=z, z_th=z_th,
-                act=act, ffn_mask=ffn_mask,
+                attn_mask=attn_mask, ln2=ln2_cache, ffn=ffn_cache, ffn_mask=ffn_mask,
             )
         )
 
     hf, lnf_cache = _layernorm(h, p["ln_f.g"], p["ln_f.b"])
-    logits = hf @ p["out.w"]
-    logits += p["out.b"]
+    logits = _linear(hf, p, "out.w", "out.b")
     logits[:, SPECIAL_IDS] = -np.inf
 
     cache = dict(
@@ -438,31 +458,22 @@ def backward(
     if dlogits[:, SPECIAL_IDS].any():
         dlogits = np.array(upstream_grad, dtype=params.dtype)
         dlogits[:, SPECIAL_IDS] = 0.0
-    g["out.w"] += cache.pop("hf").T @ dlogits
-    g["out.b"] += dlogits.sum(axis=0)
-    dh = dlogits @ p["out.w"].T
+    dh = _linear_grad(cache.pop("hf"), dlogits, p, "out.w", "out.b", g)
     dh = _layernorm_backward(dh, cache["lnf"], p["ln_f.g"], g, "ln_f")
 
     scale = 1.0 / float(np.sqrt(cfg.head_dim))
     dtvec = np.zeros((B, cfg.d_model), dtype=params.dtype) if cfg.mode == "lte" else None
 
     for i in reversed(range(cfg.num_layers)):
-        pre = f"layer{i}."
+        pre, at = f"layer{i}.", f"layer{i}.attn."
         c = cache["layers"].pop()  # layer i's activations, freed with c
-        # ffn sublayer: h = h_mid + drop(w2 gelu(w1 ln2(h_mid)))
+        # ffn sublayer: h = h_mid + drop(mlp(ln2(h_mid)))
         df = dh * c["ffn_mask"] if c["ffn_mask"] is not None else dh
-        g[pre + "ffn.w2"] += _matgrad(c["act"], df)
-        g[pre + "ffn.b2"] += _sum_rows(df)
-        dz = _lin(df, p[pre + "ffn.w2"].T) * _gelu_grad(c["z"], c["z_th"])
-        g[pre + "ffn.w1"] += _matgrad(c["f_norm"], dz)
-        g[pre + "ffn.b1"] += _sum_rows(dz)
-        dln2 = _lin(dz, p[pre + "ffn.w1"].T)
+        dln2 = _mlp_grad(c["ffn"], df, p, pre + "ffn.", g)
         dh_mid = dh + _layernorm_backward(dln2, c["ln2"], p[pre + "ln2.g"], g, pre + "ln2")
         # attention sublayer: h_mid = h_in + drop(attn(ln1(h_in)))
         dattn = dh_mid * c["attn_mask"] if c["attn_mask"] is not None else dh_mid
-        g[pre + "attn.wo"] += _matgrad(c["ctx"], dattn)
-        g[pre + "attn.bo"] += _sum_rows(dattn)
-        dctx = _lin(dattn, p[pre + "attn.wo"].T)
+        dctx = _linear_grad(c["ctx"], dattn, p, at + "wo", at + "bo", g)
         if i == cfg.num_layers - 1:
             # the last layer ran past attention on the [MASK] rows alone
             rows = cache["head_rows"]
@@ -474,17 +485,9 @@ def backward(
         dq = _merge_heads(dscores @ c["k"] * scale)
         dk = _merge_heads(dscores.swapaxes(-1, -2) @ c["q"] * scale)
         dv = _merge_heads(dv)
-        g[pre + "attn.wq"] += _matgrad(c["a_norm"], dq)
-        g[pre + "attn.bq"] += dq.sum(axis=(0, 1))
-        g[pre + "attn.wk"] += _matgrad(c["a_norm"], dk)
-        g[pre + "attn.bk"] += dk.sum(axis=(0, 1))
-        g[pre + "attn.wv"] += _matgrad(c["a_norm"], dv)
-        g[pre + "attn.bv"] += dv.sum(axis=(0, 1))
-        dln1 = (
-            _lin(dq, p[pre + "attn.wq"].T)
-            + _lin(dk, p[pre + "attn.wk"].T)
-            + _lin(dv, p[pre + "attn.wv"].T)
-        )
+        dln1 = (_linear_grad(c["a_norm"], dq, p, at + "wq", at + "bq", g)
+                + _linear_grad(c["a_norm"], dk, p, at + "wk", at + "bk", g)
+                + _linear_grad(c["a_norm"], dv, p, at + "wv", at + "bv", g))
         dh = dh_mid + _layernorm_backward(dln1, c["ln1"], p[pre + "ln1.g"], g, pre + "ln1")
         if dtvec is not None:
             dtvec += dh.sum(axis=1)
@@ -497,13 +500,8 @@ def backward(
     _add_rows_at(g["tok_emb"], ids[real], dh.reshape(-1, cfg.d_model)[real])
     if cfg.mode == "pte":
         _add_rows_at(g["time_tok_emb"], cache["t"], dh[:, 1, :])
-    if cfg.mode == "lte":
-        feats, z1, th1, a1 = cache["time_cache"]
-        g["time_mlp.w2"] += _matgrad(a1, dtvec)
-        g["time_mlp.b2"] += dtvec.sum(axis=0)
-        dz1 = (dtvec @ p["time_mlp.w2"].T) * _gelu_grad(z1, th1)
-        g["time_mlp.w1"] += _matgrad(feats, dz1)
-        g["time_mlp.b1"] += dz1.sum(axis=0)
+    if cfg.mode == "lte":  # the time features are constants: their gradient is dropped
+        _mlp_grad(cache["time_cache"], dtvec, p, "time_mlp.", g)
     return g
 
 

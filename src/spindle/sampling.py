@@ -81,8 +81,8 @@ def top_k_filter(logit_row: np.ndarray, k: int, temperature: float = 1.0) -> np.
     order = np.argsort(-row, kind="stable")  # stable: equal logits by lower id
     kept = order[:k_eff]
     out = np.full_like(row, -np.inf)
-    out[kept] = row[kept] / temperature
-    out -= out[kept].max()
+    with np.errstate(over="ignore"):  # a tiny temperature sends all but the max to -inf
+        out[kept] = (row[kept] - row[kept].max()) / temperature
     probs = np.exp(out)
     return probs / probs.sum()
 
@@ -108,8 +108,10 @@ def _top_k_rows(logits: np.ndarray, k: int, temperature: float) -> tuple[np.ndar
     keep[tied] = above | (ties & (np.cumsum(ties, axis=1) <= need))
     kept = (np.flatnonzero(keep) % K).reshape(-1, k_eff)
 
-    vals = np.take_along_axis(logits, kept, axis=1).astype(np.float64) / temperature
+    vals = np.take_along_axis(logits, kept, axis=1).astype(np.float64)
     vals -= vals.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # as in `top_k_filter`
+        vals /= temperature
     probs = np.exp(vals)
     probs /= probs.sum(axis=1, keepdims=True)
     return kept, probs

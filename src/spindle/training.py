@@ -349,7 +349,9 @@ def adam_step(
     """One decoupled-weight-decay Adam update (in place; step is 1-based).
 
     Weight decay applies to matrices only, never biases or norm gains. A
-    non-finite gradient skips the whole update and reports it. Each tensor
+    non-finite gradient skips the whole update and reports it. An update
+    whose moments or parameters overflow raises FloatingPointError naming
+    the parameter, and leaves the state partly updated. Each tensor
     is updated one leading-axis block of about _BLOCK elements at a time
     (one block if it is no larger), so the operands of each operation stay
     in cache; the temporaries live in one block-sized scratch pair per call.
@@ -369,26 +371,34 @@ def adam_step(
     c2 = 1.0 - b2**step
     size = max(p[: _block_rows(p.shape)].size for p in params.tensors.values())
     scratch = np.empty(2 * size, dtype=params.dtype)
-    for name, g in grads.items():
-        step_rows = _block_rows(g.shape)
-        decay = cfg.weight_decay > 0 and g.ndim >= 2
-        for lo in range(0, len(g), step_rows):
-            blk = slice(lo, lo + step_rows)
-            p, m, v, gb = params.tensors[name][blk], state.m[name][blk], state.v[name][blk], g[blk]
-            a = scratch[: p.size].reshape(p.shape)
-            b = scratch[size : size + p.size].reshape(p.shape)
-            m *= b1
-            m += np.multiply(1 - b1, gb, out=a)
-            v *= b2
-            np.multiply(1 - b2, gb, out=a)
-            v += np.multiply(a, gb, out=a)
-            np.divide(v, c2, out=a)
-            np.sqrt(a, out=a)
-            a += ADAM_EPS
-            np.divide(np.divide(m, c1, out=b), a, out=a)  # the update
-            if decay:
-                a += np.multiply(cfg.weight_decay, p, out=b)
-            p -= np.multiply(lr, a, out=a)
+    def not_finite(kind, flag):  # numpy calls it at an overflow or invalid value
+        raise FloatingPointError(f"the Adam update of {name} is not finite ({kind})")
+
+    # With finite moments, parameters and gradients, only an overflow or an
+    # invalid operation makes a value non-finite, and numpy checks those
+    # flags after every operation anyway: calling on them costs nothing.
+    with np.errstate(over="call", invalid="call", call=not_finite):
+        for name, g in grads.items():
+            step_rows = _block_rows(g.shape)
+            decay = cfg.weight_decay > 0 and g.ndim >= 2
+            for lo in range(0, len(g), step_rows):
+                blk = slice(lo, lo + step_rows)
+                p, m, v = params.tensors[name][blk], state.m[name][blk], state.v[name][blk]
+                gb = g[blk]
+                a = scratch[: p.size].reshape(p.shape)
+                b = scratch[size : size + p.size].reshape(p.shape)
+                m *= b1
+                m += np.multiply(1 - b1, gb, out=a)
+                v *= b2
+                np.multiply(1 - b2, gb, out=a)
+                v += np.multiply(a, gb, out=a)
+                np.divide(v, c2, out=a)
+                np.sqrt(a, out=a)
+                a += ADAM_EPS
+                np.divide(np.divide(m, c1, out=b), a, out=a)  # the update
+                if decay:
+                    a += np.multiply(cfg.weight_decay, p, out=b)
+                p -= np.multiply(lr, a, out=a)
     return params, state, False
 
 
@@ -504,7 +514,9 @@ def run_training(
     twice, and a damaged record raises ValueError naming its line.
     stop_fn(metrics, step), where given, is asked at the end of every step;
     True ends the run there, and that step's checkpoint is written as the
-    last step's is.
+    last step's is. A step whose loss is not finite, or whose Adam update
+    overflows (`adam_step`), raises ValueError naming the step: no record or
+    checkpoint of that step or a later one is written.
     """
     if not sequences:
         raise ValueError("no training sequences")
@@ -568,7 +580,12 @@ def run_training(
             opt_step = step - cfg.mlm_pretrain_steps
             if opt_step == 1:
                 opt_state = AdamState.zeros(params)  # fresh optimizer per phase
-        params, opt_state, skipped = adam_step(params, grads, opt_state, cfg, opt_step)
+        if not np.isfinite(loss):
+            raise ValueError(f"step {step}: the loss is {float(loss)}; training stops")
+        try:
+            params, opt_state, skipped = adam_step(params, grads, opt_state, cfg, opt_step)
+        except FloatingPointError as exc:
+            raise ValueError(f"step {step}: {exc}; training stops") from None
 
         record = None
         if step % log_every == 0 or step == total:

@@ -500,6 +500,27 @@ def test_os_error_is_runtime_failure(tmp_path, corpus_file, prep_dir, capsys, ca
     assert "Traceback" not in err
 
 
+def test_train_stops_at_the_step_whose_update_overflows(tmp_path, corpus_file, prep_dir,
+                                                       capsys):
+    """At --lr 1e23 step 2's Adam update overflows: the run exits 3 with one
+    line naming the step and the tensor, raises no RuntimeWarning, and
+    writes no record or checkpoint of step 2 or later."""
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["train", "--corpus", str(corpus_file), "--prep", str(prep_dir),
+                       "--out", str(out), "--steps", "6", "--log-every", "1",
+                       "--checkpoint-every", "1", "--lr", "1e23", "--warmup", "0", *TINY])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("runtime failure: step 2: the Adam update of tok_emb is not finite")
+    assert err.endswith("; training stops\n") and err.count("\n") == 1
+    records = (out / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(line)["step"] for line in records] == [1]
+    assert sorted(p.name for p in out.glob("*.spnd")) == ["checkpoint_0000001.spnd"]
+
+
 @pytest.mark.parametrize("case", ["prepare-corpus", "train-corpus", "train-val-corpus",
                                   "train-config", "eval-test"])
 def test_input_that_is_not_utf8_is_usage_error(tmp_path, corpus_file, prep_dir, capsys, case):

@@ -228,7 +228,7 @@ def test_backward_consumes_its_cache():
 
 
 def _arrays(layer: dict) -> list[np.ndarray]:
-    """The arrays of one layer's cache entry, its layernorm tuples unpacked."""
+    """The arrays of one layer's cache entry, its tuples unpacked."""
     out = []
     for v in layer.values():
         out.extend(v if isinstance(v, tuple) else [v])
@@ -247,7 +247,7 @@ def test_backward_frees_each_layer_once_used(monkeypatch, mode):
     xt = np.array([[4, MASK_ID, 5, MASK_ID], [MASK_ID, 6, 7, PAD_ID]])
     logits, cache = dn.forward(params, xt, np.array([2, 5]), train=True, rng=0)
     layers = [[weakref.ref(a) for a in _arrays(c)] for c in cache["layers"]]
-    z = [weakref.ref(c["z"]) for c in cache["layers"]]
+    z = [weakref.ref(c["ffn"][1]) for c in cache["layers"]]  # each FFN's GELU input
     hf = weakref.ref(cache["hf"])
     real, seen = dn._gelu_grad, []
 

@@ -106,6 +106,19 @@ def test_batched_top_k_matches_top_k_filter(data):
         assert d == _full_row_draw(ref, ui)
 
 
+@pytest.mark.parametrize("temperature", [1e-3, 1e-308, 5e-324])
+def test_tiny_temperature_puts_all_mass_on_the_largest_logit(temperature):
+    """Top-k subtracts the largest kept logit before it divides by the
+    temperature, so down to the smallest subnormal no probability is NaN
+    and no RuntimeWarning is raised: the draw is the largest logit's id."""
+    row = np.full(7, -np.inf)
+    row[[3, 4, 6]] = 0.5, 2.0, 1.0
+    kept, probs = _top_k_rows(row[None], 3, temperature)
+    drawn = _draw_top_k(kept, probs, np.ones((1, 1), dtype=bool), np.random.default_rng(0))
+    assert drawn.tolist() == [4]
+    assert sp.top_k_filter(row, 3, temperature).tolist() == [0, 0, 0, 0, 1, 0, 0]
+
+
 class _ZeroUniforms:
     def random(self, size):
         return np.zeros(size)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -668,6 +669,14 @@ def test_adam_skips_nonfinite_grads():
     assert all(np.array_equal(params[k], before[k]) for k in params.names())
 
 
+def test_adam_update_that_overflows_raises_naming_the_parameter():
+    params = tiny_params().astype(np.float32)
+    grads = params.zeros_like()
+    grads["out.b"][4] = 1e30  # (1 - b2) g g overflows float32
+    with pytest.raises(FloatingPointError, match=r"^the Adam update of out\.b is not finite"):
+        sp.adam_step(params, grads, sp.AdamState.zeros(params), sp.TrainConfig(), 1)
+
+
 def test_warmup_schedule_values():
     cfg = sp.TrainConfig(learning_rate=3e-4, warmup_steps=100)
     assert sp.learning_rate_at(0, cfg) == pytest.approx(1e-8)
@@ -748,6 +757,33 @@ def test_run_training_writes_each_checkpoint_once(word_corpus, tmp_path, monkeyp
                     out_dir=tmp_path, checkpoint_every=2,
                     stop_fn=None if stop_at is None else lambda metrics, step: step == stop_at)
     assert saved == written
+
+
+def test_run_training_stops_at_a_step_whose_loss_is_not_finite(word_corpus, tmp_path,
+                                                               monkeypatch):
+    """A NaN loss at step 3 raises ValueError naming the step before its
+    update: only steps 1 and 2 leave a record and a checkpoint."""
+    vocab, table, seqs = word_corpus["vocab"], word_corpus["table"], word_corpus["seqs"]
+    real, calls, saved = training.diffusion_loss_batch, [], []
+
+    def nan_at_step_3(*args):
+        breakdown, grads = real(*args)
+        calls.append(breakdown)
+        if len(calls) == 3:
+            breakdown = dataclasses.replace(breakdown, total=np.nan)
+        return breakdown, grads
+
+    monkeypatch.setattr(training, "diffusion_loss_batch", nan_at_step_3)
+    monkeypatch.setattr(training, "save_checkpoint",
+                        lambda path, params, **kw: saved.append(kw["step"]))
+    with pytest.raises(ValueError, match=r"^step 3: the loss is nan; training stops$"):
+        sp.run_training(tiny_params(vocab_size=len(vocab)), vocab, table, seqs,
+                        sp.ScheduleParams(num_steps=8),
+                        sp.TrainConfig(batch_size=2, total_steps=6),
+                        out_dir=tmp_path, checkpoint_every=1, log_every=1)
+    records = (tmp_path / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(line)["step"] for line in records] == [1, 2]
+    assert saved == [1, 2]
 
 
 @pytest.mark.parametrize("log_every", [0, -1])
@@ -895,13 +931,13 @@ faults = []
 
 def stop(metrics, step):
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
-    return step == 8
+    return step == 23
 
 
 sp.run_training(sp.init_params(config, 0).astype(np.float32), vocab,
                 sp.SurprisalTable.from_counts(vocab.counts), seqs, sp.ScheduleParams(64),
                 sp.TrainConfig(batch_size=16, total_steps=100), log_every=1, stop_fn=stop)
-print((faults[7] - faults[2]) / 5)
+print((faults[22] - faults[2]) / 20)
 """
 
 
@@ -914,10 +950,12 @@ def _has_mallopt() -> bool:
 
 @pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
 def test_train_steps_reuse_freed_heap():
-    """Steps 4-8 of a run whose group arrays are larger than glibc's default
-    128 KiB mmap threshold fault fewer than 100 pages each: the freed heap
-    is reused, not given back to the kernel and faulted in again. Without
-    the pinned thresholds a step faults about 1,800 pages."""
+    """Steps 4-23 of a run whose group arrays are larger than glibc's default
+    128 KiB mmap threshold fault fewer than 100 pages on average: the freed
+    heap is reused, not given back to the kernel and faulted in again.
+    Without the pinned thresholds a step faults about 1,100 to 1,800 pages.
+    The mean runs over 20 steps because a single step faults up to about
+    760 pages now and then, with the thresholds pinned."""
     import os
     import subprocess
     import sys
