@@ -123,6 +123,13 @@ def _thread_pool() -> ThreadPoolExecutor:
     return _pool[1]
 
 
+def _under_errstate(errstate: dict, fn, *args):
+    """fn(*args) under numpy's floating-point error handling `errstate`,
+    which a pool thread does not inherit from the thread handing fn over."""
+    with np.errstate(**errstate):
+        return fn(*args)
+
+
 @contextlib.contextmanager
 def _tasks(threaded: bool, slots: int):
     """A `hand_over(fn, *args)` for the block. On a single-threaded call it
@@ -131,7 +138,9 @@ def _tasks(threaded: bool, slots: int):
     block's tasks are unfinished, waiting for the oldest first; a task's
     result is what it writes. The block ends once none of its tasks is
     running; the first task, in hand-over order, that raised then ends it
-    with its error, and an error of the block itself comes first.
+    with its error, and an error of the block itself comes first. A task
+    runs under the numpy error handling (`np.geterr`) of the thread that
+    handed it over.
     """
     if not threaded:
         yield lambda fn, *args: fn(*args)
@@ -141,7 +150,7 @@ def _tasks(threaded: bool, slots: int):
     def hand_over(fn, *args):
         if len(in_flight) == slots:
             in_flight.pop(0).result()
-        in_flight.append(_thread_pool().submit(fn, *args))
+        in_flight.append(_thread_pool().submit(_under_errstate, np.geterr(), fn, *args))
 
     with _one_blas_thread():
         try:

@@ -47,7 +47,8 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .corpus import TOKENIZERS, UNK_ID, SurprisalTable, Vocab, build_vocab, detokenize, tokenize
+from .corpus import (TOKENIZERS, UNK_ID, SurprisalTable, Vocab, _line_blocks, build_vocab,
+                     detokenize, tokenize)
 from .denoiser import MODES, DenoiserConfig, init_params, load_checkpoint, save_checkpoint
 from .diffusion import ScheduleParams, spindle_alpha_bar_at, spindle_alpha_raw
 from .evaluation import bleu4, elbo_eval, quality_diversity_sweep, self_bleu4
@@ -134,6 +135,16 @@ def _read_text(path: Path) -> str:
     """A UTF-8 input file's text; another encoding is a usage error."""
     try:
         return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _read_lines(path: Path):
+    """A UTF-8 input file's lines, read a block at a time; another encoding
+    is a usage error."""
+    try:
+        for lines in _line_blocks(path):
+            yield from lines
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
 
@@ -261,7 +272,7 @@ def _read_sequences(path: Path, vocab: Vocab, n_max: int) -> list[np.ndarray]:
     """Token ids of each nonempty line, cut to n_max; the count of cut lines
     goes to stderr. A file with no such line is a usage error."""
     seqs, cut = [], 0
-    for line in _read_text(path).split("\n"):
+    for line in _read_lines(path):
         ids = tokenize(line, vocab)
         if ids.size:
             cut += ids.size > n_max
@@ -278,7 +289,7 @@ def _read_sequences(path: Path, vocab: Vocab, n_max: int) -> list[np.ndarray]:
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     corpus = _require_file(args.corpus, "corpus")
-    num_lines = sum(1 for line in _read_text(corpus).split("\n") if line.strip())
+    num_lines = sum(1 for line in _read_lines(corpus) if line.strip())
     vocab = _checked(build_vocab, corpus, args.vocab_size, args.tokenizer)
     _checked(SurprisalTable.from_counts, vocab.counts, args.smoothing)  # checks --smoothing
     out = Path(args.out)

@@ -119,12 +119,15 @@ class DenoiserParams:
 
 
 def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) with redraws beyond 3 std."""
+    """Normal(0, std) with redraws beyond 3 std: each round redraws the
+    values still out of range in flat (C) order, and tests only those."""
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 3 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 3 * std
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 3 * std)
+    while bad.size:
+        redrawn = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = redrawn
+        bad = bad[np.abs(redrawn) > 3 * std]
     return out
 
 

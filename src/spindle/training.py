@@ -409,14 +409,16 @@ class ShuffledPasses:
     corpus: pass e is stream(seed, "epoch", e).permutation(N), and step s
     (1-based) takes stream positions (s-1)*B .. s*B-1, spilling into the next
     pass when it runs off the end (so B > N works too). A batch is a pure
-    function of (seed, step); only the current pass's permutation is held.
+    function of (seed, step); only the current pass's permutation is held,
+    as int32 where N fits: the shuffle's draws do not depend on the dtype.
     """
 
     def __init__(self, seed: int, num_sequences: int) -> None:
         self.seed = seed
         self.n = num_sequences
         self._epoch = -1
-        self._perm = np.empty(0, dtype=np.int64)
+        dtype = np.int32 if num_sequences <= np.iinfo(np.int32).max else np.int64
+        self._perm = np.empty(0, dtype)
 
     def batch(self, step: int, batch_size: int) -> np.ndarray:
         # allocated first, so a size numpy cannot allocate fails before any pass is drawn
@@ -426,7 +428,8 @@ class ShuffledPasses:
             epoch, off = divmod(start + done, self.n)
             if epoch != self._epoch:
                 self._epoch = epoch
-                self._perm = stream(self.seed, "epoch", epoch).permutation(self.n)
+                self._perm = np.arange(self.n, dtype=self._perm.dtype)
+                stream(self.seed, "epoch", epoch).shuffle(self._perm)
             take = min(self.n - off, batch_size - done)
             out[done : done + take] = self._perm[off : off + take]
             done += take
@@ -514,9 +517,10 @@ def run_training(
     twice, and a damaged record raises ValueError naming its line.
     stop_fn(metrics, step), where given, is asked at the end of every step;
     True ends the run there, and that step's checkpoint is written as the
-    last step's is. A step whose loss is not finite, or whose Adam update
-    overflows (`adam_step`), raises ValueError naming the step: no record or
-    checkpoint of that step or a later one is written.
+    last step's is. A step whose loss, gradients or Adam update overflow or
+    make an invalid value, or whose loss is not finite, raises ValueError
+    naming the step: no record or checkpoint of that step or a later one is
+    written.
     """
     if not sequences:
         raise ValueError("no training sequences")
@@ -565,25 +569,26 @@ def run_training(
         rng = stream(cfg.seed, "train", step)
         idx = passes.batch(step, cfg.batch_size)
         batch = [sequences[i] for i in idx]
-        if mlm_phase:
-            loss, grads = mlm_pretrain_step(params, batch, cfg.mlm_mask_rate, rng)
-            breakdown = LossBreakdown(0.0, 0.0, loss)
-            opt_step = step
-        else:
-            t_draws = stratified_t_draws(rng, cfg.batch_size, sched_params.num_steps)
-            rows = [
-                spindle_alpha_bar_at(surprisal.h_for(x0), [t - 1, t], sched_params)
-                for x0, t in zip(batch, t_draws)
-            ]
-            breakdown, grads = diffusion_loss_batch(params, batch, rows, t_draws, rng)
-            loss = breakdown.total
-            opt_step = step - cfg.mlm_pretrain_steps
-            if opt_step == 1:
-                opt_state = AdamState.zeros(params)  # fresh optimizer per phase
-        if not np.isfinite(loss):
-            raise ValueError(f"step {step}: the loss is {float(loss)}; training stops")
         try:
-            params, opt_state, skipped = adam_step(params, grads, opt_state, cfg, opt_step)
+            with np.errstate(over="raise", invalid="raise"):
+                if mlm_phase:
+                    loss, grads = mlm_pretrain_step(params, batch, cfg.mlm_mask_rate, rng)
+                    breakdown = LossBreakdown(0.0, 0.0, loss)
+                    opt_step = step
+                else:
+                    t_draws = stratified_t_draws(rng, cfg.batch_size, sched_params.num_steps)
+                    rows = [
+                        spindle_alpha_bar_at(surprisal.h_for(x0), [t - 1, t], sched_params)
+                        for x0, t in zip(batch, t_draws)
+                    ]
+                    breakdown, grads = diffusion_loss_batch(params, batch, rows, t_draws, rng)
+                    loss = breakdown.total
+                    opt_step = step - cfg.mlm_pretrain_steps
+                    if opt_step == 1:
+                        opt_state = AdamState.zeros(params)  # fresh optimizer per phase
+                if not np.isfinite(loss):
+                    raise ValueError(f"step {step}: the loss is {float(loss)}; training stops")
+                params, opt_state, skipped = adam_step(params, grads, opt_state, cfg, opt_step)
         except FloatingPointError as exc:
             raise ValueError(f"step {step}: {exc}; training stops") from None
 

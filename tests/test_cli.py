@@ -521,6 +521,30 @@ def test_train_stops_at_the_step_whose_update_overflows(tmp_path, corpus_file, p
     assert sorted(p.name for p in out.glob("*.spnd")) == ["checkpoint_0000001.spnd"]
 
 
+@pytest.mark.parametrize("threads", [False, True])
+def test_train_stops_at_the_step_whose_loss_overflows(tmp_path, corpus_file, prep_dir, capsys,
+                                                      force_threads, threads):
+    """At --weight-decay 1e23 step 1's update leaves weights whose step-2
+    forward overflows: on one thread or two, the run exits 3 with one line
+    naming the step, raises no RuntimeWarning, and writes no record or
+    checkpoint of step 2 or later."""
+    force_threads(threads)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["train", "--corpus", str(corpus_file), "--prep", str(prep_dir),
+                       "--out", str(out), "--steps", "6", "--log-every", "1",
+                       "--checkpoint-every", "1", "--weight-decay", "1e23", "--warmup", "0",
+                       *TINY, "--batch-size", "16"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "runtime failure: step 2: overflow encountered in multiply; training stops\n"
+    records = (out / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(line)["step"] for line in records] == [1]
+    assert sorted(p.name for p in out.glob("*.spnd")) == ["checkpoint_0000001.spnd"]
+
+
 @pytest.mark.parametrize("case", ["prepare-corpus", "train-corpus", "train-val-corpus",
                                   "train-config", "eval-test"])
 def test_input_that_is_not_utf8_is_usage_error(tmp_path, corpus_file, prep_dir, capsys, case):

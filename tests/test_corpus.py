@@ -1,11 +1,14 @@
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spindle as sp
-from spindle.corpus import CLS_ID, MASK_ID, PAD_ID, UNK_ID, normalize_line
+from spindle import corpus, denoiser
+from spindle.corpus import CLS_ID, MASK_ID, PAD_ID, UNK_ID, normalize_line, split_line
 
 
 def write(tmp_path, text):
@@ -195,3 +198,143 @@ def test_round_trip_property(tmp_path_factory, words):
     path.write_text(line + "\n", encoding="utf-8")
     vocab = sp.build_vocab(path, 4 + len(set(words)))
     assert sp.detokenize(sp.tokenize(line, vocab), vocab) == normalize_line(line)
+
+
+# Text that tries the streamed reader's cuts: line ends of every kind,
+# whitespace that ends no line, and capital sigmas, whose lowercase depends
+# on their neighbours, next to all of them.
+_TRICKY = ["\n", "\r\n", "\r", "\x85", "\u2028", "\x1c", " ", "\t", "\u03a3", "A\u03a3",
+           "\u03a3\n", "\n\u03a3", "\u0130", "\u00df", "a", "b"]
+_texts = st.lists(st.one_of(st.sampled_from(_TRICKY), st.characters(codec="utf-8")),
+                  max_size=60).map("".join)
+_derandomized = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+def _write_bytes(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("c") / "c.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def _line_tokens(line, tokenizer):
+    """A line's tokens by their definition: the words, or the characters,
+    of `normalize_line(line)`."""
+    normalized = normalize_line(line)
+    if tokenizer == "word":
+        return normalized.split(" ") if normalized else []
+    return list(normalized)
+
+
+def _per_line_tokens(path, tokenizer):
+    """The tokens of each line of the whole text read at once."""
+    return [tok for line in path.read_text(encoding="utf-8").split("\n")
+            for tok in _line_tokens(line, tokenizer)]
+
+
+@_derandomized
+@given(text=_texts, block_bytes=st.integers(1, 40), tokenizer=st.sampled_from(corpus.TOKENIZERS))
+@example(text="\u03a3\n\u03a3\u03a3\r\nA\u03a3\rb\u03a3\x85\u03a3\u2028\n\nx\u03a3", block_bytes=1,
+         tokenizer="word")
+def test_streamed_tokens_are_the_per_line_tokens(tmp_path_factory, text, block_bytes, tokenizer):
+    """The reader's blocks, of any size, hold the tokens of each line, in
+    order, for both tokenizers, as `split_line` does line by line."""
+    path = _write_bytes(tmp_path_factory, text)
+    with mock.patch.object(corpus, "_BLOCK_BYTES", block_bytes):
+        streamed = [tok for block in corpus._token_blocks(path, tokenizer) for tok in block]
+    reference = _per_line_tokens(path, tokenizer)
+    assert streamed == reference
+    assert [tok for line in path.read_text(encoding="utf-8").split("\n")
+            for tok in split_line(line, tokenizer)] == reference
+
+
+@_derandomized
+@given(text=_texts, cut=st.integers(0, 60), block_bytes=st.integers(1, 40),
+       bad=st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\x85"]))
+def test_text_that_is_not_utf8_fails_where_decoding_it_whole_does(tmp_path_factory, text, cut,
+                                                                  block_bytes, bad):
+    """Read a block at a time, a file with a bad byte sequence raises the
+    error decoding the whole file raises: same position, same reason."""
+    data = text[:cut].encode("utf-8") + bad + text[cut:].encode("utf-8")
+    path = tmp_path_factory.mktemp("c") / "c.txt"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    with mock.patch.object(corpus, "_BLOCK_BYTES", block_bytes), \
+            pytest.raises(UnicodeDecodeError) as streamed:
+        for _ in corpus._line_blocks(path):
+            pass
+    assert ((streamed.value.start, streamed.value.end, streamed.value.reason)
+            == (whole.value.start, whole.value.end, whole.value.reason))
+
+
+@_derandomized
+@given(vocab_text=_texts, text=_texts, block_bytes=st.integers(1, 40),
+       tokenizer=st.sampled_from(corpus.TOKENIZERS), max_vocab=st.integers(5, 12))
+def test_surprisal_counts_and_ids_are_the_per_line_ones(tmp_path_factory, vocab_text, text,
+                                                        block_bytes, tokenizer, max_vocab):
+    """On a corpus other than the vocab's, `surprisal_table` gives the table
+    of the counts a per-line `np.add.at` makes, and `tokenize` gives each
+    line the ids of its tokens."""
+    vocab_path = _write_bytes(tmp_path_factory, vocab_text + " a b")
+    path = _write_bytes(tmp_path_factory, text)
+    vocab = sp.build_vocab(vocab_path, max_vocab, tokenizer)
+    counts = np.zeros(len(vocab), dtype=np.int64)
+    for line in path.read_text(encoding="utf-8").split("\n"):
+        ids = np.array([vocab.ids.get(tok, UNK_ID) for tok in _line_tokens(line, tokenizer)],
+                       dtype=np.int64)
+        np.testing.assert_array_equal(sp.tokenize(line, vocab), ids, strict=True)
+        np.add.at(counts, ids, 1)
+    with mock.patch.object(corpus, "_BLOCK_BYTES", block_bytes):
+        if not counts.any():
+            with pytest.raises(ValueError, match="some content count > 0"):
+                sp.surprisal_table(path, vocab)
+            return
+        table = sp.surprisal_table(path, vocab, 0.5)
+    np.testing.assert_array_equal(table.h, sp.SurprisalTable.from_counts(counts, 0.5).h)
+
+
+@_derandomized
+@given(counts=st.dictionaries(st.text(alphabet="ab\u00e9\u00df_9", min_size=1, max_size=3),
+                              st.integers(1, 3), min_size=1, max_size=30),
+       max_vocab=st.integers(5, 40), seed=st.integers(0, 2**16))
+def test_build_vocab_ranks_by_count_then_word(tmp_path_factory, counts, max_vocab, seed):
+    """With many tied counts, the vocab keeps the order of the key
+    (-count, word) and folds the rest into [UNK]."""
+    words = [w for w, c in counts.items() for _ in range(c)]
+    np.random.default_rng(seed).shuffle(words)
+    path = _write_bytes(tmp_path_factory, "\n".join(" ".join(words[i : i + 4])
+                                                     for i in range(0, len(words), 4)))
+    vocab = sp.build_vocab(path, max_vocab)
+    ranked = sorted(Counter(words).items(), key=lambda kv: (-kv[1], kv[0]))
+    keep = ranked[: max_vocab - 4]
+    assert vocab.tokens[4:] == tuple(w for w, _ in keep)
+    assert vocab.counts[4:] == tuple(c for _, c in keep)
+    assert vocab.counts[UNK_ID] == sum(c for _, c in ranked[len(keep) :])
+
+
+def _full_array_trunc_normal(rng, shape, std=0.02):
+    """`_trunc_normal` as it was: each round redraws by boolean mask and
+    tests the whole array again."""
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 3 * std
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 3 * std
+    return out
+
+
+@_derandomized
+@given(seed=st.integers(0, 2**32 - 1), shape=st.lists(st.integers(0, 40), max_size=3).map(tuple))
+@example(seed=0, shape=(0,))
+@example(seed=0, shape=(1,))
+@example(seed=3, shape=(1, 1))
+@example(seed=5, shape=(0, 7))
+@example(seed=7, shape=(2000, 64))
+def test_trunc_normal_is_the_full_array_loop(seed, shape):
+    """Redrawing by flat index gives the old loop's values bit for bit, and
+    leaves the generator where the old loop did."""
+    rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = denoiser._trunc_normal(rng, shape)
+    old = _full_array_trunc_normal(old_rng, shape)
+    assert out.shape == shape and out.tobytes() == old.tobytes()
+    assert rng.bit_generator.state == old_rng.bit_generator.state

@@ -786,6 +786,42 @@ def test_run_training_stops_at_a_step_whose_loss_is_not_finite(word_corpus, tmp_
     assert saved == [1, 2]
 
 
+@pytest.mark.parametrize("threads", [False, True])
+def test_run_training_stops_at_an_overflow_in_a_pool_task(word_corpus, tmp_path, monkeypatch,
+                                                         force_threads, threads):
+    """An overflow in step 2's backward raises ValueError naming the step,
+    also where the backward runs on a pool thread, which takes over the
+    error handling of the thread that handed it over: only step 1 leaves a
+    record and a checkpoint."""
+    vocab, table, seqs = word_corpus["vocab"], word_corpus["table"], word_corpus["seqs"]
+    backward, loss_batch = dn.backward, training.diffusion_loss_batch
+    here, steps, on_caller = threading.get_ident(), [], []
+
+    def overflow_at_step_2(*args):
+        on_caller.append(threading.get_ident() == here)
+        if len(steps) == 2:
+            np.multiply(np.array([1e300]), 1e300)
+        return backward(*args)
+
+    def counting_steps(*args):
+        steps.append(len(steps) + 1)
+        return loss_batch(*args)
+
+    monkeypatch.setattr(dn, "backward", overflow_at_step_2)
+    monkeypatch.setattr(training, "diffusion_loss_batch", counting_steps)
+    force_threads(threads)
+    with pytest.raises(ValueError,
+                       match=r"^step 2: overflow encountered in multiply; training stops$"):
+        sp.run_training(tiny_params(vocab_size=len(vocab)), vocab, table, seqs,
+                        sp.ScheduleParams(num_steps=8),
+                        sp.TrainConfig(batch_size=16, total_steps=4),
+                        out_dir=tmp_path, checkpoint_every=1, log_every=1)
+    assert set(on_caller) == {not threads}
+    records = (tmp_path / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(line)["step"] for line in records] == [1]
+    assert sorted(p.name for p in tmp_path.glob("*.spnd")) == ["checkpoint_0000001.spnd"]
+
+
 @pytest.mark.parametrize("log_every", [0, -1])
 def test_run_training_rejects_log_every_below_1(word_corpus, log_every):
     vocab, table, seqs = word_corpus["vocab"], word_corpus["table"], word_corpus["seqs"]
@@ -1063,6 +1099,21 @@ def test_shuffled_passes_resume_replays_batches():
         resumed = ShuffledPasses(5, 7)
         for s in range(11, 21):
             assert np.array_equal(resumed.batch(s, batch_size), full[s - 1])
+
+
+def test_shuffled_passes_hold_int32_and_give_the_int64_batches():
+    """Below 2^31 lines a pass's permutation is held as int32, and the
+    batches, int64, are the slices of the int64 passes
+    stream(seed, "epoch", e).permutation(N)."""
+    for n, batch_size in ((7, 3), (7, 10), (1000, 64)):
+        passes = ShuffledPasses(5, n)
+        steps = -(-3 * n // batch_size)
+        int64_passes = np.concatenate([stream(5, "epoch", e).permutation(n)
+                                       for e in range(steps * batch_size // n + 1)])
+        for s in range(1, steps + 1):
+            batch = passes.batch(s, batch_size)
+            assert batch.dtype == np.int64 and passes._perm.dtype == np.int32
+            assert np.array_equal(batch, int64_passes[(s - 1) * batch_size : s * batch_size])
 
 
 def test_stratified_t_full_batch_is_permutation():
