@@ -9,9 +9,10 @@ never with a traceback:
   that is not a settings object of the right types, or a checkpoint of
   another vocab or model. The message names the flag or the file.
 - 3: a runtime failure: a damaged prep directory, checkpoint or metrics
-  file, an output path that cannot be written, a fault in the work, a
-  failed `verify` check, or a size that numpy refuses to allocate, which
-  exits with numpy's message and names no flag. A `train` run stopped by
+  file, an output path that cannot be written, a fault in the work,
+  arithmetic that overflows or makes an invalid value, a failed `verify`
+  check, or a size that numpy refuses to allocate, which exits with
+  numpy's message and names no flag. A `train` run stopped by
   SIGINT or SIGTERM exits 3 too.
 The first such signal stops a run at the end of the step it is in: that
 step's checkpoint, with the Adam state, is written, no model.spnd is, and the
@@ -662,11 +663,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, FloatingPointError) as exc:
         print(f"runtime failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 

@@ -291,7 +291,7 @@ def mlm_pretrain_step(
 ) -> tuple[float, dict[str, np.ndarray] | None]:
     """Masked-LM cross entropy: mask each position independently, score masked
     positions only, averaged per masked token. A draw that masks nothing is
-    retried once and then the item is skipped; if every item is skipped the
+    retried once and then the item is left out; if every item is left out the
     loss is 0 and the gradients are zero. lte/pte models receive the
     sentinel step t = T.
     """
@@ -345,13 +345,14 @@ def adam_step(
     state: AdamState,
     cfg: TrainConfig,
     step: int,
-) -> tuple[DenoiserParams, AdamState, bool]:
+) -> tuple[DenoiserParams, AdamState]:
     """One decoupled-weight-decay Adam update (in place; step is 1-based).
 
     Weight decay applies to matrices only, never biases or norm gains. A
-    non-finite gradient skips the whole update and reports it. An update
-    whose moments or parameters overflow raises FloatingPointError naming
-    the parameter, and leaves the state partly updated. Each tensor
+    non-finite gradient raises FloatingPointError naming its tensor before
+    any parameter or moment is touched. An update whose moments or
+    parameters overflow raises FloatingPointError naming the parameter, and
+    leaves the state partly updated. Each tensor
     is updated one leading-axis block of about _BLOCK elements at a time
     (one block if it is no larger), so the operands of each operation stay
     in cache; the temporaries live in one block-sized scratch pair per call.
@@ -364,7 +365,7 @@ def adam_step(
         if g.shape != params.tensors[name].shape:
             raise ValueError(f"gradient shape mismatch for {name}")
         if not np.isfinite(g).all():
-            return params, state, True
+            raise FloatingPointError(f"the gradient of {name} is not finite")
     lr = learning_rate_at(step, cfg)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**step
@@ -399,7 +400,7 @@ def adam_step(
                 if decay:
                     a += np.multiply(cfg.weight_decay, p, out=b)
                 p -= np.multiply(lr, a, out=a)
-    return params, state, False
+    return params, state
 
 
 # --- training orchestration ------------------------------------------------------
@@ -517,10 +518,10 @@ def run_training(
     twice, and a damaged record raises ValueError naming its line.
     stop_fn(metrics, step), where given, is asked at the end of every step;
     True ends the run there, and that step's checkpoint is written as the
-    last step's is. A step whose loss, gradients or Adam update overflow or
-    make an invalid value, or whose loss is not finite, raises ValueError
-    naming the step: no record or checkpoint of that step or a later one is
-    written.
+    last step's is. A step whose loss, gradients, Adam update or validation
+    overflow or make an invalid value, or whose loss or gradients are not
+    finite, raises ValueError naming the step: no record or checkpoint of
+    that step or a later one is written.
     """
     if not sequences:
         raise ValueError("no training sequences")
@@ -569,6 +570,7 @@ def run_training(
         rng = stream(cfg.seed, "train", step)
         idx = passes.batch(step, cfg.batch_size)
         batch = [sequences[i] for i in idx]
+        validate = val_fn is not None and val_every > 0 and (step % val_every == 0 or step == total)
         try:
             with np.errstate(over="raise", invalid="raise"):
                 if mlm_phase:
@@ -588,7 +590,8 @@ def run_training(
                         opt_state = AdamState.zeros(params)  # fresh optimizer per phase
                 if not np.isfinite(loss):
                     raise ValueError(f"step {step}: the loss is {float(loss)}; training stops")
-                params, opt_state, skipped = adam_step(params, grads, opt_state, cfg, opt_step)
+                params, opt_state = adam_step(params, grads, opt_state, cfg, opt_step)
+                val_elbo = float(val_fn(params, step)) if validate else None
         except FloatingPointError as exc:
             raise ValueError(f"step {step}: {exc}; training stops") from None
 
@@ -603,12 +606,10 @@ def run_training(
                 "lr": learning_rate_at(opt_step, cfg),
                 "elapsed_s": time.monotonic() - t_start,
             }
-            if skipped:
-                record["skipped_update"] = True
-        if val_fn is not None and val_every > 0 and (step % val_every == 0 or step == total):
+        if val_elbo is not None:
             if record is None:
                 record = {"step": step, "phase": "mlm" if mlm_phase else "diffusion"}
-            record["val_elbo"] = float(val_fn(params, step))
+            record["val_elbo"] = val_elbo
         if record is not None:
             metrics.append(record)
             if metrics_path is not None:

@@ -545,6 +545,65 @@ def test_train_stops_at_the_step_whose_loss_overflows(tmp_path, corpus_file, pre
     assert sorted(p.name for p in out.glob("*.spnd")) == ["checkpoint_0000001.spnd"]
 
 
+@pytest.mark.parametrize("threads", [False, True])
+def test_train_stops_at_the_step_whose_validation_overflows(tmp_path, corpus_file, prep_dir,
+                                                            capsys, force_threads, threads):
+    """At --weight-decay 1e23 step 1's update leaves weights whose
+    validation forward overflows, on one thread or, with 12 validation lines
+    in two groups, two: the run exits 3 with one line naming step 1, raises
+    no RuntimeWarning, and writes no record or checkpoint."""
+    force_threads(threads)
+    val = tmp_path / "val.txt"
+    val.write_text(CORPUS * 4, encoding="utf-8")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["train", "--corpus", str(corpus_file), "--prep", str(prep_dir),
+                       "--out", str(out), "--steps", "4", "--log-every", "1",
+                       "--checkpoint-every", "1", "--weight-decay", "1e23", "--warmup", "0",
+                       "--val-corpus", str(val), "--val-every", "1", *TINY])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "runtime failure: step 1: overflow encountered in multiply; training stops\n"
+    assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+
+
+def _overflowing_checkpoint(tmp_path, corpus_file, prep_dir):
+    """A float32 checkpoint of a tiny trained model with every tensor
+    scaled by 1e20: finite, but its forward overflows float32."""
+    ckpt = sp.load_checkpoint(train_tiny(tmp_path, corpus_file, prep_dir) / "model.spnd",
+                              dtype=np.float32)
+    for tensor in ckpt.params.tensors.values():
+        tensor *= 1e20
+    path = tmp_path / "scaled.spnd"
+    sp.save_checkpoint(path, ckpt.params, lam=ckpt.lam, vocab_hash=ckpt.vocab_hash,
+                       step=ckpt.step)
+    return path
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_a_model_whose_forward_overflows_exits_3(tmp_path, corpus_file, prep_dir, capsys,
+                                                 command):
+    """sample and eval on a model whose forward overflows exit 3 with one
+    line, raise no RuntimeWarning, and write no output file."""
+    checkpoint = _overflowing_checkpoint(tmp_path, corpus_file, prep_dir)
+    out = tmp_path / "out"
+    argv = {"sample": ["--num", "2", "--length", "4", "--out", str(out / "s.txt"),
+                       "--trajectory", str(out / "s.jsonl")],
+            "eval": ["--test", str(corpus_file), "--num-gen", "2", "--out",
+                     str(out / "report.json")]}[command]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main([command, "--checkpoint", str(checkpoint), "--prep", str(prep_dir),
+                       "--iterations", "4", *argv])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("runtime failure: overflow encountered in ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("case", ["prepare-corpus", "train-corpus", "train-val-corpus",
                                   "train-config", "eval-test"])
 def test_input_that_is_not_utf8_is_usage_error(tmp_path, corpus_file, prep_dir, capsys, case):
@@ -1019,9 +1078,9 @@ def test_every_flag_keeps_the_exit_code_contract(cli_files, draw):
     """One flag of a valid tiny argv set to an edge value, or one input swapped for a
     damaged copy, exits 0, 2 or 3 and raises nothing. An exit 2 names a flag or a path of
     the argv and writes nothing. A value its library owner refuses (`cli._checked` raised)
-    exits 2, led by the flag, or naming the damaged file. RuntimeWarnings, which a real run
-    prints, are ignored. On Linux without a hard limit the address space is capped at its
-    size plus 512 MiB, so an array numpy allocates on a large machine is refused here too."""
+    exits 2, led by the flag, or naming the damaged file. On Linux without a hard limit the
+    address space is capped at its size plus 512 MiB, so an array numpy allocates on a large
+    machine is refused here too."""
     base, flag, value = draw
     refused, checked = [], cli._checked
 
@@ -1049,7 +1108,7 @@ def test_every_flag_keeps_the_exit_code_contract(cli_files, draw):
         try:
             with (mock.patch.object(cli, "_checked", spy), warnings.catch_warnings(),
                   contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
-                warnings.simplefilter("ignore", RuntimeWarning)
+                warnings.simplefilter("error", RuntimeWarning)
                 if limits[1] == resource.RLIM_INFINITY and os.path.exists("/proc/self/statm"):
                     pages = int(Path("/proc/self/statm").read_text().split()[0])
                     resource.setrlimit(resource.RLIMIT_AS, (

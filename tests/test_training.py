@@ -500,8 +500,7 @@ def test_adam_step_is_bitwise_the_textbook_expression(dtype, weight_decay):
     rng = np.random.default_rng(8)
     for step in range(1, 4):
         grads = {k: rng.normal(0, 1, x.shape).astype(dtype) for k, x in params.tensors.items()}
-        params, state, skipped = sp.adam_step(params, grads, state, cfg, step)
-        assert not skipped
+        params, state = sp.adam_step(params, grads, state, cfg, step)
         lr, c1, c2 = sp.learning_rate_at(step, cfg), 1.0 - b1**step, 1.0 - b2**step
         for name, g in grads.items():
             p = expected.tensors[name]
@@ -540,8 +539,7 @@ def test_blocked_adam_is_bitwise_the_textbook_expression_across_block_edges(
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for step in range(1, 4):
         grads = {k: rng.normal(0, 1, x.shape).astype(dtype) for k, x in params.tensors.items()}
-        params, state, skipped = sp.adam_step(params, grads, state, cfg, step)
-        assert not skipped
+        params, state = sp.adam_step(params, grads, state, cfg, step)
         lr, c1, c2 = sp.learning_rate_at(step, cfg), 1.0 - b1**step, 1.0 - b2**step
         for name, g in grads.items():
             p = expected.tensors[name]
@@ -653,20 +651,30 @@ def test_adam_zero_grads_no_weight_decay_keeps_params():
     state = sp.AdamState.zeros(params)
     before = params.copy()
     cfg = sp.TrainConfig(weight_decay=0.0)
-    params, state, skipped = sp.adam_step(params, params.zeros_like(), state, cfg, 1)
-    assert not skipped
+    params, state = sp.adam_step(params, params.zeros_like(), state, cfg, 1)
     assert all(np.array_equal(params[k], before[k]) for k in params.names())
 
 
-def test_adam_skips_nonfinite_grads():
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adam_step_raises_on_a_nonfinite_gradient_and_touches_nothing(bad):
+    """A NaN or inf in the last tensor's gradient raises naming that tensor,
+    after every other tensor's gradient was finite: no parameter and no
+    moment changes by a bit."""
     params = tiny_params()
     state = sp.AdamState.zeros(params)
-    grads = params.zeros_like()
-    grads["out.b"][0] = np.nan
-    before = params.copy()
-    params, state, skipped = sp.adam_step(params, grads, state, sp.TrainConfig(), 1)
-    assert skipped
-    assert all(np.array_equal(params[k], before[k]) for k in params.names())
+    rng = np.random.default_rng(3)
+    for t in (state.m, state.v):
+        for name in params.names():
+            t[name][...] = rng.random(t[name].shape)
+    grads = {k: rng.normal(0, 1, x.shape) for k, x in params.tensors.items()}
+    last = list(grads)[-1]
+    grads[last].flat[-1] = bad
+    before = [t[k].tobytes() for t in (params.tensors, state.m, state.v) for k in params.names()]
+    with pytest.raises(FloatingPointError,
+                       match=f"^the gradient of {re.escape(last)} is not finite$"):
+        sp.adam_step(params, grads, state, sp.TrainConfig(weight_decay=0.01), 2)
+    assert [t[k].tobytes() for t in (params.tensors, state.m, state.v)
+            for k in params.names()] == before
 
 
 def test_adam_update_that_overflows_raises_naming_the_parameter():
@@ -696,7 +704,7 @@ def test_adam_converges_on_quadratic():
     cfg = sp.TrainConfig(learning_rate=0.05, warmup_steps=0, weight_decay=0.0)
     for step in range(1, 501):
         grads = {"x": 2.0 * (params.tensors["x"] - 3.0)}
-        params, state, _ = sp.adam_step(params, grads, state, cfg, step)
+        params, state = sp.adam_step(params, grads, state, cfg, step)
     assert abs(params.tensors["x"][0] - 3.0) <= 1e-3
 
 
@@ -715,7 +723,7 @@ def test_memorization_run_mlm(word_corpus):
     for step in range(1, 801):
         rng = stream(0, "mlm", step)
         loss, grads = sp.mlm_pretrain_step(params, seqs, 0.4, rng)
-        params, state, _ = sp.adam_step(params, grads, state, cfg, step)
+        params, state = sp.adam_step(params, grads, state, cfg, step)
         if step > 300 and loss < 0.1:
             break
     assert loss < 0.1
@@ -732,12 +740,19 @@ def test_run_training_smoke_and_metrics_schema(word_corpus, tmp_path):
                          total_steps=20, mlm_pretrain_steps=10, seed=0)
     res = sp.run_training(params, vocab, table, seqs,
                           sp.ScheduleParams(num_steps=8, lam=0.3), cfg,
-                          out_dir=tmp_path, checkpoint_every=10, log_every=5)
+                          out_dir=tmp_path, checkpoint_every=10, log_every=5,
+                          val_fn=lambda p, step: 1.5, val_every=4)
     assert res.final_step == 30
-    assert (tmp_path / "metrics.jsonl").exists()
+    written = [json.loads(line) for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    assert written == res.metrics
+    logged = {"step", "phase", "loss_total", "l_t_kl", "l0", "lr", "elapsed_s"}
     for rec in res.metrics:
-        assert {"step", "loss_total", "l_t_kl", "l0", "lr", "elapsed_s"} <= set(rec)
-        assert "lT" not in rec
+        validated = rec["step"] % 4 == 0 or rec["step"] == 30
+        if rec["step"] % 5 == 0:
+            assert set(rec) == logged | ({"val_elbo"} if validated else set())
+        else:
+            assert validated and set(rec) == {"step", "phase", "val_elbo"}
+    assert [rec["step"] for rec in res.metrics] == [4, 5, 8, 10, 12, 15, 16, 20, 24, 25, 28, 30]
     phases = [m["phase"] for m in res.metrics]
     assert "mlm" in phases and "diffusion" in phases
 
@@ -820,6 +835,38 @@ def test_run_training_stops_at_an_overflow_in_a_pool_task(word_corpus, tmp_path,
     records = (tmp_path / "metrics.jsonl").read_text().splitlines()
     assert [json.loads(line)["step"] for line in records] == [1]
     assert sorted(p.name for p in tmp_path.glob("*.spnd")) == ["checkpoint_0000001.spnd"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(mode=st.sampled_from(["tad", "lte", "pte"]), dtype=st.sampled_from(["float32", "float64"]),
+       threads=st.booleans(), scale_exp=st.floats(0, 37), scaled=st.none() | st.integers(0, 99),
+       lr_exp=st.floats(-3, 30), weight_decay=st.sampled_from([0.0, 0.01, 1e23]))
+def test_a_training_step_trains_or_stops_the_run(word_corpus, mode, dtype, threads, scale_exp,
+                                                 scaled, lr_exp, weight_decay):
+    """Three steps, one of them MLM with dropout, on a tiny model whose
+    tensors (every one, or the one drawn) are scaled by up to 1e37, at a
+    learning rate up to 1e30, on one thread or two: the run either trains,
+    leaving every parameter finite, or raises ValueError naming the step.
+    No step meets a non-finite gradient: an overflow or an invalid value on
+    the way to one stops the run first."""
+    vocab, table, seqs = word_corpus["vocab"], word_corpus["table"], word_corpus["seqs"]
+    params = tiny_params(mode, vocab_size=len(vocab), n_max=16, dropout=0.1).astype(dtype)
+    names = params.names()
+    for name in names if scaled is None else [names[scaled % len(names)]]:
+        params.tensors[name] *= 10.0**scale_exp
+    cfg = sp.TrainConfig(learning_rate=10.0**lr_exp, warmup_steps=0, batch_size=16,
+                         total_steps=2, mlm_pretrain_steps=1, weight_decay=weight_decay)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_threads, "_threaded", lambda work: threads)
+        try:
+            res = sp.run_training(params, vocab, table, seqs, sp.ScheduleParams(num_steps=8),
+                                  cfg, log_every=1)
+        except ValueError as exc:
+            assert str(exc).startswith("step ") and "the gradient of" not in str(exc), exc
+            return
+    assert res.final_step == 3
+    assert not any("skipped_update" in rec for rec in res.metrics)
+    assert all(np.isfinite(res.params[k]).all() for k in names)
 
 
 @pytest.mark.parametrize("log_every", [0, -1])
