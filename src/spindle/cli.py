@@ -175,13 +175,20 @@ def _load_prep(prep_dir: str | Path):
         raise ValueError(f"{stats_path}: {exc}") from exc
 
 
+def _load_checkpoint(path: str, vocab: Vocab, prep: str):
+    """The float32 checkpoint at path; one trained on another vocab than the
+    prep directory's is a usage error naming both paths."""
+    ckpt = load_checkpoint(_require_file(path, "checkpoint"), dtype=np.float32)
+    if ckpt.vocab_hash != vocab.content_hash():
+        raise UsageError(f"vocab hash mismatch: checkpoint {path} was trained on another vocab "
+                         f"than prep directory {prep}")
+    return ckpt
+
+
 def _load_model(args: argparse.Namespace):
     """Prep tables, float32 checkpoint and its schedule for sample and eval."""
     vocab, table = _load_prep(args.prep)
-    ckpt = load_checkpoint(_require_file(args.checkpoint, "checkpoint"), dtype=np.float32)
-    if ckpt.vocab_hash != vocab.content_hash():
-        raise UsageError(f"vocab hash mismatch between checkpoint {args.checkpoint} and prep "
-                         f"directory {args.prep}")
+    ckpt = _load_checkpoint(args.checkpoint, vocab, args.prep)
     sched_params = ScheduleParams(num_steps=ckpt.params.config.num_steps, lam=ckpt.lam)
     return vocab, table, ckpt, sched_params
 
@@ -330,10 +337,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     start_step = 0
     opt_state = None
     if args.resume:
-        ckpt = load_checkpoint(_require_file(args.resume, "checkpoint"), dtype=np.float32)
-        if ckpt.vocab_hash != vocab.content_hash():
-            raise UsageError(f"vocab hash mismatch: checkpoint {args.resume} was trained on "
-                             f"another vocab than prep directory {args.prep}")
+        ckpt = _load_checkpoint(args.resume, vocab, args.prep)
         if not ckpt.extra_tensors:
             raise UsageError(f"{args.resume} holds no optimizer state; resume from a "
                              "checkpoint_*.spnd file written during training")

@@ -304,7 +304,7 @@ def _add_rows_at(into: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
 def forward(
     params: DenoiserParams,
     xt: np.ndarray,
-    t: np.ndarray | int | None = None,
+    t: np.ndarray | int,
     *,
     train: bool = False,
     rng: np.random.Generator | int | None = None,
@@ -312,8 +312,8 @@ def forward(
     """Logits over the vocabulary at each [MASK] position of xt.
 
     xt: (B, n) token ids, possibly containing [MASK]/[PAD]. t: (B,) steps or
-    one step, in 0..T whenever given; lte and pte need it, and tad drops it
-    once checked. Returns (logits (m, K), cache): one row per [MASK] of xt
+    one step, in 0..T; every mode checks it, lte and pte read it, and tad
+    drops it. Returns (logits (m, K), cache): one row per [MASK] of xt
     in row-major order, i.e. the rows of `xt == MASK_ID`; mask/pad/cls
     columns are -inf. The last layer runs past its attention on those rows
     only. Its dropout masks are drawn at the full (B, n + prefix, d) shape
@@ -326,12 +326,9 @@ def forward(
     B, n = xt.shape
     if n > cfg.n_max:
         raise ValueError(f"sequence length {n} exceeds n_max={cfg.n_max}")
-    if t is None and cfg.mode != "tad":
-        raise ValueError(f"{cfg.mode} mode requires a time step")
-    if t is not None:
-        t = np.broadcast_to(np.asarray(t, dtype=np.int64), (B,)).copy()
-        if (t < 0).any() or (t > cfg.num_steps).any():
-            raise ValueError("time step out of range")
+    t = np.broadcast_to(np.asarray(t, dtype=np.int64), (B,)).copy()
+    if (t < 0).any() or (t > cfg.num_steps).any():
+        raise ValueError("time step out of range")
     t = None if cfg.mode == "tad" else t
     dtype = params.dtype
     prefix = cfg.prefix_len

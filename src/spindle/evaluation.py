@@ -73,7 +73,7 @@ def elbo_eval(
     rows = (spindle_alpha_bar_at(surprisal.h_for(x), [t - 1, t], sched_params)
             for x, t in zip(seqs, t_draws))
     breakdown, _ = diffusion_loss_batch(params, seqs, rows, t_draws, stream(seed, "elbo-noise"),
-                                        train=False, want_grads=False)
+                                        train=False)
     return breakdown.total
 
 

@@ -13,13 +13,13 @@ default. With `remask=True` predictions are still drawn only at masked
 positions, but the mask is redrawn over all positions from alpha_bar[s], so
 a revealed token can be masked again.
 
-A tad model sees x_t alone, so a chain whose x_t did not change since the
-last iteration (no reveal, or in remask mode the same mask redrawn) has the
-same prediction as then. Such chains reuse their previous rows of top-k ids
-and probabilities, and the denoiser and top-k run only on the chains that
-changed; the uniforms are still drawn at every position, so RNG use does
-not depend on the reuse. lte and pte models see t, which changes every
-iteration, and run on every chain.
+A tad model sees x_t alone, so when no chain's x_t changed since the last
+iteration (no reveal, or in remask mode the same mask redrawn) every
+prediction is the one it had then. Such an iteration reuses the previous
+rows of top-k ids and probabilities and runs neither the denoiser nor
+top-k; any other iteration predicts on every chain. The uniforms are still
+drawn at every position, so RNG use does not depend on the reuse. lte and
+pte models see t, which changes every iteration, and predict every time.
 
 Where an iteration runs the denoiser on two or more chains and each half of
 them reaches the work gate of the package's thread pool (`_threads`), the
@@ -205,21 +205,21 @@ def generate_batch(
     """Run `num` independent reverse chains in lockstep. Deterministic given
     the rng seed; every returned sequence is free of mask/pad/cls ids.
 
-    Each iteration predicts (`_predict`) on the chains that need it: every
-    chain, or for a tad model those whose x changed, the rest reusing the
-    (kept, probs) rows they had. A prediction over c >= 2 chains whose
-    halves each reach `_threads._MIN_THREADED_WORK` (a desk-shaped model's
-    8 chains do; a one-chain call or a test-sized model does not) runs as
-    two tasks, on the pool's two threads where `_threads._threaded` allows.
-    Which chains a forward runs on depends on the shapes and the draws
-    alone, never on the thread count, so neither do the samples. A row can
-    round differently in a forward over other chains, since OpenBLAS picks
-    GEMM kernels by row count: on a 2-core x86_64 box (OpenBLAS 0.3.31,
-    Haswell kernels) desk-shaped float32 forwards with 10% or fewer of the
-    positions masked gave other logit bytes over all 8 chains than over
-    their halves in 6-16 of 20 draws. So the reuse and the split are
-    deterministic, but where they apply they are not always bitwise a run
-    of one forward over every chain.
+    Each iteration predicts (`_predict`) on every chain, except that a tad
+    model whose chains all kept their x since the last iteration reuses the
+    (kept, probs) rows it had. A prediction over c >= 2 chains whose halves
+    each reach `_threads._MIN_THREADED_WORK` (a desk-shaped model's 8
+    chains do; a one-chain call or a test-sized model does not) runs as two
+    tasks, on the pool's two threads where `_threads._threaded` allows.
+    Which chains a forward runs on depends on the shapes alone; whether it
+    runs depends on the draws. Neither depends on the thread count, so
+    neither do the samples. A row can round differently in a forward over
+    other chains, since OpenBLAS picks GEMM kernels by row count: on a
+    2-core x86_64 box (OpenBLAS 0.3.31, Haswell kernels) desk-shaped
+    float32 forwards with 10% or fewer of the positions masked gave other
+    logit bytes over all 8 chains than over their halves in 6-16 of 20
+    draws. So the split is deterministic, but where it applies it is not
+    always bitwise a run of one forward over every chain.
     """
     check_sample_config(params, sched_params, cfg)
     model_cfg = params.config
@@ -237,17 +237,9 @@ def generate_batch(
     for it, t in enumerate(range(big_t, 0, -stride), start=1):
         s = t - stride
         masked = x == MASK_ID
-        if model_cfg.mode != "tad" or it == 1 or (changed := (x != prev_x).any(axis=1)).all():
-            kept, probs = _predict(params, x, t, cfg)
-        else:  # tad: a chain with the same x as last iteration reuses its rows
-            fresh = np.repeat(changed, masked.sum(axis=1))  # per masked row
-            reused = ~np.repeat(changed, (prev_x == MASK_ID).sum(axis=1))
-            kept = np.empty((len(fresh), prev_kept.shape[1]), dtype=prev_kept.dtype)
-            probs = np.empty(kept.shape, dtype=prev_probs.dtype)
-            kept[~fresh], probs[~fresh] = prev_kept[reused], prev_probs[reused]
-            if changed.any():
-                kept[fresh], probs[fresh] = _predict(params, x[changed], t, cfg)
-        prev_x, prev_kept, prev_probs = x, kept, probs
+        if model_cfg.mode != "tad" or it == 1 or (x != prev_x).any():
+            kept, probs = _predict(params, x, t, cfg)  # else tad: no x changed, reuse the rows
+        prev_x = x
         x0_hat = x.copy()
         x0_hat[masked] = _draw_top_k(kept, probs, masked, rng)
 

@@ -19,11 +19,11 @@ batch in length groups: it stable-sorts the items by length, cuts groups of
 little work on pad rows. A batch of 8 or fewer items is one group.
 Where two CPUs are usable and the groups are large enough, a call hands
 work to the package's pool of two threads (`_threads`, which the sampler
-shares) by one rule: a call with gradients (training, MLM) hands over each
+shares) by one rule: a call that trains (training, MLM) hands over each
 group's backward, one at a time, which runs beside the next group's
-forward, and a forward-only call without dropout (`elbo_eval`) hands over
-each group whole, two at a time. Every loss and gradient is bitwise the one
-of a single thread.
+forward, and a call that scores (`elbo_eval`) hands over each group whole,
+two at a time. Every loss and gradient is bitwise the one of a single
+thread.
 The loss core alone bounds memory: it holds the inputs of one window of 64
 items and the tensors of at most two groups at a time, however many items
 it scores.
@@ -142,13 +142,13 @@ def _masked_ce(
     t: np.ndarray,
     rng: np.random.Generator,
     grads: dict[str, np.ndarray] | None,
-    *,
-    train: bool,
 ) -> np.ndarray:
     """The loss core shared by MLM and the bound: per item, the sum over its
-    [MASK] positions of weight * (-log p(target | x_t)); given a `grads`
-    buffer, it adds the gradients of the batch total into it. t holds each
-    item's step, passed to the denoiser as is.
+    [MASK] positions of weight * (-log p(target | x_t)). A call trains or
+    scores: given a `grads` buffer, it runs the denoiser with dropout drawn
+    from rng and adds the gradients of the batch total into the buffer;
+    given None, it runs without dropout and computes no gradient. t holds
+    each item's step, passed to the denoiser as is.
     The denoiser's rows, the weights and the targets are all taken at
     `xt == MASK_ID`; pads are PAD_ID, so it never selects them.
 
@@ -168,9 +168,9 @@ def _masked_ce(
 
     Every group's `backward` adds into the one `grads` buffer, in group
     order; calls on several windows of a batch sum into it too. A call of
-    one group, one with `train` and no `grads`, and one that
-    `_threads._threaded()` turns down, given a group's average work, run on
-    the calling thread alone, holding one group's model tensors at a time.
+    one group, and one that `_threads._threaded()` turns down, given a
+    group's average work, run on the calling thread alone, holding one
+    group's model tensors at a time.
     Any other call hands tasks to the shared pool through `_threads._tasks`,
     with BLAS pinned to one thread: in order, each once fewer than its slots
     of the call's tasks are unfinished, waiting for the oldest. A call with
@@ -200,7 +200,7 @@ def _masked_ce(
     order = np.argsort([len(x) for x in xts], kind="stable")
     groups = [np.sort(order[lo : lo + _GROUP_SIZE]) for lo in range(0, len(order), _GROUP_SIZE)]
     threaded = False
-    if len(groups) > 1 and (grads is not None or not train):
+    if len(groups) > 1:
         rows = sum(len(x) + params.config.prefix_len for x in xts) / len(groups)
         threaded = _threads._threaded(_threads._gemm_work(params.config, rows))
     per_item = np.zeros(len(xts))
@@ -212,7 +212,7 @@ def _masked_ce(
         xt = _pad_batch([xts[i] for i in group], PAD_ID)
         masked = xt == MASK_ID
         w = _pad_batch([weights[i] for i in group], 0.0)[masked]
-        logits, cache = denoiser.forward(params, xt, t[group], train=train, rng=rng)
+        logits, cache = denoiser.forward(params, xt, t[group], train=grads is not None, rng=rng)
         logp = _head_logp(logits, x0[masked], w if grads is not None else None)
         per_pos = np.zeros(xt.shape)
         per_pos[masked] = w * -logp
@@ -237,9 +237,10 @@ def diffusion_loss_batch(
     rng: np.random.Generator | int | None,
     *,
     train: bool = True,
-    want_grads: bool = True,
 ) -> tuple[LossBreakdown, dict[str, np.ndarray] | None]:
-    """Sampled-t bound estimate and its parameter gradients for a batch.
+    """Sampled-t bound estimate for a batch. A call with `train` runs the
+    denoiser with dropout and returns the parameter gradients; one without
+    scores the batch without dropout and returns None for them.
 
     Item i is drawn at step t_draws[i] in {1..T}, T the model's num_steps;
     the i-th entry of the iterable alpha_rows holds its two retention rows
@@ -260,7 +261,7 @@ def diffusion_loss_batch(
     num_tokens = sum(len(x0) for x0 in seqs)
     items = zip(seqs, alpha_rows, strict=True)
     per_item = np.zeros(len(seqs))
-    grads = params.zeros_like() if want_grads else None
+    grads = params.zeros_like() if train else None
     for lo in range(0, len(seqs), _WINDOW):
         window = list(itertools.islice(items, _WINDOW))
         xts, weights = [], []
@@ -271,8 +272,7 @@ def diffusion_loss_batch(
             xts.append(np.where(rng.random(len(x0)) < alpha_t, x0, MASK_ID))
             weights.append(reveal_from_rows(alpha_prev, alpha_t) * num_steps / num_tokens)
         per_item[lo : lo + _WINDOW] = _masked_ce(params, xts, [x0 for x0, _ in window], weights,
-                                                 t_draws[lo : lo + _WINDOW], rng, grads,
-                                                 train=train)
+                                                 t_draws[lo : lo + _WINDOW], rng, grads)
     next(items, None)  # the strict zip raises if alpha_rows outlasts seqs
     is_recon = t_draws == 1
     unweight = num_tokens / num_steps
@@ -286,14 +286,12 @@ def mlm_pretrain_step(
     seqs: list[np.ndarray],
     mask_rate: float,
     rng: np.random.Generator | int | None,
-    *,
-    want_grads: bool = True,
-) -> tuple[float, dict[str, np.ndarray] | None]:
-    """Masked-LM cross entropy: mask each position independently, score masked
-    positions only, averaged per masked token. A draw that masks nothing is
-    retried once and then the item is left out; if every item is left out the
-    loss is 0 and the gradients are zero. lte/pte models receive the
-    sentinel step t = T.
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Masked-LM cross entropy and its parameter gradients, with dropout:
+    mask each position independently, score masked positions only, averaged
+    per masked token. A draw that masks nothing is retried once and then the
+    item is left out; if every item is left out the loss is 0 and the
+    gradients are zero. lte/pte models receive the sentinel step t = T.
     """
     if not 0 < mask_rate <= 1:
         raise ValueError("mask_rate must be in (0, 1]")
@@ -309,9 +307,9 @@ def mlm_pretrain_step(
         keep.append(x0)
         masks.append(m)
     num_masked = sum(int(m.sum()) for m in masks)
-    grads = params.zeros_like() if want_grads else None
+    grads = params.zeros_like()
     per_item = _masked_ce(params, xts, keep, [m / num_masked for m in masks],
-                          np.full(len(xts), params.config.num_steps), rng, grads, train=True)
+                          np.full(len(xts), params.config.num_steps), rng, grads)
     return float(per_item.sum()), grads
 
 

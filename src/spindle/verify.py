@@ -138,11 +138,11 @@ def check_gradient_fd(num_coords: int = 100, seed: int = 0, eps: float = 1e-4) -
     t_draw = 5
     rows = spindle_alpha_bar_at(h, [t_draw - 1, t_draw], ScheduleParams(num_steps=8, lam=0.3))
 
-    def loss(p, want_grads=False):
+    def loss(p):
         return diffusion_loss_batch(p, [x0], [rows], np.array([t_draw]),
-                                    stream(seed, "gradcheck-noise"), want_grads=want_grads)
+                                    stream(seed, "gradcheck-noise"))
 
-    _, grads = loss(params, want_grads=True)
+    _, grads = loss(params)
     names = params.names()
     worst = 0.0
     for _ in range(num_coords):
@@ -185,7 +185,7 @@ def check_kl_simplification(num_instances: int = 1000, seed: int = 0) -> CheckRe
         x0 = int(rng.integers(3, k))
         breakdown, _ = diffusion_loss_batch(
             params, [np.array([x0])], [np.array([[r], [0.0]])], np.array([t]),
-            stream(seed, "kl-noise", i), train=False, want_grads=False,
+            stream(seed, "kl-noise", i), train=False,
         )
         pred = model_predict_fn(params)(np.array([MASK_ID]), t)[0]
         q_row = np.zeros(k)

@@ -193,6 +193,34 @@ def test_train_resume_rejects_contradicting_setting(tmp_path, corpus_file, prep_
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "eval", "train"])
+def test_a_checkpoint_of_another_vocab_exits_2_naming_both_paths(tmp_path, corpus_file,
+                                                                 prep_dir, capsys, command):
+    """sample, eval and train --resume refuse a checkpoint trained on another
+    vocab than the prep directory's: exit 2, one message naming the
+    checkpoint and the prep directory, and no file or directory written."""
+    run = train_tiny(tmp_path, corpus_file, prep_dir, extra=["--checkpoint-every", "6"])
+    other_corpus = tmp_path / "other.txt"
+    other_corpus.write_text("red fish swim in blue water\n", encoding="utf-8")
+    other = tmp_path / "other"
+    assert cli.main(["prepare", "--corpus", str(other_corpus), "--vocab-size", "64",
+                     "--out", str(other)]) == 0
+    ckpt = run / ("checkpoint_0000006.spnd" if command == "train" else "model.spnd")
+    out = tmp_path / "out" / "result"
+    argv = {"sample": ["--checkpoint", str(ckpt), "--num", "1", "--length", "4",
+                       "--iterations", "4", "--out", str(out)],
+            "eval": ["--checkpoint", str(ckpt), "--test", str(corpus_file), "--out", str(out)],
+            "train": ["--resume", str(ckpt), "--corpus", str(corpus_file), "--out", str(out)]}
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = cli.main([command, *argv[command], "--prep", str(other)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"error: vocab hash mismatch: checkpoint {ckpt} was trained on another "
+                   f"vocab than prep directory {other}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_train_resume_needs_optimizer_state(tmp_path, corpus_file, prep_dir, capsys):
     """model.spnd carries no Adam state, so resuming from it would silently
     restart the optimizer; the CLI refuses and names the files that work."""

@@ -41,14 +41,13 @@ def test_config_validation():
 
 def test_time_arg_contract():
     """Every mode takes a step in 0..T and raises on one out of range; tad
-    then drops it, so its logits with any step are bitwise those with none,
-    and lte and pte raise without one."""
+    then drops it, so its logits are bitwise the same at every step."""
     params = dn.init_params(tiny_config("tad"), 0)
     params.tensors["out.w"] += np.random.default_rng(1).normal(0, 0.4, params["out.w"].shape)
     xt = np.array([[4, MASK_ID, 6], [MASK_ID, MASK_ID, 5]])
-    base = dn.forward(params, xt)[0]
+    base = dn.forward(params, xt, 0)[0]
     assert base.shape == (3, 11)  # one row per [MASK]
-    for t in (0, 3, 6, np.array([1, 6])):
+    for t in (3, 6, np.array([1, 6])):
         np.testing.assert_array_equal(dn.forward(params, xt, t)[0], base)
     for mode in ("tad", "lte", "pte"):
         params_t = dn.init_params(tiny_config(mode), 0)
@@ -56,14 +55,11 @@ def test_time_arg_contract():
             with pytest.raises(ValueError, match="out of range"):
                 dn.forward(params_t, xt, t)
         assert dn.forward(params_t, xt, 3)[0].shape == (3, 11)
-        if mode != "tad":
-            with pytest.raises(ValueError, match="requires a time step"):
-                dn.forward(params_t, xt)
 
 
 def test_untrained_model_is_uniform_over_content():
     params = dn.init_params(tiny_config("tad"), 0)
-    logits = dn.forward(params, np.full(4, MASK_ID))[0]
+    logits = dn.forward(params, np.full(4, MASK_ID), 6)[0]
     assert np.all(np.isneginf(logits[:, [MASK_ID, PAD_ID, CLS_ID]]))
     probs = softmax(logits)
     assert np.allclose(probs[:, 3:], 1.0 / 8, atol=1e-12)
@@ -95,7 +91,7 @@ def test_softmax_rows_normalize():
     params = dn.init_params(tiny_config("tad", num_layers=1), 5)
     rng = np.random.default_rng(0)
     params.tensors["out.w"] += rng.normal(0, 0.4, params.tensors["out.w"].shape)
-    logits = dn.forward(params, np.array([4, MASK_ID, 9]))[0]
+    logits = dn.forward(params, np.array([4, MASK_ID, 9]), 3)[0]
     probs = softmax(logits)
     assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
     assert np.all(probs[:, :3] == 0.0)
@@ -129,7 +125,7 @@ def test_bidirectional_permutation_equivariance():
     rng = np.random.default_rng(1)
     params.tensors["out.w"] += rng.normal(0, 0.4, params.tensors["out.w"].shape)
     xt = np.array([4, MASK_ID, 6, MASK_ID])
-    base = dn.forward(params, xt)[0]  # rows of positions 1 and 3
+    base = dn.forward(params, xt, 4)[0]  # rows of positions 1 and 3
 
     swapped = params.copy()
     # content position i sits at internal row i + 1 (after [CLS])
@@ -138,7 +134,7 @@ def test_bidirectional_permutation_equivariance():
     swapped.tensors["pos_emb"] = pe
     xt_sw = xt.copy()
     xt_sw[[1, 2]] = xt_sw[[2, 1]]
-    out = dn.forward(swapped, xt_sw)[0]  # rows of positions 2 and 3
+    out = dn.forward(swapped, xt_sw, 4)[0]  # rows of positions 2 and 3
     finite = np.isfinite(base)
     assert np.array_equal(finite, np.isfinite(out))
     assert np.allclose(out[finite], base[finite], atol=1e-10)
@@ -205,7 +201,7 @@ def test_backward_never_writes_its_upstream(special):
 
 def test_backward_shape_mismatch_errors():
     params = dn.init_params(tiny_config("tad"), 2)
-    _, cache = dn.forward(params, np.array([[4, 5]]))
+    _, cache = dn.forward(params, np.array([[4, 5]]), 1)
     with pytest.raises(ValueError):
         dn.backward(cache, np.zeros((1, 3, 11)), params.zeros_like())
 
@@ -570,4 +566,4 @@ def test_save_refuses_non_finite_tensor(tmp_path, name, value):
 def test_sequence_too_long_rejected():
     params = dn.init_params(tiny_config("tad", n_max=4), 0)
     with pytest.raises(ValueError):
-        dn.forward(params, np.full(5, 4))
+        dn.forward(params, np.full(5, 4), 1)

@@ -283,7 +283,7 @@ def test_elbo_eval_stratified_spread_below_iid(word_corpus):
     n = len(x)
     assert n == 29
     sched = sp.ScheduleParams(num_steps=big_t, lam=2.0)
-    probs = sp.model_predict_fn(params)(np.full(n, MASK_ID), None)
+    probs = sp.model_predict_fn(params)(np.full(n, MASK_ID), big_t)
     c = -np.log(probs[np.arange(n), x])
     a = spindle_alpha_bar_at(table.h_for(x), np.arange(big_t + 1), sched)
     r = np.array([reveal_from_rows(a[t - 1], a[t]) for t in range(1, big_t + 1)])

@@ -86,8 +86,8 @@ def _run(digests: dict[str, str], label: str, *argv: str) -> None:
 def _library(digests: dict[str, str]) -> None:
     """Per mode and dtype, the loss and its gradients over 70 items, so two
     windows sum into one buffer, and a frozen and a remask sample of 64
-    iterations, in which a tad model predicts on strict subsets of its
-    chains; three float64 Adam updates; a sample of tied logits; a
+    iterations, in which a tad model skips the iterations where no chain
+    changed; three float64 Adam updates; a sample of tied logits; a
     desk-shaped 8-chain tad sample."""
     rng = np.random.default_rng(0)
     h = np.r_[0.0, 0.0, 0.0, np.linspace(0.5, 4.0, 2001)]
@@ -103,8 +103,7 @@ def _library(digests: dict[str, str]) -> None:
         params.tensors["out.w"][:] = np.random.default_rng(6).normal(0.0, 0.4, (16, 13))
         for dtype in (np.float32, np.float64):
             p = params.astype(dtype)
-            scored, _ = sp.diffusion_loss_batch(p, seqs, rows, t_draws, 8, train=False,
-                                                want_grads=False)
+            scored, _ = sp.diffusion_loss_batch(p, seqs, rows, t_draws, 8, train=False)
             bound, grads = sp.diffusion_loss_batch(p, seqs, rows, t_draws, 7)
             mlm, mlm_grads = sp.mlm_pretrain_step(p, seqs[:20], 0.3, 9)
             blob = repr([scored, bound, mlm]).encode() + b"".join(
@@ -223,22 +222,30 @@ def test_the_session_gives_no_entry_the_file_lacks(committed, one_thread):
 
 def test_the_session_is_the_same_on_two_threads_under_stress(one_thread, force_threads,
                                                             thread_stress, monkeypatch, tmp_path):
-    """The gate at 0 splits every sampler call of two or more chains, those
-    on strict subsets of a tad batch too, and sends every call of the loss
-    core on more than one group to the pool. The resumed run ends where the
-    one it resumed does."""
+    """The gate at 0 splits every sampler prediction of two or more chains
+    and sends every call of the loss core on more than one group to the
+    pool. Each prediction is on a whole batch, the one its iteration draws
+    from, and a tad model skips some iterations. The resumed run ends where
+    the one it resumed does."""
     pool, submitted = _threads._thread_pool, []
-    predict, predicted = sp.sampling._predict, []
+    predict, draw, events = sp.sampling._predict, sp.sampling._draw_top_k, []
     monkeypatch.setattr(_threads, "_thread_pool", lambda: submitted.append(1) or pool())
     monkeypatch.setattr(sp.sampling, "_predict",
-                        lambda params, x, *a: predicted.append(len(x)) or predict(params, x, *a))
+                        lambda params, x, *a: events.append(("predict", len(x)))
+                        or predict(params, x, *a))
+    monkeypatch.setattr(sp.sampling, "_draw_top_k",
+                        lambda kept, probs, masked, rng: events.append(("draw", len(masked)))
+                        or draw(kept, probs, masked, rng))
     monkeypatch.setattr(_threads, "_MIN_THREADED_WORK", 0)
     force_threads(True)
     monkeypatch.chdir(tmp_path)
     two = session()
     changed = moved(one_thread, two)
     assert not changed, f"moved on two threads: {changed}"
-    assert len(submitted) > 200 and {2, 3} & set(predicted)  # only tad predicts on 2 or 3
+    assert len(submitted) > 200
+    pairs = list(zip(events, events[1:]))
+    assert all(after == ("draw", n) for (kind, n), after in pairs if kind == "predict")
+    assert any(before[0] == after[0] == "draw" for before, after in pairs)  # a skip
     assert two["resumed/model.spnd"] == two["tad/model.spnd"]
 
 

@@ -39,7 +39,7 @@ def test_uniform_model_charges_reveal_times_log_vocab():
     seqs = [np.array([5, 6, 7]), np.array([8, 9])]
     rows = [np.array([[0.5, 1.0, 0.3], [0.0, 1.0, 0.0]]), np.array([[1.0, 1.0], [0.0, 0.0]])]
     b, _ = sp.diffusion_loss_batch(params, seqs, rows, np.array([2, 1]), stream(0, "u"),
-                                   want_grads=False)
+                                   train=False)
     ln10 = math.log(10)
     assert b.total == pytest.approx((0.5 + 0.3 + 1.0 + 1.0) * ln10 * 8 / 5, abs=1e-12)
     assert b.l_t_kl == pytest.approx(0.8 * ln10, abs=1e-12)
@@ -55,7 +55,7 @@ def test_perfect_model_zero_loss():
 
     def loss(t):
         return sp.diffusion_loss_batch(params, [x0], [a[t - 1 : t + 1]], np.array([t]),
-                                       stream(1, "perfect"), want_grads=False)[0]
+                                       stream(1, "perfect"), train=False)[0]
 
     def losses(token):
         """(t = 1, t = 5) loss totals when the model is sure of `token`."""
@@ -83,7 +83,7 @@ def test_diffusion_loss_breakdown_fields():
     assert set(grads) == set(params.tensors)
     # t = 1 routes to the reconstruction slot
     b1, _ = sp.diffusion_loss_batch(params, [x0], [a[0:2]], np.array([1]), stream(1, "x"),
-                                    want_grads=False)
+                                    train=False)
     assert b1.l_t_kl == 0.0 and b1.l_0 >= 0.0
 
 
@@ -122,10 +122,10 @@ def test_diffusion_loss_batch_reads_rows_one_window_at_a_time(monkeypatch):
 
     real = training._masked_ce
     monkeypatch.setattr(training, "_masked_ce", recording)
-    got, grads = sp.diffusion_loss_batch(params, seqs, lazy_rows(), t_draws, 7, train=False)
+    got, grads = sp.diffusion_loss_batch(params, seqs, lazy_rows(), t_draws, 7)
     assert calls == [(64, 64), (64, 128), (22, 150)]
     monkeypatch.setattr(training, "_WINDOW", 150)
-    ref, ref_grads = sp.diffusion_loss_batch(params, seqs, rows, t_draws, 7, train=False)
+    ref, ref_grads = sp.diffusion_loss_batch(params, seqs, rows, t_draws, 7)
     assert got.total == pytest.approx(ref.total, rel=1e-12)
     largest = max(float(np.abs(g).max()) for g in ref_grads.values())
     for name, g in ref_grads.items():  # attn.bk's exact gradient is 0
@@ -133,7 +133,7 @@ def test_diffusion_loss_batch_reads_rows_one_window_at_a_time(monkeypatch):
         assert float(np.abs(grads[name] - g).max()) <= 1e-12 * scale, name
     for wrong in (rows[:-1], rows + rows[:1]):
         with pytest.raises(ValueError):
-            sp.diffusion_loss_batch(params, seqs, iter(wrong), t_draws, 7, want_grads=False)
+            sp.diffusion_loss_batch(params, seqs, iter(wrong), t_draws, 7, train=False)
 
 
 @pytest.mark.parametrize("objective", ["diffusion", "mlm"])
@@ -145,18 +145,16 @@ def test_diffusion_loss_grads_match_fd(objective):
     a = spindle_alpha_bar_at(h, np.arange(9), sp.ScheduleParams(num_steps=8, lam=0.4))
     x0 = np.random.default_rng(1).integers(4, 13, size=5)
 
-    def loss_and_grads(p, want_grads):
+    def loss_and_grads(p):
         if objective == "mlm":
-            return sp.mlm_pretrain_step(p, [x0, x0[:3]], 0.5, stream(9, "n"),
-                                        want_grads=want_grads)
-        b, grads = sp.diffusion_loss_batch(p, [x0], [a[5:7]], np.array([6]), stream(9, "n"),
-                                           want_grads=want_grads)
+            return sp.mlm_pretrain_step(p, [x0, x0[:3]], 0.5, stream(9, "n"))
+        b, grads = sp.diffusion_loss_batch(p, [x0], [a[5:7]], np.array([6]), stream(9, "n"))
         return b.total, grads
 
     def loss(p):
-        return loss_and_grads(p, False)[0]
+        return loss_and_grads(p)[0]
 
-    _, grads = loss_and_grads(params, True)
+    _, grads = loss_and_grads(params)
     rng = np.random.default_rng(2)
     names = params.names()
     worst = 0.0
@@ -233,9 +231,9 @@ def test_masked_ce_length_groups_match_singletons(mode):
     lengths[:2] = 5, 63
     xts, targets, weights, t = _ragged_batch(lengths, seed=2)
     grads, ref_grads = params.zeros_like(), params.zeros_like()
-    per_item = _masked_ce(params, xts, targets, weights, t, stream(0, "ce"), grads, train=True)
+    per_item = _masked_ce(params, xts, targets, weights, t, stream(0, "ce"), grads)
     ref_items = [_masked_ce(params, xts[i : i + 1], targets[i : i + 1], weights[i : i + 1],
-                            t[i : i + 1], stream(0, "ce"), ref_grads, train=True)[0]
+                            t[i : i + 1], stream(0, "ce"), ref_grads)[0]
                  for i in range(len(xts))]
     np.testing.assert_allclose(per_item, ref_items, rtol=1e-13, atol=0)
     largest = max(float(np.abs(g).max()) for g in ref_grads.values())
@@ -249,11 +247,10 @@ def test_masked_ce_follows_batch_order():
     params = _ragged_params("lte", seed=1)
     lengths = np.random.default_rng(3).integers(5, 64, size=19)
     xts, targets, weights, t = _ragged_batch(lengths, seed=4)
-    per_item = _masked_ce(params, xts, targets, weights, t, stream(1, "ce"), None, train=False)
+    per_item = _masked_ce(params, xts, targets, weights, t, stream(1, "ce"), None)
     perm = np.random.default_rng(5).permutation(len(xts))
     permuted = _masked_ce(params, [xts[i] for i in perm], [targets[i] for i in perm],
-                          [weights[i] for i in perm], t[perm], stream(1, "ce"), None,
-                          train=False)
+                          [weights[i] for i in perm], t[perm], stream(1, "ce"), None)
     assert np.all(per_item > 0)
     np.testing.assert_allclose(permuted, per_item[perm], rtol=1e-13, atol=0)
 
@@ -269,8 +266,7 @@ def test_masked_ce_checks_targets_before_any_forward(monkeypatch):
     calls = []
     monkeypatch.setattr(dn, "forward", lambda *a, **k: calls.append(1))
     with pytest.raises(ValueError, match=r"\[MASK\]"):
-        _masked_ce(params, xts, targets, weights, t, stream(2, "ce"), params.zeros_like(),
-                   train=True)
+        _masked_ce(params, xts, targets, weights, t, stream(2, "ce"), params.zeros_like())
     assert calls == []
 
 
@@ -282,14 +278,32 @@ def test_masked_ce_group_without_masked_rows():
     xts, targets, weights, t = _ragged_batch([5] * 8 + [40] * 8, seed=7)
     xts[:8] = targets[:8]
     grads, long_grads = params.zeros_like(), params.zeros_like()
-    per_item = _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), grads, train=False)
+    per_item = _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), grads)
     assert np.all(per_item[:8] == 0) and np.all(per_item[8:] > 0)
     assert all(np.isfinite(g).all() for g in grads.values())
     long_items = _masked_ce(params, xts[8:], targets[8:], weights[8:], t[8:], stream(3, "ce"),
-                            long_grads, train=False)
+                            long_grads)
     np.testing.assert_array_equal(per_item[8:], long_items)
     for name, g in long_grads.items():
         np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-14 * np.abs(g).max())
+
+
+def test_a_loss_call_trains_with_dropout_or_scores_without():
+    """Given a gradient buffer, the loss core draws dropout from rng; given
+    none, it runs without dropout, so its losses do not depend on rng and
+    are bitwise those of the same model with dropout 0, with or without
+    gradients."""
+    params = _ragged_params("lte", dropout=0.1)
+    plain = _ragged_params("lte", dropout=0.0)
+    xts, targets, weights, t = _ragged_batch([9, 14, 20], seed=10)
+
+    def losses(p, seed, grads):
+        return _masked_ce(p, xts, targets, weights, t, stream(seed, "drop"), grads).tobytes()
+
+    scored = losses(params, 1, None)
+    assert scored == losses(params, 2, None) == losses(plain, 1, None)
+    assert scored == losses(plain, 1, plain.zeros_like())
+    assert losses(params, 1, params.zeros_like()) != losses(params, 2, params.zeros_like())
 
 
 def test_threaded_loss_calls_run_each_stage_on_its_thread(monkeypatch, force_threads):
@@ -310,17 +324,16 @@ def test_threaded_loss_calls_run_each_stage_on_its_thread(monkeypatch, force_thr
     monkeypatch.setattr(dn, "forward", recording("forward", dn.forward))
     monkeypatch.setattr(dn, "backward", recording("backward", dn.backward))
     force_threads(True)
-    _masked_ce(params, xts, targets, weights, t, stream(4, "ce"), None, train=False)
+    _masked_ce(params, xts, targets, weights, t, stream(4, "ce"), None)
     assert seen == [("forward", False)] * 3
     seen.clear()
-    _masked_ce(params, xts, targets, weights, t, stream(4, "ce"), params.zeros_like(),
-               train=True)
+    _masked_ce(params, xts, targets, weights, t, stream(4, "ce"), params.zeros_like())
     assert sorted(seen) == [("backward", False)] * 3 + [("forward", True)] * 3
 
 
-def _serial_masked_ce(params, xts, targets, weights, t, rng, grads, *, train):
-    """The loss core as it ran before it used threads: groups of 8 items of
-    the stable length sort, one after another."""
+def _serial_masked_ce(params, xts, targets, weights, t, rng, grads):
+    """The scoring loss core as it ran before it used threads: groups of 8
+    items of the stable length sort, one after another."""
     per_item = np.zeros(len(xts))
     order = np.argsort([len(x) for x in xts], kind="stable")
     for lo in range(0, len(order), 8):
@@ -329,7 +342,7 @@ def _serial_masked_ce(params, xts, targets, weights, t, rng, grads, *, train):
         xt = training._pad_batch([xts[i] for i in group], PAD_ID)
         masked = xt == MASK_ID
         w = training._pad_batch([weights[i] for i in group], 0.0)[masked]
-        logits, _ = dn.forward(params, xt, t[group], train=train, rng=rng)
+        logits, _ = dn.forward(params, xt, t[group])
         logp = training._head_logp(logits, x0[masked], None)
         per_pos = np.zeros(xt.shape)
         per_pos[masked] = w * -logp
@@ -395,7 +408,7 @@ def test_a_failing_group_ends_the_call_with_no_task_left_running(monkeypatch, fo
     expected = params.zeros_like() if grad else None
     if grad:
         _masked_ce(params, xts[:16], targets[:16], weights[:16], t[:16], stream(4, "ce"),
-                   expected, train=True)
+                   expected)
     monkeypatch.setattr(dn, "forward", failing("forward"))
     monkeypatch.setattr(dn, "backward", failing("backward"))
     force_threads(True)
@@ -410,7 +423,7 @@ def test_a_failing_group_ends_the_call_with_no_task_left_running(monkeypatch, fo
         grads = params.zeros_like() if grad else None
         with pytest.raises(RuntimeError, match=f"^{stage} three failed$"):
             _masked_ce(params, xts[:items], targets[:items], weights[:items], t[:items],
-                       stream(4, "ce"), grads, train=grad)
+                       stream(4, "ce"), grads)
         counts, finished = (len(calls["forward"]), len(calls["backward"])), len(ended)
         time.sleep(0.2)
         assert finished == sum(counts) == len(calls["forward"]) + len(calls["backward"])
@@ -457,10 +470,9 @@ def test_blas_runs_one_thread_during_a_call_and_its_count_comes_back(monkeypatch
     original = get()
     set_(count)
     try:
-        _masked_ce(params, xts, targets, weights, t, stream(5, "ce"), None, train=False)
+        _masked_ce(params, xts, targets, weights, t, stream(5, "ce"), None)
         assert get() == count
-        _masked_ce(params, xts, targets, weights, t, stream(5, "ce"), params.zeros_like(),
-                   train=True)
+        _masked_ce(params, xts, targets, weights, t, stream(5, "ce"), params.zeros_like())
         assert get() == count
     finally:
         set_(original)
@@ -471,17 +483,15 @@ def test_workers_follow_the_group_work_threshold(force_threads):
     """Forward-only and gradient calls go to threads only where a group's
     GEMMs reach _MIN_THREADED_WORK multiply-adds per layer: a test-sized
     model stays on the calling thread, a default-sized one with 20-token
-    lines does not. A call with dropout and no gradients does not ask."""
+    lines does not."""
     seen = []
     force_threads(lambda work: seen.append(work) or False)
     xts, targets, weights, t = _ragged_batch([20] * 16, seed=3)
     for d, layers in ((16, 2), (128, 4)):
         params = tiny_params(vocab_size=2004, d_model=d, num_layers=layers, num_heads=4,
                              n_max=64, randomize=False, dropout=0.1)
-        _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), None, train=False)
-        _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), params.zeros_like(),
-                   train=True)
-        _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), None, train=True)
+        _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), None)
+        _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), params.zeros_like())
     small, small_grad, default, default_grad = seen
     assert small == small_grad < _threads._MIN_THREADED_WORK < default == default_grad
 
@@ -603,11 +613,9 @@ def test_masked_ce_is_bitwise_across_head_block_sizes(monkeypatch, mode):
     results = []
     for block in (training._BLOCK, 2 * params.config.vocab_size):
         monkeypatch.setattr(training, "_BLOCK", block)
-        for train in (True, False):
-            grads = params.zeros_like()
-            per_item = _masked_ce(params, xts, targets, weights, t, stream(5, "ce"), grads,
-                                  train=train)
-            results.append([per_item.tobytes(), *(grads[k].tobytes() for k in sorted(grads))])
+        for grads in (params.zeros_like(), None):
+            per_item = _masked_ce(params, xts, targets, weights, t, stream(5, "ce"), grads)
+            results.append([per_item.tobytes(), *(grads[k].tobytes() for k in sorted(grads or {}))])
     assert results[:2] == results[2:]
 
 
@@ -622,7 +630,7 @@ def test_mlm_full_mask_rate_masks_everything():
     params = tiny_params(randomize=False)
     x0 = np.array([4, 5, 6])
     rng = stream(1, "m")
-    loss, _ = sp.mlm_pretrain_step(params, [x0], 1.0, rng, want_grads=False)
+    loss, _ = sp.mlm_pretrain_step(params, [x0], 1.0, rng)
     assert loss == pytest.approx(math.log(10), abs=1e-9)
 
 
@@ -969,7 +977,7 @@ def test_masked_ce_holds_one_group_per_thread(monkeypatch, force_threads, worker
         tracemalloc.start()
         try:
             _masked_ce(params, list(xt[:b]), list(x0[:b]), [np.ones(32)] * b, np.ones(b, int),
-                       rng, grads, train=train)
+                       rng, grads)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
