@@ -355,7 +355,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         model_cfg = _checked(DenoiserConfig, vocab_size=len(vocab),
                              **{f: cfg[k] for k, f in _MODEL_FIELDS.items()})
-        params = init_params(model_cfg, stream(cfg["seed"], "init")).astype(np.float32)
+        params = init_params(model_cfg, stream(cfg["seed"], "init"), np.float32)
     sched_params = _checked(ScheduleParams, num_steps=cfg["T"], lam=cfg["lam"])
     val_path = _require_file(args.val_corpus, "validation corpus") if args.val_corpus else None
 

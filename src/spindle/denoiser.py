@@ -153,21 +153,24 @@ def param_shapes(config: DenoiserConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(config: DenoiserConfig, seed: int | np.random.Generator) -> DenoiserParams:
+def init_params(config: DenoiserConfig, seed: int | np.random.Generator,
+                dtype=np.float64) -> DenoiserParams:
     """Truncated-normal weights (std 0.02), zero biases, unit norm gains, and
     a zero output projection so the untrained model predicts uniformly over
-    content tokens.
+    content tokens. Weights are drawn in float64 and each is cast to `dtype`
+    as soon as it is drawn, so the result is `init_params(...).astype(dtype)`
+    without a float64 copy of the whole model.
     """
     rng = as_generator(seed)
     t: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(config).items():
         leaf = name.rsplit(".", 1)[-1]
         if leaf == "g":
-            t[name] = np.ones(shape)
+            t[name] = np.ones(shape, dtype)
         elif leaf.startswith("b") or name == "out.w":
-            t[name] = np.zeros(shape)
+            t[name] = np.zeros(shape, dtype)
         else:
-            t[name] = _trunc_normal(rng, shape)
+            t[name] = _trunc_normal(rng, shape).astype(dtype, copy=False)
     return DenoiserParams(config, t)
 
 

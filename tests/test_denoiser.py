@@ -87,6 +87,20 @@ def test_init_seeding_and_sigma():
     assert np.abs(draws).max() <= 3 * 0.02 + 1e-12
 
 
+@pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
+def test_init_in_float32_is_the_float64_init_cast(mode):
+    """Each tensor is cast as it is drawn; the draws, and so the bytes, are
+    those of a float64 init cast afterwards."""
+    cfg = tiny_config(mode, vocab_size=40)
+    direct = dn.init_params(cfg, 9, np.float32)
+    cast = dn.init_params(cfg, 9).astype(np.float32)
+    assert list(direct.names()) == list(cast.names())
+    for name in cast.names():
+        assert direct[name].dtype == np.float32
+        assert direct[name].shape == cast[name].shape
+        assert direct[name].tobytes() == cast[name].tobytes()
+
+
 def test_softmax_rows_normalize():
     params = dn.init_params(tiny_config("tad", num_layers=1), 5)
     rng = np.random.default_rng(0)

@@ -1,12 +1,13 @@
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import spindle as sp
-from spindle import _threads, denoiser as dn
+from spindle import _threads, denoiser as dn, sampling
 from spindle.corpus import CLS_ID, MASK_ID, PAD_ID
 from spindle.diffusion import reveal_from_rows, spindle_alpha_bar_at
 from spindle.rng import stream
@@ -106,6 +107,101 @@ def test_batched_top_k_matches_top_k_filter(data):
         assert d == _full_row_draw(ref, ui)
 
 
+def _denoiser_like_logits(rng, m, K, dtype, kinds):
+    """(m, K) logits with -inf special columns; each row is N(0, 1.1), the
+    same rounded to one decimal (ties, also at the k-th value), all one
+    value, or all zero, as `kinds` says."""
+    logits = rng.normal(0.0, 1.1, size=(m, K))
+    for row, kind in zip(logits, kinds):
+        if kind == "rounded":
+            row[:] = np.round(row, 1)
+        elif kind == "tied":
+            row[:] = row[0]
+        elif kind == "zero":
+            row[:] = 0.0
+    logits = logits.astype(dtype)
+    logits[:, dn.SPECIAL_IDS] = -np.inf
+    return logits
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_group_pass_matches_top_k_filter(data):
+    """With a small group width, so that the group pass runs at K up to
+    about 2,000, `_top_k_rows` keeps `top_k_filter`'s ids and probabilities
+    row by row, and returns the bytes of the whole-row path."""
+    w = data.draw(st.sampled_from([2, 3, 4, 8]), label="w")
+    K = data.draw(st.integers(2 * w * w, 2000), label="K")
+    k_range = data.draw(st.sampled_from([(1, K // w // w)] * 3 + [(1, K), (K - 3, K)]))
+    k = data.draw(st.integers(*k_range), label="k")  # mostly where the group pass runs
+    m = data.draw(st.integers(1, 4), label="m")
+    kinds = data.draw(st.lists(st.sampled_from(["normal"] * 3 + ["rounded"] * 2 + ["tied", "zero"]),
+                               min_size=m, max_size=m), label="kinds")
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    temp = data.draw(st.floats(0.2, 3.0), label="temp")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    logits = _denoiser_like_logits(rng, m, K, dtype, kinds)
+
+    with mock.patch.object(sampling, "_GROUP", w):
+        kept, probs = _top_k_rows(logits, k, temp)
+    with mock.patch.object(sampling, "_GROUP", K + 1):  # no group: the whole row
+        whole = _top_k_rows(logits, k, temp)
+    assert kept.tobytes() == whole[0].tobytes() and probs.tobytes() == whole[1].tobytes()
+    for row, ids, p in zip(logits, kept, probs):
+        ref = sp.top_k_filter(row, k, temp)
+        assert np.array_equal(ids, np.flatnonzero(ref))
+        assert np.allclose(p, ref[ids], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape, width", [
+    ((48, 30522), sampling._GROUP * 30 + 30522 % sampling._GROUP),  # k groups and the tail
+    ((90, 2004), 2004),  # desk: 125 groups cannot shrink the row 16-fold
+    ((25, 2004), 2004),
+])
+def test_selection_core_sees_only_the_chosen_groups_where_they_shrink_the_row(
+        monkeypatch, shape, width):
+    """At top-k 30 the selection core is handed the columns of the 30 chosen
+    groups and the tail at the vocab30k shape, and the whole row at K = 2004."""
+    core, widths = sampling._top_k_cols, []
+
+    def recording(logits, k_eff):
+        widths.append(logits.shape[1])
+        return core(logits, k_eff)
+
+    monkeypatch.setattr(sampling, "_top_k_cols", recording)
+    logits = _denoiser_like_logits(np.random.default_rng(3), *shape, np.float32,
+                                   ["normal"] * shape[0])
+    _top_k_rows(logits, 30, 1.0)
+    assert widths == [width]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("col", [7, 20000, 30521])  # columns 30512 on are the tail
+def test_one_nan_at_the_bert_vocab_raises(dtype, col):
+    """A NaN in a group sends the call to the whole-row path, and one in
+    the tail reaches the selection core with the chosen groups; both raise."""
+    logits = _denoiser_like_logits(np.random.default_rng(4), 6, 30522, dtype, ["normal"] * 6)
+    logits[2, col] = np.nan
+    with pytest.raises(ValueError, match="^denoiser logits contain NaN$"):
+        _top_k_rows(logits, 30, 1.0)
+
+
+def test_a_nan_group_outranked_by_tied_group_maxima_still_raises():
+    """k = 3, and a NaN in group 7. Group 6 holds 5.0 and 4.5, and groups 8
+    and 9 tie at 3.0, so exactly k groups reach the k-th largest group
+    maximum (NaN ranks largest) without group 7. The whole-row path raises
+    here, since only two logits reach the row's 2nd largest real value, 4.5;
+    a NaN among the group maxima must send the row there."""
+    K = 30522
+    nb = K // sampling._GROUP
+    logits = np.random.default_rng(5).uniform(-1, 1, size=(2, K))
+    logits[:, dn.SPECIAL_IDS] = -np.inf
+    logits[1, [6, 6 + nb, 8, 9]] = 5.0, 4.5, 3.0, 3.0
+    logits[1, 7 + 2 * nb] = np.nan
+    with pytest.raises(ValueError, match="^denoiser logits contain NaN$"):
+        _top_k_rows(logits, 3, 1.0)
+
+
 @pytest.mark.parametrize("temperature", [1e-3, 1e-308, 5e-324])
 def test_tiny_temperature_puts_all_mass_on_the_largest_logit(temperature):
     """Top-k subtracts the largest kept logit before it divides by the
@@ -138,11 +234,15 @@ def test_draw_at_zero_uniform_is_lowest_kept_id(tied):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_draw_leaves_its_logits_unchanged(dtype):
+@pytest.mark.parametrize("K, tied, value", [
+    (9, [4, 5, 6], 0.5),  # the whole-row path
+    (30522, [4, 1911, 3818, 5725], 5.0),  # the group pass: one group's columns, the top 4
+])
+def test_draw_leaves_its_logits_unchanged(dtype, K, tied, value):
     """Top-k and the draw only read the logits."""
-    logits = np.random.default_rng(1).normal(size=(5, 9)).astype(dtype)
+    logits = np.random.default_rng(1).normal(size=(5, K)).astype(dtype)
     logits[:, dn.SPECIAL_IDS] = -np.inf
-    logits[2, 4:7] = 0.5  # ties at the k-th value
+    logits[2, tied] = value  # ties at the k-th value
     before = logits.tobytes()
     _draw_top_k(*_top_k_rows(logits, 3, 0.7), np.ones((1, 5), dtype=bool),
                 np.random.default_rng(2))
