@@ -12,11 +12,14 @@ An unmasked token is its own x0, so the model predicts only at [MASK]. The
 last layer's keys and values read every row, but past its attention only
 the [MASK] rows go on: its output projection, second layernorm and FFN, the
 final layernorm and the output head all run on those rows alone.
-Forward passes record activations so `backward` can produce exact
-reverse-mode gradients for every parameter; correctness is pinned by
-finite-difference tests rather than an autodiff framework. Each op with
-parameters is one forward/backward pair: `_layernorm`, `_linear` (every GEMM
-with a bias) and `_mlp` (the FFN and lte's time MLP); attention is inline.
+A forward pass trains or scores. A training forward (`train=True`) draws
+dropout and records the activations `backward` needs for exact
+reverse-mode gradients of every parameter; a scoring forward does
+neither, and frees each layer's activations when the layer is done.
+Correctness is pinned by finite-difference tests rather than an autodiff
+framework. Each op with parameters is one forward/backward pair:
+`_layernorm`, `_linear` (every GEMM with a bias) and `_mlp` (the FFN and
+lte's time MLP); attention is inline.
 """
 
 from __future__ import annotations
@@ -242,9 +245,10 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, m, h * dh)
 
 
-def _matgrad(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Gradient of y = a @ w given upstream d: a^T d folded over batch dims."""
-    return a.reshape(-1, a.shape[-1]).T @ d.reshape(-1, d.shape[-1])
+def _matgrad(a: np.ndarray, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of y = a @ w given upstream d: a^T d folded over batch dims,
+    written into out where it is given."""
+    return np.matmul(a.reshape(-1, a.shape[-1]).T, d.reshape(-1, d.shape[-1]), out=out)
 
 
 def _lin(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -261,8 +265,20 @@ def _linear(x: np.ndarray, p: dict, w: str, b: str) -> np.ndarray:
 
 
 def _linear_grad(a: np.ndarray, d: np.ndarray, p: dict, w: str, b: str, grads: dict) -> np.ndarray:
-    """dx of `_linear` at input a given upstream d; adds w's, then b's gradient into grads."""
-    grads[w] += _matgrad(a, d)
+    """dx of `_linear` at input a given upstream d; adds w's, then b's gradient into grads.
+
+    Where w's buffer is C-contiguous and all +0.0 bits, a^T d is written into
+    it, with no (d_in, d_out) temporary, and then 0.0 is added: x + 0.0 is
+    0.0 + x for every x, -0.0 (which becomes +0.0) included, so the bytes are
+    those of adding a^T d to the zeros. Any other buffer, one holding a -0.0
+    among them, gets a^T d added.
+    """
+    g = grads[w]
+    if g.flags.c_contiguous and not g.view(np.uint8).any():
+        _matgrad(a, d, out=g)
+        g += 0.0
+    else:
+        g += _matgrad(a, d)
     grads[b] += _sum_rows(d)
     return _lin(d, p[w].T)
 
@@ -321,7 +337,12 @@ def forward(
     columns are -inf. The last layer runs past its attention on those rows
     only. Its dropout masks are drawn at the full (B, n + prefix, d) shape
     and taken at those rows, so a pass draws from rng as if every row ran.
-    The cache holds every activation needed by `backward`.
+
+    A forward trains or scores. With `train` it draws dropout from rng (at
+    the config's rate, none at 0) and its cache holds every activation
+    `backward` needs. Without it, it draws no dropout and keeps no
+    activation: each layer's are freed when the layer is done, and the
+    cache it returns holds nothing, so `backward` refuses it.
     """
     cfg = params.config
     p = params.tensors
@@ -379,7 +400,10 @@ def forward(
     head_rows[:, prefix:] = xt == MASK_ID
 
     layers = []
-    for i in range(cfg.num_layers):
+
+    def layer(i, h):
+        """Layer i's output; a training forward keeps its activations in
+        layers, and a scoring forward's are freed when it returns."""
         pre, at = f"layer{i}.", f"layer{i}.attn."
         rows = head_rows if i == cfg.num_layers - 1 else None
         h_in = h + tvec[:, None, :] if tvec is not None else h
@@ -405,20 +429,26 @@ def forward(
         ffn_mask = make_mask(rows)
         if ffn_mask is not None:
             f_out = f_out * ffn_mask
-        h = h_mid + f_out
-        layers.append(
-            dict(
-                ln1=ln1_cache, a_norm=a_norm, q=q, k=k, v=v, probs=probs, ctx=ctx,
-                attn_mask=attn_mask, ln2=ln2_cache, ffn=ffn_cache, ffn_mask=ffn_mask,
+        if train:
+            layers.append(
+                dict(
+                    ln1=ln1_cache, a_norm=a_norm, q=q, k=k, v=v, probs=probs, ctx=ctx,
+                    attn_mask=attn_mask, ln2=ln2_cache, ffn=ffn_cache, ffn_mask=ffn_mask,
+                )
             )
-        )
+        return h_mid + f_out
+
+    for i in range(cfg.num_layers):
+        h = layer(i, h)
 
     hf, lnf_cache = _layernorm(h, p["ln_f.g"], p["ln_f.b"])
     logits = _linear(hf, p, "out.w", "out.b")
     logits[:, SPECIAL_IDS] = -np.inf
+    if not train:
+        return logits, {"train": False}
 
     cache = dict(
-        params=params, ids=ids, t=t, emb_mask=emb_mask, time_cache=time_cache,
+        train=True, params=params, ids=ids, t=t, emb_mask=emb_mask, time_cache=time_cache,
         head_rows=head_rows, layers=layers, hf=hf, lnf=lnf_cache,
     )
     return logits, cache
@@ -440,11 +470,16 @@ def backward(
     is when those columns are already zero, as the loss core's gradients
     are, and through a copy with them zeroed otherwise.
 
-    backward consumes its cache: it drops the head's input and each layer's
-    activations as soon as it has used them, so the cache it works through
-    shrinks while a caller's next forward fills another. A second backward
-    on a spent cache raises ValueError; run forward again for it.
+    The cache must come from a training forward (`train=True`); a scoring
+    forward's raises ValueError. backward consumes its cache: it drops the
+    head's input and each layer's activations as soon as it has used them,
+    so the cache it works through shrinks while a caller's next forward
+    fills another. A second backward on a spent cache raises ValueError; run
+    forward again for it.
     """
+    if not cache.get("train"):
+        raise ValueError("backward needs the cache of a training forward (train=True); this "
+                         "one is a scoring forward's")
     if "hf" not in cache:
         raise ValueError("this forward cache was spent by an earlier backward; run forward "
                          "again")

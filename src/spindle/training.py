@@ -158,13 +158,15 @@ def _masked_ce(
     log-softmax, its reading at the targets and the logit gradient run one
     row block at a time in place (`_head_logp`), so the logits array itself
     becomes `backward`'s upstream gradient and no second (rows, K) array
-    exists. A group's logits and forward cache are released when the group
-    is done. With the heap settings the package pins at import the next
-    group reuses the freed blocks; on a 2-core x86_64 box desk-shaped
-    training steps then faulted 0-283 pages each (mostly none), on two
-    threads, and vocab30k `elbo_eval` before any training
-    faulted 2.2k-2.3k pages on its first call and 0-1.4k (mostly none) on
-    each later one.
+    exists. A scoring call's forward keeps no activations, so while its
+    head runs a group holds its logits and little else; a training call's
+    group holds its forward cache until its backward has consumed it. A
+    group's logits and cache are released when the group is done. With the
+    heap settings the package pins at import the next group reuses the
+    freed blocks; on a 2-core x86_64 box desk-shaped training steps then
+    faulted 0-283 pages each (mostly none), on two threads, and vocab30k
+    `elbo_eval` before any training faulted 0.9k-1.8k pages on its first
+    call and 0-1.3k (mostly none) on each later one (seeds 3-6).
 
     Every group's `backward` adds into the one `grads` buffer, in group
     order; calls on several windows of a batch sum into it too. A call of
@@ -212,7 +214,10 @@ def _masked_ce(
         xt = _pad_batch([xts[i] for i in group], PAD_ID)
         masked = xt == MASK_ID
         w = _pad_batch([weights[i] for i in group], 0.0)[masked]
-        logits, cache = denoiser.forward(params, xt, t[group], train=grads is not None, rng=rng)
+        if grads is None:  # a scoring forward's cache holds nothing: drop it
+            logits = denoiser.forward(params, xt, t[group])[0]
+        else:
+            logits, cache = denoiser.forward(params, xt, t[group], train=True, rng=rng)
         logp = _head_logp(logits, x0[masked], w if grads is not None else None)
         per_pos = np.zeros(xt.shape)
         per_pos[masked] = w * -logp
@@ -462,7 +467,9 @@ def _opt_records(state: AdamState) -> dict[str, np.ndarray]:
 
 def opt_state_from_records(params: DenoiserParams, records: dict[str, np.ndarray]) -> AdamState:
     """Adam moments from `_opt_records` output. Anything other than exactly
-    opt.m.<name> and opt.v.<name> of each parameter's shape raises ValueError."""
+    opt.m.<name> and opt.v.<name> of each parameter's shape raises ValueError.
+    A record already in the parameters' dtype becomes the moment itself, not
+    a copy, so training updates it in place."""
     shapes = {f"opt.{k}.{name}": shape for name, shape in param_shapes(params.config).items()
               for k in "mv"}
     bad = sorted(k for k in shapes.keys() | records.keys()
@@ -470,7 +477,8 @@ def opt_state_from_records(params: DenoiserParams, records: dict[str, np.ndarray
     if bad:
         raise ValueError(f"{len(bad)} optimizer records missing, unexpected or misshapen, "
                          f"first {bad[0]}")
-    m, v = ({n: records[f"opt.{k}.{n}"].astype(params.dtype) for n in params.names()} for k in "mv")
+    m, v = ({n: records[f"opt.{k}.{n}"].astype(params.dtype, copy=False) for n in params.names()}
+            for k in "mv")
     return AdamState(m, v)
 
 
@@ -520,14 +528,20 @@ def run_training(
     overflow or make an invalid value, or whose loss or gradients are not
     finite, raises ValueError naming the step: no record or checkpoint of
     that step or a later one is written.
+
+    A step holds one Adam state and one gradient buffer. Each step's
+    gradients are released once its update is done, before the next
+    step's loss call makes a new buffer. A fresh Adam state is built at the
+    run's first step where no opt_state is given, and at the bound's first
+    step always, each after that step's loss and once the previous state is
+    released. A run with no step left returns, and checkpoints, zero
+    moments where no opt_state was given.
     """
     if not sequences:
         raise ValueError("no training sequences")
     sched_params.check_model_steps(params.config.num_steps)
     check_intervals(log_every=log_every, checkpoint_every=checkpoint_every, val_every=val_every)
     sequences = [np.asarray(s, dtype=np.int64) for s in sequences]
-    if opt_state is None:
-        opt_state = AdamState.zeros(params)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -584,11 +598,13 @@ def run_training(
                     breakdown, grads = diffusion_loss_batch(params, batch, rows, t_draws, rng)
                     loss = breakdown.total
                     opt_step = step - cfg.mlm_pretrain_steps
-                    if opt_step == 1:
-                        opt_state = AdamState.zeros(params)  # fresh optimizer per phase
                 if not np.isfinite(loss):
                     raise ValueError(f"step {step}: the loss is {float(loss)}; training stops")
+                if opt_state is None or (opt_step == 1 and not mlm_phase):
+                    opt_state = None  # a fresh optimizer per phase, built once the old one is gone
+                    opt_state = AdamState.zeros(params)
                 params, opt_state = adam_step(params, grads, opt_state, cfg, opt_step)
+                del grads  # gone before the next step's loss fills a new buffer
                 val_elbo = float(val_fn(params, step)) if validate else None
         except FloatingPointError as exc:
             raise ValueError(f"step {step}: {exc}; training stops") from None
@@ -619,6 +635,8 @@ def run_training(
                 and step < total):  # the last step's checkpoint is written below
             emit_checkpoint(step)
 
+    if opt_state is None:  # no step ran: the moments are zeros
+        opt_state = AdamState.zeros(params)
     if out is not None:
         emit_checkpoint(step)
     return TrainResult(params, opt_state, metrics, step)

@@ -157,7 +157,7 @@ def test_bidirectional_permutation_equivariance():
 def test_backward_zero_upstream_gives_zero_grads():
     params = dn.init_params(tiny_config("lte"), 2)
     xt = np.array([[4, 5, MASK_ID]])
-    logits, cache = dn.forward(params, xt, np.array([3]))
+    logits, cache = dn.forward(params, xt, np.array([3]), train=True)
     grads = dn.backward(cache, np.zeros_like(logits), params.zeros_like())
     assert all(np.all(g == 0) for g in grads.values())
 
@@ -199,7 +199,7 @@ def test_backward_never_writes_its_upstream(special):
     rng = np.random.default_rng(6)
     params.tensors["out.w"] += rng.normal(0, 0.4, params["out.w"].shape)
     xt = np.array([[4, MASK_ID, 5, MASK_ID], [MASK_ID, 6, MASK_ID, PAD_ID]])
-    logits, cache = dn.forward(params, xt, np.array([2, 5]))
+    logits, cache = dn.forward(params, xt, np.array([2, 5]), train=True)
     zeroed = rng.normal(0, 1, logits.shape)
     zeroed[:, dn.SPECIAL_IDS] = 0.0
     up = zeroed.copy()
@@ -207,7 +207,7 @@ def test_backward_never_writes_its_upstream(special):
     before = up.copy()
     grads = dn.backward(cache, up, params.zeros_like())
     assert up.tobytes() == before.tobytes()
-    _, cache = dn.forward(params, xt, np.array([2, 5]))
+    _, cache = dn.forward(params, xt, np.array([2, 5]), train=True)
     expected = dn.backward(cache, zeroed, params.zeros_like())
     for name, g in expected.items():
         assert grads[name].tobytes() == g.tobytes(), name
@@ -215,8 +215,8 @@ def test_backward_never_writes_its_upstream(special):
 
 def test_backward_shape_mismatch_errors():
     params = dn.init_params(tiny_config("tad"), 2)
-    _, cache = dn.forward(params, np.array([[4, 5]]), 1)
-    with pytest.raises(ValueError):
+    _, cache = dn.forward(params, np.array([[4, 5]]), 1, train=True)
+    with pytest.raises(ValueError, match="upstream grad shape"):
         dn.backward(cache, np.zeros((1, 3, 11)), params.zeros_like())
 
 
@@ -225,7 +225,7 @@ def test_backward_consumes_its_cache():
     that runs spends it, and a second backward on it raises ValueError
     saying so, with nothing added to its buffer."""
     params = dn.init_params(tiny_config("lte"), 2)
-    logits, cache = dn.forward(params, np.array([[4, MASK_ID, 5]]), np.array([3]))
+    logits, cache = dn.forward(params, np.array([[4, MASK_ID, 5]]), np.array([3]), train=True)
     up = np.where(np.isfinite(logits), 1.0, 0.0)
     with pytest.raises(ValueError, match="upstream grad shape"):
         dn.backward(cache, np.zeros((1, 3, 11)), params.zeros_like())
@@ -235,6 +235,70 @@ def test_backward_consumes_its_cache():
     with pytest.raises(ValueError, match="spent by an earlier backward; run forward again"):
         dn.backward(cache, up, grads)
     assert not any(g.any() for g in grads.values())
+
+
+@pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
+def test_a_scoring_forward_keeps_no_activations_and_backward_refuses_it(mode):
+    """A forward without train gives the logits of a training forward at
+    dropout 0, bit for bit, and a cache holding no array; backward on that
+    cache raises ValueError saying a training forward is needed, and adds
+    nothing to its buffer."""
+    params = dn.init_params(tiny_config(mode), 2)
+    params.tensors["out.w"] += np.random.default_rng(3).normal(0, 0.4, params["out.w"].shape)
+    xt = np.array([[4, MASK_ID, 5, MASK_ID], [MASK_ID, 6, 7, PAD_ID]])
+    t = np.array([2, 5])
+    logits, cache = dn.forward(params, xt, t)
+    assert logits.tobytes() == dn.forward(params, xt, t, train=True)[0].tobytes()
+    assert _floating(cache, "cache") == []
+    grads = params.zeros_like()
+    with pytest.raises(ValueError, match=r"backward needs the cache of a training forward "
+                                         r"\(train=True\); this one is a scoring forward's"):
+        dn.backward(cache, np.where(np.isfinite(logits), 1.0, 0.0), grads)
+    assert not any(g.any() for g in grads.values())
+
+
+@pytest.mark.parametrize("signed_zeros", [False, True], ids=["blas", "negative-zero-product"])
+@pytest.mark.parametrize("rows", [*range(1, 10), 170])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_weight_gradient_written_into_a_zero_buffer_is_the_accumulated_one(
+        monkeypatch, dtype, rows, signed_zeros):
+    """Into a C-contiguous buffer of +0.0 bits `_linear_grad` writes a^T d
+    directly, and the bytes are those of adding a^T d to the zeros. The
+    upstream is zero at the head's special-id columns; with signed_zeros the
+    product's zeros come out -0.0, as a BLAS that keeps the sign of its
+    first term would give them, and the direct write must still end at the
+    sum's +0.0. A buffer that holds a -0.0, or is not C-contiguous, gets the
+    product added instead, and so keeps -0.0 + -0.0 = -0.0."""
+    real, direct = dn._matgrad, []
+
+    def matgrad(a, d, out=None):
+        direct.append(out is not None)
+        res = real(a, d, out=out)
+        if signed_zeros:
+            res[res == 0] = -0.0
+        return res
+
+    monkeypatch.setattr(dn, "_matgrad", matgrad)
+    rng = np.random.default_rng(rows)
+    a = rng.normal(0, 1, (rows, 16)).astype(dtype)
+    d = rng.normal(0, 1, (rows, 11)).astype(dtype)
+    d[:, list(dn.SPECIAL_IDS)] = 0.0
+    p = {"w": rng.normal(0, 1, (16, 11)).astype(dtype), "b": np.zeros(11, dtype)}
+    product = matgrad(a, d)
+    assert (product == 0).any() and (product != 0).any()
+    assert np.signbit(product[product == 0]).all() == signed_zeros
+
+    for start, path in ((np.zeros((16, 11), dtype), True),
+                        (np.full((16, 11), -0.0, dtype), False),
+                        (np.zeros((16, 11), dtype, order="F"), False)):
+        expected = start.copy()
+        expected += product
+        grads = {"w": start.copy(order="K"), "b": np.zeros(11, dtype)}
+        direct.clear()
+        dn._linear_grad(a, d, p, "w", "b", grads)
+        assert direct == [path]
+        assert grads["w"].tobytes() == expected.tobytes()
+        assert grads["w"].dtype == dtype
 
 
 def _arrays(layer: dict) -> list[np.ndarray]:
@@ -283,7 +347,7 @@ def test_backward_unused_time_rows_zero_grad():
     rng = np.random.default_rng(0)
     params.tensors["out.w"] += rng.normal(0, 0.4, params.tensors["out.w"].shape)
     xt = np.array([[4, MASK_ID, 6]])
-    logits, cache = dn.forward(params, xt, np.array([2]))
+    logits, cache = dn.forward(params, xt, np.array([2]), train=True)
     up = np.ones_like(logits)
     up[~np.isfinite(logits)] = 0.0
     grads = dn.backward(cache, up, params.zeros_like())
@@ -401,7 +465,7 @@ def test_forward_rows_are_the_mask_positions(mode):
     assert logits.shape == (4, 11)
     np.testing.assert_allclose(logits, np.concatenate(rows), rtol=1e-12, atol=1e-12)
 
-    logits, cache = dn.forward(params, np.array([[4, 5, PAD_ID], [6, 7, 8]]), t)
+    logits, cache = dn.forward(params, np.array([[4, 5, PAD_ID], [6, 7, 8]]), t, train=True)
     assert logits.shape == (0, 11)
     assert all(np.all(g == 0) for g in dn.backward(cache, logits, params.zeros_like()).values())
 

@@ -987,6 +987,61 @@ def test_masked_ce_holds_one_group_per_thread(monkeypatch, force_threads, worker
         assert peak(per_call) < 2 * peak(_GROUP_SIZE)
 
 
+def test_a_training_step_holds_one_adam_state_and_one_gradient_buffer():
+    """At a vocabulary large enough for the (K, d) tensors to set the peak
+    (d 16, K 20,000), a run's traced peak above its inputs stays under one
+    Adam state (2P, P the parameter bytes), one gradient buffer (P), one
+    group's logits (every token of the batch masked, the most a group can
+    hold) and a slack of P/4. The run takes an MLM step, which builds its
+    Adam state, the bound's first step, which builds a fresh one, and one
+    more step, which makes a new gradient buffer. This run peaked at 3.74P
+    (3P + logits bound: 3.96P); one that built its first state before the
+    loop and kept it beside the bound's fresh state read 5.01P, one that
+    held the last step's gradients through the next loss call 4.74P."""
+    import tracemalloc
+
+    from spindle.corpus import SPECIAL_TOKENS, UNK_TOKEN
+
+    k = 20000
+    vocab = sp.Vocab(SPECIAL_TOKENS + (UNK_TOKEN,) + tuple(f"w{i}" for i in range(k - 4)),
+                     (0, 0, 0) + (1,) * (k - 3))
+    table = sp.SurprisalTable.from_counts(vocab.counts)
+    params = tiny_params(vocab_size=k, randomize=False).astype(np.float32)
+    rng = np.random.default_rng(0)
+    seqs = [rng.integers(4, k, 4) for _ in range(training._GROUP_SIZE)]
+    cfg = sp.TrainConfig(batch_size=len(seqs), total_steps=2, mlm_pretrain_steps=1,
+                         warmup_steps=1)
+    param_bytes = sum(t.nbytes for t in params.tensors.values())
+    logits_bytes = sum(len(x) for x in seqs) * k * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sp.run_training(params, vocab, table, seqs, sp.ScheduleParams(8), cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * param_bytes + logits_bytes + param_bytes / 4, peak / param_bytes
+
+
+def test_a_run_with_no_step_left_checkpoints_zero_moments(word_corpus, tmp_path):
+    """A run started at its last step with no optimizer state takes no step
+    and still returns, and checkpoints, zero Adam moments of every
+    parameter."""
+    vocab, table, seqs = word_corpus["vocab"], word_corpus["table"], word_corpus["seqs"]
+    params = tiny_params(vocab_size=len(vocab)).astype(np.float32)
+    before = params.copy()
+    cfg = sp.TrainConfig(batch_size=2, total_steps=3, mlm_pretrain_steps=1)
+    res = sp.run_training(params, vocab, table, seqs, sp.ScheduleParams(8), cfg,
+                          out_dir=tmp_path, start_step=4)
+    assert res.final_step == 4 and res.metrics == []
+    assert all(np.array_equal(params[n], before[n]) for n in params.names())
+    ckpt = sp.load_checkpoint(tmp_path / "checkpoint_0000004.spnd", dtype=np.float32)
+    state = opt_state_from_records(ckpt.params, ckpt.extra_tensors)
+    for moments in (state.m, state.v, res.opt_state.m, res.opt_state.v):
+        assert moments.keys() == params.tensors.keys()
+        assert not any(m.any() for m in moments.values())
+
+
 def test_keep_freed_heap_sets_both_thresholds_in_order():
     """The mmap threshold is pinned at 32 MiB, then the trim threshold at
     64 MiB, then the arena count at 1; a libc without mallopt, or whose
@@ -1232,6 +1287,24 @@ def test_two_seeds_land_close_on_toy_corpus(word_corpus):
         finals.append(_exact_bound_per_token(res.params, seqs, table, sched))
     rel = abs(finals[0] - finals[1]) / max(finals)
     assert rel <= 0.05, finals
+
+
+def test_restored_moments_are_their_records_where_the_dtypes_match():
+    """float32 records become float32 parameters' moments without a copy, so
+    a resume holds the moments once; float64 parameters get float64 copies
+    of them."""
+    rng = np.random.default_rng(1)
+    params = tiny_params()
+    records = {f"opt.{k}.{name}": rng.random(v.shape).astype(np.float32)
+               for k in "mv" for name, v in params.tensors.items()}
+    for dtype, shared in ((np.float32, True), (np.float64, False)):
+        state = opt_state_from_records(params.astype(dtype), records)
+        for k, moments in (("m", state.m), ("v", state.v)):
+            for name, moment in moments.items():
+                record = records[f"opt.{k}.{name}"]
+                assert moment.dtype == dtype
+                assert np.shares_memory(moment, record) == shared
+                assert np.array_equal(moment, record)
 
 
 def test_opt_state_from_records_is_strict():
