@@ -1,15 +1,22 @@
 """The second core: one pool of two threads, one gate and one hand-over rule,
-shared by the loss core (`training._masked_ce`) and the sampler
-(`sampling.generate_batch`).
+shared by the loss core (`training._masked_ce`), the sampler
+(`sampling.generate_batch`), the denoiser's output head (`denoiser.forward`
+and `denoiser.backward`) and `training.adam_step`.
 
 A caller cuts its work into tasks by its inputs' shapes alone, asks
-`_threaded` whether a task's work, in GEMM multiply-adds per layer
-(`_gemm_work`), is worth two threads, and runs its tasks inside `_tasks`,
-which hands each to the pool in order once fewer than the caller's slots of
-its tasks are unfinished. While they run, BLAS is pinned to one thread, so
-the two tasks' GEMMs do not contend for the same cores. A task computes
-what it would on the calling thread, from inputs no other task writes, so
-results are bitwise those of one thread.
+`_threaded` whether a task's work, in GEMM multiply-adds, is worth two
+threads, and runs its tasks inside `_tasks`, which hands each to the pool in
+order once fewer than the caller's slots of its tasks are unfinished, or
+through `_beside`, which runs one function on the pool beside another on the
+calling thread. One threaded block runs at a time: a block opened while
+another is open in the process, as a pool task's own block is, runs its
+tasks on its own thread, so no task waits for a pool thread that waits for
+it. While a block holds the pool, BLAS is pinned to one thread, so the two
+threads' GEMMs do not contend for the same cores. A task computes what it
+would on the calling thread, from inputs no other task writes, so results
+are bitwise those of one thread.
+
+This module imports nothing from the package, so every module may use it.
 """
 
 from __future__ import annotations
@@ -17,18 +24,18 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
 
-from .denoiser import _FFN_MULT, DenoiserConfig
-
 # Threads of the pool: the two tasks a call with two slots keeps in flight
 # while the calling thread waits.
 _THREADS = 2
-# Multiply-adds of a task's GEMMs per layer (`_gemm_work`) below which a call
-# keeps to one thread, and the sampler does not split its chains: smaller
+# Multiply-adds of a task's GEMMs per layer (`denoiser._gemm_work`), or of a
+# task of one GEMM, below which a call keeps to one thread, and the sampler
+# does not split its chains: smaller
 # tasks spend most of their time in the interpreter, which holds the GIL.
 # Measured for forward-only loss calls on a 2-core x86_64 box, 64 float32
 # items per call in groups of 8, lines of L tokens on average, medians of 8
@@ -45,14 +52,6 @@ _THREADS = 2
 # 0.6x to 1x x0.86-1.12 by shape (d = 32, 1 layer: x0.86-0.98), and from
 # 1.2x up x1.13-1.34 (d = 32, 1 layer: x1.15 at 1.8x).
 _MIN_THREADED_WORK = 1 << 24
-
-
-def _gemm_work(config: DenoiserConfig, rows: float) -> float:
-    """Multiply-adds per layer of a forward over `rows` trunk rows, about
-    rows * d * ((4 + 2 * _FFN_MULT) * d + K / layers): the attention
-    projections, the FFN, and the head spread over the layers."""
-    d = config.d_model
-    return rows * d * ((4 + 2 * _FFN_MULT) * d + config.vocab_size / config.num_layers)
 
 
 def _find_blas_threads():
@@ -95,22 +94,27 @@ def _one_blas_thread():
         set_(before)
 
 
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (pid that made it, pool)
+_held_by: int | None = None  # the pid whose open threaded block holds the pool
+_held_lock = threading.Lock()
+
+
 def _threaded(work: float) -> bool:
     """Whether a call whose tasks take `work` multiply-adds per layer each
-    on average hands them to the pool: where two CPUs are usable, BLAS can
-    be pinned to one thread while two run, and the work reaches
-    _MIN_THREADED_WORK. Without the pin each thread's BLAS calls would
-    contend for the same cores."""
-    if _BLAS_THREADS is None or work < _MIN_THREADED_WORK:
+    on average (a task of one GEMM: its multiply-adds) hands them to the
+    pool: where two CPUs are usable, BLAS can be pinned to one thread while
+    two run, the work reaches _MIN_THREADED_WORK, and no threaded block
+    holds the pool. Without the pin each thread's BLAS calls would contend
+    for the same cores; inside an open block the tasks would run one after
+    the other on the calling thread, so work cut for two threads is better
+    left whole."""
+    if _BLAS_THREADS is None or work < _MIN_THREADED_WORK or _held_by == os.getpid():
         return False
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return cpus > 1
-
-
-_pool: tuple[int, ThreadPoolExecutor] | None = None  # (pid that made it, pool)
 
 
 def _thread_pool() -> ThreadPoolExecutor:
@@ -123,39 +127,86 @@ def _thread_pool() -> ThreadPoolExecutor:
     return _pool[1]
 
 
-def _under_errstate(errstate: dict, fn, *args):
-    """fn(*args) under numpy's floating-point error handling `errstate`,
-    which a pool thread does not inherit from the thread handing fn over."""
-    with np.errstate(**errstate):
+def _under_errstate(errstate: dict, errcall, fn, *args):
+    """fn(*args) under numpy's floating-point error handling `errstate` and
+    its callback `errcall`, which a pool thread does not inherit from the
+    thread handing fn over."""
+    with np.errstate(call=errcall, **errstate):
         return fn(*args)
+
+
+def _submit(fn, *args):
+    """The future of fn(*args) on the pool, under the calling thread's
+    numpy error handling."""
+    return _thread_pool().submit(_under_errstate, np.geterr(), np.geterrcall(), fn, *args)
+
+
+@contextlib.contextmanager
+def _holding_pool(threaded: bool):
+    """Whether the block holds the pool: it asks to (`threaded`) and no
+    other threaded block is open in the process. While it holds the pool,
+    BLAS is pinned to one thread."""
+    global _held_by
+    with _held_lock:
+        held = threaded and _held_by != os.getpid()
+        if held:
+            _held_by = os.getpid()
+    if not held:
+        yield False
+        return
+    try:
+        with _one_blas_thread():
+            yield True
+    finally:
+        _held_by = None
 
 
 @contextlib.contextmanager
 def _tasks(threaded: bool, slots: int):
-    """A `hand_over(fn, *args)` for the block. On a single-threaded call it
-    runs fn(*args) on the spot. On a threaded one, with BLAS pinned to one
-    thread, it submits fn(*args) to the pool once fewer than `slots` of the
-    block's tasks are unfinished, waiting for the oldest first; a task's
-    result is what it writes. The block ends once none of its tasks is
-    running; the first task, in hand-over order, that raised then ends it
-    with its error, and an error of the block itself comes first. A task
-    runs under the numpy error handling (`np.geterr`) of the thread that
-    handed it over.
+    """A `hand_over(fn, *args)` for the block. On a single-threaded call,
+    and inside another threaded block, it runs fn(*args) on the spot. On a
+    threaded one that holds the pool (`_holding_pool`) it submits fn(*args)
+    to the pool once fewer than `slots` of the block's tasks are unfinished,
+    waiting for the oldest first; a task's result is what it writes. The
+    block ends once none of its tasks is running; the first task, in
+    hand-over order, that raised then ends it with its error, and an error
+    of the block itself comes first. A task runs under the numpy error
+    handling (`np.geterr`, `np.geterrcall`) of the thread that handed it
+    over.
     """
-    if not threaded:
-        yield lambda fn, *args: fn(*args)
-        return
-    in_flight = []  # the futures of the block's unfinished tasks, oldest first
+    with _holding_pool(threaded) as held:
+        if not held:
+            yield lambda fn, *args: fn(*args)
+            return
+        in_flight = []  # the futures of the block's unfinished tasks, oldest first
 
-    def hand_over(fn, *args):
-        if len(in_flight) == slots:
-            in_flight.pop(0).result()
-        in_flight.append(_thread_pool().submit(_under_errstate, np.geterr(), fn, *args))
+        def hand_over(fn, *args):
+            if len(in_flight) == slots:
+                in_flight.pop(0).result()
+            in_flight.append(_submit(fn, *args))
 
-    with _one_blas_thread():
         try:
             yield hand_over
             for future in in_flight:
                 future.result()
         finally:
             wait(in_flight)
+
+
+def _beside(threaded: bool, fn_a, fn_b):
+    """fn_b()'s result, once fn_a() and fn_b() have both run. Where the call
+    holds the pool (`_holding_pool(threaded)`), fn_a runs on it, under this
+    thread's numpy error handling, while fn_b runs here; otherwise fn_a and
+    then fn_b run here. Neither may write what the other reads. Either way
+    an error of fn_a ends the call, and else one of fn_b: the error running
+    them in turn would end it with, and only once fn_a has returned.
+    """
+    with _holding_pool(threaded) as held:
+        if not held:
+            fn_a()
+            return fn_b()
+        future = _submit(fn_a)
+        try:
+            return fn_b()
+        finally:
+            future.result()  # waits for fn_a; its error replaces fn_b's

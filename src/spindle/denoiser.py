@@ -19,7 +19,11 @@ neither, and frees each layer's activations when the layer is done.
 Correctness is pinned by finite-difference tests rather than an autodiff
 framework. Each op with parameters is one forward/backward pair:
 `_layernorm`, `_linear` (every GEMM with a bias) and `_mlp` (the FFN and
-lte's time MLP); attention is inline.
+lte's time MLP); attention is inline. The output head, the widest GEMM at a
+BERT-sized vocabulary, uses the package's second thread (`_threads`) where
+no other call holds it and the shapes allow: the forward computes its two
+column halves at once (`_head_logits`), and `backward` its weight gradient
+beside the trunk's pass. Every result is bitwise that of one thread.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from . import _threads
 from .corpus import CLS_ID, MASK_ID, PAD_ID
 from .diffusion import MAX_STEPS, ScheduleParams
 from .rng import as_generator
@@ -43,6 +48,18 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 _NEG = -1e30
 _FFN_MULT = 4  # FFN hidden width, in multiples of d_model
+# Multiply-adds of the smaller column half at or below which the head GEMM
+# stays whole (`_head_cut`). A GEMM over some of w's columns is not always
+# bitwise those columns of the whole GEMM. In two sweeps on a 2-core x86_64
+# box (numpy 2.4.6, OpenBLAS 0.3.31 Haswell kernels, one BLAS thread; d
+# 16-256, K 40-30,522, 1-340 rows, cut at 16 * (K // 32); 1,680 shapes in
+# the second) the halves differed at 1 row (the GEMV path) in float32 and
+# float64, even at K 30,522, and at small shapes, such as float32 K 2004 at
+# 4-7 rows and float64 d 16, K 2004 at 32-61 rows. Every mismatch at 2 or
+# more rows had rows * cut * d of 984,064 or less, within OpenBLAS's
+# small-matrix path (M * N * K <= 100^3). `spindle verify` checks the rule
+# on the machine's own BLAS.
+_HEAD_SPLIT_WORK = 10**6
 
 CHECKPOINT_VERSION = 3  # version 2 headers also held ffn_mult; they still load
 # The deepest model. `init_params` and every pass loop over the layers in
@@ -264,8 +281,51 @@ def _linear(x: np.ndarray, p: dict, w: str, b: str) -> np.ndarray:
     return y
 
 
-def _linear_grad(a: np.ndarray, d: np.ndarray, p: dict, w: str, b: str, grads: dict) -> np.ndarray:
-    """dx of `_linear` at input a given upstream d; adds w's, then b's gradient into grads.
+def _gemm_work(config: DenoiserConfig, rows: float) -> float:
+    """Multiply-adds per layer of a forward over `rows` trunk rows, about
+    rows * d * ((4 + 2 * _FFN_MULT) * d + K / layers): the attention
+    projections, the FFN, and the head spread over the layers."""
+    d = config.d_model
+    return rows * d * ((4 + 2 * _FFN_MULT) * d + config.vocab_size / config.num_layers)
+
+
+def _head_cut(rows: int, d: int, k: int) -> int:
+    """The column 16 * (k // 32) at which the head GEMM of (rows, d) inputs
+    and k outputs splits into two halves, each bitwise those columns of the
+    whole GEMM: where rows >= 2 and the smaller half, its first, takes over
+    _HEAD_SPLIT_WORK multiply-adds. 0 where it stays whole."""
+    cut = 16 * (k // 32)
+    return cut if rows >= 2 and rows * cut * d > _HEAD_SPLIT_WORK else 0
+
+
+def _split_head(hf: np.ndarray, p: dict, cut: int) -> np.ndarray:
+    """The head's logits as two GEMMs, over out.w's columns [:cut] on the
+    pool and [cut:] here (`_threads._beside`), each writing its product and
+    then adding its bias into its own column slice of one (rows, K) array."""
+    w, b = p["out.w"], p["out.b"]
+    logits = np.empty((len(hf), w.shape[1]), dtype=np.result_type(hf, w))
+
+    def half(cols):
+        np.matmul(hf, w[:, cols], out=logits[:, cols])
+        logits[:, cols] += b[cols]
+
+    _threads._beside(True, lambda: half(np.s_[:cut]), lambda: half(np.s_[cut:]))
+    return logits
+
+
+def _head_logits(hf: np.ndarray, p: dict) -> np.ndarray:
+    """The head's logits hf @ out.w + out.b, bitwise those of `_linear`. Where
+    `_head_cut` splits the GEMM and `_threads._threaded` allows its smaller
+    half's work, the two column halves run at once (`_split_head`)."""
+    cut = _head_cut(*hf.shape, p["out.w"].shape[1])
+    if cut and _threads._threaded(len(hf) * cut * hf.shape[1]):
+        return _split_head(hf, p, cut)
+    return _linear(hf, p, "out.w", "out.b")
+
+
+def _weight_grad(a: np.ndarray, d: np.ndarray, w: str, b: str, grads: dict) -> None:
+    """Adds the gradient of `_linear`'s w, then b's, at input a given
+    upstream d into grads.
 
     Where w's buffer is C-contiguous and all +0.0 bits, a^T d is written into
     it, with no (d_in, d_out) temporary, and then 0.0 is added: x + 0.0 is
@@ -280,6 +340,12 @@ def _linear_grad(a: np.ndarray, d: np.ndarray, p: dict, w: str, b: str, grads: d
     else:
         g += _matgrad(a, d)
     grads[b] += _sum_rows(d)
+
+
+def _linear_grad(a: np.ndarray, d: np.ndarray, p: dict, w: str, b: str, grads: dict) -> np.ndarray:
+    """dx of `_linear` at input a given upstream d; adds w's, then b's
+    gradient into grads first (`_weight_grad`)."""
+    _weight_grad(a, d, w, b, grads)
     return _lin(d, p[w].T)
 
 
@@ -337,6 +403,8 @@ def forward(
     columns are -inf. The last layer runs past its attention on those rows
     only. Its dropout masks are drawn at the full (B, n + prefix, d) shape
     and taken at those rows, so a pass draws from rng as if every row ran.
+    The head's GEMM runs as two column halves at once, one on the pool,
+    where `_head_logits` allows; the logits are bitwise the same either way.
 
     A forward trains or scores. With `train` it draws dropout from rng (at
     the config's rate, none at 0) and its cache holds every activation
@@ -442,7 +510,7 @@ def forward(
         h = layer(i, h)
 
     hf, lnf_cache = _layernorm(h, p["ln_f.g"], p["ln_f.b"])
-    logits = _linear(hf, p, "out.w", "out.b")
+    logits = _head_logits(hf, p)
     logits[:, SPECIAL_IDS] = -np.inf
     if not train:
         return logits, {"train": False}
@@ -470,6 +538,13 @@ def backward(
     is when those columns are already zero, as the loss core's gradients
     are, and through a copy with them zeroed otherwise.
 
+    The head's weight and bias gradients and the rest of the pass, from
+    d(loss)/d(hf) down through the trunk (`_trunk_backward`), write
+    nothing the other reads. Where `_threads._threaded` allows the weight
+    gradient's rows * d * K multiply-adds, it runs on the pool beside the
+    rest (`_threads._beside`), else first; every gradient is bitwise the
+    same either way.
+
     The cache must come from a training forward (`train=True`); a scoring
     forward's raises ValueError. backward consumes its cache: it drops the
     head's input and each layer's activations as soon as it has used them,
@@ -485,18 +560,32 @@ def backward(
                          "again")
     params: DenoiserParams = cache["params"]
     cfg = params.config
-    p = params.tensors
-    B, m = cache["ids"].shape
     expected = (len(cache["hf"]), cfg.vocab_size)
     if np.shape(upstream_grad) != expected:
         raise ValueError(f"upstream grad shape {np.shape(upstream_grad)} != {expected}")
-    g = grads
 
     dlogits = np.asarray(upstream_grad, dtype=params.dtype)
     if dlogits[:, SPECIAL_IDS].any():
         dlogits = np.array(upstream_grad, dtype=params.dtype)
         dlogits[:, SPECIAL_IDS] = 0.0
-    dh = _linear_grad(cache.pop("hf"), dlogits, p, "out.w", "out.b", g)
+    threaded = _threads._threaded(cache["hf"].size * cfg.vocab_size)  # the weight gradient's work
+    # The weight gradient pops the head's input, which is freed with it; the
+    # trunk reads only the cache's other keys.
+    return _threads._beside(threaded,
+                            lambda: _weight_grad(cache.pop("hf"), dlogits, "out.w", "out.b", grads),
+                            lambda: _trunk_backward(cache, _lin(dlogits, params["out.w"].T),
+                                                    grads))
+
+
+def _trunk_backward(cache: dict, dh: np.ndarray, grads: dict[str, np.ndarray]) -> dict:
+    """`backward` below the head, given d(loss)/d(hf) as dh: adds the
+    gradient of every parameter but out.w and out.b into grads, freeing
+    each layer's activations in cache once used, and returns grads."""
+    params: DenoiserParams = cache["params"]
+    cfg = params.config
+    p = params.tensors
+    B, m = cache["ids"].shape
+    g = grads
     dh = _layernorm_backward(dh, cache["lnf"], p["ln_f.g"], g, "ln_f")
 
     scale = 1.0 / float(np.sqrt(cfg.head_dim))

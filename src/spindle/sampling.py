@@ -30,8 +30,11 @@ them reaches the work gate of the package's thread pool (`_threads`), the
 halves' forwards and top-k are two tasks, run on the pool's two threads
 where two CPUs are usable and one after the other otherwise. The calling
 thread joins their rows in order and draws every uniform itself, so the
-samples are bitwise the same on one thread or two. One-chain calls and
-small models run one forward on the calling thread.
+samples are bitwise the same on one thread or two. A one-chain call, or one
+of a small model, runs one forward on the calling thread, and that forward
+hands the first column half of its head GEMM to the pool where the head is
+wide enough, as at BERT's 30,522-token vocabulary (`denoiser.forward`); its
+logits are bitwise those of one thread.
 """
 
 from __future__ import annotations
@@ -196,13 +199,15 @@ def _predict(
     half's forward and top-k is one task, and the halves' rows are joined in
     order. The split depends on the shapes alone; where `_threads._threaded`
     allows it the two tasks run at once on the shared pool, else one after
-    the other here. A task's rows depend only on its own chains, so the
-    result is bitwise the same on one thread or two. It is not always that
-    of one forward over all chains: OpenBLAS can round a GEMM row
-    differently at another row count (see `generate_batch`).
+    the other here. Otherwise the one forward runs here, and its head may
+    use the pool itself (`denoiser._head_logits`); inside the two tasks'
+    block every head runs whole. A task's rows depend only on its own
+    chains, so the result is bitwise the same on one thread or two. It is
+    not always that of one forward over all chains: OpenBLAS can round a
+    GEMM row differently at another row count (see `generate_batch`).
     """
     half = len(x) // 2
-    work = _threads._gemm_work(params.config, half * (x.shape[1] + params.config.prefix_len))
+    work = denoiser._gemm_work(params.config, half * (x.shape[1] + params.config.prefix_len))
     parts = [x[:half], x[half:]] if half and work >= _threads._MIN_THREADED_WORK else [x]
     out = [None] * len(parts)
 
@@ -259,7 +264,10 @@ def generate_batch(
     (kept, probs) rows it had. A prediction over c >= 2 chains whose halves
     each reach `_threads._MIN_THREADED_WORK` (a desk-shaped model's 8
     chains do; a one-chain call or a test-sized model does not) runs as two
-    tasks, on the pool's two threads where `_threads._threaded` allows.
+    tasks, on the pool's two threads where `_threads._threaded` allows. A
+    prediction of one forward runs here, and at a vocabulary as wide as
+    BERT's its head's first column half runs on the pool beside the second
+    (`denoiser._head_logits`), bitwise the one-thread logits.
     Which chains a forward runs on depends on the shapes alone; whether it
     runs depends on the draws. Neither depends on the thread count, so
     neither do the samples. A row can round differently in a forward over

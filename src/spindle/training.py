@@ -22,7 +22,11 @@ work to the package's pool of two threads (`_threads`, which the sampler
 shares) by one rule: a call that trains (training, MLM) hands over each
 group's backward, one at a time, which runs beside the next group's
 forward, and a call that scores (`elbo_eval`) hands over each group whole,
-two at a time. Every loss and gradient is bitwise the one of a single
+two at a time. A call that keeps its groups on the calling thread, as one
+of a single group does, leaves the pool to the denoiser, whose head at a
+vocabulary as wide as BERT's runs half on the pool (`denoiser.forward`,
+`denoiser.backward`), and `adam_step` updates a model of that size half on
+the pool. Every loss, gradient and update is bitwise the one of a single
 thread.
 The loss core alone bounds memory: it holds the inputs of one window of 64
 items and the tensors of at most two groups at a time, however many items
@@ -36,6 +40,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +100,14 @@ _WINDOW = 64
 # `_head_logp`: 256 KB of float32, so each block's operands stay in L2
 # instead of streaming whole (30,522, d) tensors through DRAM once per op.
 _BLOCK = 1 << 16
+# Elements each of `adam_step`'s two lists of tensors (`_adam_halves`) holds
+# at least before the lists are updated on two threads. At vocab30k shapes
+# (float32, d 128, K 30,522: 8.7M elements, tok_emb and out.w 3.9M each) on
+# a 2-core x86_64 box, one BLAS thread, an update took 46.2 ms on one thread
+# and 33.7 ms on two, bitwise the same (medians of 20 interleaved calls).
+# 2^21 lets those two matrices into the lists and keeps a desk-sized
+# model's 1.3M elements on one thread.
+_ADAM_SPLIT = 1 << 21
 
 
 def _pad_batch(rows: list[np.ndarray], fill: float) -> np.ndarray:
@@ -171,11 +184,14 @@ def _masked_ce(
     Every group's `backward` adds into the one `grads` buffer, in group
     order; calls on several windows of a batch sum into it too. A call of
     one group, and one that `_threads._threaded()` turns down, given a
-    group's average work, run on the calling thread alone, holding one
-    group's model tensors at a time.
+    group's average work, run every group on the calling thread, holding
+    one group's model tensors at a time; there each `forward` and
+    `backward` may hand half of its head's work to the pool, which such a
+    call leaves free (see `denoiser.forward`).
     Any other call hands tasks to the shared pool through `_threads._tasks`,
-    with BLAS pinned to one thread: in order, each once fewer than its slots
-    of the call's tasks are unfinished, waiting for the oldest. A call with
+    with BLAS pinned to one thread and every head inside the call whole:
+    in order, each once fewer than its slots of the call's tasks are
+    unfinished, waiting for the oldest. A call with
     `grads` has one slot: it runs every forward and head on the calling
     thread in group order, so rng's dropout draws keep that order, and
     hands over each group's `backward`, which frees the group's cache layer
@@ -204,7 +220,7 @@ def _masked_ce(
     threaded = False
     if len(groups) > 1:
         rows = sum(len(x) + params.config.prefix_len for x in xts) / len(groups)
-        threaded = _threads._threaded(_threads._gemm_work(params.config, rows))
+        threaded = _threads._threaded(denoiser._gemm_work(params.config, rows))
     per_item = np.zeros(len(xts))
 
     def score(group):
@@ -342,6 +358,18 @@ def learning_rate_at(step: int, cfg: TrainConfig) -> float:
     return cfg.learning_rate
 
 
+def _adam_halves(tensors: dict[str, np.ndarray]) -> tuple[list[str], list[str]] | None:
+    """The names of `tensors`, in order, cut into a first and a second list
+    whose element counts are as close as a cut allows; None where either
+    list would hold fewer than _ADAM_SPLIT elements."""
+    names = list(tensors)
+    before = np.cumsum([0] + [tensors[name].size for name in names])
+    cut = int(np.argmin(np.abs(2 * before - before[-1])))
+    if min(before[cut], before[-1] - before[cut]) < _ADAM_SPLIT:
+        return None
+    return names[:cut], names[cut:]
+
+
 def adam_step(
     params: DenoiserParams,
     grads: dict[str, np.ndarray],
@@ -358,51 +386,78 @@ def adam_step(
     leaves the state partly updated. Each tensor
     is updated one leading-axis block of about _BLOCK elements at a time
     (one block if it is no larger), so the operands of each operation stay
-    in cache; the temporaries live in one block-sized scratch pair per call.
-    Each result is the bitwise value of m = b1 m + (1 - b1) g,
-    v = b2 v + (1 - b2) g g and p -= lr ((m / c1) / (sqrt(v / c2) + eps) + wd p).
+    in cache; the temporaries live in one block-sized scratch pair per list
+    of tensors updated. Each result is the bitwise value of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p -= lr ((m / c1) / (sqrt(v / c2) + eps) + wd p).
+
+    Where the tensors cut into two lists of _ADAM_SPLIT elements or more
+    (`_adam_halves`) and `_threads._threaded` allows, the finiteness scan and
+    then the update each run the first list on the pool beside the second
+    here (`_threads._beside`); the scan of both lists ends before either
+    update starts. Otherwise one loop runs over every tensor here. The
+    results do not depend on which, and neither does the tensor an error
+    names: the first at fault in name order, as the first list's error
+    comes first.
     """
     if set(grads) != set(params.tensors):
         raise ValueError("gradient names do not match parameters")
     for name, g in grads.items():
         if g.shape != params.tensors[name].shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"the gradient of {name} is not finite")
     lr = learning_rate_at(step, cfg)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**step
     c2 = 1.0 - b2**step
-    size = max(p[: _block_rows(p.shape)].size for p in params.tensors.values())
-    scratch = np.empty(2 * size, dtype=params.dtype)
-    def not_finite(kind, flag):  # numpy calls it at an overflow or invalid value
-        raise FloatingPointError(f"the Adam update of {name} is not finite ({kind})")
 
-    # With finite moments, parameters and gradients, only an overflow or an
-    # invalid operation makes a value non-finite, and numpy checks those
-    # flags after every operation anyway: calling on them costs nothing.
-    with np.errstate(over="call", invalid="call", call=not_finite):
-        for name, g in grads.items():
-            step_rows = _block_rows(g.shape)
-            decay = cfg.weight_decay > 0 and g.ndim >= 2
-            for lo in range(0, len(g), step_rows):
-                blk = slice(lo, lo + step_rows)
-                p, m, v = params.tensors[name][blk], state.m[name][blk], state.v[name][blk]
-                gb = g[blk]
-                a = scratch[: p.size].reshape(p.shape)
-                b = scratch[size : size + p.size].reshape(p.shape)
-                m *= b1
-                m += np.multiply(1 - b1, gb, out=a)
-                v *= b2
-                np.multiply(1 - b2, gb, out=a)
-                v += np.multiply(a, gb, out=a)
-                np.divide(v, c2, out=a)
-                np.sqrt(a, out=a)
-                a += ADAM_EPS
-                np.divide(np.divide(m, c1, out=b), a, out=a)  # the update
-                if decay:
-                    a += np.multiply(cfg.weight_decay, p, out=b)
-                p -= np.multiply(lr, a, out=a)
+    def scan(names):
+        for name in names:
+            if not np.isfinite(grads[name]).all():
+                raise FloatingPointError(f"the gradient of {name} is not finite")
+
+    def update(names):
+        size = max(params.tensors[name][: _block_rows(grads[name].shape)].size for name in names)
+        scratch = np.empty(2 * size, dtype=params.dtype)
+
+        def not_finite(kind, flag):  # numpy calls it at an overflow or invalid value
+            raise FloatingPointError(f"the Adam update of {name} is not finite ({kind})")
+
+        # With finite moments, parameters and gradients, only an overflow or
+        # an invalid operation makes a value non-finite, and numpy checks
+        # those flags after every operation anyway: calling on them costs
+        # nothing.
+        with np.errstate(over="call", invalid="call", call=not_finite):
+            for name in names:
+                g = grads[name]
+                step_rows = _block_rows(g.shape)
+                decay = cfg.weight_decay > 0 and g.ndim >= 2
+                for lo in range(0, len(g), step_rows):
+                    blk = slice(lo, lo + step_rows)
+                    p, m, v = params.tensors[name][blk], state.m[name][blk], state.v[name][blk]
+                    gb = g[blk]
+                    a = scratch[: p.size].reshape(p.shape)
+                    b = scratch[size : size + p.size].reshape(p.shape)
+                    m *= b1
+                    m += np.multiply(1 - b1, gb, out=a)
+                    v *= b2
+                    np.multiply(1 - b2, gb, out=a)
+                    v += np.multiply(a, gb, out=a)
+                    np.divide(v, c2, out=a)
+                    np.sqrt(a, out=a)
+                    a += ADAM_EPS
+                    np.divide(np.divide(m, c1, out=b), a, out=a)  # the update
+                    if decay:
+                        a += np.multiply(cfg.weight_decay, p, out=b)
+                    p -= np.multiply(lr, a, out=a)
+
+    halves = _adam_halves(grads)
+    # the element counts gate the split, so the work `_threaded` is asked about is unbounded
+    if halves is not None and _threads._threaded(math.inf):
+        for run in (scan, update):
+            _threads._beside(True, partial(run, halves[0]), partial(run, halves[1]))
+    else:
+        scan(grads)
+        update(grads)
     return params, state
 
 

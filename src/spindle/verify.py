@@ -5,7 +5,9 @@ folded with np.maximum / np.minimum, which keep a NaN, so a NaN fails its check.
 
 The code under test is the code training, sampling and evaluation run, such
 as `reveal_from_rows` and `diffusion_loss_batch`; the references are in
-`oracle.py`, which shares no code with it.
+`oracle.py`, which shares no code with it. The head-split check's reference
+is the head's own one-GEMM path, since what it tests is that the split
+leaves every byte of it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
+from . import _threads, oracle
 from .corpus import MASK_ID
-from .denoiser import DenoiserConfig, init_params
+from .denoiser import DenoiserConfig, _head_cut, _linear, _split_head, init_params
 from .diffusion import ScheduleParams, reveal_from_rows, spindle_alpha_bar_at, spindle_alpha_raw
 from .evaluation import exact_elbo, model_predict_fn
 from .rng import stream
@@ -220,6 +222,32 @@ def check_elbo_bound(num_instances: int = 50, seed: int = 0) -> CheckResult:
     return _timed("elbo-bound", worst_gap >= -1e-6, f"min gap = {worst_gap:.3e}", t0)
 
 
+def check_head_split(seed: int = 0, rows: tuple[int, ...] = (2, 9, 40, 100)) -> CheckResult:
+    """The output head's GEMM run as two column halves (`_split_head`, the
+    first on the thread pool) gives bitwise the logits of one GEMM
+    (`_linear`) at every shape `_head_cut` admits, of these row counts at d
+    16, 64 and 128 and K 2004, 4000 and 30,522, in float32 and float64, on
+    this machine's BLAS. Samples and gradients rest on that equality. Both
+    run with BLAS on one thread, as the split does when it runs on the pool:
+    a GEMM on several BLAS threads can round otherwise."""
+    t0 = time.perf_counter()
+    rng = stream(seed, "head-split")
+    checked = moved = 0
+    with _threads._one_blas_thread():
+        for dtype in (np.float32, np.float64):
+            for d, k in ((16, 2004), (64, 4000), (128, 30522)):
+                p = {"out.w": rng.normal(0.0, 0.1, (d, k)).astype(dtype),
+                     "out.b": rng.normal(0.0, 0.1, k).astype(dtype)}
+                for m in rows:
+                    cut = _head_cut(m, d, k)
+                    if cut:
+                        x = rng.normal(0.0, 1.0, (m, d)).astype(dtype)
+                        split = _split_head(x, p, cut)
+                        moved += split.tobytes() != _linear(x, p, "out.w", "out.b").tobytes()
+                        checked += 1
+    return _timed("head-split", checked and not moved, f"{moved} of {checked} shapes moved", t0)
+
+
 def run_all(seed: int = 0) -> list[CheckResult]:
     return [
         check_spindle_identity(seed=seed),
@@ -229,4 +257,5 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         check_gradient_fd(seed=seed),
         check_kl_simplification(seed=seed),
         check_elbo_bound(seed=seed),
+        check_head_split(seed=seed),
     ]

@@ -88,7 +88,9 @@ def _library(digests: dict[str, str]) -> None:
     windows sum into one buffer, and a frozen and a remask sample of 64
     iterations, in which a tad model skips the iterations where no chain
     changed; three float64 Adam updates; a sample of tied logits; a
-    desk-shaped 8-chain tad sample."""
+    desk-shaped 8-chain tad sample. Per dtype, at a head wide enough to
+    split (K 4000, d 32): a gradient call of one group, two Adam updates
+    with its gradients and a one-chain sample."""
     rng = np.random.default_rng(0)
     h = np.r_[0.0, 0.0, 0.0, np.linspace(0.5, 4.0, 2001)]
     seqs = [rng.integers(4, 13, size=n) for n in rng.integers(2, 16, size=70)]
@@ -134,6 +136,31 @@ def _library(digests: dict[str, str]) -> None:
         res = sp.generate_batch(params, sp.ScheduleParams(64, 0.3), cfg,
                                 sp.SurprisalTable(h[: params.config.vocab_size]), num, 5)
         digests[name] = _digest(res.sequences.tobytes() + res.reveal_iteration.tobytes())
+
+    rng = np.random.default_rng(10)
+    wide = dn.init_params(dn.DenoiserConfig(vocab_size=4000, mode="lte", num_layers=1, d_model=32,
+                                            num_heads=2, n_max=48, num_steps=8), 7)
+    wide.tensors["out.w"][:] = rng.normal(0.0, 0.2, (32, 4000))
+    lines = [rng.integers(4, 4000, size=n) for n in rng.integers(30, 48, size=8)]
+    t_draws = rng.integers(1, 9, size=8)
+    sched = sp.ScheduleParams(num_steps=8, lam=0.3)
+    rows = [spindle_alpha_bar_at(rng.uniform(0.5, 2.0, len(x)), [t - 1, t], sched)
+            for x, t in zip(lines, t_draws)]
+    wide_h = np.r_[0.0, 0.0, 0.0, np.linspace(0.5, 4.0, 3997)]
+    for dtype in (np.float32, np.float64):
+        p = wide.astype(dtype)
+        bound, grads = sp.diffusion_loss_batch(p, lines, rows, t_draws, 12)
+        digests[f"loss wide {np.dtype(dtype)}"] = _digest(repr(bound).encode() + b"".join(
+            grads[k].tobytes() for k in sorted(grads)))
+        state = sp.AdamState.zeros(p)
+        for step in (1, 2):
+            sp.adam_step(p, grads, state, sp.TrainConfig(weight_decay=0.01), step)
+        digests[f"adam wide {np.dtype(dtype)}"] = _digest(b"".join(
+            t[k].tobytes() for t in (p.tensors, state.m, state.v) for k in sorted(t)))
+        res = sp.generate_batch(p, sched, sp.SampleConfig(48, 8, top_k=20),
+                                sp.SurprisalTable(wide_h), 1, 13)
+        digests[f"sample wide {np.dtype(dtype)}"] = _digest(res.sequences.tobytes()
+                                                            + res.reveal_iteration.tobytes())
 
 
 def session() -> dict[str, str]:
@@ -224,12 +251,17 @@ def test_the_session_is_the_same_on_two_threads_under_stress(one_thread, force_t
                                                             thread_stress, monkeypatch, tmp_path):
     """The gate at 0 splits every sampler prediction of two or more chains
     and sends every call of the loss core on more than one group to the
-    pool. Each prediction is on a whole batch, the one its iteration draws
-    from, and a tad model skips some iterations. The resumed run ends where
-    the one it resumed does."""
+    pool. Outside those calls' blocks, the head's column halves where
+    `_head_cut` admits them, each backward's weight gradient and, with
+    _ADAM_SPLIT at 1, every Adam update use the pool too. Each prediction
+    is on a whole batch, the one its iteration draws from, and a tad model
+    skips some iterations. The resumed run ends where the one it resumed
+    does."""
     pool, submitted = _threads._thread_pool, []
     predict, draw, events = sp.sampling._predict, sp.sampling._draw_top_k, []
-    monkeypatch.setattr(_threads, "_thread_pool", lambda: submitted.append(1) or pool())
+    # each hand-over's caller: the function that called `_beside` or a block's hand_over
+    monkeypatch.setattr(_threads, "_thread_pool",
+                        lambda: submitted.append(sys._getframe(3).f_code.co_name) or pool())
     monkeypatch.setattr(sp.sampling, "_predict",
                         lambda params, x, *a: events.append(("predict", len(x)))
                         or predict(params, x, *a))
@@ -237,12 +269,15 @@ def test_the_session_is_the_same_on_two_threads_under_stress(one_thread, force_t
                         lambda kept, probs, masked, rng: events.append(("draw", len(masked)))
                         or draw(kept, probs, masked, rng))
     monkeypatch.setattr(_threads, "_MIN_THREADED_WORK", 0)
+    monkeypatch.setattr(sp.training, "_ADAM_SPLIT", 1)
     force_threads(True)
     monkeypatch.chdir(tmp_path)
     two = session()
     changed = moved(one_thread, two)
     assert not changed, f"moved on two threads: {changed}"
     assert len(submitted) > 200
+    assert {"_split_head", "backward", "adam_step", "_masked_ce", "score",
+            "_predict"} <= set(submitted)
     pairs = list(zip(events, events[1:]))
     assert all(after == ("draw", n) for (kind, n), after in pairs if kind == "predict")
     assert any(before[0] == after[0] == "draw" for before, after in pairs)  # a skip

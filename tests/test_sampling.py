@@ -596,21 +596,28 @@ def test_a_failing_half_ends_the_call_with_no_task_left_running(monkeypatch, for
     assert threading.get_ident() not in started
 
 
-def test_sampler_hands_over_only_desk_shaped_multi_chain_calls(monkeypatch, force_threads):
-    """With the threaded path on wherever a call's halves reach the gate,
-    a one-chain call at the desk shape and an 8-chain call of a test-sized
-    model never use the pool; an 8-chain desk-shaped call does, once per
-    iteration. test_golden.py pins the desk-shaped call's bytes on one
-    thread and on two."""
+def test_sampler_uses_the_pool_for_desk_multi_chain_and_wide_one_chain_calls(monkeypatch,
+                                                                          force_threads):
+    """With two CPUs taken as usable and the default work gate, a one-chain
+    call at the desk shape (K = 2004, its head halves under the gate) and
+    an 8-chain call of a test-sized model never use the pool. An 8-chain
+    desk-shaped call does, once per half per iteration, its heads whole
+    inside that block; a one-chain call at BERT's vocabulary does, once per
+    forward, for its head's first column half. test_golden.py pins the
+    bytes of both kinds on one thread and on two."""
     pool, used = _threads._thread_pool, []
     monkeypatch.setattr(_threads, "_thread_pool", lambda: used.append(1) or pool())
-    force_threads(True)
+    force_threads(lambda work: work >= _threads._MIN_THREADED_WORK)
     cfg = sp.SampleConfig(length=48, num_reverse_iterations=2, top_k=30)
-    desk = dn.init_params(dn.DenoiserConfig(vocab_size=2004, num_steps=4), 3)  # desk-shaped
-    desk.tensors["out.w"][:] = np.random.default_rng(4).normal(0.0, 0.1, (128, 2004))
-    h = np.r_[0.0, 0.0, 0.0, np.linspace(0.5, 4.0, 2001)]
-    for params, num in ((desk, 1), (_uniform_model(T=4, n_max=48), 8), (desk, 8)):
+    h = np.r_[0.0, 0.0, 0.0, np.linspace(0.5, 4.0, 30519)]
+    models = {}
+    for k in (2004, 30522):
+        models[k] = dn.init_params(dn.DenoiserConfig(vocab_size=k, num_steps=4), 3, np.float32)
+        models[k].tensors["out.w"][:] = np.random.default_rng(4).normal(0.0, 0.1, (128, k))
+    desk, bert = models[2004], models[30522]
+    for params, num, uses in ((desk, 1, 0), (_uniform_model(T=4, n_max=48), 8, 0), (desk, 8, 4),
+                              (bert, 1, 2)):
         used.clear()
         sp.generate_batch(params, sp.ScheduleParams(4, 0.3), cfg,
                           sp.SurprisalTable(h[: params.config.vocab_size]), num, 5)
-        assert len(used) == (4 if params is desk and num == 8 else 0)
+        assert len(used) == uses

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import threading
 import time
 
@@ -483,17 +484,31 @@ def test_workers_follow_the_group_work_threshold(force_threads):
     """Forward-only and gradient calls go to threads only where a group's
     GEMMs reach _MIN_THREADED_WORK multiply-adds per layer: a test-sized
     model stays on the calling thread, a default-sized one with 20-token
-    lines does not."""
+    lines does not. Each call asks the gate once, with a group's average
+    work. With the gate turned down, the groups run here and their heads
+    ask it in turn: every backward with its weight gradient's rows * d * K
+    multiply-adds, and a forward, where `_head_cut` admits its head's rows,
+    with the smaller column half's."""
     seen = []
-    force_threads(lambda work: seen.append(work) or False)
+    force_threads(lambda work: seen.append((sys._getframe(1).f_code.co_name, work)) or False)
     xts, targets, weights, t = _ragged_batch([20] * 16, seed=3)
+    backwards, splits = [], []
     for d, layers in ((16, 2), (128, 4)):
         params = tiny_params(vocab_size=2004, d_model=d, num_layers=layers, num_heads=4,
                              n_max=64, randomize=False, dropout=0.1)
-        _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), None)
-        _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), params.zeros_like())
-    small, small_grad, default, default_grad = seen
+        for grads in (None, params.zeros_like()):
+            _masked_ce(params, xts, targets, weights, t, stream(3, "ce"), grads)
+        for xt in (np.stack(xts[:8]), np.stack(xts[8:])):
+            rows = int((xt == MASK_ID).sum())
+            backwards.append(rows * d * 2004)
+            cut = dn._head_cut(rows, d, 2004)
+            splits += [rows * cut * d] * 2 if cut else []  # a forward-only and a gradient call
+    askers = [name for name, _ in seen]
+    assert set(askers) == {"_masked_ce", "_head_logits", "backward"}
+    small, small_grad, default, default_grad = (w for name, w in seen if name == "_masked_ce")
     assert small == small_grad < _threads._MIN_THREADED_WORK < default == default_grad
+    assert [w for name, w in seen if name == "backward"] == backwards
+    assert sorted(w for name, w in seen if name == "_head_logits") == sorted(splits)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -922,8 +937,9 @@ def test_masked_ce_holds_one_group_per_thread(monkeypatch, force_threads, worker
     On two threads the overlap is forced to its worst, so two groups'
     arrays are held at once in every call, as they are in a run where the
     two overlap fully. A forward-only call runs two groups at once on the
-    pool, and each forward waits at a barrier for the other thread's
-    forward to return. In a gradient call each backward starts
+    pool, and each group's head waits at its entry, holding the group's
+    logits, for the other thread's head to arrive, so the two heads' work
+    overlaps every time. In a gradient call each backward starts
     only once the next group's head has returned, which fixes the order of
     every large allocation, so its peak is the same in every run.
     A pipelined call holds at most two groups: one group's cache and
@@ -943,14 +959,13 @@ def test_masked_ce_holds_one_group_per_thread(monkeypatch, force_threads, worker
     force_threads(workers == 2)
     calls = {"groups": 0, "heads": 0, "backward": 0}
     if workers == 2 and not train:
-        real, barrier = dn.forward, threading.Barrier(2, timeout=30)
+        head, barrier = training._head_logp, threading.Barrier(2, timeout=30)
 
-        def paired(*args, **kwargs):
-            out = real(*args, **kwargs)
+        def paired(*args):
             barrier.wait()
-            return out
+            return head(*args)
 
-        monkeypatch.setattr(dn, "forward", paired)
+        monkeypatch.setattr(training, "_head_logp", paired)
     if workers == 2 and train:
         head, backward, ready = training._head_logp, dn.backward, threading.Condition()
 
