@@ -503,8 +503,7 @@ def test_workers_follow_the_group_work_threshold(force_threads):
             backwards.append(rows * d * 2004)
             cut = dn._head_cut(rows, d, 2004)
             splits += [rows * cut * d] * 2 if cut else []  # a forward-only and a gradient call
-    askers = [name for name, _ in seen]
-    assert set(askers) == {"_masked_ce", "_head_logits", "backward"}
+    assert {name for name, _ in seen} == {"_masked_ce", "_head_logits", "backward"}
     small, small_grad, default, default_grad = (w for name, w in seen if name == "_masked_ce")
     assert small == small_grad < _threads._MIN_THREADED_WORK < default == default_grad
     assert [w for name, w in seen if name == "backward"] == backwards
