@@ -6,15 +6,19 @@ and `denoiser.backward`) and `training.adam_step`.
 A caller cuts its work into tasks by its inputs' shapes alone, asks
 `_threaded` whether a task's work, in GEMM multiply-adds, is worth two
 threads, and runs its tasks inside `_tasks`, which hands each to the pool in
-order once fewer than the caller's slots of its tasks are unfinished, or
-through `_beside`, which runs one function on the pool beside another on the
-calling thread. One threaded block runs at a time: a block opened while
-another is open in the process, as a pool task's own block is, runs its
-tasks on its own thread, so no task waits for a pool thread that waits for
-it. While a block holds the pool, BLAS is pinned to one thread, so the two
-threads' GEMMs do not contend for the same cores. A task computes what it
-would on the calling thread, from inputs no other task writes, so results
-are bitwise those of one thread.
+order once fewer than the caller's slots of its tasks are unfinished; work
+the block's body does itself runs beside them on the calling thread. One
+threaded block runs at a time: a block opened while another is open in the
+process, as a pool task's own block is, runs its tasks on its own thread, so
+no task waits for a pool thread that waits for it. While a block holds the
+pool, BLAS is pinned to one thread, so the two threads' GEMMs do not contend
+for the same cores. A task computes what it would on the calling thread,
+from inputs no other task writes, and a block ends with the error running
+every task on the spot would end it with, so results and errors are those
+of one thread. The results are bitwise those of one thread only at one
+BLAS thread, as under the tests and the benchmark: with more, a float64
+GEMM outside a block, which may use them all, can round otherwise than
+inside one. The package's other claims of bitwise equality rest on this.
 
 This module imports nothing from the package, so every module may use it.
 """
@@ -167,46 +171,31 @@ def _tasks(threaded: bool, slots: int):
     and inside another threaded block, it runs fn(*args) on the spot. On a
     threaded one that holds the pool (`_holding_pool`) it submits fn(*args)
     to the pool once fewer than `slots` of the block's tasks are unfinished,
-    waiting for the oldest first; a task's result is what it writes. The
-    block ends once none of its tasks is running; the first task, in
-    hand-over order, that raised then ends it with its error, and an error
-    of the block itself comes first. A task runs under the numpy error
-    handling (`np.geterr`, `np.geterrcall`) of the thread that handed it
-    over.
+    waiting for the oldest first; a task's result is what it writes. A
+    task runs under the numpy error handling (`np.geterr`, `np.geterrcall`)
+    of the thread that handed it over.
+
+    Either way the block ends once none of its tasks is running, with the
+    error running every task on the spot would end it with: that of the
+    first task, in hand-over order, that raised, even where a younger task
+    or the block's body raised first in time; else the body's. A hand-over
+    that waits for a task that raised raises its error, so the block hands
+    over nothing more.
     """
     with _holding_pool(threaded) as held:
         if not held:
             yield lambda fn, *args: fn(*args)
             return
-        in_flight = []  # the futures of the block's unfinished tasks, oldest first
+        handed = []  # the futures of every task the block handed over, in order
 
         def hand_over(fn, *args):
-            if len(in_flight) == slots:
-                in_flight.pop(0).result()
-            in_flight.append(_submit(fn, *args))
+            if len(handed) >= slots:
+                handed[-slots].result()
+            handed.append(_submit(fn, *args))
 
         try:
             yield hand_over
-            for future in in_flight:
+        finally:
+            wait(handed)
+            for future in handed:
                 future.result()
-        finally:
-            wait(in_flight)
-
-
-def _beside(threaded: bool, fn_a, fn_b):
-    """fn_b()'s result, once fn_a() and fn_b() have both run. Where the call
-    holds the pool (`_holding_pool(threaded)`), fn_a runs on it, under this
-    thread's numpy error handling, while fn_b runs here; otherwise fn_a and
-    then fn_b run here. Neither may write what the other reads. Either way
-    an error of fn_a ends the call, and else one of fn_b: the error running
-    them in turn would end it with, and only once fn_a has returned.
-    """
-    with _holding_pool(threaded) as held:
-        if not held:
-            fn_a()
-            return fn_b()
-        future = _submit(fn_a)
-        try:
-            return fn_b()
-        finally:
-            future.result()  # waits for fn_a; its error replaces fn_b's

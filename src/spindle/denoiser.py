@@ -23,7 +23,8 @@ lte's time MLP); attention is inline. The output head, the widest GEMM at a
 BERT-sized vocabulary, uses the package's second thread (`_threads`) where
 no other call holds it and the shapes allow: the forward computes its two
 column halves at once (`_head_logits`), and `backward` its weight gradient
-beside the trunk's pass. Every result is bitwise that of one thread.
+beside the trunk's pass, each through one block of `_threads._tasks`. Every
+result is bitwise that of one thread at one BLAS thread (see `_threads`).
 """
 
 from __future__ import annotations
@@ -299,9 +300,10 @@ def _head_cut(rows: int, d: int, k: int) -> int:
 
 
 def _split_head(hf: np.ndarray, p: dict, cut: int) -> np.ndarray:
-    """The head's logits as two GEMMs, over out.w's columns [:cut] on the
-    pool and [cut:] here (`_threads._beside`), each writing its product and
-    then adding its bias into its own column slice of one (rows, K) array."""
+    """The head's logits as two GEMMs, over out.w's columns [:cut] handed to
+    the pool and [cut:] here, in one block of `_threads._tasks`, each
+    writing its product and then adding its bias into its own column slice
+    of one (rows, K) array."""
     w, b = p["out.w"], p["out.b"]
     logits = np.empty((len(hf), w.shape[1]), dtype=np.result_type(hf, w))
 
@@ -309,7 +311,9 @@ def _split_head(hf: np.ndarray, p: dict, cut: int) -> np.ndarray:
         np.matmul(hf, w[:, cols], out=logits[:, cols])
         logits[:, cols] += b[cols]
 
-    _threads._beside(True, lambda: half(np.s_[:cut]), lambda: half(np.s_[cut:]))
+    with _threads._tasks(True, 1) as hand_over:
+        hand_over(half, np.s_[:cut])
+        half(np.s_[cut:])
     return logits
 
 
@@ -539,11 +543,12 @@ def backward(
     are, and through a copy with them zeroed otherwise.
 
     The head's weight and bias gradients and the rest of the pass, from
-    d(loss)/d(hf) down through the trunk (`_trunk_backward`), write
-    nothing the other reads. Where `_threads._threaded` allows the weight
-    gradient's rows * d * K multiply-adds, it runs on the pool beside the
-    rest (`_threads._beside`), else first; every gradient is bitwise the
-    same either way.
+    d(loss)/d(hf) down through the trunk, write nothing the other reads.
+    The weight gradient is the one task of a `_threads._tasks` block whose
+    body is the rest: where `_threads._threaded` allows its rows * d * K
+    multiply-adds it runs on the pool beside the rest, else first. Every
+    gradient, and the error a failing pass ends with, is the same either
+    way (bitwise at one BLAS thread; see `_threads`).
 
     The cache must come from a training forward (`train=True`); a scoring
     forward's raises ValueError. backward consumes its cache: it drops the
@@ -568,67 +573,54 @@ def backward(
     if dlogits[:, SPECIAL_IDS].any():
         dlogits = np.array(upstream_grad, dtype=params.dtype)
         dlogits[:, SPECIAL_IDS] = 0.0
-    threaded = _threads._threaded(cache["hf"].size * cfg.vocab_size)  # the weight gradient's work
-    # The weight gradient pops the head's input, which is freed with it; the
-    # trunk reads only the cache's other keys.
-    return _threads._beside(threaded,
-                            lambda: _weight_grad(cache.pop("hf"), dlogits, "out.w", "out.b", grads),
-                            lambda: _trunk_backward(cache, _lin(dlogits, params["out.w"].T),
-                                                    grads))
-
-
-def _trunk_backward(cache: dict, dh: np.ndarray, grads: dict[str, np.ndarray]) -> dict:
-    """`backward` below the head, given d(loss)/d(hf) as dh: adds the
-    gradient of every parameter but out.w and out.b into grads, freeing
-    each layer's activations in cache once used, and returns grads."""
-    params: DenoiserParams = cache["params"]
-    cfg = params.config
-    p = params.tensors
+    p, g = params.tensors, grads
     B, m = cache["ids"].shape
-    g = grads
-    dh = _layernorm_backward(dh, cache["lnf"], p["ln_f.g"], g, "ln_f")
-
     scale = 1.0 / float(np.sqrt(cfg.head_dim))
-    dtvec = np.zeros((B, cfg.d_model), dtype=params.dtype) if cfg.mode == "lte" else None
+    threaded = _threads._threaded(cache["hf"].size * cfg.vocab_size)  # the weight gradient's work
+    with _threads._tasks(threaded, 1) as hand_over:
+        # the weight gradient takes the head's input, freed with its task;
+        # the trunk reads only the cache's other keys
+        hand_over(_weight_grad, cache.pop("hf"), dlogits, "out.w", "out.b", g)
+        dh = _layernorm_backward(_lin(dlogits, p["out.w"].T), cache["lnf"], p["ln_f.g"], g, "ln_f")
+        dtvec = np.zeros((B, cfg.d_model), dtype=params.dtype) if cfg.mode == "lte" else None
+        for i in reversed(range(cfg.num_layers)):
+            pre, at = f"layer{i}.", f"layer{i}.attn."
+            c = cache["layers"].pop()  # layer i's activations, freed with c
+            # ffn sublayer: h = h_mid + drop(mlp(ln2(h_mid)))
+            df = dh * c["ffn_mask"] if c["ffn_mask"] is not None else dh
+            dln2 = _mlp_grad(c["ffn"], df, p, pre + "ffn.", g)
+            dh_mid = dh + _layernorm_backward(dln2, c["ln2"], p[pre + "ln2.g"], g, pre + "ln2")
+            # attention sublayer: h_mid = h_in + drop(attn(ln1(h_in)))
+            dattn = dh_mid * c["attn_mask"] if c["attn_mask"] is not None else dh_mid
+            dctx = _linear_grad(c["ctx"], dattn, p, at + "wo", at + "bo", g)
+            if i == cfg.num_layers - 1:
+                # the last layer ran past attention on the [MASK] rows alone
+                rows = cache["head_rows"]
+                dh_mid, dctx = _scatter_rows(dh_mid, rows), _scatter_rows(dctx, rows)
+            dctx = _split_heads(dctx, cfg.num_heads)
+            dprobs = dctx @ c["v"].swapaxes(-1, -2)
+            dv = c["probs"].swapaxes(-1, -2) @ dctx
+            dscores = c["probs"] * (dprobs - (dprobs * c["probs"]).sum(axis=-1, keepdims=True))
+            dq = _merge_heads(dscores @ c["k"] * scale)
+            dk = _merge_heads(dscores.swapaxes(-1, -2) @ c["q"] * scale)
+            dv = _merge_heads(dv)
+            dln1 = (_linear_grad(c["a_norm"], dq, p, at + "wq", at + "bq", g)
+                    + _linear_grad(c["a_norm"], dk, p, at + "wk", at + "bk", g)
+                    + _linear_grad(c["a_norm"], dv, p, at + "wv", at + "bv", g))
+            dh = dh_mid + _layernorm_backward(dln1, c["ln1"], p[pre + "ln1.g"], g, pre + "ln1")
+            if dtvec is not None:
+                dtvec += dh.sum(axis=1)
 
-    for i in reversed(range(cfg.num_layers)):
-        pre, at = f"layer{i}.", f"layer{i}.attn."
-        c = cache["layers"].pop()  # layer i's activations, freed with c
-        # ffn sublayer: h = h_mid + drop(mlp(ln2(h_mid)))
-        df = dh * c["ffn_mask"] if c["ffn_mask"] is not None else dh
-        dln2 = _mlp_grad(c["ffn"], df, p, pre + "ffn.", g)
-        dh_mid = dh + _layernorm_backward(dln2, c["ln2"], p[pre + "ln2.g"], g, pre + "ln2")
-        # attention sublayer: h_mid = h_in + drop(attn(ln1(h_in)))
-        dattn = dh_mid * c["attn_mask"] if c["attn_mask"] is not None else dh_mid
-        dctx = _linear_grad(c["ctx"], dattn, p, at + "wo", at + "bo", g)
-        if i == cfg.num_layers - 1:
-            # the last layer ran past attention on the [MASK] rows alone
-            rows = cache["head_rows"]
-            dh_mid, dctx = _scatter_rows(dh_mid, rows), _scatter_rows(dctx, rows)
-        dctx = _split_heads(dctx, cfg.num_heads)
-        dprobs = dctx @ c["v"].swapaxes(-1, -2)
-        dv = c["probs"].swapaxes(-1, -2) @ dctx
-        dscores = c["probs"] * (dprobs - (dprobs * c["probs"]).sum(axis=-1, keepdims=True))
-        dq = _merge_heads(dscores @ c["k"] * scale)
-        dk = _merge_heads(dscores.swapaxes(-1, -2) @ c["q"] * scale)
-        dv = _merge_heads(dv)
-        dln1 = (_linear_grad(c["a_norm"], dq, p, at + "wq", at + "bq", g)
-                + _linear_grad(c["a_norm"], dk, p, at + "wk", at + "bk", g)
-                + _linear_grad(c["a_norm"], dv, p, at + "wv", at + "bv", g))
-        dh = dh_mid + _layernorm_backward(dln1, c["ln1"], p[pre + "ln1.g"], g, pre + "ln1")
-        if dtvec is not None:
-            dtvec += dh.sum(axis=1)
-
-    if cache["emb_mask"] is not None:
-        dh = dh * cache["emb_mask"]
-    g["pos_emb"][:m] += dh.sum(axis=0)
-    ids = cache["ids"].reshape(-1)
-    real = ids >= 0  # pte's time slot (-1) reads time_tok_emb instead
-    _add_rows_at(g["tok_emb"], ids[real], dh.reshape(-1, cfg.d_model)[real])
-    if cfg.mode == "pte":
-        _add_rows_at(g["time_tok_emb"], cache["t"], dh[:, 1, :])
-    if cfg.mode == "lte":  # the time features are constants: their gradient is dropped
-        _mlp_grad(cache["time_cache"], dtvec, p, "time_mlp.", g)
+        if cache["emb_mask"] is not None:
+            dh = dh * cache["emb_mask"]
+        g["pos_emb"][:m] += dh.sum(axis=0)
+        ids = cache["ids"].reshape(-1)
+        real = ids >= 0  # pte's time slot (-1) reads time_tok_emb instead
+        _add_rows_at(g["tok_emb"], ids[real], dh.reshape(-1, cfg.d_model)[real])
+        if cfg.mode == "pte":
+            _add_rows_at(g["time_tok_emb"], cache["t"], dh[:, 1, :])
+        if cfg.mode == "lte":  # the time features are constants: their gradient is dropped
+            _mlp_grad(cache["time_cache"], dtvec, p, "time_mlp.", g)
     return g
 
 

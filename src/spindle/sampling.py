@@ -30,11 +30,12 @@ them reaches the work gate of the package's thread pool (`_threads`), the
 halves' forwards and top-k are two tasks, run on the pool's two threads
 where two CPUs are usable and one after the other otherwise. The calling
 thread joins their rows in order and draws every uniform itself, so the
-samples are bitwise the same on one thread or two. A one-chain call, or one
-of a small model, runs one forward on the calling thread, and that forward
-hands the first column half of its head GEMM to the pool where the head is
-wide enough, as at BERT's 30,522-token vocabulary (`denoiser.forward`); its
-logits are bitwise those of one thread.
+samples are bitwise the same on one thread or two (at one BLAS thread; see
+`_threads`), and a failing half ends the call with the error of one thread.
+A one-chain call, or one of a small model, runs one forward on the calling
+thread, and that forward hands the first column half of its head GEMM to
+the pool where the head is wide enough, as at BERT's 30,522-token
+vocabulary (`denoiser.forward`); its logits are bitwise those of one thread.
 """
 
 from __future__ import annotations

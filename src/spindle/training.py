@@ -26,8 +26,8 @@ two at a time. A call that keeps its groups on the calling thread, as one
 of a single group does, leaves the pool to the denoiser, whose head at a
 vocabulary as wide as BERT's runs half on the pool (`denoiser.forward`,
 `denoiser.backward`), and `adam_step` updates a model of that size half on
-the pool. Every loss, gradient and update is bitwise the one of a single
-thread.
+the pool. Every loss, gradient, update and error is the one of a single
+thread (bitwise at one BLAS thread; see `_threads`).
 The loss core alone bounds memory: it holds the inputs of one window of 64
 items and the tensors of at most two groups at a time, however many items
 it scores.
@@ -40,7 +40,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -205,13 +204,15 @@ def _masked_ce(
     1.4x apart from the other's, the single-threaded sampler between ELBO
     calls then read that one core's speed. So a threaded call holds at most
     two groups' tensors at a time, and its losses and gradients are bitwise
-    those of one thread.
+    those of one thread (at one BLAS thread; see `_threads`).
 
     A group that raises ends the call with its error once none of the
-    call's tasks is running. If group k's forward raised, `grads` then
-    holds what it held plus the gradients of groups 0..k-1; if its backward
-    raised, also whatever part of group k's it had added. An empty batch
-    gives zero losses and adds nothing.
+    call's tasks is running: the error of one thread, so where group k's
+    backward and a later group's forward both raise, the backward's. If
+    group k's forward raised, `grads` then holds what it held plus the
+    gradients of groups 0..k-1; if its backward raised, also whatever part
+    of group k's it had added. An empty batch gives zero losses and adds
+    nothing.
     """
     if any((x0 == MASK_ID).any() for x0 in targets):
         raise ValueError("training sequence contains [MASK]")
@@ -391,14 +392,15 @@ def adam_step(
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p -= lr ((m / c1) / (sqrt(v / c2) + eps) + wd p).
 
-    Where the tensors cut into two lists of _ADAM_SPLIT elements or more
-    (`_adam_halves`) and `_threads._threaded` allows, the finiteness scan and
-    then the update each run the first list on the pool beside the second
-    here (`_threads._beside`); the scan of both lists ends before either
-    update starts. Otherwise one loop runs over every tensor here. The
-    results do not depend on which, and neither does the tensor an error
-    names: the first at fault in name order, as the first list's error
-    comes first.
+    The tensors make two lists: where they cut into two of _ADAM_SPLIT
+    elements or more (`_adam_halves`), those, else every tensor and none.
+    The finiteness scan and then the update each hand the first list over
+    in one block of `_threads._tasks` and run the second here, beside it on
+    the pool where `_threads._threaded` allows and after it otherwise; the
+    scan of both lists ends before either update starts. The results do not
+    depend on the threads (bitwise at one BLAS thread; see `_threads`), and
+    neither does the tensor an error names: the first at fault in name
+    order, as the block ends with the first list's error.
     """
     if set(grads) != set(params.tensors):
         raise ValueError("gradient names do not match parameters")
@@ -416,7 +418,8 @@ def adam_step(
                 raise FloatingPointError(f"the gradient of {name} is not finite")
 
     def update(names):
-        size = max(params.tensors[name][: _block_rows(grads[name].shape)].size for name in names)
+        size = max((params.tensors[name][: _block_rows(grads[name].shape)].size
+                    for name in names), default=0)
         scratch = np.empty(2 * size, dtype=params.dtype)
 
         def not_finite(kind, flag):  # numpy calls it at an overflow or invalid value
@@ -450,14 +453,13 @@ def adam_step(
                         a += np.multiply(cfg.weight_decay, p, out=b)
                     p -= np.multiply(lr, a, out=a)
 
-    halves = _adam_halves(grads)
+    first, second = _adam_halves(grads) or (list(grads), [])
     # the element counts gate the split, so the work `_threaded` is asked about is unbounded
-    if halves is not None and _threads._threaded(math.inf):
-        for run in (scan, update):
-            _threads._beside(True, partial(run, halves[0]), partial(run, halves[1]))
-    else:
-        scan(grads)
-        update(grads)
+    threaded = bool(second) and _threads._threaded(math.inf)
+    for run in (scan, update):
+        with _threads._tasks(threaded, 1) as hand_over:
+            hand_over(run, first)
+            run(second)
     return params, state
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import dataclasses
 import hashlib
 import io
 import json
@@ -34,6 +35,7 @@ import pytest  # noqa: E402
 import spindle as sp  # noqa: E402
 from spindle import _threads, cli  # noqa: E402
 from spindle import denoiser as dn  # noqa: E402
+from spindle.corpus import MASK_ID  # noqa: E402
 from spindle.diffusion import spindle_alpha_bar_at  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -89,8 +91,9 @@ def _library(digests: dict[str, str]) -> None:
     iterations, in which a tad model skips the iterations where no chain
     changed; three float64 Adam updates; a sample of tied logits; a
     desk-shaped 8-chain tad sample. Per dtype, at a head wide enough to
-    split (K 4000, d 32): a gradient call of one group, two Adam updates
-    with its gradients and a one-chain sample."""
+    split (K 4000, d 32): a gradient call of one group per mode; for lte
+    and tad, two Adam updates with its gradients, at weight decay 0.01 and
+    0, and then a one-chain sample."""
     rng = np.random.default_rng(0)
     h = np.r_[0.0, 0.0, 0.0, np.linspace(0.5, 4.0, 2001)]
     seqs = [rng.integers(4, 13, size=n) for n in rng.integers(2, 16, size=70)]
@@ -161,6 +164,25 @@ def _library(digests: dict[str, str]) -> None:
                                 sp.SurprisalTable(wide_h), 1, 13)
         digests[f"sample wide {np.dtype(dtype)}"] = _digest(res.sequences.tobytes()
                                                             + res.reveal_iteration.tobytes())
+    for mode in ("tad", "pte"):  # after the lte entries, so that none of theirs moves
+        model = dn.init_params(dataclasses.replace(wide.config, mode=mode), 7)
+        model.tensors["out.w"][:] = wide.tensors["out.w"]
+        for dtype in (np.float32, np.float64):
+            p = model.astype(dtype)
+            bound, grads = sp.diffusion_loss_batch(p, lines, rows, t_draws, 12)
+            digests[f"loss wide {mode} {np.dtype(dtype)}"] = _digest(
+                repr(bound).encode() + b"".join(grads[k].tobytes() for k in sorted(grads)))
+            if mode == "pte":
+                continue
+            state = sp.AdamState.zeros(p)
+            for step in (1, 2):
+                sp.adam_step(p, grads, state, sp.TrainConfig(weight_decay=0.0), step)
+            digests[f"adam wide {mode} decay=0 {np.dtype(dtype)}"] = _digest(b"".join(
+                t[k].tobytes() for t in (p.tensors, state.m, state.v) for k in sorted(t)))
+            res = sp.generate_batch(p, sched, sp.SampleConfig(48, 8, top_k=20),
+                                    sp.SurprisalTable(wide_h), 1, 13)
+            digests[f"sample wide {mode} {np.dtype(dtype)}"] = _digest(
+                res.sequences.tobytes() + res.reveal_iteration.tobytes())
 
 
 def session() -> dict[str, str]:
@@ -253,15 +275,33 @@ def test_the_session_is_the_same_on_two_threads_under_stress(one_thread, force_t
     and sends every call of the loss core on more than one group to the
     pool. Outside those calls' blocks, the head's column halves where
     `_head_cut` admits them, each backward's weight gradient and, with
-    _ADAM_SPLIT at 1, every Adam update use the pool too. Each prediction
+    _ADAM_SPLIT at 1, every Adam update use the pool too, each call at the
+    wide head (K 4000) as often as its shapes say. Each prediction
     is on a whole batch, the one its iteration draws from, and a tad model
     skips some iterations. The resumed run ends where the one it resumed
     does."""
     pool, submitted = _threads._thread_pool, []
     predict, draw, events = sp.sampling._predict, sp.sampling._draw_top_k, []
-    # each hand-over's caller: the function that called `_beside` or a block's hand_over
+    # each hand-over's caller: the function that called a block's hand_over
     monkeypatch.setattr(_threads, "_thread_pool",
                         lambda: submitted.append(sys._getframe(3).f_code.co_name) or pool())
+    forward, masked = dn.forward, []  # the [MASK] rows of each forward
+    monkeypatch.setattr(dn, "forward", lambda params, xt, *a, **kw:
+                        masked.append(int((xt == MASK_ID).sum())) or forward(params, xt, *a, **kw))
+    wide = []  # (function, pool uses, forwards of 16 or more [MASK] rows) of each K 4000 call
+
+    def counting(fn):
+        def call(params, *args, **kwargs):
+            uses, forwards = len(submitted), len(masked)
+            out = fn(params, *args, **kwargs)
+            if params.config.vocab_size == 4000:
+                wide.append((fn.__name__, len(submitted) - uses,
+                             sum(rows >= 16 for rows in masked[forwards:])))
+            return out
+        return call
+
+    for name in ("diffusion_loss_batch", "adam_step", "generate_batch"):
+        monkeypatch.setattr(sp, name, counting(getattr(sp, name)))
     monkeypatch.setattr(sp.sampling, "_predict",
                         lambda params, x, *a: events.append(("predict", len(x)))
                         or predict(params, x, *a))
@@ -282,6 +322,15 @@ def test_the_session_is_the_same_on_two_threads_under_stress(one_thread, force_t
     assert all(after == ("draw", n) for (kind, n), after in pairs if kind == "predict")
     assert any(before[0] == after[0] == "draw" for before, after in pairs)  # a skip
     assert two["resumed/model.spnd"] == two["tad/model.spnd"]
+    # at K 4000 a one-group gradient call hands over its head's first column
+    # half and its weight gradient, an Adam update its first list's scan and
+    # update, and a one-chain sample each head of 16 or more rows' first half
+    calls = {name: [(uses, heads) for fn, uses, heads in wide if fn == name]
+             for name in ("diffusion_loss_batch", "adam_step", "generate_batch")}
+    assert [uses for uses, _ in calls["diffusion_loss_batch"]] == [2] * 6
+    assert [uses for uses, _ in calls["adam_step"]] == [2] * 8
+    assert len(calls["generate_batch"]) == 4
+    assert all(uses == heads >= 2 for uses, heads in calls["generate_batch"])
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
-"""The package's second core (`_threads`) and the calls that use it outside a
-loss call's or sampler call's own block: the output head's column halves,
-the head's weight gradient beside the trunk, and Adam's two lists."""
+"""The package's second core (`_threads`): its one hand-over block, its
+gate, and the calls that use it outside a loss call's or sampler call's own
+block (the output head's column halves, the head's weight gradient beside
+the trunk, and Adam's two lists). test_golden.py's two-thread arm pins
+those calls' bytes on one thread and on two."""
 
 import os
 import threading
@@ -10,9 +12,6 @@ import pytest
 
 import spindle as sp
 from spindle import _threads, denoiser as dn, training
-from spindle.corpus import MASK_ID
-from spindle.diffusion import spindle_alpha_bar_at
-from spindle.rng import stream
 
 
 @pytest.fixture()
@@ -24,9 +23,9 @@ def pool_uses(monkeypatch):
 
 
 def test_a_task_keeps_the_handing_threads_error_callback():
-    """A task handed over inside np.errstate(over="call", call=fn), through
-    `_tasks` or `_beside`, calls fn at an overflow on the pool thread, as it
-    would on the thread that handed it over."""
+    """A task handed over inside np.errstate(over="call", call=fn) calls fn
+    at an overflow on the pool thread, as the block's body does on the
+    thread that handed it over."""
     calls, here = [], threading.get_ident()
 
     def overflow():
@@ -37,9 +36,9 @@ def test_a_task_keeps_the_handing_threads_error_callback():
         ran = []
         with _threads._tasks(True, 1) as hand_over:
             hand_over(lambda: ran.append(overflow()))
-        ran.append(_threads._beside(True, lambda: ran.append(overflow()), overflow))
-    assert calls == ["overflow"] * 3
-    assert len(ran) == 3 and ran[2] == here and here not in ran[:2]
+            here_ran = overflow()
+    assert calls == ["overflow"] * 2
+    assert here_ran == here and len(ran) == 1 and ran[0] != here
 
 
 def test_a_block_opened_inside_a_threaded_block_runs_inline():
@@ -55,8 +54,9 @@ def test_a_block_opened_inside_a_threaded_block_runs_inline():
         with _threads._tasks(True, 2) as hand_over:
             for _ in range(3):
                 hand_over(lambda: seen.append((opener, threading.get_ident())))
-        _threads._beside(True, lambda: seen.append((opener, threading.get_ident())),
-                         lambda: seen.append((opener, threading.get_ident())))
+        with _threads._tasks(True, 1) as hand_over:
+            hand_over(lambda: seen.append((opener, threading.get_ident())))
+            seen.append((opener, threading.get_ident()))
 
     def task():
         barrier.wait()  # both pool threads are busy from here on
@@ -99,28 +99,54 @@ def test_a_block_is_threaded_again_once_the_open_one_ends(pool_uses):
         with _threads._tasks(True, 1) as hand_over:
             hand_over(failing)
     pool_uses.clear()
-    _threads._beside(True, lambda: None, lambda: None)
+    with _threads._tasks(True, 1) as hand_over:
+        hand_over(lambda: None)
     assert pool_uses == [1]
 
 
 @pytest.mark.parametrize("failing, message", [("a", "a"), ("b", "b"), ("ab", "a")])
-def test_beside_ends_with_the_error_running_in_turn_would(failing, message):
-    """An error of fn_a comes first, also where fn_b raised too, and the call
-    ends only once fn_a has returned."""
+def test_a_block_ends_with_the_error_running_in_turn_would(failing, message):
+    """A one-slot block that hands task a over and runs b in its body ends
+    with a's error, also where b raised too, and first in time; and only
+    once a has returned."""
     done = []
 
     def part(name):
-        def run():
-            if name == "a":
-                threading.Event().wait(0.05)
-            done.append(name)
-            if name in failing:
-                raise RuntimeError(name)
-        return run
+        if name == "a":
+            threading.Event().wait(0.05)
+        done.append(name)
+        if name in failing:
+            raise RuntimeError(name)
 
     with pytest.raises(RuntimeError, match=f"^{message}$"):
-        _threads._beside(True, part("a"), part("b"))
+        with _threads._tasks(True, 1) as hand_over:
+            hand_over(part, "a")
+            part("b")
     assert sorted(done) == ["a", "b"]
+
+
+def test_the_oldest_failing_task_ends_the_block_though_a_younger_one_raised_first():
+    """In a two-slot block of three tasks, the third raises at once and the
+    second only once the third has raised; the block ends with the second's
+    error, as running them in turn would, once every task has returned."""
+    younger_raised, done = threading.Event(), []
+
+    def task(name):
+        try:
+            if name == "older":
+                assert younger_raised.wait(10)
+            if name != "first":
+                raise RuntimeError(name)
+        finally:
+            done.append(name)
+            if name == "younger":
+                younger_raised.set()
+
+    with pytest.raises(RuntimeError, match="^older$"):
+        with _threads._tasks(True, 2) as hand_over:
+            for name in ("first", "older", "younger"):
+                hand_over(task, name)
+    assert done == ["first", "younger", "older"]
 
 
 # Rows of the head GEMMs swept at each d and K: float32 K 2004 at 4-7 rows and
@@ -161,74 +187,6 @@ def test_the_head_splits_only_where_its_halves_are_the_whole_gemm(dtype, force_t
     assert dn._head_cut(2, 128, 30522) == 16 * (30522 // 32)
 
 
-def _wide(mode, dtype, k=4000, dropout=0.1):
-    """A one-layer d 32 model whose head, at K = 4000, splits from 16 rows."""
-    params = dn.init_params(dn.DenoiserConfig(vocab_size=k, mode=mode, num_layers=1, d_model=32,
-                                              num_heads=2, n_max=48, num_steps=8,
-                                              dropout=dropout), 5)
-    rng = np.random.default_rng(6)
-    for v in params.tensors.values():
-        v += rng.normal(0.0, 0.05, v.shape)
-    return params.astype(dtype)
-
-
-def _batch(num, k, seed=3):
-    rng = np.random.default_rng(seed)
-    seqs = [rng.integers(4, k, size=n) for n in rng.integers(30, 48, size=num)]
-    t_draws = rng.integers(1, 9, size=num)
-    sched = sp.ScheduleParams(num_steps=8, lam=0.3)
-    rows = [spindle_alpha_bar_at(rng.uniform(0.5, 2.0, len(x)), [t - 1, t], sched)
-            for x, t in zip(seqs, t_draws)]
-    return seqs, rows, t_draws
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("mode", ["tad", "lte", "pte"])
-def test_a_one_group_gradient_call_is_the_same_on_two_threads(mode, dtype, force_threads,
-                                                              thread_stress, pool_uses):
-    """A gradient call of one group (8 items) at a vocabulary whose head
-    splits gives bitwise the loss and every gradient with threads forced
-    on, its head's halves and its weight gradient on the pool, and off."""
-    params = _wide(mode, dtype)
-    seqs, rows, t_draws = _batch(8, 4000)
-
-    def run(threads):
-        force_threads(threads)
-        pool_uses.clear()
-        breakdown, grads = sp.diffusion_loss_batch(params, seqs, rows, t_draws, 11)
-        return repr(breakdown).encode() + b"".join(grads[k].tobytes() for k in sorted(grads))
-
-    off = run(False)
-    assert pool_uses == []
-    assert run(True) == off
-    assert len(pool_uses) == 2  # the forward's first column half and the weight gradient
-
-
-@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-def test_an_adam_update_is_the_same_on_two_threads(monkeypatch, force_threads, thread_stress,
-                                                   pool_uses, weight_decay):
-    """Three Adam updates with the tensors cut into two lists, each list's
-    finiteness scan and update on its own thread, leave bitwise the
-    parameters and moments of one loop on the calling thread."""
-    monkeypatch.setattr(training, "_ADAM_SPLIT", 1)
-    params = _wide("lte", np.float32)
-    rng = np.random.default_rng(2)
-    grads = [{k: rng.normal(0, 1, v.shape).astype(np.float32) for k, v in params.tensors.items()}
-             for _ in range(3)]
-
-    def run(threads):
-        force_threads(threads)
-        p, state = params.copy(), sp.AdamState.zeros(params)
-        for step, g in enumerate(grads, start=1):
-            sp.adam_step(p, g, state, sp.TrainConfig(weight_decay=weight_decay), step)
-        return b"".join(t[k].tobytes() for t in (p.tensors, state.m, state.v) for k in sorted(t))
-
-    off = run(False)
-    assert pool_uses == []
-    assert run(True) == off
-    assert len(pool_uses) == 3 * 2
-
-
 def test_adam_cuts_its_lists_by_element_count(monkeypatch):
     """The two lists keep name order and are as close in size as a cut
     allows; a model under _ADAM_SPLIT elements a list keeps one list."""
@@ -256,7 +214,8 @@ def test_an_adam_error_names_the_same_tensor_on_one_thread_or_two(monkeypatch, f
     tensor of each list or of the second alone, the error names the first
     such tensor in name order, threads on or off."""
     monkeypatch.setattr(training, "_ADAM_SPLIT", 1)
-    params = _wide("tad", np.float32)
+    params = dn.init_params(dn.DenoiserConfig(vocab_size=4000, mode="tad", num_layers=1,
+                                              d_model=32, num_heads=2), 5).astype(np.float32)
     first, second = training._adam_halves(params.tensors)
     assert faulty[0] in (first if len(faulty) == 2 else second) and faulty[-1] in second
     grads = params.zeros_like()
@@ -272,35 +231,3 @@ def test_an_adam_error_names_the_same_tensor_on_one_thread_or_two(monkeypatch, f
     expected = (f"the gradient of {faulty[0]} is not finite" if kind == "gradient"
                 else f"the Adam update of {faulty[0]} is not finite (overflow)")
     assert message(False) == message(True) == expected
-
-
-@pytest.mark.parametrize("mode", ["tad", "lte"])
-def test_a_one_chain_sample_is_the_same_on_two_threads(mode, force_threads, thread_stress,
-                                                       pool_uses):
-    """A one-chain sample at a vocabulary whose head splits draws bitwise
-    the same ids and reveal iterations with threads forced on, each forward
-    of 16 or more masked rows handing its head's first half to the pool,
-    and off."""
-    params = _wide(mode, np.float32, dropout=0.0)
-    h = np.r_[0.0, 0.0, 0.0, np.linspace(0.5, 4.0, 3997)]
-    forward, masked = dn.forward, []
-
-    def counting(params, xt, t, **kw):
-        masked.append(int((xt == MASK_ID).sum()))
-        return forward(params, xt, t, **kw)
-
-    def run(threads):
-        force_threads(threads)
-        pool_uses.clear()
-        masked.clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dn, "forward", counting)
-            res = sp.generate_batch(params, sp.ScheduleParams(8, 0.3),
-                                    sp.SampleConfig(48, 8, top_k=20), sp.SurprisalTable(h), 1,
-                                    stream(4, "one-chain"))
-        return res.sequences.tobytes() + res.reveal_iteration.tobytes()
-
-    off = run(False)
-    assert pool_uses == []
-    assert run(True) == off
-    assert len(pool_uses) == sum(rows >= 16 for rows in masked) >= 2

@@ -445,6 +445,36 @@ def test_a_failing_group_ends_the_call_with_no_task_left_running(monkeypatch, fo
                                 (True, "backward"): (3, 3)}[grad, stage]
 
 
+@pytest.mark.parametrize("threads", [False, True])
+def test_a_backward_and_a_later_forward_that_both_raise_end_with_the_backward(monkeypatch,
+                                                                              force_threads,
+                                                                              threads):
+    """In a gradient call of two groups whose group 0 backward raises 50 ms
+    in, and whose group 1 forward raises at once, the call ends with the
+    backward's error, on one thread, where the second forward never runs,
+    and on two, where it raises first."""
+    params = _ragged_params("lte", dropout=0.1)
+    xts, targets, weights, t = _ragged_batch([20] * 16, seed=9)
+    forward, forwards = dn.forward, []
+
+    def failing_forward(*args, **kwargs):
+        forwards.append(threading.get_ident())
+        if len(forwards) == 2:
+            raise RuntimeError("forward of group 1")
+        return forward(*args, **kwargs)
+
+    def failing_backward(*args):
+        time.sleep(0.05)
+        raise RuntimeError("backward of group 0")
+
+    monkeypatch.setattr(dn, "forward", failing_forward)
+    monkeypatch.setattr(dn, "backward", failing_backward)
+    force_threads(threads)
+    with pytest.raises(RuntimeError, match="^backward of group 0$"):
+        _masked_ce(params, xts, targets, weights, t, stream(4, "ce"), params.zeros_like())
+    assert len(forwards) == 1 + threads
+
+
 @pytest.mark.skipif(_threads._BLAS_THREADS is None, reason="numpy bundles no OpenBLAS")
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_blas_runs_one_thread_during_a_call_and_its_count_comes_back(monkeypatch, force_threads,
