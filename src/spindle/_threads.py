@@ -3,10 +3,12 @@ shared by the loss core (`training._masked_ce`), the sampler
 (`sampling.generate_batch`), the denoiser's output head (`denoiser.forward`
 and `denoiser.backward`) and `training.adam_step`.
 
-A caller cuts its work into tasks by its inputs' shapes alone, asks
-`_threaded` whether a task's work, in GEMM multiply-adds, is worth two
-threads, and runs its tasks inside `_tasks`, which hands each to the pool in
-order once fewer than the caller's slots of its tasks are unfinished; work
+The package's one rule: what a call computes depends on its inputs' shapes
+alone, and `_threaded` decides only where each task runs. A caller cuts its
+work into tasks by those shapes, asks `_threaded` whether a task's work, in
+GEMM multiply-adds, is worth two threads, and runs its tasks inside
+`_tasks`, which hands each to the pool in order once fewer than the
+caller's slots of its tasks are unfinished, or runs it on the spot; work
 the block's body does itself runs beside them on the calling thread. One
 threaded block runs at a time: a block opened while another is open in the
 process, as a pool task's own block is, runs its tasks on its own thread, so
@@ -38,8 +40,8 @@ import numpy as np
 # while the calling thread waits.
 _THREADS = 2
 # Multiply-adds of a task's GEMMs per layer (`denoiser._gemm_work`), or of a
-# task of one GEMM, below which a call keeps to one thread, and the sampler
-# does not split its chains: smaller
+# task of one GEMM, below which a call keeps to one thread, the sampler does
+# not split its chains and the head does not split its columns: smaller
 # tasks spend most of their time in the interpreter, which holds the GIL.
 # Measured for forward-only loss calls on a 2-core x86_64 box, 64 float32
 # items per call in groups of 8, lines of L tokens on average, medians of 8
@@ -107,12 +109,11 @@ def _threaded(work: float) -> bool:
     """Whether a call whose tasks take `work` multiply-adds per layer each
     on average (a task of one GEMM: its multiply-adds) hands them to the
     pool: where two CPUs are usable, BLAS can be pinned to one thread while
-    two run, the work reaches _MIN_THREADED_WORK, and no threaded block
-    holds the pool. Without the pin each thread's BLAS calls would contend
-    for the same cores; inside an open block the tasks would run one after
-    the other on the calling thread, so work cut for two threads is better
-    left whole."""
-    if _BLAS_THREADS is None or work < _MIN_THREADED_WORK or _held_by == os.getpid():
+    two run, and the work reaches _MIN_THREADED_WORK. Without the pin each
+    thread's BLAS calls would contend for the same cores. A block opened
+    while another holds the pool runs inline whatever the answer
+    (`_holding_pool`)."""
+    if _BLAS_THREADS is None or work < _MIN_THREADED_WORK:
         return False
     try:
         cpus = len(os.sched_getaffinity(0))

@@ -20,11 +20,12 @@ Correctness is pinned by finite-difference tests rather than an autodiff
 framework. Each op with parameters is one forward/backward pair:
 `_layernorm`, `_linear` (every GEMM with a bias) and `_mlp` (the FFN and
 lte's time MLP); attention is inline. The output head, the widest GEMM at a
-BERT-sized vocabulary, uses the package's second thread (`_threads`) where
-no other call holds it and the shapes allow: the forward computes its two
-column halves at once (`_head_logits`), and `backward` its weight gradient
-beside the trunk's pass, each through one block of `_threads._tasks`. Every
-result is bitwise that of one thread at one BLAS thread (see `_threads`).
+BERT-sized vocabulary, is cut by its shape: where it is wide enough the
+forward computes it as two column halves (`_head_logits`), and `backward`
+runs its weight gradient beside the trunk's pass, each through one block of
+`_threads._tasks`, on the package's second thread where `_threads._threaded`
+allows. What a pass computes depends on its inputs' shapes alone (see
+`_threads`).
 """
 
 from __future__ import annotations
@@ -49,18 +50,6 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 _NEG = -1e30
 _FFN_MULT = 4  # FFN hidden width, in multiples of d_model
-# Multiply-adds of the smaller column half at or below which the head GEMM
-# stays whole (`_head_cut`). A GEMM over some of w's columns is not always
-# bitwise those columns of the whole GEMM. In two sweeps on a 2-core x86_64
-# box (numpy 2.4.6, OpenBLAS 0.3.31 Haswell kernels, one BLAS thread; d
-# 16-256, K 40-30,522, 1-340 rows, cut at 16 * (K // 32); 1,680 shapes in
-# the second) the halves differed at 1 row (the GEMV path) in float32 and
-# float64, even at K 30,522, and at small shapes, such as float32 K 2004 at
-# 4-7 rows and float64 d 16, K 2004 at 32-61 rows. Every mismatch at 2 or
-# more rows had rows * cut * d of 984,064 or less, within OpenBLAS's
-# small-matrix path (M * N * K <= 100^3). `spindle verify` checks the rule
-# on the machine's own BLAS.
-_HEAD_SPLIT_WORK = 10**6
 
 CHECKPOINT_VERSION = 3  # version 2 headers also held ffn_mult; they still load
 # The deepest model. `init_params` and every pass loop over the layers in
@@ -291,40 +280,35 @@ def _gemm_work(config: DenoiserConfig, rows: float) -> float:
 
 
 def _head_cut(rows: int, d: int, k: int) -> int:
-    """The column 16 * (k // 32) at which the head GEMM of (rows, d) inputs
-    and k outputs splits into two halves, each bitwise those columns of the
-    whole GEMM: where rows >= 2 and the smaller half, its first, takes over
-    _HEAD_SPLIT_WORK multiply-adds. 0 where it stays whole."""
-    cut = 16 * (k // 32)
-    return cut if rows >= 2 and rows * cut * d > _HEAD_SPLIT_WORK else 0
+    """The column at which the head GEMM of (rows, d) inputs and k outputs
+    splits into two halves: where the smaller half, its first, takes at
+    least `_threads._MIN_THREADED_WORK` multiply-adds. 0 where it does not."""
+    cut = 16 * (k // 32)  # keeps the outputs' bytes; another cut could round otherwise
+    return cut if rows * cut * d >= _threads._MIN_THREADED_WORK else 0
 
 
-def _split_head(hf: np.ndarray, p: dict, cut: int) -> np.ndarray:
-    """The head's logits as two GEMMs, over out.w's columns [:cut] handed to
-    the pool and [cut:] here, in one block of `_threads._tasks`, each
-    writing its product and then adding its bias into its own column slice
-    of one (rows, K) array."""
+def _head_logits(hf: np.ndarray, p: dict) -> np.ndarray:
+    """The head's logits hf @ out.w + out.b. Where `_head_cut` splits the
+    GEMM, they are two GEMMs in one block of `_threads._tasks`, over out.w's
+    columns [:cut], handed over, and [cut:], run here, each writing its
+    product and then adding its bias into its own column slice of one
+    (rows, K) array; `_threads._threaded` decides only whether the first
+    runs on the pool, so the logits depend on the shapes alone (see
+    `_threads`). Else they are one `_linear` call."""
     w, b = p["out.w"], p["out.b"]
+    cut = _head_cut(*hf.shape, w.shape[1])
+    if not cut:
+        return _linear(hf, p, "out.w", "out.b")
     logits = np.empty((len(hf), w.shape[1]), dtype=np.result_type(hf, w))
 
     def half(cols):
         np.matmul(hf, w[:, cols], out=logits[:, cols])
         logits[:, cols] += b[cols]
 
-    with _threads._tasks(True, 1) as hand_over:
+    with _threads._tasks(_threads._threaded(len(hf) * cut * hf.shape[1]), 1) as hand_over:
         hand_over(half, np.s_[:cut])
         half(np.s_[cut:])
     return logits
-
-
-def _head_logits(hf: np.ndarray, p: dict) -> np.ndarray:
-    """The head's logits hf @ out.w + out.b, bitwise those of `_linear`. Where
-    `_head_cut` splits the GEMM and `_threads._threaded` allows its smaller
-    half's work, the two column halves run at once (`_split_head`)."""
-    cut = _head_cut(*hf.shape, p["out.w"].shape[1])
-    if cut and _threads._threaded(len(hf) * cut * hf.shape[1]):
-        return _split_head(hf, p, cut)
-    return _linear(hf, p, "out.w", "out.b")
 
 
 def _weight_grad(a: np.ndarray, d: np.ndarray, w: str, b: str, grads: dict) -> None:
@@ -407,8 +391,8 @@ def forward(
     columns are -inf. The last layer runs past its attention on those rows
     only. Its dropout masks are drawn at the full (B, n + prefix, d) shape
     and taken at those rows, so a pass draws from rng as if every row ran.
-    The head's GEMM runs as two column halves at once, one on the pool,
-    where `_head_logits` allows; the logits are bitwise the same either way.
+    The head's GEMM runs as two column halves where its shape says so
+    (`_head_logits`); where they run does not move a byte (see `_threads`).
 
     A forward trains or scores. With `train` it draws dropout from rng (at
     the config's rate, none at 0) and its cache holds every activation

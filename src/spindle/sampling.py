@@ -35,7 +35,8 @@ samples are bitwise the same on one thread or two (at one BLAS thread; see
 A one-chain call, or one of a small model, runs one forward on the calling
 thread, and that forward hands the first column half of its head GEMM to
 the pool where the head is wide enough, as at BERT's 30,522-token
-vocabulary (`denoiser.forward`); its logits are bitwise those of one thread.
+vocabulary (`denoiser.forward`). Both splits follow the shapes alone, and
+the threads decide only where the parts run (see `_threads`).
 """
 
 from __future__ import annotations
@@ -202,10 +203,12 @@ def _predict(
     allows it the two tasks run at once on the shared pool, else one after
     the other here. Otherwise the one forward runs here, and its head may
     use the pool itself (`denoiser._head_logits`); inside the two tasks'
-    block every head runs whole. A task's rows depend only on its own
-    chains, so the result is bitwise the same on one thread or two. It is
-    not always that of one forward over all chains: OpenBLAS can round a
-    GEMM row differently at another row count (see `generate_batch`).
+    block a head that its shape cuts runs its halves one after the other.
+    A task's rows depend only on its own chains, and no cut on the threads
+    (see `_threads`), so the result is bitwise the same on one thread or
+    two. It is not always that of one forward over all chains: OpenBLAS can
+    round a GEMM row differently at another row count (see
+    `generate_batch`).
     """
     half = len(x) // 2
     work = denoiser._gemm_work(params.config, half * (x.shape[1] + params.config.prefix_len))
@@ -268,7 +271,8 @@ def generate_batch(
     tasks, on the pool's two threads where `_threads._threaded` allows. A
     prediction of one forward runs here, and at a vocabulary as wide as
     BERT's its head's first column half runs on the pool beside the second
-    (`denoiser._head_logits`), bitwise the one-thread logits.
+    (`denoiser._head_logits`), a cut its shape alone decides (see
+    `_threads`).
     Which chains a forward runs on depends on the shapes alone; whether it
     runs depends on the draws. Neither depends on the thread count, so
     neither do the samples. A row can round differently in a forward over

@@ -26,8 +26,9 @@ two at a time. A call that keeps its groups on the calling thread, as one
 of a single group does, leaves the pool to the denoiser, whose head at a
 vocabulary as wide as BERT's runs half on the pool (`denoiser.forward`,
 `denoiser.backward`), and `adam_step` updates a model of that size half on
-the pool. Every loss, gradient, update and error is the one of a single
-thread (bitwise at one BLAS thread; see `_threads`).
+the pool. Each of these splits follows the shapes alone and the threads
+decide only where its parts run (see `_threads`), so every loss, gradient,
+update and error is the one of a single thread.
 The loss core alone bounds memory: it holds the inputs of one window of 64
 items and the tensors of at most two groups at a time, however many items
 it scores.
@@ -188,10 +189,11 @@ def _masked_ce(
     `backward` may hand half of its head's work to the pool, which such a
     call leaves free (see `denoiser.forward`).
     Any other call hands tasks to the shared pool through `_threads._tasks`,
-    with BLAS pinned to one thread and every head inside the call whole:
-    in order, each once fewer than its slots of the call's tasks are
-    unfinished, waiting for the oldest. A call with
-    `grads` has one slot: it runs every forward and head on the calling
+    with BLAS pinned to one thread, a head inside the call running its
+    column halves one after the other where its shape cuts it (see
+    `_threads`): in order, each once fewer than its slots of the call's
+    tasks are unfinished, waiting for the oldest. A call with `grads` has
+    one slot: it runs every forward and head on the calling
     thread in group order, so rng's dropout draws keep that order, and
     hands over each group's `backward`, which frees the group's cache layer
     by layer while the next group's forward runs; each parameter still gets

@@ -3,13 +3,14 @@ catch it.
 
     python tests/mutants.py [--only NAME]
 
-exports HEAD with `git archive` into a temporary directory and runs there,
+copies the files git lists in the working tree, tracked or untracked but not
+ignored, as they are on disk, into a temporary directory and runs there,
 with pytest, every test the table names on the unmutated tree, which must
 pass. Then, for each mutant, it puts the replacement in place of the
 snippet, runs only that mutant's tests, restores the file and prints
 "killed" (a test failed), "SURVIVED" (they all passed) or "error" (pytest
 could not run them), with the time taken. It exits 0 where every mutant
-was killed. Commit a change before running it on that change.
+was killed.
 
 Pytest does not collect this file; `test_mutants.py` checks that each
 snippet occurs exactly once in its file and that each named test exists, so
@@ -19,11 +20,10 @@ a change that moves the code a mutant edits has to update its row.
 from __future__ import annotations
 
 import argparse
-import io
 import os
+import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -43,12 +43,14 @@ class Mutant(NamedTuple):
 T, TR, S, D, C, CO, G = (f"tests/test_{name}.py::" for name in (
     "threads", "training", "sampling", "denoiser", "cli", "corpus", "golden"))
 GOLDEN_ARMS = G + "test_the_session_is_the_same_on_two_threads_under_stress"
+HEAD_AT_THE_GATE = T + "test_a_head_at_the_gate_runs_two_gemms_with_threads_off_or_on"
 
 MUTANTS = (
     # the training step
     Mutant("adam-beta1-last-bit", "src/spindle/training.py",
            "ADAM_BETA1 = 0.9\n", "ADAM_BETA1 = 0.9000000000000001\n",
-           (G + "test_the_session_gives_the_committed_digest[adam float64]",)),
+           (TR + "test_adam_step_is_bitwise_the_textbook_expression[0.0-float64]",
+            G + "test_the_session_gives_the_committed_digest[adam float64]")),
     Mutant("linear-grad-without-bias", "src/spindle/denoiser.py",
            "    grads[b] += _sum_rows(d)\n", "",
            (D + "test_gradients_match_finite_differences",)),
@@ -101,18 +103,22 @@ MUTANTS = (
            (TR + "test_blas_runs_one_thread_during_a_call_and_its_count_comes_back",)),
     Mutant("split-head-skips-a-column", "src/spindle/denoiser.py",
            "        half(np.s_[cut:])\n", "        half(np.s_[cut + 1:])\n",
-           (GOLDEN_ARMS,)),
+           (HEAD_AT_THE_GATE,)),
+    Mutant("head-split-only-where-threaded", "src/spindle/denoiser.py",
+           "    if not cut:\n",
+           "    if not cut or not _threads._threaded(len(hf) * cut * hf.shape[1]):\n",
+           (HEAD_AT_THE_GATE,)),
     Mutant("backward-keeps-the-head-input", "src/spindle/denoiser.py",
            'hand_over(_weight_grad, cache.pop("hf"), dlogits,',
            'hand_over(_weight_grad, cache["hf"], dlogits,',
            (D + "test_backward_consumes_its_cache",)),
     Mutant("adam-skips-its-second-list", "src/spindle/training.py",
            "            run(second)\n", "            pass\n",
-           (GOLDEN_ARMS,)),
+           (TR + "test_blocked_adam_is_bitwise_the_textbook_expression_across_block_edges",)),
     # the second core left idle: every byte holds, the pool-use counts do not
     Mutant("head-never-split", "src/spindle/denoiser.py",
-           "    if cut and _threads._threaded(", "    if False and _threads._threaded(",
-           (GOLDEN_ARMS,)),
+           "    if not cut:\n", "    if True:\n",
+           (HEAD_AT_THE_GATE, GOLDEN_ARMS)),
     Mutant("weight-gradient-never-handed-over", "src/spindle/denoiser.py",
            "    threaded = _threads._threaded(cache[\"hf\"].size * cfg.vocab_size)",
            "    threaded = False and _threads._threaded(cache[\"hf\"].size * cfg.vocab_size)",
@@ -187,10 +193,13 @@ def main(argv=None) -> int:
     mutants = [m for m in MUTANTS if args.only in (None, m.name)]
     start = time.monotonic()
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "archive", "--format=tar", "HEAD"], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
+        listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                                 "--exclude-standard"], cwd=ROOT, check=True,
+                                capture_output=True).stdout.decode().split("\0")
+        for name in listed:
+            if (ROOT / name).is_file():  # a tracked file deleted on disk is not copied
+                (Path(tmp) / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(ROOT / name, Path(tmp) / name)
         alive = run(Path(tmp), mutants)
     print(f"{len(mutants) - alive} of {len(mutants)} killed in {time.monotonic() - start:.1f} s")
     return 1 if alive else 0

@@ -1,13 +1,15 @@
 """Golden digests: the SHA-256 of every output of a tiny scripted CLI
 session and of a few library calls, pinned in golden.json beside this file.
 
-The session runs two ways, and both must give the same digests: on the
-calling thread alone with the default work gate, and with the gate at 0 and
-every gated call on the pool's two threads, under `thread_stress`. The first
-must also give the committed digests, one test per entry, where the
-platform is the one that wrote them. The session runs in a fresh directory on relative paths, so the
-paths it echoes never vary. Regenerate the file, saying why in CHANGES.md,
-with
+The session runs two ways, which set the same shape constants and differ
+only in the answer of the gate `_threads._threaded`: on the calling thread
+alone, and with every gated call on the pool's two threads, under
+`thread_stress`. What a call computes depends on its inputs' shapes alone
+(see `_threads`), so both must give the same digests. The first must also
+give the committed digests, one test per entry, where the platform is the
+one that wrote them. The session runs in a fresh directory on relative
+paths, so the paths it echoes never vary. Regenerate the file, saying why
+in CHANGES.md, with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -35,7 +37,6 @@ import pytest  # noqa: E402
 import spindle as sp  # noqa: E402
 from spindle import _threads, cli  # noqa: E402
 from spindle import denoiser as dn  # noqa: E402
-from spindle.corpus import MASK_ID  # noqa: E402
 from spindle.diffusion import spindle_alpha_bar_at  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -93,7 +94,10 @@ def _library(digests: dict[str, str]) -> None:
     desk-shaped 8-chain tad sample. Per dtype, at a head wide enough to
     split (K 4000, d 32): a gradient call of one group per mode; for lte
     and tad, two Adam updates with its gradients, at weight decay 0.01 and
-    0, and then a one-chain sample."""
+    0, and then a one-chain sample. Per dtype, at BERT's vocabulary (K
+    30,522, d 32), whose heads reach the gate at 35 or more rows: a
+    gradient call of one group, two Adam updates with its gradients and a
+    one-chain sample."""
     rng = np.random.default_rng(0)
     h = np.r_[0.0, 0.0, 0.0, np.linspace(0.5, 4.0, 2001)]
     seqs = [rng.integers(4, 13, size=n) for n in rng.integers(2, 16, size=70)]
@@ -184,6 +188,29 @@ def _library(digests: dict[str, str]) -> None:
             digests[f"sample wide {mode} {np.dtype(dtype)}"] = _digest(
                 res.sequences.tobytes() + res.reveal_iteration.tobytes())
 
+    rng = np.random.default_rng(14)  # after the K 4000 entries, so that none of theirs moves
+    bert = dn.init_params(dataclasses.replace(wide.config, vocab_size=30522), 15)
+    bert.tensors["out.w"][:] = rng.normal(0.0, 0.2, (32, 30522))
+    lines = [rng.integers(4, 30522, size=n) for n in rng.integers(30, 48, size=4)]
+    t_draws = rng.integers(4, 9, size=4)
+    rows = [spindle_alpha_bar_at(rng.uniform(0.5, 2.0, len(x)), [t - 1, t], sched)
+            for x, t in zip(lines, t_draws)]
+    bert_h = np.r_[0.0, 0.0, 0.0, np.linspace(0.5, 4.0, 30519)]
+    for dtype in (np.float32, np.float64):
+        p = bert.astype(dtype)
+        bound, grads = sp.diffusion_loss_batch(p, lines, rows, t_draws, 16)
+        digests[f"loss bert {np.dtype(dtype)}"] = _digest(repr(bound).encode() + b"".join(
+            grads[k].tobytes() for k in sorted(grads)))
+        state = sp.AdamState.zeros(p)
+        for step in (1, 2):
+            sp.adam_step(p, grads, state, sp.TrainConfig(weight_decay=0.01), step)
+        digests[f"adam bert {np.dtype(dtype)}"] = _digest(b"".join(
+            t[k].tobytes() for t in (p.tensors, state.m, state.v) for k in sorted(t)))
+        res = sp.generate_batch(p, sched, sp.SampleConfig(48, 8, top_k=20),
+                                sp.SurprisalTable(bert_h), 1, 17)
+        digests[f"sample bert {np.dtype(dtype)}"] = _digest(res.sequences.tobytes()
+                                                            + res.reveal_iteration.tobytes())
+
 
 def session() -> dict[str, str]:
     """Each entry's digest, from a session run in the current directory."""
@@ -231,10 +258,18 @@ def moved(expected: dict[str, str], got: dict[str, str]) -> list[str]:
     return sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
 
 
+def _arm(mp: pytest.MonkeyPatch, threads: bool) -> None:
+    """Set up one arm: the gate answers `threads` for every call. Both arms
+    cut Adam's tensors into two lists at every model size (`_ADAM_SPLIT`
+    1), which moves no byte: each tensor's update is its own."""
+    mp.setattr(sp.training, "_ADAM_SPLIT", 1)
+    mp.setattr(_threads, "_threaded", lambda _: threads)
+
+
 def _one_thread() -> dict[str, str]:
-    """The session's digests on the calling thread alone, with the default gate."""
+    """The session's digests on the calling thread alone."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_threads, "_threaded", lambda _: False)
+        _arm(mp, False)
         mp.chdir(tmp)
         return session()
 
@@ -269,34 +304,28 @@ def test_the_session_gives_no_entry_the_file_lacks(committed, one_thread):
     assert not new, f"not in {GOLDEN.name}: {new}; regenerate with `{REGENERATE}`"
 
 
-def test_the_session_is_the_same_on_two_threads_under_stress(one_thread, force_threads,
-                                                            thread_stress, monkeypatch, tmp_path):
-    """The gate at 0 splits every sampler prediction of two or more chains
-    and sends every call of the loss core on more than one group to the
-    pool. Outside those calls' blocks, the head's column halves where
-    `_head_cut` admits them, each backward's weight gradient and, with
-    _ADAM_SPLIT at 1, every Adam update use the pool too, each call at the
-    wide head (K 4000) as often as its shapes say. Each prediction
-    is on a whole batch, the one its iteration draws from, and a tad model
-    skips some iterations. The resumed run ends where the one it resumed
-    does."""
+def test_the_session_is_the_same_on_two_threads_under_stress(one_thread, thread_stress,
+                                                            monkeypatch, tmp_path):
+    """With the gate open for every call that asks it, the head's column
+    halves where its shape cuts it, each backward's weight gradient and
+    every Adam update use the pool, each call at K 4000 and K 30,522 as
+    often as its shapes say. Each prediction is on a whole batch, the one
+    its iteration draws from, and a tad model skips some iterations. The
+    resumed run ends where the one it resumed does."""
     pool, submitted = _threads._thread_pool, []
     predict, draw, events = sp.sampling._predict, sp.sampling._draw_top_k, []
     # each hand-over's caller: the function that called a block's hand_over
     monkeypatch.setattr(_threads, "_thread_pool",
                         lambda: submitted.append(sys._getframe(3).f_code.co_name) or pool())
-    forward, masked = dn.forward, []  # the [MASK] rows of each forward
-    monkeypatch.setattr(dn, "forward", lambda params, xt, *a, **kw:
-                        masked.append(int((xt == MASK_ID).sum())) or forward(params, xt, *a, **kw))
-    wide = []  # (function, pool uses, forwards of 16 or more [MASK] rows) of each K 4000 call
+    wide = {}  # (K, function): the pool uses of each K 4000 or 30,522 call
 
     def counting(fn):
         def call(params, *args, **kwargs):
-            uses, forwards = len(submitted), len(masked)
+            uses = len(submitted)
             out = fn(params, *args, **kwargs)
-            if params.config.vocab_size == 4000:
-                wide.append((fn.__name__, len(submitted) - uses,
-                             sum(rows >= 16 for rows in masked[forwards:])))
+            if params.config.vocab_size in (4000, 30522):
+                wide.setdefault((params.config.vocab_size, fn.__name__), []).append(
+                    len(submitted) - uses)
             return out
         return call
 
@@ -308,29 +337,28 @@ def test_the_session_is_the_same_on_two_threads_under_stress(one_thread, force_t
     monkeypatch.setattr(sp.sampling, "_draw_top_k",
                         lambda kept, probs, masked, rng: events.append(("draw", len(masked)))
                         or draw(kept, probs, masked, rng))
-    monkeypatch.setattr(_threads, "_MIN_THREADED_WORK", 0)
-    monkeypatch.setattr(sp.training, "_ADAM_SPLIT", 1)
-    force_threads(True)
+    _arm(monkeypatch, True)
     monkeypatch.chdir(tmp_path)
     two = session()
     changed = moved(one_thread, two)
     assert not changed, f"moved on two threads: {changed}"
     assert len(submitted) > 200
-    assert {"_split_head", "backward", "adam_step", "_masked_ce", "score",
-            "_predict"} <= set(submitted)
+    assert {"_head_logits", "backward", "adam_step", "_masked_ce", "score",
+            "_predict"} == set(submitted)
     pairs = list(zip(events, events[1:]))
     assert all(after == ("draw", n) for (kind, n), after in pairs if kind == "predict")
     assert any(before[0] == after[0] == "draw" for before, after in pairs)  # a skip
     assert two["resumed/model.spnd"] == two["tad/model.spnd"]
-    # at K 4000 a one-group gradient call hands over its head's first column
-    # half and its weight gradient, an Adam update its first list's scan and
-    # update, and a one-chain sample each head of 16 or more rows' first half
-    calls = {name: [(uses, heads) for fn, uses, heads in wide if fn == name]
-             for name in ("diffusion_loss_batch", "adam_step", "generate_batch")}
-    assert [uses for uses, _ in calls["diffusion_loss_batch"]] == [2] * 6
-    assert [uses for uses, _ in calls["adam_step"]] == [2] * 8
-    assert len(calls["generate_batch"]) == 4
-    assert all(uses == heads >= 2 for uses, heads in calls["generate_batch"])
+    # a one-group gradient call hands over its weight gradient, and its
+    # head's first column half where the head reaches the gate (at d 32: K
+    # 4000 from 263 rows, K 30,522 from 35), as at K 30,522's 119 rows but
+    # not K 4000's 164; an Adam update its first list's scan and update; a
+    # one-chain sample each head's first half where the head reaches the
+    # gate, as at K 30,522's first two of 48 and 40 rows
+    assert dn._head_cut(34, 32, 30522) == 0 < dn._head_cut(35, 32, 30522)
+    assert wide == {(4000, "diffusion_loss_batch"): [1] * 6, (4000, "adam_step"): [2] * 8,
+                    (4000, "generate_batch"): [0] * 4, (30522, "diffusion_loss_batch"): [2] * 2,
+                    (30522, "adam_step"): [2] * 4, (30522, "generate_batch"): [2] * 2}
 
 
 if __name__ == "__main__":

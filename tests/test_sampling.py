@@ -601,9 +601,9 @@ def test_sampler_uses_the_pool_for_desk_multi_chain_and_wide_one_chain_calls(mon
     """With two CPUs taken as usable and the default work gate, a one-chain
     call at the desk shape (K = 2004, its head halves under the gate) and
     an 8-chain call of a test-sized model never use the pool. An 8-chain
-    desk-shaped call does, once per half per iteration, its heads whole
-    inside that block; a one-chain call at BERT's vocabulary does, once per
-    forward, for its head's first column half. test_golden.py pins the
+    desk-shaped call does, once per half per iteration, a head its shape
+    cuts running its halves inline in that block; a one-chain call at BERT's
+    vocabulary does, once per forward, for its head's first column half. test_golden.py pins the
     bytes of both kinds on one thread and on two."""
     pool, used = _threads._thread_pool, []
     monkeypatch.setattr(_threads, "_thread_pool", lambda: used.append(1) or pool())

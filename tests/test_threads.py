@@ -1,10 +1,12 @@
 """The package's second core (`_threads`): its one hand-over block, its
 gate, and the calls that use it outside a loss call's or sampler call's own
 block (the output head's column halves, the head's weight gradient beside
-the trunk, and Adam's two lists). test_golden.py's two-thread arm pins
-those calls' bytes on one thread and on two."""
+the trunk, and Adam's two lists). Each is cut by its inputs' shapes alone,
+and the gate decides only where its parts run (see `_threads`), so the
+head tests below run it with the gate forced off and on.
+test_golden.py's two-thread arm pins those calls' bytes on one thread and
+on two."""
 
-import os
 import threading
 
 import numpy as np
@@ -76,20 +78,6 @@ def test_a_block_opened_inside_a_threaded_block_runs_inline():
     assert len({opener for opener, _ in seen}) == 3
 
 
-@pytest.mark.skipif(_threads._BLAS_THREADS is None, reason="numpy bundles no OpenBLAS")
-def test_the_gate_turns_work_down_while_a_block_holds_the_pool(monkeypatch):
-    """With two CPUs usable, work at the gate is threaded, except while a
-    threaded block is open: there its tasks would run one after the other,
-    so a head inside an evaluation's group stays one GEMM."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    work, answers = _threads._MIN_THREADED_WORK, []
-    assert _threads._threaded(work)
-    with _threads._tasks(True, 1) as hand_over:
-        hand_over(lambda: answers.append(_threads._threaded(work)))
-        answers.append(_threads._threaded(work))
-    assert answers == [False, False] and _threads._threaded(work)
-
-
 def test_a_block_is_threaded_again_once_the_open_one_ends(pool_uses):
     """The pool is free again once a block ends, also one that raised."""
     def failing():
@@ -149,42 +137,58 @@ def test_the_oldest_failing_task_ends_the_block_though_a_younger_one_raised_firs
     assert done == ["first", "younger", "older"]
 
 
-# Rows of the head GEMMs swept at each d and K: float32 K 2004 at 4-7 rows and
-# float64 d 16, K 2004 at 32-61 rows are among the shapes whose column halves
-# were seen to round otherwise than the whole GEMM (`denoiser._HEAD_SPLIT_WORK`)
-ROWS = (1, 2, 4, 7, 32, 61, 64, 170, 340)
+@pytest.fixture()
+def head_calls(monkeypatch):
+    """A list that gains "block" for each `_threads._tasks` block opened and
+    "gemm" for each GEMM the head runs: a `_linear` call or a column half's
+    `np.matmul`."""
+    calls, tasks, linear, matmul = [], _threads._tasks, dn._linear, np.matmul
+    monkeypatch.setattr(_threads, "_tasks", lambda *a: calls.append("block") or tasks(*a))
+    monkeypatch.setattr(dn, "_linear", lambda *a: calls.append("gemm") or linear(*a))
+    monkeypatch.setattr(np, "matmul", lambda *a, **kw: calls.append("gemm") or matmul(*a, **kw))
+    return calls
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_the_head_splits_only_where_its_halves_are_the_whole_gemm(dtype, force_threads,
-                                                                 pool_uses):
-    """Across d 16-256, K 40-30,522 and 1-340 rows, every head GEMM that
-    `_head_cut` admits, run as two column halves on two threads, gives
-    bitwise the logits of one GEMM; one row, and the shapes whose halves
-    were seen to differ, stay whole."""
+def _head(rows, k, d=128, seed=3):
+    """A float32 head's parameters and `rows` inputs."""
+    rng = np.random.default_rng(seed)
+    p = {"out.w": rng.normal(0.0, 0.1, (d, k)).astype(np.float32),
+         "out.b": rng.normal(0.0, 0.1, k).astype(np.float32)}
+    return rng.normal(0.0, 1.0, (rows, d)).astype(np.float32), p
+
+
+@pytest.mark.parametrize("rows", [9, 48])
+def test_a_head_at_the_gate_runs_two_gemms_with_threads_off_or_on(rows, force_threads,
+                                                                 pool_uses, head_calls):
+    """At d 128 and K 30,522 a head of 9 rows or more has a smaller column
+    half at the gate: it opens its block and runs two GEMMs whatever the
+    gate answers, which decides only whether the first half runs on the
+    pool. Both give the same bytes, those of one GEMM to float tolerance."""
+    x, p = _head(rows, 30522)
+    logits, uses = [], []
+    for threads in (False, True):
+        force_threads(threads)
+        head_calls.clear()
+        pool_uses.clear()
+        logits.append(dn._head_logits(x, p))
+        assert head_calls == ["block", "gemm", "gemm"], threads
+        uses.append(len(pool_uses))
+    assert uses == [0, 1]
+    assert logits[0].tobytes() == logits[1].tobytes()
+    np.testing.assert_allclose(logits[0], dn._linear(x, p, "out.w", "out.b"), rtol=1e-5,
+                               atol=1e-5)
+
+
+@pytest.mark.parametrize("rows, k", [(8, 30522), (100, 2004)], ids=["8-rows", "K-2004"])
+def test_a_head_below_the_gate_runs_one_gemm_and_opens_no_block(rows, k, force_threads,
+                                                               pool_uses, head_calls):
+    """A head whose smaller column half is below the gate, at 8 rows of K
+    30,522 or 100 rows of K 2004 (d 128), is one GEMM, with the gate on."""
+    x, p = _head(rows, k)
     force_threads(True)
-    rng = np.random.default_rng(7)
-    split = 0
-    for d in (16, 32, 64, 128, 256):
-        for k in (40, 2004, 4000, 30522):
-            p = {"out.w": rng.normal(0.0, 0.1, (d, k)).astype(dtype),
-                 "out.b": rng.normal(0.0, 0.1, k).astype(dtype)}
-            for rows in (r for r in ROWS if r * d * k <= 1e8):
-                x = rng.normal(0.0, 1.0, (rows, d)).astype(dtype)
-                cut = dn._head_cut(rows, d, k)
-                pool_uses.clear()
-                logits = dn._head_logits(x, p)
-                with _threads._one_blas_thread():  # as the halves run on the pool
-                    whole = dn._linear(x, p, "out.w", "out.b")
-                assert logits.tobytes() == whole.tobytes(), (d, k, rows)
-                assert len(pool_uses) == (cut > 0)
-                split += cut > 0
-    assert split >= 60
-    for d in (16, 32, 64, 128, 256):
-        assert all(dn._head_cut(1, d, k) == 0 for k in (40, 2004, 30522))
-    assert all(dn._head_cut(rows, d, 2004) == 0 for rows in range(4, 8) for d in (16, 64, 128))
-    assert all(dn._head_cut(rows, 16, 2004) == 0 for rows in range(32, 62))
-    assert dn._head_cut(2, 128, 30522) == 16 * (30522 // 32)
+    assert dn._head_cut(rows, 128, k) == 0
+    dn._head_logits(x, p)
+    assert head_calls == ["gemm"] and not pool_uses
 
 
 def test_adam_cuts_its_lists_by_element_count(monkeypatch):

@@ -15,8 +15,8 @@ from spindle import _threads, denoiser as dn, oracle as orc, training
 from spindle.corpus import MASK_ID, PAD_ID
 from spindle.diffusion import spindle_alpha_bar_at
 from spindle.rng import stream
-from spindle.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ShuffledPasses, _masked_ce,
-                              opt_state_from_records, stratified_t_draws)
+from spindle.training import (ShuffledPasses, _masked_ce, opt_state_from_records,
+                              stratified_t_draws)
 
 
 def tiny_params(mode="tad", vocab_size=13, seed=0, randomize=True, **kw):
@@ -513,15 +513,15 @@ def test_blas_runs_one_thread_during_a_call_and_its_count_comes_back(monkeypatch
 def test_workers_follow_the_group_work_threshold(force_threads):
     """Forward-only and gradient calls go to threads only where a group's
     GEMMs reach _MIN_THREADED_WORK multiply-adds per layer: a test-sized
-    model stays on the calling thread, a default-sized one with 20-token
+    model stays on the calling thread, a default-sized one with 40-token
     lines does not. Each call asks the gate once, with a group's average
     work. With the gate turned down, the groups run here and their heads
     ask it in turn: every backward with its weight gradient's rows * d * K
-    multiply-adds, and a forward, where `_head_cut` admits its head's rows,
-    with the smaller column half's."""
+    multiply-adds, and a forward, where `_head_cut` cuts its head by its
+    rows (here the default-sized model's), with the smaller column half's."""
     seen = []
     force_threads(lambda work: seen.append((sys._getframe(1).f_code.co_name, work)) or False)
-    xts, targets, weights, t = _ragged_batch([20] * 16, seed=3)
+    xts, targets, weights, t = _ragged_batch([40] * 16, seed=3, mask_rate=0.5)
     backwards, splits = [], []
     for d, layers in ((16, 2), (128, 4)):
         params = tiny_params(vocab_size=2004, d_model=d, num_layers=layers, num_heads=4,
@@ -550,7 +550,7 @@ def test_adam_step_is_bitwise_the_textbook_expression(dtype, weight_decay):
     m, v = expected.zeros_like(), expected.zeros_like()
     state = sp.AdamState.zeros(params)
     cfg = sp.TrainConfig(weight_decay=weight_decay, warmup_steps=2)
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    b1, b2, eps = 0.9, 0.98, 1e-8  # written out, so a change to the constants fails here
     rng = np.random.default_rng(8)
     for step in range(1, 4):
         grads = {k: rng.normal(0, 1, x.shape).astype(dtype) for k, x in params.tensors.items()}
@@ -562,7 +562,7 @@ def test_adam_step_is_bitwise_the_textbook_expression(dtype, weight_decay):
             m[name] += (1 - b1) * g
             v[name] *= b2
             v[name] += (1 - b2) * g * g
-            update = (m[name] / c1) / (np.sqrt(v[name] / c2) + ADAM_EPS)
+            update = (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
             if weight_decay > 0 and p.ndim >= 2:
                 update = update + weight_decay * p
             p -= lr * update
@@ -578,9 +578,11 @@ def test_blocked_adam_is_bitwise_the_textbook_expression_across_block_edges(
         monkeypatch, dtype, weight_decay):
     """With 5-element blocks, tensors of 1, 5, 6 and 11 elements and 2-D
     ones of 2-element, 3-element and wider-than-a-block rows update in one
-    block, at a block edge and over several blocks with a remainder; each
-    m, v and p equals, bit for bit, the whole-array expression."""
+    block, at a block edge and over several blocks with a remainder, in
+    Adam's two lists (`_ADAM_SPLIT` 1); each m, v and p equals, bit for
+    bit, the whole-array expression."""
     monkeypatch.setattr(training, "_BLOCK", 5)
+    monkeypatch.setattr(training, "_ADAM_SPLIT", 1)
     shapes = {"a": (1,), "b": (5,), "c": (6,), "d": (11,), "w2": (7, 2), "w3": (4, 3),
               "w7": (2, 7)}
     rng = np.random.default_rng(9)
@@ -590,7 +592,7 @@ def test_blocked_adam_is_bitwise_the_textbook_expression_across_block_edges(
     m, v = expected.zeros_like(), expected.zeros_like()
     state = sp.AdamState.zeros(params)
     cfg = sp.TrainConfig(weight_decay=weight_decay, warmup_steps=2)
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    b1, b2, eps = 0.9, 0.98, 1e-8  # written out, so a change to the constants fails here
     for step in range(1, 4):
         grads = {k: rng.normal(0, 1, x.shape).astype(dtype) for k, x in params.tensors.items()}
         params, state = sp.adam_step(params, grads, state, cfg, step)
@@ -599,7 +601,7 @@ def test_blocked_adam_is_bitwise_the_textbook_expression_across_block_edges(
             p = expected.tensors[name]
             m[name] = b1 * m[name] + (1 - b1) * g
             v[name] = b2 * v[name] + (1 - b2) * g * g
-            update = (m[name] / c1) / (np.sqrt(v[name] / c2) + ADAM_EPS)
+            update = (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
             if weight_decay > 0 and p.ndim >= 2:
                 update = update + weight_decay * p
             p -= lr * update
